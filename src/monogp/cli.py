@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", required=True, help="scenario JSON")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("simulate", help="render a synthetic scenario")
     common(sp)
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ablate", help="paired lp/gp ablation over seeds")
     common(sp)
     sp.add_argument("--seeds", type=int, default=10)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_ablate)
 
     sp = sub.add_parser("detect-vp", help="vanishing points from a segment file")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class PipelineOptions:
     vp_consensus_deg: float = 2.0
     vp_min_cluster: int = 6
     fuse_tol_deg: float = 5.0
-    struct_assoc_tol_deg: float = 5.0
     sigma_point_px: float = 1.0
     sigma_line_px: float = 1.0
     sigma_vd: float = 0.01
@@ -252,15 +251,9 @@ def run_pipeline(config: ScenarioConfig, mode: str,
         line_gp = {}
         if mode == "gp" and registry is not None:
             for lid, line in lines.items():
-                d = line.unit_direction()
-                best, best_ang = None, options.struct_assoc_tol_deg
-                for gp_id, gp in enumerate(registry.primitives):
-                    c = np.clip(abs(float(gp.direction @ d)), 0.0, 1.0)
-                    ang = math.degrees(math.acos(c))
-                    if ang < best_ang:
-                        best, best_ang = gp_id, ang
-                if best is not None:
-                    line_gp[lid] = best
+                gp_id = registry.match(line.unit_direction())
+                if gp_id is not None:
+                    line_gp[lid] = gp_id
         for lid, line in sorted(lines.items()):
             gp_id = line_gp.get(lid)
             if gp_id is not None and \
@@ -281,14 +274,8 @@ def run_pipeline(config: ScenarioConfig, mode: str,
             for lid, gp_id in sorted(line_gp.items()):
                 g.add_factor(fg.StructFactor(lid, gp_id,
                                              sigma=options.sigma_struct))
-        opt = fg.OptimizeOptions(
-            max_iters=options.optimizer.max_iters,
-            lambda_init=options.optimizer.lambda_init,
-            lambda_scale=options.optimizer.lambda_scale,
-            rel_tol=options.optimizer.rel_tol,
-            abs_tol=options.optimizer.abs_tol,
-            fixed_variable_keys=(("pose", 0),))
-        report = fg.optimize(g, opt)
+        report = fg.optimize(g, replace(options.optimizer,
+                                        fixed_variable_keys=(("pose", 0),)))
     except Exception as e:
         raise PipelineError("optimize", str(e)) from e
 
@@ -347,11 +334,10 @@ def run_ablation(config: ScenarioConfig, n_seeds: int,
     """Paired LP vs LP+GP runs over seeds with identical per-seed worlds."""
     if n_seeds < 2:
         raise ValueError("need at least 2 seeds")
-    import dataclasses
     per_seed, failures = [], []
     for i in range(n_seeds):
         seed = config.rng_seed + i
-        cfg = dataclasses.replace(config, rng_seed=seed)
+        cfg = replace(config, rng_seed=seed)
         try:
             res_lp = run_pipeline(cfg, "lp", options)
             res_gp = run_pipeline(cfg, "gp", options)

@@ -19,18 +19,25 @@ from .vanishing import canonical_direction
 DEFAULT_FUSE_TOL_DEG = 5.0
 
 
+def _axis_angle_deg(d1, d2) -> float:
+    """Sign-free angle between two unit directions: arccos(|d1·d2|), degrees."""
+    c = np.clip(abs(float(np.asarray(d1) @ np.asarray(d2))), 0.0, 1.0)
+    return math.degrees(math.acos(c))
+
+
 def is_parallel(d1, d2, tol_deg: float) -> bool:
     """Sign-free parallelism test: arccos(|d1·d2|) < tol_deg. Inputs unit."""
-    c = np.clip(abs(float(np.asarray(d1) @ np.asarray(d2))), 0.0, 1.0)
-    return math.degrees(math.acos(c)) < tol_deg
+    return _axis_angle_deg(d1, d2) < tol_deg
 
 
-def fuse_directions(d_i, n_i: int, d_j, n_j: int, n_l: int,
+def fuse_directions(d_i, n_i: float, d_j, n_j: float, n_l: float,
                     tol_deg: float = DEFAULT_FUSE_TOL_DEG) -> np.ndarray:
     """Support-weighted fusion of two parallel unit directions.
 
     Computes (n_i/n_l) d_i + (n_j/n_l) d_j after sign-aligning d_j to d_i,
     then renormalizes onto the unit sphere and canonicalizes the sign.
+    n_i and n_j are segment supports; supports already divided by the
+    per-frame segment budget fuse with n_l = 1.
     """
     d_i = np.asarray(d_i, dtype=float)
     d_j = np.asarray(d_j, dtype=float)
@@ -74,38 +81,45 @@ class GlobalPrimitiveRegistry:
         self.fuse_tol_deg = fuse_tol_deg
         self.primitives: list[GlobalPrimitive] = []
 
+    def match(self, direction) -> int | None:
+        """Id of the primitive nearest to `direction` within fuse_tol_deg.
+
+        The angle is sign-free and the bound strict; ties go to the lowest
+        id. Returns None when no primitive is that close.
+        """
+        best, best_angle = None, self.fuse_tol_deg
+        for gp_id, gp in enumerate(self.primitives):
+            ang = _axis_angle_deg(gp.direction, direction)
+            if ang < best_angle:
+                best, best_angle = gp_id, ang
+        return best
+
     def associate_frame(self, frame_id, lifted, n_l: int) -> list[tuple[int, frozenset]]:
         """Fuse a frame's lifted directions into the registry.
 
         lifted: list of (unit sign-canonical direction, set of segment ids).
-        Each direction fuses with the single best-matching parallel primitive
-        (smallest angle within tolerance) or creates a new one with weight
-        N_new / n_l. Returns (gp_id, segment ids) per lifted direction.
+        Each direction with N_new segments fuses into its `match` with weight
+        N_new / n_l, or creates a new primitive with that weight. Returns
+        (gp_id, segment ids) per lifted direction.
         """
         out = []
         for direction, seg_ids in lifted:
             direction = np.asarray(direction, dtype=float)
             seg_ids = frozenset(seg_ids)
             w_new = len(seg_ids) / n_l
-            best, best_angle = None, None
-            for gp_id, gp in enumerate(self.primitives):
-                c = np.clip(abs(float(gp.direction @ direction)), 0.0, 1.0)
-                ang = math.degrees(math.acos(c))
-                if ang < self.fuse_tol_deg and (best is None or ang < best_angle):
-                    best, best_angle = gp_id, ang
-            if best is None:
-                gp = GlobalPrimitive(canonical_direction(direction), w_new,
-                                     [(frame_id, seg_ids)])
-                self.primitives.append(gp)
-                out.append((len(self.primitives) - 1, seg_ids))
+            gp_id = self.match(direction)
+            if gp_id is None:
+                self.primitives.append(GlobalPrimitive(
+                    canonical_direction(direction), w_new, [(frame_id, seg_ids)]))
+                gp_id = len(self.primitives) - 1
             else:
-                gp = self.primitives[best]
-                d_new = direction if float(gp.direction @ direction) >= 0 else -direction
-                fused = gp.support_weight * gp.direction + w_new * d_new
-                gp.direction = canonical_direction(fused)
+                gp = self.primitives[gp_id]
+                gp.direction = fuse_directions(gp.direction, gp.support_weight,
+                                               direction, w_new, 1,
+                                               self.fuse_tol_deg)
                 gp.support_weight += w_new
                 gp.associations.append((frame_id, seg_ids))
-                out.append((best, seg_ids))
+            out.append((gp_id, seg_ids))
         return out
 
     def recompute_support(self, n_l: int, gp_id: int) -> float:

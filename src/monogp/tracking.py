@@ -1,4 +1,4 @@
-"""Line-track maintenance, mapline verification gates, keyframe policy.
+"""Line-track maintenance and mapline verification gates.
 
 The three verification gates run before a triangulated line is admitted to
 the map for a given frame: reprojection (midpoint distance + endpoint
@@ -47,7 +47,6 @@ class MatchParams:
 class LineTrack:
     track_id: int
     observations: list = field(default_factory=list)  # (frame_id, Segment2D)
-    merged_flag: bool = False
 
     @property
     def age(self) -> int:
@@ -76,15 +75,6 @@ def _angle_between_deg(u, v) -> float:
     return math.degrees(math.acos(np.clip(c, 0.0, 1.0)))
 
 
-def _overlap_ratio(original: Segment2D, other: Segment2D) -> float:
-    v = original.direction
-    l = original.length
-    r1 = float((other.p_start - original.p_start) @ v) / l
-    r2 = float((other.p_end - original.p_start) @ v) / l
-    r1p, r2p = min(r1, r2), max(r1, r2)
-    return min(r2p, 1.0) - max(r1p, 0.0)
-
-
 def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
                     params: MatchParams | None = None,
                     ) -> list[tuple[int, Segment2D, str]]:
@@ -110,7 +100,8 @@ def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
             ang = _angle_between_deg(det.direction, pred.direction)
             if ang >= params.gate_ang_deg:
                 continue
-            overlap = np.clip(_overlap_ratio(pred, det), 0.0, 1.0)
+            overlap = np.clip(overlap_ratio(pred.p_start, pred.p_end,
+                                            det.p_start, det.p_end), 0.0, 1.0)
             score = (params.w_angle * (1.0 - ang / params.gate_ang_deg)
                      + params.w_overlap * overlap)
             if score > best_score:
@@ -123,23 +114,6 @@ def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
         else:
             out.append((pred.track_id, pred, "predicted"))
     return out
-
-
-def merge_segments(prev: Segment2D, curr: Segment2D,
-                   angle_tol_deg: float = 2.0) -> Segment2D:
-    """Merge two collinear segments into the extreme extent on curr's line.
-
-    Out-of-image endpoints are retained (no clamping).
-    """
-    if _angle_between_deg(prev.direction, curr.direction) > angle_tol_deg:
-        raise ValueError("not collinear: segment directions differ too much")
-    v = curr.direction
-    origin = curr.p_start
-    pts = [prev.p_start, prev.p_end, curr.p_start, curr.p_end]
-    ts = [float((p - origin) @ v) for p in pts]
-    p_lo = origin + min(ts) * v
-    p_hi = origin + max(ts) * v
-    return Segment2D(p_lo, p_hi, id=curr.id, track_id=curr.track_id)
 
 
 def reprojection_gate(p_ori_mid, p_proj_mid, d_s: float, d_e: float,
@@ -168,9 +142,12 @@ def sensitivity_gate(v_ori, p_ori_mid, p_proj_mid,
     return GateResult(True, None, 90.0 - alpha)
 
 
-def overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e,
-                 r_thre: float) -> GateResult:
-    """Projected-extent overlap ratio r; fail when r < r_thre."""
+def overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e) -> float:
+    """Share of the original extent that the projected extent covers.
+
+    Both extents are measured along the original direction in units of the
+    original length; the ratio is at most 1 and negative when they are apart.
+    """
     p_ori_s = np.asarray(p_ori_s, dtype=float)
     p_ori_e = np.asarray(p_ori_e, dtype=float)
     l_ori = float(np.linalg.norm(p_ori_e - p_ori_s))
@@ -180,31 +157,16 @@ def overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e,
     r1 = float((np.asarray(p_proj_s) - p_ori_s) @ v) / l_ori
     r2 = float((np.asarray(p_proj_e) - p_ori_s) @ v) / l_ori
     r1p, r2p = min(r1, r2), max(r1, r2)
-    r = min(r2p, 1.0) - max(r1p, 0.0)
+    return min(r2p, 1.0) - max(r1p, 0.0)
+
+
+def overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e,
+                 r_thre: float) -> GateResult:
+    """Projected-extent overlap ratio r; fail when r < r_thre."""
+    r = overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e)
     if r < r_thre:
         return GateResult(False, "overlap", r)
     return GateResult(True, None, r)
-
-
-@dataclass
-class KeyframePolicy:
-    t_age: int = 10        # frames a track must persist
-    n_persist: int = 10    # persistent tracks required
-    growth_ratio: float = 0.3
-
-
-def keyframe_decision(tracks: list[LineTrack], last_kf_line_count: int,
-                      policy: KeyframePolicy | None = None,
-                      ) -> tuple[bool, str | None]:
-    """Insert a keyframe on long-lived tracks or a jump in tracked lines."""
-    policy = policy or KeyframePolicy()
-    n_old = sum(1 for t in tracks if t.age >= policy.t_age)
-    if n_old >= policy.n_persist:
-        return True, "persistence"
-    if last_kf_line_count > 0 and \
-            len(tracks) >= (1.0 + policy.growth_ratio) * last_kf_line_count:
-        return True, "growth"
-    return False, None
 
 
 @dataclass

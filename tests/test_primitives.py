@@ -1,5 +1,6 @@
 """Global-primitive fusion, registry bookkeeping, association graph."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -112,6 +113,44 @@ def test_registry_distant_direction_appends():
                                    frozenset([2, 3]))], n_l=10)
     assert out == [(1, frozenset([2, 3]))]
     assert len(reg.primitives) == 2
+
+
+def test_match_nearest_within_tolerance():
+    reg = GlobalPrimitiveRegistry(fuse_tol_deg=5.0)
+    reg.associate_frame(0, [(np.array([1.0, 0.0, 0.0]), frozenset([0])),
+                            (canonical_direction([1.0, np.tan(np.radians(6.0)), 0.0]),
+                             frozenset([1]))], n_l=10)
+    assert len(reg.primitives) == 2
+    ang = np.radians(4.0)
+    assert reg.match(np.array([np.cos(ang), np.sin(ang), 0.0])) == 1
+    ang = np.radians(2.0)
+    assert reg.match(np.array([np.cos(ang), np.sin(ang), 0.0])) == 0
+
+
+def test_match_antiparallel():
+    reg = GlobalPrimitiveRegistry()
+    reg.associate_frame(0, [(np.array([0.0, 0.0, 1.0]), frozenset([0]))], n_l=10)
+    ang = np.radians(1.0)
+    assert reg.match(np.array([0.0, -np.sin(ang), -np.cos(ang)])) == 0
+
+
+def test_match_at_or_above_tolerance_is_none():
+    x = np.array([1.0, 0.0, 0.0])
+    ang = np.radians(3.0)
+    d = np.array([np.cos(ang), np.sin(ang), 0.0])
+    exact = math.degrees(math.acos(float(x @ d)))
+    reg = GlobalPrimitiveRegistry(fuse_tol_deg=exact)
+    reg.associate_frame(0, [(x, frozenset([0]))], n_l=10)
+    assert reg.match(d) is None  # the bound is strict
+    reg.fuse_tol_deg = np.nextafter(exact, np.inf)
+    assert reg.match(d) == 0
+    reg.fuse_tol_deg = 2.0
+    assert reg.match(d) is None
+    assert reg.match(np.array([0.0, 1.0, 0.0])) is None
+
+
+def test_match_empty_registry():
+    assert GlobalPrimitiveRegistry().match(np.array([1.0, 0.0, 0.0])) is None
 
 
 def test_registry_bookkeeping_consistency():

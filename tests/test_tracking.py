@@ -1,17 +1,14 @@
-"""Line tracking, the three mapline verification gates, keyframe policy."""
+"""Line tracking and the three mapline verification gates."""
 import numpy as np
 import pytest
 
 from monogp.segments import Segment2D
 from monogp.tracking import (
     GateThresholds,
-    KeyframePolicy,
     LineTrack,
     MatchParams,
     filter_short,
-    keyframe_decision,
     match_predicted,
-    merge_segments,
     overlap_gate,
     reprojection_gate,
     run_gates,
@@ -86,40 +83,6 @@ def test_match_detection_not_shared_between_tracks():
     assert sources.count("detected") == 1
 
 
-# -- merging -----------------------------------------------------------------
-
-def test_merge_extends_to_extremes():
-    merged = merge_segments(seg(0, 0, 5, 0), seg(3, 0, 10, 0))
-    lo, hi = sorted([merged.p_start[0], merged.p_end[0]])
-    assert (lo, hi) == (0.0, 10.0)
-    assert merged.p_start[1] == merged.p_end[1] == 0.0
-
-
-def test_merge_identical_is_identity():
-    s = seg(2, 3, 12, 3)
-    merged = merge_segments(s, seg(2, 3, 12, 3))
-    ends = sorted([tuple(merged.p_start), tuple(merged.p_end)])
-    assert ends == [(2.0, 3.0), (12.0, 3.0)]
-
-
-def test_merge_retains_out_of_image_endpoints():
-    merged = merge_segments(seg(600, 10, 700, 10), seg(620, 10, 660, 10))
-    assert max(merged.p_start[0], merged.p_end[0]) == 700.0
-
-
-def test_merge_not_collinear_raises():
-    with pytest.raises(ValueError, match="not collinear"):
-        merge_segments(seg(0, 0, 10, 0), seg(0, 0, 10, 5))
-
-
-def test_merge_extent_commutative():
-    a, b = seg(0, 0, 5, 0), seg(3, 0, 10, 0)
-    m1, m2 = merge_segments(a, b), merge_segments(b, a)
-    e1 = sorted([tuple(m1.p_start), tuple(m1.p_end)])
-    e2 = sorted([tuple(m2.p_start), tuple(m2.p_end)])
-    assert e1 == e2
-
-
 # -- gates -------------------------------------------------------------------
 
 def test_reprojection_gate_pass():
@@ -183,36 +146,6 @@ def test_overlap_gate_endpoint_swap_invariant():
         r2 = overlap_gate(o_e, o_s, p_e, p_s, 0.3).value
         assert abs(r1 - r2) < 1e-9
         assert r1 <= 1.0 + 1e-12
-
-
-# -- keyframe policy ---------------------------------------------------------
-
-def long_tracks(n, age):
-    tracks = []
-    for i in range(n):
-        t = LineTrack(i)
-        for f in range(age):
-            t.add(f, seg(0, 0, 30, 0))
-        tracks.append(t)
-    return tracks
-
-
-def test_keyframe_persistence():
-    decided, reason = keyframe_decision(long_tracks(12, 15), 40,
-                                        KeyframePolicy(10, 10, 0.3))
-    assert decided and reason == "persistence"
-
-
-def test_keyframe_growth():
-    decided, reason = keyframe_decision(long_tracks(60, 2), 40,
-                                        KeyframePolicy(10, 10, 0.3))
-    assert decided and reason == "growth"
-
-
-def test_keyframe_no_trigger():
-    decided, reason = keyframe_decision(long_tracks(45, 2), 40,
-                                        KeyframePolicy(10, 10, 0.3))
-    assert not decided and reason is None
 
 
 # -- audit CSV ---------------------------------------------------------------
