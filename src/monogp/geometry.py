@@ -32,10 +32,19 @@ class TriangulationError(ValueError):
     """Insufficient parallax or degenerate two-view configuration."""
 
 
+# The generators of so(3), one per axis: skew(v) = sum_k v[k] * basis[k].
+_SKEW_BASIS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]).reshape(3, 9)
+
+
 def skew(v) -> np.ndarray:
-    """3x3 skew-symmetric matrix such that skew(v) @ u == cross(v, u)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """3x3 skew-symmetric matrix such that skew(v) @ u == cross(v, u).
+
+    A stack of vectors (..., 3) gives a stack of matrices (..., 3, 3).
+    """
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
 def cross3(a, b) -> np.ndarray:

@@ -12,9 +12,21 @@ Variables and their local parameterizations:
   gp    2 DOF  tangent-plane step + renormalization onto the unit sphere
 
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
-covariance-weighted cost. Residual and Jacobian evaluation are pure
-per-factor functions; the solve/update is a single-threaded critical
-section per iteration.
+covariance-weighted cost. Evaluation is batched by factor kind (Triggs et
+al. 2000; Agarwal et al. 2010). `PackedFactors` packs a factor list once:
+per kind, the rows of each factor's two variables and its constants
+(observation, intrinsics, the segment's image line, 1/sigma^2, Huber delta).
+Each evaluation gathers the stacked state (pose R and t, points, line U and
+W, GP directions and tangent bases) from the graph and runs one vectorized
+kernel per kind, which returns stacked residuals, an active mask and, when
+asked, stacked Jacobian blocks. `_linearize` scatters the weighted J^T Λ J
+blocks into the dense H in one pass; `total_cost` and `cost_breakdown` run
+the same kernels without Jacobians. The per-factor `residual`/`jacobians`
+methods and the standalone residual functions are these kernels applied to
+one input. An inactive factor (a point at depth <= EPS_Z, a line whose image
+line is degenerate) contributes nothing, and its `residual` and `jacobians`
+raise. `optimize` packs once per call; the solve/update is a single-threaded
+critical section per iteration.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
   gradient           ||g||_inf < abs_tol at a linearization       converged
@@ -36,19 +48,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    cross3,
+    EPS_IMAGE_LINE,
+    EPS_Z,
     BehindCameraError,
     CameraIntrinsics,
     DegenerateLineError,
     OrthonormalLine,
     Pose,
-    orthonormal_to_plucker,
     orthonormal_update,
-    project_plucker,
-    project_point,
+    plucker_to_orthonormal,
     se3_exp,
     skew,
-    transform_plucker,
 )
 from .segments import Segment2D, segment_line
 
@@ -57,7 +67,10 @@ HUBER_1DOF = math.sqrt(3.84)  # chi^2 95%, 1 DOF
 
 DOF = {"pose": 6, "point": 3, "line": 4, "gp": 2}
 
-_DEACTIVATING = (BehindCameraError, DegenerateLineError)
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products (N, i, j) x (N, j) -> (N, i)."""
+    return (M @ v[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +83,20 @@ class TangentBasis:
     b2: np.ndarray
 
 
+def _tangent_bases(anchors: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal tangent-plane bases (N, 3, 2) at unit anchors (N, 3)."""
+    k = np.argmin(np.abs(anchors), axis=1)
+    S = skew(anchors)
+    b1 = _mv(S, np.eye(3)[k])
+    b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
+    b2 = _mv(S, b1)
+    return np.stack([b1, b2], axis=2)
+
+
 def tangent_basis(anchor) -> TangentBasis:
     """Deterministic orthonormal basis of the tangent plane at a unit anchor."""
-    anchor = np.asarray(anchor, dtype=float)
-    k = int(np.argmin(np.abs(anchor)))
-    b1 = cross3(anchor, np.eye(3)[k])
-    b1 = b1 / np.linalg.norm(b1)
-    b2 = cross3(anchor, b1)
-    return TangentBasis(b1, b2)
+    B = _tangent_bases(np.asarray(anchor, dtype=float)[None])[0]
+    return TangentBasis(B[:, 0], B[:, 1])
 
 
 def gp_retract(anchor, w1: float, w2: float) -> np.ndarray:
@@ -91,65 +110,205 @@ def gp_retract(anchor, w1: float, w2: float) -> np.ndarray:
 # Robust kernel
 # ---------------------------------------------------------------------------
 
+def _huber(r_sq_weighted, delta):
+    """Huber cost and IRLS weight of whitened squared residual norms (elementwise)."""
+    s = np.sqrt(r_sq_weighted)
+    inside = s <= delta
+    cost = np.where(inside, r_sq_weighted, 2.0 * delta * s - delta * delta)
+    weight = np.where(inside, 1.0, delta / np.where(inside, 1.0, s))
+    return cost, weight
+
+
 def huber_weight(r_sq_weighted: float, delta: float) -> float:
     """Standard Huber IRLS weight from the whitened squared residual norm."""
-    s = math.sqrt(r_sq_weighted)
-    return 1.0 if s <= delta else delta / s
+    return float(_huber(np.float64(r_sq_weighted), delta)[1])
 
 
 def huber_cost(r_sq_weighted: float, delta: float) -> float:
-    s = math.sqrt(r_sq_weighted)
-    if s <= delta:
-        return r_sq_weighted
-    return 2.0 * delta * s - delta * delta
+    return float(_huber(np.float64(r_sq_weighted), delta)[0])
 
 
 # ---------------------------------------------------------------------------
-# Residual functions (also usable standalone)
+# Factor kernels: stacked inputs, one row per factor. Each returns residuals
+# (N, dim), the active mask (N,) and, with `jac`, the Jacobian blocks
+# (N, dim, dof_a + dof_b) on the two variables' local parameterizations.
+# Inactive rows have zero residuals and finite Jacobians.
+# ---------------------------------------------------------------------------
+
+def _point_kernel(R, t, X, obs, intr, jac):
+    """Pixel reprojection error of world points X in cameras (R, t).
+
+    `intr` rows are (fx, fy, cx, cy). Active when the depth exceeds EPS_Z.
+    """
+    p_c = _mv(R, X) + t
+    active = p_c[:, 2] > EPS_Z
+    z = np.where(active, p_c[:, 2], 1.0)
+    fx, fy, cx, cy = intr.T
+    r = np.column_stack([fx * p_c[:, 0] / z + cx - obs[:, 0],
+                         fy * p_c[:, 1] / z + cy - obs[:, 1]])
+    r[~active] = 0.0
+    if not jac:
+        return r, active, None
+    dpi = np.zeros((len(z), 2, 3))
+    dpi[:, 0, 0] = fx / z
+    dpi[:, 0, 2] = -fx * p_c[:, 0] / z**2
+    dpi[:, 1, 1] = fy / z
+    dpi[:, 1, 2] = -fy * p_c[:, 1] / z**2
+    J = np.concatenate([dpi, dpi @ -skew(p_c), dpi @ R], axis=2)
+    return r, active, J
+
+
+def _line_kernel(R, t, U, W, ends, KL, jac):
+    """Signed perpendicular distances of the observed endpoints (homogeneous,
+    `ends` (N, 2, 3)) to the projected infinite image line of the orthonormal
+    world line (U, W). `KL` is the line projection matrix. Active unless the
+    image line is degenerate (projects to a point)."""
+    w1, w2 = W[:, 0, 0, None], W[:, 1, 0, None]
+    u1, u2 = U[:, :, 0], U[:, :, 1]
+    n_w, d_w = w1 * u1, w2 * u2
+    d_c = _mv(R, d_w)
+    n_c = _mv(R, n_w) + _mv(skew(t), d_c)
+    l = _mv(KL, n_c)
+    s = np.hypot(l[:, 0], l[:, 1])
+    norm = np.linalg.norm(l, axis=1)
+    active = (norm != 0.0) & (s / np.where(norm == 0.0, 1.0, norm) >= EPS_IMAGE_LINE)
+    s = np.where(active, s, 1.0)
+    el = _mv(ends, l)
+    r = el / s[:, None]
+    r[~active] = 0.0
+    if not jac:
+        return r, active, None
+    grad_s = np.zeros_like(l)
+    grad_s[:, :2] = l[:, :2] / s[:, None]
+    dr_dl = ends / s[:, None, None] - (el / s[:, None]**2)[:, :, None] * grad_s[:, None, :]
+    A = dr_dl @ KL
+    # d n_c / d pose twist (rho, theta), left-multiplicative update
+    dnc_dpose = np.concatenate([-skew(d_c), -skew(n_c)], axis=2)
+    # d (n_w, d_w) / d orthonormal delta (3 rotation + 1 angle)
+    dnw = np.concatenate([-skew(n_w), (-w2 * u1)[:, :, None]], axis=2)
+    ddw = np.concatenate([-skew(d_w), (w1 * u2)[:, :, None]], axis=2)
+    dnc_dline = R @ dnw + skew(t) @ R @ ddw
+    J = np.concatenate([A @ dnc_dpose, A @ dnc_dline], axis=2)
+    return r, active, J
+
+
+def _vd_align_kernel(R, G, B, lhat, K, jac):
+    """Incidence of the unit segment lines `lhat` with the normalized projected
+    VPs of the global directions G. Smooth and bounded, including VPs at
+    infinity; always active. B holds the GPs' tangent bases (N, 3, 2)."""
+    v_cam = _mv(R, G)
+    v_img = _mv(K, v_cam)
+    n = np.linalg.norm(v_img, axis=1)
+    vhat = v_img / n[:, None]
+    r = np.sum(lhat * vhat, axis=1)[:, None]
+    active = np.ones(len(n), dtype=bool)
+    if not jac:
+        return r, active, None
+    # d vhat / d v_img, projected onto the sphere tangent
+    P = (np.eye(3) - vhat[:, :, None] * vhat[:, None, :]) / n[:, None, None]
+    row = lhat[:, None, :] @ P @ K
+    J = np.concatenate([np.zeros((len(n), 1, 3)), row @ -skew(v_cam), row @ R @ B], axis=2)
+    return r, active, J
+
+
+def _struct_kernel(D, G, B, jac):
+    """|d · g - 1| for unit line directions D and GP directions G (zero iff
+    parallel and sign-aligned); always active."""
+    r = np.abs(np.sum(D * G, axis=1) - 1.0)[:, None]
+    active = np.ones(len(r), dtype=bool)
+    if not jac:
+        return r, active, None
+    # residual = 1 - d·g since d·g <= 1 for unit vectors
+    J = np.concatenate([G[:, None, :] @ skew(D), np.zeros((len(r), 1, 1)),
+                        -(D[:, None, :] @ B)], axis=2)
+    return r, active, J
+
+
+def _endpoints(segments) -> np.ndarray:
+    """Homogeneous segment endpoints (N, 2, 3)."""
+    return np.array([[[s.p_start[0], s.p_start[1], 1.0],
+                      [s.p_end[0], s.p_end[1], 1.0]] for s in segments])
+
+
+def _intrinsic_rows(intrs) -> np.ndarray:
+    return np.array([[k.fx, k.fy, k.cx, k.cy] for k in intrs])
+
+
+# ---------------------------------------------------------------------------
+# Residual functions (also usable standalone): the kernels on one input
 # ---------------------------------------------------------------------------
 
 def point_residual(p_w, pose: Pose, intr: CameraIntrinsics, obs) -> np.ndarray:
-    return project_point(p_w, pose, intr) - np.asarray(obs, dtype=float)
+    r, active, _ = _point_kernel(
+        pose.rotation[None], pose.translation[None],
+        np.asarray(p_w, dtype=float)[None], np.asarray(obs, dtype=float)[None],
+        _intrinsic_rows([intr]), False)
+    if not active[0]:
+        raise BehindCameraError(f"behind camera: depth <= {EPS_Z:g}")
+    return r[0]
 
 
 def line_residual(line_w, pose: Pose, intr: CameraIntrinsics,
                   obs: Segment2D) -> np.ndarray:
     """Signed perpendicular distances of the observed endpoints to the
     projected infinite image line."""
-    l = project_plucker(transform_plucker(line_w, pose), intr)
-    s = math.hypot(l[0], l[1])
-    es = np.array([obs.p_start[0], obs.p_start[1], 1.0])
-    ee = np.array([obs.p_end[0], obs.p_end[1], 1.0])
-    return np.array([float(es @ l), float(ee @ l)]) / s
+    o = plucker_to_orthonormal(line_w)
+    r, active, _ = _line_kernel(
+        pose.rotation[None], pose.translation[None], o.U[None], o.W[None],
+        _endpoints([obs]), intr.line_projection_matrix()[None], False)
+    if not active[0]:
+        raise DegenerateLineError("degenerate line: projects to a point")
+    return r[0]
 
 
 def vd_align_residual(gp_dir, pose: Pose, intr: CameraIntrinsics,
                       seg: Segment2D) -> float:
     """Incidence of the segment's image line with the projected VP of the
     global direction. Smooth and bounded, including VPs at infinity."""
-    v_cam = pose.rotation @ np.asarray(gp_dir, dtype=float)
-    v_img = intr.matrix() @ v_cam
-    v_img = v_img / np.linalg.norm(v_img)
-    return float(segment_line(seg) @ v_img)
+    r, _, _ = _vd_align_kernel(
+        pose.rotation[None], np.asarray(gp_dir, dtype=float)[None], None,
+        segment_line(seg)[None], intr.matrix()[None], False)
+    return float(r[0, 0])
 
 
 def struct_residual(line_dir_w, gp_dir) -> float:
     """|d · g - 1| for unit vectors (zero iff parallel and sign-aligned)."""
-    return abs(float(np.asarray(line_dir_w) @ np.asarray(gp_dir)) - 1.0)
+    r, _, _ = _struct_kernel(np.asarray(line_dir_w, dtype=float)[None],
+                             np.asarray(gp_dir, dtype=float)[None], None, False)
+    return float(r[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # Factors
 # ---------------------------------------------------------------------------
 
-def _proj_jacobian(p_c, intr) -> np.ndarray:
-    X, Y, Z = p_c
-    return np.array([[intr.fx / Z, 0.0, -intr.fx * X / Z**2],
-                     [0.0, intr.fy / Z, -intr.fy * Y / Z**2]])
+class _Factor:
+    """Shared per-factor API. `variables` names the kinds of the two
+    variables, in `keys()` order; `inactive_error` is what `residual` and
+    `jacobians` raise for an inactive factor. `_pack` turns a list of factors
+    of one kind into their constant arrays (with `info` = 1/sigma^2) and
+    `_kernel` runs the kind's kernel on the gathered state."""
+
+    variables: tuple = ()
+    inactive_error: type = ValueError
+
+    def _evaluate(self, graph, jac: bool) -> "_Evaluation":
+        (e,) = PackedFactors([self]).evaluate(graph, jac)
+        if not e.active[0]:
+            raise self.inactive_error(f"inactive {self.kind} factor")
+        return e
+
+    def residual(self, graph) -> np.ndarray:
+        return self._evaluate(graph, False).r[0]
+
+    def jacobians(self, graph) -> dict:
+        J = self._evaluate(graph, True).J[0]
+        (ka, kb), da = self.keys(), DOF[self.variables[0]]
+        return {ka: J[:, :da], kb: J[:, da:]}
 
 
 @dataclass
-class PointFactor:
+class PointFactor(_Factor):
     pose_id: int
     point_id: int
     obs: np.ndarray
@@ -158,31 +317,25 @@ class PointFactor:
     huber_delta: float = HUBER_2DOF
     kind = "point"
     dim = 2
+    variables = ("pose", "point")
+    inactive_error = BehindCameraError
 
     def keys(self):
         return [("pose", self.pose_id), ("point", self.point_id)]
 
-    def info(self) -> np.ndarray:
-        return np.eye(2) / self.sigma_px**2
+    @staticmethod
+    def _pack(factors) -> dict:
+        return {"obs": np.array([f.obs for f in factors], dtype=float),
+                "intr": _intrinsic_rows(f.intr for f in factors),
+                "info": np.array([1.0 / f.sigma_px**2 for f in factors])}
 
-    def residual(self, graph) -> np.ndarray:
-        return point_residual(graph.points[self.point_id],
-                              graph.poses[self.pose_id], self.intr, self.obs)
-
-    def jacobians(self, graph):
-        pose = graph.poses[self.pose_id]
-        p_c = pose.transform(graph.points[self.point_id])
-        if p_c[2] <= 0:
-            raise BehindCameraError("behind camera")
-        dpi = _proj_jacobian(p_c, self.intr)
-        j_pose = np.hstack([dpi, dpi @ (-skew(p_c))])
-        j_point = dpi @ pose.rotation
-        return {("pose", self.pose_id): j_pose,
-                ("point", self.point_id): j_point}
+    @staticmethod
+    def _kernel(st, a, b, c, jac):
+        return _point_kernel(st.R[a], st.t[a], st.X[b], c["obs"], c["intr"], jac)
 
 
 @dataclass
-class LineFactor:
+class LineFactor(_Factor):
     pose_id: int
     line_id: int
     obs: Segment2D
@@ -191,47 +344,25 @@ class LineFactor:
     huber_delta: float = HUBER_2DOF
     kind = "line"
     dim = 2
+    variables = ("pose", "line")
+    inactive_error = DegenerateLineError
 
     def keys(self):
         return [("pose", self.pose_id), ("line", self.line_id)]
 
-    def info(self) -> np.ndarray:
-        return np.eye(2) / self.sigma_px**2
+    @staticmethod
+    def _pack(factors) -> dict:
+        return {"ends": _endpoints(f.obs for f in factors),
+                "KL": np.array([f.intr.line_projection_matrix() for f in factors]),
+                "info": np.array([1.0 / f.sigma_px**2 for f in factors])}
 
-    def residual(self, graph) -> np.ndarray:
-        line_w = orthonormal_to_plucker(graph.lines[self.line_id])
-        return line_residual(line_w, graph.poses[self.pose_id], self.intr, self.obs)
-
-    def jacobians(self, graph):
-        o = graph.lines[self.line_id]
-        pose = graph.poses[self.pose_id]
-        line_w = orthonormal_to_plucker(o)
-        line_c = transform_plucker(line_w, pose)
-        l = project_plucker(line_c, self.intr)
-        s = math.hypot(l[0], l[1])
-        es = np.array([self.obs.p_start[0], self.obs.p_start[1], 1.0])
-        ee = np.array([self.obs.p_end[0], self.obs.p_end[1], 1.0])
-        grad_s = np.array([l[0], l[1], 0.0]) / s
-        dr_dl = np.vstack([es / s - (float(es @ l) / s**2) * grad_s,
-                           ee / s - (float(ee @ l) / s**2) * grad_s])
-        KL = self.intr.line_projection_matrix()
-        # d n_c / d pose twist (rho, theta), left-multiplicative update
-        dnc_dpose = np.hstack([-skew(line_c.direction), -skew(line_c.normal)])
-        j_pose = dr_dl @ KL @ dnc_dpose
-        # d (n_w, d_w) / d orthonormal delta (3 rotation + 1 angle)
-        w1, w2 = o.W[0, 0], o.W[1, 0]
-        u1, u2 = o.U[:, 0], o.U[:, 1]
-        dnw = np.hstack([-skew(line_w.normal), (-w2 * u1)[:, None]])
-        ddw = np.hstack([-skew(line_w.direction), (w1 * u2)[:, None]])
-        R, t = pose.rotation, pose.translation
-        dnc_dline = R @ dnw + skew(t) @ R @ ddw
-        j_line = dr_dl @ KL @ dnc_dline
-        return {("pose", self.pose_id): j_pose,
-                ("line", self.line_id): j_line}
+    @staticmethod
+    def _kernel(st, a, b, c, jac):
+        return _line_kernel(st.R[a], st.t[a], st.U[b], st.W[b], c["ends"], c["KL"], jac)
 
 
 @dataclass
-class VdAlignFactor:
+class VdAlignFactor(_Factor):
     pose_id: int
     gp_id: int
     seg: Segment2D
@@ -240,69 +371,134 @@ class VdAlignFactor:
     huber_delta: float = HUBER_1DOF
     kind = "vd_align"
     dim = 1
+    variables = ("pose", "gp")
 
     def keys(self):
         return [("pose", self.pose_id), ("gp", self.gp_id)]
 
-    def info(self) -> np.ndarray:
-        return np.array([[1.0 / self.sigma**2]])
+    @staticmethod
+    def _pack(factors) -> dict:
+        return {"lhat": np.array([segment_line(f.seg) for f in factors]),
+                "K": np.array([f.intr.matrix() for f in factors]),
+                "info": np.array([1.0 / f.sigma**2 for f in factors])}
 
-    def residual(self, graph) -> np.ndarray:
-        r = vd_align_residual(graph.gps[self.gp_id],
-                              graph.poses[self.pose_id], self.intr, self.seg)
-        return np.array([r])
-
-    def jacobians(self, graph):
-        pose = graph.poses[self.pose_id]
-        g = graph.gps[self.gp_id]
-        K = self.intr.matrix()
-        v_cam = pose.rotation @ g
-        v_img = K @ v_cam
-        n = np.linalg.norm(v_img)
-        vhat = v_img / n
-        lhat = segment_line(self.seg)
-        # d vhat / d v_img, projected onto the sphere tangent
-        P = (np.eye(3) - np.outer(vhat, vhat)) / n
-        row = lhat @ P @ K
-        j_pose = np.zeros((1, 6))
-        j_pose[0, 3:] = row @ (-skew(v_cam))
-        basis = tangent_basis(g)
-        j_gp = (row @ pose.rotation @ np.column_stack([basis.b1, basis.b2]))[None, :]
-        return {("pose", self.pose_id): j_pose,
-                ("gp", self.gp_id): j_gp}
+    @staticmethod
+    def _kernel(st, a, b, c, jac):
+        return _vd_align_kernel(st.R[a], st.G[b], st.B[b], c["lhat"], c["K"], jac)
 
 
 @dataclass
-class StructFactor:
+class StructFactor(_Factor):
     line_id: int
     gp_id: int
     sigma: float = 0.01
     huber_delta: float = HUBER_1DOF
     kind = "struct"
     dim = 1
+    variables = ("line", "gp")
 
     def keys(self):
         return [("line", self.line_id), ("gp", self.gp_id)]
 
-    def info(self) -> np.ndarray:
-        return np.array([[1.0 / self.sigma**2]])
+    @staticmethod
+    def _pack(factors) -> dict:
+        return {"info": np.array([1.0 / f.sigma**2 for f in factors])}
 
-    def residual(self, graph) -> np.ndarray:
-        o = graph.lines[self.line_id]
-        dhat = math.copysign(1.0, o.W[1, 0]) * o.U[:, 1]
-        return np.array([struct_residual(dhat, graph.gps[self.gp_id])])
+    @staticmethod
+    def _kernel(st, a, b, c, jac):
+        # the line's unit direction, sign-aligned with its Plücker direction
+        D = np.copysign(1.0, st.W[a, 1, 0])[:, None] * st.U[a, :, 1]
+        return _struct_kernel(D, st.G[b], st.B[b], jac)
 
-    def jacobians(self, graph):
-        o = graph.lines[self.line_id]
-        g = graph.gps[self.gp_id]
-        dhat = math.copysign(1.0, o.W[1, 0]) * o.U[:, 1]
-        # residual = 1 - dhat·g since dhat·g <= 1 for unit vectors
-        j_line = np.zeros((1, 4))
-        j_line[0, :3] = g @ skew(dhat)
-        basis = tangent_basis(g)
-        j_gp = -(dhat @ np.column_stack([basis.b1, basis.b2]))[None, :]
-        return {("line", self.line_id): j_line,
-                ("gp", self.gp_id): j_gp}
+
+# ---------------------------------------------------------------------------
+# Packing and batched evaluation
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _State:
+    """Stacked variable values, rows in `PackedFactors.ids` order."""
+    R: np.ndarray = None   # pose rotations (P, 3, 3)
+    t: np.ndarray = None   # pose translations (P, 3)
+    X: np.ndarray = None   # points (Q, 3)
+    U: np.ndarray = None   # line U (L, 3, 3)
+    W: np.ndarray = None   # line W (L, 2, 2)
+    G: np.ndarray = None   # GP directions (M, 3)
+    B: np.ndarray = None   # GP tangent bases (M, 3, 2)
+
+
+class _Batch:
+    """The packed factors of one kind."""
+
+    def __init__(self, cls, factors, positions, rows):
+        self.cls = cls
+        self.positions = np.array(positions)  # indices into the packed factor list
+        ka, kb = cls.variables
+        keys = [f.keys() for f in factors]
+        self.rows_a = np.array([rows[ka][k[0][1]] for k in keys], dtype=np.intp)
+        self.rows_b = np.array([rows[kb][k[1][1]] for k in keys], dtype=np.intp)
+        self.consts = cls._pack(factors)
+        self.info = self.consts["info"]
+        self.delta = np.array([f.huber_delta for f in factors], dtype=float)
+
+
+@dataclass
+class _Evaluation:
+    """One batch evaluated at the gathered state."""
+    batch: _Batch
+    r: np.ndarray        # residuals (N, dim), zero where inactive
+    active: np.ndarray   # (N,) bool
+    cost: np.ndarray     # Huber costs (N,), zero where inactive (r is zero)
+    weight: np.ndarray   # IRLS weights (N,)
+    J: np.ndarray        # Jacobian blocks (N, dim, dof_a + dof_b) or None
+
+
+class PackedFactors:
+    """A factor list packed by kind, for batched evaluation against a graph.
+
+    Packing reads only the factors; each `evaluate` gathers the variables
+    they reference from the graph, so one packing serves every state of an
+    optimization.
+    """
+
+    def __init__(self, factors):
+        ids = {kind: set() for kind in DOF}
+        groups: dict = {}
+        for pos, f in enumerate(factors):
+            for kind, vid in f.keys():
+                ids[kind].add(vid)
+            groups.setdefault(type(f), []).append(pos)
+        self.ids = {kind: sorted(v) for kind, v in ids.items()}
+        rows = {kind: {vid: i for i, vid in enumerate(v)} for kind, v in self.ids.items()}
+        self.batches = [_Batch(cls, [factors[p] for p in pos], pos, rows)
+                        for cls, pos in groups.items()]
+
+    def _gather(self, graph) -> _State:
+        st = _State()
+        if self.ids["pose"]:
+            poses = [graph.poses[i] for i in self.ids["pose"]]
+            st.R = np.array([p.rotation for p in poses])
+            st.t = np.array([p.translation for p in poses])
+        if self.ids["point"]:
+            st.X = np.array([graph.points[i] for i in self.ids["point"]])
+        if self.ids["line"]:
+            lines = [graph.lines[i] for i in self.ids["line"]]
+            st.U = np.array([o.U for o in lines])
+            st.W = np.array([o.W for o in lines])
+        if self.ids["gp"]:
+            st.G = np.array([graph.gps[i] for i in self.ids["gp"]])
+            st.B = _tangent_bases(st.G)
+        return st
+
+    def evaluate(self, graph, jac: bool = False) -> list[_Evaluation]:
+        st = self._gather(graph)
+        out = []
+        for b in self.batches:
+            r, active, J = b.cls._kernel(st, b.rows_a, b.rows_b, b.consts, jac)
+            r_sq = np.sum(r * b.info[:, None] * r, axis=1)
+            cost, weight = _huber(r_sq, b.delta)
+            out.append(_Evaluation(b, r, active, cost, weight, J))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,29 +574,22 @@ def retract(kind: str, value, delta):
     raise ValueError(f"unknown variable kind {kind!r}")
 
 
-def total_cost(graph: FactorGraph) -> float:
-    """Sum of Huber-robustified Mahalanobis squared residuals."""
-    cost = 0.0
-    for f in graph.factors:
-        try:
-            r = f.residual(graph)
-        except _DEACTIVATING:
-            continue
-        r_sq = float(r @ f.info() @ r)
-        cost += huber_cost(r_sq, f.huber_delta)
-    return cost
+def total_cost(graph: FactorGraph, packed: PackedFactors | None = None) -> float:
+    """Sum of Huber-robustified Mahalanobis squared residuals.
+
+    `packed` is `PackedFactors(graph.factors)`, packed here when not given.
+    """
+    packed = packed if packed is not None else PackedFactors(graph.factors)
+    return float(sum(e.cost.sum() for e in packed.evaluate(graph)))
 
 
-def cost_breakdown(graph: FactorGraph) -> dict:
-    out: dict[str, float] = {}
-    for f in graph.factors:
-        try:
-            r = f.residual(graph)
-        except _DEACTIVATING:
-            continue
-        r_sq = float(r @ f.info() @ r)
-        out[f.kind] = out.get(f.kind, 0.0) + huber_cost(r_sq, f.huber_delta)
-    return out
+def cost_breakdown(graph: FactorGraph, packed: PackedFactors | None = None) -> dict:
+    """Robust cost per factor kind; a kind appears only when one of its
+    factors is active, in the order of the first active factor of each kind."""
+    packed = packed if packed is not None else PackedFactors(graph.factors)
+    active = [e for e in packed.evaluate(graph) if e.active.any()]
+    active.sort(key=lambda e: e.batch.positions[e.active][0])
+    return {e.batch.cls.kind: float(e.cost.sum()) for e in active}
 
 
 def numeric_jacobian(factor, graph: FactorGraph, h: float = 1e-6) -> dict:
@@ -460,30 +649,38 @@ class OptimizationReport:
         }, sort_keys=True)
 
 
-def _linearize(graph: FactorGraph, index: dict, n_params: int):
-    """One pass over all factors: robust cost, gradient, Gauss-Newton H."""
-    H = np.zeros((n_params, n_params))
-    g = np.zeros(n_params)
+def _linearize(graph: FactorGraph, index: dict, n_params: int,
+               packed: PackedFactors | None = None):
+    """One batched pass over all factors: robust cost, gradient, Gauss-Newton H.
+
+    Variables missing from `index` (the fixed ones) get no rows. `packed` is
+    `PackedFactors(graph.factors)`, packed here when not given.
+    """
+    packed = packed if packed is not None else PackedFactors(graph.factors)
+    offsets = {kind: np.array([index[(kind, vid)][0] if (kind, vid) in index else -1
+                               for vid in ids], dtype=np.intp)
+               for kind, ids in packed.ids.items()}
+    m = n_params + 1  # row and column n_params collect what is discarded
+    H = np.zeros((m, m))
+    g = np.zeros(m)
     cost = 0.0
-    for f in graph.factors:
-        try:
-            r = f.residual(graph)
-            J = f.jacobians(graph)
-        except _DEACTIVATING:
-            continue
-        info = f.info()
-        r_sq = float(r @ info @ r)
-        cost += huber_cost(r_sq, f.huber_delta)
-        w = huber_weight(r_sq, f.huber_delta)
-        keys = [k for k in f.keys() if k in index]
-        for ka in keys:
-            sa, da = index[ka]
-            Ja = J[ka]
-            g[sa:sa + da] += w * (Ja.T @ (info @ r))
-            for kb in keys:
-                sb, db = index[kb]
-                H[sa:sa + da, sb:sb + db] += w * (Ja.T @ info @ J[kb])
-    return cost, H, g
+    for e in packed.evaluate(graph, jac=True):
+        b = e.batch
+        cost += e.cost.sum()
+        # parameter index of every Jacobian column; fixed variables and
+        # inactive factors go to the discarded index n_params
+        cols = []
+        for kind, rows in zip(b.cls.variables, (b.rows_a, b.rows_b)):
+            o = offsets[kind][rows, None]
+            cols.append(np.where(o < 0, n_params, o + np.arange(DOF[kind])))
+        cols = np.concatenate(cols, axis=1)
+        cols[~e.active] = n_params
+        wJt = ((e.weight * b.info)[:, None, None] * e.J).transpose(0, 2, 1)
+        np.add.at(H.reshape(-1), (cols[:, :, None] * m + cols[:, None, :]).ravel(),
+                  (wJt @ e.J).ravel())
+        np.add.at(g, cols.ravel(), (wJt @ e.r[:, :, None]).ravel())
+    H, g = H[:n_params, :n_params], g[:n_params]
+    return float(cost), H, g
 
 
 def _euclidean_norm(graph: FactorGraph, keys) -> float:
@@ -518,6 +715,8 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
         index[k] = (offset, d)
         offset += d
     n_params = offset
+    packed = PackedFactors(graph.factors)
+    diagonal = np.diag_indices(n_params)
 
     lam = options.lambda_init
     initial_cost = None
@@ -525,18 +724,20 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
     converged = False
     iters = 0
     for iters in range(1, options.max_iters + 1):
-        cost, H, g = _linearize(graph, index, n_params)
+        cost, H, g = _linearize(graph, index, n_params, packed)
         if initial_cost is None:
             initial_cost = cost
         if np.max(np.abs(g), initial=0.0) < options.abs_tol:
             converged = True
             break
         step_tol = options.rel_tol * (_euclidean_norm(graph, keys) + options.rel_tol)
+        damping = np.clip(np.diag(H), 1e-12, None)
         accepted = False
         while lam < 1e12:
-            D = np.diag(np.clip(np.diag(H), 1e-12, None))
+            damped = H.copy()
+            damped[diagonal] += lam * damping
             try:
-                delta = np.linalg.solve(H + lam * D, -g)
+                delta = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
                 lam *= options.lambda_scale
                 continue
@@ -544,7 +745,7 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
             for k in keys:
                 s, d = index[k]
                 graph.set_state(k, retract(k[0], graph.get_state(k), delta[s:s + d]))
-            new_cost = total_cost(graph)
+            new_cost = total_cost(graph, packed)
             if new_cost < cost:
                 lam = max(lam / options.lambda_scale, 1e-12)
                 accepted = True
@@ -560,7 +761,7 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
         if converged:
             break
 
-    final_cost = total_cost(graph)
+    final_cost = total_cost(graph, packed)
     return OptimizationReport(initial_cost if initial_cost is not None else final_cost,
                               final_cost, iters, converged,
-                              cost_breakdown(graph))
+                              cost_breakdown(graph, packed))

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from monogp.geometry import (
+    EPS_Z,
+    BehindCameraError,
     CameraIntrinsics,
     PluckerLine,
     Pose,
@@ -13,12 +15,15 @@ from monogp.geometry import (
     transform_plucker,
 )
 from monogp.graph import (
+    DOF,
     FactorGraph,
     LineFactor,
     OptimizeOptions,
     PointFactor,
     StructFactor,
     VdAlignFactor,
+    _linearize,
+    cost_breakdown,
     gp_retract,
     huber_cost,
     huber_weight,
@@ -245,11 +250,95 @@ def test_total_cost_huber_elbow_value():
 
 
 def test_behind_camera_factor_deactivated():
+    # behind the camera, and in front of it but not beyond EPS_Z
+    for depth in (-2.0, EPS_Z / 2.0):
+        g = FactorGraph()
+        g.add_pose(0, Pose.identity())
+        g.add_point(0, np.array([0.0, 0.0, depth]))
+        f = PointFactor(0, 0, np.array([320.0, 240.0]), K)
+        g.add_factor(f)
+        assert total_cost(g) == 0.0  # only factor is deactivated
+        assert cost_breakdown(g) == {}
+        with pytest.raises(BehindCameraError):
+            f.residual(g)
+        with pytest.raises(BehindCameraError):
+            f.jacobians(g)
+        cost, H, grad = _linearize(g, {("point", 0): (0, 3)}, 3)
+        assert cost == 0.0
+        assert not H.any() and not grad.any()
+
+
+def build_assembly_graph():
+    """Three poses and all four factor kinds; one point factor behind its
+    camera and one past the Huber elbow."""
+    rng = np.random.default_rng(11)
     g = FactorGraph()
     g.add_pose(0, Pose.identity())
-    g.add_point(0, np.array([0.0, 0.0, -2.0]))
-    g.add_factor(PointFactor(0, 0, np.array([320.0, 240.0]), K))
-    assert total_cost(g) == 0.0  # only factor is deactivated
+    g.add_pose(1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
+    g.add_pose(2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
+    for i in range(6):
+        p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
+        g.add_point(i, p)
+        for t in range(3):
+            obs = project_point(p, g.poses[t], K) + rng.normal(0.0, 2.0, 2)
+            g.add_factor(PointFactor(t, i, obs, K))
+    g.factors[-1].obs = g.factors[-1].obs + [20.0, 0.0]  # past the elbow
+    g.add_point(6, np.array([0.2, 0.1, -2.0]))
+    g.add_factor(PointFactor(1, 6, np.array([300.0, 250.0]), K))  # behind
+    gp = np.array([1.0, 0.1, 0.05])
+    g.add_gp(0, gp / np.linalg.norm(gp))
+    for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
+        line = PluckerLine.from_point_direction(anchor, gp + rng.normal(0.0, 0.02, 3))
+        g.add_line(lid, plucker_to_orthonormal(line))
+        for t in range(3):
+            a, b = (project_point(line.closest_point_to_origin() + s * gp, g.poses[t], K)
+                    for s in (-0.5, 0.5))
+            seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
+            g.add_factor(LineFactor(t, lid, seg, K, sigma_px=1.5))
+            g.add_factor(VdAlignFactor(t, 0, seg, K))
+        g.add_factor(StructFactor(lid, 0))
+    return g
+
+
+def test_linearize_assembles_weighted_normal_equations():
+    g = build_assembly_graph()
+    keys = ([("pose", 1), ("pose", 2)] + [("point", i) for i in sorted(g.points)]
+            + [("line", 0), ("line", 1), ("gp", 0)])
+    index, n = {}, 0
+    for key in keys:
+        index[key] = (n, DOF[key[0]])
+        n += DOF[key[0]]
+    H_ref, g_ref = np.zeros((n, n)), np.zeros(n)
+    inactive = elbow = 0
+    for f in g.factors:
+        try:
+            r = f.residual(g)
+        except BehindCameraError:
+            inactive += 1
+            continue
+        info = 1.0 / (f.sigma_px if f.kind in ("point", "line") else f.sigma) ** 2
+        s = np.sqrt(info * float(r @ r))
+        w = 1.0 if s <= f.huber_delta else f.huber_delta / s
+        elbow += s > f.huber_delta
+        J = numeric_jacobian(f, g)
+        for ka in J:
+            if ka not in index:
+                continue
+            sa, da = index[ka]
+            g_ref[sa:sa + da] += w * info * (J[ka].T @ r)
+            for kb in J:
+                if kb in index:
+                    sb, db = index[kb]
+                    H_ref[sa:sa + da, sb:sb + db] += w * info * (J[ka].T @ J[kb])
+    assert inactive == 1 and elbow >= 1
+    cost, H, grad = _linearize(g, index, n)
+    assert np.max(np.abs(H - H_ref)) < 1e-5 * np.max(np.abs(H_ref))
+    assert np.max(np.abs(grad - g_ref)) < 1e-5 * np.max(np.abs(g_ref))
+    total = total_cost(g)
+    assert abs(cost - total) <= 1e-12 * total
+    breakdown = cost_breakdown(g)
+    assert set(breakdown) == {"point", "line", "vd_align", "struct"}
+    assert abs(sum(breakdown.values()) - total) <= 1e-12 * total
 
 
 # -- optimizer -----------------------------------------------------------------
