@@ -24,7 +24,7 @@ class Segment2D:
     def __post_init__(self):
         self.p_start = np.asarray(self.p_start, dtype=float).reshape(2)
         self.p_end = np.asarray(self.p_end, dtype=float).reshape(2)
-        if np.array_equal(self.p_start, self.p_end):
+        if (self.p_start == self.p_end).all():
             raise ValueError("zero-length segment")
 
     @property

@@ -108,6 +108,11 @@ def jlinkage_cluster(segments: list[Segment2D], hypotheses,
     sets (intersection of member preferences), stopping when the minimum
     distance reaches 1. Clusters smaller than min_cluster_size are dropped.
     Returns disjoint frozensets of segment ids.
+
+    The distance matrix is built once. A merge of j into i changes only
+    cluster i's preference set, so only row/column i is recomputed, from
+    one (n, m) @ (m,) product of exact integer counts; j's row and column
+    become +inf. Arrays keep their size, so indices keep the input order.
     """
     if not segments or len(hypotheses) == 0:
         raise ValueError("need non-empty segments and hypotheses")
@@ -115,33 +120,43 @@ def jlinkage_cluster(segments: list[Segment2D], hypotheses,
 
     members = [frozenset([s.id]) for s in segments]
     P = pref.astype(np.float64)
+    sizes = P.sum(axis=1)
     # min id per cluster gives order-independent tie-breaking
     keys = [min(m) for m in members]
+    alive = np.ones(len(members), dtype=bool)
 
-    while len(members) > 1:
-        inter = P @ P.T
-        sizes = P.sum(axis=1)
-        union = sizes[:, None] + sizes[None, :] - inter
+    def jaccard(inter, size):
+        union = sizes + size - inter
         with np.errstate(invalid="ignore", divide="ignore"):
-            dist = 1.0 - inter / union
-        dist[union == 0] = 1.0
-        iu = np.triu_indices(len(members), k=1)
-        if iu[0].size == 0:
-            break
-        dmin = dist[iu].min()
-        if dmin >= 1.0 - 1e-12:
+            d = 1.0 - inter / union
+        d[union == 0] = 1.0
+        return d
+
+    dist = jaccard(P @ P.T, sizes[:, None])
+    np.fill_diagonal(dist, np.inf)
+
+    while True:
+        dmin = dist.min()
+        if dmin >= 1.0 - 1e-12:  # also a lone cluster: everything is +inf
             break
         # Among ties, merge the pair with lexicographically smallest keys.
-        ties = np.argwhere(np.triu(dist <= dmin + 1e-15, k=1))
+        rows, cols = np.divmod(np.flatnonzero(dist <= dmin + 1e-15), len(members))
+        ties = [(int(i), int(j)) for i, j in zip(rows, cols) if i < j]
         i, j = min(ties, key=lambda ij: tuple(sorted((keys[ij[0]], keys[ij[1]]))))
-        i, j = int(i), int(j)
         members[i] = members[i] | members[j]
         P[i] = P[i] * P[j]  # preference-set intersection
+        sizes[i] = P[i].sum()
         keys[i] = min(keys[i], keys[j])
-        del members[j], keys[j]
-        P = np.delete(P, j, axis=0)
+        alive[j] = False
+        row = jaccard(P @ P[i], sizes[i])
+        row[~alive] = np.inf
+        row[i] = np.inf
+        dist[i, :] = row
+        dist[:, i] = row
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
 
-    clusters = [m for m in members if len(m) >= min_cluster_size]
+    clusters = [m for m, a in zip(members, alive) if a and len(m) >= min_cluster_size]
     clusters.sort(key=lambda c: (-len(c), min(c)))
     return clusters
 

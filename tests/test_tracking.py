@@ -83,6 +83,28 @@ def test_match_detection_not_shared_between_tracks():
     assert sources.count("detected") == 1
 
 
+def test_match_midpoint_gate_boundary():
+    gate = MatchParams().gate_mid_px
+    inside = np.nextafter(gate, 0.0)
+    pred = seg(-50, 0, 50, 0, sid=0, track_id=4)
+    at_gate = seg(-50, gate, 50, gate, sid=1)
+    at_gate_diagonal = seg(-44, 8, 56, 8, sid=2)  # midpoint offset (6, 8)
+    out = match_predicted([pred], [at_gate, at_gate_diagonal])
+    assert out[0][2] == "predicted"
+    just_inside = seg(-50, inside, 50, inside, sid=3)
+    out = match_predicted([pred], [at_gate, just_inside, at_gate_diagonal])
+    assert out[0][2] == "detected" and out[0][1].id == 3
+
+
+def test_match_without_detections_continues_predictions():
+    preds = [seg(100, 100, 200, 100, sid=0, track_id=0),
+             seg(100, 300, 200, 300, sid=1),  # no track: dropped
+             seg(300, 100, 300, 200, sid=2, track_id=2)]
+    out = match_predicted(preds, [])
+    assert [(tid, chosen.id, source) for tid, chosen, source in out] == \
+        [(0, 0, "predicted"), (2, 2, "predicted")]
+
+
 # -- gates -------------------------------------------------------------------
 
 def test_reprojection_gate_pass():

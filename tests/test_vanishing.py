@@ -5,6 +5,7 @@ import pytest
 from monogp.geometry import CameraIntrinsics, so3_exp
 from monogp.segments import Segment2D
 from monogp.vanishing import (
+    _consensus_matrix,
     canonical_direction,
     consensus,
     detect_vanishing_points,
@@ -30,6 +31,61 @@ def segments_through(vp_xy, n, rng, length=(30.0, 80.0), start_id=0):
         segs.append(Segment2D(a, a + rng.uniform(*length) * u,
                               id=start_id + len(segs)))
     return segs
+
+
+def cluttered_frame(seed):
+    """Four noisy planted families, 12 outliers and three exact duplicates."""
+    rng = np.random.default_rng(seed)
+    segs = []
+    for vp in ([1500.0, 260.0], [300.0, -1800.0], [330.0, 230.0], [-900.0, 520.0]):
+        for s in segments_through(vp, 12, rng):
+            segs.append(Segment2D(s.p_start + rng.normal(0.0, 0.5, 2),
+                                  s.p_end + rng.normal(0.0, 0.5, 2), id=len(segs)))
+    for _ in range(12):
+        a = rng.uniform([0.0, 0.0], [640.0, 480.0])
+        th = rng.uniform(0.0, 2.0 * np.pi)
+        u = np.array([np.cos(th), np.sin(th)])
+        segs.append(Segment2D(a, a + rng.uniform(30.0, 80.0) * u, id=len(segs)))
+    for src in (0, 13, 50):
+        segs.append(Segment2D(segs[src].p_start, segs[src].p_end, id=len(segs)))
+    return segs
+
+
+def naive_jlinkage_cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
+    """Oracle: J-Linkage that rebuilds every pairwise count on each merge."""
+    pref = _consensus_matrix(segments, hypotheses) < theta_cons_deg  # (n, m)
+
+    members = [frozenset([s.id]) for s in segments]
+    P = pref.astype(np.float64)
+    # min id per cluster gives order-independent tie-breaking
+    keys = [min(m) for m in members]
+
+    while len(members) > 1:
+        inter = P @ P.T
+        sizes = P.sum(axis=1)
+        union = sizes[:, None] + sizes[None, :] - inter
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dist = 1.0 - inter / union
+        dist[union == 0] = 1.0
+        iu = np.triu_indices(len(members), k=1)
+        if iu[0].size == 0:
+            break
+        dmin = dist[iu].min()
+        if dmin >= 1.0 - 1e-12:
+            break
+        # Among ties, merge the pair with lexicographically smallest keys.
+        ties = np.argwhere(np.triu(dist <= dmin + 1e-15, k=1))
+        i, j = min(ties, key=lambda ij: tuple(sorted((keys[ij[0]], keys[ij[1]]))))
+        i, j = int(i), int(j)
+        members[i] = members[i] | members[j]
+        P[i] = P[i] * P[j]  # preference-set intersection
+        keys[i] = min(keys[i], keys[j])
+        del members[j], keys[j]
+        P = np.delete(P, j, axis=0)
+
+    clusters = [m for m in members if len(m) >= min_cluster_size]
+    clusters.sort(key=lambda c: (-len(c), min(c)))
+    return clusters
 
 
 # -- hypothesis sampling -----------------------------------------------------
@@ -153,6 +209,29 @@ def test_cluster_partition_invariant_to_input_order():
     assert c1 == c2
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("theta", [1.0, 2.0, 5.0])
+def test_jlinkage_matches_full_recompute_oracle(seed, theta):
+    segs = cluttered_frame(seed)
+    hyps = sample_vp_hypotheses(segs, 300, rng_seed=seed)
+    for order in (segs, list(reversed(segs))):
+        assert jlinkage_cluster(order, hyps, theta, 1) == \
+            naive_jlinkage_cluster(order, hyps, theta, 1)
+        assert jlinkage_cluster(order, hyps, theta, 3) == \
+            naive_jlinkage_cluster(order, hyps, theta, 3)
+
+
+def test_jlinkage_oracle_with_empty_preference_sets():
+    segs = cluttered_frame(14)
+    # hypotheses from the first family alone leave most segments preferring none
+    hyps = sample_vp_hypotheses(segs[:12], 100, rng_seed=0)
+    empty = ~(_consensus_matrix(segs, hyps) < 2.0).any(axis=1)
+    assert empty.sum() >= 2  # pairs with union == 0 exist
+    for order in (segs, list(reversed(segs))):
+        assert jlinkage_cluster(order, hyps, 2.0, 1) == \
+            naive_jlinkage_cluster(order, hyps, 2.0, 1)
+
+
 # -- refinement --------------------------------------------------------------
 
 def test_refine_vp_exact_intersection():
@@ -234,3 +313,34 @@ def test_detect_sets_cluster_labels():
     assert len(ests) >= 1
     assert all(s.cluster_label == 0 for s in segs)
     assert ests[0].member_segment_ids >= frozenset(range(15))
+
+
+# Recorded from the full-recompute J-Linkage; a front-end rewrite must keep them.
+PINNED_VPS = [
+    ([-0.9871878263170812, -0.1595613227607842, -0.0006163198723146306],
+     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 60],
+     0.6458756339793637),
+    ([-0.16380503627208454, 0.986492575323735, -0.0005558084616312669],
+     [12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 61],
+     0.6194920092884393),
+    ([-0.8204379978225195, -0.5717301067814493, -0.0024853025264766635],
+     [24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 56],
+     1.2416372631048989),
+    ([0.853149296460659, -0.5216658742373254, -0.0009967973162754956],
+     [36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 47],
+     0.5199531035807714),
+    ([0.5243725389940203, 0.851486700184409, 0.0019595300536182276],
+     [50, 58, 62],
+     2.185332934199159e-14),
+]
+PINNED_LABELS = [0] * 12 + [1] * 12 + [2] * 12 + [3] * 10 + [
+    None, 3, None, None, 4, None, None, None, None, None, 2, None, 4, None, 0, 1, 4]
+
+
+def test_detect_pinned_outputs_on_cluttered_frame():
+    segs = cluttered_frame(11)
+    ests = detect_vanishing_points(segs, rng_seed=3)
+    got = [(e.vp_homogeneous.tolist(), sorted(e.member_segment_ids), e.residual_rms)
+           for e in ests]
+    assert got == PINNED_VPS
+    assert [s.cluster_label for s in segs] == PINNED_LABELS
