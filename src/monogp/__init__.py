@@ -7,7 +7,6 @@ from .geometry import (
     PluckerLine,
     Pose,
     se3_exp,
-    se3_log,
 )
 from .segments import Segment2D, segment_line
 from .vanishing import detect_vanishing_points, lift_vanishing_point
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CameraIntrinsics", "OrthonormalLine", "PluckerLine", "Pose",
-    "se3_exp", "se3_log", "Segment2D", "segment_line",
+    "se3_exp", "Segment2D", "segment_line",
     "detect_vanishing_points", "lift_vanishing_point",
     "GlobalPrimitive", "GlobalPrimitiveRegistry", "fuse_directions",
     "FactorGraph", "OptimizeOptions", "optimize", "total_cost",

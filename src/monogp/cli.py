@@ -11,8 +11,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import scenarios
-from .evaluate import ate_rmse, load_tum, save_tum
+import numpy as np
+
+from .evaluate import Trajectory, ate_rmse, load_tum, save_tum
 from .pipeline import PipelineError, run_ablation, run_pipeline
 from .segments import load_segments
 from .simulate import (
@@ -46,8 +47,6 @@ def cmd_simulate(args) -> int:
     poses = generate_trajectory(cfg)
     frames = render_measurements(world, poses, cfg)
     save_observations(frames, out / "observations.jsonl")
-    from .evaluate import Trajectory
-    import numpy as np
     save_tum(Trajectory(np.arange(len(poses), dtype=float), poses),
              out / "groundtruth.tum")
     print(f"wrote {len(frames)} frames to {out}")
@@ -92,7 +91,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_detect_vp(args) -> int:
     segments = load_segments(args.segments)
-    estimates = detect_vanishing_points(segments, rng_seed=args.seed or 0)
+    estimates = detect_vanishing_points(segments, rng_seed=args.seed)
     out = [{"vp": [float(x) for x in e.vp_homogeneous],
             "members": sorted(e.member_segment_ids),
             "residual_rms_deg": e.residual_rms} for e in estimates]

@@ -43,6 +43,8 @@ def load_tum(path) -> Trajectory:
                 raise ValueError(f"parse error at line {lineno}: "
                                  f"expected 8 fields, got {len(parts)}")
             vals = [float(p) for p in parts]
+            if not np.isfinite(vals).all():
+                raise ValueError(f"parse error at line {lineno}: non-finite value")
             q = np.array(vals[4:8])
             qn = np.linalg.norm(q)
             if abs(qn - 1.0) > 1e-3:

@@ -1,8 +1,8 @@
 """Lie-group and projective geometry primitives.
 
 SE(3) poses (camera-from-world convention), pinhole projection, Plücker
-line transforms and projection, the orthonormal 4-DOF line
-parameterization, and midpoint / plane-intersection triangulation.
+lines, the orthonormal 4-DOF line parameterization, and midpoint /
+plane-intersection triangulation.
 
 All types are immutable values; all functions are pure.
 """
@@ -79,32 +79,6 @@ def so3_exp(w) -> np.ndarray:
     return np.eye(3) + A * W + B * (W @ W)
 
 
-def so3_log(R) -> np.ndarray:
-    """Inverse of so3_exp for rotation angle < pi."""
-    R = np.asarray(R, dtype=float)
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = math.acos(cos_theta)
-    if theta < 1e-10:
-        # log(R) ~ (R - R^T)/2 for small angles
-        return np.array([R[2, 1] - R[1, 2],
-                         R[0, 2] - R[2, 0],
-                         R[1, 0] - R[0, 1]]) / 2.0
-    if theta > math.pi - 1e-6:
-        # Near pi: use the symmetric part. B = (R + I)/2 = I + (1-cos) ww^T...
-        B = (R + np.eye(3)) / 2.0
-        axis = _unit(np.sqrt(np.clip(np.diag(B), 0.0, None)))
-        # Fix signs from off-diagonal terms.
-        if B[0, 1] < 0:
-            axis[1] = -axis[1]
-        if B[0, 2] < 0:
-            axis[2] = -axis[2]
-        if abs(axis[0]) < 1e-9 and B[1, 2] < 0:
-            axis[2] = -abs(axis[2])
-        return theta * axis
-    return theta / (2.0 * math.sin(theta)) * np.array(
-        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-
-
 def _left_jacobian_V(w: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(w)
     W = skew(w)
@@ -164,10 +138,6 @@ class Pose:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_world_camera(cls, r_wc, c_w) -> "Pose":
         """Build from the camera's orientation and position in the world."""
         r_wc = np.asarray(r_wc, dtype=float)
@@ -214,13 +184,6 @@ def se3_exp(twist) -> Pose:
     return Pose(R, t)
 
 
-def se3_log(pose: Pose) -> np.ndarray:
-    """Inverse of se3_exp for rotation angle < pi."""
-    theta = so3_log(pose.rotation)
-    rho = np.linalg.solve(_left_jacobian_V(theta), pose.translation)
-    return np.concatenate([rho, theta])
-
-
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
@@ -265,12 +228,6 @@ class PluckerLine:
         q = np.asarray(q, dtype=float)
         return cls(cross3(p, q - p), q - p)
 
-    @classmethod
-    def from_point_direction(cls, p, d) -> "PluckerLine":
-        p = np.asarray(p, dtype=float)
-        d = np.asarray(d, dtype=float)
-        return cls(cross3(p, d), d)
-
     def unit_direction(self) -> np.ndarray:
         return self.direction / np.linalg.norm(self.direction)
 
@@ -278,37 +235,12 @@ class PluckerLine:
         d = self.direction
         return cross3(d, self.normal) / float(d @ d)
 
-    def point_distance(self, p) -> float:
-        """Euclidean distance from a 3D point to the line."""
-        p = np.asarray(p, dtype=float)
-        d = self.unit_direction()
-        q = self.closest_point_to_origin()
-        r = p - q
-        return float(np.linalg.norm(r - (r @ d) * d))
-
     def canonical_coords(self) -> np.ndarray:
         """Unit-norm 6-vector (n, d) with canonical sign, for comparisons."""
         v = np.concatenate([self.normal, self.direction])
         v = v / np.linalg.norm(v)
         k = int(np.argmax(np.abs(v)))
         return v if v[k] >= 0 else -v
-
-
-def transform_plucker(line: PluckerLine, pose: Pose) -> PluckerLine:
-    """Map a world-frame line to the camera frame of `pose` (T_cw)."""
-    R, t = pose.rotation, pose.translation
-    d_c = R @ line.direction
-    n_c = R @ line.normal + cross3(t, d_c)
-    return PluckerLine(n_c, d_c)
-
-
-def project_plucker(line_c: PluckerLine, intr: CameraIntrinsics) -> np.ndarray:
-    """Project a camera-frame line to a homogeneous image line (a, b, c)."""
-    l = intr.line_projection_matrix() @ line_c.normal
-    norm = np.linalg.norm(l)
-    if norm == 0.0 or math.hypot(l[0], l[1]) / norm < EPS_IMAGE_LINE:
-        raise DegenerateLineError("degenerate line: projects to a point")
-    return l
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +283,6 @@ def plucker_to_orthonormal(line: PluckerLine) -> OrthonormalLine:
     U = np.column_stack([u1, u2, u3])
     W = np.array([[w1, -w2], [w2, w1]])
     return OrthonormalLine(U, W)
-
-
-def orthonormal_to_plucker(o: OrthonormalLine) -> PluckerLine:
-    w1, w2 = o.W[0, 0], o.W[1, 0]
-    return PluckerLine(w1 * o.U[:, 0], w2 * o.U[:, 1])
 
 
 def rot2(phi: float) -> np.ndarray:

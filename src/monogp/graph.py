@@ -22,11 +22,10 @@ kernel per kind, which returns stacked residuals, an active mask and, when
 asked, stacked Jacobian blocks. `_linearize` scatters the weighted J^T Λ J
 blocks into the dense H in one pass; `total_cost` and `cost_breakdown` run
 the same kernels without Jacobians. The per-factor `residual`/`jacobians`
-methods and the standalone residual functions are these kernels applied to
-one input. An inactive factor (a point at depth <= EPS_Z, a line whose image
-line is degenerate) contributes nothing, and its `residual` and `jacobians`
-raise. `optimize` packs once per call; the solve/update is a single-threaded
-critical section per iteration.
+methods are these kernels applied to one factor. An inactive factor (a point
+at depth <= EPS_Z, a line whose image line is degenerate) contributes
+nothing, and its `residual` and `jacobians` raise. `optimize` packs once per
+call; the solve/update is a single-threaded critical section per iteration.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
   gradient           ||g||_inf < abs_tol at a linearization       converged
@@ -56,7 +55,6 @@ from .geometry import (
     OrthonormalLine,
     Pose,
     orthonormal_update,
-    plucker_to_orthonormal,
     se3_exp,
     skew,
 )
@@ -77,12 +75,6 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Sphere tangent parameterization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TangentBasis:
-    b1: np.ndarray
-    b2: np.ndarray
-
-
 def _tangent_bases(anchors: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal tangent-plane bases (N, 3, 2) at unit anchors (N, 3)."""
     k = np.argmin(np.abs(anchors), axis=1)
@@ -93,16 +85,11 @@ def _tangent_bases(anchors: np.ndarray) -> np.ndarray:
     return np.stack([b1, b2], axis=2)
 
 
-def tangent_basis(anchor) -> TangentBasis:
-    """Deterministic orthonormal basis of the tangent plane at a unit anchor."""
-    B = _tangent_bases(np.asarray(anchor, dtype=float)[None])[0]
-    return TangentBasis(B[:, 0], B[:, 1])
-
-
 def gp_retract(anchor, w1: float, w2: float) -> np.ndarray:
     """Tangent step then renormalization back onto the unit sphere."""
-    basis = tangent_basis(anchor)
-    d = np.asarray(anchor, dtype=float) + w1 * basis.b1 + w2 * basis.b2
+    anchor = np.asarray(anchor, dtype=float)
+    B = _tangent_bases(anchor[None])[0]
+    d = anchor + w1 * B[:, 0] + w2 * B[:, 1]
     return d / np.linalg.norm(d)
 
 
@@ -117,15 +104,6 @@ def _huber(r_sq_weighted, delta):
     cost = np.where(inside, r_sq_weighted, 2.0 * delta * s - delta * delta)
     weight = np.where(inside, 1.0, delta / np.where(inside, 1.0, s))
     return cost, weight
-
-
-def huber_weight(r_sq_weighted: float, delta: float) -> float:
-    """Standard Huber IRLS weight from the whitened squared residual norm."""
-    return float(_huber(np.float64(r_sq_weighted), delta)[1])
-
-
-def huber_cost(r_sq_weighted: float, delta: float) -> float:
-    return float(_huber(np.float64(r_sq_weighted), delta)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,50 +210,6 @@ def _endpoints(segments) -> np.ndarray:
 
 def _intrinsic_rows(intrs) -> np.ndarray:
     return np.array([[k.fx, k.fy, k.cx, k.cy] for k in intrs])
-
-
-# ---------------------------------------------------------------------------
-# Residual functions (also usable standalone): the kernels on one input
-# ---------------------------------------------------------------------------
-
-def point_residual(p_w, pose: Pose, intr: CameraIntrinsics, obs) -> np.ndarray:
-    r, active, _ = _point_kernel(
-        pose.rotation[None], pose.translation[None],
-        np.asarray(p_w, dtype=float)[None], np.asarray(obs, dtype=float)[None],
-        _intrinsic_rows([intr]), False)
-    if not active[0]:
-        raise BehindCameraError(f"behind camera: depth <= {EPS_Z:g}")
-    return r[0]
-
-
-def line_residual(line_w, pose: Pose, intr: CameraIntrinsics,
-                  obs: Segment2D) -> np.ndarray:
-    """Signed perpendicular distances of the observed endpoints to the
-    projected infinite image line."""
-    o = plucker_to_orthonormal(line_w)
-    r, active, _ = _line_kernel(
-        pose.rotation[None], pose.translation[None], o.U[None], o.W[None],
-        _endpoints([obs]), intr.line_projection_matrix()[None], False)
-    if not active[0]:
-        raise DegenerateLineError("degenerate line: projects to a point")
-    return r[0]
-
-
-def vd_align_residual(gp_dir, pose: Pose, intr: CameraIntrinsics,
-                      seg: Segment2D) -> float:
-    """Incidence of the segment's image line with the projected VP of the
-    global direction. Smooth and bounded, including VPs at infinity."""
-    r, _, _ = _vd_align_kernel(
-        pose.rotation[None], np.asarray(gp_dir, dtype=float)[None], None,
-        segment_line(seg)[None], intr.matrix()[None], False)
-    return float(r[0, 0])
-
-
-def struct_residual(line_dir_w, gp_dir) -> float:
-    """|d · g - 1| for unit vectors (zero iff parallel and sign-aligned)."""
-    r, _, _ = _struct_kernel(np.asarray(line_dir_w, dtype=float)[None],
-                             np.asarray(gp_dir, dtype=float)[None], None, False)
-    return float(r[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +464,8 @@ class FactorGraph:
         self.gps[gp_id] = d / n
 
     def add_factor(self, factor):
-        store = {"pose": self.poses, "point": self.points,
-                 "line": self.lines, "gp": self.gps}
         for kind, vid in factor.keys():
-            if vid not in store[kind]:
+            if vid not in self._store(kind):
                 raise KeyError(f"factor references missing variable {(kind, vid)}")
         self.factors.append(factor)
 

@@ -65,10 +65,6 @@ class GPAssociationGraph:
     nodes: frozenset
     edges: frozenset  # (frame_a, frame_b, gp_id) with frame_a < frame_b
 
-    def has_edge(self, frame_a, frame_b) -> bool:
-        a, b = sorted((frame_a, frame_b))
-        return any(e[0] == a and e[1] == b for e in self.edges)
-
 
 class GlobalPrimitiveRegistry:
     """Single-writer registry of Global Primitives.

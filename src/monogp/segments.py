@@ -5,7 +5,7 @@ whitespace-separated decimal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,19 +68,10 @@ def load_segments(path) -> list[Segment2D]:
                 raise ValueError(f"parse error at line {lineno}: "
                                  f"expected 5 or 6 fields, got {len(parts)}")
             sid = int(parts[0])
-            x1, y1, x2, y2 = (float(p) for p in parts[1:5])
+            coords = np.array([float(p) for p in parts[1:5]])
+            if not np.isfinite(coords).all():
+                raise ValueError(f"parse error at line {lineno}: non-finite value")
             track = int(parts[5]) if len(parts) == 6 else None
-            segments.append(Segment2D(np.array([x1, y1]), np.array([x2, y2]),
-                                      id=sid, track_id=track))
+            segments.append(Segment2D(coords[:2], coords[2:], id=sid, track_id=track))
     return segments
 
-
-def save_segments(segments, path) -> None:
-    with open(path, "w") as f:
-        for s in segments:
-            fields = [str(s.id),
-                      repr(float(s.p_start[0])), repr(float(s.p_start[1])),
-                      repr(float(s.p_end[0])), repr(float(s.p_end[1]))]
-            if s.track_id is not None:
-                fields.append(str(s.track_id))
-            f.write(" ".join(fields) + "\n")

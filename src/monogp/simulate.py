@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PluckerLine, Pose
+from .geometry import CameraIntrinsics, Pose
 from .segments import Segment2D
 
 MIN_DEPTH = 0.3         # m; landmarks closer than this are culled
@@ -126,9 +126,6 @@ class WorldLine:
     p0: np.ndarray
     p1: np.ndarray
     family_id: int
-
-    def plucker(self) -> PluckerLine:
-        return PluckerLine.from_two_points(self.p0, self.p1)
 
     def direction(self) -> np.ndarray:
         d = self.p1 - self.p0
@@ -412,30 +409,8 @@ def _seg_to_list(s: Segment2D):
             [float(s.p_end[0]), float(s.p_end[1])], s.track_id]
 
 
-def _seg_from_list(v) -> Segment2D:
-    return Segment2D(np.array(v[1]), np.array(v[2]), id=v[0], track_id=v[3])
-
-
-def frame_from_dict(d: dict) -> FrameObservations:
-    return FrameObservations(
-        d["frame_id"],
-        [(pid, np.array(o)) for pid, o in d["points"]],
-        [_seg_from_list(v) for v in d["segments"]],
-        [_seg_from_list(v) for v in d["predicted"]],
-        {int(sid): SegmentTruth(*tr) for sid, tr in d["truth"].items()},
-    )
-
-
 def save_observations(frames: list[FrameObservations], path) -> None:
     with open(path, "w") as f:
         for fr in frames:
             f.write(json.dumps(frame_to_dict(fr), sort_keys=True) + "\n")
 
-
-def load_observations(path) -> list[FrameObservations]:
-    frames = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                frames.append(frame_from_dict(json.loads(line)))
-    return frames

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from monogp.cli import main
 from monogp.evaluate import Trajectory, ate_rmse, load_tum, save_tum, umeyama_align
 from monogp.geometry import Pose, se3_exp
 
@@ -51,10 +52,22 @@ def test_tum_parse_error_names_line(tmp_path):
         load_tum(path)
 
 
+def test_tum_non_finite_value_names_line(tmp_path, capsys):
+    good = tmp_path / "good.tum"
+    good.write_text("".join(f"{t}.0 {t} {t % 2} {t % 3} 0 0 0 1\n" for t in range(4)))
+    path = tmp_path / "nan.tum"
+    for bad in ("nan", "inf"):
+        path.write_text(f"0.0 0 0 0 0 0 0 1\n1.0 {bad} 0 0 0 0 0 1\n2.0 0 1 0 0 0 0 1\n")
+        with pytest.raises(ValueError, match="line 2: non-finite value"):
+            load_tum(path)
+    assert main(["eval", str(path), str(good)]) == 1
+    assert "line 2: non-finite value" in capsys.readouterr().err
+
+
 def test_non_monotonic_timestamps_rejected():
     with pytest.raises(ValueError, match="non-monotonic"):
         Trajectory(np.array([0.0, 2.0, 1.0]),
-                   [Pose.identity(), Pose.identity(), Pose.identity()])
+                   [Pose(np.eye(3), np.zeros(3))] * 3)
 
 
 # -- alignment ----------------------------------------------------------------

@@ -1,6 +1,11 @@
-"""Lie-group, projection, Plücker, and triangulation tests."""
+"""Lie-group, projection, Plücker, and triangulation tests.
+
+The Plücker transform and projection (Bartoli & Sturm 2005) are computed by
+the line factor's kernel, so their tests evaluate `LineFactor.residual`.
+"""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from monogp.geometry import (
     BehindCameraError,
@@ -9,21 +14,19 @@ from monogp.geometry import (
     PluckerLine,
     Pose,
     TriangulationError,
-    orthonormal_to_plucker,
     orthonormal_update,
     plucker_to_orthonormal,
-    project_plucker,
     project_point,
     se3_exp,
-    se3_log,
-    so3_exp,
-    transform_plucker,
+    skew,
     triangulate_line,
     triangulate_point,
 )
 from monogp.segments import Segment2D
+from test_graph import line_residual
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+IDENTITY = Pose(np.eye(3), np.zeros(3))
 
 
 def random_pose(rng, scale=0.5):
@@ -44,11 +47,14 @@ def test_se3_exp_quarter_turn_about_z():
     assert np.allclose(pose.translation, 0.0)
 
 
-def test_se3_log_exp_roundtrip_random():
+def test_se3_exp_matches_matrix_exponential():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         xi = rng.normal(0.0, 0.3, size=6)
-        assert np.allclose(se3_log(se3_exp(xi)), xi, atol=1e-9)
+        twist = np.zeros((4, 4))
+        twist[:3, :3] = skew(xi[3:])
+        twist[:3, 3] = xi[:3]
+        assert np.allclose(se3_exp(xi).matrix(), expm(twist), atol=1e-9)
 
 
 def test_pose_compose_inverse_is_identity():
@@ -76,18 +82,18 @@ def test_pose_rejects_non_orthonormal_rotation():
 # -- point projection --------------------------------------------------------
 
 def test_project_point_on_optical_axis_hits_principal_point():
-    px = project_point([0.0, 0.0, 2.0], Pose.identity(), K)
+    px = project_point([0.0, 0.0, 2.0], IDENTITY, K)
     assert np.allclose(px, [320.0, 240.0])
 
 
 def test_project_point_hand_value():
-    px = project_point([1.0, 0.0, 2.0], Pose.identity(), K)
+    px = project_point([1.0, 0.0, 2.0], IDENTITY, K)
     assert np.allclose(px, [570.0, 240.0])
 
 
 def test_project_point_behind_camera_raises():
     with pytest.raises(BehindCameraError, match="behind camera"):
-        project_point([0.0, 0.0, -1.0], Pose.identity(), K)
+        project_point([0.0, 0.0, -1.0], IDENTITY, K)
 
 
 # -- Plücker lines -----------------------------------------------------------
@@ -97,66 +103,50 @@ def test_plucker_constraint_enforced():
         PluckerLine(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
-def test_transform_plucker_identity():
-    line = PluckerLine.from_two_points([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
-    out = transform_plucker(line, Pose.identity())
-    assert np.allclose(out.normal, line.normal)
-    assert np.allclose(out.direction, line.direction)
+def segment_through(points, pose):
+    """Image segment between the projections of two world points."""
+    return Segment2D(*(project_point(p, pose, K) for p in points), id=0)
 
 
 def test_transform_plucker_point_membership():
-    line = PluckerLine.from_point_direction([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
-    moved = transform_plucker(line, pose)
-    for lam in (-2.0, 0.0, 0.7, 3.0):
-        p_w = np.array([1.0, lam, 0.0])
-        assert moved.point_distance(pose.transform(p_w)) < 1e-9
-
-
-def test_transform_plucker_pure_rotation_rotates_direction():
-    rz = so3_exp([0.0, 0.0, np.pi / 2])
-    pose = Pose(rz, np.zeros(3))
-    line = PluckerLine.from_point_direction([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    out = transform_plucker(line, pose)
-    assert np.allclose(out.unit_direction(), rz @ line.unit_direction(), atol=1e-12)
-
-
-def test_transform_plucker_composes():
+    # points of a world line stay on the camera-frame line: their images lie
+    # on its projection, under translations and rotations
+    line = PluckerLine.from_two_points([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        line = PluckerLine.from_two_points(rng.normal(0, 2, 3), rng.normal(0, 2, 3))
-        t1, t2 = random_pose(rng), random_pose(rng)
-        a = transform_plucker(line, t2.compose(t1))
-        b = transform_plucker(transform_plucker(line, t1), t2)
-        ca, cb = a.canonical_coords(), b.canonical_coords()
-        assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
-        assert abs(float(a.normal @ a.direction)) < 1e-9 * max(
-            1.0, np.linalg.norm(a.normal))
+    poses = [Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))]
+    poses += [se3_exp(np.concatenate([rng.normal(0.0, 0.3, 3) + [0.0, 0.0, 4.0],
+                                      rng.normal(0.0, 0.2, 3)])) for _ in range(50)]
+    for pose in poses:
+        for lams in ((-2.0, 0.0), (0.7, 3.0)):
+            seg = segment_through([np.array([1.0, lam, 0.0]) for lam in lams], pose)
+            assert np.max(np.abs(line_residual(line, pose, seg))) < 1e-9
 
 
 def test_project_plucker_horizontal_line():
-    line = PluckerLine.from_point_direction([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    l = project_plucker(line, K)
-    l = l / np.linalg.norm(l[:2])
-    if l[1] < 0:
-        l = -l
-    assert np.allclose(l, [0.0, 1.0, -240.0], atol=1e-9)
+    # a horizontal line at depth 1 projects onto the image row y = cy + fy * ty
+    line = PluckerLine.from_two_points([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    for ty, row in ((0.0, 240.0), (0.1, 290.0)):
+        seg = Segment2D([100.0, row], [500.0, row], id=0)
+        r = line_residual(line, Pose(np.eye(3), np.array([0.0, ty, 0.0])), seg)
+        assert np.allclose(r, 0.0, atol=1e-9)
 
 
 def test_project_plucker_scale_invariant_up_to_normalization():
-    line = PluckerLine.from_point_direction([0.5, -0.2, 2.0], [1.0, 1.0, 0.0])
+    line = PluckerLine.from_two_points([0.5, -0.2, 2.0], [1.5, 0.8, 2.0])
     double = PluckerLine(2.0 * line.normal, 2.0 * line.direction)
-    l1 = project_plucker(line, K)
-    l2 = project_plucker(double, K)
-    l1 /= np.linalg.norm(l1[:2])
-    l2 /= np.linalg.norm(l2[:2])
-    assert np.allclose(l1, l2, atol=1e-12) or np.allclose(l1, -l2, atol=1e-12)
+    seg = Segment2D([100.0, 200.0], [400.0, 250.0], id=0)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        pose = se3_exp(rng.normal(0.0, 0.1, 6))
+        assert np.allclose(line_residual(line, pose, seg),
+                           line_residual(double, pose, seg), atol=1e-9)
 
 
 def test_project_plucker_optical_axis_degenerate():
-    line = PluckerLine.from_point_direction([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
-    with pytest.raises(DegenerateLineError, match="degenerate line"):
-        project_plucker(line, K)
+    line = PluckerLine.from_two_points([0.0, 0.0, 1.0], [0.0, 0.0, 2.0])
+    seg = Segment2D([300.0, 240.0], [340.0, 240.0], id=0)
+    with pytest.raises(DegenerateLineError):
+        line_residual(line, IDENTITY, seg)
 
 
 def test_point_on_line_projects_onto_image_line():
@@ -164,25 +154,29 @@ def test_point_on_line_projects_onto_image_line():
     for _ in range(100):
         p0 = rng.normal(0.0, 1.0, 3) + [0.0, 0.0, 4.0]
         d = rng.normal(0.0, 1.0, 3)
-        line = PluckerLine.from_point_direction(p0, d)
-        l = project_plucker(line, K)
+        line = PluckerLine.from_two_points(p0, p0 + d)
         lam = rng.uniform(-0.5, 0.5)
         p = p0 + lam * d / np.linalg.norm(d)
         if p[2] < 0.5:
             continue
-        px = project_point(p, Pose.identity(), K)
-        incidence = float(l @ [px[0], px[1], 1.0]) / np.linalg.norm(l[:2])
-        assert abs(incidence) < 1e-6
+        r = line_residual(line, IDENTITY, segment_through([p0, p], IDENTITY))
+        assert np.max(np.abs(r)) < 1e-6
 
 
 # -- orthonormal parameterization --------------------------------------------
+
+def plucker_coords(o):
+    """(w1 u1, w2 u2) of an orthonormal line, unit-normalized: its (n, d) up
+    to scale."""
+    v = np.concatenate([o.W[0, 0] * o.U[:, 0], o.W[1, 0] * o.U[:, 1]])
+    return v / np.linalg.norm(v)
+
 
 def test_orthonormal_roundtrip_random():
     rng = np.random.default_rng(8)
     for _ in range(1000):
         line = PluckerLine.from_two_points(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
-        back = orthonormal_to_plucker(plucker_to_orthonormal(line))
-        ca, cb = line.canonical_coords(), back.canonical_coords()
+        ca, cb = line.canonical_coords(), plucker_coords(plucker_to_orthonormal(line))
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
 
 
@@ -197,9 +191,7 @@ def test_orthonormal_small_update_small_change():
     line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
     o = plucker_to_orthonormal(line)
     o2 = orthonormal_update(o, 1e-8 * np.ones(4))
-    c1 = orthonormal_to_plucker(o).canonical_coords()
-    c2 = orthonormal_to_plucker(o2).canonical_coords()
-    assert np.linalg.norm(c1 - c2) < 1e-6
+    assert np.linalg.norm(plucker_coords(o) - plucker_coords(o2)) < 1e-6
 
 
 def test_orthonormal_update_preserves_constraint():
@@ -208,8 +200,8 @@ def test_orthonormal_update_preserves_constraint():
     o = plucker_to_orthonormal(line)
     for _ in range(100):
         o = orthonormal_update(o, rng.normal(0.0, 0.1, 4))
-        back = orthonormal_to_plucker(o)
-        assert abs(float(back.normal @ back.direction)) < 1e-9
+        v = plucker_coords(o)
+        assert abs(float(v[:3] @ v[3:])) < 1e-9
         assert np.allclose(o.U @ o.U.T, np.eye(3), atol=1e-9)
 
 
@@ -217,7 +209,7 @@ def test_orthonormal_update_preserves_constraint():
 
 def test_triangulate_point_noiseless_roundtrip():
     rng = np.random.default_rng(10)
-    pose_a = Pose.identity()
+    pose_a = IDENTITY
     pose_b = Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0])
     for _ in range(100):
         p = rng.uniform([-1, -1, 2], [1, 1, 6])
@@ -229,13 +221,12 @@ def test_triangulate_point_noiseless_roundtrip():
 
 def test_triangulate_point_identical_poses_raises():
     with pytest.raises(TriangulationError, match="insufficient parallax"):
-        triangulate_point([320, 240], [330, 240], Pose.identity(),
-                          Pose.identity(), K)
+        triangulate_point([320, 240], [330, 240], IDENTITY, IDENTITY, K)
 
 
 def test_triangulate_line_noiseless_roundtrip():
     rng = np.random.default_rng(11)
-    pose_a = Pose.identity()
+    pose_a = IDENTITY
     pose_b = Pose.from_world_camera(np.eye(3), [0.8, 0.2, 0.0])
     for _ in range(50):
         p0 = rng.uniform([-1, -1, 3], [1, 1, 6])

@@ -12,7 +12,6 @@ from monogp.geometry import (
     project_point,
     se3_exp,
     so3_exp,
-    transform_plucker,
 )
 from monogp.graph import (
     DOF,
@@ -22,34 +21,40 @@ from monogp.graph import (
     PointFactor,
     StructFactor,
     VdAlignFactor,
+    _huber,
     _linearize,
+    _tangent_bases,
     cost_breakdown,
     gp_retract,
-    huber_cost,
-    huber_weight,
-    line_residual,
     numeric_jacobian,
     optimize,
-    point_residual,
-    struct_residual,
-    tangent_basis,
     total_cost,
-    vd_align_residual,
 )
-from monogp.segments import Segment2D, segment_line
+from monogp.segments import Segment2D
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
+def residual_at(factor, **values):
+    """`factor.residual` on a graph holding variable 0 of each given kind,
+    e.g. `residual_at(f, pose=pose, point=p)`."""
+    g = FactorGraph()
+    add = {"pose": g.add_pose, "point": g.add_point, "line": g.add_line, "gp": g.add_gp}
+    for kind, value in values.items():
+        add[kind](0, value)
+    g.add_factor(factor)
+    return factor.residual(g)
 
 
 # -- tangent parameterization -------------------------------------------------
 
 def test_tangent_basis_right_handed_triad():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        anchor = rng.normal(0.0, 1.0, 3)
-        anchor /= np.linalg.norm(anchor)
-        basis = tangent_basis(anchor)
-        triad = np.column_stack([basis.b1, basis.b2, anchor])
+    anchors = rng.normal(0.0, 1.0, (200, 3))
+    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+    for anchor, basis in zip(anchors, _tangent_bases(anchors)):
+        triad = np.column_stack([basis, anchor])
         assert np.allclose(triad.T @ triad, np.eye(3), atol=1e-12)
         assert np.linalg.det(triad) > 0
 
@@ -80,51 +85,60 @@ def test_gp_retract_stays_on_sphere():
 # -- robust kernel -------------------------------------------------------------
 
 def test_huber_weight_values():
-    assert huber_weight(0.0, 2.0) == 1.0
-    assert abs(huber_weight(16.0, 2.0) - 0.5) < 1e-12  # sqrt = 2 delta
-    lo = huber_weight((2.0 - 1e-9) ** 2, 2.0)
-    hi = huber_weight((2.0 + 1e-9) ** 2, 2.0)
-    assert abs(lo - hi) < 1e-8  # continuous at the elbow
+    _, w = _huber(np.array([0.0, 16.0, (2.0 - 1e-9) ** 2, (2.0 + 1e-9) ** 2]), 2.0)
+    assert w[0] == 1.0
+    assert abs(w[1] - 0.5) < 1e-12  # sqrt = 2 delta
+    assert abs(w[2] - w[3]) < 1e-8  # continuous at the elbow
 
 
 def test_huber_cost_values():
-    assert huber_cost(9.0, 5.0) == 9.0  # inside the quadratic region
-    assert abs(huber_cost(100.0, 5.0) - 75.0) < 1e-12  # 2*5*10 - 25
+    cost, _ = _huber(np.array([9.0, 100.0]), 5.0)
+    assert cost[0] == 9.0  # inside the quadratic region
+    assert abs(cost[1] - 75.0) < 1e-12  # 2*5*10 - 25
 
 
 # -- residual golden values ----------------------------------------------------
 
 def test_point_residual_exact_observation():
     p = np.array([0.3, -0.2, 3.0])
-    obs = project_point(p, Pose.identity(), K)
-    assert np.allclose(point_residual(p, Pose.identity(), K, obs), 0.0)
+    obs = project_point(p, IDENTITY, K)
+    assert np.allclose(residual_at(PointFactor(0, 0, obs, K), pose=IDENTITY, point=p), 0.0)
 
 
 def test_point_residual_hand_value():
-    r = point_residual([1.0, 0.0, 2.0], Pose.identity(), K, [560.0, 240.0])
+    f = PointFactor(0, 0, np.array([560.0, 240.0]), K)
+    r = residual_at(f, pose=IDENTITY, point=[1.0, 0.0, 2.0])
     assert np.allclose(r, [10.0, 0.0])
 
 
+def line_residual(line, pose, seg, intr=K):
+    """LineFactor residual of a world PluckerLine observed as `seg`."""
+    return residual_at(LineFactor(0, 0, seg, intr), pose=pose,
+                       line=plucker_to_orthonormal(line))
+
+
 def test_line_residual_perpendicular_distances():
-    line = PluckerLine.from_point_direction([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    obs = Segment2D([100.0, 243.0], [300.0, 237.0], id=0)
-    r = line_residual(line, Pose.identity(), K, obs)
+    line = PluckerLine.from_two_points([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    r = line_residual(line, IDENTITY, Segment2D([100.0, 243.0], [300.0, 237.0], id=0))
     assert np.allclose(np.abs(r), [3.0, 3.0], atol=1e-9)
     assert abs(r[0] + r[1]) < 1e-9  # opposite signs
 
 
 def test_line_residual_scale_invariant():
-    line = PluckerLine.from_point_direction([0.2, 0.1, 2.0], [1.0, 2.0, 0.0])
+    line = PluckerLine.from_two_points([0.2, 0.1, 2.0], [1.2, 2.1, 2.0])
     double = PluckerLine(2.0 * line.normal, 2.0 * line.direction)
     obs = Segment2D([100.0, 200.0], [400.0, 250.0], id=0)
-    r1 = line_residual(line, Pose.identity(), K, obs)
-    r2 = line_residual(double, Pose.identity(), K, obs)
-    assert np.allclose(np.abs(r1), np.abs(r2), atol=1e-12)
+    assert np.allclose(np.abs(line_residual(line, IDENTITY, obs)),
+                       np.abs(line_residual(double, IDENTITY, obs)), atol=1e-12)
+
+
+def vd_align_residual(gp, pose, seg):
+    return residual_at(VdAlignFactor(0, 0, seg, K), pose=pose, gp=gp)[0]
 
 
 def test_vd_align_zero_through_principal_point():
     seg = Segment2D([320.0, 240.0], [520.0, 240.0], id=0)
-    r = vd_align_residual([0.0, 0.0, 1.0], Pose.identity(), K, seg)
+    r = vd_align_residual([0.0, 0.0, 1.0], IDENTITY, seg)
     assert abs(r) < 1e-12
 
 
@@ -137,7 +151,7 @@ def test_vd_align_zero_for_incident_segment():
     u = vp_px - a
     u /= np.linalg.norm(u)
     seg = Segment2D(a, a + 80.0 * u, id=0)
-    assert abs(vd_align_residual(gp, Pose.identity(), K, seg)) < 1e-9
+    assert abs(vd_align_residual(gp, IDENTITY, seg)) < 1e-9
 
 
 def test_vd_align_increases_away_from_truth():
@@ -147,8 +161,14 @@ def test_vd_align_increases_away_from_truth():
     vals = []
     for deg in np.linspace(0.0, 1.0, 11):
         pose = Pose(so3_exp([0.0, np.radians(deg), 0.0]), np.zeros(3))
-        vals.append(abs(vd_align_residual(gp, pose, K, seg)))
+        vals.append(abs(vd_align_residual(gp, pose, seg)))
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def struct_residual(line_dir, gp):
+    p = np.array([0.0, 0.0, 2.0])
+    line = plucker_to_orthonormal(PluckerLine.from_two_points(p, p + line_dir))
+    return residual_at(StructFactor(0, 0), line=line, gp=gp)[0]
 
 
 def test_struct_residual_values():
@@ -178,8 +198,9 @@ def build_random_factor_graph(seed):
     anchor_c = np.array([rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
                          rng.uniform(2.0, 6.0)])
     d = rng.normal(0.0, 1.0, 3)
-    line_c = PluckerLine.from_point_direction(anchor_c, d / np.linalg.norm(d))
-    line_w = transform_plucker(line_c, pose.inverse())
+    d_c = d / np.linalg.norm(d)
+    line_w = PluckerLine.from_two_points(pose.inverse().transform(anchor_c),
+                                         pose.inverse().transform(anchor_c + d_c))
     g.add_line(0, plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
     line_f = LineFactor(0, 0, seg, K)
@@ -214,7 +235,7 @@ def test_jacobians_match_finite_differences():
 
 def test_add_factor_missing_variable_rejected():
     g = FactorGraph()
-    g.add_pose(0, Pose.identity())
+    g.add_pose(0, IDENTITY)
     with pytest.raises(KeyError):
         g.add_factor(PointFactor(0, 99, np.array([0.0, 0.0]), K))
 
@@ -241,10 +262,10 @@ def test_total_cost_zero_at_ground_truth():
 
 def test_total_cost_huber_elbow_value():
     g = FactorGraph()
-    g.add_pose(0, Pose.identity())
+    g.add_pose(0, IDENTITY)
     p = np.array([0.0, 0.0, 2.0])
     g.add_point(0, p)
-    obs = project_point(p, Pose.identity(), K) + [10.0, 0.0]
+    obs = project_point(p, IDENTITY, K) + [10.0, 0.0]
     g.add_factor(PointFactor(0, 0, obs, K, huber_delta=5.0))
     assert abs(total_cost(g) - 75.0) < 1e-9  # 2*5*10 - 25
 
@@ -253,7 +274,7 @@ def test_behind_camera_factor_deactivated():
     # behind the camera, and in front of it but not beyond EPS_Z
     for depth in (-2.0, EPS_Z / 2.0):
         g = FactorGraph()
-        g.add_pose(0, Pose.identity())
+        g.add_pose(0, IDENTITY)
         g.add_point(0, np.array([0.0, 0.0, depth]))
         f = PointFactor(0, 0, np.array([320.0, 240.0]), K)
         g.add_factor(f)
@@ -273,7 +294,7 @@ def build_assembly_graph():
     camera and one past the Huber elbow."""
     rng = np.random.default_rng(11)
     g = FactorGraph()
-    g.add_pose(0, Pose.identity())
+    g.add_pose(0, IDENTITY)
     g.add_pose(1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
     g.add_pose(2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
     for i in range(6):
@@ -288,7 +309,7 @@ def build_assembly_graph():
     gp = np.array([1.0, 0.1, 0.05])
     g.add_gp(0, gp / np.linalg.norm(gp))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
-        line = PluckerLine.from_point_direction(anchor, gp + rng.normal(0.0, 0.02, 3))
+        line = PluckerLine.from_two_points(anchor, anchor + gp + rng.normal(0.0, 0.02, 3))
         g.add_line(lid, plucker_to_orthonormal(line))
         for t in range(3):
             a, b = (project_point(line.closest_point_to_origin() + s * gp, g.poses[t], K)
@@ -345,7 +366,7 @@ def test_linearize_assembles_weighted_normal_equations():
 
 def test_optimize_requires_gauge():
     g = FactorGraph()
-    g.add_pose(0, Pose.identity())
+    g.add_pose(0, IDENTITY)
     g.add_point(0, np.array([0.0, 0.0, 2.0]))
     g.add_factor(PointFactor(0, 0, np.array([320.0, 240.0]), K))
     with pytest.raises(ValueError, match="gauge unfixed"):
@@ -355,7 +376,7 @@ def test_optimize_requires_gauge():
 def test_optimize_stationary_at_ground_truth():
     rng = np.random.default_rng(6)
     g = FactorGraph()
-    g.add_pose(0, Pose.identity())
+    g.add_pose(0, IDENTITY)
     g.add_pose(1, Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0]))
     for i in range(15):
         p = rng.uniform([-1, -1, 2], [1, 1, 5])
@@ -371,7 +392,7 @@ def test_optimize_stationary_at_ground_truth():
 
 def test_optimize_recovers_perturbed_pose():
     rng = np.random.default_rng(7)
-    truth = Pose.identity()
+    truth = IDENTITY
     g = FactorGraph()
     points = {}
     for i in range(50):
@@ -395,7 +416,7 @@ def test_optimize_recovers_perturbed_pose():
 def test_optimize_never_increases_cost_and_keeps_gps_unit():
     rng = np.random.default_rng(8)
     g = FactorGraph()
-    g.add_pose(0, Pose.identity())
+    g.add_pose(0, IDENTITY)
     gp_truth = np.array([1.0, 0.0, 0.0])
     g.add_gp(0, gp_retract(gp_truth, 0.05, -0.03))
     for i in range(10):
@@ -412,7 +433,7 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
 
 def test_report_json_fields():
     g = FactorGraph()
-    g.add_pose(0, Pose.identity())
+    g.add_pose(0, IDENTITY)
     g.add_point(0, np.array([0.0, 0.0, 2.0]))
     g.add_factor(PointFactor(0, 0, np.array([322.0, 240.0]), K))
     report = optimize(g, OptimizeOptions(fixed_variable_keys=(("pose", 0),)))

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from monogp.segments import Segment2D, load_segments, save_segments, segment_line
+from monogp.cli import main
+from monogp.segments import Segment2D, load_segments, segment_line
 
 
 def test_segment_line_x_axis():
@@ -35,17 +36,14 @@ def test_zero_length_segment_rejected():
 
 
 def test_segment_file_roundtrip(tmp_path):
-    segs = [Segment2D([0.0, 1.0], [10.0, 2.0], id=0, track_id=7),
-            Segment2D([5.5, 5.5], [9.25, 0.125], id=3)]
     path = tmp_path / "segs.txt"
-    save_segments(segs, path)
+    path.write_text("# id x1 y1 x2 y2 [track]\n0 0.0 1.0 10.0 2.0 7\n\n3 5.5 5.5 9.25 0.125\n")
     loaded = load_segments(path)
     assert len(loaded) == 2
     assert loaded[0].id == 0 and loaded[0].track_id == 7
     assert loaded[1].id == 3 and loaded[1].track_id is None
-    for a, b in zip(segs, loaded):
-        assert np.allclose(a.p_start, b.p_start)
-        assert np.allclose(a.p_end, b.p_end)
+    assert loaded[0].p_start.tolist() == [0.0, 1.0] and loaded[0].p_end.tolist() == [10.0, 2.0]
+    assert loaded[1].p_start.tolist() == [5.5, 5.5] and loaded[1].p_end.tolist() == [9.25, 0.125]
 
 
 def test_segment_file_parse_error_names_line(tmp_path):
@@ -53,3 +51,13 @@ def test_segment_file_parse_error_names_line(tmp_path):
     path.write_text("0 0 0 10 0\n1 0 0 10\n")
     with pytest.raises(ValueError, match="line 2"):
         load_segments(path)
+
+
+def test_segment_file_non_finite_value_names_line(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"0 0 0 10 0\n1 {bad} 5 10 5\n")
+        with pytest.raises(ValueError, match="line 2: non-finite value"):
+            load_segments(path)
+    assert main(["detect-vp", "--segments", str(path)]) == 1
+    assert "line 2: non-finite value" in capsys.readouterr().err
