@@ -42,7 +42,10 @@ def load_tum(path) -> Trajectory:
             if len(parts) != 8:
                 raise ValueError(f"parse error at line {lineno}: "
                                  f"expected 8 fields, got {len(parts)}")
-            vals = [float(p) for p in parts]
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError as e:
+                raise ValueError(f"parse error at line {lineno}: {e}") from None
             if not np.isfinite(vals).all():
                 raise ValueError(f"parse error at line {lineno}: non-finite value")
             q = np.array(vals[4:8])

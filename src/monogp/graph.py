@@ -11,21 +11,34 @@ Variables and their local parameterizations:
   line  4 DOF  orthonormal SO(3) x SO(2) update over Plücker state
   gp    2 DOF  tangent-plane step + renormalization onto the unit sphere
 
+State. `FactorGraph` keeps the variables of each kind as stacked arrays, one
+row per variable, with one id -> row map per kind: pose R (P, 3, 3) and
+t (P, 3), points X (Q, 3), line U (L, 3, 3) and W (L, 2, 2), GP directions
+G (M, 3) with their tangent bases B (M, 3, 2). The arrays are never written
+in place, so a snapshot is the arrays themselves and a restore reassigns
+them. `poses`, `points`, `lines` and `gps` read the state as mappings by id;
+`Pose` and `OrthonormalLine` values are built only there. `retract` steps a
+whole kind at once (SE(3) exponential with the left Jacobian V, the
+SO(3) x SO(2) line update, the GP tangent step), row for row the floats of
+the per-variable formulas of `geometry`, which `numeric_jacobian` steps with.
+
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
 covariance-weighted cost. Evaluation is batched by factor kind (Triggs et
 al. 2000; Agarwal et al. 2010). `PackedFactors` packs a factor list once:
-per kind, the rows of each factor's two variables and its constants
+per kind, the graph rows of each factor's two variables and its constants
 (observation, intrinsics, the segment's image line, 1/sigma^2, Huber delta).
-Each evaluation gathers the stacked state (pose R and t, points, line U and
-W, GP directions and tangent bases) from the graph and runs one vectorized
-kernel per kind, which returns stacked residuals, an active mask and, when
-asked, stacked Jacobian blocks. `_linearize` scatters the weighted J^T Λ J
-blocks into the dense H in one pass; `total_cost` and `cost_breakdown` run
-the same kernels without Jacobians. The per-factor `residual`/`jacobians`
-methods are these kernels applied to one factor. An inactive factor (a point
-at depth <= EPS_Z, a line whose image line is degenerate) contributes
-nothing, and its `residual` and `jacobians` raise. `optimize` packs once per
-call; the solve/update is a single-threaded critical section per iteration.
+Each evaluation indexes the state arrays with those rows and runs one
+vectorized kernel per kind, which returns stacked residuals, an active mask
+and, when asked, stacked Jacobian blocks. `_linearize` scatters the weighted
+J^T Λ J blocks into the dense H in one pass; `total_cost` and
+`cost_breakdown` run the same kernels without Jacobians. The per-factor
+`residual`/`jacobians` methods are these kernels applied to one factor. An
+inactive factor (a point at depth <= EPS_Z, a line whose image line is
+degenerate) contributes nothing, and its `residual` and `jacobians` raise.
+`optimize` builds the packing and the parameter layout (`ParameterIndex`)
+once per call; each trial step retracts every kind with free variables once,
+and a rejected step restores the snapshot. The solve/update is a
+single-threaded critical section per iteration.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
   gradient           ||g||_inf < abs_tol at a linearization       converged
@@ -42,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,13 +235,14 @@ class _Factor:
     variables, in `keys()` order; `inactive_error` is what `residual` and
     `jacobians` raise for an inactive factor. `_pack` turns a list of factors
     of one kind into their constant arrays (with `info` = 1/sigma^2) and
-    `_kernel` runs the kind's kernel on the gathered state."""
+    `_kernel` runs the kind's kernel on the graph's state arrays at the
+    factors' variable rows."""
 
     variables: tuple = ()
     inactive_error: type = ValueError
 
     def _evaluate(self, graph, jac: bool) -> "_Evaluation":
-        (e,) = PackedFactors([self]).evaluate(graph, jac)
+        (e,) = PackedFactors([self], graph).evaluate(graph, jac)
         if not e.active[0]:
             raise self.inactive_error(f"inactive {self.kind} factor")
         return e
@@ -349,28 +364,19 @@ class StructFactor(_Factor):
 # Packing and batched evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _State:
-    """Stacked variable values, rows in `PackedFactors.ids` order."""
-    R: np.ndarray = None   # pose rotations (P, 3, 3)
-    t: np.ndarray = None   # pose translations (P, 3)
-    X: np.ndarray = None   # points (Q, 3)
-    U: np.ndarray = None   # line U (L, 3, 3)
-    W: np.ndarray = None   # line W (L, 2, 2)
-    G: np.ndarray = None   # GP directions (M, 3)
-    B: np.ndarray = None   # GP tangent bases (M, 3, 2)
-
-
 class _Batch:
-    """The packed factors of one kind."""
+    """The packed factors of one kind. With a parameter index, `cols` holds
+    the parameter column of every Jacobian column (N, dof_a + dof_b)."""
 
-    def __init__(self, cls, factors, positions, rows):
+    def __init__(self, cls, factors, positions, rows, index):
         self.cls = cls
         self.positions = np.array(positions)  # indices into the packed factor list
         ka, kb = cls.variables
         keys = [f.keys() for f in factors]
         self.rows_a = np.array([rows[ka][k[0][1]] for k in keys], dtype=np.intp)
         self.rows_b = np.array([rows[kb][k[1][1]] for k in keys], dtype=np.intp)
+        self.cols = None if index is None else np.concatenate(
+            [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)
         self.consts = cls._pack(factors)
         self.info = self.consts["info"]
         self.delta = np.array([f.huber_delta for f in factors], dtype=float)
@@ -378,7 +384,7 @@ class _Batch:
 
 @dataclass
 class _Evaluation:
-    """One batch evaluated at the gathered state."""
+    """One batch evaluated at the graph's state."""
     batch: _Batch
     r: np.ndarray        # residuals (N, dim), zero where inactive
     active: np.ndarray   # (N,) bool
@@ -388,47 +394,25 @@ class _Evaluation:
 
 
 class PackedFactors:
-    """A factor list packed by kind, for batched evaluation against a graph.
+    """A factor list packed by kind against a graph's variable rows and, for
+    `_linearize`, a `ParameterIndex` of its free variables.
 
-    Packing reads only the factors; each `evaluate` gathers the variables
-    they reference from the graph, so one packing serves every state of an
-    optimization.
+    Rows only ever get appended, so one packing serves every state of the
+    graph; each `evaluate` indexes the graph's state arrays directly.
     """
 
-    def __init__(self, factors):
-        ids = {kind: set() for kind in DOF}
+    def __init__(self, factors, graph: "FactorGraph",
+                 index: "ParameterIndex | None" = None):
         groups: dict = {}
         for pos, f in enumerate(factors):
-            for kind, vid in f.keys():
-                ids[kind].add(vid)
             groups.setdefault(type(f), []).append(pos)
-        self.ids = {kind: sorted(v) for kind, v in ids.items()}
-        rows = {kind: {vid: i for i, vid in enumerate(v)} for kind, v in self.ids.items()}
-        self.batches = [_Batch(cls, [factors[p] for p in pos], pos, rows)
+        self.batches = [_Batch(cls, [factors[p] for p in pos], pos, graph.rows, index)
                         for cls, pos in groups.items()]
 
-    def _gather(self, graph) -> _State:
-        st = _State()
-        if self.ids["pose"]:
-            poses = [graph.poses[i] for i in self.ids["pose"]]
-            st.R = np.array([p.rotation for p in poses])
-            st.t = np.array([p.translation for p in poses])
-        if self.ids["point"]:
-            st.X = np.array([graph.points[i] for i in self.ids["point"]])
-        if self.ids["line"]:
-            lines = [graph.lines[i] for i in self.ids["line"]]
-            st.U = np.array([o.U for o in lines])
-            st.W = np.array([o.W for o in lines])
-        if self.ids["gp"]:
-            st.G = np.array([graph.gps[i] for i in self.ids["gp"]])
-            st.B = _tangent_bases(st.G)
-        return st
-
     def evaluate(self, graph, jac: bool = False) -> list[_Evaluation]:
-        st = self._gather(graph)
         out = []
         for b in self.batches:
-            r, active, J = b.cls._kernel(st, b.rows_a, b.rows_b, b.consts, jac)
+            r, active, J = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts, jac)
             r_sq = np.sum(r * b.info[:, None] * r, axis=1)
             cost, weight = _huber(r_sq, b.delta)
             out.append(_Evaluation(b, r, active, cost, weight, J))
@@ -439,108 +423,257 @@ class PackedFactors:
 # Graph
 # ---------------------------------------------------------------------------
 
+# the state arrays of each variable kind
+_FIELDS = {"pose": ("R", "t"), "point": ("X",), "line": ("U", "W"), "gp": ("G", "B")}
+
+# the value a mapping read builds from one variable's rows
+_VALUE = {"pose": Pose, "point": lambda X: X, "line": OrthonormalLine,
+          "gp": lambda G, B: G}
+
+
+class _Variables(Mapping):
+    """Read-only view of one kind's variables by id, in insertion order.
+    Each read builds the value from a copy of the variable's rows."""
+
+    def __init__(self, graph: "FactorGraph", kind: str):
+        self._graph, self._kind = graph, kind
+
+    def __getitem__(self, vid):
+        row = self._graph.rows[self._kind][vid]
+        return _VALUE[self._kind](*(getattr(self._graph, name)[row].copy()
+                                    for name in _FIELDS[self._kind]))
+
+    def __iter__(self):
+        return iter(self._graph.rows[self._kind])
+
+    def __len__(self):
+        return len(self._graph.rows[self._kind])
+
+
 class FactorGraph:
+    """Variables as stacked arrays per kind, one row per variable, with one
+    id -> row map per kind in `rows`; and the factors."""
+
     def __init__(self):
-        self.poses: dict[int, Pose] = {}
-        self.points: dict[int, np.ndarray] = {}
-        self.lines: dict[int, OrthonormalLine] = {}
-        self.gps: dict[int, np.ndarray] = {}
+        self.rows: dict[str, dict] = {kind: {} for kind in DOF}
+        self.R = np.empty((0, 3, 3))  # pose rotations, camera from world
+        self.t = np.empty((0, 3))     # pose translations
+        self.X = np.empty((0, 3))     # points
+        self.U = np.empty((0, 3, 3))  # orthonormal lines: U in SO(3)
+        self.W = np.empty((0, 2, 2))  # and W in SO(2)
+        self.G = np.empty((0, 3))     # GP unit directions
+        self.B = np.empty((0, 3, 2))  # their tangent bases (`_tangent_bases`)
         self.factors: list = []
 
+    poses = property(lambda self: _Variables(self, "pose"))
+    points = property(lambda self: _Variables(self, "point"))
+    lines = property(lambda self: _Variables(self, "line"))
+    gps = property(lambda self: _Variables(self, "gp"))
+
+    def _put(self, kind: str, vid: int, *values):
+        """Write one variable's rows into new arrays; a new id appends a row."""
+        arrays = [getattr(self, name) for name in _FIELDS[kind]]
+        values = [np.asarray(v, dtype=float).reshape(a.shape[1:])
+                  for v, a in zip(values, arrays)]
+        rows = self.rows[kind]
+        row = rows.setdefault(vid, len(rows))
+        for name, a, v in zip(_FIELDS[kind], arrays, values):
+            if row == len(a):
+                a = np.concatenate([a, v[None]])
+            else:
+                a = a.copy()
+                a[row] = v
+            setattr(self, name, a)
+
     def add_pose(self, pose_id: int, pose: Pose):
-        self.poses[pose_id] = pose
+        self._put("pose", pose_id, pose.rotation, pose.translation)
 
     def add_point(self, point_id: int, p_w):
-        self.points[point_id] = np.asarray(p_w, dtype=float).copy()
+        self._put("point", point_id, p_w)
 
     def add_line(self, line_id: int, line: OrthonormalLine):
-        self.lines[line_id] = line
+        self._put("line", line_id, line.U, line.W)
 
     def add_gp(self, gp_id: int, direction):
         d = np.asarray(direction, dtype=float)
         n = np.linalg.norm(d)
         if abs(n - 1.0) > 1e-9:
             raise ValueError("gp direction must be unit")
-        self.gps[gp_id] = d / n
+        d = d / n
+        self._put("gp", gp_id, d, _tangent_bases(d[None])[0])
 
     def add_factor(self, factor):
         for kind, vid in factor.keys():
-            if vid not in self._store(kind):
+            if vid not in self.rows[kind]:
                 raise KeyError(f"factor references missing variable {(kind, vid)}")
         self.factors.append(factor)
 
-    # -- state access by key ------------------------------------------------
-
-    def _store(self, kind):
-        return {"pose": self.poses, "point": self.points,
-                "line": self.lines, "gp": self.gps}[kind]
+    # -- state access -----------------------------------------------------
 
     def get_state(self, key):
-        return self._store(key[0])[key[1]]
+        return _Variables(self, key[0])[key[1]]
 
     def set_state(self, key, value):
-        self._store(key[0])[key[1]] = value
+        add = {"pose": self.add_pose, "point": self.add_point,
+               "line": self.add_line, "gp": self.add_gp}
+        add[key[0]](key[1], value)
 
-    def snapshot(self):
-        return {"pose": dict(self.poses), "point": dict(self.points),
-                "line": dict(self.lines), "gp": dict(self.gps)}
+    def take_rows(self, kind: str, rows) -> tuple:
+        """The state arrays of `kind` at `rows`, in `_FIELDS` order."""
+        return tuple(getattr(self, name)[rows] for name in _FIELDS[kind])
 
-    def restore(self, snap):
-        self.poses = dict(snap["pose"])
-        self.points = dict(snap["point"])
-        self.lines = dict(snap["line"])
-        self.gps = dict(snap["gp"])
+    def put_rows(self, kind: str, rows, values):
+        """Replace the state arrays of `kind` by copies with `rows` set to `values`."""
+        for name, v in zip(_FIELDS[kind], values):
+            a = getattr(self, name).copy()
+            a[rows] = v
+            setattr(self, name, a)
+
+    def snapshot(self) -> dict:
+        """The state arrays themselves: they are never written in place."""
+        return {name: getattr(self, name) for names in _FIELDS.values() for name in names}
+
+    def restore(self, snap: dict):
+        """Reassign the state arrays of a snapshot. It holds values, not which
+        variables exist: add no variable between the two."""
+        for name, a in snap.items():
+            setattr(self, name, a)
 
 
-def retract(kind: str, value, delta):
-    """Apply a local-parameterization increment to a variable."""
-    delta = np.asarray(delta, dtype=float)
+# ---------------------------------------------------------------------------
+# Retraction
+# ---------------------------------------------------------------------------
+
+def _exp_stack(w: np.ndarray, with_v: bool):
+    """Rodrigues' formula on axis-angle rows w (N, 3) and, with `with_v`, the
+    SE(3) left Jacobian V, each with its series branch: `geometry.so3_exp`
+    below |w| = 1e-10, `geometry._left_jacobian_V` below 1e-8. Row for row
+    the same floats as those per-vector formulas (`float_power` is the
+    scalar `**`, `vecdot` the scalar norm's dot product)."""
+    theta = np.sqrt(np.vecdot(w, w))
+    W = skew(w)
+    WW = W @ W
+    sin, cos = np.sin(theta), np.cos(theta)
+    series = theta < 1e-10
+    th = np.where(series, 1.0, theta)
+    A = np.where(series, 1.0, sin / th)
+    B = np.where(series, 0.5, (1.0 - cos) / np.float_power(th, 2.0))
+    R = np.eye(3) + A[:, None, None] * W + B[:, None, None] * WW
+    if not with_v:
+        return R, None
+    series = theta < 1e-8
+    th = np.where(series, 1.0, theta)
+    B = np.where(series, 0.5, (1.0 - cos) / np.float_power(th, 2.0))
+    C = (th - sin) / np.float_power(th, 3.0)
+    CWW = np.where(series[:, None, None], WW / 6.0, C[:, None, None] * WW)
+    return R, np.eye(3) + B[:, None, None] * W + CWW
+
+
+def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
+    """Apply local-parameterization increments to a stack of variables of one
+    kind and return the new state arrays (the inputs are not modified).
+
+    `values` are the kind's state arrays in `_FIELDS` order (pose (R, t),
+    point (X,), line (U, W), gp (G, B)); `deltas` is (N, DOF[kind]). Row for
+    row this is `se3_exp(delta).compose(pose)`, `p + delta`,
+    `orthonormal_update(line, delta)` and `gp_retract(g, *delta)`.
+    """
     if kind == "pose":
-        return se3_exp(delta).compose(value)
+        R, t = values
+        dR, V = _exp_stack(deltas[:, 3:], True)
+        return dR @ R, _mv(dR, t) + _mv(V, deltas[:, :3])
     if kind == "point":
-        return value + delta
+        (X,) = values
+        return (X + deltas,)
     if kind == "line":
-        return orthonormal_update(value, delta)
+        U, W = values
+        dU, _ = _exp_stack(deltas[:, :3], False)
+        c, s = np.cos(deltas[:, 3]), np.sin(deltas[:, 3])
+        return dU @ U, np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2) @ W
     if kind == "gp":
-        return gp_retract(value, delta[0], delta[1])
+        G, B = values
+        d = G + deltas[:, :1] * B[:, :, 0] + deltas[:, 1:] * B[:, :, 1]
+        G = d / np.sqrt(np.vecdot(d, d))[:, None]
+        return G, _tangent_bases(G)
     raise ValueError(f"unknown variable kind {kind!r}")
+
+
+# The per-variable local parameterizations that `numeric_jacobian` steps with,
+# apart from the batched `retract`.
+_STEP = {"pose": lambda pose, e: se3_exp(e).compose(pose),
+         "point": lambda p, e: p + e,
+         "line": orthonormal_update,
+         "gp": lambda g, e: gp_retract(g, e[0], e[1])}
+
+
+# ---------------------------------------------------------------------------
+# Parameter layout
+# ---------------------------------------------------------------------------
+
+class ParameterIndex:
+    """Where the free variables sit in the LM parameter vector.
+
+    Free variables take columns kind by kind (pose, point, line, gp), by
+    ascending id within a kind; fixed ones take none. `rows[kind]` holds the
+    kind's free graph rows in column order, `slices[kind]` their span of the
+    parameter vector and `table[kind]` the parameter columns of every graph
+    row (n_params for a fixed variable). `optimize` builds one per call.
+    """
+
+    def __init__(self, graph: "FactorGraph", fixed=()):
+        fixed = set(fixed)
+        self.rows, self.slices = {}, {}
+        n = 0
+        for kind, dof in DOF.items():
+            rows = graph.rows[kind]
+            self.rows[kind] = np.array([rows[vid] for vid in sorted(rows)
+                                        if (kind, vid) not in fixed], dtype=np.intp)
+            self.slices[kind] = slice(n, n + dof * len(self.rows[kind]))
+            n = self.slices[kind].stop
+        self.n_params = n
+        self.table = {}
+        for kind, dof in DOF.items():
+            table = np.full((len(graph.rows[kind]), dof), n, dtype=np.intp)
+            table[self.rows[kind]] = np.arange(n)[self.slices[kind]].reshape(-1, dof)
+            self.table[kind] = table
 
 
 def total_cost(graph: FactorGraph, packed: PackedFactors | None = None) -> float:
     """Sum of Huber-robustified Mahalanobis squared residuals.
 
-    `packed` is `PackedFactors(graph.factors)`, packed here when not given.
+    `packed` is `PackedFactors(graph.factors, graph)`, packed here when not given.
     """
-    packed = packed if packed is not None else PackedFactors(graph.factors)
+    packed = packed if packed is not None else PackedFactors(graph.factors, graph)
     return float(sum(e.cost.sum() for e in packed.evaluate(graph)))
 
 
 def cost_breakdown(graph: FactorGraph, packed: PackedFactors | None = None) -> dict:
     """Robust cost per factor kind; a kind appears only when one of its
     factors is active, in the order of the first active factor of each kind."""
-    packed = packed if packed is not None else PackedFactors(graph.factors)
+    packed = packed if packed is not None else PackedFactors(graph.factors, graph)
     active = [e for e in packed.evaluate(graph) if e.active.any()]
     active.sort(key=lambda e: e.batch.positions[e.active][0])
     return {e.batch.cls.kind: float(e.cost.sum()) for e in active}
 
 
 def numeric_jacobian(factor, graph: FactorGraph, h: float = 1e-6) -> dict:
-    """Central-difference Jacobian on each variable's local parameterization."""
+    """Central-difference Jacobian on each variable's local parameterization,
+    stepped with the per-variable formulas (`_STEP`)."""
     out = {}
     for key in factor.keys():
         kind, _ = key
         dof = DOF[kind]
         cols = []
-        base = graph.get_state(key)
+        base, snap = graph.get_state(key), graph.snapshot()
         for j in range(dof):
             e = np.zeros(dof)
             e[j] = h
-            graph.set_state(key, retract(kind, base, e))
+            graph.set_state(key, _STEP[kind](base, e))
             r_plus = factor.residual(graph)
-            graph.set_state(key, retract(kind, base, -e))
+            graph.set_state(key, _STEP[kind](base, -e))
             r_minus = factor.residual(graph)
-            graph.set_state(key, base)
             cols.append((r_plus - r_minus) / (2.0 * h))
+        graph.restore(snap)
         out[key] = np.column_stack(cols)
     return out
 
@@ -581,51 +714,30 @@ class OptimizationReport:
         }, sort_keys=True)
 
 
-def _linearize(graph: FactorGraph, index: dict, n_params: int,
+def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
                packed: PackedFactors | None = None):
     """One batched pass over all factors: robust cost, gradient, Gauss-Newton H.
 
-    Variables missing from `index` (the fixed ones) get no rows. `packed` is
-    `PackedFactors(graph.factors)`, packed here when not given.
+    `index` places the free variables; fixed ones get no rows. `packed` is
+    `PackedFactors(graph.factors, graph, index)`, packed here when not given.
     """
-    packed = packed if packed is not None else PackedFactors(graph.factors)
-    offsets = {kind: np.array([index[(kind, vid)][0] if (kind, vid) in index else -1
-                               for vid in ids], dtype=np.intp)
-               for kind, ids in packed.ids.items()}
-    m = n_params + 1  # row and column n_params collect what is discarded
+    packed = packed if packed is not None else PackedFactors(graph.factors, graph, index)
+    m = n_params + 1  # row and column n_params collect the fixed variables' terms
     H = np.zeros((m, m))
     g = np.zeros(m)
     cost = 0.0
     for e in packed.evaluate(graph, jac=True):
         b = e.batch
         cost += e.cost.sum()
-        # parameter index of every Jacobian column; fixed variables and
-        # inactive factors go to the discarded index n_params
-        cols = []
-        for kind, rows in zip(b.cls.variables, (b.rows_a, b.rows_b)):
-            o = offsets[kind][rows, None]
-            cols.append(np.where(o < 0, n_params, o + np.arange(DOF[kind])))
-        cols = np.concatenate(cols, axis=1)
-        cols[~e.active] = n_params
-        wJt = ((e.weight * b.info)[:, None, None] * e.J).transpose(0, 2, 1)
+        cols = b.cols
+        # inactive factors add exact zeros: their Jacobians are finite
+        w = np.where(e.active, e.weight * b.info, 0.0)
+        wJt = (w[:, None, None] * e.J).transpose(0, 2, 1)
         np.add.at(H.reshape(-1), (cols[:, :, None] * m + cols[:, None, :]).ravel(),
                   (wJt @ e.J).ravel())
         np.add.at(g, cols.ravel(), (wJt @ e.r[:, :, None]).ravel())
     H, g = H[:n_params, :n_params], g[:n_params]
     return float(cost), H, g
-
-
-def _euclidean_norm(graph: FactorGraph, keys) -> float:
-    """Norm of the free pose translations and point coordinates."""
-    sq = 0.0
-    for kind, vid in keys:
-        if kind == "pose":
-            t = graph.poses[vid].translation
-            sq += float(t @ t)
-        elif kind == "point":
-            p = graph.points[vid]
-            sq += float(p @ p)
-    return math.sqrt(sq)
 
 
 def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
@@ -636,18 +748,11 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
     if graph.poses and not fixed:
         raise ValueError("gauge unfixed: fix at least one variable")
 
-    keys = ([("pose", i) for i in sorted(graph.poses)]
-            + [("point", i) for i in sorted(graph.points)]
-            + [("line", i) for i in sorted(graph.lines)]
-            + [("gp", i) for i in sorted(graph.gps)])
-    keys = [k for k in keys if k not in fixed]
-    index, offset = {}, 0
-    for k in keys:
-        d = DOF[k[0]]
-        index[k] = (offset, d)
-        offset += d
-    n_params = offset
-    packed = PackedFactors(graph.factors)
+    index = ParameterIndex(graph, fixed)
+    n_params = index.n_params
+    packed = PackedFactors(graph.factors, graph, index)
+    blocks = [(kind, rows, index.slices[kind]) for kind, rows in index.rows.items()
+              if len(rows)]
     diagonal = np.diag_indices(n_params)
 
     lam = options.lambda_init
@@ -662,8 +767,10 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
         if np.max(np.abs(g), initial=0.0) < options.abs_tol:
             converged = True
             break
-        step_tol = options.rel_tol * (_euclidean_norm(graph, keys) + options.rel_tol)
+        x = np.concatenate([graph.t[index.rows["pose"]], graph.X[index.rows["point"]]])
+        step_tol = options.rel_tol * (np.linalg.norm(x) + options.rel_tol)
         damping = np.clip(np.diag(H), 1e-12, None)
+        snap = graph.snapshot()
         accepted = False
         while lam < 1e12:
             damped = H.copy()
@@ -673,10 +780,9 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
             except np.linalg.LinAlgError:
                 lam *= options.lambda_scale
                 continue
-            snap = graph.snapshot()
-            for k in keys:
-                s, d = index[k]
-                graph.set_state(k, retract(k[0], graph.get_state(k), delta[s:s + d]))
+            for kind, rows, cols in blocks:
+                step = delta[cols].reshape(len(rows), DOF[kind])
+                graph.put_rows(kind, rows, retract(kind, graph.take_rows(kind, rows), step))
             new_cost = total_cost(graph, packed)
             if new_cost < cost:
                 lam = max(lam / options.lambda_scale, 1e-12)

@@ -67,11 +67,14 @@ def load_segments(path) -> list[Segment2D]:
             if len(parts) not in (5, 6):
                 raise ValueError(f"parse error at line {lineno}: "
                                  f"expected 5 or 6 fields, got {len(parts)}")
-            sid = int(parts[0])
-            coords = np.array([float(p) for p in parts[1:5]])
-            if not np.isfinite(coords).all():
-                raise ValueError(f"parse error at line {lineno}: non-finite value")
-            track = int(parts[5]) if len(parts) == 6 else None
-            segments.append(Segment2D(coords[:2], coords[2:], id=sid, track_id=track))
+            try:
+                sid = int(parts[0])
+                coords = np.array([float(p) for p in parts[1:5]])
+                if not np.isfinite(coords).all():
+                    raise ValueError("non-finite value")
+                track = int(parts[5]) if len(parts) == 6 else None
+                segments.append(Segment2D(coords[:2], coords[2:], id=sid, track_id=track))
+            except ValueError as e:
+                raise ValueError(f"parse error at line {lineno}: {e}") from None
     return segments
 

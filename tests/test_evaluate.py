@@ -64,6 +64,18 @@ def test_tum_non_finite_value_names_line(tmp_path, capsys):
     assert "line 2: non-finite value" in capsys.readouterr().err
 
 
+def test_tum_bad_float_names_line(tmp_path, capsys):
+    good = tmp_path / "good.tum"
+    good.write_text("".join(f"{t}.0 {t} {t % 2} {t % 3} 0 0 0 1\n" for t in range(4)))
+    path = tmp_path / "bad.tum"
+    path.write_text("0.0 0 0 0 0 0 0 1\n1.0 x 0 0 0 0 0 1\n2.0 0 1 0 0 0 0 1\n")
+    reason = "parse error at line 2: could not convert string to float: 'x'"
+    with pytest.raises(ValueError, match=reason):
+        load_tum(path)
+    assert main(["eval", str(path), str(good)]) == 1
+    assert reason in capsys.readouterr().err
+
+
 def test_non_monotonic_timestamps_rejected():
     with pytest.raises(ValueError, match="non-monotonic"):
         Trajectory(np.array([0.0, 2.0, 1.0]),

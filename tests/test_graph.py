@@ -1,13 +1,18 @@
-"""Factor residuals, analytic-vs-numeric Jacobians, robust LM optimizer."""
+"""Factor residuals, analytic-vs-numeric Jacobians, batched retraction,
+robust LM optimizer."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from monogp import graph as graph_module
 from monogp.geometry import (
     EPS_Z,
     BehindCameraError,
     CameraIntrinsics,
     PluckerLine,
     Pose,
+    orthonormal_update,
     plucker_to_orthonormal,
     project_point,
     se3_exp,
@@ -18,6 +23,7 @@ from monogp.graph import (
     FactorGraph,
     LineFactor,
     OptimizeOptions,
+    ParameterIndex,
     PointFactor,
     StructFactor,
     VdAlignFactor,
@@ -28,6 +34,7 @@ from monogp.graph import (
     gp_retract,
     numeric_jacobian,
     optimize,
+    retract,
     total_cost,
 )
 from monogp.segments import Segment2D
@@ -80,6 +87,75 @@ def test_gp_retract_stays_on_sphere():
         w *= rng.uniform(0.0, 1.0) / max(np.linalg.norm(w), 1e-12)
         out = gp_retract(anchor, w[0], w[1])
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+# -- batched retraction ----------------------------------------------------------
+
+# rotation-step norms: a zero step, the SO(3) series (< 1e-10), the left
+# Jacobian's series (1e-10 <= |theta| < 1e-8) and ordinary steps
+STEP_ANGLES = np.array([0.0, 1e-13, 3e-11, 9.9e-11, 1e-10, 4e-10, 6e-9, 9.9e-9,
+                        1e-8, 1e-4, 0.05, 0.7, 2.5])
+
+
+def random_axis_steps(rng, angles):
+    axes = rng.normal(0.0, 1.0, (len(angles), 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True) * angles[:, None]
+
+
+def assert_rows_close(stacked, per_row):
+    assert np.max(np.abs(stacked - np.array(per_row))) <= 1e-12
+
+
+def test_retract_poses_match_se3_exp_compose():
+    rng = np.random.default_rng(21)
+    n = len(STEP_ANGLES)
+    R = np.array([so3_exp(w) for w in rng.normal(0.0, 1.0, (n, 3))])
+    t = rng.normal(0.0, 2.0, (n, 3))
+    deltas = np.concatenate([rng.normal(0.0, 0.1, (n, 3)),
+                             random_axis_steps(rng, STEP_ANGLES)], axis=1)
+    deltas[0] = 0.0
+    R_new, t_new = retract("pose", (R, t), deltas)
+    ref = [se3_exp(d).compose(Pose(Ri, ti)) for d, Ri, ti in zip(deltas, R, t)]
+    assert_rows_close(R_new, [p.rotation for p in ref])
+    assert_rows_close(t_new, [p.translation for p in ref])
+    assert np.array_equal(R_new[0], R[0]) and np.array_equal(t_new[0], t[0])
+    assert np.max(np.abs(R_new @ R_new.transpose(0, 2, 1) - np.eye(3))) < 1e-12
+    assert (np.linalg.det(R_new) > 0).all()
+
+
+def test_retract_points_add():
+    rng = np.random.default_rng(22)
+    X, deltas = rng.normal(0.0, 3.0, (2, 8, 3))
+    (X_new,) = retract("point", (X,), deltas)
+    assert_rows_close(X_new, [x + d for x, d in zip(X, deltas)])
+
+
+def test_retract_lines_match_orthonormal_update():
+    rng = np.random.default_rng(23)
+    n = len(STEP_ANGLES)
+    lines = [plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d))
+             for p, d in rng.normal(0.0, 2.0, (n, 2, 3))]
+    U, W = np.array([o.U for o in lines]), np.array([o.W for o in lines])
+    deltas = np.concatenate([random_axis_steps(rng, STEP_ANGLES),
+                             rng.normal(0.0, 0.3, (n, 1))], axis=1)
+    deltas[0] = 0.0
+    U_new, W_new = retract("line", (U, W), deltas)
+    ref = [orthonormal_update(o, d) for o, d in zip(lines, deltas)]
+    assert_rows_close(U_new, [o.U for o in ref])
+    assert_rows_close(W_new, [o.W for o in ref])
+    assert np.max(np.abs(U_new @ U_new.transpose(0, 2, 1) - np.eye(3))) < 1e-12
+    assert np.max(np.abs(W_new @ W_new.transpose(0, 2, 1) - np.eye(2))) < 1e-12
+
+
+def test_retract_gps_match_gp_retract():
+    rng = np.random.default_rng(24)
+    G = rng.normal(0.0, 1.0, (12, 3))
+    G /= np.linalg.norm(G, axis=1, keepdims=True)
+    deltas = rng.normal(0.0, 0.3, (12, 2)) * STEP_ANGLES[:12, None]
+    G_new, B_new = retract("gp", (G, _tangent_bases(G)), deltas)
+    assert_rows_close(G_new, [gp_retract(g, *d) for g, d in zip(G, deltas)])
+    assert np.max(np.abs(np.linalg.norm(G_new, axis=1) - 1.0)) < 1e-12
+    assert np.array_equal(B_new, _tangent_bases(G_new))
 
 
 # -- robust kernel -------------------------------------------------------------
@@ -284,7 +360,9 @@ def test_behind_camera_factor_deactivated():
             f.residual(g)
         with pytest.raises(BehindCameraError):
             f.jacobians(g)
-        cost, H, grad = _linearize(g, {("point", 0): (0, 3)}, 3)
+        index = ParameterIndex(g, [("pose", 0)])
+        assert index.n_params == 3
+        cost, H, grad = _linearize(g, index, index.n_params)
         assert cost == 0.0
         assert not H.any() and not grad.any()
 
@@ -352,7 +430,9 @@ def test_linearize_assembles_weighted_normal_equations():
                     sb, db = index[kb]
                     H_ref[sa:sa + da, sb:sb + db] += w * info * (J[ka].T @ J[kb])
     assert inactive == 1 and elbow >= 1
-    cost, H, grad = _linearize(g, index, n)
+    layout = ParameterIndex(g, [("pose", 0)])
+    assert layout.n_params == n
+    cost, H, grad = _linearize(g, layout, n)
     assert np.max(np.abs(H - H_ref)) < 1e-5 * np.max(np.abs(H_ref))
     assert np.max(np.abs(grad - g_ref)) < 1e-5 * np.max(np.abs(g_ref))
     total = total_cost(g)
@@ -390,27 +470,109 @@ def test_optimize_stationary_at_ground_truth():
     assert report.final_cost < 1e-18
 
 
-def test_optimize_recovers_perturbed_pose():
+def perturbed_pose_graph():
+    """One pose, 1 degree and 5 cm off the identity, seeing 50 exact points;
+    returns the graph and the options that fix the points."""
     rng = np.random.default_rng(7)
-    truth = IDENTITY
     g = FactorGraph()
     points = {}
     for i in range(50):
         points[i] = rng.uniform([-1.5, -1.5, 2.0], [1.5, 1.5, 6.0])
     perturbed = se3_exp(np.concatenate([
         rng.normal(0.0, 0.05, 3), rng.normal(0.0, np.radians(1.0), 3)
-    ])).compose(truth)
+    ])).compose(IDENTITY)
     g.add_pose(0, perturbed)
     for i, p in points.items():
         g.add_point(i, p)
-        g.add_factor(PointFactor(0, i, project_point(p, truth, K), K))
-    report = optimize(g, OptimizeOptions(
-        fixed_variable_keys=tuple(("point", i) for i in points)))
+        g.add_factor(PointFactor(0, i, project_point(p, IDENTITY, K), K))
+    return g, OptimizeOptions(fixed_variable_keys=tuple(("point", i) for i in points))
+
+
+def test_optimize_recovers_perturbed_pose():
+    g, options = perturbed_pose_graph()
+    report = optimize(g, options)
     assert report.converged
     pose = g.poses[0]
-    assert np.linalg.norm(pose.translation - truth.translation) < 1e-6
+    assert np.linalg.norm(pose.translation - IDENTITY.translation) < 1e-6
     rot_err = np.arccos(np.clip((np.trace(pose.rotation) - 1.0) / 2.0, -1, 1))
     assert rot_err < 1e-6
+
+
+def traced_optimize(monkeypatch, g, options):
+    """Run `optimize` counting solves, `retract` calls per kind and restores,
+    checking that each restore gives back the snapshot's arrays bit for bit;
+    also returns the number of rejected trial steps, read off the costs."""
+    counts = {"solve": 0, "restore": 0, "retract": []}
+    events = []  # ("lin" | "trial", cost) in call order
+    saved = []
+    solve, retract, snapshot, restore = (np.linalg.solve, graph_module.retract,
+                                         FactorGraph.snapshot, FactorGraph.restore)
+    linearize, cost_of = graph_module._linearize, graph_module.total_cost
+
+    def counting_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    def counting_retract(kind, values, deltas):
+        counts["retract"].append(kind)
+        return retract(kind, values, deltas)
+
+    def copying_snapshot(self):
+        snap = snapshot(self)
+        saved.append({name: a.copy() for name, a in snap.items()})
+        return snap
+
+    def checking_restore(self, snap):
+        restore(self, snap)
+        counts["restore"] += 1
+        for name, a in saved[-1].items():
+            assert getattr(self, name).tobytes() == a.tobytes(), name
+
+    def logged_linearize(*args):
+        out = linearize(*args)
+        events.append(("lin", out[0]))
+        return out
+
+    def logged_cost(*args):
+        out = cost_of(*args)
+        events.append(("trial", out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(graph_module, "retract", counting_retract)
+    monkeypatch.setattr(FactorGraph, "snapshot", copying_snapshot)
+    monkeypatch.setattr(FactorGraph, "restore", checking_restore)
+    monkeypatch.setattr(graph_module, "_linearize", logged_linearize)
+    monkeypatch.setattr(graph_module, "total_cost", logged_cost)
+    report = optimize(g, options)
+    monkeypatch.undo()
+    rejected, current = 0, None
+    for what, cost in events[:-1]:  # the last total_cost is the final cost
+        if what == "lin":
+            current = cost
+        elif cost >= current:
+            rejected += 1
+    return report, counts, rejected
+
+
+def test_optimize_retracts_each_kind_once_per_trial(monkeypatch):
+    g = build_assembly_graph()
+    report, counts, _ = traced_optimize(
+        monkeypatch, g, OptimizeOptions(fixed_variable_keys=(("pose", 0),)))
+    assert report.iterations >= 2 and counts["solve"] >= 2
+    assert counts["retract"] == ["pose", "point", "line", "gp"] * counts["solve"]
+
+
+def test_optimize_restores_each_rejected_trial_exactly(monkeypatch):
+    # with every tolerance zero, LM runs on past the optimum and stops only
+    # when lambda overflows after rejected trials (or at max_iters)
+    g, options = perturbed_pose_graph()
+    options = replace(options, rel_tol=0.0, abs_tol=0.0)
+    report, counts, rejected = traced_optimize(monkeypatch, g, options)
+    assert report.final_cost < 1e-18
+    assert len(counts["retract"]) <= 4 * counts["solve"]
+    assert rejected >= 1
+    assert counts["restore"] == rejected
 
 
 def test_optimize_never_increases_cost_and_keeps_gps_unit():

@@ -61,3 +61,18 @@ def test_segment_file_non_finite_value_names_line(tmp_path, capsys):
             load_segments(path)
     assert main(["detect-vp", "--segments", str(path)]) == 1
     assert "line 2: non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("1 abc 5 10 5", "could not convert string to float: 'abc'"),
+    ("x 0 5 10 5", "invalid literal for int"),
+    ("1 0 5 10 5 t3", "invalid literal for int"),
+    ("1 5 5 5 5", "zero-length segment"),
+])
+def test_segment_file_bad_field_names_line(tmp_path, capsys, row, reason):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 0 0 10 0\n{row}\n")
+    with pytest.raises(ValueError, match=f"parse error at line 2: {reason}"):
+        load_segments(path)
+    assert main(["detect-vp", "--segments", str(path)]) == 1
+    assert f"parse error at line 2: {reason}" in capsys.readouterr().err
