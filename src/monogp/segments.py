@@ -1,15 +1,13 @@
 """2D line segments and the plain-text segment list format.
 
 File format: one segment per line, `id x1 y1 x2 y2 [track_id]`,
-whitespace-separated decimal.
+whitespace-separated decimal, each id on one line only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import cross3
 
 
 @dataclass
@@ -45,19 +43,32 @@ class Segment2D:
         return d / n
 
 
+def lines_through(p, q) -> np.ndarray:
+    """Homogeneous image lines through the points p and q, normalized so
+    ||(a, b)|| = 1: (3,) for points of shape (2,), (n, 3) for (n, 2) rows."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    px, py, qx, qy = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    l = np.array([py - qy, qx - px, px * qy - py * qx])  # (p, 1) x (q, 1)
+    n = np.hypot(l[0], l[1])
+    if not np.all(n):
+        raise ValueError("zero-length segment has no line")
+    return (l / n).T
+
+
 def segment_line(seg: Segment2D) -> np.ndarray:
     """Homogeneous image line through the segment, normalized so ||(a,b)|| = 1."""
-    ps = np.array([seg.p_start[0], seg.p_start[1], 1.0])
-    pe = np.array([seg.p_end[0], seg.p_end[1], 1.0])
-    l = cross3(ps, pe)
-    n = np.hypot(l[0], l[1])
-    if n == 0.0:
-        raise ValueError("zero-length segment has no line")
-    return l / n
+    return lines_through(seg.p_start, seg.p_end)
+
+
+def endpoints(segments) -> np.ndarray:
+    """Stacked pixel endpoints (n, 4): x1 y1 x2 y2 per segment."""
+    return np.hstack([np.array([s.p_start for s in segments]).reshape(-1, 2),
+                      np.array([s.p_end for s in segments]).reshape(-1, 2)])
 
 
 def load_segments(path) -> list[Segment2D]:
     segments = []
+    seen = set()
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             raw = raw.strip()
@@ -73,6 +84,9 @@ def load_segments(path) -> list[Segment2D]:
                 if not np.isfinite(coords).all():
                     raise ValueError("non-finite value")
                 track = int(parts[5]) if len(parts) == 6 else None
+                if sid in seen:
+                    raise ValueError(f"duplicate segment id {sid}")
+                seen.add(sid)
                 segments.append(Segment2D(coords[:2], coords[2:], id=sid, track_id=track))
             except ValueError as e:
                 raise ValueError(f"parse error at line {lineno}: {e}") from None

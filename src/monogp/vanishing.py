@@ -6,6 +6,16 @@ intrinsics and camera rotation to a unit world-frame vanishing direction.
 
 Vanishing points are kept in spherical normalization (||v|| = 1) so points
 at infinity need no special cases.
+
+The per-frame front end runs on stacked arrays and keeps the floats of a
+per-pair, per-segment loop:
+- the hypothesis pairs are decoded in bulk from the seeded generator's
+  uint32 words, exactly as `Generator.choice(n, 2, replace=False)` draws
+  them (Floyd's algorithm with Lemire's bounded draw), one block of words
+  per batch of attempts;
+- norms and the refinement's dot products go through a stacked `matmul`,
+  which calls the same BLAS dot as `np.linalg.norm` and `@` on one vector
+  (`np.linalg.norm(axis=...)` and `einsum` round differently).
 """
 from __future__ import annotations
 
@@ -14,14 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import cross3, CameraIntrinsics
-from .segments import Segment2D, segment_line
+from .geometry import CameraIntrinsics
+from .segments import Segment2D, endpoints, lines_through
 
 DEFAULT_N_HYPOTHESES = 500
 DEFAULT_CONSENSUS_DEG = 2.0
 DEFAULT_MIN_CLUSTER_SIZE = 3
 
 _EPS_INF = 1e-9
+_WORD = 1 << 32  # the generator's uint32 words
 
 
 def canonical_direction(d) -> np.ndarray:
@@ -40,62 +51,136 @@ class VanishingPointEstimate:
     residual_rms: float  # consensus angle, degrees
 
 
+def _rowdot(a, b) -> np.ndarray:
+    """Row-wise dot products, each through the BLAS dot of `a[i] @ b[i]`."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _norms(a) -> np.ndarray:
+    """Row norms, bit for bit `np.linalg.norm(a[i])`."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def _bounded(words, k):
+    """Lemire's bounded draw in [0, k) of numpy's `Generator`, one per word.
+
+    Returns (w·k) >> 32 and the mask of rejected words, those with
+    (w·k) mod 2³² < (2³² − k) mod k.
+    """
+    wk = words.astype(np.uint64) * np.uint64(k)
+    return ((wk >> np.uint64(32)).astype(np.intp),
+            (wk & np.uint64(_WORD - 1)) < np.uint64((_WORD - k) % k))
+
+
+def _decode_pairs(words, n: int):
+    """Index pairs drawn from uint32 words as `Generator.choice(n, 2,
+    replace=False)` draws them from the same stream.
+
+    Decodes as many whole draws as `words` holds and returns the (t, 2)
+    pairs and the number of words they used. One draw is Floyd's algorithm
+    with Lemire's bounded draw: a = bounded(n − 1), which takes no word when
+    n = 2; b = bounded(n), and b = n − 1 if b == a; then a shuffle word
+    whose top bit keeps (a, b) when 1 and gives (b, a) when 0. A rejected
+    word is skipped and the next word takes its role, so the first rejected
+    word is dropped and the rest decoded again (a word is rejected with
+    probability below k / 2³²).
+    """
+    per = 2 if n == 2 else 3
+    dropped = 0
+    while True:
+        t = len(words) // per
+        w = words[:per * t].reshape(t, per)
+        rejected = np.zeros(w.shape, dtype=bool)
+        b, rejected[:, -2] = _bounded(w[:, -2], n)
+        if n == 2:
+            a = np.zeros(t, dtype=np.intp)
+        else:
+            a, rejected[:, 0] = _bounded(w[:, 0], n - 1)
+        if not rejected.any():
+            break
+        words = np.delete(words, np.argmax(rejected))  # first in stream order
+        dropped += 1
+    b = np.where(b == a, n - 1, b)
+    keep = (w[:, -1] >> np.uint32(31)).astype(bool)
+    pairs = np.where(keep[:, None], np.column_stack([a, b]), np.column_stack([b, a]))
+    return pairs, per * t + dropped
+
+
 def sample_vp_hypotheses(segments: list[Segment2D], m: int,
-                         rng_seed: int) -> list[np.ndarray]:
-    """m VP hypotheses from random pairs of distinct segments, seeded."""
+                         rng_seed: int) -> np.ndarray:
+    """Up to m VP hypotheses (k, 3) from random pairs of distinct segments, seeded.
+
+    Each attempt draws its pair as `rng.choice(n, 2, replace=False)` would;
+    a batch of attempts takes one block of words. A pair of numerically
+    identical lines (||v|| < 1e-12) is skipped, up to 50·m attempts in all.
+    """
     if len(segments) < 2:
         raise ValueError("too few segments: need at least 2")
+    n = len(segments)
     rng = np.random.default_rng(rng_seed)
-    lines = [segment_line(s) for s in segments]
-    hypotheses = []
-    attempts = 0
-    while len(hypotheses) < m and attempts < 50 * m:
-        attempts += 1
-        i, j = rng.choice(len(segments), size=2, replace=False)
-        v = cross3(lines[i], lines[j])
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            continue  # numerically identical lines
-        hypotheses.append(v / n)
-    return hypotheses
+    ends = endpoints(segments)
+    lines = lines_through(ends[:, :2], ends[:, 2:])
+    per = 2 if n == 2 else 3
+    words = np.empty(0, dtype=np.uint32)
+    found = [np.empty((0, 3))]
+    count = attempts = 0
+    while count < m and attempts < 50 * m:
+        batch = min(m - count, 50 * m - attempts)
+        words = np.concatenate([words, rng.integers(0, _WORD, per * batch, dtype=np.uint32)])
+        pairs, used = _decode_pairs(words, n)
+        words = words[used:]
+        v = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
+        norm = _norms(v)
+        ok = ~(norm < 1e-12)
+        found.append(v[ok] / norm[ok, None])
+        attempts += len(pairs)
+        count += int(ok.sum())
+    return np.concatenate(found)
 
 
-def consensus(seg: Segment2D, vp) -> float:
-    """Angle (degrees) between the segment direction and the midpoint-to-VP ray.
+def _segment_frames(ends):
+    """Midpoints and unit directions (n, 2) of stacked endpoints (n, 4),
+    with the floats of `Segment2D.midpoint` and `.direction`."""
+    d = ends[:, 2:] - ends[:, :2]
+    return 0.5 * (ends[:, :2] + ends[:, 2:]), d / _norms(d)[:, None]
 
-    VPs at infinity (|v_w| < 1e-9) use the direction (v_x, v_y). Range [0, 90].
+
+def _rays(mids, hyps):
+    """x and y planes (n, m) of the rays from each midpoint to each
+    hypothesis; a hypothesis at infinity (|w| < 1e-9) gives its (x, y)."""
+    finite = np.abs(hyps[:, 2]) >= _EPS_INF
+    w = np.where(finite, hyps[:, 2], 1.0)
+    return (np.where(finite, hyps[:, 0] / w - mids[:, :1], hyps[:, 0]),
+            np.where(finite, hyps[:, 1] / w - mids[:, 1:], hyps[:, 1]))
+
+
+def consensus_angles(ends, vp) -> np.ndarray:
+    """Angle (degrees) between each segment's direction and its midpoint-to-VP ray.
+
+    `ends` holds stacked endpoints (n, 4). VPs at infinity (|v_w| < 1e-9) use
+    the direction (v_x, v_y). Range [0, 90]. Raises ValueError when the VP
+    sits on a segment midpoint.
     """
-    vp = np.asarray(vp, dtype=float)
-    if abs(vp[2]) < _EPS_INF:
-        to_vp = vp[:2]
-    else:
-        to_vp = vp[:2] / vp[2] - seg.midpoint
-        if np.linalg.norm(to_vp) < 1e-9:
-            raise ValueError("vp at segment midpoint")
-    u = seg.direction
-    dot = abs(float(u @ to_vp))
-    cross = abs(float(u[0] * to_vp[1] - u[1] * to_vp[0]))
-    # atan2 keeps full precision for tiny angles (acos saturates near 1)
-    return math.degrees(math.atan2(cross, dot))
+    mids, dirs = _segment_frames(ends)
+    to_vp = np.hstack(_rays(mids, np.asarray(vp, dtype=float)[None, :]))
+    if (_norms(to_vp) < 1e-9).any():
+        raise ValueError("vp at segment midpoint")
+    dot = np.abs(_rowdot(dirs, to_vp))
+    cross = np.abs(dirs[:, 0] * to_vp[:, 1] - dirs[:, 1] * to_vp[:, 0])
+    # atan2 keeps full precision for tiny angles (acos saturates near 1);
+    # math.atan2 rather than np.arctan2, which rounds differently
+    return np.array([math.degrees(math.atan2(c, d))
+                     for c, d in zip(cross.tolist(), dot.tolist())])
 
 
 def _consensus_matrix(segments, hypotheses) -> np.ndarray:
-    """(n_segments, n_hypotheses) matrix of consensus angles in degrees."""
-    mids = np.array([s.midpoint for s in segments])            # (n, 2)
-    dirs = np.array([s.direction for s in segments])           # (n, 2)
-    H = np.asarray(hypotheses, dtype=float)                    # (m, 3)
-    finite = np.abs(H[:, 2]) >= _EPS_INF
-    to_vp = np.broadcast_to(H[None, :, :2], (len(segments), len(H), 2)).copy()
-    if finite.any():
-        px = H[finite, :2] / H[finite, 2:3]                    # (mf, 2)
-        to_vp[:, finite, :] = px[None, :, :] - mids[:, None, :]
-    norms = np.linalg.norm(to_vp, axis=2)
-    norms = np.where(norms < 1e-9, np.nan, norms)
-    dot = np.abs(np.einsum("nd,nmd->nm", dirs, to_vp))
-    cross = np.abs(dirs[:, None, 0] * to_vp[:, :, 1]
-                   - dirs[:, None, 1] * to_vp[:, :, 0])
-    ang = np.degrees(np.arctan2(cross, dot))
-    return np.where(np.isnan(norms), 90.0, ang)
+    """(n_segments, n_hypotheses) matrix of consensus angles in degrees;
+    90 where a hypothesis sits on a segment midpoint."""
+    mids, dirs = _segment_frames(endpoints(segments))
+    tx, ty = _rays(mids, np.asarray(hypotheses, dtype=float))
+    ux, uy = dirs[:, :1], dirs[:, 1:]
+    ang = np.degrees(np.arctan2(np.abs(ux * ty - uy * tx), np.abs(ux * tx + uy * ty)))
+    return np.where(np.sqrt(tx * tx + ty * ty) >= 1e-9, ang, 90.0)
 
 
 def jlinkage_cluster(segments: list[Segment2D], hypotheses,
@@ -166,17 +251,11 @@ def refine_vp(cluster_segments: list[Segment2D]) -> VanishingPointEstimate:
     if len(cluster_segments) < 2:
         raise ValueError("cluster must contain at least 2 segments")
     # Condition the system: shift/scale pixel coordinates before the SVD.
-    ends = np.array([[*s.p_start, *s.p_end] for s in cluster_segments])
-    mid = ends.reshape(-1, 2).mean(axis=0)
-    scale = max(float(np.abs(ends.reshape(-1, 2) - mid).mean()), 1e-9)
-    L = []
-    for seg in cluster_segments:
-        a = np.array([*(seg.p_start - mid) / scale, 1.0])
-        b = np.array([*(seg.p_end - mid) / scale, 1.0])
-        l = cross3(a, b)
-        n = np.hypot(l[0], l[1])
-        L.append(l / n)
-    L = np.array(L)
+    ends = endpoints(cluster_segments)
+    pts = ends.reshape(-1, 2)
+    mid = pts.mean(axis=0)
+    scale = max(float(np.abs(pts - mid).mean()), 1e-9)
+    L = lines_through((ends[:, :2] - mid) / scale, (ends[:, 2:] - mid) / scale)
     _, s, vt = np.linalg.svd(L, full_matrices=True)
     if s[1] < 1e-9 * s[0]:
         raise ValueError("rank deficient: segment lines are all identical")
@@ -186,7 +265,7 @@ def refine_vp(cluster_segments: list[Segment2D]) -> VanishingPointEstimate:
                    scale * vp[1] + mid[1] * vp[2],
                    vp[2]])
     vp = vp / np.linalg.norm(vp)
-    residuals = [consensus(seg, vp) for seg in cluster_segments]
+    residuals = consensus_angles(ends, vp)
     rms = math.sqrt(float(np.mean(np.square(residuals))))
     return VanishingPointEstimate(vp, frozenset(s.id for s in cluster_segments), rms)
 
@@ -207,12 +286,17 @@ def detect_vanishing_points(segments: list[Segment2D],
     """Full per-frame VP detection: sample, cluster, refine.
 
     Segments get their cluster_label set (index into the returned list,
-    None for outliers).
+    None for outliers). Segment ids must be unique: clusters are sets of ids.
     """
+    seen = set()
+    for s in segments:
+        if s.id in seen:
+            raise ValueError(f"duplicate segment id {s.id}")
+        seen.add(s.id)
     if len(segments) < 2:
         return []
     hyps = sample_vp_hypotheses(segments, n_hypotheses, rng_seed)
-    if not hyps:
+    if len(hyps) == 0:
         return []
     clusters = jlinkage_cluster(segments, hyps, theta_cons_deg, min_cluster_size)
     estimates = []

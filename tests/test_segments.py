@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from monogp.cli import main
-from monogp.segments import Segment2D, load_segments, segment_line
+from monogp.segments import Segment2D, endpoints, lines_through, load_segments, segment_line
 
 
 def test_segment_line_x_axis():
@@ -28,6 +28,16 @@ def test_segment_line_endpoint_incidence():
         assert abs(float(l @ [*seg.p_start, 1.0])) < 1e-9
         assert abs(float(l @ [*seg.p_end, 1.0])) < 1e-9
         assert abs(np.hypot(l[0], l[1]) - 1.0) < 1e-12
+
+
+def test_stacked_lines_equal_segment_line_per_row():
+    rng = np.random.default_rng(1)
+    segs = [Segment2D(rng.uniform(0, 640, 2), rng.uniform(0, 640, 2), id=i)
+            for i in range(200)]
+    e = endpoints(segs)
+    assert e.shape == (200, 4)
+    assert np.array_equal(lines_through(e[:, :2], e[:, 2:]),
+                          [segment_line(s) for s in segs])
 
 
 def test_zero_length_segment_rejected():
@@ -76,3 +86,12 @@ def test_segment_file_bad_field_names_line(tmp_path, capsys, row, reason):
         load_segments(path)
     assert main(["detect-vp", "--segments", str(path)]) == 1
     assert f"parse error at line 2: {reason}" in capsys.readouterr().err
+
+
+def test_segment_file_duplicate_id_names_line(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("0 0 0 10 0\n1 0 5 10 5\n\n0 0 9 10 9\n")
+    with pytest.raises(ValueError, match="parse error at line 4: duplicate segment id 0"):
+        load_segments(path)
+    assert main(["detect-vp", "--segments", str(path)]) == 1
+    assert "parse error at line 4: duplicate segment id 0" in capsys.readouterr().err

@@ -1,13 +1,16 @@
 """Vanishing-point sampling, consensus, J-Linkage, refinement, lifting."""
+import math
+
 import numpy as np
 import pytest
 
-from monogp.geometry import CameraIntrinsics, so3_exp
-from monogp.segments import Segment2D
+from monogp.geometry import CameraIntrinsics, cross3, so3_exp
+from monogp.segments import Segment2D, endpoints, segment_line
 from monogp.vanishing import (
     _consensus_matrix,
+    _decode_pairs,
     canonical_direction,
-    consensus,
+    consensus_angles,
     detect_vanishing_points,
     jlinkage_cluster,
     lift_vanishing_point,
@@ -88,6 +91,110 @@ def naive_jlinkage_cluster(segments, hypotheses, theta_cons_deg, min_cluster_siz
     return clusters
 
 
+def loop_sample_vp_hypotheses(segments, m, rng_seed):
+    """Oracle: one `Generator.choice` draw and one scalar norm per attempt.
+
+    Returns the hypotheses and the number of attempts made."""
+    rng = np.random.default_rng(rng_seed)
+    lines = [segment_line(s) for s in segments]
+    hypotheses = []
+    attempts = 0
+    while len(hypotheses) < m and attempts < 50 * m:
+        attempts += 1
+        i, j = rng.choice(len(segments), size=2, replace=False)
+        v = cross3(lines[i], lines[j])
+        n = np.linalg.norm(v)
+        if n < 1e-12:
+            continue  # numerically identical lines
+        hypotheses.append(v / n)
+    return np.array(hypotheses).reshape(-1, 3), attempts
+
+
+def lemire(words, pos, k):
+    """Scalar transcription of numpy's bounded draw in [0, k) (Lemire)."""
+    if k == 1:
+        return 0, pos  # a range of one value takes no word
+    while True:
+        wk = int(words[pos]) * k
+        pos += 1
+        if wk % 2**32 >= (2**32 - k) % k:
+            return wk >> 32, pos
+
+
+def floyd_pair(words, pos, n):
+    """Scalar transcription of `Generator.choice(n, 2, replace=False)`."""
+    a, pos = lemire(words, pos, n - 1)
+    b, pos = lemire(words, pos, n)
+    if b == a:
+        b = n - 1
+    swap, pos = lemire(words, pos, 2)  # shuffle step: keep (a, b) if 1
+    return ((a, b) if swap == 1 else (b, a)), pos
+
+
+def einsum_consensus_matrix(segments, hypotheses):
+    """Oracle: the broadcast copy, masked write and einsum formulation."""
+    mids = np.array([s.midpoint for s in segments])
+    dirs = np.array([s.direction for s in segments])
+    H = np.asarray(hypotheses, dtype=float)
+    finite = np.abs(H[:, 2]) >= 1e-9
+    to_vp = np.broadcast_to(H[None, :, :2], (len(segments), len(H), 2)).copy()
+    if finite.any():
+        px = H[finite, :2] / H[finite, 2:3]
+        to_vp[:, finite, :] = px[None, :, :] - mids[:, None, :]
+    norms = np.linalg.norm(to_vp, axis=2)
+    norms = np.where(norms < 1e-9, np.nan, norms)
+    dot = np.abs(np.einsum("nd,nmd->nm", dirs, to_vp))
+    cross = np.abs(dirs[:, None, 0] * to_vp[:, :, 1]
+                   - dirs[:, None, 1] * to_vp[:, :, 0])
+    ang = np.degrees(np.arctan2(cross, dot))
+    return np.where(np.isnan(norms), 90.0, ang)
+
+
+def scalar_consensus(seg, vp):
+    """Oracle: the consensus angle of one segment, in scalar steps."""
+    vp = np.asarray(vp, dtype=float)
+    if abs(vp[2]) < 1e-9:
+        to_vp = vp[:2]
+    else:
+        to_vp = vp[:2] / vp[2] - seg.midpoint
+        if np.linalg.norm(to_vp) < 1e-9:
+            raise ValueError("vp at segment midpoint")
+    u = seg.direction
+    dot = abs(float(u @ to_vp))
+    cross = abs(float(u[0] * to_vp[1] - u[1] * to_vp[0]))
+    return math.degrees(math.atan2(cross, dot))
+
+
+def loop_refine_vp(cluster_segments):
+    """Oracle: refinement with one line and one consensus angle per segment."""
+    ends = np.array([[*s.p_start, *s.p_end] for s in cluster_segments])
+    mid = ends.reshape(-1, 2).mean(axis=0)
+    scale = max(float(np.abs(ends.reshape(-1, 2) - mid).mean()), 1e-9)
+    L = []
+    for seg in cluster_segments:
+        a = np.array([*(seg.p_start - mid) / scale, 1.0])
+        b = np.array([*(seg.p_end - mid) / scale, 1.0])
+        l = cross3(a, b)
+        L.append(l / np.hypot(l[0], l[1]))
+    _, s, vt = np.linalg.svd(np.array(L), full_matrices=True)
+    vp = vt[-1]
+    vp = np.array([scale * vp[0] + mid[0] * vp[2],
+                   scale * vp[1] + mid[1] * vp[2],
+                   vp[2]])
+    vp = vp / np.linalg.norm(vp)
+    residuals = [scalar_consensus(seg, vp) for seg in cluster_segments]
+    return vp, math.sqrt(float(np.mean(np.square(residuals))))
+
+
+def random_segments(n, rng):
+    return [Segment2D(rng.uniform(0, 640, 2), rng.uniform(0, 480, 2), id=i)
+            for i in range(n)]
+
+
+def angle(seg, vp):
+    return float(consensus_angles(endpoints([seg]), vp)[0])
+
+
 # -- hypothesis sampling -----------------------------------------------------
 
 def test_hypotheses_from_parallel_segments_lie_at_infinity():
@@ -118,6 +225,67 @@ def test_hypotheses_deterministic_given_seed():
     assert all(np.array_equal(a, b) for a, b in zip(h1, h2))
 
 
+@pytest.mark.parametrize("n", [2, 3, 38, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sampler_equals_choice_loop(n, seed):
+    segs = random_segments(n, np.random.default_rng(100 + seed))
+    got = sample_vp_hypotheses(segs, 200, rng_seed=seed)
+    want, _ = loop_sample_vp_hypotheses(segs, 200, seed)
+    assert got.shape == want.shape == (200, 3)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_sampler_equals_choice_loop_with_degenerate_pairs(seed):
+    segs = cluttered_frame(seed)  # three exact duplicates
+    got = sample_vp_hypotheses(segs, 3000, rng_seed=seed)
+    want, attempts = loop_sample_vp_hypotheses(segs, 3000, seed)
+    assert attempts > 3000  # degenerate pairs forced extra attempts
+    assert np.array_equal(got, want)
+
+
+def test_sampler_on_copies_stops_at_attempt_cap():
+    seg = Segment2D([10.0, 20.0], [200.0, 90.0], id=0)
+    copies = [Segment2D(seg.p_start, seg.p_end, id=i) for i in range(5)]
+    got = sample_vp_hypotheses(copies, 40, rng_seed=4)
+    want, attempts = loop_sample_vp_hypotheses(copies, 40, 4)
+    assert attempts == 50 * 40 and got.shape == want.shape == (0, 3)
+    # one distinct segment: 4 of 6 pairs are degenerate, over many batches
+    mixed = copies[:3] + [Segment2D([5.0, 400.0], [300.0, 380.0], id=3)]
+    got = sample_vp_hypotheses(mixed, 40, rng_seed=4)
+    want, attempts = loop_sample_vp_hypotheses(mixed, 40, 4)
+    assert attempts > 80 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 38, 100])
+def test_decode_pairs_equals_choice_on_the_same_stream(n):
+    words = np.random.default_rng(5).integers(0, 2**32, 300, dtype=np.uint32)
+    pairs, used = _decode_pairs(words, n)
+    rng = np.random.default_rng(5)
+    want = [rng.choice(n, size=2, replace=False) for _ in range(len(pairs))]
+    assert np.array_equal(pairs, want)
+    assert used == len(words) - len(words) % (2 if n == 2 else 3)
+
+
+@pytest.mark.parametrize("n", [3, 38, 100])
+def test_decode_pairs_rejection_matches_scalar_lemire(n):
+    assert (2**32 - (n - 1)) % (n - 1) > 0 or (2**32 - n) % n > 0
+    rng = np.random.default_rng(6)
+    words = rng.integers(0, 2**32, 120, dtype=np.uint32)
+    words[[0, 4, 5, 6, 50, 51, 52, 53, 119]] = 0  # 0 is rejected unless k is 2^j
+    pairs, used = _decode_pairs(words, n)
+    want, pos = [], 0
+    while True:
+        try:
+            pair, nxt = floyd_pair(words, pos, n)
+        except IndexError:
+            break
+        want.append(pair)
+        pos = nxt
+    assert len(pairs) < 40  # rejected words were skipped
+    assert np.array_equal(pairs, want) and used == pos
+
+
 def test_too_few_segments_raises():
     with pytest.raises(ValueError, match="too few segments"):
         sample_vp_hypotheses([Segment2D([0, 0], [1, 0], id=0)], 10, rng_seed=0)
@@ -127,14 +295,14 @@ def test_too_few_segments_raises():
 
 def test_consensus_perfect_for_vp_at_infinity():
     seg = Segment2D([100.0, 50.0], [200.0, 50.0], id=0)
-    assert consensus(seg, [1.0, 0.0, 0.0]) < 1e-12
+    assert angle(seg, [1.0, 0.0, 0.0]) < 1e-12
 
 
 def test_consensus_perpendicular_vp():
     seg = Segment2D([-10.0, 0.0], [10.0, 0.0], id=0)
     vp = np.array([0.0, 1000.0, 1.0])
     vp /= np.linalg.norm(vp)
-    assert abs(consensus(seg, vp) - 90.0) < 1e-9
+    assert abs(angle(seg, vp) - 90.0) < 1e-9
 
 
 def test_consensus_two_degree_construction():
@@ -145,7 +313,7 @@ def test_consensus_two_degree_construction():
     seg = Segment2D(mid - 40.0 * u, mid + 40.0 * u, id=0)
     vp = np.array([*vp_xy, 1.0])
     vp /= np.linalg.norm(vp)
-    assert abs(consensus(seg, vp) - 2.0) < 1e-6
+    assert abs(angle(seg, vp) - 2.0) < 1e-6
 
 
 def test_consensus_invariant_to_endpoint_swap_and_vp_scale():
@@ -155,16 +323,43 @@ def test_consensus_invariant_to_endpoint_swap_and_vp_scale():
         vp = rng.normal(0.0, 1.0, 3)
         vp /= np.linalg.norm(vp)
         swapped = Segment2D(seg.p_end, seg.p_start, id=0)
-        assert abs(consensus(seg, vp) - consensus(swapped, vp)) < 1e-9
-        assert abs(consensus(seg, vp) - consensus(seg, -vp)) < 1e-9
+        assert abs(angle(seg, vp) - angle(swapped, vp)) < 1e-9
+        assert abs(angle(seg, vp) - angle(seg, -vp)) < 1e-9
 
 
 def test_consensus_vp_at_midpoint_raises():
     seg = Segment2D([100.0, 100.0], [200.0, 200.0], id=0)
     vp = np.array([150.0, 150.0, 1.0])
     vp /= np.linalg.norm(vp)
+    other = Segment2D([0.0, 10.0], [50.0, 10.0], id=1)
     with pytest.raises(ValueError, match="vp at segment midpoint"):
-        consensus(seg, vp)
+        consensus_angles(endpoints([other, seg]), vp)
+    # refine_vp raises the same, so detection drops such a cluster
+    with pytest.raises(ValueError, match="vp at segment midpoint"):
+        refine_vp([Segment2D([100.0, 150.0], [200.0, 150.0], id=2),
+                   Segment2D([150.0, 100.0], [150.0, 200.0], id=3), seg])
+
+
+def test_consensus_angles_equal_scalar_steps():
+    rng = np.random.default_rng(15)
+    segs = random_segments(300, rng)
+    for vp in [*rng.normal(0.0, 1.0, (20, 3)), [0.6, 0.8, 0.0], [0.6, 0.8, 5e-10]]:
+        vp = np.asarray(vp) / np.linalg.norm(vp)
+        got = consensus_angles(endpoints(segs), vp)
+        assert got.tolist() == [scalar_consensus(s, vp) for s in segs]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_consensus_matrix_equals_einsum_formulation(seed):
+    segs = cluttered_frame(seed)
+    hyps = sample_vp_hypotheses(segs, 500, rng_seed=seed)
+    on_mid = np.array([*segs[5].midpoint, 1.0])
+    extra = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 5e-10], [0.8, -0.6, -1e-9],
+                      on_mid / np.linalg.norm(on_mid)])
+    H = np.vstack([hyps, extra])
+    got = _consensus_matrix(segs, H)
+    assert got[5, -1] == 90.0  # the hypothesis at segment 5's midpoint
+    assert np.array_equal(got, einsum_consensus_matrix(segs, H))
 
 
 # -- clustering --------------------------------------------------------------
@@ -257,8 +452,20 @@ def test_refine_vp_planted_cluster():
     if vp @ expected < 0:
         vp = -vp
     assert np.allclose(vp, expected, atol=1e-7)
-    for seg in segs:
-        assert consensus(seg, est.vp_homogeneous) < 1e-6
+    assert (consensus_angles(endpoints(segs), est.vp_homogeneous) < 1e-6).all()
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_refine_vp_equals_per_segment_loop(seed):
+    segs = cluttered_frame(seed)
+    hyps = sample_vp_hypotheses(segs, 500, rng_seed=seed)
+    clusters = jlinkage_cluster(segs, hyps, 2.0, 2)
+    assert len(clusters) >= 4
+    for cluster in clusters:
+        members = [s for s in segs if s.id in cluster]
+        est = refine_vp(members)
+        vp, rms = loop_refine_vp(members)
+        assert np.array_equal(est.vp_homogeneous, vp) and est.residual_rms == rms
 
 
 def test_refine_vp_identical_lines_rank_deficient():
@@ -313,6 +520,16 @@ def test_detect_sets_cluster_labels():
     assert len(ests) >= 1
     assert all(s.cluster_label == 0 for s in segs)
     assert ests[0].member_segment_ids >= frozenset(range(15))
+
+
+def test_detect_rejects_duplicate_segment_ids():
+    rng = np.random.default_rng(16)
+    segs = segments_through([1500.0, 240.0], 8, rng) + \
+        segments_through([300.0, -900.0], 8, rng, start_id=8)
+    for i, s in enumerate(segs):
+        s.id = i % 6  # ids 0-5 repeated across both families
+    with pytest.raises(ValueError, match="duplicate segment id 0"):
+        detect_vanishing_points(segs, rng_seed=0)
 
 
 # Recorded from the full-recompute J-Linkage; a front-end rewrite must keep them.
