@@ -188,13 +188,27 @@ def se3_exp(twist) -> Pose:
 # Projection
 # ---------------------------------------------------------------------------
 
-def project_point(p_w, pose: Pose, intr: CameraIntrinsics) -> np.ndarray:
-    """Project a world point to pixels. Raises BehindCameraError when z <= EPS_Z."""
-    p_c = pose.transform(p_w)
-    if p_c[2] <= EPS_Z:
-        raise BehindCameraError(f"behind camera: z={p_c[2]:.3g}")
-    return np.array([intr.fx * p_c[0] / p_c[2] + intr.cx,
-                     intr.fy * p_c[1] / p_c[2] + intr.cy])
+def project_points(p_w, poses, intr: CameraIntrinsics):
+    """Pixels of world points p_w (k, 3) in each of n cameras.
+
+    Returns the mask (n,) of the cameras that see all k points at depth
+    z > EPS_Z, and the pixels (m, k, 2) in those m cameras. Each camera point
+    is bit for bit `pose.transform(p)`: BLAS sums a matrix-vector product in
+    the order of the matrix's memory layout, so each rotation is multiplied
+    in its own layout (a C copy of the F-ordered rotation that
+    `Pose.from_world_camera` makes rounds differently).
+    """
+    p = np.asarray(p_w, dtype=float).reshape(1, -1, 3, 1)
+    f_order = np.array([pose.rotation.flags.f_contiguous for pose in poses], dtype=bool)
+    r_f = np.array([pose.rotation.T for pose in poses]).reshape(-1, 3, 3).transpose(0, 2, 1)
+    r_c = np.array([pose.rotation for pose in poses]).reshape(-1, 3, 3)
+    t = np.array([pose.translation for pose in poses]).reshape(-1, 1, 3)
+    p_c = np.where(f_order[:, None, None, None], r_f[:, None] @ p,
+                   r_c[:, None] @ p)[..., 0] + t
+    in_front = ~(p_c[..., 2] <= EPS_Z).any(axis=1)
+    x, y, z = np.moveaxis(p_c[in_front], -1, 0)
+    return in_front, np.stack([intr.fx * x / z + intr.cx,
+                               intr.fy * y / z + intr.cy], axis=-1)
 
 
 # ---------------------------------------------------------------------------

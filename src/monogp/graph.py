@@ -464,6 +464,7 @@ class FactorGraph:
         self.G = np.empty((0, 3))     # GP unit directions
         self.B = np.empty((0, 3, 2))  # their tangent bases (`_tangent_bases`)
         self.factors: list = []
+        self._buffers: dict[str, tuple] = {}  # state array -> (buffer, rows filled)
 
     poses = property(lambda self: _Variables(self, "pose"))
     points = property(lambda self: _Variables(self, "point"))
@@ -471,7 +472,14 @@ class FactorGraph:
     gps = property(lambda self: _Variables(self, "gp"))
 
     def _put(self, kind: str, vid: int, *values):
-        """Write one variable's rows into new arrays; a new id appends a row."""
+        """Write one variable's rows; a new id appends a row.
+
+        A state array that is the whole filled prefix of its growth buffer
+        takes an appended row in the buffer's spare room, so adding n
+        variables one at a time is amortized O(n). Every array handed out
+        (a snapshot's too) is a prefix no longer than the filled part, so the
+        write lands outside all of them. Any other write goes to a copy.
+        """
         arrays = [getattr(self, name) for name in _FIELDS[kind]]
         values = [np.asarray(v, dtype=float).reshape(a.shape[1:])
                   for v, a in zip(values, arrays)]
@@ -479,7 +487,14 @@ class FactorGraph:
         row = rows.setdefault(vid, len(rows))
         for name, a, v in zip(_FIELDS[kind], arrays, values):
             if row == len(a):
-                a = np.concatenate([a, v[None]])
+                buf, filled = self._buffers.get(name, (None, 0))
+                if buf is None or a.base is not buf or len(a) != filled \
+                        or filled == len(buf):
+                    buf = np.empty((max(8, 2 * len(a)),) + a.shape[1:])
+                    buf[:len(a)] = a
+                buf[row] = v
+                self._buffers[name] = (buf, row + 1)
+                a = buf[:row + 1]
             else:
                 a = a.copy()
                 a[row] = v

@@ -23,14 +23,14 @@ from .geometry import (
     TriangulationError,
     closest_point_on_line_to_ray,
     plucker_to_orthonormal,
-    project_point,
+    project_points,
     so3_exp,
     triangulate_line,
     triangulate_point,
     _backproject_ray,
 )
 from .primitives import GlobalPrimitiveRegistry
-from .segments import Segment2D
+from .segments import endpoints
 from .simulate import (
     FrameObservations,
     ScenarioConfig,
@@ -107,7 +107,7 @@ def build_line_tracks(frames: list[FrameObservations], tau_s: float,
     """Track segments across frames with flow-predicted matching."""
     obs: dict[int, list] = {}
     for t in range(1, len(frames)):
-        predicted = [p for p in frames[t].predicted if p.length >= tau_s]
+        predicted = filter_short(frames[t].predicted, tau_s)
         detected = filter_short(frames[t].segments, tau_s)
         for track_id, seg, _source in match_predicted(predicted, detected, match):
             obs.setdefault(track_id, []).append((t, seg))
@@ -149,7 +149,11 @@ def _triangulate_points(frames, poses_init, intr):
 
 
 def _triangulate_lines(tracks, poses_init, intr, gates, audit):
-    """Triangulated lines plus gate-passing per-frame observations."""
+    """Triangulated lines plus gate-passing per-frame observations.
+
+    A track's two 3D endpoints are projected into all its observing frames
+    at once; frames that see an endpoint at depth z <= EPS_Z are dropped,
+    and the rest are gated in one `run_gates` call."""
     lines, line_obs = {}, {}
     for track_id, track in sorted(tracks.items()):
         if track.age < 2:
@@ -165,16 +169,15 @@ def _triangulate_lines(tracks, poses_init, intr, gates, audit):
         ray_e = _backproject_ray(sa.p_end, poses_init[ta], intr)[1]
         p3_s = closest_point_on_line_to_ray(line, o, ray_s)
         p3_e = closest_point_on_line_to_ray(line, o, ray_e)
-        passing = []
-        for t, seg in track.observations:
-            try:
-                q_s = project_point(p3_s, poses_init[t], intr)
-                q_e = project_point(p3_e, poses_init[t], intr)
-            except ValueError:
-                continue
-            projected = Segment2D(q_s, q_e, id=seg.id)
-            if run_gates(t, track_id, seg, projected, gates, audit):
-                passing.append((t, seg))
+        in_front, pixels = project_points(
+            [p3_s, p3_e], [poses_init[t] for t, _ in track.observations], intr)
+        seen = [obs for obs, ok in zip(track.observations, in_front.tolist()) if ok]
+        if not seen:
+            continue
+        passed = run_gates([t for t, _ in seen], track_id,
+                           endpoints([seg for _, seg in seen]),
+                           pixels.reshape(-1, 4), gates, audit)
+        passing = [obs for obs, ok in zip(seen, passed.tolist()) if ok]
         if len(passing) >= 2:
             lines[track_id] = line
             line_obs[track_id] = passing

@@ -43,6 +43,19 @@ class Segment2D:
         return d / n
 
 
+def rowdot(a, b) -> np.ndarray:
+    """Row-wise dot products (n,) of (n, k) rows, each through the BLAS dot
+    of `a[i] @ b[i]`: a stacked `matmul` with one-row, one-column operands
+    calls that dot per row (`einsum` and `np.sum` round differently)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a) -> np.ndarray:
+    """Row norms (n,), bit for bit `np.linalg.norm(a[i])`, which is
+    `sqrt(a[i] @ a[i])` (`np.linalg.norm(axis=1)` rounds differently)."""
+    return np.sqrt(rowdot(a, a))
+
+
 def lines_through(p, q) -> np.ndarray:
     """Homogeneous image lines through the points p and q, normalized so
     ||(a, b)|| = 1: (3,) for points of shape (2,), (n, 3) for (n, 2) rows."""
@@ -64,6 +77,13 @@ def endpoints(segments) -> np.ndarray:
     """Stacked pixel endpoints (n, 4): x1 y1 x2 y2 per segment."""
     return np.hstack([np.array([s.p_start for s in segments]).reshape(-1, 2),
                       np.array([s.p_end for s in segments]).reshape(-1, 2)])
+
+
+def segment_frames(ends) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and unit directions (n, 2) of stacked endpoints (n, 4),
+    bit for bit `Segment2D.midpoint` and `.direction`."""
+    d = ends[:, 2:] - ends[:, :2]
+    return 0.5 * (ends[:, :2] + ends[:, 2:]), d / row_norms(d)[:, None]
 
 
 def load_segments(path) -> list[Segment2D]:

@@ -6,6 +6,18 @@ perpendicular distance), sensitivity (along-line displacements are
 unobservable), and overlap (projected extent must cover enough of the
 observed extent). Gate decisions can be dumped to an audit CSV for
 golden-file reproducibility.
+
+Matching and gating run on stacked arrays: `match_predicted` scores a
+frame's prediction/detection pairs in one block and keeps only the greedy
+choice in Python, and `run_gates` gates all observations of a track in one
+call. Each gate is one stacked function; a single segment pair is a one-row
+stack. The floats are those of the per-pair loops they replaced:
+- dot products and norms go through `segments.rowdot` and `row_norms`, the
+  BLAS dot of `a @ b` and `np.linalg.norm` on one row (`einsum` and
+  `np.linalg.norm(axis=...)` round differently);
+- angles take `math.acos` of each gated entry (`np.arccos` rounds
+  differently), and `max`/`min` keep Python's first-of-equals rule;
+- audit values are Python floats, so `gate_audit.csv` keeps their `repr`.
 """
 from __future__ import annotations
 
@@ -16,7 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .segments import Segment2D, segment_line
+from .segments import (
+    Segment2D,
+    endpoints,
+    lines_through,
+    row_norms,
+    rowdot,
+    segment_frames,
+)
 
 EPS_DISP = 1e-6  # px; below this the sensitivity gate has nothing to test
 
@@ -59,20 +78,57 @@ class LineTrack:
 
 
 class GateResult(NamedTuple):
+    """A gate's verdict: `passed`, the failure `reason` (None on a pass) and
+    the gate's `value`; a bool, str and float for one pair, (n,) arrays for
+    n stacked pairs."""
     passed: bool
     reason: str | None
     value: float
 
 
+def _rows(x) -> np.ndarray:
+    """(n, 2) points or (n, 4) endpoints from one row or a stack of them."""
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def _verdict(one: bool, passed, reason, value) -> GateResult:
+    """The stacked verdict, or its only row as Python scalars when `one`."""
+    if one:
+        return GateResult(bool(passed[0]), reason[0], float(value[0]))
+    return GateResult(passed, reason, value)
+
+
+def _reasons(failed, reason: str) -> np.ndarray:
+    """Object array of `reason` where `failed`, None elsewhere; it holds the
+    one `reason` object, not a string per row."""
+    out = np.full(len(failed), None, dtype=object)
+    out[failed] = reason
+    return out
+
+
+def _first_max(a, b):
+    """`max(a, b)` per element: a unless b > a (the first of equals wins)."""
+    return np.where(b > a, b, a)
+
+
+def _first_min(a, b):
+    """`min(a, b)` per element: a unless b < a."""
+    return np.where(b < a, b, a)
+
+
 def filter_short(segments: list[Segment2D], tau_s: float) -> list[Segment2D]:
-    """Keep segments with length >= tau_s (boundary kept), order preserved."""
-    return [s for s in segments if s.length >= tau_s]
+    """Keep segments with length >= tau_s (boundary kept), order preserved.
+
+    The lengths are `row_norms` of the stacked endpoint differences, bit for
+    bit `Segment2D.length`."""
+    ends = endpoints(segments)
+    keep = row_norms(ends[:, 2:] - ends[:, :2]) >= tau_s
+    return [s for s, k in zip(segments, keep.tolist()) if k]
 
 
-def _angle_between_deg(u, v) -> float:
-    c = abs(float(np.asarray(u) @ np.asarray(v)))
-    c /= (np.linalg.norm(u) * np.linalg.norm(v))
-    return math.degrees(math.acos(np.clip(c, 0.0, 1.0)))
+def _acos_deg(c) -> np.ndarray:
+    """Degrees of `math.acos` of each entry (`np.arccos` rounds differently)."""
+    return np.array([math.degrees(math.acos(x)) for x in c.tolist()])
 
 
 def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
@@ -83,98 +139,101 @@ def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
     Candidates are gated on midpoint distance and direction angle, scored
     with w_a (1 - angle/gate) + w_o overlap, and the best-scoring gated
     detection represents the track. A prediction with no gated detection
-    continues as predicted-only.
+    continues as predicted-only; predictions without a track are dropped.
 
-    A vectorized midpoint pre-gate, 1e-6 px wider than the gate, picks the
-    candidates; the exact scalar gate and the scoring then run on those alone,
-    in detection order, so the choice is the same as testing every detection.
+    One (n_pred, n_det) score block per call: a vectorized midpoint pre-gate,
+    1e-6 px wider than the gate, picks the candidate pairs, and the exact
+    gates and the score run on those pairs alone. Then, for each prediction
+    in order, the first-index maximum over its gated detections that no
+    earlier prediction took wins, the choice of a strict `score > best`
+    scan in detection order.
     """
     params = params or MatchParams()
-    out = []
-    taken: set[int] = set()
-    det_mids = np.array([det.midpoint for det in detected]).reshape(-1, 2)
-    for pred in predicted:
-        if pred.track_id is None:
-            continue
-        pred_mid = pred.midpoint
-        near = np.hypot(det_mids[:, 0] - pred_mid[0], det_mids[:, 1] - pred_mid[1])
-        best_seg, best_score = None, -1.0
-        for k in np.flatnonzero(near < params.gate_mid_px + 1e-6).tolist():
-            if k in taken:
-                continue
-            det = detected[k]
-            if np.linalg.norm(det_mids[k] - pred_mid) >= params.gate_mid_px:
-                continue
-            ang = _angle_between_deg(det.direction, pred.direction)
-            if ang >= params.gate_ang_deg:
-                continue
-            overlap = np.clip(overlap_ratio(pred.p_start, pred.p_end,
-                                            det.p_start, det.p_end), 0.0, 1.0)
-            score = (params.w_angle * (1.0 - ang / params.gate_ang_deg)
-                     + params.w_overlap * overlap)
-            if score > best_score:
-                best_seg, best_score, best_k = det, score, k
-        if best_seg is not None:
-            taken.add(best_k)
-            chosen = Segment2D(best_seg.p_start, best_seg.p_end, id=best_seg.id,
-                               track_id=pred.track_id)
-            out.append((pred.track_id, chosen, "detected"))
-        else:
-            out.append((pred.track_id, pred, "predicted"))
+    predicted = [p for p in predicted if p.track_id is not None]
+    pred, det = endpoints(predicted), endpoints(detected)
+    pred_mid, pred_dir = segment_frames(pred)
+    det_mid, det_dir = segment_frames(det)
+    near = np.hypot(det_mid[None, :, 0] - pred_mid[:, None, 0],
+                    det_mid[None, :, 1] - pred_mid[:, None, 1])
+    i, k = np.nonzero(near < params.gate_mid_px + 1e-6)
+    gated = ~(row_norms(det_mid[k] - pred_mid[i]) >= params.gate_mid_px)
+    i, k = i[gated], k[gated]
+    c = np.abs(rowdot(det_dir[k], pred_dir[i]))
+    c /= row_norms(det_dir)[k] * row_norms(pred_dir)[i]
+    ang = _acos_deg(np.clip(c, 0.0, 1.0))
+    gated = ~(ang >= params.gate_ang_deg)
+    i, k, ang = i[gated], k[gated], ang[gated]
+    overlap = np.clip(overlap_ratio(pred[i, :2], pred[i, 2:],
+                                    det[k, :2], det[k, 2:]), 0.0, 1.0)
+    score = (params.w_angle * (1.0 - ang / params.gate_ang_deg)
+             + params.w_overlap * overlap)
+    keep = score > -1.0  # the scan's starting best
+    scores = np.full((len(predicted), len(detected)), -np.inf)
+    scores[i[keep], k[keep]] = score[keep]
+    out = [(p.track_id, p, "predicted") for p in predicted]
+    for row in np.flatnonzero(np.isfinite(scores).any(axis=1)).tolist():
+        best = int(scores[row].argmax())
+        if scores[row, best] > -np.inf:
+            scores[:, best] = -np.inf  # taken
+            p, d = predicted[row], detected[best]
+            chosen = Segment2D(d.p_start, d.p_end, id=d.id, track_id=p.track_id)
+            out[row] = (p.track_id, chosen, "detected")
     return out
 
 
-def reprojection_gate(p_ori_mid, p_proj_mid, d_s: float, d_e: float,
+def reprojection_gate(p_ori_mid, p_proj_mid, d_s, d_e,
                       theta_thre: float, d_thre: float) -> GateResult:
     """Midpoint-distance and endpoint perpendicular-distance checks."""
-    mid_err = float(np.linalg.norm(np.asarray(p_ori_mid) - np.asarray(p_proj_mid)))
-    if mid_err > theta_thre:
-        return GateResult(False, "midpoint", mid_err)
-    d = max(d_s, d_e)
-    if d > d_thre:
-        return GateResult(False, "perpendicular", d)
-    return GateResult(True, None, max(mid_err, d))
+    mid_err = row_norms(_rows(p_ori_mid) - _rows(p_proj_mid))
+    d = _first_max(np.atleast_1d(d_s), np.atleast_1d(d_e))
+    far = mid_err > theta_thre
+    off = ~far & (d > d_thre)
+    value = np.where(far, mid_err, np.where(off, d, _first_max(mid_err, d)))
+    reason = _reasons(far, "midpoint")
+    reason[off] = "perpendicular"
+    return _verdict(np.ndim(p_ori_mid) == 1, ~(far | off), reason, value)
 
 
 def sensitivity_gate(v_ori, p_ori_mid, p_proj_mid,
                      alpha_thre: float) -> GateResult:
     """Reject displacements sliding along the line (unobservable errors)."""
-    disp = np.asarray(p_proj_mid, dtype=float) - np.asarray(p_ori_mid, dtype=float)
-    norm = np.linalg.norm(disp)
-    if norm < EPS_DISP:
-        return GateResult(True, None, 0.0)
-    c = abs(float(np.asarray(v_ori) @ disp)) / norm
-    alpha = math.degrees(math.acos(np.clip(c, 0.0, 1.0)))
-    if 90.0 - alpha > alpha_thre:
-        return GateResult(False, "sensitivity", 90.0 - alpha)
-    return GateResult(True, None, 90.0 - alpha)
+    disp = _rows(p_proj_mid) - _rows(p_ori_mid)
+    norm = row_norms(disp)
+    moved = ~(norm < EPS_DISP)  # below it there is nothing to test
+    c = np.abs(rowdot(_rows(v_ori)[moved], disp[moved])) / norm[moved]
+    value = np.zeros(len(disp))
+    value[moved] = 90.0 - _acos_deg(np.clip(c, 0.0, 1.0))
+    passed = ~(moved & (value > alpha_thre))
+    reason = _reasons(~passed, "sensitivity")
+    return _verdict(np.ndim(p_ori_mid) == 1, passed, reason, value)
 
 
-def overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e) -> float:
+def overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e):
     """Share of the original extent that the projected extent covers.
 
     Both extents are measured along the original direction in units of the
     original length; the ratio is at most 1 and negative when they are apart.
+    A float for one pair of segments, (n,) for n stacked pairs.
     """
-    p_ori_s = np.asarray(p_ori_s, dtype=float)
-    p_ori_e = np.asarray(p_ori_e, dtype=float)
-    l_ori = float(np.linalg.norm(p_ori_e - p_ori_s))
-    if l_ori == 0.0:
+    o_s, o_e = _rows(p_ori_s), _rows(p_ori_e)
+    l_ori = row_norms(o_e - o_s)
+    if not l_ori.all():
         raise ValueError("original segment has zero length")
-    v = (p_ori_e - p_ori_s) / l_ori
-    r1 = float((np.asarray(p_proj_s) - p_ori_s) @ v) / l_ori
-    r2 = float((np.asarray(p_proj_e) - p_ori_s) @ v) / l_ori
-    r1p, r2p = min(r1, r2), max(r1, r2)
-    return min(r2p, 1.0) - max(r1p, 0.0)
+    v = (o_e - o_s) / l_ori[:, None]
+    r1 = rowdot(_rows(p_proj_s) - o_s, v) / l_ori
+    r2 = rowdot(_rows(p_proj_e) - o_s, v) / l_ori
+    lo, hi = _first_min(r1, r2), _first_max(r1, r2)
+    r = _first_min(hi, 1.0) - _first_max(lo, 0.0)
+    return float(r[0]) if np.ndim(p_ori_s) == 1 else r
 
 
 def overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e,
                  r_thre: float) -> GateResult:
     """Projected-extent overlap ratio r; fail when r < r_thre."""
-    r = overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e)
-    if r < r_thre:
-        return GateResult(False, "overlap", r)
-    return GateResult(True, None, r)
+    r = np.atleast_1d(overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e))
+    passed = ~(r < r_thre)
+    reason = _reasons(~passed, "overlap")
+    return _verdict(np.ndim(p_ori_s) == 1, passed, reason, r)
 
 
 @dataclass
@@ -196,24 +255,48 @@ def write_gate_audit(rows: list[GateAuditRow], path) -> None:
                         repr(r.value), repr(r.threshold), r.verdict])
 
 
-def run_gates(frame_id: int, track_id: int, observed: Segment2D,
-              projected: Segment2D, thresholds: GateThresholds,
-              audit: list[GateAuditRow] | None = None) -> bool:
-    """Run all three gates for one observed/projected segment pair."""
-    l_proj = segment_line(projected)
-    d_s = abs(float(l_proj @ np.array([*observed.p_start, 1.0])))
-    d_e = abs(float(l_proj @ np.array([*observed.p_end, 1.0])))
-    rep = reprojection_gate(observed.midpoint, projected.midpoint, d_s, d_e,
-                            thresholds.theta_thre, thresholds.d_thre)
-    sen = sensitivity_gate(projected.direction, observed.midpoint,
-                           projected.midpoint, thresholds.alpha_thre)
-    ove = overlap_gate(observed.p_start, observed.p_end,
-                       projected.p_start, projected.p_end, thresholds.r_thre)
-    results = [("reprojection", rep, max(thresholds.theta_thre, thresholds.d_thre)),
-               ("sensitivity", sen, thresholds.alpha_thre),
-               ("overlap", ove, thresholds.r_thre)]
+def run_gates(frame_id, track_id: int, observed, projected,
+              thresholds: GateThresholds,
+              audit: list[GateAuditRow] | None = None):
+    """Run all three gates on observed/projected segment pairs.
+
+    One pair: `observed` and `projected` are `Segment2D`s, `frame_id` is an
+    int, and the result is a bool. A track's pairs: they are stacked
+    endpoints (n, 4), x1 y1 x2 y2 per row, `frame_id` holds the n frame ids,
+    and the result is the (n,) pass mask. Audit rows go pair by pair, each
+    with its reprojection, sensitivity and overlap row.
+    """
+    one = isinstance(observed, Segment2D)
+    if one:
+        observed, projected = endpoints([observed]), endpoints([projected])
+        frame_id = [frame_id]
+    if (projected[:, :2] == projected[:, 2:]).all(axis=1).any():
+        raise ValueError("zero-length segment")
+    ones = np.ones((len(observed), 1))
+    l_proj = lines_through(projected[:, :2], projected[:, 2:])
+    d_s = np.abs(rowdot(l_proj, np.hstack([observed[:, :2], ones])))
+    d_e = np.abs(rowdot(l_proj, np.hstack([observed[:, 2:], ones])))
+    ori_mid, _ = segment_frames(observed)
+    proj_mid, proj_dir = segment_frames(projected)
+    results = [
+        ("reprojection", max(thresholds.theta_thre, thresholds.d_thre),
+         reprojection_gate(ori_mid, proj_mid, d_s, d_e,
+                           thresholds.theta_thre, thresholds.d_thre)),
+        ("sensitivity", thresholds.alpha_thre,
+         sensitivity_gate(proj_dir, ori_mid, proj_mid, thresholds.alpha_thre)),
+        ("overlap", thresholds.r_thre,
+         overlap_gate(observed[:, :2], observed[:, 2:], projected[:, :2],
+                      projected[:, 2:], thresholds.r_thre)),
+    ]
     if audit is not None:
-        for name, res, thr in results:
-            audit.append(GateAuditRow(frame_id, track_id, name, res.value, thr,
-                                      "pass" if res.passed else res.reason))
-    return all(res.passed for _, res, _ in results)
+        columns = []
+        for name, thr, res in results:
+            verdicts = res.reason.copy()
+            verdicts[res.passed] = "pass"
+            columns.append((name, thr, res.value.tolist(), verdicts.tolist()))
+        for row, t in enumerate(frame_id):
+            for name, thr, values, verdicts in columns:
+                audit.append(GateAuditRow(t, track_id, name, values[row], thr,
+                                          verdicts[row]))
+    passed = np.logical_and.reduce([res.passed for _, _, res in results])
+    return bool(passed[0]) if one else passed

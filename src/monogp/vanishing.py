@@ -13,9 +13,9 @@ per-pair, per-segment loop:
   uint32 words, exactly as `Generator.choice(n, 2, replace=False)` draws
   them (Floyd's algorithm with Lemire's bounded draw), one block of words
   per batch of attempts;
-- norms and the refinement's dot products go through a stacked `matmul`,
-  which calls the same BLAS dot as `np.linalg.norm` and `@` on one vector
-  (`np.linalg.norm(axis=...)` and `einsum` round differently).
+- norms and the refinement's dot products go through `segments.rowdot`
+  and `row_norms`, which call the same BLAS dot as `np.linalg.norm` and `@`
+  on one vector (`np.linalg.norm(axis=...)` and `einsum` round differently).
 """
 from __future__ import annotations
 
@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CameraIntrinsics
-from .segments import Segment2D, endpoints, lines_through
+from .segments import (
+    Segment2D,
+    endpoints,
+    lines_through,
+    row_norms,
+    rowdot,
+    segment_frames,
+)
 
 DEFAULT_N_HYPOTHESES = 500
 DEFAULT_CONSENSUS_DEG = 2.0
@@ -49,16 +56,6 @@ class VanishingPointEstimate:
     vp_homogeneous: np.ndarray
     member_segment_ids: frozenset
     residual_rms: float  # consensus angle, degrees
-
-
-def _rowdot(a, b) -> np.ndarray:
-    """Row-wise dot products, each through the BLAS dot of `a[i] @ b[i]`."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _norms(a) -> np.ndarray:
-    """Row norms, bit for bit `np.linalg.norm(a[i])`."""
-    return np.sqrt(_rowdot(a, a))
 
 
 def _bounded(words, k):
@@ -130,19 +127,12 @@ def sample_vp_hypotheses(segments: list[Segment2D], m: int,
         pairs, used = _decode_pairs(words, n)
         words = words[used:]
         v = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
-        norm = _norms(v)
+        norm = row_norms(v)
         ok = ~(norm < 1e-12)
         found.append(v[ok] / norm[ok, None])
         attempts += len(pairs)
         count += int(ok.sum())
     return np.concatenate(found)
-
-
-def _segment_frames(ends):
-    """Midpoints and unit directions (n, 2) of stacked endpoints (n, 4),
-    with the floats of `Segment2D.midpoint` and `.direction`."""
-    d = ends[:, 2:] - ends[:, :2]
-    return 0.5 * (ends[:, :2] + ends[:, 2:]), d / _norms(d)[:, None]
 
 
 def _rays(mids, hyps):
@@ -161,11 +151,11 @@ def consensus_angles(ends, vp) -> np.ndarray:
     the direction (v_x, v_y). Range [0, 90]. Raises ValueError when the VP
     sits on a segment midpoint.
     """
-    mids, dirs = _segment_frames(ends)
+    mids, dirs = segment_frames(ends)
     to_vp = np.hstack(_rays(mids, np.asarray(vp, dtype=float)[None, :]))
-    if (_norms(to_vp) < 1e-9).any():
+    if (row_norms(to_vp) < 1e-9).any():
         raise ValueError("vp at segment midpoint")
-    dot = np.abs(_rowdot(dirs, to_vp))
+    dot = np.abs(rowdot(dirs, to_vp))
     cross = np.abs(dirs[:, 0] * to_vp[:, 1] - dirs[:, 1] * to_vp[:, 0])
     # atan2 keeps full precision for tiny angles (acos saturates near 1);
     # math.atan2 rather than np.arctan2, which rounds differently
@@ -176,7 +166,7 @@ def consensus_angles(ends, vp) -> np.ndarray:
 def _consensus_matrix(segments, hypotheses) -> np.ndarray:
     """(n_segments, n_hypotheses) matrix of consensus angles in degrees;
     90 where a hypothesis sits on a segment midpoint."""
-    mids, dirs = _segment_frames(endpoints(segments))
+    mids, dirs = segment_frames(endpoints(segments))
     tx, ty = _rays(mids, np.asarray(hypotheses, dtype=float))
     ux, uy = dirs[:, :1], dirs[:, 1:]
     ang = np.degrees(np.arctan2(np.abs(ux * ty - uy * tx), np.abs(ux * tx + uy * ty)))

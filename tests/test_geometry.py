@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from monogp.geometry import (
-    BehindCameraError,
+    EPS_Z,
     CameraIntrinsics,
     DegenerateLineError,
     PluckerLine,
@@ -16,14 +16,14 @@ from monogp.geometry import (
     TriangulationError,
     orthonormal_update,
     plucker_to_orthonormal,
-    project_point,
+    project_points,
     se3_exp,
     skew,
     triangulate_line,
     triangulate_point,
 )
 from monogp.segments import Segment2D
-from test_graph import line_residual
+from test_graph import line_residual, project_point
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -91,9 +91,40 @@ def test_project_point_hand_value():
     assert np.allclose(px, [570.0, 240.0])
 
 
-def test_project_point_behind_camera_raises():
-    with pytest.raises(BehindCameraError, match="behind camera"):
-        project_point([0.0, 0.0, -1.0], IDENTITY, K)
+def test_project_points_masks_cameras_without_depth():
+    # a camera drops out when it sees any of the points at z <= EPS_Z
+    shifted = Pose(np.eye(3), [0.0, 0.0, 3.0])
+    in_front, px = project_points([[1.0, 0.0, 2.0], [0.0, 0.0, -1.0]],
+                                  [IDENTITY, shifted], K)
+    assert in_front.tolist() == [False, True]
+    assert px.shape == (1, 2, 2)
+    assert np.allclose(px[0], [[420.0, 240.0], [320.0, 240.0]])
+    in_front, px = project_points([[0.0, 0.0, EPS_Z]], [IDENTITY], K)
+    assert not in_front[0] and px.shape == (0, 1, 2)
+    in_front, _ = project_points([[0.0, 0.0, np.nextafter(EPS_Z, 1.0)]], [IDENTITY], K)
+    assert in_front[0]
+
+
+def test_project_points_bitwise_per_pose():
+    # F-ordered rotations (`from_world_camera`) and C-ordered ones (`se3_exp`)
+    # in one stack, each equal to its own `Pose.transform`
+    rng = np.random.default_rng(12)
+    poses = []
+    for k in range(40):
+        pose = random_pose(rng, 0.2)
+        if k % 3:
+            pose = Pose.from_world_camera(pose.r_wc.copy(), pose.camera_center())
+        poses.append(pose)
+    assert {p.rotation.flags.f_contiguous for p in poses} == {True, False}
+    for _ in range(20):
+        points = rng.uniform([-1.0, -1.0, 4.0], [1.0, 1.0, 8.0], (2, 3))
+        in_front, px = project_points(points, poses, K)
+        assert in_front.all()
+        for pose, row in zip(poses, px):
+            for p, q in zip(points, row):
+                p_c = pose.transform(p)
+                assert q.tolist() == [K.fx * p_c[0] / p_c[2] + K.cx,
+                                      K.fy * p_c[1] / p_c[2] + K.cy]
 
 
 # -- Plücker lines -----------------------------------------------------------

@@ -14,7 +14,7 @@ from monogp.geometry import (
     Pose,
     orthonormal_update,
     plucker_to_orthonormal,
-    project_point,
+    project_points,
     se3_exp,
     so3_exp,
 )
@@ -41,6 +41,13 @@ from monogp.segments import Segment2D
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
+def project_point(p_w, pose, intr):
+    """One world point's pixel in one camera, through `project_points`."""
+    in_front, px = project_points([p_w], [pose], intr)
+    assert in_front[0], "point behind the camera"
+    return px[0, 0]
 
 
 def residual_at(factor, **values):
@@ -314,6 +321,50 @@ def test_add_factor_missing_variable_rejected():
     g.add_pose(0, IDENTITY)
     with pytest.raises(KeyError):
         g.add_factor(PointFactor(0, 99, np.array([0.0, 0.0]), K))
+
+
+def test_graph_built_one_row_at_a_time_equals_stacked_rows():
+    rng = np.random.default_rng(21)
+    poses = [se3_exp(rng.normal(0.0, 0.3, 6)) for _ in range(200)]
+    points = rng.normal(0.0, 2.0, (2000, 3))
+    g = FactorGraph()
+    for i, pose in enumerate(poses):
+        g.add_pose(i, pose)
+    for i, p in enumerate(points):
+        g.add_point(i, p)
+    expected = {"R": np.stack([p.rotation for p in poses]),
+                "t": np.stack([p.translation for p in poses]),
+                "X": np.stack(list(points)),
+                "U": np.empty((0, 3, 3)), "W": np.empty((0, 2, 2)),
+                "G": np.empty((0, 3)), "B": np.empty((0, 3, 2))}
+    state = g.snapshot()
+    assert set(state) == set(expected)
+    for name, ref in expected.items():
+        assert state[name].shape == ref.shape and state[name].dtype == ref.dtype
+        assert state[name].tobytes() == ref.tobytes(), name
+        assert state[name].flags.c_contiguous
+
+
+def test_snapshot_never_sees_a_later_write():
+    rng = np.random.default_rng(22)
+    g = FactorGraph()
+    for i in range(5):
+        g.add_point(i, rng.normal(size=3))
+    first = g.snapshot()
+    first_values = {k: v.copy() for k, v in first.items()}
+    for i in range(5, 40):  # appends into the growth buffer
+        g.add_point(i, rng.normal(size=3))
+    second = g.snapshot()
+    second_values = {k: v.copy() for k, v in second.items()}
+    g.put_rows("point", [1], [[5.0, 5.0, 5.0]])  # a copy, outside the buffer
+    g.add_point(40, [7.0, 7.0, 7.0])  # appends to that copy
+    g.add_point(0, [9.0, 9.0, 9.0])   # overwrites
+    g.add_point(41, [8.0, 8.0, 8.0])
+    for snap, values in ((first, first_values), (second, second_values)):
+        for name, arr in snap.items():
+            assert arr.tobytes() == values[name].tobytes(), name
+    assert g.X[2:40].tobytes() == second_values["X"][2:].tobytes()
+    assert g.X[[0, 1, 40, 41]].tolist() == [[9.0] * 3, [5.0] * 3, [7.0] * 3, [8.0] * 3]
 
 
 def test_gp_must_be_unit():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from monogp.geometry import PluckerLine, project_point
+from monogp.geometry import PluckerLine
 from monogp.simulate import (
     NoiseSpec,
     ScenarioConfig,
@@ -16,7 +16,7 @@ from monogp.simulate import (
     render_measurements,
     save_observations,
 )
-from test_graph import line_residual
+from test_graph import line_residual, project_point
 
 
 def corridor_config(**overrides):

@@ -1,15 +1,37 @@
-"""Line tracking and the three mapline verification gates."""
+"""Line tracking and the three mapline verification gates.
+
+The stacked matcher and gates are checked against the per-pair loops they
+replaced, kept below verbatim as oracles (renamed `oracle_*`).
+"""
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from monogp.segments import Segment2D
+from monogp.geometry import (
+    EPS_Z,
+    CameraIntrinsics,
+    Pose,
+    TriangulationError,
+    _backproject_ray,
+    closest_point_on_line_to_ray,
+    so3_exp,
+    triangulate_line,
+)
+from monogp.pipeline import _triangulate_lines, build_line_tracks, perturb_poses
+from monogp.scenarios import default_corridor, nonoverlap, structured
+from monogp.segments import Segment2D, endpoints, segment_line
+from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp.tracking import (
+    GateAuditRow,
     GateThresholds,
     LineTrack,
     MatchParams,
     filter_short,
     match_predicted,
     overlap_gate,
+    overlap_ratio,
     reprojection_gate,
     run_gates,
     sensitivity_gate,
@@ -200,3 +222,299 @@ def test_run_gates_all_pass_on_exact_projection():
     observed = Segment2D([100, 100], [200, 150], id=0)
     projected = Segment2D([100, 100], [200, 150], id=0)
     assert run_gates(0, 0, observed, projected, thresholds)
+
+
+# -- oracles: the per-pair loops, verbatim -------------------------------------
+
+class OracleGateResult(NamedTuple):
+    passed: bool
+    reason: str | None
+    value: float
+
+
+def oracle_angle_between_deg(u, v) -> float:
+    c = abs(float(np.asarray(u) @ np.asarray(v)))
+    c /= (np.linalg.norm(u) * np.linalg.norm(v))
+    return math.degrees(math.acos(np.clip(c, 0.0, 1.0)))
+
+
+def oracle_match_predicted(predicted, detected, params=None):
+    params = params or MatchParams()
+    out = []
+    taken: set[int] = set()
+    det_mids = np.array([det.midpoint for det in detected]).reshape(-1, 2)
+    for pred in predicted:
+        if pred.track_id is None:
+            continue
+        pred_mid = pred.midpoint
+        near = np.hypot(det_mids[:, 0] - pred_mid[0], det_mids[:, 1] - pred_mid[1])
+        best_seg, best_score = None, -1.0
+        for k in np.flatnonzero(near < params.gate_mid_px + 1e-6).tolist():
+            if k in taken:
+                continue
+            det = detected[k]
+            if np.linalg.norm(det_mids[k] - pred_mid) >= params.gate_mid_px:
+                continue
+            ang = oracle_angle_between_deg(det.direction, pred.direction)
+            if ang >= params.gate_ang_deg:
+                continue
+            overlap = np.clip(oracle_overlap_ratio(pred.p_start, pred.p_end,
+                                                   det.p_start, det.p_end), 0.0, 1.0)
+            score = (params.w_angle * (1.0 - ang / params.gate_ang_deg)
+                     + params.w_overlap * overlap)
+            if score > best_score:
+                best_seg, best_score, best_k = det, score, k
+        if best_seg is not None:
+            taken.add(best_k)
+            chosen = Segment2D(best_seg.p_start, best_seg.p_end, id=best_seg.id,
+                               track_id=pred.track_id)
+            out.append((pred.track_id, chosen, "detected"))
+        else:
+            out.append((pred.track_id, pred, "predicted"))
+    return out
+
+
+def oracle_reprojection_gate(p_ori_mid, p_proj_mid, d_s, d_e, theta_thre, d_thre):
+    mid_err = float(np.linalg.norm(np.asarray(p_ori_mid) - np.asarray(p_proj_mid)))
+    if mid_err > theta_thre:
+        return OracleGateResult(False, "midpoint", mid_err)
+    d = max(d_s, d_e)
+    if d > d_thre:
+        return OracleGateResult(False, "perpendicular", d)
+    return OracleGateResult(True, None, max(mid_err, d))
+
+
+def oracle_sensitivity_gate(v_ori, p_ori_mid, p_proj_mid, alpha_thre):
+    disp = np.asarray(p_proj_mid, dtype=float) - np.asarray(p_ori_mid, dtype=float)
+    norm = np.linalg.norm(disp)
+    if norm < 1e-6:
+        return OracleGateResult(True, None, 0.0)
+    c = abs(float(np.asarray(v_ori) @ disp)) / norm
+    alpha = math.degrees(math.acos(np.clip(c, 0.0, 1.0)))
+    if 90.0 - alpha > alpha_thre:
+        return OracleGateResult(False, "sensitivity", 90.0 - alpha)
+    return OracleGateResult(True, None, 90.0 - alpha)
+
+
+def oracle_overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e):
+    p_ori_s = np.asarray(p_ori_s, dtype=float)
+    p_ori_e = np.asarray(p_ori_e, dtype=float)
+    l_ori = float(np.linalg.norm(p_ori_e - p_ori_s))
+    if l_ori == 0.0:
+        raise ValueError("original segment has zero length")
+    v = (p_ori_e - p_ori_s) / l_ori
+    r1 = float((np.asarray(p_proj_s) - p_ori_s) @ v) / l_ori
+    r2 = float((np.asarray(p_proj_e) - p_ori_s) @ v) / l_ori
+    r1p, r2p = min(r1, r2), max(r1, r2)
+    return min(r2p, 1.0) - max(r1p, 0.0)
+
+
+def oracle_overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e, r_thre):
+    r = oracle_overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e)
+    if r < r_thre:
+        return OracleGateResult(False, "overlap", r)
+    return OracleGateResult(True, None, r)
+
+
+def oracle_run_gates(frame_id, track_id, observed, projected, thresholds, audit=None):
+    l_proj = segment_line(projected)
+    d_s = abs(float(l_proj @ np.array([*observed.p_start, 1.0])))
+    d_e = abs(float(l_proj @ np.array([*observed.p_end, 1.0])))
+    rep = oracle_reprojection_gate(observed.midpoint, projected.midpoint, d_s, d_e,
+                                   thresholds.theta_thre, thresholds.d_thre)
+    sen = oracle_sensitivity_gate(projected.direction, observed.midpoint,
+                                  projected.midpoint, thresholds.alpha_thre)
+    ove = oracle_overlap_gate(observed.p_start, observed.p_end,
+                              projected.p_start, projected.p_end, thresholds.r_thre)
+    results = [("reprojection", rep, max(thresholds.theta_thre, thresholds.d_thre)),
+               ("sensitivity", sen, thresholds.alpha_thre),
+               ("overlap", ove, thresholds.r_thre)]
+    if audit is not None:
+        for name, res, thr in results:
+            audit.append((frame_id, track_id, name, res.value, thr,
+                          "pass" if res.passed else res.reason))
+    return all(res.passed for _, res, _ in results)
+
+
+def oracle_project_point(p_w, pose, intr):
+    p_c = pose.transform(p_w)
+    if p_c[2] <= EPS_Z:
+        raise ValueError(f"behind camera: z={p_c[2]:.3g}")
+    return np.array([intr.fx * p_c[0] / p_c[2] + intr.cx,
+                     intr.fy * p_c[1] / p_c[2] + intr.cy])
+
+
+def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
+    lines, line_obs = {}, {}
+    for track_id, track in sorted(tracks.items()):
+        if track.age < 2:
+            continue
+        (ta, sa), (tb, sb) = track.observations[0], track.observations[-1]
+        try:
+            line = triangulate_line(sa, sb, poses_init[ta], poses_init[tb], intr)
+        except TriangulationError:
+            continue
+        # 3D endpoints from the first view's observed extent
+        o, _ = _backproject_ray(sa.midpoint, poses_init[ta], intr)
+        ray_s = _backproject_ray(sa.p_start, poses_init[ta], intr)[1]
+        ray_e = _backproject_ray(sa.p_end, poses_init[ta], intr)[1]
+        p3_s = closest_point_on_line_to_ray(line, o, ray_s)
+        p3_e = closest_point_on_line_to_ray(line, o, ray_e)
+        passing = []
+        for t, seg in track.observations:
+            try:
+                q_s = oracle_project_point(p3_s, poses_init[t], intr)
+                q_e = oracle_project_point(p3_e, poses_init[t], intr)
+            except ValueError:
+                continue
+            projected = Segment2D(q_s, q_e, id=seg.id)
+            if oracle_run_gates(t, track_id, seg, projected, gates, audit):
+                passing.append((t, seg))
+        if len(passing) >= 2:
+            lines[track_id] = line
+            line_obs[track_id] = passing
+    return lines, line_obs
+
+
+# -- stacked matcher and gates against the oracles ------------------------------
+
+SCENES = [structured(0), structured(1), structured(2), nonoverlap(0), nonoverlap(1),
+          default_corridor(0), default_corridor(1)]
+
+
+def scene(config):
+    world = generate_world(config)
+    poses = generate_trajectory(config)
+    return render_measurements(world, poses, config), perturb_poses(poses, config)
+
+
+def match_key(matches):
+    return [(tid, seg.id, source, seg.p_start.tobytes(), seg.p_end.tobytes())
+            for tid, seg, source in matches]
+
+
+@pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
+def test_match_predicted_equals_oracle_on_scenes(config):
+    frames, _ = scene(config)
+    tau_s = GateThresholds().tau_s
+    matched = 0
+    for fr in frames[1:]:
+        predicted = filter_short(fr.predicted, tau_s)
+        detected = filter_short(fr.segments, tau_s)
+        for kept, segments in ((predicted, fr.predicted), (detected, fr.segments)):
+            assert list(map(id, kept)) == [id(s) for s in segments if s.length >= tau_s]
+        out = match_predicted(predicted, detected)
+        assert match_key(out) == match_key(oracle_match_predicted(predicted, detected))
+        matched += sum(source == "detected" for _, _, source in out)
+    assert matched > 0
+
+
+def audit_bytes(rows, path):
+    write_gate_audit([GateAuditRow(*r) if isinstance(r, tuple) else r for r in rows], path)
+    return path.read_bytes()
+
+
+def assert_lines_equal_oracle(tracks, poses, intr, gates, tmp_path):
+    audit, oracle_audit = [], []
+    lines, line_obs = _triangulate_lines(tracks, poses, intr, gates, audit)
+    oracle_lines, oracle_obs = oracle_triangulate_lines(tracks, poses, intr, gates,
+                                                        oracle_audit)
+    assert line_obs == oracle_obs
+    assert {k: v.canonical_coords().tobytes() for k, v in lines.items()} == \
+        {k: v.canonical_coords().tobytes() for k, v in oracle_lines.items()}
+    rows = audit_bytes(audit, tmp_path / "stacked.csv")
+    assert rows == audit_bytes(oracle_audit, tmp_path / "oracle.csv")
+    return audit
+
+
+@pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
+def test_gate_audit_equals_oracle_on_scenes(config, tmp_path):
+    frames, poses = scene(config)
+    gates = GateThresholds()
+    tracks = build_line_tracks(frames, gates.tau_s, MatchParams())
+    audit = assert_lines_equal_oracle(tracks, poses, config.intrinsics, gates, tmp_path)
+    assert {r.verdict for r in audit} >= {"pass", "midpoint"}
+
+
+def test_match_equal_scores_first_detection_wins():
+    pred = seg(100, 100, 200, 100, sid=0, track_id=1)
+    twins = [seg(100, 101, 200, 101, sid=5), seg(100, 101, 200, 101, sid=3),
+             seg(100, 99, 200, 99, sid=4)]
+    for detected in (twins, twins[::-1]):
+        out = match_predicted([pred], detected)
+        assert out[0][1].id == detected[0].id
+        assert match_key(out) == match_key(oracle_match_predicted([pred], detected))
+
+
+def test_match_detection_taken_by_earlier_prediction():
+    a = seg(100, 100, 200, 100, sid=0, track_id=0)
+    b = seg(100, 103, 200, 103, sid=1, track_id=1)
+    shared = seg(100, 101, 200, 101, sid=7)  # scores 1.0 for both
+    second = seg(100, 104, 190, 104, sid=8)  # scores 0.95 for both
+    detected = [shared, second]
+    out = match_predicted([a, b], detected)
+    assert [(tid, s.id, src) for tid, s, src in out] == \
+        [(0, 7, "detected"), (1, 8, "detected")]
+    out = match_predicted([b, a], detected)
+    assert [(tid, s.id, src) for tid, s, src in out] == \
+        [(1, 7, "detected"), (0, 8, "detected")]
+    for preds in ([a, b], [b, a]):
+        assert match_key(match_predicted(preds, detected)) == \
+            match_key(oracle_match_predicted(preds, detected))
+
+
+def test_match_angle_gate_boundary():
+    pred = seg(100, 100, 200, 100, sid=0, track_id=2)
+    det = seg(100, 99, 200, 101.5, sid=9)
+    ang = oracle_angle_between_deg(det.direction, pred.direction)
+    for gate, source in ((ang, "predicted"), (np.nextafter(ang, np.inf), "detected")):
+        params = MatchParams(gate_ang_deg=gate)
+        out = match_predicted([pred], [det], params)
+        assert out[0][2] == source
+        assert match_key(out) == match_key(oracle_match_predicted([pred], [det], params))
+
+
+def test_gates_skip_frame_behind_camera(tmp_path):
+    intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+    poses = [Pose(np.eye(3), np.zeros(3)),
+             Pose.from_world_camera(so3_exp([0.0, math.pi, 0.0]), [0.0, 0.0, 0.0]),
+             Pose.from_world_camera(np.eye(3), [0.1, 0.6, 0.2])]
+    ends = [np.array([-1.0, 0.2, 5.0]), np.array([1.0, 0.3, 6.0])]
+    track = LineTrack(3)
+    for t, pose in enumerate(poses):
+        if t == 1:  # the world line is behind this camera
+            assert pose.transform(ends[0])[2] < 0
+            track.add(t, seg(100, 100, 200, 120, sid=t))
+        else:
+            track.add(t, Segment2D(*(oracle_project_point(p, pose, intr) for p in ends),
+                                   id=t))
+    audit = assert_lines_equal_oracle({3: track}, poses, intr, GateThresholds(), tmp_path)
+    assert [(r.frame_id, r.gate) for r in audit] == \
+        [(t, g) for t in (0, 2) for g in ("reprojection", "sensitivity", "overlap")]
+    assert all(r.verdict == "pass" for r in audit)
+
+
+def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
+    rng = np.random.default_rng(4)
+    observed, projected = [], []
+    for i in range(200):
+        a = rng.uniform([50, 50], [500, 400])
+        u = rng.normal(0.0, 1.0, 2)
+        observed.append(Segment2D(a, a + rng.uniform(20, 80) * u / np.linalg.norm(u), id=i))
+        projected.append(Segment2D(observed[-1].p_start + rng.normal(0.0, 3.0, 2),
+                                   observed[-1].p_end + rng.normal(0.0, 3.0, 2), id=i))
+    projected[0] = observed[0]  # no displacement
+    thresholds = GateThresholds()
+    audit, single = [], []
+    mask = run_gates(list(range(200)), 0, endpoints(observed), endpoints(projected),
+                     thresholds, audit)
+    oracle_audit = []
+    for i, (o, p) in enumerate(zip(observed, projected)):
+        assert run_gates(i, 0, o, p, thresholds, single) == mask[i] == \
+            oracle_run_gates(i, 0, o, p, thresholds, oracle_audit)
+        r = overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
+        assert r == oracle_overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
+    assert audit == single
+    assert audit_bytes(audit, tmp_path / "stacked.csv") == \
+        audit_bytes(oracle_audit, tmp_path / "oracle.csv")
+    assert 0 < mask.sum() < len(mask)
