@@ -14,7 +14,7 @@ from .primitives import GlobalPrimitive, GlobalPrimitiveRegistry, fuse_direction
 from .graph import FactorGraph, OptimizeOptions, optimize, total_cost
 from .simulate import ScenarioConfig
 from .evaluate import Trajectory, ate_rmse, umeyama_align
-from .pipeline import PipelineOptions, run_ablation, run_pipeline
+from .pipeline import run_ablation, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "GlobalPrimitive", "GlobalPrimitiveRegistry", "fuse_directions",
     "FactorGraph", "OptimizeOptions", "optimize", "total_cost",
     "ScenarioConfig", "Trajectory", "ate_rmse", "umeyama_align",
-    "PipelineOptions", "run_ablation", "run_pipeline",
+    "run_ablation", "run_pipeline",
 ]

@@ -49,7 +49,10 @@ Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
                      free Euclidean state (pose translations and
                      point coordinates)                           converged
   lambda overflow    lambda reaches 1e12 with no accepted step    not converged
-  max_iters          the iteration budget runs out                not converged
+  MAX_ITERS          the iteration budget runs out                not converged
+
+The damping starts at LAMBDA_INIT and is divided by LAMBDA_SCALE after an
+accepted step, multiplied by it after a rejected one.
 """
 from __future__ import annotations
 
@@ -78,6 +81,10 @@ HUBER_2DOF = math.sqrt(5.99)  # chi^2 95%, 2 DOF
 HUBER_1DOF = math.sqrt(3.84)  # chi^2 95%, 1 DOF
 
 DOF = {"pose": 6, "point": 3, "line": 4, "gp": 2}
+
+MAX_ITERS = 100
+LAMBDA_INIT = 1e-4
+LAMBDA_SCALE = 10.0
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -316,7 +323,7 @@ class VdAlignFactor(_Factor):
     gp_id: int
     seg: Segment2D
     intr: CameraIntrinsics
-    sigma: float = 0.02
+    sigma: float = 0.01
     huber_delta: float = HUBER_1DOF
     kind = "vd_align"
     dim = 1
@@ -695,17 +702,16 @@ def numeric_jacobian(factor, graph: FactorGraph, h: float = 1e-6) -> dict:
 
 @dataclass
 class OptimizeOptions:
-    """Levenberg-Marquardt settings.
+    """Levenberg-Marquardt settings: `rel_tol`, `abs_tol` and
+    `fixed_variable_keys`.
 
     `abs_tol` bounds the gradient (||g||_inf); `rel_tol` bounds both the
     relative cost decrease of an accepted step and its step size relative to
     the free Euclidean state. Stops on these three tolerances report
-    `converged=True`; running out of `max_iters`, or lambda reaching 1e12
+    `converged=True`; running out of MAX_ITERS, or lambda reaching 1e12
     without an accepted step, reports `converged=False`.
+    `fixed_variable_keys` holds the (kind, id) keys LM does not move.
     """
-    max_iters: int = 100
-    lambda_init: float = 1e-4
-    lambda_scale: float = 10.0
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     fixed_variable_keys: tuple = ()
@@ -757,7 +763,10 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
 
 def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
              ) -> OptimizationReport:
-    """Levenberg-Marquardt over all non-fixed variables (in place)."""
+    """Levenberg-Marquardt over all non-fixed variables (in place).
+
+    The final cost is the loop's last cost of the state it ends in: an
+    accepted step's `total_cost`, or else the last `_linearize`'s."""
     options = options or OptimizeOptions()
     fixed = set(options.fixed_variable_keys)
     if graph.poses and not fixed:
@@ -770,14 +779,11 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
               if len(rows)]
     diagonal = np.diag_indices(n_params)
 
-    lam = options.lambda_init
-    initial_cost = None
-    cost = None
+    lam = LAMBDA_INIT
     converged = False
-    iters = 0
-    for iters in range(1, options.max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         cost, H, g = _linearize(graph, index, n_params, packed)
-        if initial_cost is None:
+        if iters == 1:
             initial_cost = cost
         if np.max(np.abs(g), initial=0.0) < options.abs_tol:
             converged = True
@@ -793,14 +799,14 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
             try:
                 delta = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
-                lam *= options.lambda_scale
+                lam *= LAMBDA_SCALE
                 continue
             for kind, rows, cols in blocks:
                 step = delta[cols].reshape(len(rows), DOF[kind])
                 graph.put_rows(kind, rows, retract(kind, graph.take_rows(kind, rows), step))
             new_cost = total_cost(graph, packed)
             if new_cost < cost:
-                lam = max(lam / options.lambda_scale, 1e-12)
+                lam = max(lam / LAMBDA_SCALE, 1e-12)
                 accepted = True
                 if cost - new_cost < options.rel_tol * max(cost, 1e-30) or \
                         np.linalg.norm(delta) <= step_tol:
@@ -808,13 +814,11 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
                 cost = new_cost
                 break
             graph.restore(snap)
-            lam *= options.lambda_scale
+            lam *= LAMBDA_SCALE
         if not accepted:
             break  # lambda overflow: no tolerance was met
         if converged:
             break
 
-    final_cost = total_cost(graph, packed)
-    return OptimizationReport(initial_cost if initial_cost is not None else final_cost,
-                              final_cost, iters, converged,
+    return OptimizationReport(initial_cost, cost, iters, converged,
                               cost_breakdown(graph, packed))

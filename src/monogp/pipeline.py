@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .tracking import (
     GateAuditRow,
     GateThresholds,
     LineTrack,
-    MatchParams,
     filter_short,
     match_predicted,
     run_gates,
@@ -52,21 +51,11 @@ from .vanishing import detect_vanishing_points, lift_vanishing_point
 
 MODES = ("lp", "gp")
 
-
-@dataclass
-class PipelineOptions:
-    gates: GateThresholds = field(default_factory=GateThresholds)
-    match: MatchParams = field(default_factory=MatchParams)
-    vp_hypotheses: int = 300
-    vp_consensus_deg: float = 2.0
-    vp_min_cluster: int = 6
-    fuse_tol_deg: float = 5.0
-    sigma_point_px: float = 1.0
-    sigma_line_px: float = 1.0
-    sigma_vd: float = 0.01
-    sigma_struct: float = 0.01
-    optimizer: fg.OptimizeOptions = field(default_factory=lambda: fg.OptimizeOptions(
-        max_iters=100))
+# Per-frame VP detection settings; `detect_vanishing_points`' own defaults
+# (500 and 3) serve `monogp detect-vp`. Every other setting of the pipeline
+# is the default of the function or factor it calls.
+VP_HYPOTHESES = 300
+VP_MIN_CLUSTER = 6
 
 
 @dataclass
@@ -102,14 +91,14 @@ def perturb_poses(poses_gt: list[Pose], config: ScenarioConfig) -> list[Pose]:
     return out
 
 
-def build_line_tracks(frames: list[FrameObservations], tau_s: float,
-                      match: MatchParams) -> dict[int, LineTrack]:
+def build_line_tracks(frames: list[FrameObservations]) -> dict[int, LineTrack]:
     """Track segments across frames with flow-predicted matching."""
+    tau_s = GateThresholds().tau_s
     obs: dict[int, list] = {}
     for t in range(1, len(frames)):
         predicted = filter_short(frames[t].predicted, tau_s)
         detected = filter_short(frames[t].segments, tau_s)
-        for track_id, seg, _source in match_predicted(predicted, detected, match):
+        for track_id, seg, _source in match_predicted(predicted, detected):
             obs.setdefault(track_id, []).append((t, seg))
     # frame 0 joins through the flow sources of frame 1's predictions
     if len(frames) > 1:
@@ -184,18 +173,17 @@ def _triangulate_lines(tracks, poses_init, intr, gates, audit):
     return lines, line_obs
 
 
-def _detect_global_primitives(frames, poses_init, config, options):
+def _detect_global_primitives(frames, poses_init, config):
     """Per-frame VP detection, lifting, and world-frame fusion."""
-    registry = GlobalPrimitiveRegistry(options.fuse_tol_deg)
+    registry = GlobalPrimitiveRegistry()
     seg_gp: dict[tuple[int, int], int] = {}  # (frame, segment id) -> gp id
+    tau_s = GateThresholds().tau_s
     for t, fr in enumerate(frames):
-        segs = filter_short(fr.segments, options.gates.tau_s)
+        segs = filter_short(fr.segments, tau_s)
         if len(segs) < 2:
             continue
         estimates = detect_vanishing_points(
-            segs, n_hypotheses=options.vp_hypotheses,
-            theta_cons_deg=options.vp_consensus_deg,
-            min_cluster_size=options.vp_min_cluster,
+            segs, n_hypotheses=VP_HYPOTHESES, min_cluster_size=VP_MIN_CLUSTER,
             rng_seed=config.rng_seed * 1009 + t)
         lifted = []
         for est in estimates:
@@ -208,11 +196,9 @@ def _detect_global_primitives(frames, poses_init, config, options):
     return registry, seg_gp
 
 
-def run_pipeline(config: ScenarioConfig, mode: str,
-                 options: PipelineOptions | None = None) -> PipelineResult:
+def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    options = options or PipelineOptions()
     intr = config.intrinsics
 
     try:
@@ -225,19 +211,18 @@ def run_pipeline(config: ScenarioConfig, mode: str,
     poses_init = perturb_poses(poses_gt, config)
 
     try:
-        tracks = build_line_tracks(frames, options.gates.tau_s, options.match)
+        tracks = build_line_tracks(frames)
         points, obs_by_point = _triangulate_points(frames, poses_init, intr)
         audit: list[GateAuditRow] = []
         lines, line_obs = _triangulate_lines(tracks, poses_init, intr,
-                                             options.gates, audit)
+                                             GateThresholds(), audit)
     except Exception as e:
         raise PipelineError("mapping", str(e)) from e
 
     registry, seg_gp = None, {}
     if mode == "gp":
         try:
-            registry, seg_gp = _detect_global_primitives(frames, poses_init,
-                                                         config, options)
+            registry, seg_gp = _detect_global_primitives(frames, poses_init, config)
         except Exception as e:
             raise PipelineError("vp_detect", str(e)) from e
 
@@ -248,8 +233,7 @@ def run_pipeline(config: ScenarioConfig, mode: str,
         for pid, p in points.items():
             g.add_point(pid, p)
             for t, px in obs_by_point[pid]:
-                g.add_factor(fg.PointFactor(t, pid, np.asarray(px), intr,
-                                            sigma_px=options.sigma_point_px))
+                g.add_factor(fg.PointFactor(t, pid, np.asarray(px), intr))
         # line variables, sign-aligned to their global primitive if any
         line_gp = {}
         if mode == "gp" and registry is not None:
@@ -264,21 +248,17 @@ def run_pipeline(config: ScenarioConfig, mode: str,
                 line = type(line)(-line.normal, -line.direction)
             g.add_line(lid, plucker_to_orthonormal(line))
             for t, seg in line_obs[lid]:
-                g.add_factor(fg.LineFactor(t, lid, seg, intr,
-                                           sigma_px=options.sigma_line_px))
+                g.add_factor(fg.LineFactor(t, lid, seg, intr))
         if mode == "gp" and registry is not None:
             for gp_id, gp in enumerate(registry.primitives):
                 g.add_gp(gp_id, gp.direction)
             seg_lookup = {(fr.frame_id, s.id): s for fr in frames
                           for s in fr.segments}
             for (t, sid), gp_id in sorted(seg_gp.items()):
-                g.add_factor(fg.VdAlignFactor(t, gp_id, seg_lookup[(t, sid)],
-                                              intr, sigma=options.sigma_vd))
+                g.add_factor(fg.VdAlignFactor(t, gp_id, seg_lookup[(t, sid)], intr))
             for lid, gp_id in sorted(line_gp.items()):
-                g.add_factor(fg.StructFactor(lid, gp_id,
-                                             sigma=options.sigma_struct))
-        report = fg.optimize(g, replace(options.optimizer,
-                                        fixed_variable_keys=(("pose", 0),)))
+                g.add_factor(fg.StructFactor(lid, gp_id))
+        report = fg.optimize(g, fg.OptimizeOptions(fixed_variable_keys=(("pose", 0),)))
     except Exception as e:
         raise PipelineError("optimize", str(e)) from e
 
@@ -332,8 +312,7 @@ class AblationReport:
         return "\n".join(rows) + "\n"
 
 
-def run_ablation(config: ScenarioConfig, n_seeds: int,
-                 options: PipelineOptions | None = None) -> AblationReport:
+def run_ablation(config: ScenarioConfig, n_seeds: int) -> AblationReport:
     """Paired LP vs LP+GP runs over seeds with identical per-seed worlds."""
     if n_seeds < 2:
         raise ValueError("need at least 2 seeds")
@@ -342,8 +321,8 @@ def run_ablation(config: ScenarioConfig, n_seeds: int,
         seed = config.rng_seed + i
         cfg = replace(config, rng_seed=seed)
         try:
-            res_lp = run_pipeline(cfg, "lp", options)
-            res_gp = run_pipeline(cfg, "gp", options)
+            res_lp = run_pipeline(cfg, "lp")
+            res_gp = run_pipeline(cfg, "gp")
             per_seed.append({"seed": seed,
                              "ate_lp": res_lp.metrics["ate_rmse_m"],
                              "ate_gp": res_gp.metrics["ate_rmse_m"]})

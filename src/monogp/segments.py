@@ -26,21 +26,8 @@ class Segment2D:
             raise ValueError("zero-length segment")
 
     @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.p_end - self.p_start))
-
-    @property
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.p_start + self.p_end)
-
-    @property
-    def direction(self) -> np.ndarray:
-        """Unit direction from start to end."""
-        d = self.p_end - self.p_start
-        n = np.linalg.norm(d)
-        if n == 0.0:
-            raise ValueError("zero-length segment has no direction")
-        return d / n
 
 
 def rowdot(a, b) -> np.ndarray:
@@ -81,7 +68,8 @@ def endpoints(segments) -> np.ndarray:
 
 def segment_frames(ends) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and unit directions (n, 2) of stacked endpoints (n, 4),
-    bit for bit `Segment2D.midpoint` and `.direction`."""
+    bit for bit `Segment2D.midpoint` and `d / np.linalg.norm(d)` of each
+    `d = p_end - p_start`."""
     d = ends[:, 2:] - ends[:, :2]
     return 0.5 * (ends[:, :2] + ends[:, 2:]), d / row_norms(d)[:, None]
 

@@ -339,12 +339,19 @@ def render_measurements(world: World, poses: list[Pose],
         if len(pt_obs) < 8:
             warnings.warn(f"sparse frame {t}: only {len(pt_obs)} points visible")
         # -- segments -------------------------------------------------------
+        extents = {}  # line id -> visible extent in this frame, projected once
+
+        def extent(lid):
+            if lid not in extents:
+                extents[lid] = _project_world_segment(world.lines[lid], pose, intr,
+                                                      w, h, vis.max_range)
+            return extents[lid]
+
         candidates = []  # (line_id, ps, pe)
         for lid in sorted(world.lines):
             if not _allowed(lid, t, vis):
                 continue
-            proj = _project_world_segment(world.lines[lid], pose, intr, w, h,
-                                          vis.max_range)
+            proj = extent(lid)
             if proj is not None:
                 candidates.append((lid, proj[0], proj[1]))
         # budget: longest first, id as a stable tie-break
@@ -377,8 +384,7 @@ def render_measurements(world: World, poses: list[Pose],
                 info = prev.truth[seg.id]
                 if info.outlier or info.line_id is None:
                     continue
-                proj = _project_world_segment(world.lines[info.line_id], pose,
-                                              intr, w, h, vis.max_range)
+                proj = extent(info.line_id)
                 if proj is None:
                     continue
                 noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_flow_px

@@ -120,7 +120,7 @@ def filter_short(segments: list[Segment2D], tau_s: float) -> list[Segment2D]:
     """Keep segments with length >= tau_s (boundary kept), order preserved.
 
     The lengths are `row_norms` of the stacked endpoint differences, bit for
-    bit `Segment2D.length`."""
+    bit `np.linalg.norm(p_end - p_start)` of each segment."""
     ends = endpoints(segments)
     keep = row_norms(ends[:, 2:] - ends[:, :2]) >= tau_s
     return [s for s, k in zip(segments, keep.tolist()) if k]

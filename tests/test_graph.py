@@ -543,6 +543,7 @@ def test_optimize_recovers_perturbed_pose():
     g, options = perturbed_pose_graph()
     report = optimize(g, options)
     assert report.converged
+    assert report.final_cost == total_cost(g)
     pose = g.poses[0]
     assert np.linalg.norm(pose.translation - IDENTITY.translation) < 1e-6
     rot_err = np.arccos(np.clip((np.trace(pose.rotation) - 1.0) / 2.0, -1, 1))
@@ -598,7 +599,7 @@ def traced_optimize(monkeypatch, g, options):
     report = optimize(g, options)
     monkeypatch.undo()
     rejected, current = 0, None
-    for what, cost in events[:-1]:  # the last total_cost is the final cost
+    for what, cost in events:
         if what == "lin":
             current = cost
         elif cost >= current:
@@ -621,6 +622,7 @@ def test_optimize_restores_each_rejected_trial_exactly(monkeypatch):
     options = replace(options, rel_tol=0.0, abs_tol=0.0)
     report, counts, rejected = traced_optimize(monkeypatch, g, options)
     assert report.final_cost < 1e-18
+    assert report.final_cost == total_cost(g)
     assert len(counts["retract"]) <= 4 * counts["solve"]
     assert rejected >= 1
     assert counts["restore"] == rejected

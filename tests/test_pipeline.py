@@ -7,7 +7,6 @@ import pytest
 from monogp.cli import main
 from monogp.pipeline import (
     PipelineError,
-    PipelineOptions,
     build_line_tracks,
     run_ablation,
     run_pipeline,
@@ -141,9 +140,8 @@ PINNED_TRACKS = {
 
 def test_build_line_tracks_pinned_on_structured():
     cfg = structured(0)
-    opts = PipelineOptions()
     frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
-    tracks = build_line_tracks(frames, opts.gates.tau_s, opts.match)
+    tracks = build_line_tracks(frames)
     expected = {tid: [(t0 + i, 100000 * (t0 + i) + k if k >= 0 else k)
                       for i, k in enumerate(ks)]
                 for tid, (t0, ks) in PINNED_TRACKS.items()}

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from monogp import simulate
 from monogp.geometry import PluckerLine
+from monogp.scenarios import structured
 from monogp.simulate import (
     NoiseSpec,
     ScenarioConfig,
@@ -164,6 +166,23 @@ def test_predicted_segments_reference_previous_frame():
     for p in frames[1].predicted:
         assert p.track_id is not None
         assert -p.id - 1 in prev_ids  # flow source segment
+
+
+def test_each_world_line_projected_at_most_once_per_frame(monkeypatch):
+    # the flow predictions reuse the candidates' projection of a line
+    cfg = structured(0)
+    world = generate_world(cfg)
+    poses = generate_trajectory(cfg)
+    calls = []
+    project = simulate._project_world_segment
+
+    def counting_project(wl, *args):
+        calls.append(wl)
+        return project(wl, *args)
+
+    monkeypatch.setattr(simulate, "_project_world_segment", counting_project)
+    render_measurements(world, poses, cfg)
+    assert len(calls) <= len(world.lines) * len(poses)
 
 
 def test_rendering_reproducible():

@@ -43,6 +43,12 @@ def seg(x1, y1, x2, y2, sid=0, track_id=None):
     return Segment2D([x1, y1], [x2, y2], id=sid, track_id=track_id)
 
 
+def direction(s):
+    """Unit direction of a segment, start to end."""
+    d = s.p_end - s.p_start
+    return d / np.linalg.norm(d)
+
+
 # -- filtering / tracks ------------------------------------------------------
 
 def test_filter_short_lengths():
@@ -255,7 +261,7 @@ def oracle_match_predicted(predicted, detected, params=None):
             det = detected[k]
             if np.linalg.norm(det_mids[k] - pred_mid) >= params.gate_mid_px:
                 continue
-            ang = oracle_angle_between_deg(det.direction, pred.direction)
+            ang = oracle_angle_between_deg(direction(det), direction(pred))
             if ang >= params.gate_ang_deg:
                 continue
             overlap = np.clip(oracle_overlap_ratio(pred.p_start, pred.p_end,
@@ -322,7 +328,7 @@ def oracle_run_gates(frame_id, track_id, observed, projected, thresholds, audit=
     d_e = abs(float(l_proj @ np.array([*observed.p_end, 1.0])))
     rep = oracle_reprojection_gate(observed.midpoint, projected.midpoint, d_s, d_e,
                                    thresholds.theta_thre, thresholds.d_thre)
-    sen = oracle_sensitivity_gate(projected.direction, observed.midpoint,
+    sen = oracle_sensitivity_gate(direction(projected), observed.midpoint,
                                   projected.midpoint, thresholds.alpha_thre)
     ove = oracle_overlap_gate(observed.p_start, observed.p_end,
                               projected.p_start, projected.p_end, thresholds.r_thre)
@@ -402,7 +408,8 @@ def test_match_predicted_equals_oracle_on_scenes(config):
         predicted = filter_short(fr.predicted, tau_s)
         detected = filter_short(fr.segments, tau_s)
         for kept, segments in ((predicted, fr.predicted), (detected, fr.segments)):
-            assert list(map(id, kept)) == [id(s) for s in segments if s.length >= tau_s]
+            assert list(map(id, kept)) == [id(s) for s in segments
+                                         if np.linalg.norm(s.p_end - s.p_start) >= tau_s]
         out = match_predicted(predicted, detected)
         assert match_key(out) == match_key(oracle_match_predicted(predicted, detected))
         matched += sum(source == "detected" for _, _, source in out)
@@ -431,7 +438,7 @@ def assert_lines_equal_oracle(tracks, poses, intr, gates, tmp_path):
 def test_gate_audit_equals_oracle_on_scenes(config, tmp_path):
     frames, poses = scene(config)
     gates = GateThresholds()
-    tracks = build_line_tracks(frames, gates.tau_s, MatchParams())
+    tracks = build_line_tracks(frames)
     audit = assert_lines_equal_oracle(tracks, poses, config.intrinsics, gates, tmp_path)
     assert {r.verdict for r in audit} >= {"pass", "midpoint"}
 
@@ -466,7 +473,7 @@ def test_match_detection_taken_by_earlier_prediction():
 def test_match_angle_gate_boundary():
     pred = seg(100, 100, 200, 100, sid=0, track_id=2)
     det = seg(100, 99, 200, 101.5, sid=9)
-    ang = oracle_angle_between_deg(det.direction, pred.direction)
+    ang = oracle_angle_between_deg(direction(det), direction(pred))
     for gate, source in ((ang, "predicted"), (np.nextafter(ang, np.inf), "detected")):
         params = MatchParams(gate_ang_deg=gate)
         out = match_predicted([pred], [det], params)

@@ -134,7 +134,8 @@ def floyd_pair(words, pos, n):
 def einsum_consensus_matrix(segments, hypotheses):
     """Oracle: the broadcast copy, masked write and einsum formulation."""
     mids = np.array([s.midpoint for s in segments])
-    dirs = np.array([s.direction for s in segments])
+    dirs = np.array([(s.p_end - s.p_start) / np.linalg.norm(s.p_end - s.p_start)
+                     for s in segments])
     H = np.asarray(hypotheses, dtype=float)
     finite = np.abs(H[:, 2]) >= 1e-9
     to_vp = np.broadcast_to(H[None, :, :2], (len(segments), len(H), 2)).copy()
@@ -159,7 +160,7 @@ def scalar_consensus(seg, vp):
         to_vp = vp[:2] / vp[2] - seg.midpoint
         if np.linalg.norm(to_vp) < 1e-9:
             raise ValueError("vp at segment midpoint")
-    u = seg.direction
+    u = (seg.p_end - seg.p_start) / np.linalg.norm(seg.p_end - seg.p_start)
     dot = abs(float(u @ to_vp))
     cross = abs(float(u[0] * to_vp[1] - u[1] * to_vp[0]))
     return math.degrees(math.atan2(cross, dot))
