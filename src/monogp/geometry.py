@@ -146,10 +146,6 @@ class Pose:
         return cls(r_cw, -r_cw @ c_w)
 
     @property
-    def r_cw(self) -> np.ndarray:
-        return self.rotation
-
-    @property
     def r_wc(self) -> np.ndarray:
         return self.rotation.T
 
@@ -158,7 +154,14 @@ class Pose:
         return -self.rotation.T @ self.translation
 
     def transform(self, p_w) -> np.ndarray:
-        return self.rotation @ np.asarray(p_w, dtype=float) + self.translation
+        """Camera coordinates of a world point (3,) or of stacked points (k, 3).
+
+        Each point is one matrix-vector product with the rotation in its own
+        memory layout (BLAS sums in the layout's order), so a stacked call
+        equals one call per point bit for bit.
+        """
+        p = np.asarray(p_w, dtype=float)
+        return (self.rotation @ p[..., None])[..., 0] + self.translation
 
     def compose(self, other: "Pose") -> "Pose":
         """self ∘ other: apply `other` first, then `self`."""

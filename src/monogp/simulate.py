@@ -7,6 +7,18 @@ landmarks per frame, adds seeded Gaussian noise, plants uniform-random
 outlier segments, enforces a fixed per-frame segment budget (longest
 first), and emits exact-flow predicted segments for line tracking.
 
+Each frame is one stacked pass over all points and all world lines:
+projection, the MIN_DEPTH crossing, max_range, Liang-Barsky clipping, the
+length filter and the budget run on arrays, and the flow predictions reuse
+the frame's line extents. The floats are those of a per-point, per-line loop
+(`Pose.transform` multiplies each rotation in its own memory layout, lengths
+go through `row_norms`, a clip bound moves only when strictly tighter).
+Each frame's generator draws, in this order: the point noise as one block in
+point-id order, the endpoint noise as one block in segment order, the
+outliers (one `choice`, then per outlier its `uniform` draws), and the flow
+noise as one block in the order of the previous frame's segments. A block
+of k rows is the same stream as k draws of one row.
+
 Optional visibility partitioning assigns each landmark a window of frames,
 so scenarios where distant frames share zero landmarks (but observe the
 same direction families) can be planted by construction.
@@ -21,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose
-from .segments import Segment2D
+from .segments import Segment2D, row_norms
 
 MIN_DEPTH = 0.3         # m; landmarks closer than this are culled
 MIN_SEGMENT_PX = 2.0    # discard projected segments shorter than this
@@ -253,66 +265,66 @@ def _rot_y(a):
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _allowed(landmark_id: int, frame_id: int, vis: VisibilitySpec) -> bool:
+def _allowed(ids, frame_id: int, vis: VisibilitySpec) -> np.ndarray:
+    """Mask of the landmarks `ids` (k,) that the partition windows let frame
+    `frame_id` see: group `id % len(windows)` sees only inside its window."""
     if not vis.partition_windows:
-        return True
-    windows = vis.partition_windows
-    lo, hi = windows[landmark_id % len(windows)]
-    return lo <= frame_id < hi
+        return np.ones(len(ids), dtype=bool)
+    lo, hi = np.array(vis.partition_windows).T
+    group = ids % len(lo)
+    return (lo[group] <= frame_id) & (frame_id < hi[group])
 
 
-def _project_pixel(p_c, intr) -> np.ndarray:
-    return np.array([intr.fx * p_c[0] / p_c[2] + intr.cx,
-                     intr.fy * p_c[1] / p_c[2] + intr.cy])
+def _pixels(p_c, intr) -> np.ndarray:
+    return np.column_stack([intr.fx * p_c[:, 0] / p_c[:, 2] + intr.cx,
+                            intr.fy * p_c[:, 1] / p_c[:, 2] + intr.cy])
 
 
-def _clip_2d(p, q, w, h):
-    """Liang-Barsky clip of segment p-q to [0,w] x [0,h]; None if outside."""
+def _clip(p, q, w, h):
+    """Liang-Barsky clip of the segments p-q (k, 2) to [0,w] x [0,h].
+
+    Returns the mask of the segments that keep a part and their clipped ends.
+    A parameter moves only when the new bound is strictly tighter, the rule
+    of Python's `max(t0, t)` and `min(t1, t)`.
+    """
     d = q - p
-    t0, t1 = 0.0, 1.0
-    for num, den in (( -p[0], -d[0]), (p[0] - w, d[0]),
-                     (-p[1], -d[1]), (p[1] - h, d[1])):
+    t0, t1 = np.zeros(len(p)), np.ones(len(p))
+    keep = np.ones(len(p), dtype=bool)
+    for num, den in ((-p[:, 0], -d[:, 0]), (p[:, 0] - w, d[:, 0]),
+                     (-p[:, 1], -d[:, 1]), (p[:, 1] - h, d[:, 1])):
         # inside when num + t*den <= 0
-        if abs(den) < 1e-15:
-            if num > 0:
-                return None
-            continue
-        t = -num / den
-        if den < 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 > t1:
-            return None
-    return p + t0 * d, p + t1 * d
+        flat = np.abs(den) < 1e-15
+        keep &= ~(flat & (num > 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -num / den
+        t0 = np.where(~flat & (den < 0) & (t > t0), t, t0)
+        t1 = np.where(~flat & (den > 0) & (t < t1), t, t1)
+        keep &= ~(t0 > t1)
+    return keep, p + t0[:, None] * d, p + t1[:, None] * d
 
 
-def _project_world_segment(wl: WorldLine, pose: Pose, intr, width, height,
-                           max_range):
-    """Visible 2D extent of a world segment, or None."""
-    a = pose.transform(wl.p0)
-    b = pose.transform(wl.p1)
-    # clip to the z >= MIN_DEPTH half space
-    if a[2] < MIN_DEPTH and b[2] < MIN_DEPTH:
-        return None
-    if a[2] < MIN_DEPTH or b[2] < MIN_DEPTH:
-        t = (MIN_DEPTH - a[2]) / (b[2] - a[2])
-        crossing = a + t * (b - a)
-        if a[2] < MIN_DEPTH:
-            a = crossing
-        else:
-            b = crossing
-    if min(a[2], b[2]) > max_range:
-        return None
-    pa = _project_pixel(a, intr)
-    pb = _project_pixel(b, intr)
-    clipped = _clip_2d(pa, pb, float(width), float(height))
-    if clipped is None:
-        return None
-    ps, pe = clipped
-    if np.linalg.norm(pe - ps) < MIN_SEGMENT_PX:
-        return None
-    return ps, pe
+def _line_extents(p0, p1, pose: Pose, intr, width, height, max_range):
+    """Visible image extents of the world segments p0-p1 (k, 3) in one frame.
+
+    Returns the mask (k,) of the visible segments and their start and end
+    pixels (k, 2): the part with z >= MIN_DEPTH, dropped beyond max_range,
+    clipped to the image and dropped below MIN_SEGMENT_PX. Rows the mask
+    drops may hold any value.
+    """
+    a, b = pose.transform(p0), pose.transform(p1)
+    a_near, b_near = a[:, 2] < MIN_DEPTH, b[:, 2] < MIN_DEPTH
+    # dropped rows may divide by zero on the way
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # clip to the z >= MIN_DEPTH half space
+        t = (MIN_DEPTH - a[:, 2]) / (b[:, 2] - a[:, 2])
+        crossing = a + t[:, None] * (b - a)
+        a = np.where(a_near[:, None], crossing, a)
+        b = np.where(b_near[:, None], crossing, b)
+        visible = ~(a_near & b_near) & ~(np.minimum(a[:, 2], b[:, 2]) > max_range)
+        keep, ps, pe = _clip(_pixels(a, intr), _pixels(b, intr),
+                             float(width), float(height))
+        visible &= keep & ~(row_norms(pe - ps) < MIN_SEGMENT_PX)
+    return visible, ps, pe
 
 
 def render_measurements(world: World, poses: list[Pose],
@@ -320,48 +332,41 @@ def render_measurements(world: World, poses: list[Pose],
     intr = config.intrinsics
     w, h = config.image_width, config.image_height
     vis = config.visibility
+    noise = config.noise
+    point_ids = np.array(sorted(world.points), dtype=int)
+    points = np.array([world.points[i] for i in point_ids.tolist()],
+                      dtype=float).reshape(-1, 3)
+    row_of = {lid: r for r, lid in enumerate(sorted(world.lines))}
+    line_ids = np.array(list(row_of), dtype=int)
+    lines = [world.lines[i] for i in row_of]
+    p0 = np.array([wl.p0 for wl in lines], dtype=float).reshape(-1, 3)
+    p1 = np.array([wl.p1 for wl in lines], dtype=float).reshape(-1, 3)
     frames = []
     for t, pose in enumerate(poses):
         rng = np.random.default_rng([config.rng_seed, 7919, t])
         # -- points ---------------------------------------------------------
-        pt_obs = []
-        for pid in sorted(world.points):
-            if not _allowed(pid, t, vis):
-                continue
-            p_c = pose.transform(world.points[pid])
-            if not (MIN_DEPTH < p_c[2] <= vis.max_range):
-                continue
-            px = _project_pixel(p_c, intr)
-            if not (0 <= px[0] <= w and 0 <= px[1] <= h):
-                continue
-            noise = rng.normal(0.0, 1.0, size=2) * config.noise.sigma_point_px
-            pt_obs.append((pid, px + noise))
+        p_c = pose.transform(points)
+        near = (_allowed(point_ids, t, vis) & (MIN_DEPTH < p_c[:, 2])
+                & (p_c[:, 2] <= vis.max_range))
+        px = _pixels(p_c[near], intr)
+        inside = (0 <= px[:, 0]) & (px[:, 0] <= w) & (0 <= px[:, 1]) & (px[:, 1] <= h)
+        obs = px[inside] + (rng.normal(0.0, 1.0, size=(int(inside.sum()), 2))
+                            * noise.sigma_point_px)
+        pt_obs = list(zip(point_ids[near][inside].tolist(), obs))
         if len(pt_obs) < 8:
             warnings.warn(f"sparse frame {t}: only {len(pt_obs)} points visible")
-        # -- segments -------------------------------------------------------
-        extents = {}  # line id -> visible extent in this frame, projected once
-
-        def extent(lid):
-            if lid not in extents:
-                extents[lid] = _project_world_segment(world.lines[lid], pose, intr,
-                                                      w, h, vis.max_range)
-            return extents[lid]
-
-        candidates = []  # (line_id, ps, pe)
-        for lid in sorted(world.lines):
-            if not _allowed(lid, t, vis):
-                continue
-            proj = extent(lid)
-            if proj is not None:
-                candidates.append((lid, proj[0], proj[1]))
-        # budget: longest first, id as a stable tie-break
-        candidates.sort(key=lambda c: (-np.linalg.norm(c[2] - c[1]), c[0]))
-        candidates = sorted(candidates[:config.n_l], key=lambda c: c[0])
+        # -- segments: every line projected once, the flow reuses it ---------
+        seen, ps, pe = _line_extents(p0, p1, pose, intr, w, h, vis.max_range)
+        rows = np.flatnonzero(_allowed(line_ids, t, vis) & seen)
+        # budget: longest first, id as a stable tie-break, then id order
+        length = row_norms(pe[rows] - ps[rows])
+        rows = np.sort(rows[np.lexsort((line_ids[rows], -length))[:config.n_l]])
+        ends = (np.stack([ps[rows], pe[rows]], axis=1)
+                + rng.normal(0.0, 1.0, size=(len(rows), 2, 2)) * noise.sigma_endpoint_px)
         segments, truth = [], {}
-        for i, (lid, ps, pe) in enumerate(candidates):
+        for i, (lid, (a, b)) in enumerate(zip(line_ids[rows].tolist(), ends)):
             sid = t * 100000 + i
-            noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_endpoint_px
-            segments.append(Segment2D(ps + noise[0], pe + noise[1], id=sid))
+            segments.append(Segment2D(a, b, id=sid))
             truth[sid] = SegmentTruth(lid, world.lines[lid].family_id, False)
         # -- outliers -------------------------------------------------------
         n_out = int(round(config.outlier_fraction * len(segments)))
@@ -369,28 +374,28 @@ def render_measurements(world: World, poses: list[Pose],
             idx = rng.choice(len(segments), size=n_out, replace=False)
             for i in sorted(int(j) for j in idx):
                 for _ in range(100):
-                    ps = rng.uniform([0, 0], [w, h])
-                    pe = rng.uniform([0, 0], [w, h])
-                    if np.linalg.norm(pe - ps) >= MIN_OUTLIER_PX:
+                    a = rng.uniform([0, 0], [w, h])
+                    b = rng.uniform([0, 0], [w, h])
+                    if np.linalg.norm(b - a) >= MIN_OUTLIER_PX:
                         break
                 sid = segments[i].id
-                segments[i] = Segment2D(ps, pe, id=sid)
+                segments[i] = Segment2D(a, b, id=sid)
                 truth[sid] = SegmentTruth(None, None, True)
         # -- exact-flow predictions from frame t-1 ---------------------------
         predicted = []
         if t > 0:
             prev = frames[t - 1]
+            sources = []  # (segment id, line id) of the inliers still visible
             for seg in prev.segments:
                 info = prev.truth[seg.id]
-                if info.outlier or info.line_id is None:
-                    continue
-                proj = extent(info.line_id)
-                if proj is None:
-                    continue
-                noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_flow_px
-                predicted.append(Segment2D(proj[0] + noise[0], proj[1] + noise[1],
-                                           id=-(seg.id + 1),
-                                           track_id=info.line_id))
+                if not info.outlier and info.line_id is not None \
+                        and seen[row_of[info.line_id]]:
+                    sources.append((seg.id, info.line_id))
+            rows = [row_of[lid] for _, lid in sources]
+            ends = (np.stack([ps[rows], pe[rows]], axis=1)
+                    + rng.normal(0.0, 1.0, size=(len(rows), 2, 2)) * noise.sigma_flow_px)
+            predicted = [Segment2D(a, b, id=-(sid + 1), track_id=lid)
+                         for (sid, lid), (a, b) in zip(sources, ends)]
         frames.append(FrameObservations(t, pt_obs, segments, predicted, truth))
     return frames
 

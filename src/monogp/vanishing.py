@@ -7,12 +7,18 @@ intrinsics and camera rotation to a unit world-frame vanishing direction.
 Vanishing points are kept in spherical normalization (||v|| = 1) so points
 at infinity need no special cases.
 
-The per-frame front end runs on stacked arrays and keeps the floats of a
-per-pair, per-segment loop:
+The per-frame front end stacks a frame's endpoints once, runs on arrays and
+keeps the floats of a per-pair, per-segment loop:
 - the hypothesis pairs are decoded in bulk from the seeded generator's
   uint32 words, exactly as `Generator.choice(n, 2, replace=False)` draws
   them (Floyd's algorithm with Lemire's bounded draw), one block of words
   per batch of attempts;
+- J-Linkage keeps each preference set as a bit-packed row of uint64 words,
+  so set sizes and intersections are exact popcounts; rows are ordered by
+  segment id, which turns the tie rule (smallest sorted id pair among the
+  distances <= dmin + 1e-15) into the first such entry in row-major order;
+- each cluster is refined from its rows of the stacked endpoints, in input
+  order;
 - norms and the refinement's dot products go through `segments.rowdot`
   and `row_norms`, which call the same BLAS dot as `np.linalg.norm` and `@`
   on one vector (`np.linalg.norm(axis=...)` and `einsum` round differently).
@@ -103,19 +109,18 @@ def _decode_pairs(words, n: int):
     return pairs, per * t + dropped
 
 
-def sample_vp_hypotheses(segments: list[Segment2D], m: int,
-                         rng_seed: int) -> np.ndarray:
+def sample_vp_hypotheses(ends, m: int, rng_seed: int) -> np.ndarray:
     """Up to m VP hypotheses (k, 3) from random pairs of distinct segments, seeded.
 
+    `ends` holds the segments' stacked endpoints (n, 4).
     Each attempt draws its pair as `rng.choice(n, 2, replace=False)` would;
     a batch of attempts takes one block of words. A pair of numerically
     identical lines (||v|| < 1e-12) is skipped, up to 50·m attempts in all.
     """
-    if len(segments) < 2:
+    n = len(ends)
+    if n < 2:
         raise ValueError("too few segments: need at least 2")
-    n = len(segments)
     rng = np.random.default_rng(rng_seed)
-    ends = endpoints(segments)
     lines = lines_through(ends[:, :2], ends[:, 2:])
     per = 2 if n == 2 else 3
     words = np.empty(0, dtype=np.uint32)
@@ -163,85 +168,87 @@ def consensus_angles(ends, vp) -> np.ndarray:
                      for c, d in zip(cross.tolist(), dot.tolist())])
 
 
-def _consensus_matrix(segments, hypotheses) -> np.ndarray:
-    """(n_segments, n_hypotheses) matrix of consensus angles in degrees;
-    90 where a hypothesis sits on a segment midpoint."""
-    mids, dirs = segment_frames(endpoints(segments))
+def _consensus_matrix(ends, hypotheses) -> np.ndarray:
+    """(n_segments, n_hypotheses) matrix of consensus angles in degrees for
+    stacked endpoints (n, 4); 90 where a hypothesis sits on a segment midpoint."""
+    mids, dirs = segment_frames(ends)
     tx, ty = _rays(mids, np.asarray(hypotheses, dtype=float))
     ux, uy = dirs[:, :1], dirs[:, 1:]
     ang = np.degrees(np.arctan2(np.abs(ux * ty - uy * tx), np.abs(ux * tx + uy * ty)))
     return np.where(np.sqrt(tx * tx + ty * ty) >= 1e-9, ang, 90.0)
 
 
-def jlinkage_cluster(segments: list[Segment2D], hypotheses,
-                     theta_cons_deg: float = DEFAULT_CONSENSUS_DEG,
-                     min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
+def _jaccard(inter, sizes, size) -> np.ndarray:
+    """Jaccard distances 1 − |A∩B| / |A∪B| from exact integer counts; 1 for
+    two empty sets."""
+    union = sizes + size - inter
+    return 1.0 - np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
+
+
+def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
                      ) -> list[frozenset]:
-    """J-Linkage clustering of segments by VP hypothesis preference sets.
+    """J-Linkage clustering of segments by their VP hypothesis preference sets.
 
-    Agglomerative merging by minimum Jaccard distance of cluster preference
-    sets (intersection of member preferences), stopping when the minimum
-    distance reaches 1. Clusters smaller than min_cluster_size are dropped.
-    Returns disjoint frozensets of segment ids.
+    `ids` (n,) are the unique segment ids and `pref` (n, m) says which of m
+    hypotheses each segment is consistent with. Agglomerative merging by
+    minimum Jaccard distance of cluster preference sets (intersection of
+    member preferences), stopping when the minimum distance reaches 1.
+    Clusters smaller than min_cluster_size are dropped. Returns disjoint
+    frozensets of segment ids.
 
-    The distance matrix is built once. A merge of j into i changes only
-    cluster i's preference set, so only row/column i is recomputed, from
-    one (n, m) @ (m,) product of exact integer counts; j's row and column
-    become +inf. Arrays keep their size, so indices keep the input order.
+    Preference sets are bit-packed rows of uint64 words, so set sizes and
+    intersections are exact popcounts. Rows are ordered by segment id: a
+    merge of rows i < j keeps row i, so each cluster's smallest id is its row
+    index, and only the upper triangle of the distance matrix holds values
+    (+inf elsewhere). The tie rule, merge the pair with the smallest sorted
+    id pair among distances <= dmin + 1e-15, is then the first such entry in
+    row-major order. A merge recomputes row and column i from one popcount
+    pass and retires j's as +inf. The result does not depend on input order.
     """
-    if not segments or len(hypotheses) == 0:
+    ids = np.asarray(ids)
+    pref = np.asarray(pref, dtype=bool)
+    if pref.size == 0:
         raise ValueError("need non-empty segments and hypotheses")
-    pref = _consensus_matrix(segments, hypotheses) < theta_cons_deg  # (n, m)
+    n, m = pref.shape
+    order = np.argsort(ids)
+    bits = np.zeros((n, -(-m // 64) * 64), dtype=bool)
+    bits[:, :m] = pref[order]
+    sets = np.packbits(bits, axis=1).view(np.uint64)  # (n, words)
+    sizes = np.bitwise_count(sets).sum(axis=1)
+    members = [frozenset([sid]) for sid in ids[order].tolist()]
+    alive = np.ones(n, dtype=bool)
 
-    members = [frozenset([s.id]) for s in segments]
-    P = pref.astype(np.float64)
-    sizes = P.sum(axis=1)
-    # min id per cluster gives order-independent tie-breaking
-    keys = [min(m) for m in members]
-    alive = np.ones(len(members), dtype=bool)
-
-    def jaccard(inter, size):
-        union = sizes + size - inter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d = 1.0 - inter / union
-        d[union == 0] = 1.0
-        return d
-
-    dist = jaccard(P @ P.T, sizes[:, None])
-    np.fill_diagonal(dist, np.inf)
+    inter = np.bitwise_count(sets[:, None, :] & sets[None, :, :]).sum(axis=2)
+    dist = _jaccard(inter, sizes, sizes[:, None])
+    dist[np.tril_indices(n)] = np.inf
 
     while True:
         dmin = dist.min()
         if dmin >= 1.0 - 1e-12:  # also a lone cluster: everything is +inf
             break
-        # Among ties, merge the pair with lexicographically smallest keys.
-        rows, cols = np.divmod(np.flatnonzero(dist <= dmin + 1e-15), len(members))
-        ties = [(int(i), int(j)) for i, j in zip(rows, cols) if i < j]
-        i, j = min(ties, key=lambda ij: tuple(sorted((keys[ij[0]], keys[ij[1]]))))
+        i, j = divmod(int(np.argmax(dist <= dmin + 1e-15)), n)
         members[i] = members[i] | members[j]
-        P[i] = P[i] * P[j]  # preference-set intersection
-        sizes[i] = P[i].sum()
-        keys[i] = min(keys[i], keys[j])
+        sets[i] &= sets[j]  # preference-set intersection
+        sizes[i] = np.bitwise_count(sets[i]).sum()
         alive[j] = False
-        row = jaccard(P @ P[i], sizes[i])
+        row = _jaccard(np.bitwise_count(sets & sets[i]).sum(axis=1), sizes, sizes[i])
         row[~alive] = np.inf
-        row[i] = np.inf
-        dist[i, :] = row
-        dist[:, i] = row
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
+        dist[:i, i] = row[:i]
+        dist[i, i + 1:] = row[i + 1:]
+        dist[:j, j] = np.inf
+        dist[j, j + 1:] = np.inf
 
-    clusters = [m for m, a in zip(members, alive) if a and len(m) >= min_cluster_size]
+    clusters = [c for c, a in zip(members, alive) if a and len(c) >= min_cluster_size]
     clusters.sort(key=lambda c: (-len(c), min(c)))
     return clusters
 
 
-def refine_vp(cluster_segments: list[Segment2D]) -> VanishingPointEstimate:
-    """Least-squares VP of a cluster: smallest singular vector of stacked lines."""
-    if len(cluster_segments) < 2:
+def refine_vp(ends, member_ids) -> VanishingPointEstimate:
+    """Least-squares VP of a cluster from its stacked endpoints (n, 4):
+    smallest singular vector of the stacked lines."""
+    if len(ends) < 2:
         raise ValueError("cluster must contain at least 2 segments")
     # Condition the system: shift/scale pixel coordinates before the SVD.
-    ends = endpoints(cluster_segments)
     pts = ends.reshape(-1, 2)
     mid = pts.mean(axis=0)
     scale = max(float(np.abs(pts - mid).mean()), 1e-9)
@@ -257,7 +264,7 @@ def refine_vp(cluster_segments: list[Segment2D]) -> VanishingPointEstimate:
     vp = vp / np.linalg.norm(vp)
     residuals = consensus_angles(ends, vp)
     rms = math.sqrt(float(np.mean(np.square(residuals))))
-    return VanishingPointEstimate(vp, frozenset(s.id for s in cluster_segments), rms)
+    return VanishingPointEstimate(vp, frozenset(member_ids), rms)
 
 
 def lift_vanishing_point(vp, intr: CameraIntrinsics, r_wc) -> np.ndarray:
@@ -275,31 +282,33 @@ def detect_vanishing_points(segments: list[Segment2D],
                             rng_seed: int = 0) -> list[VanishingPointEstimate]:
     """Full per-frame VP detection: sample, cluster, refine.
 
-    Segments get their cluster_label set (index into the returned list,
-    None for outliers). Segment ids must be unique: clusters are sets of ids.
+    Every segment gets its cluster_label set (index into the returned list,
+    None for outliers), on every return. Segment ids must be unique: clusters
+    are sets of ids. The endpoints are stacked once; each cluster is refined
+    from its rows, in input order.
     """
-    seen = set()
-    for s in segments:
-        if s.id in seen:
+    row_of = {}
+    for r, s in enumerate(segments):
+        if s.id in row_of:
             raise ValueError(f"duplicate segment id {s.id}")
-        seen.add(s.id)
+        row_of[s.id] = r
+    for s in segments:
+        s.cluster_label = None
     if len(segments) < 2:
         return []
-    hyps = sample_vp_hypotheses(segments, n_hypotheses, rng_seed)
+    ends = endpoints(segments)
+    hyps = sample_vp_hypotheses(ends, n_hypotheses, rng_seed)
     if len(hyps) == 0:
         return []
-    clusters = jlinkage_cluster(segments, hyps, theta_cons_deg, min_cluster_size)
+    pref = _consensus_matrix(ends, hyps) < theta_cons_deg
     estimates = []
-    label_of = {}
-    for cluster in clusters:
-        members = [s for s in segments if s.id in cluster]
+    for cluster in jlinkage_cluster(list(row_of), pref, min_cluster_size):
+        rows = sorted(row_of[sid] for sid in cluster)
         try:
-            est = refine_vp(members)
+            est = refine_vp(ends[rows], cluster)
         except ValueError:
             continue
-        for sid in cluster:
-            label_of[sid] = len(estimates)
+        for r in rows:
+            segments[r].cluster_label = len(estimates)
         estimates.append(est)
-    for s in segments:
-        s.cluster_label = label_of.get(s.id)
     return estimates

@@ -1,18 +1,27 @@
 """Synthetic world, trajectory, and measurement rendering."""
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from monogp import simulate
-from monogp.geometry import PluckerLine
-from monogp.scenarios import structured
+from monogp.geometry import Pose, PluckerLine
+from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
+from monogp.segments import Segment2D
 from monogp.simulate import (
+    MIN_DEPTH,
+    MIN_OUTLIER_PX,
+    MIN_SEGMENT_PX,
+    FrameObservations,
     NoiseSpec,
     ScenarioConfig,
+    SegmentTruth,
     TrajectorySpec,
     VisibilitySpec,
+    World,
+    WorldLine,
     generate_trajectory,
     generate_world,
     render_measurements,
@@ -26,6 +35,165 @@ def corridor_config(**overrides):
                 trajectory=TrajectorySpec("corridor", 10, 0.25))
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+# -- scalar oracle: one point, one line, one clip at a time ---------------------
+
+def oracle_allowed(landmark_id, frame_id, vis):
+    if not vis.partition_windows:
+        return True
+    windows = vis.partition_windows
+    lo, hi = windows[landmark_id % len(windows)]
+    return lo <= frame_id < hi
+
+
+def oracle_project_pixel(p_c, intr):
+    return np.array([intr.fx * p_c[0] / p_c[2] + intr.cx,
+                     intr.fy * p_c[1] / p_c[2] + intr.cy])
+
+
+def oracle_clip_2d(p, q, w, h):
+    """Liang-Barsky clip of segment p-q to [0,w] x [0,h]; None if outside."""
+    d = q - p
+    t0, t1 = 0.0, 1.0
+    for num, den in ((-p[0], -d[0]), (p[0] - w, d[0]),
+                     (-p[1], -d[1]), (p[1] - h, d[1])):
+        # inside when num + t*den <= 0
+        if abs(den) < 1e-15:
+            if num > 0:
+                return None
+            continue
+        t = -num / den
+        if den < 0:
+            t0 = max(t0, t)
+        else:
+            t1 = min(t1, t)
+        if t0 > t1:
+            return None
+    return p + t0 * d, p + t1 * d
+
+
+def oracle_project_world_segment(wl, pose, intr, width, height, max_range):
+    """Visible 2D extent of a world segment, or None."""
+    a = pose.rotation @ wl.p0 + pose.translation
+    b = pose.rotation @ wl.p1 + pose.translation
+    # clip to the z >= MIN_DEPTH half space
+    if a[2] < MIN_DEPTH and b[2] < MIN_DEPTH:
+        return None
+    if a[2] < MIN_DEPTH or b[2] < MIN_DEPTH:
+        t = (MIN_DEPTH - a[2]) / (b[2] - a[2])
+        crossing = a + t * (b - a)
+        if a[2] < MIN_DEPTH:
+            a = crossing
+        else:
+            b = crossing
+    if min(a[2], b[2]) > max_range:
+        return None
+    pa = oracle_project_pixel(a, intr)
+    pb = oracle_project_pixel(b, intr)
+    clipped = oracle_clip_2d(pa, pb, float(width), float(height))
+    if clipped is None:
+        return None
+    ps, pe = clipped
+    if np.linalg.norm(pe - ps) < MIN_SEGMENT_PX:
+        return None
+    return ps, pe
+
+
+def oracle_render_measurements(world, poses, config):
+    """Oracle: the per-point, per-line rendering loop with one noise draw each."""
+    intr = config.intrinsics
+    w, h = config.image_width, config.image_height
+    vis = config.visibility
+    frames = []
+    for t, pose in enumerate(poses):
+        rng = np.random.default_rng([config.rng_seed, 7919, t])
+        pt_obs = []
+        for pid in sorted(world.points):
+            if not oracle_allowed(pid, t, vis):
+                continue
+            p_c = pose.rotation @ world.points[pid] + pose.translation
+            if not (MIN_DEPTH < p_c[2] <= vis.max_range):
+                continue
+            px = oracle_project_pixel(p_c, intr)
+            if not (0 <= px[0] <= w and 0 <= px[1] <= h):
+                continue
+            noise = rng.normal(0.0, 1.0, size=2) * config.noise.sigma_point_px
+            pt_obs.append((pid, px + noise))
+        extents = {}
+
+        def extent(lid):
+            if lid not in extents:
+                extents[lid] = oracle_project_world_segment(
+                    world.lines[lid], pose, intr, w, h, vis.max_range)
+            return extents[lid]
+
+        candidates = []
+        for lid in sorted(world.lines):
+            if not oracle_allowed(lid, t, vis):
+                continue
+            proj = extent(lid)
+            if proj is not None:
+                candidates.append((lid, proj[0], proj[1]))
+        candidates.sort(key=lambda c: (-np.linalg.norm(c[2] - c[1]), c[0]))
+        candidates = sorted(candidates[:config.n_l], key=lambda c: c[0])
+        segments, truth = [], {}
+        for i, (lid, ps, pe) in enumerate(candidates):
+            sid = t * 100000 + i
+            noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_endpoint_px
+            segments.append(Segment2D(ps + noise[0], pe + noise[1], id=sid))
+            truth[sid] = SegmentTruth(lid, world.lines[lid].family_id, False)
+        n_out = int(round(config.outlier_fraction * len(segments)))
+        if n_out > 0:
+            idx = rng.choice(len(segments), size=n_out, replace=False)
+            for i in sorted(int(j) for j in idx):
+                for _ in range(100):
+                    ps = rng.uniform([0, 0], [w, h])
+                    pe = rng.uniform([0, 0], [w, h])
+                    if np.linalg.norm(pe - ps) >= MIN_OUTLIER_PX:
+                        break
+                sid = segments[i].id
+                segments[i] = Segment2D(ps, pe, id=sid)
+                truth[sid] = SegmentTruth(None, None, True)
+        predicted = []
+        if t > 0:
+            prev = frames[t - 1]
+            for seg in prev.segments:
+                info = prev.truth[seg.id]
+                if info.outlier or info.line_id is None:
+                    continue
+                proj = extent(info.line_id)
+                if proj is None:
+                    continue
+                noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_flow_px
+                predicted.append(Segment2D(proj[0] + noise[0], proj[1] + noise[1],
+                                           id=-(seg.id + 1), track_id=info.line_id))
+        frames.append(FrameObservations(t, pt_obs, segments, predicted, truth))
+    return frames
+
+
+def assert_frames_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.frame_id == w.frame_id
+        assert [pid for pid, _ in g.points] == [pid for pid, _ in w.points]
+        assert all(type(pid) is int for pid, _ in g.points)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(g.points, w.points))
+        for gs, ws in ((g.segments, w.segments), (g.predicted, w.predicted)):
+            assert [(s.id, s.track_id) for s in gs] == [(s.id, s.track_id) for s in ws]
+            assert all(np.array_equal(a.p_start, b.p_start) and np.array_equal(a.p_end, b.p_end)
+                       for a, b in zip(gs, ws))
+        assert g.truth == w.truth
+
+
+def orbit_clutter(seed):
+    """Orbit scene with 20% outlier segments and a 100-segment budget."""
+    return ScenarioConfig(
+        name="orbit-clutter", rng_seed=seed, n_points=20,
+        direction_families=[([1.0, 0.0, 0.0], 30), ([0.0, 1.0, 0.0], 30),
+                            ([0.0, 0.0, 1.0], 30), ([1.0, 0.0, 1.0], 30)],
+        trajectory=TrajectorySpec("orbit", 40, 0.25),
+        noise=NoiseSpec(0.0, 1.0, 0.0), outlier_fraction=0.2, n_l=100)
 
 
 # -- config -------------------------------------------------------------------
@@ -168,21 +336,21 @@ def test_predicted_segments_reference_previous_frame():
         assert -p.id - 1 in prev_ids  # flow source segment
 
 
-def test_each_world_line_projected_at_most_once_per_frame(monkeypatch):
-    # the flow predictions reuse the candidates' projection of a line
+def test_world_lines_projected_in_one_pass_per_frame(monkeypatch):
+    # the candidates and the flow predictions share one stacked projection
     cfg = structured(0)
     world = generate_world(cfg)
     poses = generate_trajectory(cfg)
     calls = []
-    project = simulate._project_world_segment
+    extents = simulate._line_extents
 
-    def counting_project(wl, *args):
-        calls.append(wl)
-        return project(wl, *args)
+    def counting_extents(p0, *args):
+        calls.append(len(p0))
+        return extents(p0, *args)
 
-    monkeypatch.setattr(simulate, "_project_world_segment", counting_project)
+    monkeypatch.setattr(simulate, "_line_extents", counting_extents)
     render_measurements(world, poses, cfg)
-    assert len(calls) <= len(world.lines) * len(poses)
+    assert calls == [len(world.lines)] * len(poses)
 
 
 def test_rendering_reproducible():
@@ -239,3 +407,93 @@ def test_observation_jsonl_roundtrip(tmp_path):
         assert d["predicted"] == seg_fields(fr.predicted)
         assert d["truth"] == {str(sid): list(dataclasses.astuple(tr))
                               for sid, tr in fr.truth.items()}
+
+
+SCENES = ([default_corridor(s) for s in range(3)] + [structured(s) for s in range(5)]
+          + [nonoverlap(s) for s in range(3)] + [perturbed_corridor(s) for s in range(3)]
+          + [orbit_clutter(3)])
+
+
+@pytest.mark.parametrize("cfg", SCENES, ids=lambda c: f"{c.name}-{c.rng_seed}")
+def test_render_equals_scalar_oracle(cfg):
+    world = generate_world(cfg)
+    poses = generate_trajectory(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = oracle_render_measurements(world, poses, cfg)
+    assert_frames_equal(render_measurements(world, poses, cfg), want)
+
+
+CLIP_CASES = [
+    ((100.0, 50.0), (100.0, 400.0)),     # vertical: den = 0 on the x edges
+    ((-10.0, 50.0), (-10.0, 400.0)),     # vertical, left of the image
+    ((50.0, 100.0), (600.0, 100.0)),     # horizontal
+    ((50.0, 500.0), (600.0, 500.0)),     # horizontal, below the image
+    ((0.0, 100.0), (0.0, 300.0)),        # on the left border
+    ((0.0, 0.0), (640.0, 0.0)),          # along the top border, corner to corner
+    ((640.0, 480.0), (700.0, 500.0)),    # touches the bottom-right corner only
+    ((0.0, 100.0), (50.0, 300.0)),       # starts on the border, t = -0.0
+    ((-100.0, -50.0), (700.0, 530.0)),   # clipped at both ends
+    ((-100.0, 100.0), (-50.0, 600.0)),   # entirely outside
+    ((700.0, 100.0), (-60.0, 90.0)),     # right to left across the image
+    ((320.0, 240.0), (320.0 + 1e-16, 400.0)),  # |den| < 1e-15 but not zero
+]
+
+
+def test_clip_equals_scalar_liang_barsky():
+    p = np.array([c[0] for c in CLIP_CASES])
+    q = np.array([c[1] for c in CLIP_CASES])
+    keep, starts, ends = simulate._clip(p, q, 640.0, 480.0)
+    assert keep.sum() not in (0, len(CLIP_CASES))
+    for k, (a, b) in enumerate(CLIP_CASES):
+        want = oracle_clip_2d(np.array(a), np.array(b), 640.0, 480.0)
+        assert bool(keep[k]) == (want is not None), (a, b)
+        if want is not None:
+            assert np.array_equal(starts[k], want[0]) and np.array_equal(ends[k], want[1])
+
+
+@pytest.mark.parametrize("pose", [
+    Pose(np.eye(3), np.zeros(3)),                       # C-ordered rotation
+    Pose.from_world_camera(simulate._rot_y(0.2) @ simulate._rot_x(-0.1),
+                           [0.1, -0.2, 0.3]),           # F-ordered rotation
+])
+def test_line_extents_equal_scalar_projection(pose):
+    lines = [
+        ([0.1, 0.2, 0.1], [0.5, -0.3, 5.0]),    # first endpoint behind MIN_DEPTH
+        ([0.5, -0.3, 5.0], [0.1, 0.2, -2.0]),   # second endpoint behind the camera
+        ([0.0, 0.0, -1.0], [1.0, 0.0, 0.2]),    # both behind MIN_DEPTH
+        ([0.0, 0.5, 13.0], [1.0, 0.5, 15.0]),   # beyond max_range
+        ([0.0, 0.5, 11.0], [1.0, 0.5, 14.0]),   # one endpoint within max_range
+        ([-1.0, 0.3, MIN_DEPTH], [1.0, 0.3, 4.0]),  # an endpoint at exactly MIN_DEPTH
+        ([-9.0, 0.0, 4.0], [9.0, 0.0, 4.0]),    # clipped on both sides
+        ([0.0, -9.0, 2.0], [0.0, 9.0, 2.0]),    # vertical through the image
+        ([20.0, 0.0, 4.0], [22.0, 0.0, 5.0]),   # outside the image
+        ([0.0, 0.0, 4.0], [0.001, 0.0, 4.0]),   # shorter than MIN_SEGMENT_PX
+    ]
+    p0 = np.array([a for a, _ in lines])
+    p1 = np.array([b for _, b in lines])
+    intr = ScenarioConfig().intrinsics
+    seen, starts, ends = simulate._line_extents(p0, p1, pose, intr, 640, 480, 12.0)
+    for k, (a, b) in enumerate(lines):
+        want = oracle_project_world_segment(WorldLine(np.array(a), np.array(b), 0),
+                                            pose, intr, 640, 480, 12.0)
+        assert bool(seen[k]) == (want is not None), (a, b)
+        if want is not None:
+            assert np.array_equal(starts[k], want[0]) and np.array_equal(ends[k], want[1])
+
+
+def test_budget_breaks_length_ties_by_line_id():
+    # lines 5 and 2 mirror each other about the optical axis: equal lengths
+    lines = {5: WorldLine(np.array([-1.0, 0.5, 4.0]), np.array([-0.5, 0.5, 4.0]), 0),
+             2: WorldLine(np.array([0.5, 0.5, 4.0]), np.array([1.0, 0.5, 4.0]), 0),
+             9: WorldLine(np.array([0.0, -0.5, 4.0]), np.array([0.2, -0.5, 4.0]), 0)}
+    world = World({i: np.array([0.1 * i, 0.0, 3.0]) for i in range(10)}, lines,
+                  [np.array([1.0, 0.0, 0.0])])
+    cfg = corridor_config(n_l=2, noise=NoiseSpec(0.5, 0.5, 0.5))
+    poses = [Pose(np.eye(3), np.zeros(3))] * 2
+    frames = render_measurements(world, poses, cfg)
+    assert [frames[0].truth[s.id].line_id for s in frames[0].segments] == [2, 5]
+    cfg.n_l = 1
+    frames = render_measurements(world, poses, cfg)
+    assert [frames[0].truth[s.id].line_id for s in frames[0].segments] == [2]
+    assert_frames_equal(frames, oracle_render_measurements(world, poses, cfg))

@@ -1,11 +1,20 @@
 """Vanishing-point sampling, consensus, J-Linkage, refinement, lifting."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from monogp.geometry import CameraIntrinsics, cross3, so3_exp
 from monogp.segments import Segment2D, endpoints, segment_line
+from monogp.simulate import (
+    NoiseSpec,
+    ScenarioConfig,
+    TrajectorySpec,
+    generate_trajectory,
+    generate_world,
+    render_measurements,
+)
 from monogp.vanishing import (
     _consensus_matrix,
     _decode_pairs,
@@ -54,11 +63,10 @@ def cluttered_frame(seed):
     return segs
 
 
-def naive_jlinkage_cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
-    """Oracle: J-Linkage that rebuilds every pairwise count on each merge."""
-    pref = _consensus_matrix(segments, hypotheses) < theta_cons_deg  # (n, m)
-
-    members = [frozenset([s.id]) for s in segments]
+def naive_jlinkage_cluster(ids, pref, min_cluster_size):
+    """Oracle: J-Linkage that rebuilds every pairwise count on each merge,
+    with the preference sets as float rows in input order."""
+    members = [frozenset([sid]) for sid in ids]
     P = pref.astype(np.float64)
     # min id per cluster gives order-independent tie-breaking
     keys = [min(m) for m in members]
@@ -89,6 +97,30 @@ def naive_jlinkage_cluster(segments, hypotheses, theta_cons_deg, min_cluster_siz
     clusters = [m for m in members if len(m) >= min_cluster_size]
     clusters.sort(key=lambda c: (-len(c), min(c)))
     return clusters
+
+
+def ids_of(segments):
+    return [s.id for s in segments]
+
+
+def preferences(segments, hypotheses, theta_cons_deg):
+    return _consensus_matrix(endpoints(segments), hypotheses) < theta_cons_deg
+
+
+def cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
+    return jlinkage_cluster(ids_of(segments),
+                            preferences(segments, hypotheses, theta_cons_deg),
+                            min_cluster_size)
+
+
+def naive_cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
+    return naive_jlinkage_cluster(ids_of(segments),
+                                  preferences(segments, hypotheses, theta_cons_deg),
+                                  min_cluster_size)
+
+
+def refine(segments):
+    return refine_vp(endpoints(segments), ids_of(segments))
 
 
 def loop_sample_vp_hypotheses(segments, m, rng_seed):
@@ -178,6 +210,8 @@ def loop_refine_vp(cluster_segments):
         l = cross3(a, b)
         L.append(l / np.hypot(l[0], l[1]))
     _, s, vt = np.linalg.svd(np.array(L), full_matrices=True)
+    if s[1] < 1e-9 * s[0]:
+        raise ValueError("rank deficient")
     vp = vt[-1]
     vp = np.array([scale * vp[0] + mid[0] * vp[2],
                    scale * vp[1] + mid[1] * vp[2],
@@ -185,6 +219,32 @@ def loop_refine_vp(cluster_segments):
     vp = vp / np.linalg.norm(vp)
     residuals = [scalar_consensus(seg, vp) for seg in cluster_segments]
     return vp, math.sqrt(float(np.mean(np.square(residuals))))
+
+
+def oracle_detect_vanishing_points(segments, rng_seed, theta_cons_deg=2.0,
+                                   min_cluster_size=3):
+    """Oracle: detection over segment lists, one oracle per stage (the
+    `choice` sampler, the einsum consensus, the full-recompute J-Linkage, the
+    per-segment refinement). Returns the estimates as (vp, sorted member ids,
+    rms) and the labels."""
+    labels = [None] * len(segments)
+    if len(segments) < 2:
+        return [], labels
+    hyps, _ = loop_sample_vp_hypotheses(segments, 500, rng_seed)
+    if len(hyps) == 0:
+        return [], labels
+    pref = einsum_consensus_matrix(segments, hyps) < theta_cons_deg
+    estimates, label_of = [], {}
+    for ids in naive_jlinkage_cluster(ids_of(segments), pref, min_cluster_size):
+        members = [s for s in segments if s.id in ids]
+        try:
+            vp, rms = loop_refine_vp(members)
+        except ValueError:
+            continue
+        for sid in ids:
+            label_of[sid] = len(estimates)
+        estimates.append((vp.tolist(), sorted(ids), rms))
+    return estimates, [label_of.get(s.id) for s in segments]
 
 
 def random_segments(n, rng):
@@ -201,7 +261,7 @@ def angle(seg, vp):
 def test_hypotheses_from_parallel_segments_lie_at_infinity():
     segs = [Segment2D([0.0, 0.0], [10.0, 0.0], id=0),
             Segment2D([0.0, 5.0], [10.0, 5.0], id=1)]
-    hyps = sample_vp_hypotheses(segs, 10, rng_seed=0)
+    hyps = sample_vp_hypotheses(endpoints(segs), 10, rng_seed=0)
     for h in hyps:
         assert abs(h[2]) < 1e-9
         assert abs(abs(h[0]) - 1.0) < 1e-9  # direction along x
@@ -210,7 +270,7 @@ def test_hypotheses_from_parallel_segments_lie_at_infinity():
 def test_hypotheses_from_converging_segments():
     segs = [Segment2D([0.0, 0.0], [50.0, 50.0], id=0),
             Segment2D([200.0, 100.0], [150.0, 100.0], id=1)]
-    hyps = sample_vp_hypotheses(segs, 5, rng_seed=1)
+    hyps = sample_vp_hypotheses(endpoints(segs), 5, rng_seed=1)
     expected = np.array([100.0, 100.0, 1.0])
     expected /= np.linalg.norm(expected)
     for h in hyps:
@@ -221,8 +281,8 @@ def test_hypotheses_from_converging_segments():
 def test_hypotheses_deterministic_given_seed():
     rng = np.random.default_rng(2)
     segs = segments_through([1000.0, 300.0], 10, rng)
-    h1 = sample_vp_hypotheses(segs, 50, rng_seed=42)
-    h2 = sample_vp_hypotheses(segs, 50, rng_seed=42)
+    h1 = sample_vp_hypotheses(endpoints(segs), 50, rng_seed=42)
+    h2 = sample_vp_hypotheses(endpoints(segs), 50, rng_seed=42)
     assert all(np.array_equal(a, b) for a, b in zip(h1, h2))
 
 
@@ -230,7 +290,7 @@ def test_hypotheses_deterministic_given_seed():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_sampler_equals_choice_loop(n, seed):
     segs = random_segments(n, np.random.default_rng(100 + seed))
-    got = sample_vp_hypotheses(segs, 200, rng_seed=seed)
+    got = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=seed)
     want, _ = loop_sample_vp_hypotheses(segs, 200, seed)
     assert got.shape == want.shape == (200, 3)
     assert np.array_equal(got, want)
@@ -239,7 +299,7 @@ def test_sampler_equals_choice_loop(n, seed):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_sampler_equals_choice_loop_with_degenerate_pairs(seed):
     segs = cluttered_frame(seed)  # three exact duplicates
-    got = sample_vp_hypotheses(segs, 3000, rng_seed=seed)
+    got = sample_vp_hypotheses(endpoints(segs), 3000, rng_seed=seed)
     want, attempts = loop_sample_vp_hypotheses(segs, 3000, seed)
     assert attempts > 3000  # degenerate pairs forced extra attempts
     assert np.array_equal(got, want)
@@ -248,12 +308,12 @@ def test_sampler_equals_choice_loop_with_degenerate_pairs(seed):
 def test_sampler_on_copies_stops_at_attempt_cap():
     seg = Segment2D([10.0, 20.0], [200.0, 90.0], id=0)
     copies = [Segment2D(seg.p_start, seg.p_end, id=i) for i in range(5)]
-    got = sample_vp_hypotheses(copies, 40, rng_seed=4)
+    got = sample_vp_hypotheses(endpoints(copies), 40, rng_seed=4)
     want, attempts = loop_sample_vp_hypotheses(copies, 40, 4)
     assert attempts == 50 * 40 and got.shape == want.shape == (0, 3)
     # one distinct segment: 4 of 6 pairs are degenerate, over many batches
     mixed = copies[:3] + [Segment2D([5.0, 400.0], [300.0, 380.0], id=3)]
-    got = sample_vp_hypotheses(mixed, 40, rng_seed=4)
+    got = sample_vp_hypotheses(endpoints(mixed), 40, rng_seed=4)
     want, attempts = loop_sample_vp_hypotheses(mixed, 40, 4)
     assert attempts > 80 and np.array_equal(got, want)
 
@@ -289,7 +349,7 @@ def test_decode_pairs_rejection_matches_scalar_lemire(n):
 
 def test_too_few_segments_raises():
     with pytest.raises(ValueError, match="too few segments"):
-        sample_vp_hypotheses([Segment2D([0, 0], [1, 0], id=0)], 10, rng_seed=0)
+        sample_vp_hypotheses(endpoints([Segment2D([0, 0], [1, 0], id=0)]), 10, rng_seed=0)
 
 
 # -- consensus ---------------------------------------------------------------
@@ -337,7 +397,7 @@ def test_consensus_vp_at_midpoint_raises():
         consensus_angles(endpoints([other, seg]), vp)
     # refine_vp raises the same, so detection drops such a cluster
     with pytest.raises(ValueError, match="vp at segment midpoint"):
-        refine_vp([Segment2D([100.0, 150.0], [200.0, 150.0], id=2),
+        refine([Segment2D([100.0, 150.0], [200.0, 150.0], id=2),
                    Segment2D([150.0, 100.0], [150.0, 200.0], id=3), seg])
 
 
@@ -353,12 +413,12 @@ def test_consensus_angles_equal_scalar_steps():
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_consensus_matrix_equals_einsum_formulation(seed):
     segs = cluttered_frame(seed)
-    hyps = sample_vp_hypotheses(segs, 500, rng_seed=seed)
+    hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=seed)
     on_mid = np.array([*segs[5].midpoint, 1.0])
     extra = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 5e-10], [0.8, -0.6, -1e-9],
                       on_mid / np.linalg.norm(on_mid)])
     H = np.vstack([hyps, extra])
-    got = _consensus_matrix(segs, H)
+    got = _consensus_matrix(endpoints(segs), H)
     assert got[5, -1] == 90.0  # the hypothesis at segment 5's midpoint
     assert np.array_equal(got, einsum_consensus_matrix(segs, H))
 
@@ -368,8 +428,8 @@ def test_consensus_matrix_equals_einsum_formulation(seed):
 def test_single_planted_cluster_recovered():
     rng = np.random.default_rng(4)
     segs = segments_through([900.0, 250.0], 20, rng)
-    hyps = sample_vp_hypotheses(segs, 200, rng_seed=0)
-    clusters = jlinkage_cluster(segs, hyps, 2.0, 3)
+    hyps = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=0)
+    clusters = cluster(segs, hyps, 2.0, 3)
     assert len(clusters) == 1
     assert clusters[0] == frozenset(range(20))
 
@@ -386,8 +446,8 @@ def test_three_planted_families_no_contamination():
         th = rng.uniform(0.0, 2 * np.pi)
         outliers.append(Segment2D(a, a + 50.0 * np.array([np.cos(th), np.sin(th)]),
                                   id=60 + i))
-    hyps = sample_vp_hypotheses(segs + outliers, 500, rng_seed=0)
-    clusters = jlinkage_cluster(segs + outliers, hyps, 2.0, 3)
+    hyps = sample_vp_hypotheses(endpoints(segs + outliers), 500, rng_seed=0)
+    clusters = cluster(segs + outliers, hyps, 2.0, 3)
     big = [c for c in clusters if len(c) >= 18]
     assert len(big) == 3
     for c in big:
@@ -399,9 +459,9 @@ def test_cluster_partition_invariant_to_input_order():
     rng = np.random.default_rng(6)
     segs = segments_through([1200.0, 100.0], 10, rng) + \
         segments_through([-400.0, 300.0], 10, rng, start_id=10)
-    hyps = sample_vp_hypotheses(segs, 300, rng_seed=7)
-    c1 = set(jlinkage_cluster(segs, hyps, 2.0, 3))
-    c2 = set(jlinkage_cluster(list(reversed(segs)), hyps, 2.0, 3))
+    hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=7)
+    c1 = set(cluster(segs, hyps, 2.0, 3))
+    c2 = set(cluster(list(reversed(segs)), hyps, 2.0, 3))
     assert c1 == c2
 
 
@@ -409,23 +469,85 @@ def test_cluster_partition_invariant_to_input_order():
 @pytest.mark.parametrize("theta", [1.0, 2.0, 5.0])
 def test_jlinkage_matches_full_recompute_oracle(seed, theta):
     segs = cluttered_frame(seed)
-    hyps = sample_vp_hypotheses(segs, 300, rng_seed=seed)
+    hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=seed)
     for order in (segs, list(reversed(segs))):
-        assert jlinkage_cluster(order, hyps, theta, 1) == \
-            naive_jlinkage_cluster(order, hyps, theta, 1)
-        assert jlinkage_cluster(order, hyps, theta, 3) == \
-            naive_jlinkage_cluster(order, hyps, theta, 3)
+        assert cluster(order, hyps, theta, 1) == \
+            naive_cluster(order, hyps, theta, 1)
+        assert cluster(order, hyps, theta, 3) == \
+            naive_cluster(order, hyps, theta, 3)
 
 
 def test_jlinkage_oracle_with_empty_preference_sets():
     segs = cluttered_frame(14)
     # hypotheses from the first family alone leave most segments preferring none
-    hyps = sample_vp_hypotheses(segs[:12], 100, rng_seed=0)
-    empty = ~(_consensus_matrix(segs, hyps) < 2.0).any(axis=1)
+    hyps = sample_vp_hypotheses(endpoints(segs[:12]), 100, rng_seed=0)
+    empty = ~preferences(segs, hyps, 2.0).any(axis=1)
     assert empty.sum() >= 2  # pairs with union == 0 exist
     for order in (segs, list(reversed(segs))):
-        assert jlinkage_cluster(order, hyps, 2.0, 1) == \
-            naive_jlinkage_cluster(order, hyps, 2.0, 1)
+        assert cluster(order, hyps, 2.0, 1) == \
+            naive_cluster(order, hyps, 2.0, 1)
+
+
+@pytest.mark.parametrize("scheme", ["shuffled", "sparse", "negative"])
+@pytest.mark.parametrize("seed", [11, 12])
+def test_jlinkage_matches_oracle_on_ids_out_of_input_order(scheme, seed):
+    segs = cluttered_frame(seed)
+    rng = np.random.default_rng(seed)
+    new_ids = {"shuffled": rng.permutation(len(segs)),
+               "sparse": [(i % 7) * 100000 + i for i in range(len(segs))],
+               "negative": -5 * rng.permutation(len(segs)) - 1}[scheme]
+    for s, sid in zip(segs, new_ids):
+        s.id = int(sid)
+    hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=seed)
+    for order in (segs, list(reversed(segs)), [segs[i] for i in rng.permutation(len(segs))]):
+        for k in (1, 3):
+            assert cluster(order, hyps, 2.0, k) == naive_cluster(order, hyps, 2.0, k)
+
+
+def ring_preferences(n):
+    """Preference sets {i, i+1 mod n}: each neighbour pair at distance 2/3,
+    every other pair disjoint."""
+    pref = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        pref[i, [i, (i + 1) % n]] = True
+    return pref
+
+
+def test_jlinkage_exact_ties_at_positive_distance():
+    # four neighbour pairs tie at 2/3; the smallest sorted id pair is (-5, 12)
+    ids = [30, -5, 12, 7]
+    got = jlinkage_cluster(ids, ring_preferences(4), 1)
+    assert got == [frozenset([-5, 12]), frozenset([7, 30])]
+    assert got == naive_jlinkage_cluster(ids, ring_preferences(4), 1)
+    rng = np.random.default_rng(3)
+    for n in (5, 6, 9, 16):
+        pref = ring_preferences(n)[:, rng.permutation(n)]
+        for _ in range(4):
+            ids = rng.permutation(100 * n)[:n] - 50 * n
+            assert jlinkage_cluster(ids, pref, 1) == \
+                naive_jlinkage_cluster(ids.tolist(), pref, 1)
+
+
+def test_jlinkage_two_segments():
+    shared = np.array([[1, 1, 0], [1, 0, 0]], dtype=bool)
+    disjoint = np.array([[1, 0, 0], [0, 1, 1]], dtype=bool)
+    assert jlinkage_cluster([5, -1], shared, 2) == [frozenset([5, -1])]
+    assert jlinkage_cluster([5, -1], disjoint, 2) == []
+    assert jlinkage_cluster([5, -1], disjoint, 1) == [frozenset([-1]), frozenset([5])]
+    for pref in (shared, disjoint):
+        for k in (1, 2):
+            assert jlinkage_cluster([5, -1], pref, k) == \
+                naive_jlinkage_cluster([5, -1], pref, k)
+
+
+def test_jlinkage_every_segment_merges():
+    rng = np.random.default_rng(12)
+    segs = segments_through([700.0, -300.0], 25, rng, start_id=40)
+    hyps = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=1)
+    assert cluster(segs, hyps, 2.0, 3) == [frozenset(range(40, 65))]
+    assert cluster(segs, hyps, 2.0, 3) == naive_cluster(segs, hyps, 2.0, 3)
+    ids = rng.permutation(1000)[:30].tolist()
+    assert jlinkage_cluster(ids, np.ones((30, 70), dtype=bool), 3) == [frozenset(ids)]
 
 
 # -- refinement --------------------------------------------------------------
@@ -433,7 +555,7 @@ def test_jlinkage_oracle_with_empty_preference_sets():
 def test_refine_vp_exact_intersection():
     segs = [Segment2D([320.0 - 100.0, 240.0 - 50.0], [320.0 - 10.0, 240.0 - 5.0], id=0),
             Segment2D([320.0 + 80.0, 240.0 - 80.0], [320.0 + 8.0, 240.0 - 8.0], id=1)]
-    est = refine_vp(segs)
+    est = refine(segs)
     expected = np.array([320.0, 240.0, 1.0])
     expected /= np.linalg.norm(expected)
     vp = est.vp_homogeneous
@@ -446,7 +568,7 @@ def test_refine_vp_planted_cluster():
     rng = np.random.default_rng(8)
     target = np.array([150.0, 700.0])
     segs = segments_through(target, 20, rng)
-    est = refine_vp(segs)
+    est = refine(segs)
     vp = est.vp_homogeneous
     expected = np.array([*target, 1.0])
     expected /= np.linalg.norm(expected)
@@ -459,12 +581,12 @@ def test_refine_vp_planted_cluster():
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_refine_vp_equals_per_segment_loop(seed):
     segs = cluttered_frame(seed)
-    hyps = sample_vp_hypotheses(segs, 500, rng_seed=seed)
-    clusters = jlinkage_cluster(segs, hyps, 2.0, 2)
+    hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=seed)
+    clusters = cluster(segs, hyps, 2.0, 2)
     assert len(clusters) >= 4
-    for cluster in clusters:
-        members = [s for s in segs if s.id in cluster]
-        est = refine_vp(members)
+    for ids in clusters:
+        members = [s for s in segs if s.id in ids]
+        est = refine(members)
         vp, rms = loop_refine_vp(members)
         assert np.array_equal(est.vp_homogeneous, vp) and est.residual_rms == rms
 
@@ -472,7 +594,7 @@ def test_refine_vp_equals_per_segment_loop(seed):
 def test_refine_vp_identical_lines_rank_deficient():
     segs = [Segment2D([0.0, 10.0], [100.0, 10.0], id=i) for i in range(4)]
     with pytest.raises(ValueError, match="rank deficient"):
-        refine_vp(segs)
+        refine(segs)
 
 
 # -- lifting -----------------------------------------------------------------
@@ -531,6 +653,48 @@ def test_detect_rejects_duplicate_segment_ids():
         s.id = i % 6  # ids 0-5 repeated across both families
     with pytest.raises(ValueError, match="duplicate segment id 0"):
         detect_vanishing_points(segs, rng_seed=0)
+
+
+def test_detect_clears_stale_labels_on_every_return():
+    rng = np.random.default_rng(10)
+    segs = segments_through([1500.0, 240.0], 15, rng)
+    copies = [Segment2D(segs[0].p_start, segs[0].p_end, id=100 + i) for i in range(3)]
+    assert detect_vanishing_points(segs + copies, n_hypotheses=300, rng_seed=0)
+    assert all(s.cluster_label == 0 for s in segs + copies)
+    # identical lines: no hypothesis
+    assert detect_vanishing_points(copies, rng_seed=0) == []
+    assert [s.cluster_label for s in copies] == [None] * 3
+    # fewer than two segments
+    assert detect_vanishing_points(segs[:1], rng_seed=0) == []
+    assert segs[0].cluster_label is None
+
+
+def clutter_frames():
+    """Frames of a five-family orbit scene with 20% outlier segments."""
+    cfg = ScenarioConfig(
+        name="vp-clutter", rng_seed=5, n_points=20,
+        direction_families=[([1.0, 0.0, 0.0], 30), ([0.0, 1.0, 0.0], 30),
+                            ([0.0, 0.0, 1.0], 30), ([1.0, 0.0, 1.0], 30),
+                            ([1.0, 1.0, -1.0], 30)],
+        trajectory=TrajectorySpec("orbit", 40, 0.25),
+        noise=NoiseSpec(0.0, 1.0, 0.0), outlier_fraction=0.2, n_l=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
+    return [frames[t].segments for t in (0, 9, 21, 33)]
+
+
+@pytest.mark.parametrize("t", range(4))
+def test_detect_equals_oracle_path_on_clutter_frames(t):
+    segs = clutter_frames()[t]
+    for order, theta, k in ((segs, 2.0, 3), (list(reversed(segs)), 1.0, 6)):
+        ests = detect_vanishing_points(order, theta_cons_deg=theta, min_cluster_size=k,
+                                       rng_seed=5 * 1009 + t)
+        want, labels = oracle_detect_vanishing_points(order, 5 * 1009 + t, theta, k)
+        got = [(e.vp_homogeneous.tolist(), sorted(e.member_segment_ids), e.residual_rms)
+               for e in ests]
+        assert len(got) >= 4 and got == want
+        assert [s.cluster_label for s in order] == labels
 
 
 # Recorded from the full-recompute J-Linkage; a front-end rewrite must keep them.
