@@ -1,18 +1,20 @@
 """End-to-end back-end pipeline on simulated scenes.
 
-simulate -> (gp mode: per-frame VP detection + global-primitive
-association) -> line tracking and verification gates -> factor graph
-construction -> Levenberg-Marquardt -> ATE evaluation against ground truth.
+simulate -> perturb the poses -> map landmarks on the perturbed poses
+(`map_landmarks`: line tracking and verification gates, point and line
+triangulation, and in gp mode per-frame VP detection, global-primitive
+fusion and line-to-GP association) -> factor graph construction
+(`build_graph`) -> Levenberg-Marquardt -> ATE evaluation against ground truth.
 
-Modes: "lp" uses point + line reprojection factors only; "gp" adds
-vanishing-direction alignment and structural-consistency factors on the
-fused global primitives. Fully deterministic given the scenario config.
+Modes: "lp" maps points and lines only; "gp" also maps the fused global
+primitives, which add vanishing-direction alignment and structural-consistency
+factors. Fully deterministic given the scenario config.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -110,16 +112,13 @@ def build_line_tracks(frames: list[FrameObservations]) -> dict[int, LineTrack]:
     tracks = {}
     for track_id, items in obs.items():
         track = LineTrack(track_id)
-        last = -1
         for t, seg in items:
-            if t > last:
-                track.add(t, seg)
-                last = t
+            track.add(t, seg)
         tracks[track_id] = track
     return tracks
 
 
-def _triangulate_points(frames, poses_init, intr):
+def _triangulate_points(frames, poses, intr):
     obs_by_point: dict[int, list] = {}
     for fr in frames:
         for pid, px in fr.points:
@@ -130,14 +129,13 @@ def _triangulate_points(frames, poses_init, intr):
             continue
         (ta, pa), (tb, pb) = items[0], items[-1]
         try:
-            points[pid] = triangulate_point(pa, pb, poses_init[ta],
-                                            poses_init[tb], intr)
+            points[pid] = triangulate_point(pa, pb, poses[ta], poses[tb], intr)
         except TriangulationError:
             continue
     return points, obs_by_point
 
 
-def _triangulate_lines(tracks, poses_init, intr, gates, audit):
+def _triangulate_lines(tracks, poses, intr, gates, audit):
     """Triangulated lines plus gate-passing per-frame observations.
 
     A track's two 3D endpoints are projected into all its observing frames
@@ -149,17 +147,17 @@ def _triangulate_lines(tracks, poses_init, intr, gates, audit):
             continue
         (ta, sa), (tb, sb) = track.observations[0], track.observations[-1]
         try:
-            line = triangulate_line(sa, sb, poses_init[ta], poses_init[tb], intr)
+            line = triangulate_line(sa, sb, poses[ta], poses[tb], intr)
         except TriangulationError:
             continue
         # 3D endpoints from the first view's observed extent
-        o, _ = _backproject_ray(sa.midpoint, poses_init[ta], intr)
-        ray_s = _backproject_ray(sa.p_start, poses_init[ta], intr)[1]
-        ray_e = _backproject_ray(sa.p_end, poses_init[ta], intr)[1]
+        o, _ = _backproject_ray(sa.midpoint, poses[ta], intr)
+        ray_s = _backproject_ray(sa.p_start, poses[ta], intr)[1]
+        ray_e = _backproject_ray(sa.p_end, poses[ta], intr)[1]
         p3_s = closest_point_on_line_to_ray(line, o, ray_s)
         p3_e = closest_point_on_line_to_ray(line, o, ray_e)
         in_front, pixels = project_points(
-            [p3_s, p3_e], [poses_init[t] for t, _ in track.observations], intr)
+            [p3_s, p3_e], [poses[t] for t, _ in track.observations], intr)
         seen = [obs for obs, ok in zip(track.observations, in_front.tolist()) if ok]
         if not seen:
             continue
@@ -173,33 +171,85 @@ def _triangulate_lines(tracks, poses_init, intr, gates, audit):
     return lines, line_obs
 
 
-def _detect_global_primitives(frames, poses_init, config):
-    """Per-frame VP detection, lifting, and world-frame fusion."""
-    registry = GlobalPrimitiveRegistry()
-    seg_gp: dict[tuple[int, int], int] = {}  # (frame, segment id) -> gp id
-    tau_s = GateThresholds().tau_s
+@dataclass
+class Landmarks:
+    """What mapping found on one pose set, each map in ascending id order. In
+    lp mode the GP part (`registry`, `gp_links`, `line_gp`) is empty; in gp
+    mode every line with a GP is sign-aligned to it."""
+    points: dict      # point id -> (3,) world point
+    point_obs: dict   # point id -> [(frame, pixel)], every observation
+    lines: dict       # track id -> PluckerLine
+    line_obs: dict    # track id -> [(frame, Segment2D)], gate-passing
+    gate_audit: list  # GateAuditRow
+    registry: GlobalPrimitiveRegistry | None = None
+    gp_links: list = field(default_factory=list)  # (frame, Segment2D, gp id)
+    line_gp: dict = field(default_factory=dict)   # track id -> gp id
+
+
+def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
+                  config: ScenarioConfig, mode: str) -> Landmarks:
+    """Points, gated lines and, in gp mode, global primitives mapped from
+    `frames` on `poses` (one per frame)."""
+    intr, gates = config.intrinsics, GateThresholds()
+    tracks = build_line_tracks(frames)
+    points, obs_by_point = _triangulate_points(frames, poses, intr)
+    audit: list[GateAuditRow] = []
+    lines, line_obs = _triangulate_lines(tracks, poses, intr, gates, audit)
+    lm = Landmarks(points, {pid: obs_by_point[pid] for pid in points},
+                   lines, line_obs, audit)
+    if mode != "gp":
+        return lm
+    # per-frame VP detection, lifting and world-frame fusion; the links of a
+    # frame are ordered by segment id
+    lm.registry = registry = GlobalPrimitiveRegistry()
     for t, fr in enumerate(frames):
-        segs = filter_short(fr.segments, tau_s)
+        segs = filter_short(fr.segments, gates.tau_s)
         if len(segs) < 2:
             continue
         estimates = detect_vanishing_points(
             segs, n_hypotheses=VP_HYPOTHESES, min_cluster_size=VP_MIN_CLUSTER,
             rng_seed=config.rng_seed * 1009 + t)
-        lifted = []
-        for est in estimates:
-            d = lift_vanishing_point(est.vp_homogeneous, config.intrinsics,
-                                     poses_init[t].r_wc)
-            lifted.append((d, est.member_segment_ids))
-        for gp_id, seg_ids in registry.associate_frame(t, lifted, config.n_l):
-            for sid in seg_ids:
-                seg_gp[(t, sid)] = gp_id
-    return registry, seg_gp
+        lifted = [(lift_vanishing_point(est.vp_homogeneous, intr, poses[t].r_wc),
+                   est.member_segment_ids) for est in estimates]
+        seg_gp = {sid: gp_id for gp_id, ids in
+                  registry.associate_frame(t, lifted, config.n_l) for sid in ids}
+        by_id = {s.id: s for s in segs}
+        lm.gp_links += [(t, by_id[sid], gp_id) for sid, gp_id in sorted(seg_gp.items())]
+    for lid, line in lines.items():
+        gp_id = registry.match(line.unit_direction())
+        if gp_id is not None:
+            lm.line_gp[lid] = gp_id
+            if float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
+                lines[lid] = type(line)(-line.normal, -line.direction)
+    return lm
+
+
+def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph:
+    """Poses, points, lines and GPs with their point, line, vd_align and
+    struct factors, from whatever `landmarks` holds."""
+    g = fg.FactorGraph()
+    for t, pose in enumerate(poses):
+        g.add_pose(t, pose)
+    for pid, p in landmarks.points.items():
+        g.add_point(pid, p)
+        for t, px in landmarks.point_obs[pid]:
+            g.add_factor(fg.PointFactor(t, pid, np.asarray(px), intr))
+    for lid, line in landmarks.lines.items():
+        g.add_line(lid, plucker_to_orthonormal(line))
+        for t, seg in landmarks.line_obs[lid]:
+            g.add_factor(fg.LineFactor(t, lid, seg, intr))
+    for gp_id, gp in enumerate(landmarks.registry.primitives if landmarks.registry else []):
+        g.add_gp(gp_id, gp.direction)
+    for t, seg, gp_id in landmarks.gp_links:
+        g.add_factor(fg.VdAlignFactor(t, gp_id, seg, intr))
+    for lid, gp_id in landmarks.line_gp.items():
+        g.add_factor(fg.StructFactor(lid, gp_id))
+    return g
 
 
 def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    intr = config.intrinsics
 
     try:
         world = generate_world(config)
@@ -211,53 +261,12 @@ def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
     poses_init = perturb_poses(poses_gt, config)
 
     try:
-        tracks = build_line_tracks(frames)
-        points, obs_by_point = _triangulate_points(frames, poses_init, intr)
-        audit: list[GateAuditRow] = []
-        lines, line_obs = _triangulate_lines(tracks, poses_init, intr,
-                                             GateThresholds(), audit)
+        landmarks = map_landmarks(frames, poses_init, config, mode)
     except Exception as e:
         raise PipelineError("mapping", str(e)) from e
 
-    registry, seg_gp = None, {}
-    if mode == "gp":
-        try:
-            registry, seg_gp = _detect_global_primitives(frames, poses_init, config)
-        except Exception as e:
-            raise PipelineError("vp_detect", str(e)) from e
-
     try:
-        g = fg.FactorGraph()
-        for t, pose in enumerate(poses_init):
-            g.add_pose(t, pose)
-        for pid, p in points.items():
-            g.add_point(pid, p)
-            for t, px in obs_by_point[pid]:
-                g.add_factor(fg.PointFactor(t, pid, np.asarray(px), intr))
-        # line variables, sign-aligned to their global primitive if any
-        line_gp = {}
-        if mode == "gp" and registry is not None:
-            for lid, line in lines.items():
-                gp_id = registry.match(line.unit_direction())
-                if gp_id is not None:
-                    line_gp[lid] = gp_id
-        for lid, line in sorted(lines.items()):
-            gp_id = line_gp.get(lid)
-            if gp_id is not None and \
-                    float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
-                line = type(line)(-line.normal, -line.direction)
-            g.add_line(lid, plucker_to_orthonormal(line))
-            for t, seg in line_obs[lid]:
-                g.add_factor(fg.LineFactor(t, lid, seg, intr))
-        if mode == "gp" and registry is not None:
-            for gp_id, gp in enumerate(registry.primitives):
-                g.add_gp(gp_id, gp.direction)
-            seg_lookup = {(fr.frame_id, s.id): s for fr in frames
-                          for s in fr.segments}
-            for (t, sid), gp_id in sorted(seg_gp.items()):
-                g.add_factor(fg.VdAlignFactor(t, gp_id, seg_lookup[(t, sid)], intr))
-            for lid, gp_id in sorted(line_gp.items()):
-                g.add_factor(fg.StructFactor(lid, gp_id))
+        g = build_graph(poses_init, landmarks, config.intrinsics)
         report = fg.optimize(g, fg.OptimizeOptions(fixed_variable_keys=(("pose", 0),)))
     except Exception as e:
         raise PipelineError("optimize", str(e)) from e
@@ -280,11 +289,11 @@ def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
         "initial_ate_m": initial_ate,
         "iters": report.iterations,
         "converged": report.converged,
-        "n_gps": len(registry.primitives) if registry is not None else 0,
+        "n_gps": len(landmarks.registry.primitives) if landmarks.registry else 0,
         "cost_breakdown": report.cost_breakdown,
     }
-    return PipelineResult(config, mode, est, gt, init, report, registry,
-                          audit, metrics, g)
+    return PipelineResult(config, mode, est, gt, init, report,
+                          landmarks.registry, landmarks.gate_audit, metrics, g)
 
 
 @dataclass
@@ -296,13 +305,7 @@ class AblationReport:
     reduction_pct: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "per_seed": self.per_seed,
-            "failures": self.failures,
-            "mean_ate_lp": self.mean_ate_lp,
-            "mean_ate_gp": self.mean_ate_gp,
-            "reduction_pct": self.reduction_pct,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_csv(self) -> str:
         rows = ["seed,ate_lp,ate_gp"]

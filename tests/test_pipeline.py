@@ -4,14 +4,22 @@ import json
 import numpy as np
 import pytest
 
+from monogp import graph, pipeline
 from monogp.cli import main
+from monogp.geometry import EPS_Z, plucker_to_orthonormal
 from monogp.pipeline import (
+    MODES,
     PipelineError,
+    build_graph,
     build_line_tracks,
+    map_landmarks,
+    perturb_poses,
     run_ablation,
     run_pipeline,
 )
+from monogp.primitives import GlobalPrimitiveRegistry
 from monogp.scenarios import default_corridor, nonoverlap, structured
+from monogp.segments import Segment2D, endpoints
 from monogp.simulate import (
     ScenarioConfig,
     TrajectorySpec,
@@ -19,6 +27,8 @@ from monogp.simulate import (
     generate_world,
     render_measurements,
 )
+from monogp.tracking import GateThresholds, filter_short
+from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
 
 
 def test_corridor_lp_converges_with_finite_ate():
@@ -76,6 +86,126 @@ def test_ablation_report_arithmetic():
     assert len(parsed["per_seed"]) == 2
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "seed,ate_lp,ate_gp"
+
+
+def rendered(cfg):
+    """The scenario's frames and its ground-truth poses."""
+    poses = generate_trajectory(cfg)
+    return render_measurements(generate_world(cfg), poses, cfg), poses
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_map_landmarks_on_ground_truth_poses(mode):
+    cfg = structured(0)
+    frames, poses = rendered(cfg)
+    lm = map_landmarks(frames, poses, cfg, mode)
+    assert lm.lines and list(lm.line_obs) == list(lm.lines)
+    assert all(len(obs) >= 2 for obs in lm.line_obs.values())
+    assert lm.points and list(lm.point_obs) == list(lm.points)
+    for pid, p in lm.points.items():
+        assert all(poses[t].transform(p)[2] > EPS_Z for t, _ in lm.point_obs[pid])
+    if mode == "lp":
+        assert lm.registry is None and not lm.gp_links and not lm.line_gp
+        return
+    # one GP per planted family; links ordered by frame, then segment id
+    gps = lm.registry.primitives
+    assert len(gps) == 3
+    keys = [(t, seg.id) for t, seg, _ in lm.gp_links]
+    assert keys and keys == sorted(set(keys))
+    assert all(any(s is seg for s in frames[t].segments) for t, seg, _ in lm.gp_links)
+    assert lm.line_gp
+    for lid, gp_id in lm.line_gp.items():
+        assert lm.lines[lid].unit_direction() @ gps[gp_id].direction >= 0
+
+
+def oracle_graph(frames, poses, cfg, mode):
+    """The factor graph as `run_pipeline` built it inline, mapping included,
+    and how many lines it sign-flipped onto their GP."""
+    intr, tau_s = cfg.intrinsics, GateThresholds().tau_s
+    points, obs_by_point = pipeline._triangulate_points(frames, poses, intr)
+    lines, line_obs = pipeline._triangulate_lines(
+        build_line_tracks(frames), poses, intr, GateThresholds(), [])
+    registry, seg_gp = None, {}
+    if mode == "gp":
+        registry = GlobalPrimitiveRegistry()
+        for t, fr in enumerate(frames):
+            segs = filter_short(fr.segments, tau_s)
+            if len(segs) < 2:
+                continue
+            estimates = detect_vanishing_points(
+                segs, n_hypotheses=pipeline.VP_HYPOTHESES,
+                min_cluster_size=pipeline.VP_MIN_CLUSTER,
+                rng_seed=cfg.rng_seed * 1009 + t)
+            lifted = [(lift_vanishing_point(e.vp_homogeneous, intr, poses[t].r_wc),
+                       e.member_segment_ids) for e in estimates]
+            for gp_id, seg_ids in registry.associate_frame(t, lifted, cfg.n_l):
+                for sid in seg_ids:
+                    seg_gp[(t, sid)] = gp_id
+    g = graph.FactorGraph()
+    for t, pose in enumerate(poses):
+        g.add_pose(t, pose)
+    for pid, p in points.items():
+        g.add_point(pid, p)
+        for t, px in obs_by_point[pid]:
+            g.add_factor(graph.PointFactor(t, pid, np.asarray(px), intr))
+    line_gp, flipped = {}, 0
+    if mode == "gp" and registry is not None:
+        for lid, line in lines.items():
+            gp_id = registry.match(line.unit_direction())
+            if gp_id is not None:
+                line_gp[lid] = gp_id
+    for lid, line in sorted(lines.items()):
+        gp_id = line_gp.get(lid)
+        if gp_id is not None and \
+                float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
+            line = type(line)(-line.normal, -line.direction)
+            flipped += 1
+        g.add_line(lid, plucker_to_orthonormal(line))
+        for t, seg in line_obs[lid]:
+            g.add_factor(graph.LineFactor(t, lid, seg, intr))
+    if mode == "gp" and registry is not None:
+        for gp_id, gp in enumerate(registry.primitives):
+            g.add_gp(gp_id, gp.direction)
+        seg_lookup = {(fr.frame_id, s.id): s for fr in frames for s in fr.segments}
+        for (t, sid), gp_id in sorted(seg_gp.items()):
+            g.add_factor(graph.VdAlignFactor(t, gp_id, seg_lookup[(t, sid)], intr))
+        for lid, gp_id in sorted(line_gp.items()):
+            g.add_factor(graph.StructFactor(lid, gp_id))
+    return g, flipped
+
+
+def observation_bytes(factor):
+    obs = getattr(factor, "obs", getattr(factor, "seg", None))
+    if isinstance(obs, Segment2D):
+        return obs.id, endpoints([obs]).tobytes()
+    return None if obs is None else np.asarray(obs).tobytes()
+
+
+@pytest.mark.parametrize("scenario, perturbed, mode", [
+    (structured(0), False, "gp"),
+    (nonoverlap(0), False, "gp"),
+    (structured(1), True, "lp"),
+    (structured(1), True, "gp"),
+], ids=["structured0-gt-gp", "nonoverlap0-gt-gp", "structured1-lp", "structured1-gp"])
+def test_build_graph_matches_inline_construction(scenario, perturbed, mode):
+    frames, poses = rendered(scenario)
+    if perturbed:
+        poses = perturb_poses(poses, scenario)
+    g = build_graph(poses, map_landmarks(frames, poses, scenario, mode),
+                    scenario.intrinsics)
+    oracle, flipped = oracle_graph(frames, poses, scenario, mode)
+    if not perturbed:
+        # the sign alignment and the struct factors are exercised
+        assert flipped > 0
+        assert any(isinstance(f, graph.StructFactor) for f in g.factors)
+    assert [type(f) for f in g.factors] == [type(f) for f in oracle.factors]
+    assert [f.keys() for f in g.factors] == [f.keys() for f in oracle.factors]
+    assert [observation_bytes(f) for f in g.factors] == \
+        [observation_bytes(f) for f in oracle.factors]
+    assert g.rows == oracle.rows
+    for name in ("R", "t", "X", "U", "W", "G", "B"):
+        a, b = getattr(g, name), getattr(oracle, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 # Recorded from the per-pair matcher: track id -> (first frame, one entry per
@@ -139,8 +269,7 @@ PINNED_TRACKS = {
 
 
 def test_build_line_tracks_pinned_on_structured():
-    cfg = structured(0)
-    frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
+    frames, _ = rendered(structured(0))
     tracks = build_line_tracks(frames)
     expected = {tid: [(t0 + i, 100000 * (t0 + i) + k if k >= 0 else k)
                       for i, k in enumerate(ks)]
@@ -219,3 +348,23 @@ def test_cli_bad_arguments_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--mode", "sideways"])
     assert exc.value.code == 2
+
+
+def raise_error(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+def test_vp_detection_failure_is_a_mapping_error(monkeypatch, tmp_path, config_path):
+    monkeypatch.setattr(pipeline, "detect_vanishing_points", raise_error)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(default_corridor(), "gp")
+    assert exc.value.stage == "mapping"
+    assert main(["run", "--config", str(config_path), "--mode", "gp",
+                 "--out", str(tmp_path / "run")]) == 1
+
+
+def test_optimizer_failure_is_an_optimize_error(monkeypatch):
+    monkeypatch.setattr(graph, "optimize", raise_error)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(default_corridor(), "lp")
+    assert exc.value.stage == "optimize"
