@@ -8,7 +8,7 @@ from .geometry import (
     Pose,
     se3_exp,
 )
-from .segments import Segment2D, segment_line
+from .segments import Segment2D
 from .vanishing import detect_vanishing_points, lift_vanishing_point
 from .primitives import GlobalPrimitive, GlobalPrimitiveRegistry, fuse_directions
 from .graph import FactorGraph, OptimizeOptions, optimize, total_cost
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CameraIntrinsics", "OrthonormalLine", "PluckerLine", "Pose",
-    "se3_exp", "Segment2D", "segment_line",
+    "se3_exp", "Segment2D",
     "detect_vanishing_points", "lift_vanishing_point",
     "GlobalPrimitive", "GlobalPrimitiveRegistry", "fuse_directions",
     "FactorGraph", "OptimizeOptions", "optimize", "total_cost",

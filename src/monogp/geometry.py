@@ -4,6 +4,13 @@ SE(3) poses (camera-from-world convention), pinhole projection, Plücker
 lines, the orthonormal 4-DOF line parameterization, and midpoint /
 plane-intersection triangulation.
 
+Projection and triangulation run on stacks, one row per point, line or
+(point, camera) pair: `PoseStack` holds the pose-derived arrays of a camera
+list, built once per camera, and the stacked functions return a mask of the
+rows they accept instead of raising. Their floats are those of the scalar
+one-pose, two-view formulas, row for row (Triggs et al., "Bundle
+Adjustment — A Modern Synthesis", 2000, evaluate per view in batches).
+
 All types are immutable values; all functions are pure.
 """
 from __future__ import annotations
@@ -12,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .segments import acos_deg, row_norms, rowdot
 
 # Camera-frame depth below which a point counts as behind the camera.
 EPS_Z = 1e-6
@@ -26,10 +35,6 @@ class BehindCameraError(ValueError):
 
 class DegenerateLineError(ValueError):
     """Projected image line is (numerically) at infinity."""
-
-
-class TriangulationError(ValueError):
-    """Insufficient parallax or degenerate two-view configuration."""
 
 
 # The generators of so(3), one per axis: skew(v) = sum_k v[k] * basis[k].
@@ -187,27 +192,74 @@ def se3_exp(twist) -> Pose:
     return Pose(R, t)
 
 
+@dataclass(frozen=True, eq=False)
+class PoseStack:
+    """The pose-derived arrays of n cameras, each built once per camera:
+    camera centres, translations, and C copies of each rotation and of its
+    transpose. Indexing with integer rows picks cameras, one row per use, by
+    array indexing alone.
+
+    BLAS sums a matrix-vector product in the order of the matrix's memory
+    layout, and `Pose.from_world_camera` makes F-ordered rotations, so
+    `rotate` and `to_world` multiply each row in its pose's own layout
+    (`f_order`): row for row they equal `pose.rotation @ v` and
+    `pose.r_wc @ v` bit for bit, where a C copy of an F-ordered rotation
+    rounds differently.
+    """
+    f_order: np.ndarray      # (n,) rotation is F-ordered
+    rotation: np.ndarray     # (n, 3, 3) C copies of `pose.rotation`
+    r_wc: np.ndarray         # (n, 3, 3) C copies of `pose.rotation.T`
+    translation: np.ndarray  # (n, 3)
+    center: np.ndarray       # (n, 3) `pose.camera_center()`
+
+    @classmethod
+    def of(cls, poses) -> "PoseStack":
+        return cls(np.array([p.rotation.flags.f_contiguous for p in poses], dtype=bool),
+                   np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+                   np.array([p.rotation.T for p in poses]).reshape(-1, 3, 3),
+                   np.array([p.translation for p in poses]).reshape(-1, 3),
+                   np.array([p.camera_center() for p in poses]).reshape(-1, 3))
+
+    def __len__(self) -> int:
+        return len(self.f_order)
+
+    def __getitem__(self, rows) -> "PoseStack":
+        rows = np.asarray(rows, dtype=np.intp)
+        return PoseStack(self.f_order[rows], self.rotation[rows], self.r_wc[rows],
+                         self.translation[rows], self.center[rows])
+
+    def _matvec(self, c_form, f_form, v):
+        """Row i of `v` ((n, 3) or (n, k, 3)) times matrix i, in the C or
+        the F form as `f_order` says."""
+        lead = (slice(None),) + (None,) * (v.ndim - 2)
+        f = self.f_order.reshape((-1,) + (1,) * v.ndim)
+        v = v[..., None]
+        return np.where(f, f_form[lead] @ v, c_form[lead] @ v)[..., 0]
+
+    def rotate(self, v) -> np.ndarray:
+        """`pose.rotation @ v` per row."""
+        return self._matvec(self.rotation, self.r_wc.transpose(0, 2, 1), v)
+
+    def to_world(self, v) -> np.ndarray:
+        """`pose.r_wc @ v` per row: a camera-frame direction in the world."""
+        return self._matvec(self.rotation.transpose(0, 2, 1), self.r_wc, v)
+
+
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
 
-def project_points(p_w, poses, intr: CameraIntrinsics):
-    """Pixels of world points p_w (k, 3) in each of n cameras.
+def project_points(p_w, cams: PoseStack, intr: CameraIntrinsics):
+    """Pixels of world points in each of n cameras: the same k points
+    (k, 3) in every camera, or k points per camera (n, k, 3).
 
-    Returns the mask (n,) of the cameras that see all k points at depth
+    Returns the mask (n,) of the cameras that see all their k points at depth
     z > EPS_Z, and the pixels (m, k, 2) in those m cameras. Each camera point
-    is bit for bit `pose.transform(p)`: BLAS sums a matrix-vector product in
-    the order of the matrix's memory layout, so each rotation is multiplied
-    in its own layout (a C copy of the F-ordered rotation that
-    `Pose.from_world_camera` makes rounds differently).
+    is bit for bit `pose.transform(p)` (see `PoseStack`).
     """
-    p = np.asarray(p_w, dtype=float).reshape(1, -1, 3, 1)
-    f_order = np.array([pose.rotation.flags.f_contiguous for pose in poses], dtype=bool)
-    r_f = np.array([pose.rotation.T for pose in poses]).reshape(-1, 3, 3).transpose(0, 2, 1)
-    r_c = np.array([pose.rotation for pose in poses]).reshape(-1, 3, 3)
-    t = np.array([pose.translation for pose in poses]).reshape(-1, 1, 3)
-    p_c = np.where(f_order[:, None, None, None], r_f[:, None] @ p,
-                   r_c[:, None] @ p)[..., 0] + t
+    p = np.asarray(p_w, dtype=float)
+    p = np.broadcast_to(p, (len(cams),) + p.shape[-2:])
+    p_c = cams.rotate(p) + cams.translation[:, None]
     in_front = ~(p_c[..., 2] <= EPS_Z).any(axis=1)
     x, y, z = np.moveaxis(p_c[in_front], -1, 0)
     return in_front, np.stack([intr.fx * x / z + intr.cx,
@@ -247,10 +299,6 @@ class PluckerLine:
 
     def unit_direction(self) -> np.ndarray:
         return self.direction / np.linalg.norm(self.direction)
-
-    def closest_point_to_origin(self) -> np.ndarray:
-        d = self.direction
-        return cross3(d, self.normal) / float(d @ d)
 
     def canonical_coords(self) -> np.ndarray:
         """Unit-norm 6-vector (n, d) with canonical sign, for comparisons."""
@@ -314,74 +362,101 @@ def orthonormal_update(o: OrthonormalLine, delta) -> OrthonormalLine:
 
 
 # ---------------------------------------------------------------------------
-# Triangulation
+# Triangulation: one row per point or line, every step stacked
 # ---------------------------------------------------------------------------
+#
+# Each row's floats are those of the scalar two-view formulas: dot products
+# and norms go through `rowdot` and `row_norms`, angles through `acos_deg`,
+# 2x2 systems through stacked `np.linalg.det`/`solve` (equal to the one-matrix
+# calls), and every matrix-vector product keeps the layout of its scalar form
+# (`PoseStack`; `K.T` stays a transposed view). Rejected rows are masked out,
+# never raised.
 
-def _backproject_ray(obs, pose: Pose, intr: CameraIntrinsics):
-    """World-frame (origin, unit direction) of the viewing ray through a pixel."""
-    v_c = intr.inverse_matrix() @ np.array([obs[0], obs[1], 1.0])
-    return pose.camera_center(), _unit(pose.r_wc @ v_c)
-
-
-def triangulate_point(obs_a, obs_b, pose_a: Pose, pose_b: Pose,
-                      intr: CameraIntrinsics,
-                      min_ray_angle_deg: float = 0.05) -> np.ndarray:
-    """Midpoint triangulation of a point from two pixel observations."""
-    ca, ra = _backproject_ray(obs_a, pose_a, intr)
-    cb, rb = _backproject_ray(obs_b, pose_b, intr)
-    if np.linalg.norm(cb - ca) < 1e-9:
-        raise TriangulationError("insufficient parallax: identical camera centers")
-    cos_ang = np.clip(abs(float(ra @ rb)), 0.0, 1.0)
-    if math.degrees(math.acos(cos_ang)) < min_ray_angle_deg:
-        raise TriangulationError("insufficient parallax: rays nearly parallel")
-    # Closest points on the two rays: solve for (s, t).
-    A = np.array([[ra @ ra, -(ra @ rb)], [ra @ rb, -(rb @ rb)]])
-    b = np.array([(cb - ca) @ ra, (cb - ca) @ rb])
-    s, t = np.linalg.solve(A, b)
-    return 0.5 * ((ca + s * ra) + (cb + t * rb))
+def _cross_rows(a, b) -> np.ndarray:
+    """Row-wise `cross3` of (n, 3) rows, C-ordered."""
+    return np.ascontiguousarray(cross3(a.T, b.T).T)
 
 
-def _backprojected_plane(seg, pose: Pose, intr: CameraIntrinsics) -> np.ndarray:
-    """Homogeneous plane (a, b) through the camera center and an image segment."""
-    ps = np.array([seg.p_start[0], seg.p_start[1], 1.0])
-    pe = np.array([seg.p_end[0], seg.p_end[1], 1.0])
-    l_img = cross3(ps, pe)
-    # plane = P^T l with P = K [R | t]
-    K = intr.matrix()
-    a = pose.rotation.T @ (K.T @ l_img)
-    b = float(pose.translation @ (K.T @ l_img))
-    return np.concatenate([a, [b]])
+def _unit_rows(v) -> np.ndarray:
+    return v / row_norms(v)[:, None]
 
 
-def triangulate_line(seg_a, seg_b, pose_a: Pose, pose_b: Pose,
-                     intr: CameraIntrinsics,
-                     min_plane_angle_deg: float = 1.0) -> PluckerLine:
-    """World line from two image segments via back-projected plane intersection."""
-    pa = _backprojected_plane(seg_a, pose_a, intr)
-    pb = _backprojected_plane(seg_b, pose_b, intr)
-    na, nb = _unit(pa[:3]), _unit(pb[:3])
-    cos_ang = np.clip(abs(float(na @ nb)), 0.0, 1.0)
-    if math.degrees(math.acos(cos_ang)) < min_plane_angle_deg:
-        raise TriangulationError("insufficient parallax: planes nearly parallel")
-    d = cross3(pa[:3], pb[:3])
-    # Least-norm point satisfying both plane equations a·x + b = 0.
-    A = np.vstack([pa[:3], pb[:3]])
-    rhs = -np.array([pa[3], pb[3]])
-    x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return PluckerLine(cross3(x, d), d)
+def backproject(px, cams: PoseStack, intr: CameraIntrinsics) -> np.ndarray:
+    """Unit world directions (n, 3) of the viewing rays through pixels px
+    (n, 2), one camera per row; each ray starts at its `cams.center`."""
+    h = np.column_stack([px, np.ones(len(px))])
+    return _unit_rows(cams.to_world((intr.inverse_matrix() @ h[:, :, None])[:, :, 0]))
 
 
-def closest_point_on_line_to_ray(line: PluckerLine, origin, direction) -> np.ndarray:
-    """Point on `line` closest to the ray (used to recover 3D segment endpoints)."""
-    p0 = line.closest_point_to_origin()
-    d = line.unit_direction()
-    o = np.asarray(origin, dtype=float)
-    r = _unit(np.asarray(direction, dtype=float))
+def triangulate_points(px_a, px_b, cams_a: PoseStack, cams_b: PoseStack,
+                       intr: CameraIntrinsics, min_ray_angle_deg: float = 0.05):
+    """Midpoint triangulation of n points, each from its pixels px_a and
+    px_b (n, 2) in the cameras of the same row of cams_a and cams_b.
+
+    Returns the mask (n,) of the rows with parallax (camera centres at least
+    1e-9 apart, rays at least `min_ray_angle_deg` apart) and their points
+    (m, 3), each the midpoint of the closest points of the two rays.
+    """
+    ra, rb = backproject(px_a, cams_a, intr), backproject(px_b, cams_b, intr)
+    base, ab = cams_b.center - cams_a.center, rowdot(ra, rb)
+    ok = ~(row_norms(base) < 1e-9)
+    ok &= ~(acos_deg(np.clip(np.abs(ab), 0.0, 1.0)) < min_ray_angle_deg)
+    ca, cb, ra, rb, ab, base = (cams_a.center[ok], cams_b.center[ok], ra[ok], rb[ok],
+                                ab[ok], base[ok])
+    # the ray parameters (s, t) of the closest points
+    A = np.column_stack([rowdot(ra, ra), -ab, ab, -rowdot(rb, rb)]).reshape(-1, 2, 2)
+    b = np.column_stack([rowdot(base, ra), rowdot(base, rb)])
+    st = np.linalg.solve(A, b[..., None])[..., 0]
+    return ok, 0.5 * ((ca + st[:, :1] * ra) + (cb + st[:, 1:] * rb))
+
+
+def backprojected_planes(ends, cams: PoseStack, intr: CameraIntrinsics):
+    """Planes a·x + b = 0 through the camera centres and the image segments
+    `ends` (n, 4), one camera per row: normals a (n, 3) and offsets b (n,),
+    P^T l for the image line l and P = K [R | t]."""
+    ones = np.ones(len(ends))
+    l_img = _cross_rows(np.column_stack([ends[:, :2], ones]),
+                        np.column_stack([ends[:, 2:], ones]))
+    kl = (intr.matrix().T @ l_img[:, :, None])[:, :, 0]
+    return cams.to_world(kl), rowdot(cams.translation, kl)
+
+
+def triangulate_lines(ends_a, ends_b, cams_a: PoseStack, cams_b: PoseStack,
+                      intr: CameraIntrinsics, min_plane_angle_deg: float = 1.0):
+    """World lines of n pairs of image segments (n, 4), each seen in the
+    cameras of its row of cams_a and cams_b, by back-projected plane
+    intersection.
+
+    Returns the mask (n,) of the rows whose planes are at least
+    `min_plane_angle_deg` apart, and the Plücker normals and directions
+    (m, 3) of their lines.
+    """
+    na, ba = backprojected_planes(ends_a, cams_a, intr)
+    nb, bb = backprojected_planes(ends_b, cams_b, intr)
+    c = np.abs(rowdot(_unit_rows(na), _unit_rows(nb)))
+    ok = ~(acos_deg(np.clip(c, 0.0, 1.0)) < min_plane_angle_deg)
+    na, nb, rhs = na[ok], nb[ok], -np.column_stack([ba, bb])[ok]
+    d = _cross_rows(na, nb)
+    # the least-norm point on both planes; lstsq does not stack
+    x = np.array([np.linalg.lstsq(np.stack([a, b]), r, rcond=None)[0]
+                  for a, b, r in zip(na, nb, rhs)]).reshape(-1, 3)
+    return ok, _cross_rows(x, d), d
+
+
+def closest_points_on_lines(normal, direction, origin, ray) -> np.ndarray:
+    """Points (n, 3) on the Plücker lines (normal, direction) (n, 3) closest
+    to the rays from `origin` along `ray` (n, 3). Where a line and its ray
+    are parallel (|det| < 1e-12) it is the line's point closest to the world
+    origin. Used to recover 3D segment endpoints."""
+    p0 = _cross_rows(direction, normal) / rowdot(direction, direction)[:, None]
+    d, r = _unit_rows(direction), _unit_rows(ray)
+    dr, ones = rowdot(d, r), np.ones(len(d))
     # minimize ||p0 + s d - (o + t r)||^2 over (s, t)
-    A = np.array([[1.0, -(d @ r)], [d @ r, -1.0]])
-    b = np.array([(o - p0) @ d, (o - p0) @ r])
-    det = np.linalg.det(A)
-    if abs(det) < 1e-12:
-        return p0
-    s, _ = np.linalg.solve(A, b)
-    return p0 + s * d
+    A = np.column_stack([ones, -dr, dr, -ones]).reshape(-1, 2, 2)
+    op = origin - p0
+    b = np.column_stack([rowdot(op, d), rowdot(op, r)])
+    solvable = ~(np.abs(np.linalg.det(A)) < 1e-12)
+    out = p0.copy()
+    s = np.linalg.solve(A[solvable], b[solvable, :, None])[:, :1, 0]
+    out[solvable] += s * d[solvable]
+    return out

@@ -75,7 +75,7 @@ from .geometry import (
     se3_exp,
     skew,
 )
-from .segments import Segment2D, segment_line
+from .segments import Segment2D, endpoints, lines_through
 
 HUBER_2DOF = math.sqrt(5.99)  # chi^2 95%, 2 DOF
 HUBER_1DOF = math.sqrt(3.84)  # chi^2 95%, 1 DOF
@@ -223,12 +223,6 @@ def _struct_kernel(D, G, B, jac):
     return r, active, J
 
 
-def _endpoints(segments) -> np.ndarray:
-    """Homogeneous segment endpoints (N, 2, 3)."""
-    return np.array([[[s.p_start[0], s.p_start[1], 1.0],
-                      [s.p_end[0], s.p_end[1], 1.0]] for s in segments])
-
-
 def _intrinsic_rows(intrs) -> np.ndarray:
     return np.array([[k.fx, k.fy, k.cx, k.cy] for k in intrs])
 
@@ -308,7 +302,9 @@ class LineFactor(_Factor):
 
     @staticmethod
     def _pack(factors) -> dict:
-        return {"ends": _endpoints(f.obs for f in factors),
+        ends = endpoints([f.obs for f in factors]).reshape(-1, 2, 2)
+        # homogeneous endpoints (N, 2, 3)
+        return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
                 "KL": np.array([f.intr.line_projection_matrix() for f in factors]),
                 "info": np.array([1.0 / f.sigma_px**2 for f in factors])}
 
@@ -334,7 +330,9 @@ class VdAlignFactor(_Factor):
 
     @staticmethod
     def _pack(factors) -> dict:
-        return {"lhat": np.array([segment_line(f.seg) for f in factors]),
+        ends = endpoints([f.seg for f in factors])
+        # C-ordered like a stack of rows, so the kernel's products sum alike
+        return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
                 "K": np.array([f.intr.matrix() for f in factors]),
                 "info": np.array([1.0 / f.sigma**2 for f in factors])}
 

@@ -6,6 +6,11 @@ triangulation, and in gp mode per-frame VP detection, global-primitive
 fusion and line-to-GP association) -> factor graph construction
 (`build_graph`) -> Levenberg-Marquardt -> ATE evaluation against ground truth.
 
+Mapping triangulates, projects and gates in stacked passes: all points in
+one midpoint triangulation, all line tracks in one plane intersection, and
+every (track, frame) pair in one projection and one `run_gates` call, with
+the pose-derived arrays built once per frame (`geometry.PoseStack`).
+
 Modes: "lp" maps points and lines only; "gp" also maps the fused global
 primitives, which add vanishing-direction alignment and structural-consistency
 factors. Fully deterministic given the scenario config.
@@ -15,21 +20,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
 from . import graph as fg
 from .evaluate import Trajectory, ate_rmse
 from .geometry import (
+    PluckerLine,
     Pose,
-    TriangulationError,
-    closest_point_on_line_to_ray,
+    PoseStack,
+    backproject,
+    closest_points_on_lines,
     plucker_to_orthonormal,
     project_points,
     so3_exp,
-    triangulate_line,
-    triangulate_point,
-    _backproject_ray,
+    triangulate_lines,
+    triangulate_points,
 )
 from .primitives import GlobalPrimitiveRegistry
 from .segments import endpoints
@@ -119,55 +126,66 @@ def build_line_tracks(frames: list[FrameObservations]) -> dict[int, LineTrack]:
 
 
 def _triangulate_points(frames, poses, intr):
+    """Points seen in at least two frames, each triangulated from its first
+    and last observation in one stacked pass, and every point's
+    observations."""
     obs_by_point: dict[int, list] = {}
     for fr in frames:
         for pid, px in fr.points:
             obs_by_point.setdefault(pid, []).append((fr.frame_id, px))
-    points = {}
-    for pid, items in sorted(obs_by_point.items()):
-        if len(items) < 2:
-            continue
-        (ta, pa), (tb, pb) = items[0], items[-1]
-        try:
-            points[pid] = triangulate_point(pa, pb, poses[ta], poses[tb], intr)
-        except TriangulationError:
-            continue
-    return points, obs_by_point
+    pids = [pid for pid, items in sorted(obs_by_point.items()) if len(items) >= 2]
+    cams = PoseStack.of(poses)
+    first = [obs_by_point[pid][0] for pid in pids]
+    last = [obs_by_point[pid][-1] for pid in pids]
+    ok, xyz = triangulate_points(
+        np.array([px for _, px in first], dtype=float).reshape(-1, 2),
+        np.array([px for _, px in last], dtype=float).reshape(-1, 2),
+        cams[[t for t, _ in first]], cams[[t for t, _ in last]], intr)
+    return dict(zip(compress(pids, ok), xyz)), obs_by_point
 
 
 def _triangulate_lines(tracks, poses, intr, gates, audit):
     """Triangulated lines plus gate-passing per-frame observations.
 
-    A track's two 3D endpoints are projected into all its observing frames
-    at once; frames that see an endpoint at depth z <= EPS_Z are dropped,
-    and the rest are gated in one `run_gates` call."""
+    One stacked pass over the tracks seen at least twice: each is
+    triangulated from its first and last segment, its two 3D endpoints are
+    recovered from the first segment's extent, and projected into all its
+    observing frames; frames that see an endpoint at depth z <= EPS_Z are
+    dropped, and every other (track, frame) pair, ordered by track and then
+    frame, is gated in one `run_gates` call. A line is kept with its passing
+    observations when at least two pass."""
+    cams = PoseStack.of(poses)
+    tracked = [(track_id, track.observations)
+               for track_id, track in sorted(tracks.items()) if track.age >= 2]
+    first = [obs[0] for _, obs in tracked]
+    last = [obs[-1] for _, obs in tracked]
+    ends_a = endpoints([seg for _, seg in first])
+    ok, normal, direction = triangulate_lines(
+        ends_a, endpoints([seg for _, seg in last]),
+        cams[[t for t, _ in first]], cams[[t for t, _ in last]], intr)
+    tracked = list(compress(tracked, ok))
+    # 3D endpoints from the first view's observed extent
+    ends_a, cams_a = ends_a[ok], cams[[t for t, _ in compress(first, ok)]]
+    p3 = np.stack([closest_points_on_lines(normal, direction, cams_a.center,
+                                           backproject(ends_a[:, k:k + 2], cams_a, intr))
+                   for k in (0, 2)], axis=1)
+    pairs = [(i, o) for i, (_, obs) in enumerate(tracked) for o in obs]
+    in_front, pixels = project_points(p3[[i for i, _ in pairs]],
+                                      cams[[t for _, (t, _) in pairs]], intr)
+    seen = list(compress(pairs, in_front))
+    passed = run_gates([t for _, (t, _) in seen], [tracked[i][0] for i, _ in seen],
+                       endpoints([seg for _, (_, seg) in seen]),
+                       pixels.reshape(-1, 4), gates, audit)
+    passing: dict[int, list] = {}
+    for (i, obs), good in zip(seen, passed.tolist()):
+        if good:
+            passing.setdefault(i, []).append(obs)
     lines, line_obs = {}, {}
-    for track_id, track in sorted(tracks.items()):
-        if track.age < 2:
-            continue
-        (ta, sa), (tb, sb) = track.observations[0], track.observations[-1]
-        try:
-            line = triangulate_line(sa, sb, poses[ta], poses[tb], intr)
-        except TriangulationError:
-            continue
-        # 3D endpoints from the first view's observed extent
-        o, _ = _backproject_ray(sa.midpoint, poses[ta], intr)
-        ray_s = _backproject_ray(sa.p_start, poses[ta], intr)[1]
-        ray_e = _backproject_ray(sa.p_end, poses[ta], intr)[1]
-        p3_s = closest_point_on_line_to_ray(line, o, ray_s)
-        p3_e = closest_point_on_line_to_ray(line, o, ray_e)
-        in_front, pixels = project_points(
-            [p3_s, p3_e], [poses[t] for t, _ in track.observations], intr)
-        seen = [obs for obs, ok in zip(track.observations, in_front.tolist()) if ok]
-        if not seen:
-            continue
-        passed = run_gates([t for t, _ in seen], track_id,
-                           endpoints([seg for _, seg in seen]),
-                           pixels.reshape(-1, 4), gates, audit)
-        passing = [obs for obs, ok in zip(seen, passed.tolist()) if ok]
-        if len(passing) >= 2:
-            lines[track_id] = line
-            line_obs[track_id] = passing
+    for i, obs in passing.items():
+        if len(obs) >= 2:
+            track_id = tracked[i][0]
+            lines[track_id] = PluckerLine(normal[i], direction[i])
+            line_obs[track_id] = obs
     return lines, line_obs
 
 

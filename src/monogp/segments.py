@@ -5,6 +5,7 @@ whitespace-separated decimal, each id on one line only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,6 @@ class Segment2D:
         if (self.p_start == self.p_end).all():
             raise ValueError("zero-length segment")
 
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.p_start + self.p_end)
-
 
 def rowdot(a, b) -> np.ndarray:
     """Row-wise dot products (n,) of (n, k) rows, each through the BLAS dot
@@ -43,6 +40,11 @@ def row_norms(a) -> np.ndarray:
     return np.sqrt(rowdot(a, a))
 
 
+def acos_deg(c) -> np.ndarray:
+    """Degrees of `math.acos` of each entry (`np.arccos` rounds differently)."""
+    return np.array([math.degrees(math.acos(x)) for x in c.tolist()])
+
+
 def lines_through(p, q) -> np.ndarray:
     """Homogeneous image lines through the points p and q, normalized so
     ||(a, b)|| = 1: (3,) for points of shape (2,), (n, 3) for (n, 2) rows."""
@@ -55,11 +57,6 @@ def lines_through(p, q) -> np.ndarray:
     return (l / n).T
 
 
-def segment_line(seg: Segment2D) -> np.ndarray:
-    """Homogeneous image line through the segment, normalized so ||(a,b)|| = 1."""
-    return lines_through(seg.p_start, seg.p_end)
-
-
 def endpoints(segments) -> np.ndarray:
     """Stacked pixel endpoints (n, 4): x1 y1 x2 y2 per segment."""
     return np.hstack([np.array([s.p_start for s in segments]).reshape(-1, 2),
@@ -68,7 +65,7 @@ def endpoints(segments) -> np.ndarray:
 
 def segment_frames(ends) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and unit directions (n, 2) of stacked endpoints (n, 4),
-    bit for bit `Segment2D.midpoint` and `d / np.linalg.norm(d)` of each
+    bit for bit `0.5 * (p_start + p_end)` and `d / np.linalg.norm(d)` of each
     `d = p_end - p_start`."""
     d = ends[:, 2:] - ends[:, :2]
     return 0.5 * (ends[:, :2] + ends[:, 2:]), d / row_norms(d)[:, None]

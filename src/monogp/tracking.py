@@ -9,20 +9,21 @@ golden-file reproducibility.
 
 Matching and gating run on stacked arrays: `match_predicted` scores a
 frame's prediction/detection pairs in one block and keeps only the greedy
-choice in Python, and `run_gates` gates all observations of a track in one
-call. Each gate is one stacked function; a single segment pair is a one-row
-stack. The floats are those of the per-pair loops they replaced:
+choice in Python, and `run_gates` gates every observation of every
+triangulated track of a pose set in one call. Each gate is one stacked
+function; a single segment pair is a one-row stack. The floats are those of
+the per-pair loops they replaced:
 - dot products and norms go through `segments.rowdot` and `row_norms`, the
   BLAS dot of `a @ b` and `np.linalg.norm` on one row (`einsum` and
   `np.linalg.norm(axis=...)` round differently);
-- angles take `math.acos` of each gated entry (`np.arccos` rounds
-  differently), and `max`/`min` keep Python's first-of-equals rule;
+- angles take `math.acos` of each gated entry (`segments.acos_deg`;
+  `np.arccos` rounds differently), and `max`/`min` keep Python's
+  first-of-equals rule;
 - audit values are Python floats, so `gate_audit.csv` keeps their `repr`.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .segments import (
     Segment2D,
+    acos_deg,
     endpoints,
     lines_through,
     row_norms,
@@ -126,11 +128,6 @@ def filter_short(segments: list[Segment2D], tau_s: float) -> list[Segment2D]:
     return [s for s, k in zip(segments, keep.tolist()) if k]
 
 
-def _acos_deg(c) -> np.ndarray:
-    """Degrees of `math.acos` of each entry (`np.arccos` rounds differently)."""
-    return np.array([math.degrees(math.acos(x)) for x in c.tolist()])
-
-
 def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
                     params: MatchParams | None = None,
                     ) -> list[tuple[int, Segment2D, str]]:
@@ -160,7 +157,7 @@ def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
     i, k = i[gated], k[gated]
     c = np.abs(rowdot(det_dir[k], pred_dir[i]))
     c /= row_norms(det_dir)[k] * row_norms(pred_dir)[i]
-    ang = _acos_deg(np.clip(c, 0.0, 1.0))
+    ang = acos_deg(np.clip(c, 0.0, 1.0))
     gated = ~(ang >= params.gate_ang_deg)
     i, k, ang = i[gated], k[gated], ang[gated]
     overlap = np.clip(overlap_ratio(pred[i, :2], pred[i, 2:],
@@ -202,7 +199,7 @@ def sensitivity_gate(v_ori, p_ori_mid, p_proj_mid,
     moved = ~(norm < EPS_DISP)  # below it there is nothing to test
     c = np.abs(rowdot(_rows(v_ori)[moved], disp[moved])) / norm[moved]
     value = np.zeros(len(disp))
-    value[moved] = 90.0 - _acos_deg(np.clip(c, 0.0, 1.0))
+    value[moved] = 90.0 - acos_deg(np.clip(c, 0.0, 1.0))
     passed = ~(moved & (value > alpha_thre))
     reason = _reasons(~passed, "sensitivity")
     return _verdict(np.ndim(p_ori_mid) == 1, passed, reason, value)
@@ -255,21 +252,22 @@ def write_gate_audit(rows: list[GateAuditRow], path) -> None:
                         repr(r.value), repr(r.threshold), r.verdict])
 
 
-def run_gates(frame_id, track_id: int, observed, projected,
+def run_gates(frame_id, track_id, observed, projected,
               thresholds: GateThresholds,
               audit: list[GateAuditRow] | None = None):
     """Run all three gates on observed/projected segment pairs.
 
-    One pair: `observed` and `projected` are `Segment2D`s, `frame_id` is an
-    int, and the result is a bool. A track's pairs: they are stacked
-    endpoints (n, 4), x1 y1 x2 y2 per row, `frame_id` holds the n frame ids,
-    and the result is the (n,) pass mask. Audit rows go pair by pair, each
-    with its reprojection, sensitivity and overlap row.
+    One pair: `observed` and `projected` are `Segment2D`s, `frame_id` and
+    `track_id` are ints, and the result is a bool. n pairs: they are stacked
+    endpoints (n, 4), x1 y1 x2 y2 per row, `frame_id` and `track_id` hold the
+    frame and track id of each row, and the result is the (n,) pass mask.
+    Audit rows go pair by pair, each with its reprojection, sensitivity and
+    overlap row.
     """
     one = isinstance(observed, Segment2D)
     if one:
         observed, projected = endpoints([observed]), endpoints([projected])
-        frame_id = [frame_id]
+        frame_id, track_id = [frame_id], [track_id]
     if (projected[:, :2] == projected[:, 2:]).all(axis=1).any():
         raise ValueError("zero-length segment")
     ones = np.ones((len(observed), 1))
@@ -294,9 +292,8 @@ def run_gates(frame_id, track_id: int, observed, projected,
             verdicts = res.reason.copy()
             verdicts[res.passed] = "pass"
             columns.append((name, thr, res.value.tolist(), verdicts.tolist()))
-        for row, t in enumerate(frame_id):
+        for row, (t, k) in enumerate(zip(frame_id, track_id)):
             for name, thr, values, verdicts in columns:
-                audit.append(GateAuditRow(t, track_id, name, values[row], thr,
-                                          verdicts[row]))
+                audit.append(GateAuditRow(t, k, name, values[row], thr, verdicts[row]))
     passed = np.logical_and.reduce([res.passed for _, _, res in results])
     return bool(passed[0]) if one else passed

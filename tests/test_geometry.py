@@ -2,7 +2,11 @@
 
 The Plücker transform and projection (Bartoli & Sturm 2005) are computed by
 the line factor's kernel, so their tests evaluate `LineFactor.residual`.
+The stacked triangulation is checked against the scalar two-view functions it
+replaced, kept below verbatim as oracles (renamed `oracle_*`).
 """
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,17 +17,21 @@ from monogp.geometry import (
     DegenerateLineError,
     PluckerLine,
     Pose,
-    TriangulationError,
+    PoseStack,
+    backproject,
+    closest_points_on_lines,
+    cross3,
     orthonormal_update,
     plucker_to_orthonormal,
     project_points,
     se3_exp,
     skew,
-    triangulate_line,
-    triangulate_point,
+    so3_exp,
+    triangulate_lines,
+    triangulate_points,
 )
-from monogp.segments import Segment2D
-from test_graph import line_residual, project_point
+from monogp.segments import Segment2D, endpoints
+from test_graph import closest_point_to_origin, line_residual, project_point
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -95,13 +103,14 @@ def test_project_points_masks_cameras_without_depth():
     # a camera drops out when it sees any of the points at z <= EPS_Z
     shifted = Pose(np.eye(3), [0.0, 0.0, 3.0])
     in_front, px = project_points([[1.0, 0.0, 2.0], [0.0, 0.0, -1.0]],
-                                  [IDENTITY, shifted], K)
+                                  PoseStack.of([IDENTITY, shifted]), K)
     assert in_front.tolist() == [False, True]
     assert px.shape == (1, 2, 2)
     assert np.allclose(px[0], [[420.0, 240.0], [320.0, 240.0]])
-    in_front, px = project_points([[0.0, 0.0, EPS_Z]], [IDENTITY], K)
+    in_front, px = project_points([[0.0, 0.0, EPS_Z]], PoseStack.of([IDENTITY]), K)
     assert not in_front[0] and px.shape == (0, 1, 2)
-    in_front, _ = project_points([[0.0, 0.0, np.nextafter(EPS_Z, 1.0)]], [IDENTITY], K)
+    in_front, _ = project_points([[0.0, 0.0, np.nextafter(EPS_Z, 1.0)]],
+                                 PoseStack.of([IDENTITY]), K)
     assert in_front[0]
 
 
@@ -118,7 +127,7 @@ def test_project_points_bitwise_per_pose():
     assert {p.rotation.flags.f_contiguous for p in poses} == {True, False}
     for _ in range(20):
         points = rng.uniform([-1.0, -1.0, 4.0], [1.0, 1.0, 8.0], (2, 3))
-        in_front, px = project_points(points, poses, K)
+        in_front, px = project_points(points, PoseStack.of(poses), K)
         assert in_front.all()
         for pose, row in zip(poses, px):
             for p, q in zip(points, row):
@@ -236,42 +245,343 @@ def test_orthonormal_update_preserves_constraint():
         assert np.allclose(o.U @ o.U.T, np.eye(3), atol=1e-9)
 
 
+def mixed_layout_poses(rng, n):
+    """n random poses, F-ordered rotations (`from_world_camera`) mixed with
+    C-ordered ones (`se3_exp`)."""
+    poses = []
+    for k in range(n):
+        pose = random_pose(rng, 0.2)
+        if k % 3:
+            pose = Pose.from_world_camera(pose.r_wc.copy(), pose.camera_center())
+        poses.append(pose)
+    assert {p.rotation.flags.f_contiguous for p in poses} == {True, False}
+    return poses
+
+
+def test_pose_stack_bitwise_per_pose():
+    rng = np.random.default_rng(13)
+    poses = mixed_layout_poses(rng, 30)
+    rows = rng.integers(0, 30, 50)
+    cams = PoseStack.of(poses)[rows]
+    v = rng.normal(0.0, 1.0, (50, 3))
+    rotated, in_world = cams.rotate(v), cams.to_world(v)
+    for i, k in enumerate(rows.tolist()):
+        pose = poses[k]
+        assert rotated[i].tobytes() == (pose.rotation @ v[i]).tobytes()
+        assert in_world[i].tobytes() == (pose.r_wc @ v[i]).tobytes()
+        assert cams.center[i].tobytes() == pose.camera_center().tobytes()
+    # k points per camera
+    p = rng.uniform([-1.0, -1.0, 4.0], [1.0, 1.0, 8.0], (50, 2, 3))
+    in_front, px = project_points(p, cams, K)
+    assert in_front.all()
+    for i, k in enumerate(rows.tolist()):
+        for j in range(2):
+            p_c = poses[k].transform(p[i, j])
+            assert px[i, j].tolist() == [K.fx * p_c[0] / p_c[2] + K.cx,
+                                         K.fy * p_c[1] / p_c[2] + K.cy]
+
+
+# -- triangulation: the scalar two-view functions, verbatim ------------------
+
+class OracleTriangulationError(ValueError):
+    """Insufficient parallax or degenerate two-view configuration."""
+
+
+def oracle_unit(v):
+    n = np.linalg.norm(v)
+    if n == 0.0:
+        raise ValueError("cannot normalize zero vector")
+    return v / n
+
+
+def oracle_backproject_ray(obs, pose, intr):
+    """World-frame (origin, unit direction) of the viewing ray through a pixel."""
+    v_c = intr.inverse_matrix() @ np.array([obs[0], obs[1], 1.0])
+    return pose.camera_center(), oracle_unit(pose.r_wc @ v_c)
+
+
+def oracle_ray_angle_deg(obs_a, obs_b, pose_a, pose_b, intr):
+    _, ra = oracle_backproject_ray(obs_a, pose_a, intr)
+    _, rb = oracle_backproject_ray(obs_b, pose_b, intr)
+    return math.degrees(math.acos(np.clip(abs(float(ra @ rb)), 0.0, 1.0)))
+
+
+def oracle_triangulate_point(obs_a, obs_b, pose_a, pose_b, intr, min_ray_angle_deg=0.05):
+    ca, ra = oracle_backproject_ray(obs_a, pose_a, intr)
+    cb, rb = oracle_backproject_ray(obs_b, pose_b, intr)
+    if np.linalg.norm(cb - ca) < 1e-9:
+        raise OracleTriangulationError("insufficient parallax: identical camera centers")
+    cos_ang = np.clip(abs(float(ra @ rb)), 0.0, 1.0)
+    if math.degrees(math.acos(cos_ang)) < min_ray_angle_deg:
+        raise OracleTriangulationError("insufficient parallax: rays nearly parallel")
+    A = np.array([[ra @ ra, -(ra @ rb)], [ra @ rb, -(rb @ rb)]])
+    b = np.array([(cb - ca) @ ra, (cb - ca) @ rb])
+    s, t = np.linalg.solve(A, b)
+    return 0.5 * ((ca + s * ra) + (cb + t * rb))
+
+
+def oracle_backprojected_plane(seg, pose, intr):
+    ps = np.array([seg.p_start[0], seg.p_start[1], 1.0])
+    pe = np.array([seg.p_end[0], seg.p_end[1], 1.0])
+    l_img = cross3(ps, pe)
+    K_ = intr.matrix()
+    a = pose.rotation.T @ (K_.T @ l_img)
+    b = float(pose.translation @ (K_.T @ l_img))
+    return np.concatenate([a, [b]])
+
+
+def oracle_plane_angle_deg(seg_a, seg_b, pose_a, pose_b, intr):
+    na = oracle_unit(oracle_backprojected_plane(seg_a, pose_a, intr)[:3])
+    nb = oracle_unit(oracle_backprojected_plane(seg_b, pose_b, intr)[:3])
+    return math.degrees(math.acos(np.clip(abs(float(na @ nb)), 0.0, 1.0)))
+
+
+def oracle_triangulate_line(seg_a, seg_b, pose_a, pose_b, intr, min_plane_angle_deg=1.0):
+    pa = oracle_backprojected_plane(seg_a, pose_a, intr)
+    pb = oracle_backprojected_plane(seg_b, pose_b, intr)
+    na, nb = oracle_unit(pa[:3]), oracle_unit(pb[:3])
+    cos_ang = np.clip(abs(float(na @ nb)), 0.0, 1.0)
+    if math.degrees(math.acos(cos_ang)) < min_plane_angle_deg:
+        raise OracleTriangulationError("insufficient parallax: planes nearly parallel")
+    d = cross3(pa[:3], pb[:3])
+    A = np.vstack([pa[:3], pb[:3]])
+    rhs = -np.array([pa[3], pb[3]])
+    x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    return PluckerLine(cross3(x, d), d)
+
+
+def oracle_closest_point_on_line_to_ray(line, origin, direction):
+    p0 = closest_point_to_origin(line)
+    d = line.unit_direction()
+    o = np.asarray(origin, dtype=float)
+    r = oracle_unit(np.asarray(direction, dtype=float))
+    A = np.array([[1.0, -(d @ r)], [d @ r, -1.0]])
+    b = np.array([(o - p0) @ d, (o - p0) @ r])
+    det = np.linalg.det(A)
+    if abs(det) < 1e-12:
+        return p0
+    s, _ = np.linalg.solve(A, b)
+    return p0 + s * d
+
+
 # -- triangulation -----------------------------------------------------------
+
+def two_views(pose_a, pose_b, n):
+    """The cameras of n rows: pose_a, then pose_b, for each row."""
+    cams = PoseStack.of([pose_a, pose_b])
+    return cams[[0] * n], cams[[1] * n]
+
+
+def stacked_point_rows(pairs, intr, **kwargs):
+    """`triangulate_points` on (px_a, px_b, pose_a, pose_b) rows."""
+    poses = [p for _, _, pa, pb in pairs for p in (pa, pb)]
+    cams = PoseStack.of(poses)
+    rows = np.arange(len(poses)).reshape(-1, 2)
+    return triangulate_points(np.array([a for a, _, _, _ in pairs], dtype=float),
+                              np.array([b for _, b, _, _ in pairs], dtype=float),
+                              cams[rows[:, 0]], cams[rows[:, 1]], intr, **kwargs)
+
+
+def stacked_line_rows(pairs, intr, **kwargs):
+    """`triangulate_lines` on (seg_a, seg_b, pose_a, pose_b) rows."""
+    poses = [p for _, _, pa, pb in pairs for p in (pa, pb)]
+    cams = PoseStack.of(poses)
+    rows = np.arange(len(poses)).reshape(-1, 2)
+    return triangulate_lines(endpoints([a for a, _, _, _ in pairs]),
+                             endpoints([b for _, b, _, _ in pairs]),
+                             cams[rows[:, 0]], cams[rows[:, 1]], intr, **kwargs)
+
+
+def oracle_rows(oracle, pairs, intr, **kwargs):
+    """The oracle on each row: its result, or None where it raises."""
+    out = []
+    for row in pairs:
+        try:
+            out.append(oracle(*row, intr, **kwargs))
+        except OracleTriangulationError:
+            out.append(None)
+    return out
+
+
+def assert_points_equal_oracle(pairs, intr, **kwargs):
+    ok, xyz = stacked_point_rows(pairs, intr, **kwargs)
+    expected = oracle_rows(oracle_triangulate_point, pairs, intr, **kwargs)
+    assert ok.tolist() == [e is not None for e in expected]
+    assert [p.tobytes() for p in xyz] == [e.tobytes() for e in expected if e is not None]
+    return ok
+
+
+def assert_lines_equal_oracle(pairs, intr, **kwargs):
+    ok, normal, direction = stacked_line_rows(pairs, intr, **kwargs)
+    expected = oracle_rows(oracle_triangulate_line, pairs, intr, **kwargs)
+    assert ok.tolist() == [e is not None for e in expected]
+    kept = [e for e in expected if e is not None]
+    assert [(n.tobytes(), d.tobytes()) for n, d in zip(normal, direction)] == \
+        [(e.normal.tobytes(), e.direction.tobytes()) for e in kept]
+    return ok
+
+
+def straddle(accepts, lo, hi, steps=80):
+    """Two adjacent parameters (a, b), a rejected and b accepted, by
+    bisecting [lo, hi] where accepts(lo) is False and accepts(hi) True."""
+    assert not accepts(lo) and accepts(hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if not accepts(mid) else (lo, mid)
+    return lo, hi
+
 
 def test_triangulate_point_noiseless_roundtrip():
     rng = np.random.default_rng(10)
     pose_a = IDENTITY
     pose_b = Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0])
-    for _ in range(100):
-        p = rng.uniform([-1, -1, 2], [1, 1, 6])
-        obs_a = project_point(p, pose_a, K)
-        obs_b = project_point(p, pose_b, K)
-        rec = triangulate_point(obs_a, obs_b, pose_a, pose_b, K)
-        assert np.linalg.norm(rec - p) < 1e-9
+    p = rng.uniform([-1, -1, 2], [1, 1, 6], (100, 3))
+    obs_a = np.array([project_point(q, pose_a, K) for q in p])
+    obs_b = np.array([project_point(q, pose_b, K) for q in p])
+    ok, rec = triangulate_points(obs_a, obs_b, *two_views(pose_a, pose_b, 100), K)
+    assert ok.all()
+    assert np.linalg.norm(rec - p, axis=1).max() < 1e-9
 
 
-def test_triangulate_point_identical_poses_raises():
-    with pytest.raises(TriangulationError, match="insufficient parallax"):
-        triangulate_point([320, 240], [330, 240], IDENTITY, IDENTITY, K)
+def test_triangulate_point_identical_poses_masked():
+    with pytest.raises(OracleTriangulationError, match="identical camera centers"):
+        oracle_triangulate_point([320, 240], [330, 240], IDENTITY, IDENTITY, K)
+    ok, xyz = triangulate_points(np.array([[320.0, 240.0]]), np.array([[330.0, 240.0]]),
+                                 *two_views(IDENTITY, IDENTITY, 1), K)
+    assert ok.tolist() == [False] and xyz.shape == (0, 3)
+
+
+def test_triangulate_points_equal_scalar_oracle():
+    rng = np.random.default_rng(14)
+    poses = mixed_layout_poses(rng, 12)
+    pairs = []
+    for _ in range(300):
+        i, j = rng.choice(12, 2, replace=False)
+        pairs.append((rng.uniform([0, 0], [640, 480]), rng.uniform([0, 0], [640, 480]),
+                      poses[i], poses[j]))
+    pairs.append((np.array([320.0, 240.0]), np.array([330.0, 240.0]), poses[0], poses[0]))
+    ok = assert_points_equal_oracle(pairs, K)
+    assert 0 < ok.sum() < len(ok)
+
+
+def test_triangulate_points_identical_centres_rotated():
+    # distinct rotations about one centre: no parallax whatever the rays
+    turned = Pose.from_world_camera(so3_exp([0.0, 0.3, 0.0]), [0.0, 0.0, 0.0])
+    shifted = Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0])
+    pairs = [([300.0, 200.0], [420.0, 260.0], IDENTITY, turned),
+             ([300.0, 200.0], [420.0, 260.0], IDENTITY, shifted)]
+    assert assert_points_equal_oracle(pairs, K).tolist() == [False, True]
+
+
+def test_triangulate_points_ray_angle_boundary():
+    shifted = Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0])
+
+    def pair(dx):
+        return ([320.0, 240.0], [320.0 + dx, 240.0], IDENTITY, shifted)
+
+    def accepts(dx):
+        return oracle_ray_angle_deg(*pair(dx), K) >= 0.05
+    below, above = straddle(accepts, 0.0, 1.0)  # 0.05° is ~0.436 px here
+    assert assert_points_equal_oracle([pair(below), pair(above)], K).tolist() == \
+        [False, True]
+    # the threshold at the computed angle itself, and one float above it
+    angle = oracle_ray_angle_deg(*pair(above), K)
+    for limit, accepted in ((angle, True), (np.nextafter(angle, np.inf), False)):
+        ok = assert_points_equal_oracle([pair(above)], K, min_ray_angle_deg=limit)
+        assert ok.tolist() == [accepted]
 
 
 def test_triangulate_line_noiseless_roundtrip():
     rng = np.random.default_rng(11)
     pose_a = IDENTITY
     pose_b = Pose.from_world_camera(np.eye(3), [0.8, 0.2, 0.0])
+    truths, pairs = [], []
     for _ in range(50):
         p0 = rng.uniform([-1, -1, 3], [1, 1, 6])
         d = rng.normal(0.0, 1.0, 3)
         d /= np.linalg.norm(d)
         p1 = p0 + 1.5 * d
-        truth = PluckerLine.from_two_points(p0, p1)
-        seg_a = Segment2D(project_point(p0, pose_a, K),
-                          project_point(p1, pose_a, K), id=0)
-        seg_b = Segment2D(project_point(p0, pose_b, K),
-                          project_point(p1, pose_b, K), id=0)
-        try:
-            rec = triangulate_line(seg_a, seg_b, pose_a, pose_b, K)
-        except TriangulationError:
-            continue  # plane angle below threshold for this draw
-        ca, cb = truth.canonical_coords(), rec.canonical_coords()
+        truths.append(PluckerLine.from_two_points(p0, p1))
+        pairs.append((Segment2D(project_point(p0, pose_a, K),
+                                project_point(p1, pose_a, K), id=0),
+                      Segment2D(project_point(p0, pose_b, K),
+                                project_point(p1, pose_b, K), id=0), pose_a, pose_b))
+    ok, normal, direction = stacked_line_rows(pairs, K)
+    assert ok.sum() > 40  # the rest have a plane angle below the threshold
+    for truth, n, d in zip([t for t, k in zip(truths, ok) if k], normal, direction):
+        ca, cb = truth.canonical_coords(), PluckerLine(n, d).canonical_coords()
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
+
+
+def random_segment(rng):
+    a = rng.uniform([0, 0], [640, 480])
+    return Segment2D(a, a + rng.normal(0.0, 80.0, 2), id=0)
+
+
+def test_triangulate_lines_equal_scalar_oracle():
+    rng = np.random.default_rng(15)
+    poses = mixed_layout_poses(rng, 12)
+    pairs = []
+    for _ in range(300):
+        i, j = rng.choice(12, 2, replace=False)
+        pairs.append((random_segment(rng), random_segment(rng), poses[i], poses[j]))
+    s = random_segment(rng)
+    pairs.append((s, s, poses[0], poses[0]))  # one plane twice
+    ok = assert_lines_equal_oracle(pairs, K)
+    assert 0 < ok.sum() < len(ok)
+
+
+def test_triangulate_lines_plane_angle_boundary():
+    # the world line y = 0.2, z = 5 turned by phi about z, seen from two
+    # centres on the x axis: at phi = 0 it is parallel to the baseline
+    shifted = Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0])
+
+    def pair(phi):
+        d = np.array([math.cos(phi), math.sin(phi), 0.0])
+        ends = [np.array([-0.3, 0.2, 5.0]), np.array([-0.3, 0.2, 5.0]) + d]
+        return tuple(Segment2D(*(project_point(p, pose, K) for p in ends), id=0)
+                     for pose in (IDENTITY, shifted)) + (IDENTITY, shifted)
+
+    def accepts(phi):
+        return oracle_plane_angle_deg(*pair(phi), K) >= 1.0
+    below, above = straddle(accepts, 0.0, 0.5)
+    assert assert_lines_equal_oracle([pair(below), pair(above)], K).tolist() == \
+        [False, True]
+    angle = oracle_plane_angle_deg(*pair(above), K)
+    for limit, accepted in ((angle, True), (np.nextafter(angle, np.inf), False)):
+        ok = assert_lines_equal_oracle([pair(above)], K, min_plane_angle_deg=limit)
+        assert ok.tolist() == [accepted]
+
+
+def assert_closest_points_equal_oracle(lines, origins, rays):
+    out = closest_points_on_lines(np.array([l.normal for l in lines]),
+                                  np.array([l.direction for l in lines]),
+                                  np.array(origins, dtype=float), np.array(rays, dtype=float))
+    assert [p.tobytes() for p in out] == \
+        [oracle_closest_point_on_line_to_ray(l, o, r).tobytes()
+         for l, o, r in zip(lines, origins, rays)]
+    return out
+
+
+def test_closest_points_equal_scalar_oracle():
+    rng = np.random.default_rng(16)
+    lines = [PluckerLine.from_two_points(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
+             for _ in range(200)]
+    origins = rng.normal(0.0, 2.0, (200, 3))
+    rays = [backproject(rng.uniform([0, 0], [640, 480], (1, 2)), PoseStack.of([pose]), K)[0]
+            for pose in mixed_layout_poses(rng, 200)]
+    assert_closest_points_equal_oracle(lines, origins, rays)
+
+
+def test_closest_points_parallel_ray_falls_back_to_line_origin_point():
+    line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [1.0, 2.0, 5.0])
+    p0 = closest_point_to_origin(line)
+    tilted = [0.0, 1e-3, 1.0]  # |det| ~ 1e-6, solved
+    for ray in ([0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [0.0, 1e-7, 1.0], tilted):
+        d, r = line.unit_direction(), oracle_unit(np.array(ray))
+        small = abs(np.linalg.det(np.array([[1.0, -(d @ r)], [d @ r, -1.0]]))) < 1e-12
+        assert small == (ray is not tilted)
+        out = assert_closest_points_equal_oracle([line], [[0.0, 0.0, 0.0]], [ray])
+        assert (out[0].tobytes() == p0.tobytes()) == small

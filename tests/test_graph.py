@@ -12,6 +12,8 @@ from monogp.geometry import (
     CameraIntrinsics,
     PluckerLine,
     Pose,
+    PoseStack,
+    cross3,
     orthonormal_update,
     plucker_to_orthonormal,
     project_points,
@@ -45,9 +47,15 @@ IDENTITY = Pose(np.eye(3), np.zeros(3))
 
 def project_point(p_w, pose, intr):
     """One world point's pixel in one camera, through `project_points`."""
-    in_front, px = project_points([p_w], [pose], intr)
+    in_front, px = project_points([p_w], PoseStack.of([pose]), intr)
     assert in_front[0], "point behind the camera"
     return px[0, 0]
+
+
+def closest_point_to_origin(line):
+    """The point of a Plücker line nearest the world origin."""
+    d = line.direction
+    return cross3(d, line.normal) / float(d @ d)
 
 
 def residual_at(factor, **values):
@@ -441,7 +449,7 @@ def build_assembly_graph():
         line = PluckerLine.from_two_points(anchor, anchor + gp + rng.normal(0.0, 0.02, 3))
         g.add_line(lid, plucker_to_orthonormal(line))
         for t in range(3):
-            a, b = (project_point(line.closest_point_to_origin() + s * gp, g.poses[t], K)
+            a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
             seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
             g.add_factor(LineFactor(t, lid, seg, K, sigma_px=1.5))

@@ -29,6 +29,7 @@ from monogp.simulate import (
 )
 from monogp.tracking import GateThresholds, filter_short
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
+from test_segments import segment_line
 
 
 def test_corridor_lp_converges_with_finite_ate():
@@ -368,3 +369,24 @@ def test_optimizer_failure_is_an_optimize_error(monkeypatch):
     with pytest.raises(PipelineError) as exc:
         run_pipeline(default_corridor(), "lp")
     assert exc.value.stage == "optimize"
+
+
+def test_packed_segment_constants_equal_per_factor_form():
+    # structured(0) gp on ground-truth poses has line and vd_align factors
+    cfg = structured(0)
+    frames, poses = rendered(cfg)
+    g = build_graph(poses, map_landmarks(frames, poses, cfg, "gp"), cfg.intrinsics)
+    consts = {b.cls: b.consts for b in graph.PackedFactors(g.factors, g).batches}
+    lines = [f for f in g.factors if isinstance(f, graph.LineFactor)]
+    aligns = [f for f in g.factors if isinstance(f, graph.VdAlignFactor)]
+    assert lines and aligns
+    expected = {
+        (graph.LineFactor, "ends"): np.array([[[f.obs.p_start[0], f.obs.p_start[1], 1.0],
+                                               [f.obs.p_end[0], f.obs.p_end[1], 1.0]]
+                                              for f in lines]),
+        (graph.VdAlignFactor, "lhat"): np.array([segment_line(f.seg) for f in aligns]),
+    }
+    for (cls, name), want in expected.items():
+        got = consts[cls][name]
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous

@@ -3,7 +3,16 @@ import numpy as np
 import pytest
 
 from monogp.cli import main
-from monogp.segments import Segment2D, endpoints, lines_through, load_segments, segment_line
+from monogp.segments import Segment2D, endpoints, lines_through, load_segments
+
+
+def segment_line(seg):
+    """The homogeneous line through one segment, ||(a, b)|| = 1."""
+    return lines_through(seg.p_start, seg.p_end)
+
+
+def midpoint(seg):
+    return 0.5 * (seg.p_start + seg.p_end)
 
 
 def test_segment_line_x_axis():

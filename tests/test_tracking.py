@@ -1,7 +1,8 @@
 """Line tracking and the three mapline verification gates.
 
-The stacked matcher and gates are checked against the per-pair loops they
-replaced, kept below verbatim as oracles (renamed `oracle_*`).
+The stacked matcher, gates and mapping passes are checked against the
+per-pair and per-track loops they replaced, kept below verbatim as oracles
+(renamed `oracle_*`).
 """
 import math
 from typing import NamedTuple
@@ -9,19 +10,15 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from monogp.geometry import (
-    EPS_Z,
-    CameraIntrinsics,
-    Pose,
-    TriangulationError,
-    _backproject_ray,
-    closest_point_on_line_to_ray,
-    so3_exp,
-    triangulate_line,
+from monogp.geometry import EPS_Z, CameraIntrinsics, Pose, so3_exp
+from monogp.pipeline import (
+    _triangulate_lines,
+    _triangulate_points,
+    build_line_tracks,
+    perturb_poses,
 )
-from monogp.pipeline import _triangulate_lines, build_line_tracks, perturb_poses
-from monogp.scenarios import default_corridor, nonoverlap, structured
-from monogp.segments import Segment2D, endpoints, segment_line
+from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
+from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp.tracking import (
     GateAuditRow,
@@ -37,6 +34,15 @@ from monogp.tracking import (
     sensitivity_gate,
     write_gate_audit,
 )
+from test_geometry import (
+    OracleTriangulationError,
+    oracle_backproject_ray,
+    oracle_closest_point_on_line_to_ray,
+    oracle_triangulate_line,
+    oracle_triangulate_point,
+)
+from test_graph import closest_point_to_origin
+from test_segments import midpoint, segment_line
 
 
 def seg(x1, y1, x2, y2, sid=0, track_id=None):
@@ -90,7 +96,7 @@ def test_match_prefers_detection_near_truth():
     out = match_predicted([pred], [det])
     assert out[0][2] == "detected"
     assert out[0][1].id == 2
-    assert abs(out[0][1].midpoint[1] - 101.0) < 1e-12
+    assert abs(midpoint(out[0][1])[1] - 101.0) < 1e-12
 
 
 def test_match_falls_back_to_prediction():
@@ -248,11 +254,11 @@ def oracle_match_predicted(predicted, detected, params=None):
     params = params or MatchParams()
     out = []
     taken: set[int] = set()
-    det_mids = np.array([det.midpoint for det in detected]).reshape(-1, 2)
+    det_mids = np.array([midpoint(det) for det in detected]).reshape(-1, 2)
     for pred in predicted:
         if pred.track_id is None:
             continue
-        pred_mid = pred.midpoint
+        pred_mid = midpoint(pred)
         near = np.hypot(det_mids[:, 0] - pred_mid[0], det_mids[:, 1] - pred_mid[1])
         best_seg, best_score = None, -1.0
         for k in np.flatnonzero(near < params.gate_mid_px + 1e-6).tolist():
@@ -326,10 +332,10 @@ def oracle_run_gates(frame_id, track_id, observed, projected, thresholds, audit=
     l_proj = segment_line(projected)
     d_s = abs(float(l_proj @ np.array([*observed.p_start, 1.0])))
     d_e = abs(float(l_proj @ np.array([*observed.p_end, 1.0])))
-    rep = oracle_reprojection_gate(observed.midpoint, projected.midpoint, d_s, d_e,
+    rep = oracle_reprojection_gate(midpoint(observed), midpoint(projected), d_s, d_e,
                                    thresholds.theta_thre, thresholds.d_thre)
-    sen = oracle_sensitivity_gate(direction(projected), observed.midpoint,
-                                  projected.midpoint, thresholds.alpha_thre)
+    sen = oracle_sensitivity_gate(direction(projected), midpoint(observed),
+                                  midpoint(projected), thresholds.alpha_thre)
     ove = oracle_overlap_gate(observed.p_start, observed.p_end,
                               projected.p_start, projected.p_end, thresholds.r_thre)
     results = [("reprojection", rep, max(thresholds.theta_thre, thresholds.d_thre)),
@@ -357,15 +363,15 @@ def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
             continue
         (ta, sa), (tb, sb) = track.observations[0], track.observations[-1]
         try:
-            line = triangulate_line(sa, sb, poses_init[ta], poses_init[tb], intr)
-        except TriangulationError:
+            line = oracle_triangulate_line(sa, sb, poses_init[ta], poses_init[tb], intr)
+        except OracleTriangulationError:
             continue
         # 3D endpoints from the first view's observed extent
-        o, _ = _backproject_ray(sa.midpoint, poses_init[ta], intr)
-        ray_s = _backproject_ray(sa.p_start, poses_init[ta], intr)[1]
-        ray_e = _backproject_ray(sa.p_end, poses_init[ta], intr)[1]
-        p3_s = closest_point_on_line_to_ray(line, o, ray_s)
-        p3_e = closest_point_on_line_to_ray(line, o, ray_e)
+        o, _ = oracle_backproject_ray(midpoint(sa), poses_init[ta], intr)
+        ray_s = oracle_backproject_ray(sa.p_start, poses_init[ta], intr)[1]
+        ray_e = oracle_backproject_ray(sa.p_end, poses_init[ta], intr)[1]
+        p3_s = oracle_closest_point_on_line_to_ray(line, o, ray_s)
+        p3_e = oracle_closest_point_on_line_to_ray(line, o, ray_e)
         passing = []
         for t, seg in track.observations:
             try:
@@ -382,16 +388,36 @@ def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
     return lines, line_obs
 
 
-# -- stacked matcher and gates against the oracles ------------------------------
+def oracle_triangulate_points(frames, poses, intr):
+    obs_by_point = {}
+    for fr in frames:
+        for pid, px in fr.points:
+            obs_by_point.setdefault(pid, []).append((fr.frame_id, px))
+    points = {}
+    for pid, items in sorted(obs_by_point.items()):
+        if len(items) < 2:
+            continue
+        (ta, pa), (tb, pb) = items[0], items[-1]
+        try:
+            points[pid] = oracle_triangulate_point(pa, pb, poses[ta], poses[tb], intr)
+        except OracleTriangulationError:
+            continue
+    return points, obs_by_point
+
+
+# -- stacked matcher, gates and mapping against the oracles --------------------
 
 SCENES = [structured(0), structured(1), structured(2), nonoverlap(0), nonoverlap(1),
-          default_corridor(0), default_corridor(1)]
+          nonoverlap(2), default_corridor(0), default_corridor(1), perturbed_corridor(0),
+          perturbed_corridor(1), perturbed_corridor(2)]
 
 
-def scene(config):
+def scene(config, ground_truth=False):
+    """A scene's frames with its perturbed (or ground-truth) poses."""
     world = generate_world(config)
     poses = generate_trajectory(config)
-    return render_measurements(world, poses, config), perturb_poses(poses, config)
+    frames = render_measurements(world, poses, config)
+    return frames, poses if ground_truth else perturb_poses(poses, config)
 
 
 def match_key(matches):
@@ -427,10 +453,13 @@ def assert_lines_equal_oracle(tracks, poses, intr, gates, tmp_path):
     oracle_lines, oracle_obs = oracle_triangulate_lines(tracks, poses, intr, gates,
                                                         oracle_audit)
     assert line_obs == oracle_obs
-    assert {k: v.canonical_coords().tobytes() for k, v in lines.items()} == \
-        {k: v.canonical_coords().tobytes() for k, v in oracle_lines.items()}
+    # raw bytes: the pipeline hands these floats on unnormalized
+    assert list(lines) == list(oracle_lines)
+    assert {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in lines.items()} == \
+        {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in oracle_lines.items()}
     rows = audit_bytes(audit, tmp_path / "stacked.csv")
     assert rows == audit_bytes(oracle_audit, tmp_path / "oracle.csv")
+    assert all(type(r.frame_id) is int and type(r.track_id) is int for r in audit)
     return audit
 
 
@@ -441,6 +470,28 @@ def test_gate_audit_equals_oracle_on_scenes(config, tmp_path):
     tracks = build_line_tracks(frames)
     audit = assert_lines_equal_oracle(tracks, poses, config.intrinsics, gates, tmp_path)
     assert {r.verdict for r in audit} >= {"pass", "midpoint"}
+
+
+@pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
+def test_gate_audit_equals_oracle_on_ground_truth_poses(config, tmp_path):
+    frames, poses = scene(config, ground_truth=True)
+    tracks = build_line_tracks(frames)
+    audit = assert_lines_equal_oracle(tracks, poses, config.intrinsics, GateThresholds(),
+                                      tmp_path)
+    assert "pass" in {r.verdict for r in audit}
+
+
+@pytest.mark.parametrize("ground_truth", [False, True], ids=["perturbed", "gt"])
+@pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
+def test_triangulate_points_equals_oracle_on_scenes(config, ground_truth):
+    frames, poses = scene(config, ground_truth)
+    points, obs = _triangulate_points(frames, poses, config.intrinsics)
+    oracle_points, oracle_obs = oracle_triangulate_points(frames, poses, config.intrinsics)
+    assert obs == oracle_obs
+    assert list(points) == list(oracle_points)
+    assert {k: p.tobytes() for k, p in points.items()} == \
+        {k: p.tobytes() for k, p in oracle_points.items()}
+    assert points
 
 
 def test_match_equal_scores_first_detection_wins():
@@ -501,6 +552,73 @@ def test_gates_skip_frame_behind_camera(tmp_path):
     assert all(r.verdict == "pass" for r in audit)
 
 
+def pinhole(p, pose, intr):
+    """A world point's pixel by the pinhole formula, whatever its depth."""
+    x, y, z = pose.transform(p)
+    return np.array([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy])
+
+
+def test_track_behind_every_camera_has_no_audit_rows(tmp_path):
+    # a world line at z = -5 images through the pinhole formula; its
+    # back-projected planes meet behind both cameras
+    intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+    poses = [Pose(np.eye(3), np.zeros(3)),
+             Pose.from_world_camera(np.eye(3), [0.1, 0.8, 0.0])]
+    ends = [np.array([-1.0, 0.2, -5.0]), np.array([1.0, 0.5, -6.0])]
+    behind, seen = LineTrack(4), LineTrack(9)
+    for t, pose in enumerate(poses):
+        behind.add(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
+        seen.add(t, Segment2D(*(pinhole(-p, pose, intr) for p in ends), id=10 + t))
+    line = oracle_triangulate_line(behind.observations[0][1], behind.observations[1][1],
+                                   *poses, intr)
+    assert closest_point_to_origin(line)[2] < 0  # triangulated, behind the cameras
+    audit = assert_lines_equal_oracle({4: behind, 9: seen}, poses, intr,
+                                      GateThresholds(), tmp_path)
+    assert {r.track_id for r in audit} == {9} and len(audit) == 6
+
+
+def test_tracks_seen_once_are_skipped(tmp_path):
+    intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+    poses = [Pose(np.eye(3), np.zeros(3)),
+             Pose.from_world_camera(np.eye(3), [0.1, 0.8, 0.0])]
+    ends = [np.array([-1.0, 0.2, 5.0]), np.array([1.0, 0.5, 6.0])]
+    once, twice = LineTrack(1), LineTrack(2)
+    once.add(1, Segment2D(*(pinhole(p, poses[1], intr) for p in ends), id=0))
+    for t, pose in enumerate(poses):
+        twice.add(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
+    lines, _ = _triangulate_lines({1: once}, poses, intr, GateThresholds(), audit := [])
+    assert lines == {} and audit == []
+    audit = assert_lines_equal_oracle({2: twice, 1: once}, poses, intr, GateThresholds(),
+                                      tmp_path)
+    assert {r.track_id for r in audit} == {2}
+
+
+def test_zero_length_projection_raises():
+    # the world line is camera 1's optical axis, so both 3D endpoints project
+    # onto its principal point
+    intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+    poses = [Pose.from_world_camera(np.eye(3), [1.0, 0.0, 0.0]),
+             Pose(np.eye(3), np.zeros(3)),
+             Pose.from_world_camera(np.eye(3), [0.0, 1.0, 0.0])]
+    ends = [np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, 6.0])]
+    track = LineTrack(0)
+    for t, pose in enumerate(poses):
+        if t == 1:
+            track.add(t, seg(300, 240, 340, 240, sid=t))
+        else:
+            track.add(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
+    for triangulate in (_triangulate_lines, oracle_triangulate_lines):
+        with pytest.raises(ValueError, match="zero-length segment"):
+            triangulate({0: track}, poses, intr, GateThresholds(), [])
+    # run_gates itself, before it writes any audit row
+    observed = endpoints([seg(100, 100, 200, 120), seg(300, 240, 340, 240)])
+    projected = np.array([[100.0, 101.0, 200.0, 121.0], [320.0, 240.0, 320.0, 240.0]])
+    audit = []
+    with pytest.raises(ValueError, match="zero-length segment"):
+        run_gates([0, 1], [7, 7], observed, projected, GateThresholds(), audit)
+    assert audit == []
+
+
 def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
     rng = np.random.default_rng(4)
     observed, projected = [], []
@@ -513,8 +631,8 @@ def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
     projected[0] = observed[0]  # no displacement
     thresholds = GateThresholds()
     audit, single = [], []
-    mask = run_gates(list(range(200)), 0, endpoints(observed), endpoints(projected),
-                     thresholds, audit)
+    mask = run_gates(list(range(200)), [0] * 200, endpoints(observed),
+                     endpoints(projected), thresholds, audit)
     oracle_audit = []
     for i, (o, p) in enumerate(zip(observed, projected)):
         assert run_gates(i, 0, o, p, thresholds, single) == mask[i] == \

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monogp.geometry import CameraIntrinsics, cross3, so3_exp
-from monogp.segments import Segment2D, endpoints, segment_line
+from monogp.segments import Segment2D, endpoints
 from monogp.simulate import (
     NoiseSpec,
     ScenarioConfig,
@@ -26,6 +26,7 @@ from monogp.vanishing import (
     refine_vp,
     sample_vp_hypotheses,
 )
+from test_segments import midpoint, segment_line
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 
@@ -165,7 +166,7 @@ def floyd_pair(words, pos, n):
 
 def einsum_consensus_matrix(segments, hypotheses):
     """Oracle: the broadcast copy, masked write and einsum formulation."""
-    mids = np.array([s.midpoint for s in segments])
+    mids = np.array([midpoint(s) for s in segments])
     dirs = np.array([(s.p_end - s.p_start) / np.linalg.norm(s.p_end - s.p_start)
                      for s in segments])
     H = np.asarray(hypotheses, dtype=float)
@@ -189,7 +190,7 @@ def scalar_consensus(seg, vp):
     if abs(vp[2]) < 1e-9:
         to_vp = vp[:2]
     else:
-        to_vp = vp[:2] / vp[2] - seg.midpoint
+        to_vp = vp[:2] / vp[2] - midpoint(seg)
         if np.linalg.norm(to_vp) < 1e-9:
             raise ValueError("vp at segment midpoint")
     u = (seg.p_end - seg.p_start) / np.linalg.norm(seg.p_end - seg.p_start)
@@ -414,7 +415,7 @@ def test_consensus_angles_equal_scalar_steps():
 def test_consensus_matrix_equals_einsum_formulation(seed):
     segs = cluttered_frame(seed)
     hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=seed)
-    on_mid = np.array([*segs[5].midpoint, 1.0])
+    on_mid = np.array([*midpoint(segs[5]), 1.0])
     extra = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 5e-10], [0.8, -0.6, -1e-9],
                       on_mid / np.linalg.norm(on_mid)])
     H = np.vstack([hyps, extra])
