@@ -23,7 +23,9 @@ class Segment2D:
     def __post_init__(self):
         self.p_start = np.asarray(self.p_start, dtype=float).reshape(2)
         self.p_end = np.asarray(self.p_end, dtype=float).reshape(2)
-        if (self.p_start == self.p_end).all():
+        # List equality: the elementwise `==` of the arrays (-0.0 equals 0.0,
+        # NaN equals nothing) several times faster than `(a == b).all()`.
+        if self.p_start.tolist() == self.p_end.tolist():
             raise ValueError("zero-length segment")
 
 

@@ -1,11 +1,13 @@
 """End-to-end pipeline runs and CLI surface."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from monogp import graph, pipeline
 from monogp.cli import main
+from monogp.evaluate import load_tum
 from monogp.geometry import EPS_Z, plucker_to_orthonormal
 from monogp.pipeline import (
     MODES,
@@ -311,6 +313,23 @@ def test_cli_run_and_eval(tmp_path, config_path, capsys):
                  str(out / "groundtruth.tum")]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["ate_rmse_m"] < 1e-9
+
+
+@pytest.mark.parametrize("config", ["corridor", "corridor-perturbed",
+                                    "nonoverlap", "structured"])
+def test_cli_writes_every_config_trajectory(tmp_path, config, capsys):
+    # `save_tum` raises (exit 1) on a rotation scipy's `from_matrix` would
+    # re-orthogonalize: every pose written here passes its 1e-12 test.
+    path = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
+    n = len(load_tum(tmp_path / "sim" / "groundtruth.tum").poses)
+    for mode in MODES:
+        out = tmp_path / mode
+        assert main(["run", "--config", path, "--mode", mode, "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert len(load_tum(out / "estimated.tum").poses) == n
+        assert len(load_tum(out / "groundtruth.tum").poses) == n
+    capsys.readouterr()
 
 
 def test_cli_run_gp_writes_registry(tmp_path, config_path):

@@ -50,8 +50,13 @@ def test_stacked_lines_equal_segment_line_per_row():
 
 
 def test_zero_length_segment_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-length segment"):
         Segment2D([3.0, 4.0], [3.0, 4.0], id=0)
+    with pytest.raises(ValueError, match="zero-length segment"):
+        Segment2D([-0.0, 4.0], [0.0, 4.0], id=0)   # -0.0 == 0.0
+    # NaN equals nothing, so a NaN endpoint never makes a segment zero-length.
+    Segment2D([np.nan, 4.0], [np.nan, 4.0], id=0)
+    Segment2D([3.0, 4.0], [3.0, 4.5], id=0)
 
 
 def test_segment_file_roundtrip(tmp_path):
