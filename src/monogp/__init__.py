@@ -11,7 +11,7 @@ from .geometry import (
 from .segments import Segment2D
 from .vanishing import detect_vanishing_points, lift_vanishing_point
 from .primitives import GlobalPrimitive, GlobalPrimitiveRegistry, fuse_directions
-from .graph import FactorGraph, OptimizeOptions, optimize, total_cost
+from .graph import FactorGraph, optimize, total_cost
 from .simulate import ScenarioConfig
 from .evaluate import Trajectory, ate_rmse, umeyama_align
 from .pipeline import run_ablation, run_pipeline
@@ -23,7 +23,7 @@ __all__ = [
     "se3_exp", "Segment2D",
     "detect_vanishing_points", "lift_vanishing_point",
     "GlobalPrimitive", "GlobalPrimitiveRegistry", "fuse_directions",
-    "FactorGraph", "OptimizeOptions", "optimize", "total_cost",
+    "FactorGraph", "optimize", "total_cost",
     "ScenarioConfig", "Trajectory", "ate_rmse", "umeyama_align",
     "run_ablation", "run_pipeline",
 ]

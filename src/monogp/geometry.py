@@ -27,6 +27,10 @@ EPS_Z = 1e-6
 # Threshold on the image-line (a, b) norm, after unit-normalizing the full
 # homogeneous vector, below which the projected line is degenerate.
 EPS_IMAGE_LINE = 1e-12
+# Parallax below which two-view triangulation rejects a row: the angle between
+# a point's two viewing rays, and between a line's two back-projected planes.
+MIN_RAY_ANGLE_DEG = 0.05
+MIN_PLANE_ANGLE_DEG = 1.0
 
 
 class BehindCameraError(ValueError):
@@ -350,17 +354,6 @@ def plucker_to_orthonormal(line: PluckerLine) -> OrthonormalLine:
     return OrthonormalLine(U, W)
 
 
-def rot2(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def orthonormal_update(o: OrthonormalLine, delta) -> OrthonormalLine:
-    """Left-multiplicative update: U <- exp([delta_u]x) U, W <- R(delta_phi) W."""
-    delta = np.asarray(delta, dtype=float).reshape(4)
-    return OrthonormalLine(so3_exp(delta[:3]) @ o.U, rot2(delta[3]) @ o.W)
-
-
 # ---------------------------------------------------------------------------
 # Triangulation: one row per point or line, every step stacked
 # ---------------------------------------------------------------------------
@@ -389,18 +382,18 @@ def backproject(px, cams: PoseStack, intr: CameraIntrinsics) -> np.ndarray:
 
 
 def triangulate_points(px_a, px_b, cams_a: PoseStack, cams_b: PoseStack,
-                       intr: CameraIntrinsics, min_ray_angle_deg: float = 0.05):
+                       intr: CameraIntrinsics):
     """Midpoint triangulation of n points, each from its pixels px_a and
     px_b (n, 2) in the cameras of the same row of cams_a and cams_b.
 
     Returns the mask (n,) of the rows with parallax (camera centres at least
-    1e-9 apart, rays at least `min_ray_angle_deg` apart) and their points
+    1e-9 apart, rays at least MIN_RAY_ANGLE_DEG apart) and their points
     (m, 3), each the midpoint of the closest points of the two rays.
     """
     ra, rb = backproject(px_a, cams_a, intr), backproject(px_b, cams_b, intr)
     base, ab = cams_b.center - cams_a.center, rowdot(ra, rb)
     ok = ~(row_norms(base) < 1e-9)
-    ok &= ~(acos_deg(np.clip(np.abs(ab), 0.0, 1.0)) < min_ray_angle_deg)
+    ok &= ~(acos_deg(np.clip(np.abs(ab), 0.0, 1.0)) < MIN_RAY_ANGLE_DEG)
     ca, cb, ra, rb, ab, base = (cams_a.center[ok], cams_b.center[ok], ra[ok], rb[ok],
                                 ab[ok], base[ok])
     # the ray parameters (s, t) of the closest points
@@ -422,19 +415,19 @@ def backprojected_planes(ends, cams: PoseStack, intr: CameraIntrinsics):
 
 
 def triangulate_lines(ends_a, ends_b, cams_a: PoseStack, cams_b: PoseStack,
-                      intr: CameraIntrinsics, min_plane_angle_deg: float = 1.0):
+                      intr: CameraIntrinsics):
     """World lines of n pairs of image segments (n, 4), each seen in the
     cameras of its row of cams_a and cams_b, by back-projected plane
     intersection.
 
     Returns the mask (n,) of the rows whose planes are at least
-    `min_plane_angle_deg` apart, and the Plücker normals and directions
+    MIN_PLANE_ANGLE_DEG apart, and the Plücker normals and directions
     (m, 3) of their lines.
     """
     na, ba = backprojected_planes(ends_a, cams_a, intr)
     nb, bb = backprojected_planes(ends_b, cams_b, intr)
     c = np.abs(rowdot(_unit_rows(na), _unit_rows(nb)))
-    ok = ~(acos_deg(np.clip(c, 0.0, 1.0)) < min_plane_angle_deg)
+    ok = ~(acos_deg(np.clip(c, 0.0, 1.0)) < MIN_PLANE_ANGLE_DEG)
     na, nb, rhs = na[ok], nb[ok], -np.column_stack([ba, bb])[ok]
     d = _cross_rows(na, nb)
     # the least-norm point on both planes; lstsq does not stack

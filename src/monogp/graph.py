@@ -19,14 +19,15 @@ in place, so a snapshot is the arrays themselves and a restore reassigns
 them. `poses`, `points`, `lines` and `gps` read the state as mappings by id;
 `Pose` and `OrthonormalLine` values are built only there. `retract` steps a
 whole kind at once (SE(3) exponential with the left Jacobian V, the
-SO(3) x SO(2) line update, the GP tangent step), row for row the floats of
-the per-variable formulas of `geometry`, which `numeric_jacobian` steps with.
+SO(3) x SO(2) line update, the GP tangent step); it is the one retraction
+formula, which `optimize` and `numeric_jacobian` both step with.
 
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
-covariance-weighted cost. Evaluation is batched by factor kind (Triggs et
-al. 2000; Agarwal et al. 2010). `PackedFactors` packs a factor list once:
-per kind, the graph rows of each factor's two variables and its constants
-(observation, intrinsics, the segment's image line, 1/sigma^2, Huber delta).
+covariance-weighted cost. Each factor kind has one noise SIGMA and one
+Huber HUBER_DELTA, class constants. Evaluation is batched by factor kind
+(Triggs et al. 2000; Agarwal et al. 2010). `PackedFactors` packs a factor
+list once: per kind, the graph rows of each factor's two variables and its
+constants (observation, intrinsics, the segment's image line).
 Each evaluation indexes the state arrays with those rows and runs one
 vectorized kernel per kind, which returns stacked residuals, an active mask
 and, when asked, stacked Jacobian blocks. `_linearize` scatters the weighted
@@ -41,11 +42,11 @@ and a rejected step restores the snapshot. The solve/update is a
 single-threaded critical section per iteration.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
-  gradient           ||g||_inf < abs_tol at a linearization       converged
+  gradient           ||g||_inf < ABS_TOL at a linearization       converged
   relative decrease  an accepted step lowers the cost by less
-                     than rel_tol * cost                          converged
+                     than REL_TOL * cost                          converged
   relative step      an accepted step has ||delta|| <=
-                     rel_tol * (||x|| + rel_tol), where x is the
+                     REL_TOL * (||x|| + REL_TOL), where x is the
                      free Euclidean state (pose translations and
                      point coordinates)                           converged
   lambda overflow    lambda reaches 1e12 with no accepted step    not converged
@@ -71,8 +72,6 @@ from .geometry import (
     DegenerateLineError,
     OrthonormalLine,
     Pose,
-    orthonormal_update,
-    se3_exp,
     skew,
 )
 from .segments import Segment2D, endpoints, lines_through
@@ -83,8 +82,12 @@ HUBER_1DOF = math.sqrt(3.84)  # chi^2 95%, 1 DOF
 DOF = {"pose": 6, "point": 3, "line": 4, "gp": 2}
 
 MAX_ITERS = 100
+REL_TOL = 1e-8   # relative cost decrease and relative step
+ABS_TOL = 1e-10  # gradient, ||g||_inf
 LAMBDA_INIT = 1e-4
 LAMBDA_SCALE = 10.0
+
+NUMERIC_STEP = 1e-6  # central-difference step of `numeric_jacobian`
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -104,14 +107,6 @@ def _tangent_bases(anchors: np.ndarray) -> np.ndarray:
     b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
     b2 = _mv(S, b1)
     return np.stack([b1, b2], axis=2)
-
-
-def gp_retract(anchor, w1: float, w2: float) -> np.ndarray:
-    """Tangent step then renormalization back onto the unit sphere."""
-    anchor = np.asarray(anchor, dtype=float)
-    B = _tangent_bases(anchor[None])[0]
-    d = anchor + w1 * B[:, 0] + w2 * B[:, 1]
-    return d / np.linalg.norm(d)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +229,11 @@ def _intrinsic_rows(intrs) -> np.ndarray:
 class _Factor:
     """Shared per-factor API. `variables` names the kinds of the two
     variables, in `keys()` order; `inactive_error` is what `residual` and
-    `jacobians` raise for an inactive factor. `_pack` turns a list of factors
-    of one kind into their constant arrays (with `info` = 1/sigma^2) and
-    `_kernel` runs the kind's kernel on the graph's state arrays at the
-    factors' variable rows."""
+    `jacobians` raise for an inactive factor. `SIGMA` is the kind's residual
+    noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber threshold on the
+    whitened residual norm. `_pack` turns a list of factors of one kind into
+    their constant arrays and `_kernel` runs the kind's kernel on the graph's
+    state arrays at the factors' variable rows."""
 
     variables: tuple = ()
     inactive_error: type = ValueError
@@ -263,10 +259,10 @@ class PointFactor(_Factor):
     point_id: int
     obs: np.ndarray
     intr: CameraIntrinsics
-    sigma_px: float = 1.0
-    huber_delta: float = HUBER_2DOF
     kind = "point"
     dim = 2
+    SIGMA = 1.0  # px
+    HUBER_DELTA = HUBER_2DOF
     variables = ("pose", "point")
     inactive_error = BehindCameraError
 
@@ -276,8 +272,7 @@ class PointFactor(_Factor):
     @staticmethod
     def _pack(factors) -> dict:
         return {"obs": np.array([f.obs for f in factors], dtype=float),
-                "intr": _intrinsic_rows(f.intr for f in factors),
-                "info": np.array([1.0 / f.sigma_px**2 for f in factors])}
+                "intr": _intrinsic_rows(f.intr for f in factors)}
 
     @staticmethod
     def _kernel(st, a, b, c, jac):
@@ -290,10 +285,10 @@ class LineFactor(_Factor):
     line_id: int
     obs: Segment2D
     intr: CameraIntrinsics
-    sigma_px: float = 1.0
-    huber_delta: float = HUBER_2DOF
     kind = "line"
     dim = 2
+    SIGMA = 1.0  # px
+    HUBER_DELTA = HUBER_2DOF
     variables = ("pose", "line")
     inactive_error = DegenerateLineError
 
@@ -305,8 +300,7 @@ class LineFactor(_Factor):
         ends = endpoints([f.obs for f in factors]).reshape(-1, 2, 2)
         # homogeneous endpoints (N, 2, 3)
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
-                "KL": np.array([f.intr.line_projection_matrix() for f in factors]),
-                "info": np.array([1.0 / f.sigma_px**2 for f in factors])}
+                "KL": np.array([f.intr.line_projection_matrix() for f in factors])}
 
     @staticmethod
     def _kernel(st, a, b, c, jac):
@@ -319,10 +313,10 @@ class VdAlignFactor(_Factor):
     gp_id: int
     seg: Segment2D
     intr: CameraIntrinsics
-    sigma: float = 0.01
-    huber_delta: float = HUBER_1DOF
     kind = "vd_align"
     dim = 1
+    SIGMA = 0.01
+    HUBER_DELTA = HUBER_1DOF
     variables = ("pose", "gp")
 
     def keys(self):
@@ -333,8 +327,7 @@ class VdAlignFactor(_Factor):
         ends = endpoints([f.seg for f in factors])
         # C-ordered like a stack of rows, so the kernel's products sum alike
         return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
-                "K": np.array([f.intr.matrix() for f in factors]),
-                "info": np.array([1.0 / f.sigma**2 for f in factors])}
+                "K": np.array([f.intr.matrix() for f in factors])}
 
     @staticmethod
     def _kernel(st, a, b, c, jac):
@@ -345,10 +338,10 @@ class VdAlignFactor(_Factor):
 class StructFactor(_Factor):
     line_id: int
     gp_id: int
-    sigma: float = 0.01
-    huber_delta: float = HUBER_1DOF
     kind = "struct"
     dim = 1
+    SIGMA = 0.01
+    HUBER_DELTA = HUBER_1DOF
     variables = ("line", "gp")
 
     def keys(self):
@@ -356,7 +349,7 @@ class StructFactor(_Factor):
 
     @staticmethod
     def _pack(factors) -> dict:
-        return {"info": np.array([1.0 / f.sigma**2 for f in factors])}
+        return {}
 
     @staticmethod
     def _kernel(st, a, b, c, jac):
@@ -371,7 +364,9 @@ class StructFactor(_Factor):
 
 class _Batch:
     """The packed factors of one kind. With a parameter index, `cols` holds
-    the parameter column of every Jacobian column (N, dof_a + dof_b)."""
+    the parameter column of every Jacobian column (N, dof_a + dof_b). `info`
+    and `delta` are the kind's scalars; broadcast over the rows, they give
+    each row the floats a per-row array of them would."""
 
     def __init__(self, cls, factors, positions, rows, index):
         self.cls = cls
@@ -383,8 +378,8 @@ class _Batch:
         self.cols = None if index is None else np.concatenate(
             [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)
         self.consts = cls._pack(factors)
-        self.info = self.consts["info"]
-        self.delta = np.array([f.huber_delta for f in factors], dtype=float)
+        self.info = 1.0 / cls.SIGMA**2
+        self.delta = cls.HUBER_DELTA
 
 
 @dataclass
@@ -418,7 +413,7 @@ class PackedFactors:
         out = []
         for b in self.batches:
             r, active, J = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts, jac)
-            r_sq = np.sum(r * b.info[:, None] * r, axis=1)
+            r_sq = np.sum(r * b.info * r, axis=1)
             cost, weight = _huber(r_sq, b.delta)
             out.append(_Evaluation(b, r, active, cost, weight, J))
         return out
@@ -530,14 +525,6 @@ class FactorGraph:
 
     # -- state access -----------------------------------------------------
 
-    def get_state(self, key):
-        return _Variables(self, key[0])[key[1]]
-
-    def set_state(self, key, value):
-        add = {"pose": self.add_pose, "point": self.add_point,
-               "line": self.add_line, "gp": self.add_gp}
-        add[key[0]](key[1], value)
-
     def take_rows(self, kind: str, rows) -> tuple:
         """The state arrays of `kind` at `rows`, in `_FIELDS` order."""
         return tuple(getattr(self, name)[rows] for name in _FIELDS[kind])
@@ -595,8 +582,9 @@ def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
 
     `values` are the kind's state arrays in `_FIELDS` order (pose (R, t),
     point (X,), line (U, W), gp (G, B)); `deltas` is (N, DOF[kind]). Row for
-    row this is `se3_exp(delta).compose(pose)`, `p + delta`,
-    `orthonormal_update(line, delta)` and `gp_retract(g, *delta)`.
+    row: pose `se3_exp(delta).compose(pose)`; point `p + delta`; line
+    U <- exp([delta[:3]]x) U and W <- R(delta[3]) W; gp a tangent step
+    g + B delta renormalized onto the unit sphere.
     """
     if kind == "pose":
         R, t = values
@@ -616,14 +604,6 @@ def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
         G = d / np.sqrt(np.vecdot(d, d))[:, None]
         return G, _tangent_bases(G)
     raise ValueError(f"unknown variable kind {kind!r}")
-
-
-# The per-variable local parameterizations that `numeric_jacobian` steps with,
-# apart from the batched `retract`.
-_STEP = {"pose": lambda pose, e: se3_exp(e).compose(pose),
-         "point": lambda p, e: p + e,
-         "line": orthonormal_update,
-         "gp": lambda g, e: gp_retract(g, e[0], e[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -676,43 +656,23 @@ def cost_breakdown(graph: FactorGraph, packed: PackedFactors | None = None) -> d
     return {e.batch.cls.kind: float(e.cost.sum()) for e in active}
 
 
-def numeric_jacobian(factor, graph: FactorGraph, h: float = 1e-6) -> dict:
+def numeric_jacobian(factor, graph: FactorGraph) -> dict:
     """Central-difference Jacobian on each variable's local parameterization,
-    stepped with the per-variable formulas (`_STEP`)."""
+    stepping the variable's row with `retract` by +-NUMERIC_STEP."""
     out = {}
-    for key in factor.keys():
-        kind, _ = key
-        dof = DOF[kind]
+    for kind, vid in factor.keys():
+        rows = [graph.rows[kind][vid]]
+        base, snap = graph.take_rows(kind, rows), graph.snapshot()
         cols = []
-        base, snap = graph.get_state(key), graph.snapshot()
-        for j in range(dof):
-            e = np.zeros(dof)
-            e[j] = h
-            graph.set_state(key, _STEP[kind](base, e))
+        for e in np.eye(DOF[kind]) * NUMERIC_STEP:
+            graph.put_rows(kind, rows, retract(kind, base, e[None]))
             r_plus = factor.residual(graph)
-            graph.set_state(key, _STEP[kind](base, -e))
+            graph.put_rows(kind, rows, retract(kind, base, -e[None]))
             r_minus = factor.residual(graph)
-            cols.append((r_plus - r_minus) / (2.0 * h))
+            cols.append((r_plus - r_minus) / (2.0 * NUMERIC_STEP))
         graph.restore(snap)
-        out[key] = np.column_stack(cols)
+        out[(kind, vid)] = np.column_stack(cols)
     return out
-
-
-@dataclass
-class OptimizeOptions:
-    """Levenberg-Marquardt settings: `rel_tol`, `abs_tol` and
-    `fixed_variable_keys`.
-
-    `abs_tol` bounds the gradient (||g||_inf); `rel_tol` bounds both the
-    relative cost decrease of an accepted step and its step size relative to
-    the free Euclidean state. Stops on these three tolerances report
-    `converged=True`; running out of MAX_ITERS, or lambda reaching 1e12
-    without an accepted step, reports `converged=False`.
-    `fixed_variable_keys` holds the (kind, id) keys LM does not move.
-    """
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    fixed_variable_keys: tuple = ()
 
 
 @dataclass
@@ -759,14 +719,16 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
     return float(cost), H, g
 
 
-def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
-             ) -> OptimizationReport:
-    """Levenberg-Marquardt over all non-fixed variables (in place).
+def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
+    """Levenberg-Marquardt over all variables whose (kind, id) key is not in
+    `fixed` (in place).
 
-    The final cost is the loop's last cost of the state it ends in: an
-    accepted step's `total_cost`, or else the last `_linearize`'s."""
-    options = options or OptimizeOptions()
-    fixed = set(options.fixed_variable_keys)
+    Stops on the ABS_TOL and REL_TOL tests (see the module docstring) report
+    `converged=True`; running out of MAX_ITERS, or lambda reaching 1e12
+    without an accepted step, reports `converged=False`. The final cost is
+    the loop's last cost of the state it ends in: an accepted step's
+    `total_cost`, or else the last `_linearize`'s."""
+    fixed = set(fixed)
     if graph.poses and not fixed:
         raise ValueError("gauge unfixed: fix at least one variable")
 
@@ -783,11 +745,11 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
         cost, H, g = _linearize(graph, index, n_params, packed)
         if iters == 1:
             initial_cost = cost
-        if np.max(np.abs(g), initial=0.0) < options.abs_tol:
+        if np.max(np.abs(g), initial=0.0) < ABS_TOL:
             converged = True
             break
         x = np.concatenate([graph.t[index.rows["pose"]], graph.X[index.rows["point"]]])
-        step_tol = options.rel_tol * (np.linalg.norm(x) + options.rel_tol)
+        step_tol = REL_TOL * (np.linalg.norm(x) + REL_TOL)
         damping = np.clip(np.diag(H), 1e-12, None)
         snap = graph.snapshot()
         accepted = False
@@ -806,7 +768,7 @@ def optimize(graph: FactorGraph, options: OptimizeOptions | None = None
             if new_cost < cost:
                 lam = max(lam / LAMBDA_SCALE, 1e-12)
                 accepted = True
-                if cost - new_cost < options.rel_tol * max(cost, 1e-30) or \
+                if cost - new_cost < REL_TOL * max(cost, 1e-30) or \
                         np.linalg.norm(delta) <= step_tol:
                     converged = True
                 cost = new_cost

@@ -62,7 +62,8 @@ MODES = ("lp", "gp")
 
 # Per-frame VP detection settings; `detect_vanishing_points`' own defaults
 # (500 and 3) serve `monogp detect-vp`. Every other setting of the pipeline
-# is the default of the function or factor it calls.
+# is a constant of the module that uses it, or a default of `GateThresholds`
+# or of `detect_vanishing_points`' consensus angle.
 VP_HYPOTHESES = 300
 VP_MIN_CLUSTER = 6
 
@@ -285,7 +286,7 @@ def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
 
     try:
         g = build_graph(poses_init, landmarks, config.intrinsics)
-        report = fg.optimize(g, fg.OptimizeOptions(fixed_variable_keys=(("pose", 0),)))
+        report = fg.optimize(g, fixed=[("pose", 0)])
     except Exception as e:
         raise PipelineError("optimize", str(e)) from e
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .vanishing import canonical_direction
 
-DEFAULT_FUSE_TOL_DEG = 5.0
+# Sign-free angle, strict bound, under which a direction fuses into a GP.
+FUSE_TOL_DEG = 5.0
 
 
 def _axis_angle_deg(d1, d2) -> float:
@@ -30,9 +31,9 @@ def is_parallel(d1, d2, tol_deg: float) -> bool:
     return _axis_angle_deg(d1, d2) < tol_deg
 
 
-def fuse_directions(d_i, n_i: float, d_j, n_j: float, n_l: float,
-                    tol_deg: float = DEFAULT_FUSE_TOL_DEG) -> np.ndarray:
-    """Support-weighted fusion of two parallel unit directions.
+def fuse_directions(d_i, n_i: float, d_j, n_j: float, n_l: float) -> np.ndarray:
+    """Support-weighted fusion of two unit directions parallel within
+    FUSE_TOL_DEG.
 
     Computes (n_i/n_l) d_i + (n_j/n_l) d_j after sign-aligning d_j to d_i,
     then renormalizes onto the unit sphere and canonicalizes the sign.
@@ -41,7 +42,7 @@ def fuse_directions(d_i, n_i: float, d_j, n_j: float, n_l: float,
     """
     d_i = np.asarray(d_i, dtype=float)
     d_j = np.asarray(d_j, dtype=float)
-    if not is_parallel(d_i, d_j, tol_deg):
+    if not is_parallel(d_i, d_j, FUSE_TOL_DEG):
         raise ValueError("not parallel: directions exceed fusion tolerance")
     if float(d_i @ d_j) < 0:
         d_j = -d_j
@@ -69,21 +70,20 @@ class GPAssociationGraph:
 class GlobalPrimitiveRegistry:
     """Single-writer registry of Global Primitives.
 
-    Mutated only through associate_frame; snapshots are safe to read
-    concurrently.
+    Mutated only through associate_frame. It has no lock and no snapshot: a
+    reader running alongside associate_frame can see a half-fused primitive.
     """
 
-    def __init__(self, fuse_tol_deg: float = DEFAULT_FUSE_TOL_DEG):
-        self.fuse_tol_deg = fuse_tol_deg
+    def __init__(self):
         self.primitives: list[GlobalPrimitive] = []
 
     def match(self, direction) -> int | None:
-        """Id of the primitive nearest to `direction` within fuse_tol_deg.
+        """Id of the primitive nearest to `direction` within FUSE_TOL_DEG.
 
         The angle is sign-free and the bound strict; ties go to the lowest
         id. Returns None when no primitive is that close.
         """
-        best, best_angle = None, self.fuse_tol_deg
+        best, best_angle = None, FUSE_TOL_DEG
         for gp_id, gp in enumerate(self.primitives):
             ang = _axis_angle_deg(gp.direction, direction)
             if ang < best_angle:
@@ -111,8 +111,7 @@ class GlobalPrimitiveRegistry:
             else:
                 gp = self.primitives[gp_id]
                 gp.direction = fuse_directions(gp.direction, gp.support_weight,
-                                               direction, w_new, 1,
-                                               self.fuse_tol_deg)
+                                               direction, w_new, 1)
                 gp.support_weight += w_new
                 gp.associations.append((frame_id, seg_ids))
             out.append((gp_id, seg_ids))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -68,6 +68,23 @@ class InitPerturbation:
     trans_m: float = 0.0   # per-axis translation noise, meters
 
 
+# the nested sections of a scenario config
+_SPECS = {"trajectory": TrajectorySpec, "noise": NoiseSpec,
+          "visibility": VisibilitySpec, "init_perturbation": InitPerturbation}
+
+
+def _known_keys(spec, d, where: str) -> dict:
+    """`d` if it is an object whose keys are all fields of the dataclass
+    `spec`; else ValueError naming the first unknown key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    names = {f.name for f in fields(spec)}
+    for key in d:
+        if key not in names:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    return d
+
+
 @dataclass
 class ScenarioConfig:
     name: str = "scenario"
@@ -98,10 +115,15 @@ class ScenarioConfig:
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
         fams = []
-        for d, count in self.direction_families:
+        for i, (d, count) in enumerate(self.direction_families):
             d = np.asarray(d, dtype=float)
-            d = d / np.linalg.norm(d)
-            fams.append((d, int(count)))
+            n = np.linalg.norm(d)
+            if not (np.isfinite(d).all() and 0.0 < n < math.inf):
+                raise ValueError(f"direction family {i}: direction must be "
+                                 f"finite and nonzero, got {d.tolist()}")
+            if int(count) < 0:
+                raise ValueError(f"direction family {i}: negative line count {count}")
+            fams.append((d / n, int(count)))
         self.direction_families = fams
 
     @property
@@ -116,11 +138,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        d = json.loads(text)
-        d["trajectory"] = TrajectorySpec(**d.get("trajectory", {}))
-        d["noise"] = NoiseSpec(**d.get("noise", {}))
-        d["visibility"] = VisibilitySpec(**d.get("visibility", {}))
-        d["init_perturbation"] = InitPerturbation(**d.get("init_perturbation", {}))
+        """The config of a JSON object; an unknown key raises ValueError."""
+        d = _known_keys(cls, json.loads(text), "config")
+        for name, spec in _SPECS.items():
+            d[name] = spec(**_known_keys(spec, d.get(name, {}), name))
         return cls(**d)
 
     @classmethod

@@ -41,6 +41,13 @@ from .segments import (
 
 EPS_DISP = 1e-6  # px; below this the sensitivity gate has nothing to test
 
+# `match_predicted`: the midpoint-distance and direction-angle gates and the
+# score weights of a gated prediction/detection pair.
+MATCH_GATE_MID_PX = 10.0
+MATCH_GATE_ANG_DEG = 5.0
+MATCH_W_ANGLE = 0.5
+MATCH_W_OVERLAP = 0.5
+
 
 @dataclass
 class GateThresholds:
@@ -54,14 +61,6 @@ class GateThresholds:
         if min(self.tau_s, self.theta_thre, self.d_thre, self.alpha_thre,
                self.r_thre) <= 0 or self.r_thre > 1:
             raise ValueError("invalid gate thresholds")
-
-
-@dataclass
-class MatchParams:
-    gate_mid_px: float = 10.0
-    gate_ang_deg: float = 5.0
-    w_angle: float = 0.5
-    w_overlap: float = 0.5
 
 
 @dataclass
@@ -128,15 +127,16 @@ def filter_short(segments: list[Segment2D], tau_s: float) -> list[Segment2D]:
     return [s for s, k in zip(segments, keep.tolist()) if k]
 
 
-def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
-                    params: MatchParams | None = None,
+def match_predicted(predicted: list[Segment2D], detected: list[Segment2D]
                     ) -> list[tuple[int, Segment2D, str]]:
     """Fuse flow-predicted tracks with fresh detections.
 
-    Candidates are gated on midpoint distance and direction angle, scored
-    with w_a (1 - angle/gate) + w_o overlap, and the best-scoring gated
-    detection represents the track. A prediction with no gated detection
-    continues as predicted-only; predictions without a track are dropped.
+    Candidates are gated on midpoint distance (MATCH_GATE_MID_PX) and
+    direction angle (MATCH_GATE_ANG_DEG), scored with
+    MATCH_W_ANGLE (1 - angle/gate) + MATCH_W_OVERLAP overlap, and the
+    best-scoring gated detection represents the track. A prediction with no
+    gated detection continues as predicted-only; predictions without a track
+    are dropped.
 
     One (n_pred, n_det) score block per call: a vectorized midpoint pre-gate,
     1e-6 px wider than the gate, picks the candidate pairs, and the exact
@@ -145,25 +145,24 @@ def match_predicted(predicted: list[Segment2D], detected: list[Segment2D],
     earlier prediction took wins, the choice of a strict `score > best`
     scan in detection order.
     """
-    params = params or MatchParams()
     predicted = [p for p in predicted if p.track_id is not None]
     pred, det = endpoints(predicted), endpoints(detected)
     pred_mid, pred_dir = segment_frames(pred)
     det_mid, det_dir = segment_frames(det)
     near = np.hypot(det_mid[None, :, 0] - pred_mid[:, None, 0],
                     det_mid[None, :, 1] - pred_mid[:, None, 1])
-    i, k = np.nonzero(near < params.gate_mid_px + 1e-6)
-    gated = ~(row_norms(det_mid[k] - pred_mid[i]) >= params.gate_mid_px)
+    i, k = np.nonzero(near < MATCH_GATE_MID_PX + 1e-6)
+    gated = ~(row_norms(det_mid[k] - pred_mid[i]) >= MATCH_GATE_MID_PX)
     i, k = i[gated], k[gated]
     c = np.abs(rowdot(det_dir[k], pred_dir[i]))
     c /= row_norms(det_dir)[k] * row_norms(pred_dir)[i]
     ang = acos_deg(np.clip(c, 0.0, 1.0))
-    gated = ~(ang >= params.gate_ang_deg)
+    gated = ~(ang >= MATCH_GATE_ANG_DEG)
     i, k, ang = i[gated], k[gated], ang[gated]
     overlap = np.clip(overlap_ratio(pred[i, :2], pred[i, 2:],
                                     det[k, :2], det[k, 2:]), 0.0, 1.0)
-    score = (params.w_angle * (1.0 - ang / params.gate_ang_deg)
-             + params.w_overlap * overlap)
+    score = (MATCH_W_ANGLE * (1.0 - ang / MATCH_GATE_ANG_DEG)
+             + MATCH_W_OVERLAP * overlap)
     keep = score > -1.0  # the scan's starting best
     scores = np.full((len(predicted), len(detected)), -np.inf)
     scores[i[keep], k[keep]] = score[keep]

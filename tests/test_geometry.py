@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from monogp import geometry as geometry_module
 from monogp.geometry import (
     EPS_Z,
     CameraIntrinsics,
     DegenerateLineError,
+    OrthonormalLine,
     PluckerLine,
     Pose,
     PoseStack,
     backproject,
     closest_points_on_lines,
     cross3,
-    orthonormal_update,
     plucker_to_orthonormal,
     project_points,
     se3_exp,
@@ -30,6 +31,7 @@ from monogp.geometry import (
     triangulate_lines,
     triangulate_points,
 )
+from monogp.graph import retract
 from monogp.segments import Segment2D, endpoints
 from test_graph import closest_point_to_origin, line_residual, project_point
 
@@ -220,17 +222,23 @@ def test_orthonormal_roundtrip_random():
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
 
 
+def update_line(o, delta) -> OrthonormalLine:
+    """`retract` on one line: U <- exp([delta_u]x) U, W <- R(delta_phi) W."""
+    U, W = retract("line", (o.U[None], o.W[None]), np.asarray(delta, dtype=float)[None])
+    return OrthonormalLine(U[0], W[0])
+
+
 def test_orthonormal_zero_update_is_identity():
     line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
     o = plucker_to_orthonormal(line)
-    o2 = orthonormal_update(o, np.zeros(4))
+    o2 = update_line(o, np.zeros(4))
     assert np.allclose(o.U, o2.U) and np.allclose(o.W, o2.W)
 
 
 def test_orthonormal_small_update_small_change():
     line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
     o = plucker_to_orthonormal(line)
-    o2 = orthonormal_update(o, 1e-8 * np.ones(4))
+    o2 = update_line(o, 1e-8 * np.ones(4))
     assert np.linalg.norm(plucker_coords(o) - plucker_coords(o2)) < 1e-6
 
 
@@ -239,7 +247,7 @@ def test_orthonormal_update_preserves_constraint():
     line = PluckerLine.from_two_points([2.0, 0.0, 1.0], [0.0, 1.0, 4.0])
     o = plucker_to_orthonormal(line)
     for _ in range(100):
-        o = orthonormal_update(o, rng.normal(0.0, 0.1, 4))
+        o = update_line(o, rng.normal(0.0, 0.1, 4))
         v = plucker_coords(o)
         assert abs(float(v[:3] @ v[3:])) < 1e-9
         assert np.allclose(o.U @ o.U.T, np.eye(3), atol=1e-9)
@@ -372,24 +380,24 @@ def two_views(pose_a, pose_b, n):
     return cams[[0] * n], cams[[1] * n]
 
 
-def stacked_point_rows(pairs, intr, **kwargs):
+def stacked_point_rows(pairs, intr):
     """`triangulate_points` on (px_a, px_b, pose_a, pose_b) rows."""
     poses = [p for _, _, pa, pb in pairs for p in (pa, pb)]
     cams = PoseStack.of(poses)
     rows = np.arange(len(poses)).reshape(-1, 2)
     return triangulate_points(np.array([a for a, _, _, _ in pairs], dtype=float),
                               np.array([b for _, b, _, _ in pairs], dtype=float),
-                              cams[rows[:, 0]], cams[rows[:, 1]], intr, **kwargs)
+                              cams[rows[:, 0]], cams[rows[:, 1]], intr)
 
 
-def stacked_line_rows(pairs, intr, **kwargs):
+def stacked_line_rows(pairs, intr):
     """`triangulate_lines` on (seg_a, seg_b, pose_a, pose_b) rows."""
     poses = [p for _, _, pa, pb in pairs for p in (pa, pb)]
     cams = PoseStack.of(poses)
     rows = np.arange(len(poses)).reshape(-1, 2)
     return triangulate_lines(endpoints([a for a, _, _, _ in pairs]),
                              endpoints([b for _, b, _, _ in pairs]),
-                             cams[rows[:, 0]], cams[rows[:, 1]], intr, **kwargs)
+                             cams[rows[:, 0]], cams[rows[:, 1]], intr)
 
 
 def oracle_rows(oracle, pairs, intr, **kwargs):
@@ -403,17 +411,21 @@ def oracle_rows(oracle, pairs, intr, **kwargs):
     return out
 
 
-def assert_points_equal_oracle(pairs, intr, **kwargs):
-    ok, xyz = stacked_point_rows(pairs, intr, **kwargs)
-    expected = oracle_rows(oracle_triangulate_point, pairs, intr, **kwargs)
+def assert_points_equal_oracle(pairs, intr):
+    """The stacked rows against the oracle at the module's MIN_RAY_ANGLE_DEG."""
+    ok, xyz = stacked_point_rows(pairs, intr)
+    expected = oracle_rows(oracle_triangulate_point, pairs, intr,
+                           min_ray_angle_deg=geometry_module.MIN_RAY_ANGLE_DEG)
     assert ok.tolist() == [e is not None for e in expected]
     assert [p.tobytes() for p in xyz] == [e.tobytes() for e in expected if e is not None]
     return ok
 
 
-def assert_lines_equal_oracle(pairs, intr, **kwargs):
-    ok, normal, direction = stacked_line_rows(pairs, intr, **kwargs)
-    expected = oracle_rows(oracle_triangulate_line, pairs, intr, **kwargs)
+def assert_lines_equal_oracle(pairs, intr):
+    """The stacked rows against the oracle at the module's MIN_PLANE_ANGLE_DEG."""
+    ok, normal, direction = stacked_line_rows(pairs, intr)
+    expected = oracle_rows(oracle_triangulate_line, pairs, intr,
+                           min_plane_angle_deg=geometry_module.MIN_PLANE_ANGLE_DEG)
     assert ok.tolist() == [e is not None for e in expected]
     kept = [e for e in expected if e is not None]
     assert [(n.tobytes(), d.tobytes()) for n, d in zip(normal, direction)] == \
@@ -475,22 +487,23 @@ def test_triangulate_points_identical_centres_rotated():
     assert assert_points_equal_oracle(pairs, K).tolist() == [False, True]
 
 
-def test_triangulate_points_ray_angle_boundary():
+def test_triangulate_points_ray_angle_boundary(monkeypatch):
     shifted = Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0])
 
     def pair(dx):
         return ([320.0, 240.0], [320.0 + dx, 240.0], IDENTITY, shifted)
 
     def accepts(dx):
-        return oracle_ray_angle_deg(*pair(dx), K) >= 0.05
+        angle = oracle_ray_angle_deg(*pair(dx), K)
+        return angle >= geometry_module.MIN_RAY_ANGLE_DEG
     below, above = straddle(accepts, 0.0, 1.0)  # 0.05° is ~0.436 px here
     assert assert_points_equal_oracle([pair(below), pair(above)], K).tolist() == \
         [False, True]
     # the threshold at the computed angle itself, and one float above it
     angle = oracle_ray_angle_deg(*pair(above), K)
     for limit, accepted in ((angle, True), (np.nextafter(angle, np.inf), False)):
-        ok = assert_points_equal_oracle([pair(above)], K, min_ray_angle_deg=limit)
-        assert ok.tolist() == [accepted]
+        monkeypatch.setattr(geometry_module, "MIN_RAY_ANGLE_DEG", limit)
+        assert assert_points_equal_oracle([pair(above)], K).tolist() == [accepted]
 
 
 def test_triangulate_line_noiseless_roundtrip():
@@ -533,7 +546,7 @@ def test_triangulate_lines_equal_scalar_oracle():
     assert 0 < ok.sum() < len(ok)
 
 
-def test_triangulate_lines_plane_angle_boundary():
+def test_triangulate_lines_plane_angle_boundary(monkeypatch):
     # the world line y = 0.2, z = 5 turned by phi about z, seen from two
     # centres on the x axis: at phi = 0 it is parallel to the baseline
     shifted = Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0])
@@ -545,14 +558,15 @@ def test_triangulate_lines_plane_angle_boundary():
                      for pose in (IDENTITY, shifted)) + (IDENTITY, shifted)
 
     def accepts(phi):
-        return oracle_plane_angle_deg(*pair(phi), K) >= 1.0
+        angle = oracle_plane_angle_deg(*pair(phi), K)
+        return angle >= geometry_module.MIN_PLANE_ANGLE_DEG
     below, above = straddle(accepts, 0.0, 0.5)
     assert assert_lines_equal_oracle([pair(below), pair(above)], K).tolist() == \
         [False, True]
     angle = oracle_plane_angle_deg(*pair(above), K)
     for limit, accepted in ((angle, True), (np.nextafter(angle, np.inf), False)):
-        ok = assert_lines_equal_oracle([pair(above)], K, min_plane_angle_deg=limit)
-        assert ok.tolist() == [accepted]
+        monkeypatch.setattr(geometry_module, "MIN_PLANE_ANGLE_DEG", limit)
+        assert assert_lines_equal_oracle([pair(above)], K).tolist() == [accepted]
 
 
 def assert_closest_points_equal_oracle(lines, origins, rays):

@@ -1,6 +1,10 @@
 """Factor residuals, analytic-vs-numeric Jacobians, batched retraction,
-robust LM optimizer."""
-from dataclasses import replace
+robust LM optimizer.
+
+The batched `retract` is checked against per-variable formulas kept below as
+oracles (`oracle_*`).
+"""
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ from monogp.geometry import (
     PluckerLine,
     Pose,
     PoseStack,
+    OrthonormalLine,
     cross3,
-    orthonormal_update,
     plucker_to_orthonormal,
     project_points,
     se3_exp,
@@ -22,9 +26,9 @@ from monogp.geometry import (
 )
 from monogp.graph import (
     DOF,
+    HUBER_2DOF,
     FactorGraph,
     LineFactor,
-    OptimizeOptions,
     ParameterIndex,
     PointFactor,
     StructFactor,
@@ -33,7 +37,6 @@ from monogp.graph import (
     _linearize,
     _tangent_bases,
     cost_breakdown,
-    gp_retract,
     numeric_jacobian,
     optimize,
     retract,
@@ -69,6 +72,33 @@ def residual_at(factor, **values):
     return factor.residual(g)
 
 
+# -- per-variable retraction oracles ---------------------------------------------
+
+def oracle_gp_retract(anchor, w1: float, w2: float) -> np.ndarray:
+    """Tangent step then renormalization back onto the unit sphere."""
+    anchor = np.asarray(anchor, dtype=float)
+    B = _tangent_bases(anchor[None])[0]
+    d = anchor + w1 * B[:, 0] + w2 * B[:, 1]
+    return d / np.linalg.norm(d)
+
+
+def oracle_rot2(phi: float) -> np.ndarray:
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def oracle_orthonormal_update(o: OrthonormalLine, delta) -> OrthonormalLine:
+    """Left-multiplicative update: U <- exp([delta_u]x) U, W <- R(delta_phi) W."""
+    delta = np.asarray(delta, dtype=float).reshape(4)
+    return OrthonormalLine(so3_exp(delta[:3]) @ o.U, oracle_rot2(delta[3]) @ o.W)
+
+
+def gp_step(anchor, w1: float, w2: float) -> np.ndarray:
+    """`retract` on one GP direction."""
+    G = np.asarray(anchor, dtype=float)[None]
+    return retract("gp", (G, _tangent_bases(G)), np.array([[w1, w2]]))[0][0]
+
+
 # -- tangent parameterization -------------------------------------------------
 
 def test_tangent_basis_right_handed_triad():
@@ -83,12 +113,12 @@ def test_tangent_basis_right_handed_triad():
 
 def test_gp_retract_zero_step_identity():
     anchor = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(gp_retract(anchor, 0.0, 0.0), anchor)
+    assert np.allclose(gp_step(anchor, 0.0, 0.0), anchor)
 
 
 def test_gp_retract_one_degree_tilt():
     anchor = np.array([0.0, 0.0, 1.0])
-    out = gp_retract(anchor, np.tan(np.radians(1.0)), 0.0)
+    out = gp_step(anchor, np.tan(np.radians(1.0)), 0.0)
     ang = np.degrees(np.arccos(np.clip(out @ anchor, -1.0, 1.0)))
     assert abs(ang - 1.0) < 1e-9
 
@@ -100,7 +130,7 @@ def test_gp_retract_stays_on_sphere():
         anchor /= np.linalg.norm(anchor)
         w = rng.uniform(-1.0, 1.0, 2)
         w *= rng.uniform(0.0, 1.0) / max(np.linalg.norm(w), 1e-12)
-        out = gp_retract(anchor, w[0], w[1])
+        out = gp_step(anchor, w[0], w[1])
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -155,7 +185,7 @@ def test_retract_lines_match_orthonormal_update():
                              rng.normal(0.0, 0.3, (n, 1))], axis=1)
     deltas[0] = 0.0
     U_new, W_new = retract("line", (U, W), deltas)
-    ref = [orthonormal_update(o, d) for o, d in zip(lines, deltas)]
+    ref = [oracle_orthonormal_update(o, d) for o, d in zip(lines, deltas)]
     assert_rows_close(U_new, [o.U for o in ref])
     assert_rows_close(W_new, [o.W for o in ref])
     assert np.max(np.abs(U_new @ U_new.transpose(0, 2, 1) - np.eye(3))) < 1e-12
@@ -168,7 +198,7 @@ def test_retract_gps_match_gp_retract():
     G /= np.linalg.norm(G, axis=1, keepdims=True)
     deltas = rng.normal(0.0, 0.3, (12, 2)) * STEP_ANGLES[:12, None]
     G_new, B_new = retract("gp", (G, _tangent_bases(G)), deltas)
-    assert_rows_close(G_new, [gp_retract(g, *d) for g, d in zip(G, deltas)])
+    assert_rows_close(G_new, [oracle_gp_retract(g, *d) for g, d in zip(G, deltas)])
     assert np.max(np.abs(np.linalg.norm(G_new, axis=1) - 1.0)) < 1e-12
     assert np.array_equal(B_new, _tangent_bases(G_new))
 
@@ -401,8 +431,11 @@ def test_total_cost_huber_elbow_value():
     p = np.array([0.0, 0.0, 2.0])
     g.add_point(0, p)
     obs = project_point(p, IDENTITY, K) + [10.0, 0.0]
-    g.add_factor(PointFactor(0, 0, obs, K, huber_delta=5.0))
-    assert abs(total_cost(g) - 75.0) < 1e-9  # 2*5*10 - 25
+    g.add_factor(PointFactor(0, 0, obs, K))
+    assert PointFactor.SIGMA == 1.0 and PointFactor.HUBER_DELTA == HUBER_2DOF
+    # past the elbow: 2 delta |r| - delta^2 at |r| = 10
+    expected = 2.0 * HUBER_2DOF * 10.0 - HUBER_2DOF**2
+    assert abs(total_cost(g) - expected) < 1e-9
 
 
 def test_behind_camera_factor_deactivated():
@@ -452,13 +485,15 @@ def build_assembly_graph():
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
             seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
-            g.add_factor(LineFactor(t, lid, seg, K, sigma_px=1.5))
+            g.add_factor(LineFactor(t, lid, seg, K))
             g.add_factor(VdAlignFactor(t, 0, seg, K))
         g.add_factor(StructFactor(lid, 0))
     return g
 
 
-def test_linearize_assembles_weighted_normal_equations():
+def test_linearize_assembles_weighted_normal_equations(monkeypatch):
+    # a line noise other than 1 px, so every kind's weight differs from 1
+    monkeypatch.setattr(LineFactor, "SIGMA", 1.5)
     g = build_assembly_graph()
     keys = ([("pose", 1), ("pose", 2)] + [("point", i) for i in sorted(g.points)]
             + [("line", 0), ("line", 1), ("gp", 0)])
@@ -474,10 +509,10 @@ def test_linearize_assembles_weighted_normal_equations():
         except BehindCameraError:
             inactive += 1
             continue
-        info = 1.0 / (f.sigma_px if f.kind in ("point", "line") else f.sigma) ** 2
+        info = 1.0 / f.SIGMA**2
         s = np.sqrt(info * float(r @ r))
-        w = 1.0 if s <= f.huber_delta else f.huber_delta / s
-        elbow += s > f.huber_delta
+        w = 1.0 if s <= f.HUBER_DELTA else f.HUBER_DELTA / s
+        elbow += s > f.HUBER_DELTA
         J = numeric_jacobian(f, g)
         for ka in J:
             if ka not in index:
@@ -522,8 +557,7 @@ def test_optimize_stationary_at_ground_truth():
         g.add_point(i, p)
         for t in (0, 1):
             g.add_factor(PointFactor(t, i, project_point(p, g.poses[t], K), K))
-    report = optimize(g, OptimizeOptions(
-        fixed_variable_keys=(("pose", 0), ("pose", 1))))
+    report = optimize(g, fixed=[("pose", 0), ("pose", 1)])
     assert report.converged
     assert report.iterations <= 2
     assert report.final_cost < 1e-18
@@ -531,7 +565,7 @@ def test_optimize_stationary_at_ground_truth():
 
 def perturbed_pose_graph():
     """One pose, 1 degree and 5 cm off the identity, seeing 50 exact points;
-    returns the graph and the options that fix the points."""
+    returns the graph and the keys of the points, to be fixed."""
     rng = np.random.default_rng(7)
     g = FactorGraph()
     points = {}
@@ -544,12 +578,12 @@ def perturbed_pose_graph():
     for i, p in points.items():
         g.add_point(i, p)
         g.add_factor(PointFactor(0, i, project_point(p, IDENTITY, K), K))
-    return g, OptimizeOptions(fixed_variable_keys=tuple(("point", i) for i in points))
+    return g, [("point", i) for i in points]
 
 
 def test_optimize_recovers_perturbed_pose():
-    g, options = perturbed_pose_graph()
-    report = optimize(g, options)
+    g, fixed = perturbed_pose_graph()
+    report = optimize(g, fixed)
     assert report.converged
     assert report.final_cost == total_cost(g)
     pose = g.poses[0]
@@ -558,7 +592,7 @@ def test_optimize_recovers_perturbed_pose():
     assert rot_err < 1e-6
 
 
-def traced_optimize(monkeypatch, g, options):
+def traced_optimize(monkeypatch, g, fixed):
     """Run `optimize` counting solves, `retract` calls per kind and restores,
     checking that each restore gives back the snapshot's arrays bit for bit;
     also returns the number of rejected trial steps, read off the costs."""
@@ -604,7 +638,7 @@ def traced_optimize(monkeypatch, g, options):
     monkeypatch.setattr(FactorGraph, "restore", checking_restore)
     monkeypatch.setattr(graph_module, "_linearize", logged_linearize)
     monkeypatch.setattr(graph_module, "total_cost", logged_cost)
-    report = optimize(g, options)
+    report = optimize(g, fixed)
     monkeypatch.undo()
     rejected, current = 0, None
     for what, cost in events:
@@ -617,18 +651,18 @@ def traced_optimize(monkeypatch, g, options):
 
 def test_optimize_retracts_each_kind_once_per_trial(monkeypatch):
     g = build_assembly_graph()
-    report, counts, _ = traced_optimize(
-        monkeypatch, g, OptimizeOptions(fixed_variable_keys=(("pose", 0),)))
+    report, counts, _ = traced_optimize(monkeypatch, g, [("pose", 0)])
     assert report.iterations >= 2 and counts["solve"] >= 2
     assert counts["retract"] == ["pose", "point", "line", "gp"] * counts["solve"]
 
 
 def test_optimize_restores_each_rejected_trial_exactly(monkeypatch):
     # with every tolerance zero, LM runs on past the optimum and stops only
-    # when lambda overflows after rejected trials (or at max_iters)
-    g, options = perturbed_pose_graph()
-    options = replace(options, rel_tol=0.0, abs_tol=0.0)
-    report, counts, rejected = traced_optimize(monkeypatch, g, options)
+    # when lambda overflows after rejected trials (or at MAX_ITERS)
+    monkeypatch.setattr(graph_module, "REL_TOL", 0.0)
+    monkeypatch.setattr(graph_module, "ABS_TOL", 0.0)
+    g, fixed = perturbed_pose_graph()
+    report, counts, rejected = traced_optimize(monkeypatch, g, fixed)
     assert report.final_cost < 1e-18
     assert report.final_cost == total_cost(g)
     assert len(counts["retract"]) <= 4 * counts["solve"]
@@ -641,13 +675,13 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
     g = FactorGraph()
     g.add_pose(0, IDENTITY)
     gp_truth = np.array([1.0, 0.0, 0.0])
-    g.add_gp(0, gp_retract(gp_truth, 0.05, -0.03))
+    g.add_gp(0, gp_step(gp_truth, 0.05, -0.03))
     for i in range(10):
         a = rng.uniform([50.0, 50.0], [500.0, 400.0])
         seg = Segment2D(a, a + [rng.uniform(40, 90), 0.0], id=i)
         g.add_factor(VdAlignFactor(0, 0, seg, K))
     c0 = total_cost(g)
-    report = optimize(g, OptimizeOptions(fixed_variable_keys=(("pose", 0),)))
+    report = optimize(g, fixed=[("pose", 0)])
     assert report.final_cost <= c0 + 1e-15
     assert abs(np.linalg.norm(g.gps[0]) - 1.0) < 1e-12
     ang = np.degrees(np.arccos(np.clip(abs(g.gps[0] @ gp_truth), -1, 1)))
@@ -659,7 +693,7 @@ def test_report_json_fields():
     g.add_pose(0, IDENTITY)
     g.add_point(0, np.array([0.0, 0.0, 2.0]))
     g.add_factor(PointFactor(0, 0, np.array([322.0, 240.0]), K))
-    report = optimize(g, OptimizeOptions(fixed_variable_keys=(("pose", 0),)))
+    report = optimize(g, fixed=[("pose", 0)])
     import json
     d = json.loads(report.to_json())
     assert set(d) == {"initial_cost", "final_cost", "iters", "converged",

@@ -37,6 +37,8 @@ ALLOWED = {
         "acceptance criterion 10 writes the scenario config file with it",
     "geometry.Pose.inverse":
         "value-type helper: criterion 1 maps camera points to the world with it",
+    "geometry.Pose.compose":
+        "value-type helper: the oracle that `retract` on poses is checked against",
     "geometry.PluckerLine.canonical_coords":
         "value-type helper: the line tests compare Plücker lines with it",
 }

@@ -364,6 +364,18 @@ def test_cli_missing_file_is_stage_error(tmp_path):
                  "--mode", "lp"]) == 1
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["run", "--mode", "gp"], ["ablate"]])
+def test_cli_bad_config_is_an_error_line(tmp_path, config_path, capsys, command):
+    d = json.loads(config_path.read_text())
+    for key, bad in (("n_pointz", 1), ("noise", {"sigma_pointz_px": 1.0}),
+                     ("direction_families", [[[0.0, 0.0, 0.0], 20]])):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**d, key: bad}))
+        assert main([command[0], "--config", str(path), *command[1:],
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_bad_arguments_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--mode", "sideways"])

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from monogp import primitives as primitives_module
 from monogp.primitives import (
+    FUSE_TOL_DEG,
     GlobalPrimitiveRegistry,
     fuse_directions,
     is_parallel,
@@ -116,7 +118,8 @@ def test_registry_distant_direction_appends():
 
 
 def test_match_nearest_within_tolerance():
-    reg = GlobalPrimitiveRegistry(fuse_tol_deg=5.0)
+    assert FUSE_TOL_DEG == 5.0
+    reg = GlobalPrimitiveRegistry()
     reg.associate_frame(0, [(np.array([1.0, 0.0, 0.0]), frozenset([0])),
                             (canonical_direction([1.0, np.tan(np.radians(6.0)), 0.0]),
                              frozenset([1]))], n_l=10)
@@ -134,17 +137,21 @@ def test_match_antiparallel():
     assert reg.match(np.array([0.0, -np.sin(ang), -np.cos(ang)])) == 0
 
 
-def test_match_at_or_above_tolerance_is_none():
+def test_match_at_or_above_tolerance_is_none(monkeypatch):
     x = np.array([1.0, 0.0, 0.0])
     ang = np.radians(3.0)
     d = np.array([np.cos(ang), np.sin(ang), 0.0])
     exact = math.degrees(math.acos(float(x @ d)))
-    reg = GlobalPrimitiveRegistry(fuse_tol_deg=exact)
+    monkeypatch.setattr(primitives_module, "FUSE_TOL_DEG", exact)
+    reg = GlobalPrimitiveRegistry()
     reg.associate_frame(0, [(x, frozenset([0]))], n_l=10)
     assert reg.match(d) is None  # the bound is strict
-    reg.fuse_tol_deg = np.nextafter(exact, np.inf)
+    with pytest.raises(ValueError, match="not parallel"):
+        fuse_directions(x, 1, d, 1, 2)
+    monkeypatch.setattr(primitives_module, "FUSE_TOL_DEG", np.nextafter(exact, np.inf))
     assert reg.match(d) == 0
-    reg.fuse_tol_deg = 2.0
+    fuse_directions(x, 1, d, 1, 2)
+    monkeypatch.setattr(primitives_module, "FUSE_TOL_DEG", 2.0)
     assert reg.match(d) is None
     assert reg.match(np.array([0.0, 1.0, 0.0])) is None
 

@@ -220,6 +220,38 @@ def test_config_normalizes_family_directions():
     assert np.allclose(d, [1.0, 0.0, 0.0]) and count == 5
 
 
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                       [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]])
+def test_config_rejects_zero_or_nonfinite_family_direction(direction):
+    families = [([1.0, 0.0, 0.0], 5), (direction, 5)]
+    with pytest.raises(ValueError, match="direction family 1: direction must be"):
+        corridor_config(direction_families=families)
+
+
+def test_config_rejects_negative_line_count():
+    with pytest.raises(ValueError, match="direction family 0: negative line count -1"):
+        corridor_config(direction_families=[([1.0, 0.0, 0.0], -1)])
+    cfg = corridor_config(direction_families=[([1.0, 0.0, 0.0], 0)])
+    assert cfg.direction_families[0][1] == 0
+
+
+@pytest.mark.parametrize("section", [None, "trajectory", "noise", "visibility",
+                                     "init_perturbation"])
+def test_config_unknown_key_is_value_error(section):
+    d = json.loads(corridor_config().to_json())
+    (d if section is None else d[section])["n_pointz"] = 1
+    name = section or "config"
+    with pytest.raises(ValueError, match=f"{name}: unknown key 'n_pointz'"):
+        ScenarioConfig.from_json(json.dumps(d))
+
+
+def test_config_section_must_be_an_object():
+    d = json.loads(corridor_config().to_json())
+    d["noise"] = [1.0, 0.5, 0.25]
+    with pytest.raises(ValueError, match="noise: expected a JSON object"):
+        ScenarioConfig.from_json(json.dumps(d))
+
+
 # -- world --------------------------------------------------------------------
 
 def test_world_family_bookkeeping():

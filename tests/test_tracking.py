@@ -20,11 +20,11 @@ from monogp.pipeline import (
 from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
 from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
+from monogp import tracking as tracking_module
 from monogp.tracking import (
     GateAuditRow,
     GateThresholds,
     LineTrack,
-    MatchParams,
     filter_short,
     match_predicted,
     overlap_gate,
@@ -118,7 +118,7 @@ def test_match_detection_not_shared_between_tracks():
 
 
 def test_match_midpoint_gate_boundary():
-    gate = MatchParams().gate_mid_px
+    gate = tracking_module.MATCH_GATE_MID_PX
     inside = np.nextafter(gate, 0.0)
     pred = seg(-50, 0, 50, 0, sid=0, track_id=4)
     at_gate = seg(-50, gate, 50, gate, sid=1)
@@ -250,8 +250,11 @@ def oracle_angle_between_deg(u, v) -> float:
     return math.degrees(math.acos(np.clip(c, 0.0, 1.0)))
 
 
-def oracle_match_predicted(predicted, detected, params=None):
-    params = params or MatchParams()
+def oracle_match_predicted(predicted, detected):
+    # the gates and weights, read as `match_predicted` reads them
+    gate_mid_px, gate_ang_deg, w_angle, w_overlap = (
+        tracking_module.MATCH_GATE_MID_PX, tracking_module.MATCH_GATE_ANG_DEG,
+        tracking_module.MATCH_W_ANGLE, tracking_module.MATCH_W_OVERLAP)
     out = []
     taken: set[int] = set()
     det_mids = np.array([midpoint(det) for det in detected]).reshape(-1, 2)
@@ -261,19 +264,19 @@ def oracle_match_predicted(predicted, detected, params=None):
         pred_mid = midpoint(pred)
         near = np.hypot(det_mids[:, 0] - pred_mid[0], det_mids[:, 1] - pred_mid[1])
         best_seg, best_score = None, -1.0
-        for k in np.flatnonzero(near < params.gate_mid_px + 1e-6).tolist():
+        for k in np.flatnonzero(near < gate_mid_px + 1e-6).tolist():
             if k in taken:
                 continue
             det = detected[k]
-            if np.linalg.norm(det_mids[k] - pred_mid) >= params.gate_mid_px:
+            if np.linalg.norm(det_mids[k] - pred_mid) >= gate_mid_px:
                 continue
             ang = oracle_angle_between_deg(direction(det), direction(pred))
-            if ang >= params.gate_ang_deg:
+            if ang >= gate_ang_deg:
                 continue
             overlap = np.clip(oracle_overlap_ratio(pred.p_start, pred.p_end,
                                                    det.p_start, det.p_end), 0.0, 1.0)
-            score = (params.w_angle * (1.0 - ang / params.gate_ang_deg)
-                     + params.w_overlap * overlap)
+            score = (w_angle * (1.0 - ang / gate_ang_deg)
+                     + w_overlap * overlap)
             if score > best_score:
                 best_seg, best_score, best_k = det, score, k
         if best_seg is not None:
@@ -521,15 +524,15 @@ def test_match_detection_taken_by_earlier_prediction():
             match_key(oracle_match_predicted(preds, detected))
 
 
-def test_match_angle_gate_boundary():
+def test_match_angle_gate_boundary(monkeypatch):
     pred = seg(100, 100, 200, 100, sid=0, track_id=2)
     det = seg(100, 99, 200, 101.5, sid=9)
     ang = oracle_angle_between_deg(direction(det), direction(pred))
     for gate, source in ((ang, "predicted"), (np.nextafter(ang, np.inf), "detected")):
-        params = MatchParams(gate_ang_deg=gate)
-        out = match_predicted([pred], [det], params)
+        monkeypatch.setattr(tracking_module, "MATCH_GATE_ANG_DEG", gate)
+        out = match_predicted([pred], [det])
         assert out[0][2] == source
-        assert match_key(out) == match_key(oracle_match_predicted([pred], [det], params))
+        assert match_key(out) == match_key(oracle_match_predicted([pred], [det]))
 
 
 def test_gates_skip_frame_behind_camera(tmp_path):
