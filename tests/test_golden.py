@@ -1,0 +1,19 @@
+"""Outputs equal the golden file, entry by entry (see `golden.py`).
+
+The `monogp run` and `monogp simulate` files are checked by
+`test_pipeline.py::test_cli_writes_every_config_trajectory`, which runs them.
+"""
+import pytest
+
+from golden import SWEEP, ablate_entries, assert_golden, sweep_entries
+
+
+def test_ablate_outputs_equal_golden(tmp_path, capsys):
+    assert_golden(ablate_entries(tmp_path), "ablate/")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("scenario, seed", SWEEP,
+                         ids=[f"{s.__name__}{seed}" for s, seed in SWEEP])
+def test_sweep_runs_equal_golden(scenario, seed):
+    assert_golden(sweep_entries(scenario, seed), f"sweep/{scenario.__name__}({seed})/")

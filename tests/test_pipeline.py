@@ -1,6 +1,5 @@
 """End-to-end pipeline runs and CLI surface."""
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from monogp.simulate import (
 )
 from monogp.tracking import GateThresholds, filter_short
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
+from golden import assert_golden, run_entries
 from test_segments import segment_line
 
 
@@ -320,16 +320,14 @@ def test_cli_run_and_eval(tmp_path, config_path, capsys):
 def test_cli_writes_every_config_trajectory(tmp_path, config, capsys):
     # `save_tum` raises (exit 1) on a rotation scipy's `from_matrix` would
     # re-orthogonalize: every pose written here passes its 1e-12 test.
-    path = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
+    entries = run_entries(config, tmp_path)
     n = len(load_tum(tmp_path / "sim" / "groundtruth.tum").poses)
     for mode in MODES:
-        out = tmp_path / mode
-        assert main(["run", "--config", path, "--mode", mode, "--seed", "7",
-                     "--out", str(out)]) == 0
-        assert len(load_tum(out / "estimated.tum").poses) == n
-        assert len(load_tum(out / "groundtruth.tum").poses) == n
+        assert len(load_tum(tmp_path / mode / "estimated.tum").poses) == n
+        assert len(load_tum(tmp_path / mode / "groundtruth.tum").poses) == n
     capsys.readouterr()
+    # every file each command wrote, byte for byte
+    assert_golden(entries, f"simulate/{config}/", f"run/{config}/")
 
 
 def test_cli_run_gp_writes_registry(tmp_path, config_path):
