@@ -2,9 +2,10 @@
 
 simulate -> perturb the poses -> map landmarks on the perturbed poses
 (`map_landmarks`: line tracking and verification gates, point and line
-triangulation, and in gp mode per-frame VP detection, global-primitive
-fusion and line-to-GP association) -> factor graph construction
-(`build_graph`) -> Levenberg-Marquardt -> ATE evaluation against ground truth.
+triangulation) -> in gp mode, map global primitives onto them
+(`map_primitives`: per-frame VP detection, global-primitive fusion and
+line-to-GP association) -> factor graph construction (`build_graph`) ->
+Levenberg-Marquardt -> ATE evaluation against ground truth.
 
 Mapping triangulates, projects and gates in stacked passes: all points in
 one midpoint triangulation, all line tracks in one plane intersection, and
@@ -13,7 +14,8 @@ the pose-derived arrays built once per frame (`geometry.PoseStack`).
 
 Modes: "lp" maps points and lines only; "gp" also maps the fused global
 primitives, which add vanishing-direction alignment and structural-consistency
-factors. Fully deterministic given the scenario config.
+factors. `run_ablation` simulates and maps each seed once for both modes.
+Fully deterministic given the scenario config.
 """
 from __future__ import annotations
 
@@ -51,7 +53,6 @@ from .simulate import (
 from .tracking import (
     GateAuditRow,
     GateThresholds,
-    LineTrack,
     filter_short,
     match_predicted,
     run_gates,
@@ -101,28 +102,23 @@ def perturb_poses(poses_gt: list[Pose], config: ScenarioConfig) -> list[Pose]:
     return out
 
 
-def build_line_tracks(frames: list[FrameObservations]) -> dict[int, LineTrack]:
-    """Track segments across frames with flow-predicted matching."""
+def build_line_tracks(frames: list[FrameObservations]) -> dict[int, list]:
+    """Track segments across frames with flow-predicted matching: track id ->
+    [(frame, Segment2D)], frames increasing."""
     tau_s = GateThresholds().tau_s
-    obs: dict[int, list] = {}
+    tracks: dict[int, list] = {}
     for t in range(1, len(frames)):
         predicted = filter_short(frames[t].predicted, tau_s)
         detected = filter_short(frames[t].segments, tau_s)
         for track_id, seg, _source in match_predicted(predicted, detected):
-            obs.setdefault(track_id, []).append((t, seg))
+            tracks.setdefault(track_id, []).append((t, seg))
     # frame 0 joins through the flow sources of frame 1's predictions
     if len(frames) > 1:
         seg0 = {s.id: s for s in filter_short(frames[0].segments, tau_s)}
         for p in frames[1].predicted:
             src = -p.id - 1
-            if p.track_id in obs and src in seg0:
-                obs[p.track_id].insert(0, (0, seg0[src]))
-    tracks = {}
-    for track_id, items in obs.items():
-        track = LineTrack(track_id)
-        for t, seg in items:
-            track.add(t, seg)
-        tracks[track_id] = track
+            if p.track_id in tracks and src in seg0:
+                tracks[p.track_id].insert(0, (0, seg0[src]))
     return tracks
 
 
@@ -156,8 +152,8 @@ def _triangulate_lines(tracks, poses, intr, gates, audit):
     frame, is gated in one `run_gates` call. A line is kept with its passing
     observations when at least two pass."""
     cams = PoseStack.of(poses)
-    tracked = [(track_id, track.observations)
-               for track_id, track in sorted(tracks.items()) if track.age >= 2]
+    tracked = [(track_id, obs) for track_id, obs in sorted(tracks.items())
+               if len(obs) >= 2]
     first = [obs[0] for _, obs in tracked]
     last = [obs[-1] for _, obs in tracked]
     ends_a = endpoints([seg for _, seg in first])
@@ -192,9 +188,10 @@ def _triangulate_lines(tracks, poses, intr, gates, audit):
 
 @dataclass
 class Landmarks:
-    """What mapping found on one pose set, each map in ascending id order. In
-    lp mode the GP part (`registry`, `gp_links`, `line_gp`) is empty; in gp
-    mode every line with a GP is sign-aligned to it."""
+    """What mapping found on one pose set, each map in ascending id order.
+    `map_landmarks` leaves the GP part (`registry`, `gp_links`, `line_gp`)
+    empty; `map_primitives` returns a copy with it, in which every line with a
+    GP is sign-aligned to it."""
     points: dict      # point id -> (3,) world point
     point_obs: dict   # point id -> [(frame, pixel)], every observation
     lines: dict       # track id -> PluckerLine
@@ -206,23 +203,28 @@ class Landmarks:
 
 
 def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
-                  config: ScenarioConfig, mode: str) -> Landmarks:
-    """Points, gated lines and, in gp mode, global primitives mapped from
-    `frames` on `poses` (one per frame)."""
-    intr, gates = config.intrinsics, GateThresholds()
+                  config: ScenarioConfig) -> Landmarks:
+    """Points and gated lines mapped from `frames` on `poses` (one per
+    frame)."""
+    intr = config.intrinsics
     tracks = build_line_tracks(frames)
     points, obs_by_point = _triangulate_points(frames, poses, intr)
     audit: list[GateAuditRow] = []
-    lines, line_obs = _triangulate_lines(tracks, poses, intr, gates, audit)
-    lm = Landmarks(points, {pid: obs_by_point[pid] for pid in points},
-                   lines, line_obs, audit)
-    if mode != "gp":
-        return lm
-    # per-frame VP detection, lifting and world-frame fusion; the links of a
-    # frame are ordered by segment id
-    lm.registry = registry = GlobalPrimitiveRegistry()
+    lines, line_obs = _triangulate_lines(tracks, poses, intr, GateThresholds(), audit)
+    return Landmarks(points, {pid: obs_by_point[pid] for pid in points},
+                     lines, line_obs, audit)
+
+
+def map_primitives(frames: list[FrameObservations], poses: list[Pose],
+                   config: ScenarioConfig, landmarks: Landmarks) -> Landmarks:
+    """A copy of `landmarks` with the GP part mapped from `frames` on `poses`:
+    per-frame VP detection, lifting and fusion into a registry, each frame's
+    (frame, segment, GP) links by segment id, and the line -> GP map. Its lines
+    are a new dict, in which a line pointing away from its GP is negated."""
+    intr, tau_s = config.intrinsics, GateThresholds().tau_s
+    registry, gp_links = GlobalPrimitiveRegistry(), []
     for t, fr in enumerate(frames):
-        segs = filter_short(fr.segments, gates.tau_s)
+        segs = filter_short(fr.segments, tau_s)
         if len(segs) < 2:
             continue
         estimates = detect_vanishing_points(
@@ -233,14 +235,17 @@ def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
         seg_gp = {sid: gp_id for gp_id, ids in
                   registry.associate_frame(t, lifted, config.n_l) for sid in ids}
         by_id = {s.id: s for s in segs}
-        lm.gp_links += [(t, by_id[sid], gp_id) for sid, gp_id in sorted(seg_gp.items())]
-    for lid, line in lines.items():
+        gp_links += [(t, by_id[sid], gp_id) for sid, gp_id in sorted(seg_gp.items())]
+    lines, line_gp = {}, {}
+    for lid, line in landmarks.lines.items():
         gp_id = registry.match(line.unit_direction())
         if gp_id is not None:
-            lm.line_gp[lid] = gp_id
+            line_gp[lid] = gp_id
             if float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
-                lines[lid] = type(line)(-line.normal, -line.direction)
-    return lm
+                line = type(line)(-line.normal, -line.direction)
+        lines[lid] = line
+    return replace(landmarks, lines=lines, registry=registry, gp_links=gp_links,
+                   line_gp=line_gp)
 
 
 def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph:
@@ -266,46 +271,38 @@ def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph
     return g
 
 
-def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-
+def _stage(stage: str, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, any exception re-raised as a `stage` error."""
     try:
-        world = generate_world(config)
-        poses_gt = generate_trajectory(config)
-        frames = render_measurements(world, poses_gt, config)
+        return fn(*args, **kwargs)
     except Exception as e:  # noqa: BLE001 - stage-labeled rethrow
-        raise PipelineError("simulate", str(e)) from e
+        raise PipelineError(stage, str(e)) from e
 
+
+def _map_scene(config: ScenarioConfig):
+    """Frames, true and perturbed poses, and landmarks: what both modes share."""
+    world = _stage("simulate", generate_world, config)
+    poses_gt = _stage("simulate", generate_trajectory, config)
+    frames = _stage("simulate", render_measurements, world, poses_gt, config)
     poses_init = perturb_poses(poses_gt, config)
+    landmarks = _stage("mapping", map_landmarks, frames, poses_init, config)
+    return frames, poses_gt, poses_init, landmarks
 
-    try:
-        landmarks = map_landmarks(frames, poses_init, config, mode)
-    except Exception as e:
-        raise PipelineError("mapping", str(e)) from e
 
-    try:
-        g = build_graph(poses_init, landmarks, config.intrinsics)
-        report = fg.optimize(g, fixed=[("pose", 0)])
-    except Exception as e:
-        raise PipelineError("optimize", str(e)) from e
-
-    try:
-        ts = np.arange(len(poses_gt), dtype=float)
-        gt = Trajectory(ts, poses_gt)
-        init = Trajectory(ts, poses_init)
-        est = Trajectory(ts, [g.poses[t] for t in range(len(poses_gt))])
-        ate = ate_rmse(est, gt, with_scale=True)
-        initial_ate = ate_rmse(init, gt, with_scale=True)
-    except Exception as e:
-        raise PipelineError("evaluate", str(e)) from e
-
+def _solve(config, mode, poses_gt, poses_init, landmarks) -> PipelineResult:
+    """The optimized graph of `landmarks` from `poses_init`, scored against
+    `poses_gt`; `mode` only labels the result."""
+    g = _stage("optimize", build_graph, poses_init, landmarks, config.intrinsics)
+    report = _stage("optimize", fg.optimize, g, fixed=[("pose", 0)])
+    ts = np.arange(len(poses_gt), dtype=float)
+    gt, init = Trajectory(ts, poses_gt), Trajectory(ts, poses_init)
+    est = Trajectory(ts, [g.poses[t] for t in range(len(poses_gt))])
     metrics = {
         "scenario": config.name,
         "mode": mode,
         "seed": config.rng_seed,
-        "ate_rmse_m": ate,
-        "initial_ate_m": initial_ate,
+        "ate_rmse_m": _stage("evaluate", ate_rmse, est, gt, with_scale=True),
+        "initial_ate_m": _stage("evaluate", ate_rmse, init, gt, with_scale=True),
         "iters": report.iterations,
         "converged": report.converged,
         "n_gps": len(landmarks.registry.primitives) if landmarks.registry else 0,
@@ -313,6 +310,15 @@ def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
     }
     return PipelineResult(config, mode, est, gt, init, report,
                           landmarks.registry, landmarks.gate_audit, metrics, g)
+
+
+def run_pipeline(config: ScenarioConfig, mode: str) -> PipelineResult:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    frames, poses_gt, poses_init, lm = _map_scene(config)
+    if mode == "gp":
+        lm = _stage("mapping", map_primitives, frames, poses_init, config, lm)
+    return _solve(config, mode, poses_gt, poses_init, lm)
 
 
 @dataclass
@@ -335,7 +341,8 @@ class AblationReport:
 
 
 def run_ablation(config: ScenarioConfig, n_seeds: int) -> AblationReport:
-    """Paired LP vs LP+GP runs over seeds with identical per-seed worlds."""
+    """Paired LP vs LP+GP runs over seeds. Each seed is simulated, perturbed
+    and mapped once; the gp arm adds `map_primitives` to the lp landmarks."""
     if n_seeds < 2:
         raise ValueError("need at least 2 seeds")
     per_seed, failures = [], []
@@ -343,8 +350,10 @@ def run_ablation(config: ScenarioConfig, n_seeds: int) -> AblationReport:
         seed = config.rng_seed + i
         cfg = replace(config, rng_seed=seed)
         try:
-            res_lp = run_pipeline(cfg, "lp")
-            res_gp = run_pipeline(cfg, "gp")
+            frames, poses_gt, poses_init, lm = _map_scene(cfg)
+            res_lp = _solve(cfg, "lp", poses_gt, poses_init, lm)
+            lm = _stage("mapping", map_primitives, frames, poses_init, cfg, lm)
+            res_gp = _solve(cfg, "gp", poses_gt, poses_init, lm)
             per_seed.append({"seed": seed,
                              "ate_lp": res_lp.metrics["ate_rmse_m"],
                              "ate_gp": res_gp.metrics["ate_rmse_m"]})

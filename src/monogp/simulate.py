@@ -38,6 +38,9 @@ from .segments import Segment2D, row_norms
 MIN_DEPTH = 0.3         # m; landmarks closer than this are culled
 MIN_SEGMENT_PX = 2.0    # discard projected segments shorter than this
 MIN_OUTLIER_PX = 25.0   # planted outlier segments are at least this long
+# A family direction within this of unit norm (a normalized one is within
+# 1.5 eps) is kept bit for bit, so `dataclasses.replace` does not move it.
+UNIT_NORM_TOL = 4 * np.finfo(float).eps
 
 
 @dataclass
@@ -116,14 +119,14 @@ class ScenarioConfig:
             raise ValueError("outlier_fraction must be in [0, 1)")
         fams = []
         for i, (d, count) in enumerate(self.direction_families):
-            d = np.asarray(d, dtype=float)
+            d = np.array(d, dtype=float)
             n = np.linalg.norm(d)
             if not (np.isfinite(d).all() and 0.0 < n < math.inf):
                 raise ValueError(f"direction family {i}: direction must be "
                                  f"finite and nonzero, got {d.tolist()}")
             if int(count) < 0:
                 raise ValueError(f"direction family {i}: negative line count {count}")
-            fams.append((d / n, int(count)))
+            fams.append((d if abs(n - 1.0) <= UNIT_NORM_TOL else d / n, int(count)))
         self.direction_families = fams
 
     @property

@@ -24,7 +24,7 @@ the per-pair loops they replaced:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,21 +61,6 @@ class GateThresholds:
         if min(self.tau_s, self.theta_thre, self.d_thre, self.alpha_thre,
                self.r_thre) <= 0 or self.r_thre > 1:
             raise ValueError("invalid gate thresholds")
-
-
-@dataclass
-class LineTrack:
-    track_id: int
-    observations: list = field(default_factory=list)  # (frame_id, Segment2D)
-
-    @property
-    def age(self) -> int:
-        return len(self.observations)
-
-    def add(self, frame_id, seg: Segment2D):
-        if self.observations and frame_id <= self.observations[-1][0]:
-            raise ValueError("observations must be in strictly increasing frame order")
-        self.observations.append((frame_id, seg))
 
 
 class GateResult(NamedTuple):

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs and CLI surface."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from monogp.pipeline import (
     build_graph,
     build_line_tracks,
     map_landmarks,
+    map_primitives,
     perturb_poses,
     run_ablation,
     run_pipeline,
@@ -30,7 +32,7 @@ from monogp.simulate import (
 )
 from monogp.tracking import GateThresholds, filter_short
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
-from golden import assert_golden, run_entries
+from golden import assert_golden, digests, run_entries
 from test_segments import segment_line
 
 
@@ -91,17 +93,41 @@ def test_ablation_report_arithmetic():
     assert csv_text.splitlines()[0] == "seed,ate_lp,ate_gp"
 
 
+def test_ablation_maps_each_seed_once_and_equals_separate_runs(monkeypatch):
+    calls = {"render_measurements": 0, "map_landmarks": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(pipeline, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    report = run_ablation(structured(), 2)
+    assert calls == {"render_measurements": 2, "map_landmarks": 2}
+    monkeypatch.undo()
+    assert not report.failures and len(report.per_seed) == 2
+    for e in report.per_seed:
+        cfg = replace(structured(), rng_seed=e["seed"])
+        for mode in MODES:
+            ate = run_pipeline(cfg, mode).metrics["ate_rmse_m"]
+            assert e[f"ate_{mode}"].hex() == ate.hex()
+
+
 def rendered(cfg):
     """The scenario's frames and its ground-truth poses."""
     poses = generate_trajectory(cfg)
     return render_measurements(generate_world(cfg), poses, cfg), poses
 
 
+def mapped(frames, poses, cfg, mode):
+    """The landmarks `run_pipeline` maps in `mode` on `poses`."""
+    lm = map_landmarks(frames, poses, cfg)
+    return map_primitives(frames, poses, cfg, lm) if mode == "gp" else lm
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_map_landmarks_on_ground_truth_poses(mode):
     cfg = structured(0)
     frames, poses = rendered(cfg)
-    lm = map_landmarks(frames, poses, cfg, mode)
+    lm = mapped(frames, poses, cfg, mode)
     assert lm.lines and list(lm.line_obs) == list(lm.lines)
     assert all(len(obs) >= 2 for obs in lm.line_obs.values())
     assert lm.points and list(lm.point_obs) == list(lm.points)
@@ -119,6 +145,34 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     assert lm.line_gp
     for lid, gp_id in lm.line_gp.items():
         assert lm.lines[lid].unit_direction() @ gps[gp_id].direction >= 0
+
+
+def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
+    cfg = structured(0)
+    frames, poses = rendered(cfg)
+    lm = map_landmarks(frames, poses, cfg)
+    lines = dict(lm.lines)
+    line_bytes = {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in lines.items()}
+    gp = map_primitives(frames, poses, cfg, lm)
+    # the input is unchanged
+    assert list(lm.lines) == list(lines)
+    assert all(lm.lines[k] is v for k, v in lines.items())
+    assert {k: (v.normal.tobytes(), v.direction.tobytes())
+            for k, v in lm.lines.items()} == line_bytes
+    assert lm.registry is None and lm.gp_links == [] and lm.line_gp == {}
+    # the result shares what it does not change
+    for name in ("points", "point_obs", "line_obs", "gate_audit"):
+        assert getattr(gp, name) is getattr(lm, name), name
+    assert gp.lines is not lm.lines and list(gp.lines) == list(lm.lines)
+    flipped = 0
+    for lid, line in gp.lines.items():
+        src = lm.lines[lid]
+        if (line.normal.tobytes(), line.direction.tobytes()) != line_bytes[lid]:
+            assert line.normal.tobytes() == (-src.normal).tobytes()
+            assert line.direction.tobytes() == (-src.direction).tobytes()
+            assert lid in gp.line_gp
+            flipped += 1
+    assert flipped and gp.registry.primitives and gp.gp_links
 
 
 def oracle_graph(frames, poses, cfg, mode):
@@ -194,8 +248,7 @@ def test_build_graph_matches_inline_construction(scenario, perturbed, mode):
     frames, poses = rendered(scenario)
     if perturbed:
         poses = perturb_poses(poses, scenario)
-    g = build_graph(poses, map_landmarks(frames, poses, scenario, mode),
-                    scenario.intrinsics)
+    g = build_graph(poses, mapped(frames, poses, scenario, mode), scenario.intrinsics)
     oracle, flipped = oracle_graph(frames, poses, scenario, mode)
     if not perturbed:
         # the sign alignment and the struct factors are exercised
@@ -277,8 +330,7 @@ def test_build_line_tracks_pinned_on_structured():
     expected = {tid: [(t0 + i, 100000 * (t0 + i) + k if k >= 0 else k)
                       for i, k in enumerate(ks)]
                 for tid, (t0, ks) in PINNED_TRACKS.items()}
-    got = {tid: [(t, seg.id) for t, seg in track.observations]
-           for tid, track in tracks.items()}
+    got = {tid: [(t, seg.id) for t, seg in obs] for tid, obs in tracks.items()}
     assert list(got) == list(expected)
     assert got == expected
 
@@ -328,6 +380,26 @@ def test_cli_writes_every_config_trajectory(tmp_path, config, capsys):
     capsys.readouterr()
     # every file each command wrote, byte for byte
     assert_golden(entries, f"simulate/{config}/", f"run/{config}/")
+
+
+def test_cli_non_axis_config_same_with_and_without_its_seed(tmp_path, capsys):
+    # `--seed` goes through `dataclasses.replace`, which must not normalize
+    # the family directions a second time
+    path = tmp_path / "oblique.json"
+    path.write_text(json.dumps({
+        "name": "oblique", "rng_seed": 3, "n_points": 60,
+        "direction_families": [[[1.0, 1.0, 0.3], 15], [[1.0, 0.0, 1.0], 15],
+                               [[0.0, 1.0, 0.0], 15]],
+        "trajectory": {"kind": "corridor", "n_keyframes": 8, "spacing": 0.25}}))
+    runs = []
+    for seed in ([], ["--seed", "3"]):
+        out = tmp_path / f"run{len(seed)}"
+        assert main(["run", "--config", str(path), "--mode", "gp", *seed,
+                     "--out", str(out)]) == 0
+        runs.append(digests(out, "run"))
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+    assert len(json.loads((out / "registry.json").read_text())) >= 2
 
 
 def test_cli_run_gp_writes_registry(tmp_path, config_path):
@@ -404,7 +476,7 @@ def test_packed_segment_constants_equal_per_factor_form():
     # structured(0) gp on ground-truth poses has line and vd_align factors
     cfg = structured(0)
     frames, poses = rendered(cfg)
-    g = build_graph(poses, map_landmarks(frames, poses, cfg, "gp"), cfg.intrinsics)
+    g = build_graph(poses, mapped(frames, poses, cfg, "gp"), cfg.intrinsics)
     consts = {b.cls: b.consts for b in graph.PackedFactors(g.factors, g).batches}
     lines = [f for f in g.factors if isinstance(f, graph.LineFactor)]
     aligns = [f for f in g.factors if isinstance(f, graph.VdAlignFactor)]

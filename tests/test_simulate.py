@@ -220,6 +220,19 @@ def test_config_normalizes_family_directions():
     assert np.allclose(d, [1.0, 0.0, 0.0]) and count == 5
 
 
+def test_config_normalizes_family_directions_once():
+    raw = [[1.0, 1.0, 0.3], [1.0, 0.0, 1.0], [1.0, 1.0, -1.0], [2.0, 0.0, 0.0]]
+    cfg = corridor_config(direction_families=[(d, 5) for d in raw])
+    first = [d.tobytes() for d, _ in cfg.direction_families]
+    # the first construction divides each direction by its norm
+    assert first == [(np.array(d) / np.linalg.norm(d)).tobytes() for d in raw]
+    # constructing again (`replace`, a saved and loaded config) keeps the bytes
+    for again in (dataclasses.replace(cfg, rng_seed=1),
+                  dataclasses.replace(dataclasses.replace(cfg, rng_seed=1), rng_seed=0),
+                  ScenarioConfig.from_json(cfg.to_json())):
+        assert [d.tobytes() for d, _ in again.direction_families] == first
+
+
 @pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
                                        [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]])
 def test_config_rejects_zero_or_nonfinite_family_direction(direction):

@@ -24,7 +24,6 @@ from monogp import tracking as tracking_module
 from monogp.tracking import (
     GateAuditRow,
     GateThresholds,
-    LineTrack,
     filter_short,
     match_predicted,
     overlap_gate,
@@ -69,13 +68,17 @@ def test_filter_short_boundary_kept():
     assert filter_short(segs, 0.0) == segs
 
 
-def test_line_track_requires_increasing_frames():
-    track = LineTrack(0)
-    track.add(3, seg(0, 0, 10, 0))
-    track.add(5, seg(0, 0, 10, 0))
-    assert track.age == 2
-    with pytest.raises(ValueError):
-        track.add(5, seg(0, 0, 10, 0))
+@pytest.mark.parametrize("config", [structured(0), structured(1), structured(2),
+                                    nonoverlap(0), perturbed_corridor(0)],
+                         ids=lambda c: f"{c.name}({c.rng_seed})")
+def test_track_frames_strictly_increase(config):
+    frames = render_measurements(generate_world(config), generate_trajectory(config),
+                                 config)
+    tracks = build_line_tracks(frames)
+    assert tracks and any(len(obs) >= 2 for obs in tracks.values())
+    for obs in tracks.values():
+        t = [t for t, _ in obs]
+        assert all(a < b for a, b in zip(t, t[1:])), t
 
 
 # -- matching ----------------------------------------------------------------
@@ -361,10 +364,10 @@ def oracle_project_point(p_w, pose, intr):
 
 def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
     lines, line_obs = {}, {}
-    for track_id, track in sorted(tracks.items()):
-        if track.age < 2:
+    for track_id, obs in sorted(tracks.items()):
+        if len(obs) < 2:
             continue
-        (ta, sa), (tb, sb) = track.observations[0], track.observations[-1]
+        (ta, sa), (tb, sb) = obs[0], obs[-1]
         try:
             line = oracle_triangulate_line(sa, sb, poses_init[ta], poses_init[tb], intr)
         except OracleTriangulationError:
@@ -376,7 +379,7 @@ def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
         p3_s = oracle_closest_point_on_line_to_ray(line, o, ray_s)
         p3_e = oracle_closest_point_on_line_to_ray(line, o, ray_e)
         passing = []
-        for t, seg in track.observations:
+        for t, seg in obs:
             try:
                 q_s = oracle_project_point(p3_s, poses_init[t], intr)
                 q_e = oracle_project_point(p3_e, poses_init[t], intr)
@@ -541,14 +544,14 @@ def test_gates_skip_frame_behind_camera(tmp_path):
              Pose.from_world_camera(so3_exp([0.0, math.pi, 0.0]), [0.0, 0.0, 0.0]),
              Pose.from_world_camera(np.eye(3), [0.1, 0.6, 0.2])]
     ends = [np.array([-1.0, 0.2, 5.0]), np.array([1.0, 0.3, 6.0])]
-    track = LineTrack(3)
+    track = []
     for t, pose in enumerate(poses):
         if t == 1:  # the world line is behind this camera
             assert pose.transform(ends[0])[2] < 0
-            track.add(t, seg(100, 100, 200, 120, sid=t))
+            track.append((t, seg(100, 100, 200, 120, sid=t)))
         else:
-            track.add(t, Segment2D(*(oracle_project_point(p, pose, intr) for p in ends),
-                                   id=t))
+            track.append((t, Segment2D(*(oracle_project_point(p, pose, intr)
+                                         for p in ends), id=t)))
     audit = assert_lines_equal_oracle({3: track}, poses, intr, GateThresholds(), tmp_path)
     assert [(r.frame_id, r.gate) for r in audit] == \
         [(t, g) for t in (0, 2) for g in ("reprojection", "sensitivity", "overlap")]
@@ -568,12 +571,11 @@ def test_track_behind_every_camera_has_no_audit_rows(tmp_path):
     poses = [Pose(np.eye(3), np.zeros(3)),
              Pose.from_world_camera(np.eye(3), [0.1, 0.8, 0.0])]
     ends = [np.array([-1.0, 0.2, -5.0]), np.array([1.0, 0.5, -6.0])]
-    behind, seen = LineTrack(4), LineTrack(9)
-    for t, pose in enumerate(poses):
-        behind.add(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
-        seen.add(t, Segment2D(*(pinhole(-p, pose, intr) for p in ends), id=10 + t))
-    line = oracle_triangulate_line(behind.observations[0][1], behind.observations[1][1],
-                                   *poses, intr)
+    behind = [(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
+              for t, pose in enumerate(poses)]
+    seen = [(t, Segment2D(*(pinhole(-p, pose, intr) for p in ends), id=10 + t))
+            for t, pose in enumerate(poses)]
+    line = oracle_triangulate_line(behind[0][1], behind[1][1], *poses, intr)
     assert closest_point_to_origin(line)[2] < 0  # triangulated, behind the cameras
     audit = assert_lines_equal_oracle({4: behind, 9: seen}, poses, intr,
                                       GateThresholds(), tmp_path)
@@ -585,10 +587,9 @@ def test_tracks_seen_once_are_skipped(tmp_path):
     poses = [Pose(np.eye(3), np.zeros(3)),
              Pose.from_world_camera(np.eye(3), [0.1, 0.8, 0.0])]
     ends = [np.array([-1.0, 0.2, 5.0]), np.array([1.0, 0.5, 6.0])]
-    once, twice = LineTrack(1), LineTrack(2)
-    once.add(1, Segment2D(*(pinhole(p, poses[1], intr) for p in ends), id=0))
-    for t, pose in enumerate(poses):
-        twice.add(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
+    once = [(1, Segment2D(*(pinhole(p, poses[1], intr) for p in ends), id=0))]
+    twice = [(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
+             for t, pose in enumerate(poses)]
     lines, _ = _triangulate_lines({1: once}, poses, intr, GateThresholds(), audit := [])
     assert lines == {} and audit == []
     audit = assert_lines_equal_oracle({2: twice, 1: once}, poses, intr, GateThresholds(),
@@ -604,12 +605,9 @@ def test_zero_length_projection_raises():
              Pose(np.eye(3), np.zeros(3)),
              Pose.from_world_camera(np.eye(3), [0.0, 1.0, 0.0])]
     ends = [np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, 6.0])]
-    track = LineTrack(0)
-    for t, pose in enumerate(poses):
-        if t == 1:
-            track.add(t, seg(300, 240, 340, 240, sid=t))
-        else:
-            track.add(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
+    track = [(t, seg(300, 240, 340, 240, sid=t)) if t == 1 else
+             (t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
+             for t, pose in enumerate(poses)]
     for triangulate in (_triangulate_lines, oracle_triangulate_lines):
         with pytest.raises(ValueError, match="zero-length segment"):
             triangulate({0: track}, poses, intr, GateThresholds(), [])
