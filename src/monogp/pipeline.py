@@ -45,7 +45,6 @@ from .segments import endpoints
 from .simulate import (
     FrameObservations,
     ScenarioConfig,
-    World,
     generate_trajectory,
     generate_world,
     render_measurements,
