@@ -9,7 +9,12 @@ Entries, one flat key each:
 - `ablate/structured/<file>`: SHA-256 of `monogp ablate --config
   configs/structured.json --seeds 10` JSON and CSV;
 - `sweep/<scenario>(<seed>)/<mode>/<name>`: iterations, `converged`, and the
-  `float.hex` of the ATE and the final cost of `run_pipeline`.
+  `float.hex` of the ATE and the final cost of `run_pipeline`;
+- `vp/clutter(<seed>)/<frame>/<name>`: `detect_vanishing_points` with its
+  defaults on every frame of a five-family orbit scene with 20% outlier
+  segments and 100 segments per frame: the VPs (`float.hex` per
+  coordinate), the sorted member ids and the RMS (`float.hex`) of each
+  estimate, and every segment's label.
 
 The bits depend on the numpy and BLAS build and on the BLAS thread count.
 Regenerate only for a change that is meant to alter outputs, and list every
@@ -22,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 # One BLAS thread, as CI and the README's timing runs use, set before numpy
@@ -33,6 +39,15 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from monogp.cli import main
 from monogp.pipeline import MODES, run_pipeline
 from monogp.scenarios import nonoverlap, structured
+from monogp.simulate import (
+    NoiseSpec,
+    ScenarioConfig,
+    TrajectorySpec,
+    generate_trajectory,
+    generate_world,
+    render_measurements,
+)
+from monogp.vanishing import detect_vanishing_points
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -40,6 +55,7 @@ CONFIGS = ("corridor", "corridor-perturbed", "nonoverlap", "structured")
 RUN_SEED = "7"
 ABLATE_SEEDS = "10"
 SWEEP = [(structured, s) for s in range(3)] + [(nonoverlap, s) for s in range(2)]
+VP_SCENE_SEED = 1
 
 
 def config_path(name: str) -> str:
@@ -87,6 +103,44 @@ def sweep_entries(scenario, seed: int) -> dict:
     return entries
 
 
+def vp_clutter_frames(seed: int) -> list:
+    """Segments of each frame of a 40-keyframe orbit over five direction
+    families (x, y, z, (1, 0, 1), (1, 1, -1); 30 lines each), 1 px endpoint
+    noise, 20% outlier segments and a 100-segment budget."""
+    cfg = ScenarioConfig(
+        name="vp-clutter", rng_seed=seed, n_points=20,
+        direction_families=[([1.0, 0.0, 0.0], 30), ([0.0, 1.0, 0.0], 30),
+                            ([0.0, 0.0, 1.0], 30), ([1.0, 0.0, 1.0], 30),
+                            ([1.0, 1.0, -1.0], 30)],
+        trajectory=TrajectorySpec("orbit", 40, 0.25),
+        noise=NoiseSpec(0.0, 1.0, 0.0), outlier_fraction=0.2, n_l=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse-frame warnings: few points
+        frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
+    return [f.segments for f in frames]
+
+
+def vp_entries(seed: int = VP_SCENE_SEED) -> dict:
+    """Per frame t: the estimates and labels of `detect_vanishing_points` with
+    its defaults and `rng_seed = 1009 * seed + t`."""
+    entries = {}
+    for t, segs in enumerate(vp_clutter_frames(seed)):
+        ests = detect_vanishing_points(segs, rng_seed=1009 * seed + t)
+        key = f"vp/clutter({seed})/{t:02d}"
+        entries.update({
+            f"{key}/vps": [[x.hex() for x in e.vp_homogeneous.tolist()] for e in ests],
+            f"{key}/members": [sorted(e.member_segment_ids) for e in ests],
+            f"{key}/rms": [e.residual_rms.hex() for e in ests],
+            f"{key}/labels": [s.cluster_label for s in segs]})
+    return entries
+
+
+def dump(entries: dict) -> str:
+    """The golden file's text: one line per entry, sorted by key."""
+    lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(entries.items())]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def load() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -113,11 +167,12 @@ def regenerate() -> dict:
         entries.update(ablate_entries(Path(tmp) / "ablate"))
     for scenario, seed in SWEEP:
         entries.update(sweep_entries(scenario, seed))
+    entries.update(vp_entries())
     return entries
 
 
 if __name__ == "__main__":
     entries = regenerate()
     old = load() if GOLDEN.exists() else {}
-    GOLDEN.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(dump(entries))
     print("\n".join(changes(old, entries)) or "no entry changed", file=sys.stderr)
