@@ -694,15 +694,19 @@ class OptimizationReport:
 
 
 def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
-               packed: PackedFactors | None = None):
+               packed: PackedFactors | None = None, H: np.ndarray | None = None):
     """One batched pass over all factors: robust cost, gradient, Gauss-Newton H.
 
     `index` places the free variables; fixed ones get no rows. `packed` is
     `PackedFactors(graph.factors, graph, index)`, packed here when not given.
+    `H` is an (n_params + 1, n_params + 1) buffer, zeroed and filled in place
+    (a new one when not given); the returned H is a view of it.
     """
     packed = packed if packed is not None else PackedFactors(graph.factors, graph, index)
     m = n_params + 1  # row and column n_params collect the fixed variables' terms
-    H = np.zeros((m, m))
+    if H is None:
+        H = np.empty((m, m))
+    H.fill(0.0)
     g = np.zeros(m)
     cost = 0.0
     for e in packed.evaluate(graph, jac=True):
@@ -738,11 +742,14 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
     blocks = [(kind, rows, index.slices[kind]) for kind, rows in index.rows.items()
               if len(rows)]
     diagonal = np.diag_indices(n_params)
+    # one H buffer (with the fixed variables' row and column) per call,
+    # refilled in place each iteration; a trial step damps its diagonal
+    H_buf = np.empty((n_params + 1, n_params + 1))
 
     lam = LAMBDA_INIT
     converged = False
     for iters in range(1, MAX_ITERS + 1):
-        cost, H, g = _linearize(graph, index, n_params, packed)
+        cost, H, g = _linearize(graph, index, n_params, packed, H_buf)
         if iters == 1:
             initial_cost = cost
         if np.max(np.abs(g), initial=0.0) < ABS_TOL:
@@ -750,14 +757,14 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
             break
         x = np.concatenate([graph.t[index.rows["pose"]], graph.X[index.rows["point"]]])
         step_tol = REL_TOL * (np.linalg.norm(x) + REL_TOL)
-        damping = np.clip(np.diag(H), 1e-12, None)
+        undamped = H.diagonal().copy()
+        damping = np.clip(undamped, 1e-12, None)
         snap = graph.snapshot()
         accepted = False
         while lam < 1e12:
-            damped = H.copy()
-            damped[diagonal] += lam * damping
+            H[diagonal] = undamped + lam * damping
             try:
-                delta = np.linalg.solve(damped, -g)
+                delta = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_SCALE
                 continue

@@ -13,10 +13,18 @@ keeps the floats of a per-pair, per-segment loop:
   uint32 words, exactly as `Generator.choice(n, 2, replace=False)` draws
   them (Floyd's algorithm with Lemire's bounded draw), one block of words
   per batch of attempts;
-- J-Linkage keeps each preference set as a bit-packed row of uint64 words,
-  so set sizes and intersections are exact popcounts; rows are ordered by
-  segment id, which turns the tie rule (smallest sorted id pair among the
-  distances <= dmin + 1e-15) into the first such entry in row-major order;
+- the preference matrix (consensus angle < θ) is built one block of
+  hypothesis columns at a time, `max(1, _BLOCK_ELEMS // n)` columns for n
+  segments: each (n, block) float temporary stays below glibc's default
+  128 KiB mmap threshold, so it reuses heap pages where a whole (n, m)
+  plane would be a fresh mapping on every call;
+- J-Linkage keeps each preference set as a 0/1 float row and takes set sizes
+  and intersections from BLAS (`S @ S.T` once, `S @ S[i]` per merge): sums
+  of 0/1 products are exact integers, whatever the BLAS thread count; rows
+  are ordered by segment id, which turns the tie rule (smallest sorted id
+  pair among the minimum distances) into the first minimum in row-major
+  order, `argmin`. Distinct distances differ by far more than rounding for
+  fewer than 2²⁴ hypotheses (see `jlinkage_cluster`);
 - each cluster is refined from its rows of the stacked endpoints, in input
   order;
 - norms and the refinement's dot products go through `segments.rowdot`
@@ -46,6 +54,12 @@ DEFAULT_MIN_CLUSTER_SIZE = 3
 
 _EPS_INF = 1e-9
 _WORD = 1 << 32  # the generator's uint32 words
+# Float elements per consensus block: an (n, block) float64 plane stays
+# below glibc's default 128 KiB mmap threshold, so it reuses heap pages.
+_BLOCK_ELEMS = 12_000
+# Fewer hypotheses than this keep distinct Jaccard distances > 1e-15 apart,
+# which J-Linkage's tie rule needs (see `jlinkage_cluster`).
+_MAX_HYPOTHESES = 1 << 24
 
 
 def canonical_direction(d) -> np.ndarray:
@@ -168,21 +182,32 @@ def consensus_angles(ends, vp) -> np.ndarray:
                      for c, d in zip(cross.tolist(), dot.tolist())])
 
 
-def _consensus_matrix(ends, hypotheses) -> np.ndarray:
-    """(n_segments, n_hypotheses) matrix of consensus angles in degrees for
-    stacked endpoints (n, 4); 90 where a hypothesis sits on a segment midpoint."""
-    mids, dirs = segment_frames(ends)
-    tx, ty = _rays(mids, np.asarray(hypotheses, dtype=float))
+def _angle_block(mids, dirs, hyps) -> np.ndarray:
+    """(n, k) consensus angles in degrees of n segments (midpoints and unit
+    directions) against k hypotheses; 90 where a hypothesis sits on a
+    segment midpoint."""
+    tx, ty = _rays(mids, hyps)
     ux, uy = dirs[:, :1], dirs[:, 1:]
     ang = np.degrees(np.arctan2(np.abs(ux * ty - uy * tx), np.abs(ux * tx + uy * ty)))
     return np.where(np.sqrt(tx * tx + ty * ty) >= 1e-9, ang, 90.0)
 
 
-def _jaccard(inter, sizes, size) -> np.ndarray:
-    """Jaccard distances 1 − |A∩B| / |A∪B| from exact integer counts; 1 for
-    two empty sets."""
-    union = sizes + size - inter
-    return 1.0 - np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
+def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
+    """(n, m) bool: segment r's consensus angle with hypothesis c is below θ.
+
+    `ends` holds stacked endpoints (n, 4). The angles are built one block of
+    `max(1, _BLOCK_ELEMS // n)` hypothesis columns at a time, so no (n, block)
+    float temporary takes fresh pages; each entry is elementwise, so the
+    blocks do not change its bits.
+    """
+    mids, dirs = segment_frames(ends)
+    hyps = np.asarray(hypotheses, dtype=float)
+    n, m = len(mids), len(hyps)
+    step = max(1, _BLOCK_ELEMS // n)
+    pref = np.empty((n, m), dtype=bool)
+    for c in range(0, m, step):
+        pref[:, c:c + step] = _angle_block(mids, dirs, hyps[c:c + step]) < theta_cons_deg
+    return pref
 
 
 def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
@@ -196,43 +221,57 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     Clusters smaller than min_cluster_size are dropped. Returns disjoint
     frozensets of segment ids.
 
-    Preference sets are bit-packed rows of uint64 words, so set sizes and
-    intersections are exact popcounts. Rows are ordered by segment id: a
-    merge of rows i < j keeps row i, so each cluster's smallest id is its row
-    index, and only the upper triangle of the distance matrix holds values
-    (+inf elsewhere). The tie rule, merge the pair with the smallest sorted
-    id pair among distances <= dmin + 1e-15, is then the first such entry in
-    row-major order. A merge recomputes row and column i from one popcount
-    pass and retires j's as +inf. The result does not depend on input order.
+    Preference sets are 0/1 float rows S, ordered by segment id. The counts
+    come from BLAS: S @ S.T once (the set sizes are its diagonal), then
+    x = S @ S[i] after each merge. Sums of 0/1 products are exact integers
+    in any order, so they do not depend on the BLAS build or thread count.
+    A distance is 1 − |A∩B| / max(|A∪B|, 1), which is 1 for two empty sets.
+    A merge of rows i < j keeps row i, so each cluster's smallest id is its
+    row index, and only the upper triangle of the distance matrix holds
+    values (+inf elsewhere). The merge intersects row i with row j, zeroes
+    row j (its distance from i then reads 1.0), rewrites row and column i
+    from x and sets row and column j to +inf.
+
+    Ties: the pair merged is the smallest sorted id pair among the minimum
+    distances, which is the first minimum in row-major order, `argmin`.
+    Unions are at most m, so two distinct distances 1 − a/b and 1 − c/d
+    differ by |ad − bc| / bd ≥ 1/m², more than 1e-15 even after rounding
+    for m < 2²⁴ (1/m² > 3.5e-15). Below that size the distances within
+    1e-15 of the minimum are exactly the minima, so `argmin` picks the pair
+    a tolerance scan over dmin + 1e-15 would; m ≥ 2²⁴ raises ValueError.
+    The loop stops when the minimum is >= 1 − 1e-12, which for such m means
+    no two clusters share a hypothesis. The result does not depend on
+    input order.
     """
     ids = np.asarray(ids)
-    pref = np.asarray(pref, dtype=bool)
+    pref = np.asarray(pref)
     if pref.size == 0:
         raise ValueError("need non-empty segments and hypotheses")
     n, m = pref.shape
+    if m >= _MAX_HYPOTHESES:
+        raise ValueError(f"too many hypotheses for exact ties: {m} >= 2**24")
     order = np.argsort(ids)
-    bits = np.zeros((n, -(-m // 64) * 64), dtype=bool)
-    bits[:, :m] = pref[order]
-    sets = np.packbits(bits, axis=1).view(np.uint64)  # (n, words)
-    sizes = np.bitwise_count(sets).sum(axis=1)
+    S = pref[order].astype(np.float64)
+    inter = S @ S.T
+    sizes = inter.diagonal().copy()
     members = [frozenset([sid]) for sid in ids[order].tolist()]
     alive = np.ones(n, dtype=bool)
 
-    inter = np.bitwise_count(sets[:, None, :] & sets[None, :, :]).sum(axis=2)
-    dist = _jaccard(inter, sizes, sizes[:, None])
+    dist = 1.0 - inter / np.maximum(sizes[:, None] + sizes - inter, 1.0)
     dist[np.tril_indices(n)] = np.inf
 
     while True:
-        dmin = dist.min()
-        if dmin >= 1.0 - 1e-12:  # also a lone cluster: everything is +inf
+        i, j = divmod(int(dist.argmin()), n)
+        if dist[i, j] >= 1.0 - 1e-12:  # also a lone cluster: everything is +inf
             break
-        i, j = divmod(int(np.argmax(dist <= dmin + 1e-15)), n)
         members[i] = members[i] | members[j]
-        sets[i] &= sets[j]  # preference-set intersection
-        sizes[i] = np.bitwise_count(sets[i]).sum()
+        S[i] *= S[j]  # preference-set intersection
+        S[j] = 0.0
+        sizes[j] = 0.0
         alive[j] = False
-        row = _jaccard(np.bitwise_count(sets & sets[i]).sum(axis=1), sizes, sizes[i])
-        row[~alive] = np.inf
+        x = S @ S[i]
+        sizes[i] = x[i]
+        row = 1.0 - x / np.maximum(sizes + sizes[i] - x, 1.0)
         dist[:i, i] = row[:i]
         dist[i, i + 1:] = row[i + 1:]
         dist[:j, j] = np.inf
@@ -300,7 +339,7 @@ def detect_vanishing_points(segments: list[Segment2D],
     hyps = sample_vp_hypotheses(ends, n_hypotheses, rng_seed)
     if len(hyps) == 0:
         return []
-    pref = _consensus_matrix(ends, hyps) < theta_cons_deg
+    pref = preference_matrix(ends, hyps, theta_cons_deg)
     estimates = []
     for cluster in jlinkage_cluster(list(row_of), pref, min_cluster_size):
         rows = sorted(row_of[sid] for sid in cluster)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monogp.geometry import CameraIntrinsics, cross3, so3_exp
-from monogp.segments import Segment2D, endpoints
+from monogp.segments import Segment2D, endpoints, segment_frames
 from monogp.simulate import (
     NoiseSpec,
     ScenarioConfig,
@@ -15,14 +15,16 @@ from monogp.simulate import (
     generate_world,
     render_measurements,
 )
+import monogp.vanishing as vanishing
 from monogp.vanishing import (
-    _consensus_matrix,
+    _angle_block,
     _decode_pairs,
     canonical_direction,
     consensus_angles,
     detect_vanishing_points,
     jlinkage_cluster,
     lift_vanishing_point,
+    preference_matrix,
     refine_vp,
     sample_vp_hypotheses,
 )
@@ -105,7 +107,7 @@ def ids_of(segments):
 
 
 def preferences(segments, hypotheses, theta_cons_deg):
-    return _consensus_matrix(endpoints(segments), hypotheses) < theta_cons_deg
+    return preference_matrix(endpoints(segments), hypotheses, theta_cons_deg)
 
 
 def cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
@@ -419,9 +421,33 @@ def test_consensus_matrix_equals_einsum_formulation(seed):
     extra = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 5e-10], [0.8, -0.6, -1e-9],
                       on_mid / np.linalg.norm(on_mid)])
     H = np.vstack([hyps, extra])
-    got = _consensus_matrix(endpoints(segs), H)
+    got = _angle_block(*segment_frames(endpoints(segs)), H)
     assert got[5, -1] == 90.0  # the hypothesis at segment 5's midpoint
     assert np.array_equal(got, einsum_consensus_matrix(segs, H))
+
+
+def edge_hypotheses(segs, rng_seed):
+    """Sampled hypotheses, then ones at infinity, with |w| at, just above and
+    just below 1e-9 (either sign), and one on segment 1's midpoint."""
+    hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=rng_seed)
+    up, down = np.nextafter(1e-9, 1.0), np.nextafter(1e-9, 0.0)
+    on_mid = np.array([*midpoint(segs[1]), 1.0])
+    extra = [[0.6, 0.8, 0.0], [0.0, 1.0, 0.0], [0.8, -0.6, 1e-9],
+             [0.8, -0.6, up], [0.8, -0.6, down], [-0.6, 0.8, -up], [-0.6, 0.8, -down],
+             on_mid / np.linalg.norm(on_mid)]
+    return np.vstack([hyps, extra])
+
+
+@pytest.mark.parametrize("n", [2, 39, 100, 1000])
+def test_blocked_preferences_equal_einsum_threshold(n):
+    # 1, 2, 5 and 43 column blocks for 508 hypotheses
+    segs = random_segments(n, np.random.default_rng(n))
+    H = edge_hypotheses(segs, rng_seed=n)
+    angles = einsum_consensus_matrix(segs, H)
+    assert angles[1, -1] == 90.0
+    for theta in (0.0, 0.5, 2.0, 89.999, 90.0, 95.0):
+        got = preference_matrix(endpoints(segs), H, theta)
+        assert got.dtype == bool and np.array_equal(got, angles < theta)
 
 
 # -- clustering --------------------------------------------------------------
@@ -527,6 +553,30 @@ def test_jlinkage_exact_ties_at_positive_distance():
             ids = rng.permutation(100 * n)[:n] - 50 * n
             assert jlinkage_cluster(ids, pref, 1) == \
                 naive_jlinkage_cluster(ids.tolist(), pref, 1)
+
+
+def test_jaccard_distances_are_more_than_the_tie_tolerance_apart():
+    # every |A∩B| = a <= |A∪B| = b <= 500, as jlinkage_cluster rounds them
+    b = np.repeat(np.arange(1, 501), np.arange(2, 502)).astype(float)
+    a = np.concatenate([np.arange(k + 1) for k in range(1, 501)]).astype(float)
+    values = np.unique(1.0 - a / np.maximum(b, 1.0))
+    assert len(values) > 70_000  # the distinct fractions a/b
+    assert np.diff(values).min() > 1e-15
+    assert values[-2] < 1.0 - 1e-12 and values[-1] == 1.0  # a > 0 stays below the stop
+
+
+def test_jlinkage_rejects_hypothesis_counts_from_2_pow_24():
+    pref = np.broadcast_to(True, (2, 1 << 24))  # a view: nothing is allocated
+    with pytest.raises(ValueError, match="too many hypotheses"):
+        jlinkage_cluster([0, 1], pref, 1)
+
+
+def test_jlinkage_hypothesis_limit_is_exclusive(monkeypatch):
+    monkeypatch.setattr(vanishing, "_MAX_HYPOTHESES", 4)
+    shared = np.array([[1, 1, 0], [1, 0, 1]], dtype=bool)
+    assert jlinkage_cluster([0, 1], shared, 2) == [frozenset([0, 1])]
+    with pytest.raises(ValueError, match="too many hypotheses"):
+        jlinkage_cluster([0, 1], np.ones((2, 4), dtype=bool), 2)
 
 
 def test_jlinkage_two_segments():
