@@ -16,7 +16,7 @@ keeps the floats of a per-pair, per-segment loop:
 - the preference matrix (consensus angle < θ) is built one block of
   hypothesis columns at a time, `max(1, _BLOCK_ELEMS // n)` columns for n
   segments: each (n, block) float temporary stays below glibc's default
-  128 KiB mmap threshold, so it reuses heap pages where a whole (n, m)
+  128 KiB mmap threshold, so it comes from the heap where a whole (n, m)
   plane would be a fresh mapping on every call;
 - J-Linkage keeps each preference set as a 0/1 float row and takes set sizes
   and intersections from BLAS (`S @ S.T` once, `S @ S[i]` per merge): sums
@@ -55,7 +55,7 @@ DEFAULT_MIN_CLUSTER_SIZE = 3
 _EPS_INF = 1e-9
 _WORD = 1 << 32  # the generator's uint32 words
 # Float elements per consensus block: an (n, block) float64 plane stays
-# below glibc's default 128 KiB mmap threshold, so it reuses heap pages.
+# below glibc's default 128 KiB mmap threshold, so it is not a fresh mmap.
 _BLOCK_ELEMS = 12_000
 # Fewer hypotheses than this keep distinct Jaccard distances > 1e-15 apart,
 # which J-Linkage's tie rule needs (see `jlinkage_cluster`).
@@ -196,9 +196,9 @@ def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
     """(n, m) bool: segment r's consensus angle with hypothesis c is below θ.
 
     `ends` holds stacked endpoints (n, 4). The angles are built one block of
-    `max(1, _BLOCK_ELEMS // n)` hypothesis columns at a time, so no (n, block)
-    float temporary takes fresh pages; each entry is elementwise, so the
-    blocks do not change its bits.
+    `max(1, _BLOCK_ELEMS // n)` hypothesis columns at a time, so no float
+    temporary is a fresh mmap; each entry is elementwise, so the blocks do
+    not change its bits.
     """
     mids, dirs = segment_frames(ends)
     hyps = np.asarray(hypotheses, dtype=float)
@@ -244,7 +244,7 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     input order.
     """
     ids = np.asarray(ids)
-    pref = np.asarray(pref)
+    pref = np.asarray(pref, dtype=bool)
     if pref.size == 0:
         raise ValueError("need non-empty segments and hypotheses")
     n, m = pref.shape
@@ -267,7 +267,6 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
         members[i] = members[i] | members[j]
         S[i] *= S[j]  # preference-set intersection
         S[j] = 0.0
-        sizes[j] = 0.0
         alive[j] = False
         x = S @ S[i]
         sizes[i] = x[i]

@@ -120,9 +120,10 @@ def vp_clutter_frames(seed: int) -> list:
     return [f.segments for f in frames]
 
 
-def vp_entries(seed: int = VP_SCENE_SEED) -> dict:
+def vp_entries() -> dict:
     """Per frame t: the estimates and labels of `detect_vanishing_points` with
     its defaults and `rng_seed = 1009 * seed + t`."""
+    seed = VP_SCENE_SEED
     entries = {}
     for t, segs in enumerate(vp_clutter_frames(seed)):
         ests = detect_vanishing_points(segs, rng_seed=1009 * seed + t)
