@@ -10,6 +10,10 @@ Entries, one flat key each:
   configs/structured.json --seeds 10` JSON and CSV;
 - `sweep/<scenario>(<seed>)/<mode>/<name>`: iterations, `converged`, and the
   `float.hex` of the ATE and the final cost of `run_pipeline`;
+- `tracks/<scenario>(<seed>)/order` and `tracks/<scenario>(<seed>)/<track id>`:
+  `build_line_tracks` on the scenario's rendered frames: the track ids in
+  dict order and, per track, each entry's frame, segment id and endpoints
+  (`float.hex`, x1 y1 x2 y2);
 - `vp/clutter(<seed>)/<frame>/<name>`: `detect_vanishing_points` with its
   defaults on every frame of a five-family orbit scene with 20% outlier
   segments and 100 segments per frame: the VPs (`float.hex` per
@@ -37,8 +41,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 from monogp.cli import main
-from monogp.pipeline import MODES, run_pipeline
-from monogp.scenarios import nonoverlap, structured
+from monogp.pipeline import MODES, build_line_tracks, run_pipeline
+from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
 from monogp.simulate import (
     NoiseSpec,
     ScenarioConfig,
@@ -55,6 +59,8 @@ CONFIGS = ("corridor", "corridor-perturbed", "nonoverlap", "structured")
 RUN_SEED = "7"
 ABLATE_SEEDS = "10"
 SWEEP = [(structured, s) for s in range(3)] + [(nonoverlap, s) for s in range(2)]
+TRACKS = [(structured, s) for s in range(3)] + [
+    (default_corridor, 0), (perturbed_corridor, 0), (nonoverlap, 0)]
 VP_SCENE_SEED = 1
 
 
@@ -100,6 +106,19 @@ def sweep_entries(scenario, seed: int) -> dict:
                         f"{key}/converged": res.report.converged,
                         f"{key}/ate_rmse_m": res.metrics["ate_rmse_m"].hex(),
                         f"{key}/final_cost": res.report.final_cost.hex()})
+    return entries
+
+
+def track_entries(scenario, seed: int) -> dict:
+    cfg = scenario(seed)
+    frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
+    tracks = build_line_tracks(frames)
+    key = f"tracks/{scenario.__name__}({seed})"
+    entries = {f"{key}/order": list(tracks)}
+    for track_id, obs in tracks.items():
+        entries[f"{key}/{track_id}"] = [
+            [t, seg.id, [x.hex() for x in (*seg.p_start.tolist(), *seg.p_end.tolist())]]
+            for t, seg in obs]
     return entries
 
 
@@ -168,6 +187,8 @@ def regenerate() -> dict:
         entries.update(ablate_entries(Path(tmp) / "ablate"))
     for scenario, seed in SWEEP:
         entries.update(sweep_entries(scenario, seed))
+    for scenario, seed in TRACKS:
+        entries.update(track_entries(scenario, seed))
     entries.update(vp_entries())
     return entries
 

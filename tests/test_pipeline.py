@@ -175,6 +175,24 @@ def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
     assert flipped and gp.registry.primitives and gp.gp_links
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_lp_and_gp_graphs_share_point_variables_and_factors(seed):
+    # both arms of one seed build on one `map_landmarks`: the GP part must not
+    # touch a point variable or a point factor
+    cfg = structured(seed)
+    frames, _, poses, lm = pipeline._map_scene(cfg)
+    graphs = [build_graph(poses, m, cfg.intrinsics)
+              for m in (lm, map_primitives(frames, poses, cfg, lm))]
+
+    def point_factors(g):
+        return [(f.pose_id, f.point_id, np.asarray(f.obs).tobytes())
+                for f in g.factors if isinstance(f, graph.PointFactor)]
+    lp, gp = graphs
+    assert lp.rows["point"] == gp.rows["point"] and lp.rows["point"]
+    assert lp.X.shape == gp.X.shape and lp.X.tobytes() == gp.X.tobytes()
+    assert point_factors(lp) == point_factors(gp) and point_factors(lp)
+
+
 def oracle_graph(frames, poses, cfg, mode):
     """The factor graph as `run_pipeline` built it inline, mapping included,
     and how many lines it sign-flipped onto their GP."""
