@@ -162,16 +162,6 @@ class Pose:
         """Camera position in the world frame."""
         return -self.rotation.T @ self.translation
 
-    def transform(self, p_w) -> np.ndarray:
-        """Camera coordinates of a world point (3,) or of stacked points (k, 3).
-
-        Each point is one matrix-vector product with the rotation in its own
-        memory layout (BLAS sums in the layout's order), so a stacked call
-        equals one call per point bit for bit.
-        """
-        p = np.asarray(p_w, dtype=float)
-        return (self.rotation @ p[..., None])[..., 0] + self.translation
-
     def compose(self, other: "Pose") -> "Pose":
         """self ∘ other: apply `other` first, then `self`."""
         return Pose(self.rotation @ other.rotation,
@@ -244,6 +234,14 @@ class PoseStack:
         """`pose.rotation @ v` per row."""
         return self._matvec(self.rotation, self.r_wc.transpose(0, 2, 1), v)
 
+    def transform(self, p_w) -> np.ndarray:
+        """Camera coordinates (n, k, 3), `pose.rotation @ p + pose.translation`
+        per point, of the same k points (k, 3) in every camera or of k points
+        per camera (n, k, 3)."""
+        p = np.asarray(p_w, dtype=float)
+        return self.rotate(np.broadcast_to(p, (len(self),) + p.shape[-2:])) \
+            + self.translation[:, None]
+
     def to_world(self, v) -> np.ndarray:
         """`pose.r_wc @ v` per row: a camera-frame direction in the world."""
         return self._matvec(self.rotation.transpose(0, 2, 1), self.r_wc, v)
@@ -258,12 +256,10 @@ def project_points(p_w, cams: PoseStack, intr: CameraIntrinsics):
     (k, 3) in every camera, or k points per camera (n, k, 3).
 
     Returns the mask (n,) of the cameras that see all their k points at depth
-    z > EPS_Z, and the pixels (m, k, 2) in those m cameras. Each camera point
-    is bit for bit `pose.transform(p)` (see `PoseStack`).
+    z > EPS_Z, and the pixels (m, k, 2) in those m cameras (camera points
+    from `PoseStack.transform`).
     """
-    p = np.asarray(p_w, dtype=float)
-    p = np.broadcast_to(p, (len(cams),) + p.shape[-2:])
-    p_c = cams.rotate(p) + cams.translation[:, None]
+    p_c = cams.transform(p_w)
     in_front = ~(p_c[..., 2] <= EPS_Z).any(axis=1)
     x, y, z = np.moveaxis(p_c[in_front], -1, 0)
     return in_front, np.stack([intr.fx * x / z + intr.cx,

@@ -7,10 +7,12 @@ triangulation) -> in gp mode, map global primitives onto them
 line-to-GP association) -> factor graph construction (`build_graph`) ->
 Levenberg-Marquardt -> ATE evaluation against ground truth.
 
-Mapping triangulates, projects and gates in stacked passes: all points in
-one midpoint triangulation, all line tracks in one plane intersection, and
-every (track, frame) pair in one projection and one `run_gates` call, with
-the pose-derived arrays built once per frame (`geometry.PoseStack`).
+Mapping runs in stacked passes: one matching pass over the scene's segment
+rows (`tracking.SceneSegments`) builds the line tracks as (frame, row)
+indices, all points go through one midpoint triangulation, all line tracks
+through one plane intersection, and every (track, frame) pair through one
+projection and one `run_gates` call (`geometry.PoseStack` holds the
+pose-derived arrays). `Segment2D`s are built only for what enters the graph.
 
 Modes: "lp" maps points and lines only; "gp" also maps the fused global
 primitives, which add vanishing-direction alignment and structural-consistency
@@ -41,7 +43,7 @@ from .geometry import (
     triangulate_points,
 )
 from .primitives import GlobalPrimitiveRegistry
-from .segments import endpoints
+from .segments import Segment2D
 from .simulate import (
     FrameObservations,
     ScenarioConfig,
@@ -50,8 +52,9 @@ from .simulate import (
     render_measurements,
 )
 from .tracking import (
-    GateAuditRow,
+    GateAudit,
     GateThresholds,
+    SceneSegments,
     filter_short,
     match_predicted,
     run_gates,
@@ -101,23 +104,32 @@ def perturb_poses(poses_gt: list[Pose], config: ScenarioConfig) -> list[Pose]:
     return out
 
 
-def build_line_tracks(frames: list[FrameObservations]) -> dict[int, list]:
+def build_line_tracks(scene: SceneSegments) -> dict[int, list]:
     """Track segments across frames with flow-predicted matching: track id ->
-    [(frame, Segment2D)], frames increasing."""
-    tau_s = GateThresholds().tau_s
+    [(frame, row of `scene`)], frames increasing.
+
+    One matching pass per scene over the predictions and detections at least
+    tau_s long (`match_predicted`). Each prediction adds its matched
+    detection, or else itself, to its track, in frame and then prediction
+    order, which also orders the tracks. Frame 0 joins through the flow
+    sources of frame 1's predictions."""
+    long = filter_short(scene.ends, GateThresholds().tau_s)
+    is_pred = scene.track >= 0
+    pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
+    chosen = match_predicted(scene.ends[pred], scene.frame[pred],
+                             scene.ends[det], scene.frame[det])
+    rows, hit = pred.copy(), chosen >= 0
+    rows[hit] = det[chosen[hit]]
     tracks: dict[int, list] = {}
-    for t in range(1, len(frames)):
-        predicted = filter_short(frames[t].predicted, tau_s)
-        detected = filter_short(frames[t].segments, tau_s)
-        for track_id, seg, _source in match_predicted(predicted, detected):
-            tracks.setdefault(track_id, []).append((t, seg))
-    # frame 0 joins through the flow sources of frame 1's predictions
-    if len(frames) > 1:
-        seg0 = {s.id: s for s in filter_short(frames[0].segments, tau_s)}
-        for p in frames[1].predicted:
-            src = -p.id - 1
-            if p.track_id in tracks and src in seg0:
-                tracks[p.track_id].insert(0, (0, seg0[src]))
+    for t, k, r in zip(scene.frame[pred].tolist(), scene.track[pred].tolist(),
+                       rows.tolist()):
+        tracks.setdefault(k, []).append((t, r))
+    first = np.flatnonzero(long & ~is_pred & (scene.frame == 0))
+    row_of = dict(zip(scene.ids[first].tolist(), first.tolist()))
+    flow = np.flatnonzero(is_pred & (scene.frame == 1))
+    for src, k in zip((-scene.ids[flow] - 1).tolist(), scene.track[flow].tolist()):
+        if k in tracks and src in row_of:
+            tracks[k].insert(0, (0, row_of[src]))
     return tracks
 
 
@@ -140,48 +152,47 @@ def _triangulate_points(frames, poses, intr):
     return dict(zip(compress(pids, ok), xyz)), obs_by_point
 
 
-def _triangulate_lines(tracks, poses, intr, gates, audit):
+def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
     """Triangulated lines plus gate-passing per-frame observations.
 
-    One stacked pass over the tracks seen at least twice: each is
-    triangulated from its first and last segment, its two 3D endpoints are
-    recovered from the first segment's extent, and projected into all its
-    observing frames; frames that see an endpoint at depth z <= EPS_Z are
-    dropped, and every other (track, frame) pair, ordered by track and then
-    frame, is gated in one `run_gates` call. A line is kept with its passing
-    observations when at least two pass."""
+    `tracks` holds (frame, row) pairs of `scene`. One stacked pass over the
+    tracks seen at least twice: each is triangulated from its first and last
+    segment, its two 3D endpoints are recovered from the first segment's
+    extent, and projected into all its observing frames; frames that see an
+    endpoint at depth z <= EPS_Z are dropped, and every other (track, frame)
+    pair, ordered by track and then frame, is gated in one `run_gates` call.
+    A line is kept with its passing observations, as `Segment2D`s for the
+    graph, when at least two pass."""
     cams = PoseStack.of(poses)
     tracked = [(track_id, obs) for track_id, obs in sorted(tracks.items())
                if len(obs) >= 2]
-    first = [obs[0] for _, obs in tracked]
-    last = [obs[-1] for _, obs in tracked]
-    ends_a = endpoints([seg for _, seg in first])
+    first = np.array([obs[0] for _, obs in tracked], dtype=int).reshape(-1, 2)
+    last = np.array([obs[-1] for _, obs in tracked], dtype=int).reshape(-1, 2)
     ok, normal, direction = triangulate_lines(
-        ends_a, endpoints([seg for _, seg in last]),
-        cams[[t for t, _ in first]], cams[[t for t, _ in last]], intr)
+        scene.ends[first[:, 1]], scene.ends[last[:, 1]],
+        cams[first[:, 0]], cams[last[:, 0]], intr)
     tracked = list(compress(tracked, ok))
     # 3D endpoints from the first view's observed extent
-    ends_a, cams_a = ends_a[ok], cams[[t for t, _ in compress(first, ok)]]
+    ends_a, cams_a = scene.ends[first[ok, 1]], cams[first[ok, 0]]
     p3 = np.stack([closest_points_on_lines(normal, direction, cams_a.center,
                                            backproject(ends_a[:, k:k + 2], cams_a, intr))
                    for k in (0, 2)], axis=1)
-    pairs = [(i, o) for i, (_, obs) in enumerate(tracked) for o in obs]
-    in_front, pixels = project_points(p3[[i for i, _ in pairs]],
-                                      cams[[t for _, (t, _) in pairs]], intr)
-    seen = list(compress(pairs, in_front))
-    passed = run_gates([t for _, (t, _) in seen], [tracked[i][0] for i, _ in seen],
-                       endpoints([seg for _, (_, seg) in seen]),
-                       pixels.reshape(-1, 4), gates, audit)
-    passing: dict[int, list] = {}
-    for (i, obs), good in zip(seen, passed.tolist()):
-        if good:
-            passing.setdefault(i, []).append(obs)
+    pairs = np.array([o for _, obs in tracked for o in obs], dtype=int).reshape(-1, 2)
+    line = np.repeat(np.arange(len(tracked)), [len(obs) for _, obs in tracked])
+    track_ids = np.array([track_id for track_id, _ in tracked], dtype=int)
+    in_front, pixels = project_points(p3[line], cams[pairs[:, 0]], intr)
+    line, (t, r) = line[in_front], pairs[in_front].T
+    passed = run_gates(t, track_ids[line], scene.ends[r], pixels.reshape(-1, 4),
+                       gates, audit)
+    admitted = np.bincount(line[passed], minlength=len(tracked)) >= 2
     lines, line_obs = {}, {}
-    for i, obs in passing.items():
-        if len(obs) >= 2:
+    for i, t, r in zip(line[passed].tolist(), t[passed].tolist(), r[passed].tolist()):
+        if admitted[i]:
             track_id = tracked[i][0]
             lines[track_id] = PluckerLine(normal[i], direction[i])
-            line_obs[track_id] = obs
+            seg = Segment2D(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
+                            track_id=track_id)
+            line_obs.setdefault(track_id, []).append((t, seg))
     return lines, line_obs
 
 
@@ -195,7 +206,7 @@ class Landmarks:
     point_obs: dict   # point id -> [(frame, pixel)], every observation
     lines: dict       # track id -> PluckerLine
     line_obs: dict    # track id -> [(frame, Segment2D)], gate-passing
-    gate_audit: list  # GateAuditRow
+    gate_audit: list  # GateAudit
     registry: GlobalPrimitiveRegistry | None = None
     gp_links: list = field(default_factory=list)  # (frame, Segment2D, gp id)
     line_gp: dict = field(default_factory=dict)   # track id -> gp id
@@ -206,10 +217,12 @@ def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
     """Points and gated lines mapped from `frames` on `poses` (one per
     frame)."""
     intr = config.intrinsics
-    tracks = build_line_tracks(frames)
+    scene = SceneSegments.of(frames)
+    tracks = build_line_tracks(scene)
     points, obs_by_point = _triangulate_points(frames, poses, intr)
-    audit: list[GateAuditRow] = []
-    lines, line_obs = _triangulate_lines(tracks, poses, intr, GateThresholds(), audit)
+    audit: list[GateAudit] = []
+    lines, line_obs = _triangulate_lines(tracks, scene, poses, intr, GateThresholds(),
+                                         audit)
     return Landmarks(points, {pid: obs_by_point[pid] for pid in points},
                      lines, line_obs, audit)
 
@@ -219,22 +232,27 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
     """A copy of `landmarks` with the GP part mapped from `frames` on `poses`:
     per-frame VP detection, lifting and fusion into a registry, each frame's
     (frame, segment, GP) links by segment id, and the line -> GP map. Its lines
-    are a new dict, in which a line pointing away from its GP is negated."""
+    are a new dict, in which a line pointing away from its GP is negated.
+    VP detection runs on each frame's endpoint rows, so `frames` (and the
+    labels of their boundary `Segment2D`s) are left as they are."""
     intr, tau_s = config.intrinsics, GateThresholds().tau_s
     registry, gp_links = GlobalPrimitiveRegistry(), []
     for t, fr in enumerate(frames):
-        segs = filter_short(fr.segments, tau_s)
-        if len(segs) < 2:
+        long = filter_short(fr.ends, tau_s)
+        ends, ids = fr.ends[long], fr.ids[long].tolist()
+        if len(ids) < 2:
             continue
         estimates = detect_vanishing_points(
-            segs, n_hypotheses=VP_HYPOTHESES, min_cluster_size=VP_MIN_CLUSTER,
-            rng_seed=config.rng_seed * 1009 + t)
+            ends, n_hypotheses=VP_HYPOTHESES, min_cluster_size=VP_MIN_CLUSTER,
+            rng_seed=config.rng_seed * 1009 + t, ids=ids)
         lifted = [(lift_vanishing_point(est.vp_homogeneous, intr, poses[t].r_wc),
                    est.member_segment_ids) for est in estimates]
-        seg_gp = {sid: gp_id for gp_id, ids in
-                  registry.associate_frame(t, lifted, config.n_l) for sid in ids}
-        by_id = {s.id: s for s in segs}
-        gp_links += [(t, by_id[sid], gp_id) for sid, gp_id in sorted(seg_gp.items())]
+        seg_gp = {sid: gp_id for gp_id, members in
+                  registry.associate_frame(t, lifted, config.n_l) for sid in members}
+        row_of = dict(zip(ids, range(len(ids))))
+        for sid, gp_id in sorted(seg_gp.items()):
+            e = ends[row_of[sid]]
+            gp_links.append((t, Segment2D(e[:2], e[2:], id=sid), gp_id))
     lines, line_gp = {}, {}
     for lid, line in landmarks.lines.items():
         gp_id = registry.match(line.unit_direction())

@@ -7,17 +7,19 @@ landmarks per frame, adds seeded Gaussian noise, plants uniform-random
 outlier segments, enforces a fixed per-frame segment budget (longest
 first), and emits exact-flow predicted segments for line tracking.
 
-Each frame is one stacked pass over all points and all world lines:
-projection, the MIN_DEPTH crossing, max_range, Liang-Barsky clipping, the
-length filter and the budget run on arrays, and the flow predictions reuse
-the frame's line extents. The floats are those of a per-point, per-line loop
-(`Pose.transform` multiplies each rotation in its own memory layout, lengths
-go through `row_norms`, a clip bound moves only when strictly tighter).
-Each frame's generator draws, in this order: the point noise as one block in
-point-id order, the endpoint noise as one block in segment order, the
-outliers (one `choice`, then per outlier its `uniform` draws), and the flow
-noise as one block in the order of the previous frame's segments. A block
-of k rows is the same stream as k draws of one row.
+The geometry is one stacked pass over all frames, points and world lines:
+projection, the MIN_DEPTH crossing, max_range, Liang-Barsky clipping and the
+length filter run on arrays; per frame the budget and the draws follow, and
+the flow predictions reuse the frame's line extents. The floats are those of
+a per-point, per-line loop (`PoseStack.transform` multiplies each rotation
+in its own memory layout, lengths go through `row_norms`, a clip bound moves
+only when strictly tighter). Each frame's generator draws, in this order:
+the point noise as one block in point-id order, the endpoint noise as one
+block in segment order, the outliers (one `choice`, then per outlier its
+`uniform` draws), and the flow noise as one block in the order of the
+previous frame's segments. A block of k rows is the same stream as k draws
+of one row. A frame keeps its segments, predictions and truth as columns;
+its `Segment2D` lists and truth dict are built only when read.
 
 Optional visibility partitioning assigns each landmark a window of frames,
 so scenarios where distant frames share zero landmarks (but observe the
@@ -29,10 +31,11 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, PoseStack
 from .segments import Segment2D, row_norms
 
 MIN_DEPTH = 0.3         # m; landmarks closer than this are culled
@@ -163,10 +166,6 @@ class WorldLine:
     p1: np.ndarray
     family_id: int
 
-    def direction(self) -> np.ndarray:
-        d = self.p1 - self.p0
-        return d / np.linalg.norm(d)
-
 
 @dataclass
 class World:
@@ -184,11 +183,38 @@ class SegmentTruth:
 
 @dataclass
 class FrameObservations:
+    """One frame's measurements as columns. Detections: endpoint rows `ends`
+    (n, 4), x1 y1 x2 y2, with `ids`, true `line_ids` and `families` (-1 on an
+    outlier) and the `outlier` mask. Flow predictions: `pred_ends` (m, 4) with
+    `pred_ids` and `pred_tracks` (the predicted line). The boundary forms
+    `segments`, `predicted` (`Segment2D` lists) and `truth` (id ->
+    `SegmentTruth`) are built on first read, once."""
     frame_id: int
-    points: list                      # (point_id, np.ndarray pixel)
-    segments: list                    # Segment2D
-    predicted: list                   # Segment2D with track_id set
-    truth: dict = field(default_factory=dict)  # segment id -> SegmentTruth
+    points: list  # (point_id, np.ndarray pixel)
+    ends: np.ndarray
+    ids: np.ndarray
+    line_ids: np.ndarray
+    families: np.ndarray
+    outlier: np.ndarray
+    pred_ends: np.ndarray
+    pred_ids: np.ndarray
+    pred_tracks: np.ndarray
+
+    @cached_property
+    def segments(self) -> list[Segment2D]:
+        return [Segment2D(e[:2], e[2:], id=sid)
+                for e, sid in zip(self.ends, self.ids.tolist())]
+
+    @cached_property
+    def predicted(self) -> list[Segment2D]:
+        return [Segment2D(e[:2], e[2:], id=sid, track_id=k) for e, sid, k in
+                zip(self.pred_ends, self.pred_ids.tolist(), self.pred_tracks.tolist())]
+
+    @cached_property
+    def truth(self) -> dict:
+        return {sid: SegmentTruth(None, None, True) if out else SegmentTruth(lid, fam, False)
+                for sid, lid, fam, out in zip(self.ids.tolist(), self.line_ids.tolist(),
+                                              self.families.tolist(), self.outlier.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +353,14 @@ def _clip(p, q, w, h):
     return keep, p + t0[:, None] * d, p + t1[:, None] * d
 
 
-def _line_extents(p0, p1, pose: Pose, intr, width, height, max_range):
-    """Visible image extents of the world segments p0-p1 (k, 3) in one frame.
+def _line_extents(a, b, intr, width, height, max_range):
+    """Visible image extents of segments a-b (k, 3) in camera coordinates.
 
-    Returns the mask (k,) of the visible segments and their start and end
-    pixels (k, 2): the part with z >= MIN_DEPTH, dropped beyond max_range,
-    clipped to the image and dropped below MIN_SEGMENT_PX. Rows the mask
-    drops may hold any value.
+    Returns the mask (k,) of the visible segments, their start and end pixels
+    (k, 2) and their pixel lengths (k,): the part with z >= MIN_DEPTH,
+    dropped beyond max_range, clipped to the image and dropped below
+    MIN_SEGMENT_PX. Rows the mask drops may hold any value.
     """
-    a, b = pose.transform(p0), pose.transform(p1)
     a_near, b_near = a[:, 2] < MIN_DEPTH, b[:, 2] < MIN_DEPTH
     # dropped rows may divide by zero on the way
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -347,8 +372,9 @@ def _line_extents(p0, p1, pose: Pose, intr, width, height, max_range):
         visible = ~(a_near & b_near) & ~(np.minimum(a[:, 2], b[:, 2]) > max_range)
         keep, ps, pe = _clip(_pixels(a, intr), _pixels(b, intr),
                              float(width), float(height))
-        visible &= keep & ~(row_norms(pe - ps) < MIN_SEGMENT_PX)
-    return visible, ps, pe
+        length = row_norms(pe - ps)
+        visible &= keep & ~(length < MIN_SEGMENT_PX)
+    return visible, ps, pe, length
 
 
 def render_measurements(world: World, poses: list[Pose],
@@ -360,16 +386,22 @@ def render_measurements(world: World, poses: list[Pose],
     point_ids = np.array(sorted(world.points), dtype=int)
     points = np.array([world.points[i] for i in point_ids.tolist()],
                       dtype=float).reshape(-1, 3)
-    row_of = {lid: r for r, lid in enumerate(sorted(world.lines))}
-    line_ids = np.array(list(row_of), dtype=int)
-    lines = [world.lines[i] for i in row_of]
+    line_ids = np.array(sorted(world.lines), dtype=int)
+    lines = [world.lines[i] for i in line_ids.tolist()]
     p0 = np.array([wl.p0 for wl in lines], dtype=float).reshape(-1, 3)
     p1 = np.array([wl.p1 for wl in lines], dtype=float).reshape(-1, 3)
+    family = np.array([wl.family_id for wl in lines], dtype=int)
+    # every frame's geometry in one stacked pass: camera points, line extents
+    cams = PoseStack.of(poses)
+    p_cam = cams.transform(points)
+    extents = _line_extents(cams.transform(p0).reshape(-1, 3),
+                            cams.transform(p1).reshape(-1, 3), intr, w, h, vis.max_range)
+    seen_all, ps_all, pe_all, length_all = (
+        x.reshape((len(poses), len(lines)) + x.shape[1:]) for x in extents)
     frames = []
-    for t, pose in enumerate(poses):
+    for t, p_c in enumerate(p_cam):
         rng = np.random.default_rng([config.rng_seed, 7919, t])
         # -- points ---------------------------------------------------------
-        p_c = pose.transform(points)
         near = (_allowed(point_ids, t, vis) & (MIN_DEPTH < p_c[:, 2])
                 & (p_c[:, 2] <= vis.max_range))
         px = _pixels(p_c[near], intr)
@@ -379,48 +411,44 @@ def render_measurements(world: World, poses: list[Pose],
         pt_obs = list(zip(point_ids[near][inside].tolist(), obs))
         if len(pt_obs) < 8:
             warnings.warn(f"sparse frame {t}: only {len(pt_obs)} points visible")
-        # -- segments: every line projected once, the flow reuses it ---------
-        seen, ps, pe = _line_extents(p0, p1, pose, intr, w, h, vis.max_range)
+        # -- segments: the flow predictions reuse the frame's extents --------
+        seen, ps, pe = seen_all[t], ps_all[t], pe_all[t]
         rows = np.flatnonzero(_allowed(line_ids, t, vis) & seen)
         # budget: longest first, id as a stable tie-break, then id order
-        length = row_norms(pe[rows] - ps[rows])
-        rows = np.sort(rows[np.lexsort((line_ids[rows], -length))[:config.n_l]])
+        rows = np.sort(rows[np.lexsort((line_ids[rows], -length_all[t, rows]))[:config.n_l]])
+        n = len(rows)
         ends = (np.stack([ps[rows], pe[rows]], axis=1)
-                + rng.normal(0.0, 1.0, size=(len(rows), 2, 2)) * noise.sigma_endpoint_px)
-        segments, truth = [], {}
-        for i, (lid, (a, b)) in enumerate(zip(line_ids[rows].tolist(), ends)):
-            sid = t * 100000 + i
-            segments.append(Segment2D(a, b, id=sid))
-            truth[sid] = SegmentTruth(lid, world.lines[lid].family_id, False)
+                + rng.normal(0.0, 1.0, size=(n, 2, 2)) * noise.sigma_endpoint_px
+                ).reshape(n, 4)
+        seg_lines, seg_families = line_ids[rows], family[rows]
+        outlier = np.zeros(n, dtype=bool)
         # -- outliers -------------------------------------------------------
-        n_out = int(round(config.outlier_fraction * len(segments)))
+        n_out = int(round(config.outlier_fraction * n))
         if n_out > 0:
-            idx = rng.choice(len(segments), size=n_out, replace=False)
+            idx = rng.choice(n, size=n_out, replace=False)
             for i in sorted(int(j) for j in idx):
                 for _ in range(100):
                     a = rng.uniform([0, 0], [w, h])
                     b = rng.uniform([0, 0], [w, h])
                     if np.linalg.norm(b - a) >= MIN_OUTLIER_PX:
                         break
-                sid = segments[i].id
-                segments[i] = Segment2D(a, b, id=sid)
-                truth[sid] = SegmentTruth(None, None, True)
+                ends[i] = np.concatenate([a, b])
+            outlier[idx] = True
+            seg_lines[idx] = seg_families[idx] = -1
         # -- exact-flow predictions from frame t-1 ---------------------------
-        predicted = []
-        if t > 0:
+        pred_ids = tracks = np.empty(0, dtype=int)
+        if t > 0:  # frame t-1's inliers whose line this frame still sees
             prev = frames[t - 1]
-            sources = []  # (segment id, line id) of the inliers still visible
-            for seg in prev.segments:
-                info = prev.truth[seg.id]
-                if not info.outlier and info.line_id is not None \
-                        and seen[row_of[info.line_id]]:
-                    sources.append((seg.id, info.line_id))
-            rows = [row_of[lid] for _, lid in sources]
-            ends = (np.stack([ps[rows], pe[rows]], axis=1)
-                    + rng.normal(0.0, 1.0, size=(len(rows), 2, 2)) * noise.sigma_flow_px)
-            predicted = [Segment2D(a, b, id=-(sid + 1), track_id=lid)
-                         for (sid, lid), (a, b) in zip(sources, ends)]
-        frames.append(FrameObservations(t, pt_obs, segments, predicted, truth))
+            src = np.flatnonzero(~prev.outlier)
+            src = src[seen[np.searchsorted(line_ids, prev.line_ids[src])]]
+            pred_ids, tracks = -(prev.ids[src] + 1), prev.line_ids[src]
+        rows = np.searchsorted(line_ids, tracks)
+        pred = (np.stack([ps[rows], pe[rows]], axis=1)
+                + rng.normal(0.0, 1.0, size=(len(rows), 2, 2)) * noise.sigma_flow_px
+                ).reshape(-1, 4)
+        frames.append(FrameObservations(
+            t, pt_obs, ends, t * 100000 + np.arange(n), seg_lines, seg_families, outlier,
+            pred, pred_ids, tracks))
     return frames
 
 

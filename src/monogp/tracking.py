@@ -1,4 +1,4 @@
-"""Line-track maintenance and mapline verification gates.
+"""Line-track matching and mapline verification gates.
 
 The three verification gates run before a triangulated line is admitted to
 the map for a given frame: reprojection (midpoint distance + endpoint
@@ -7,12 +7,13 @@ unobservable), and overlap (projected extent must cover enough of the
 observed extent). Gate decisions can be dumped to an audit CSV for
 golden-file reproducibility.
 
-Matching and gating run on stacked arrays: `match_predicted` scores a
-frame's prediction/detection pairs in one block and keeps only the greedy
-choice in Python, and `run_gates` gates every observation of every
-triangulated track of a pose set in one call. Each gate is one stacked
-function; a single segment pair is a one-row stack. The floats are those of
-the per-pair loops they replaced:
+Matching and gating run on a scene's segment rows (`SceneSegments`):
+`match_predicted` scores every frame's prediction/detection pairs in one
+block and keeps only the greedy choice in Python (per prediction in order,
+the first-index best among the detections not yet taken), and `run_gates`
+gates every (track, frame) pair of a pose set in one call, its decisions
+kept as columns until `write_gate_audit`. A single segment pair is a
+one-row stack. The floats are those of the per-pair loops they replaced:
 - dot products and norms go through `segments.rowdot` and `row_norms`, the
   BLAS dot of `a @ b` and `np.linalg.norm` on one row (`einsum` and
   `np.linalg.norm(axis=...)` round differently);
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -102,41 +105,56 @@ def _first_min(a, b):
     return np.where(b < a, b, a)
 
 
-def filter_short(segments: list[Segment2D], tau_s: float) -> list[Segment2D]:
-    """Keep segments with length >= tau_s (boundary kept), order preserved.
+class SceneSegments(NamedTuple):
+    """The segments of a list of frames (`simulate.FrameObservations`), frame
+    by frame, each frame's detections before its predictions: endpoints (N, 4)
+    and per row its id, frame index and track id (-1 on a detection)."""
+    ends: np.ndarray
+    ids: np.ndarray
+    frame: np.ndarray
+    track: np.ndarray
 
-    The lengths are `row_norms` of the stacked endpoint differences, bit for
-    bit `np.linalg.norm(p_end - p_start)` of each segment."""
-    ends = endpoints(segments)
-    keep = row_norms(ends[:, 2:] - ends[:, :2]) >= tau_s
-    return [s for s, k in zip(segments, keep.tolist()) if k]
+    @classmethod
+    def of(cls, frames) -> "SceneSegments":
+        blocks = [(e, i, np.full(len(i), t), k) for t, fr in enumerate(frames)
+                  for e, i, k in ((fr.ends, fr.ids, np.full(len(fr.ids), -1)),
+                                  (fr.pred_ends, fr.pred_ids, fr.pred_tracks))]
+        return cls(*map(np.concatenate, zip(*blocks)))
 
 
-def match_predicted(predicted: list[Segment2D], detected: list[Segment2D]
-                    ) -> list[tuple[int, Segment2D, str]]:
-    """Fuse flow-predicted tracks with fresh detections.
+def filter_short(ends, tau_s: float) -> np.ndarray:
+    """Mask of the rows of `ends` (n, 4) at least tau_s long (boundary kept).
 
-    Candidates are gated on midpoint distance (MATCH_GATE_MID_PX) and
-    direction angle (MATCH_GATE_ANG_DEG), scored with
-    MATCH_W_ANGLE (1 - angle/gate) + MATCH_W_OVERLAP overlap, and the
-    best-scoring gated detection represents the track. A prediction with no
-    gated detection continues as predicted-only; predictions without a track
-    are dropped.
+    The lengths are `row_norms` of the endpoint differences, bit for bit
+    `np.linalg.norm(p_end - p_start)` of each segment."""
+    return row_norms(ends[:, 2:] - ends[:, :2]) >= tau_s
 
-    One (n_pred, n_det) score block per call: a vectorized midpoint pre-gate,
-    1e-6 px wider than the gate, picks the candidate pairs, and the exact
-    gates and the score run on those pairs alone. Then, for each prediction
-    in order, the first-index maximum over its gated detections that no
-    earlier prediction took wins, the choice of a strict `score > best`
-    scan in detection order.
+
+def match_predicted(pred, pred_frame, det, det_frame) -> np.ndarray:
+    """Fuse flow-predicted tracks with fresh detections, all frames at once.
+
+    `pred` (n, 4) and `det` (k, 4) are endpoint rows with their frames, both
+    sorted by frame. Returns per prediction the row of the detection that
+    represents its track, or -1 (it continues as predicted-only).
+
+    Candidates are same-frame pairs gated on midpoint distance
+    (MATCH_GATE_MID_PX) and direction angle (MATCH_GATE_ANG_DEG), scored with
+    MATCH_W_ANGLE (1 - angle/gate) + MATCH_W_OVERLAP overlap. All same-frame
+    pairs form one block: a midpoint pre-gate 1e-6 px wider than the gate
+    picks the candidates, and the exact gates and the score run on those
+    alone. Only the greedy choice runs in Python: per prediction in order,
+    the first-index maximum among its gated detections not yet taken, the
+    choice of a strict `score > best` scan from best = -1.
     """
-    predicted = [p for p in predicted if p.track_id is not None]
-    pred, det = endpoints(predicted), endpoints(detected)
+    lo = np.searchsorted(det_frame, pred_frame, side="left")
+    count = np.searchsorted(det_frame, pred_frame, side="right") - lo
+    i = np.repeat(np.arange(len(pred)), count)
+    k = np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)
     pred_mid, pred_dir = segment_frames(pred)
     det_mid, det_dir = segment_frames(det)
-    near = np.hypot(det_mid[None, :, 0] - pred_mid[:, None, 0],
-                    det_mid[None, :, 1] - pred_mid[:, None, 1])
-    i, k = np.nonzero(near < MATCH_GATE_MID_PX + 1e-6)
+    near = np.hypot(det_mid[k, 0] - pred_mid[i, 0],
+                    det_mid[k, 1] - pred_mid[i, 1]) < MATCH_GATE_MID_PX + 1e-6
+    i, k = i[near], k[near]
     gated = ~(row_norms(det_mid[k] - pred_mid[i]) >= MATCH_GATE_MID_PX)
     i, k = i[gated], k[gated]
     c = np.abs(rowdot(det_dir[k], pred_dir[i]))
@@ -148,18 +166,17 @@ def match_predicted(predicted: list[Segment2D], detected: list[Segment2D]
                                     det[k, :2], det[k, 2:]), 0.0, 1.0)
     score = (MATCH_W_ANGLE * (1.0 - ang / MATCH_GATE_ANG_DEG)
              + MATCH_W_OVERLAP * overlap)
-    keep = score > -1.0  # the scan's starting best
-    scores = np.full((len(predicted), len(detected)), -np.inf)
-    scores[i[keep], k[keep]] = score[keep]
-    out = [(p.track_id, p, "predicted") for p in predicted]
-    for row in np.flatnonzero(np.isfinite(scores).any(axis=1)).tolist():
-        best = int(scores[row].argmax())
-        if scores[row, best] > -np.inf:
-            scores[:, best] = -np.inf  # taken
-            p, d = predicted[row], detected[best]
-            chosen = Segment2D(d.p_start, d.p_end, id=d.id, track_id=p.track_id)
-            out[row] = (p.track_id, chosen, "detected")
-    return out
+    chosen = np.full(len(pred), -1)
+    taken: set[int] = set()
+    for row, pairs in groupby(zip(i.tolist(), k.tolist(), score.tolist()), itemgetter(0)):
+        best, top = -1, -1.0
+        for _, d, s in pairs:
+            if s > top and d not in taken:
+                best, top = d, s
+        if best >= 0:
+            chosen[row] = best
+            taken.add(best)
+    return chosen
 
 
 def reprojection_gate(p_ori_mid, p_proj_mid, d_s, d_e,
@@ -217,36 +234,40 @@ def overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e,
     return _verdict(np.ndim(p_ori_s) == 1, passed, reason, r)
 
 
-@dataclass
-class GateAuditRow:
-    frame_id: int
-    track_id: int
-    gate: str
-    value: float
-    threshold: float
-    verdict: str
+class GateAudit(NamedTuple):
+    """One `run_gates` call's decisions as columns: each pair's frame and
+    track id, and per gate its name, threshold and stacked result."""
+    frame_id: np.ndarray
+    track_id: np.ndarray
+    gates: list  # (name, threshold, GateResult)
 
 
-def write_gate_audit(rows: list[GateAuditRow], path) -> None:
+def write_gate_audit(audit: list[GateAudit], path) -> None:
+    """One row per pair and gate, pair by pair; values and thresholds are
+    the `repr` of Python floats."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["frame_id", "track_id", "gate", "value", "threshold", "verdict"])
-        for r in rows:
-            w.writerow([r.frame_id, r.track_id, r.gate,
-                        repr(r.value), repr(r.threshold), r.verdict])
+        for block in audit:
+            gates = [(name, repr(thr), [repr(v) for v in res.value.tolist()],
+                      np.where(res.passed, "pass", res.reason).tolist())
+                     for name, thr, res in block.gates]
+            for row, (t, k) in enumerate(zip(block.frame_id.tolist(),
+                                             block.track_id.tolist())):
+                w.writerows([t, k, name, values[row], thr, verdicts[row]]
+                            for name, thr, values, verdicts in gates)
 
 
 def run_gates(frame_id, track_id, observed, projected,
               thresholds: GateThresholds,
-              audit: list[GateAuditRow] | None = None):
+              audit: list[GateAudit] | None = None):
     """Run all three gates on observed/projected segment pairs.
 
     One pair: `observed` and `projected` are `Segment2D`s, `frame_id` and
     `track_id` are ints, and the result is a bool. n pairs: they are stacked
     endpoints (n, 4), x1 y1 x2 y2 per row, `frame_id` and `track_id` hold the
     frame and track id of each row, and the result is the (n,) pass mask.
-    Audit rows go pair by pair, each with its reprojection, sensitivity and
-    overlap row.
+    `audit` gets one `GateAudit` per call that gates any pair.
     """
     one = isinstance(observed, Segment2D)
     if one:
@@ -270,14 +291,7 @@ def run_gates(frame_id, track_id, observed, projected,
          overlap_gate(observed[:, :2], observed[:, 2:], projected[:, :2],
                       projected[:, 2:], thresholds.r_thre)),
     ]
-    if audit is not None:
-        columns = []
-        for name, thr, res in results:
-            verdicts = res.reason.copy()
-            verdicts[res.passed] = "pass"
-            columns.append((name, thr, res.value.tolist(), verdicts.tolist()))
-        for row, (t, k) in enumerate(zip(frame_id, track_id)):
-            for name, thr, values, verdicts in columns:
-                audit.append(GateAuditRow(t, k, name, values[row], thr, verdicts[row]))
+    if audit is not None and len(observed):
+        audit.append(GateAudit(np.asarray(frame_id), np.asarray(track_id), results))
     passed = np.logical_and.reduce([res.passed for _, _, res in results])
     return bool(passed[0]) if one else passed

@@ -40,7 +40,6 @@ import numpy as np
 
 from .geometry import CameraIntrinsics
 from .segments import (
-    Segment2D,
     endpoints,
     lines_through,
     row_norms,
@@ -313,28 +312,32 @@ def lift_vanishing_point(vp, intr: CameraIntrinsics, r_wc) -> np.ndarray:
     return canonical_direction(np.asarray(r_wc) @ v_cam)
 
 
-def detect_vanishing_points(segments: list[Segment2D],
+def detect_vanishing_points(segments,
                             n_hypotheses: int = DEFAULT_N_HYPOTHESES,
                             theta_cons_deg: float = DEFAULT_CONSENSUS_DEG,
                             min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
-                            rng_seed: int = 0) -> list[VanishingPointEstimate]:
+                            rng_seed: int = 0,
+                            ids=None) -> list[VanishingPointEstimate]:
     """Full per-frame VP detection: sample, cluster, refine.
 
-    Every segment gets its cluster_label set (index into the returned list,
-    None for outliers), on every return. Segment ids must be unique: clusters
-    are sets of ids. The endpoints are stacked once; each cluster is refined
-    from its rows, in input order.
+    `segments` is a list of `Segment2D`, every one of which gets its
+    cluster_label set (index into the returned list, None for outliers) on
+    every return; or, with their segment `ids`, stacked endpoints (n, 4),
+    which carry no labels. Segment ids must be unique: clusters are sets of
+    ids. Each cluster is refined from its endpoint rows, in input order.
     """
+    labelled = segments if ids is None else []
+    ends, ids = (endpoints(segments), [s.id for s in segments]) if ids is None \
+        else (segments, ids)
     row_of = {}
-    for r, s in enumerate(segments):
-        if s.id in row_of:
-            raise ValueError(f"duplicate segment id {s.id}")
-        row_of[s.id] = r
-    for s in segments:
+    for r, sid in enumerate(ids):
+        if sid in row_of:
+            raise ValueError(f"duplicate segment id {sid}")
+        row_of[sid] = r
+    for s in labelled:
         s.cluster_label = None
-    if len(segments) < 2:
+    if len(ids) < 2:
         return []
-    ends = endpoints(segments)
     hyps = sample_vp_hypotheses(ends, n_hypotheses, rng_seed)
     if len(hyps) == 0:
         return []
@@ -346,7 +349,7 @@ def detect_vanishing_points(segments: list[Segment2D],
             est = refine_vp(ends[rows], cluster)
         except ValueError:
             continue
-        for r in rows:
-            segments[r].cluster_label = len(estimates)
+        for r in rows if labelled else ():
+            labelled[r].cluster_label = len(estimates)
         estimates.append(est)
     return estimates

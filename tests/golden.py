@@ -51,6 +51,7 @@ from monogp.simulate import (
     generate_world,
     render_measurements,
 )
+from monogp.tracking import SceneSegments
 from monogp.vanishing import detect_vanishing_points
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,14 +112,14 @@ def sweep_entries(scenario, seed: int) -> dict:
 
 def track_entries(scenario, seed: int) -> dict:
     cfg = scenario(seed)
-    frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
-    tracks = build_line_tracks(frames)
+    scene = SceneSegments.of(
+        render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg))
+    tracks = build_line_tracks(scene)
     key = f"tracks/{scenario.__name__}({seed})"
     entries = {f"{key}/order": list(tracks)}
     for track_id, obs in tracks.items():
         entries[f"{key}/{track_id}"] = [
-            [t, seg.id, [x.hex() for x in (*seg.p_start.tolist(), *seg.p_end.tolist())]]
-            for t, seg in obs]
+            [t, int(scene.ids[r]), [x.hex() for x in scene.ends[r].tolist()]] for t, r in obs]
     return entries
 
 

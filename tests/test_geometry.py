@@ -33,7 +33,7 @@ from monogp.geometry import (
 )
 from monogp.graph import retract
 from monogp.segments import Segment2D, endpoints
-from test_graph import closest_point_to_origin, line_residual, project_point
+from test_graph import closest_point_to_origin, line_residual, project_point, to_camera
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -133,7 +133,7 @@ def test_project_points_bitwise_per_pose():
         assert in_front.all()
         for pose, row in zip(poses, px):
             for p, q in zip(points, row):
-                p_c = pose.transform(p)
+                p_c = to_camera(pose, p)
                 assert q.tolist() == [K.fx * p_c[0] / p_c[2] + K.cx,
                                       K.fy * p_c[1] / p_c[2] + K.cy]
 
@@ -284,7 +284,7 @@ def test_pose_stack_bitwise_per_pose():
     assert in_front.all()
     for i, k in enumerate(rows.tolist()):
         for j in range(2):
-            p_c = poses[k].transform(p[i, j])
+            p_c = to_camera(poses[k], p[i, j])
             assert px[i, j].tolist() == [K.fx * p_c[0] / p_c[2] + K.cx,
                                          K.fy * p_c[1] / p_c[2] + K.cy]
 

@@ -48,6 +48,14 @@ K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
 
 
+def to_camera(pose, p_w):
+    """Camera coordinates of world points (3,) or (k, 3): one matrix-vector
+    product per point with the rotation in its own memory layout, as
+    `PoseStack.transform` computes them."""
+    p = np.asarray(p_w, dtype=float)
+    return (pose.rotation @ p[..., None])[..., 0] + pose.translation
+
+
 def project_point(p_w, pose, intr):
     """One world point's pixel in one camera, through `project_points`."""
     in_front, px = project_points([p_w], PoseStack.of([pose]), intr)
@@ -312,7 +320,7 @@ def build_random_factor_graph(seed):
 
     p_c = np.array([rng.normal(0.0, 0.5), rng.normal(0.0, 0.5),
                     rng.uniform(2.0, 5.0)])
-    g.add_point(0, pose.inverse().transform(p_c))
+    g.add_point(0, to_camera(pose.inverse(), p_c))
     point_f = PointFactor(0, 0, rng.normal([320.0, 240.0], 50.0), K)
     g.add_factor(point_f)
 
@@ -320,8 +328,8 @@ def build_random_factor_graph(seed):
                          rng.uniform(2.0, 6.0)])
     d = rng.normal(0.0, 1.0, 3)
     d_c = d / np.linalg.norm(d)
-    line_w = PluckerLine.from_two_points(pose.inverse().transform(anchor_c),
-                                         pose.inverse().transform(anchor_c + d_c))
+    line_w = PluckerLine.from_two_points(to_camera(pose.inverse(), anchor_c),
+                                         to_camera(pose.inverse(), anchor_c + d_c))
     g.add_line(0, plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
     line_f = LineFactor(0, 0, seg, K)
@@ -419,7 +427,7 @@ def test_total_cost_zero_at_ground_truth():
     for i in range(20):
         p_c = np.array([rng.normal(0, 0.5), rng.normal(0, 0.5),
                         rng.uniform(2, 5)])
-        p_w = pose.inverse().transform(p_c)
+        p_w = to_camera(pose.inverse(), p_c)
         g.add_point(i, p_w)
         g.add_factor(PointFactor(0, i, project_point(p_w, pose, K), K))
     assert total_cost(g) < 1e-12

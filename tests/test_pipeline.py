@@ -26,13 +26,15 @@ from monogp.segments import Segment2D, endpoints
 from monogp.simulate import (
     ScenarioConfig,
     TrajectorySpec,
+    frame_to_dict,
     generate_trajectory,
     generate_world,
     render_measurements,
 )
-from monogp.tracking import GateThresholds, filter_short
+from monogp.tracking import GateThresholds, SceneSegments
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
 from golden import assert_golden, digests, run_entries
+from test_graph import to_camera
 from test_segments import segment_line
 
 
@@ -132,7 +134,7 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     assert all(len(obs) >= 2 for obs in lm.line_obs.values())
     assert lm.points and list(lm.point_obs) == list(lm.points)
     for pid, p in lm.points.items():
-        assert all(poses[t].transform(p)[2] > EPS_Z for t, _ in lm.point_obs[pid])
+        assert all(to_camera(poses[t], p)[2] > EPS_Z for t, _ in lm.point_obs[pid])
     if mode == "lp":
         assert lm.registry is None and not lm.gp_links and not lm.line_gp
         return
@@ -141,7 +143,10 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     assert len(gps) == 3
     keys = [(t, seg.id) for t, seg, _ in lm.gp_links]
     assert keys and keys == sorted(set(keys))
-    assert all(any(s is seg for s in frames[t].segments) for t, seg, _ in lm.gp_links)
+    # each link holds its frame's segment row
+    for t, seg, _ in lm.gp_links:
+        row = frames[t].ends[frames[t].ids.tolist().index(seg.id)]
+        assert endpoints([seg]).tobytes() == row.tobytes()
     assert lm.line_gp
     for lid, gp_id in lm.line_gp.items():
         assert lm.lines[lid].unit_direction() @ gps[gp_id].direction >= 0
@@ -193,18 +198,60 @@ def test_lp_and_gp_graphs_share_point_variables_and_factors(seed):
     assert point_factors(lp) == point_factors(gp) and point_factors(lp)
 
 
+def frames_state(frames):
+    """Each frame's file form and the cluster labels of its segments."""
+    return [(json.dumps(frame_to_dict(fr), sort_keys=True),
+             [s.cluster_label for s in fr.segments]) for fr in frames]
+
+
+def test_map_primitives_leaves_its_frames_unchanged():
+    cfg = structured(0)
+    frames, poses = rendered(cfg)
+    before = frames_state(frames)
+    gp = map_primitives(frames, poses, cfg, map_landmarks(frames, poses, cfg))
+    assert gp.gp_links and frames_state(frames) == before
+    assert all(label is None for _, labels in before for label in labels)
+
+
+def test_run_ablation_leaves_its_frames_unchanged(monkeypatch):
+    rendered_frames = []
+
+    def kept(*args, fn=pipeline.render_measurements):
+        frames = fn(*args)
+        rendered_frames.append((frames, frames_state(frames)))
+        return frames
+    monkeypatch.setattr(pipeline, "render_measurements", kept)
+    report = run_ablation(structured(), 2)
+    assert not report.failures and len(rendered_frames) == 2
+    for frames, before in rendered_frames:
+        assert frames_state(frames) == before
+
+
+def test_vp_detection_labels_a_segment_list_it_is_given():
+    cfg = structured(0)
+    frames, _ = rendered(cfg)
+    segs = frames[3].segments
+    estimates = detect_vanishing_points(segs, rng_seed=5)
+    assert estimates and frames[3].segments is segs
+    for i, est in enumerate(estimates):
+        assert {s.id for s in segs if s.cluster_label == i} == est.member_segment_ids
+    assert {s.id for s in segs if s.cluster_label is None} == \
+        {s.id for s in segs} - set().union(*(e.member_segment_ids for e in estimates))
+
+
 def oracle_graph(frames, poses, cfg, mode):
     """The factor graph as `run_pipeline` built it inline, mapping included,
     and how many lines it sign-flipped onto their GP."""
     intr, tau_s = cfg.intrinsics, GateThresholds().tau_s
     points, obs_by_point = pipeline._triangulate_points(frames, poses, intr)
+    scene = SceneSegments.of(frames)
     lines, line_obs = pipeline._triangulate_lines(
-        build_line_tracks(frames), poses, intr, GateThresholds(), [])
+        build_line_tracks(scene), scene, poses, intr, GateThresholds(), [])
     registry, seg_gp = None, {}
     if mode == "gp":
         registry = GlobalPrimitiveRegistry()
         for t, fr in enumerate(frames):
-            segs = filter_short(fr.segments, tau_s)
+            segs = [s for s in fr.segments if np.linalg.norm(s.p_end - s.p_start) >= tau_s]
             if len(segs) < 2:
                 continue
             estimates = detect_vanishing_points(
@@ -344,11 +391,12 @@ PINNED_TRACKS = {
 
 def test_build_line_tracks_pinned_on_structured():
     frames, _ = rendered(structured(0))
-    tracks = build_line_tracks(frames)
+    scene = SceneSegments.of(frames)
+    tracks = build_line_tracks(scene)
     expected = {tid: [(t0 + i, 100000 * (t0 + i) + k if k >= 0 else k)
                       for i, k in enumerate(ks)]
                 for tid, (t0, ks) in PINNED_TRACKS.items()}
-    got = {tid: [(t, seg.id) for t, seg in obs] for tid, obs in tracks.items()}
+    got = {tid: [(t, int(scene.ids[r])) for t, r in obs] for tid, obs in tracks.items()}
     assert list(got) == list(expected)
     assert got == expected
 

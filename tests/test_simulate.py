@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from monogp.simulate import (
     MIN_DEPTH,
     MIN_OUTLIER_PX,
     MIN_SEGMENT_PX,
-    FrameObservations,
     NoiseSpec,
     ScenarioConfig,
     SegmentTruth,
@@ -27,7 +27,7 @@ from monogp.simulate import (
     render_measurements,
     save_observations,
 )
-from test_graph import line_residual, project_point
+from test_graph import line_residual, project_point, to_camera
 
 
 def corridor_config(**overrides):
@@ -100,6 +100,14 @@ def oracle_project_world_segment(wl, pose, intr, width, height, max_range):
     return ps, pe
 
 
+class OracleFrame(NamedTuple):
+    frame_id: int
+    points: list
+    segments: list
+    predicted: list
+    truth: dict
+
+
 def oracle_render_measurements(world, poses, config):
     """Oracle: the per-point, per-line rendering loop with one noise draw each."""
     intr = config.intrinsics
@@ -168,7 +176,7 @@ def oracle_render_measurements(world, poses, config):
                 noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_flow_px
                 predicted.append(Segment2D(proj[0] + noise[0], proj[1] + noise[1],
                                            id=-(seg.id + 1), track_id=info.line_id))
-        frames.append(FrameObservations(t, pt_obs, segments, predicted, truth))
+        frames.append(OracleFrame(t, pt_obs, segments, predicted, truth))
     return frames
 
 
@@ -274,8 +282,8 @@ def test_world_family_bookkeeping():
     assert len(world.family_directions) == 3
     for wl in world.lines.values():
         fam = world.family_directions[wl.family_id]
-        assert np.allclose(wl.direction(), fam, atol=1e-12) or \
-            np.allclose(wl.direction(), -fam, atol=1e-12)
+        d = (wl.p1 - wl.p0) / np.linalg.norm(wl.p1 - wl.p0)
+        assert np.allclose(d, fam, atol=1e-12) or np.allclose(d, -fam, atol=1e-12)
 
 
 def test_world_deterministic():
@@ -381,21 +389,21 @@ def test_predicted_segments_reference_previous_frame():
         assert -p.id - 1 in prev_ids  # flow source segment
 
 
-def test_world_lines_projected_in_one_pass_per_frame(monkeypatch):
-    # the candidates and the flow predictions share one stacked projection
+def test_world_lines_projected_in_one_pass_per_scene(monkeypatch):
+    # every frame's candidates and flow predictions share one stacked projection
     cfg = structured(0)
     world = generate_world(cfg)
     poses = generate_trajectory(cfg)
     calls = []
     extents = simulate._line_extents
 
-    def counting_extents(p0, *args):
-        calls.append(len(p0))
-        return extents(p0, *args)
+    def counting_extents(a, *args):
+        calls.append(len(a))
+        return extents(a, *args)
 
     monkeypatch.setattr(simulate, "_line_extents", counting_extents)
     render_measurements(world, poses, cfg)
-    assert calls == [len(world.lines)] * len(poses)
+    assert calls == [len(world.lines) * len(poses)]
 
 
 def test_rendering_reproducible():
@@ -518,13 +526,15 @@ def test_line_extents_equal_scalar_projection(pose):
     p0 = np.array([a for a, _ in lines])
     p1 = np.array([b for _, b in lines])
     intr = ScenarioConfig().intrinsics
-    seen, starts, ends = simulate._line_extents(p0, p1, pose, intr, 640, 480, 12.0)
+    seen, starts, ends, length = simulate._line_extents(
+        to_camera(pose, p0), to_camera(pose, p1), intr, 640, 480, 12.0)
     for k, (a, b) in enumerate(lines):
         want = oracle_project_world_segment(WorldLine(np.array(a), np.array(b), 0),
                                             pose, intr, 640, 480, 12.0)
         assert bool(seen[k]) == (want is not None), (a, b)
         if want is not None:
             assert np.array_equal(starts[k], want[0]) and np.array_equal(ends[k], want[1])
+            assert length[k] == np.linalg.norm(want[1] - want[0])
 
 
 def test_budget_breaks_length_ties_by_line_id():

@@ -4,6 +4,7 @@ The stacked matcher, gates and mapping passes are checked against the
 per-pair and per-track loops they replaced, kept below verbatim as oracles
 (renamed `oracle_*`).
 """
+import csv
 import math
 from typing import NamedTuple
 
@@ -22,8 +23,8 @@ from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp import tracking as tracking_module
 from monogp.tracking import (
-    GateAuditRow,
     GateThresholds,
+    SceneSegments,
     filter_short,
     match_predicted,
     overlap_gate,
@@ -40,7 +41,7 @@ from test_geometry import (
     oracle_triangulate_line,
     oracle_triangulate_point,
 )
-from test_graph import closest_point_to_origin
+from test_graph import closest_point_to_origin, to_camera
 from test_segments import midpoint, segment_line
 
 
@@ -57,15 +58,14 @@ def direction(s):
 # -- filtering / tracks ------------------------------------------------------
 
 def test_filter_short_lengths():
-    segs = [seg(0, 0, 5, 0, 0), seg(0, 0, 20, 0, 1), seg(0, 0, 40, 0, 2)]
-    kept = filter_short(segs, 10.0)
-    assert [s.id for s in kept] == [1, 2]
+    ends = endpoints([seg(0, 0, 5, 0, 0), seg(0, 0, 20, 0, 1), seg(0, 0, 40, 0, 2)])
+    assert filter_short(ends, 10.0).tolist() == [False, True, True]
 
 
 def test_filter_short_boundary_kept():
-    segs = [seg(0, 0, 10, 0, 0)]
-    assert filter_short(segs, 10.0) == segs
-    assert filter_short(segs, 0.0) == segs
+    ends = endpoints([seg(0, 0, 10, 0, 0)])
+    assert filter_short(ends, 10.0).tolist() == [True]
+    assert filter_short(ends, 0.0).tolist() == [True]
 
 
 @pytest.mark.parametrize("config", [structured(0), structured(1), structured(2),
@@ -74,7 +74,7 @@ def test_filter_short_boundary_kept():
 def test_track_frames_strictly_increase(config):
     frames = render_measurements(generate_world(config), generate_trajectory(config),
                                  config)
-    tracks = build_line_tracks(frames)
+    tracks = build_line_tracks(SceneSegments.of(frames))
     assert tracks and any(len(obs) >= 2 for obs in tracks.values())
     for obs in tracks.values():
         t = [t for t, _ in obs]
@@ -82,6 +82,19 @@ def test_track_frames_strictly_increase(config):
 
 
 # -- matching ----------------------------------------------------------------
+
+def match_predicted(predicted, detected):
+    """`tracking.match_predicted` on one frame in the oracle's form: (track
+    id, chosen segment, source) per prediction with a track."""
+    predicted = [p for p in predicted if p.track_id is not None]
+    chosen = tracking_module.match_predicted(
+        endpoints(predicted), np.zeros(len(predicted), dtype=int),
+        endpoints(detected), np.zeros(len(detected), dtype=int))
+    return [(p.track_id, p, "predicted") if k < 0 else
+            (p.track_id, Segment2D(detected[k].p_start, detected[k].p_end,
+                                   id=detected[k].id, track_id=p.track_id), "detected")
+            for p, k in zip(predicted, chosen.tolist())]
+
 
 def test_match_identical_detection_scores_one():
     pred = seg(100, 100, 200, 100, sid=0, track_id=5)
@@ -135,7 +148,6 @@ def test_match_midpoint_gate_boundary():
 
 def test_match_without_detections_continues_predictions():
     preds = [seg(100, 100, 200, 100, sid=0, track_id=0),
-             seg(100, 300, 200, 300, sid=1),  # no track: dropped
              seg(300, 100, 300, 200, sid=2, track_id=2)]
     out = match_predicted(preds, [])
     assert [(tid, chosen.id, source) for tid, chosen, source in out] == \
@@ -247,6 +259,24 @@ class OracleGateResult(NamedTuple):
     value: float
 
 
+class OracleAuditRow(NamedTuple):
+    frame_id: int
+    track_id: int
+    gate: str
+    value: float
+    threshold: float
+    verdict: str
+
+
+def oracle_write_gate_audit(rows, path):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["frame_id", "track_id", "gate", "value", "threshold", "verdict"])
+        for r in rows:
+            w.writerow([r.frame_id, r.track_id, r.gate,
+                        repr(r.value), repr(r.threshold), r.verdict])
+
+
 def oracle_angle_between_deg(u, v) -> float:
     c = abs(float(np.asarray(u) @ np.asarray(v)))
     c /= (np.linalg.norm(u) * np.linalg.norm(v))
@@ -349,13 +379,13 @@ def oracle_run_gates(frame_id, track_id, observed, projected, thresholds, audit=
                ("overlap", ove, thresholds.r_thre)]
     if audit is not None:
         for name, res, thr in results:
-            audit.append((frame_id, track_id, name, res.value, thr,
-                          "pass" if res.passed else res.reason))
+            audit.append(OracleAuditRow(frame_id, track_id, name, res.value, thr,
+                                        "pass" if res.passed else res.reason))
     return all(res.passed for _, res, _ in results)
 
 
 def oracle_project_point(p_w, pose, intr):
-    p_c = pose.transform(p_w)
+    p_c = to_camera(pose, p_w)
     if p_c[2] <= EPS_Z:
         raise ValueError(f"behind camera: z={p_c[2]:.3g}")
     return np.array([intr.fx * p_c[0] / p_c[2] + intr.cx,
@@ -431,59 +461,88 @@ def match_key(matches):
             for tid, seg, source in matches]
 
 
+def segment_list(scene, rows):
+    return [Segment2D(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
+                      track_id=int(scene.track[r]) if scene.track[r] >= 0 else None)
+            for r in rows]
+
+
 @pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
 def test_match_predicted_equals_oracle_on_scenes(config):
+    # every frame in one call, against the per-frame oracle
     frames, _ = scene(config)
     tau_s = GateThresholds().tau_s
-    matched = 0
-    for fr in frames[1:]:
-        predicted = filter_short(fr.predicted, tau_s)
-        detected = filter_short(fr.segments, tau_s)
-        for kept, segments in ((predicted, fr.predicted), (detected, fr.segments)):
-            assert list(map(id, kept)) == [id(s) for s in segments
-                                         if np.linalg.norm(s.p_end - s.p_start) >= tau_s]
-        out = match_predicted(predicted, detected)
+    rows = SceneSegments.of(frames)
+    long = filter_short(rows.ends, tau_s)
+    assert long.tolist() == [np.linalg.norm(s.p_end - s.p_start) >= tau_s
+                             for fr in frames for s in fr.segments + fr.predicted]
+    is_pred = rows.track >= 0
+    pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
+    chosen = tracking_module.match_predicted(rows.ends[pred], rows.frame[pred],
+                                             rows.ends[det], rows.frame[det])
+    assert ((chosen < 0) | (rows.frame[det[chosen]] == rows.frame[pred])).all()
+    for t in range(1, len(frames)):
+        here = rows.frame[pred] == t
+        predicted = segment_list(rows, pred[here])
+        detected = segment_list(rows, det[rows.frame[det] == t])
+        out = [(p.track_id, p, "predicted") if k < 0 else
+               (p.track_id, segment_list(rows, [det[k]])[0], "detected")
+               for p, k in zip(predicted, chosen[here].tolist())]
         assert match_key(out) == match_key(oracle_match_predicted(predicted, detected))
-        matched += sum(source == "detected" for _, _, source in out)
-    assert matched > 0
+    assert (chosen >= 0).any()
 
 
-def audit_bytes(rows, path):
-    write_gate_audit([GateAuditRow(*r) if isinstance(r, tuple) else r for r in rows], path)
-    return path.read_bytes()
+def row_tracks(tracks):
+    """Hand-made tracks {id: [(frame, Segment2D)]} as (frame, row) tracks of
+    one `SceneSegments` of their segments."""
+    obs = [(t, s, k) for k, items in tracks.items() for t, s in items]
+    rows = SceneSegments(endpoints([s for _, s, _ in obs]),
+                         np.array([s.id for _, s, _ in obs], dtype=int),
+                         np.array([t for t, _, _ in obs], dtype=int),
+                         np.array([k for _, _, k in obs], dtype=int))
+    r = iter(range(len(obs)))
+    return {k: [(t, next(r)) for t, _ in items] for k, items in tracks.items()}, rows
 
 
-def assert_lines_equal_oracle(tracks, poses, intr, gates, tmp_path):
+def obs_key(line_obs):
+    return {k: [(t, s.id, endpoints([s]).tobytes()) for t, s in obs]
+            for k, obs in line_obs.items()}
+
+
+def assert_lines_equal_oracle(tracks, rows, poses, intr, gates, tmp_path):
+    """`_triangulate_lines` on (frame, row) `tracks` of `rows` equals the
+    oracle on their segments; returns the oracle's audit rows."""
     audit, oracle_audit = [], []
-    lines, line_obs = _triangulate_lines(tracks, poses, intr, gates, audit)
-    oracle_lines, oracle_obs = oracle_triangulate_lines(tracks, poses, intr, gates,
-                                                        oracle_audit)
-    assert line_obs == oracle_obs
+    lines, line_obs = _triangulate_lines(tracks, rows, poses, intr, gates, audit)
+    oracle_lines, oracle_obs = oracle_triangulate_lines(
+        {k: list(zip([t for t, _ in obs], segment_list(rows, [r for _, r in obs])))
+         for k, obs in tracks.items()}, poses, intr, gates, oracle_audit)
+    assert obs_key(line_obs) == obs_key(oracle_obs)
     # raw bytes: the pipeline hands these floats on unnormalized
     assert list(lines) == list(oracle_lines)
     assert {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in lines.items()} == \
         {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in oracle_lines.items()}
-    rows = audit_bytes(audit, tmp_path / "stacked.csv")
-    assert rows == audit_bytes(oracle_audit, tmp_path / "oracle.csv")
-    assert all(type(r.frame_id) is int and type(r.track_id) is int for r in audit)
-    return audit
+    write_gate_audit(audit, tmp_path / "stacked.csv")
+    oracle_write_gate_audit(oracle_audit, tmp_path / "oracle.csv")
+    assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    return oracle_audit
 
 
 @pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
 def test_gate_audit_equals_oracle_on_scenes(config, tmp_path):
     frames, poses = scene(config)
-    gates = GateThresholds()
-    tracks = build_line_tracks(frames)
-    audit = assert_lines_equal_oracle(tracks, poses, config.intrinsics, gates, tmp_path)
+    rows = SceneSegments.of(frames)
+    audit = assert_lines_equal_oracle(build_line_tracks(rows), rows, poses,
+                                      config.intrinsics, GateThresholds(), tmp_path)
     assert {r.verdict for r in audit} >= {"pass", "midpoint"}
 
 
 @pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
 def test_gate_audit_equals_oracle_on_ground_truth_poses(config, tmp_path):
     frames, poses = scene(config, ground_truth=True)
-    tracks = build_line_tracks(frames)
-    audit = assert_lines_equal_oracle(tracks, poses, config.intrinsics, GateThresholds(),
-                                      tmp_path)
+    rows = SceneSegments.of(frames)
+    audit = assert_lines_equal_oracle(build_line_tracks(rows), rows, poses,
+                                      config.intrinsics, GateThresholds(), tmp_path)
     assert "pass" in {r.verdict for r in audit}
 
 
@@ -547,12 +606,13 @@ def test_gates_skip_frame_behind_camera(tmp_path):
     track = []
     for t, pose in enumerate(poses):
         if t == 1:  # the world line is behind this camera
-            assert pose.transform(ends[0])[2] < 0
+            assert to_camera(pose, ends[0])[2] < 0
             track.append((t, seg(100, 100, 200, 120, sid=t)))
         else:
             track.append((t, Segment2D(*(oracle_project_point(p, pose, intr)
                                          for p in ends), id=t)))
-    audit = assert_lines_equal_oracle({3: track}, poses, intr, GateThresholds(), tmp_path)
+    audit = assert_lines_equal_oracle(*row_tracks({3: track}), poses, intr, GateThresholds(),
+                                      tmp_path)
     assert [(r.frame_id, r.gate) for r in audit] == \
         [(t, g) for t in (0, 2) for g in ("reprojection", "sensitivity", "overlap")]
     assert all(r.verdict == "pass" for r in audit)
@@ -560,7 +620,7 @@ def test_gates_skip_frame_behind_camera(tmp_path):
 
 def pinhole(p, pose, intr):
     """A world point's pixel by the pinhole formula, whatever its depth."""
-    x, y, z = pose.transform(p)
+    x, y, z = to_camera(pose, p)
     return np.array([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy])
 
 
@@ -577,7 +637,7 @@ def test_track_behind_every_camera_has_no_audit_rows(tmp_path):
             for t, pose in enumerate(poses)]
     line = oracle_triangulate_line(behind[0][1], behind[1][1], *poses, intr)
     assert closest_point_to_origin(line)[2] < 0  # triangulated, behind the cameras
-    audit = assert_lines_equal_oracle({4: behind, 9: seen}, poses, intr,
+    audit = assert_lines_equal_oracle(*row_tracks({4: behind, 9: seen}), poses, intr,
                                       GateThresholds(), tmp_path)
     assert {r.track_id for r in audit} == {9} and len(audit) == 6
 
@@ -590,10 +650,11 @@ def test_tracks_seen_once_are_skipped(tmp_path):
     once = [(1, Segment2D(*(pinhole(p, poses[1], intr) for p in ends), id=0))]
     twice = [(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
              for t, pose in enumerate(poses)]
-    lines, _ = _triangulate_lines({1: once}, poses, intr, GateThresholds(), audit := [])
+    lines, _ = _triangulate_lines(*row_tracks({1: once}), poses, intr, GateThresholds(),
+                                  audit := [])
     assert lines == {} and audit == []
-    audit = assert_lines_equal_oracle({2: twice, 1: once}, poses, intr, GateThresholds(),
-                                      tmp_path)
+    audit = assert_lines_equal_oracle(*row_tracks({2: twice, 1: once}), poses, intr,
+                                      GateThresholds(), tmp_path)
     assert {r.track_id for r in audit} == {2}
 
 
@@ -608,9 +669,10 @@ def test_zero_length_projection_raises():
     track = [(t, seg(300, 240, 340, 240, sid=t)) if t == 1 else
              (t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
              for t, pose in enumerate(poses)]
-    for triangulate in (_triangulate_lines, oracle_triangulate_lines):
-        with pytest.raises(ValueError, match="zero-length segment"):
-            triangulate({0: track}, poses, intr, GateThresholds(), [])
+    with pytest.raises(ValueError, match="zero-length segment"):
+        _triangulate_lines(*row_tracks({0: track}), poses, intr, GateThresholds(), [])
+    with pytest.raises(ValueError, match="zero-length segment"):
+        oracle_triangulate_lines({0: track}, poses, intr, GateThresholds(), [])
     # run_gates itself, before it writes any audit row
     observed = endpoints([seg(100, 100, 200, 120), seg(300, 240, 340, 240)])
     projected = np.array([[100.0, 101.0, 200.0, 121.0], [320.0, 240.0, 320.0, 240.0]])
@@ -640,7 +702,9 @@ def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
             oracle_run_gates(i, 0, o, p, thresholds, oracle_audit)
         r = overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
         assert r == oracle_overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
-    assert audit == single
-    assert audit_bytes(audit, tmp_path / "stacked.csv") == \
-        audit_bytes(oracle_audit, tmp_path / "oracle.csv")
+    for rows, path in ((audit, "stacked.csv"), (single, "single.csv")):
+        write_gate_audit(rows, tmp_path / path)
+    oracle_write_gate_audit(oracle_audit, tmp_path / "oracle.csv")
+    assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes() \
+        == (tmp_path / "oracle.csv").read_bytes()
     assert 0 < mask.sum() < len(mask)
