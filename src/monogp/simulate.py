@@ -415,7 +415,8 @@ def render_measurements(world: World, poses: list[Pose],
         seen, ps, pe = seen_all[t], ps_all[t], pe_all[t]
         rows = np.flatnonzero(_allowed(line_ids, t, vis) & seen)
         # budget: longest first, id as a stable tie-break, then id order
-        rows = np.sort(rows[np.lexsort((line_ids[rows], -length_all[t, rows]))[:config.n_l]])
+        order = np.lexsort((line_ids[rows], -length_all[t, rows]))
+        rows = np.sort(rows[order[:config.n_l]])
         n = len(rows)
         ends = (np.stack([ps[rows], pe[rows]], axis=1)
                 + rng.normal(0.0, 1.0, size=(n, 2, 2)) * noise.sigma_endpoint_px

@@ -326,9 +326,10 @@ def detect_vanishing_points(segments,
     which carry no labels. Segment ids must be unique: clusters are sets of
     ids. Each cluster is refined from its endpoint rows, in input order.
     """
-    labelled = segments if ids is None else []
-    ends, ids = (endpoints(segments), [s.id for s in segments]) if ids is None \
-        else (segments, ids)
+    if ids is None:
+        labelled, ends, ids = segments, endpoints(segments), [s.id for s in segments]
+    else:
+        labelled, ends = [], segments
     row_of = {}
     for r, sid in enumerate(ids):
         if sid in row_of:
@@ -349,7 +350,8 @@ def detect_vanishing_points(segments,
             est = refine_vp(ends[rows], cluster)
         except ValueError:
             continue
-        for r in rows if labelled else ():
-            labelled[r].cluster_label = len(estimates)
+        if labelled:
+            for r in rows:
+                labelled[r].cluster_label = len(estimates)
         estimates.append(est)
     return estimates

@@ -26,7 +26,6 @@ from monogp.tracking import (
     GateThresholds,
     SceneSegments,
     filter_short,
-    match_predicted,
     overlap_gate,
     overlap_ratio,
     reprojection_gate,
@@ -85,8 +84,7 @@ def test_track_frames_strictly_increase(config):
 
 def match_predicted(predicted, detected):
     """`tracking.match_predicted` on one frame in the oracle's form: (track
-    id, chosen segment, source) per prediction with a track."""
-    predicted = [p for p in predicted if p.track_id is not None]
+    id, chosen segment, source) per prediction."""
     chosen = tracking_module.match_predicted(
         endpoints(predicted), np.zeros(len(predicted), dtype=int),
         endpoints(detected), np.zeros(len(detected), dtype=int))
@@ -462,6 +460,7 @@ def match_key(matches):
 
 
 def segment_list(scene, rows):
+    """`Segment2D`s of the rows of a `SceneSegments`."""
     return [Segment2D(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
                       track_id=int(scene.track[r]) if scene.track[r] >= 0 else None)
             for r in rows]
