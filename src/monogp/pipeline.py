@@ -185,14 +185,15 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
     passed = run_gates(t, track_ids[line], scene.ends[r], pixels.reshape(-1, 4),
                        gates, audit)
     admitted = np.bincount(line[passed], minlength=len(tracked)) >= 2
-    lines, line_obs = {}, {}
-    for i, t, r in zip(line[passed].tolist(), t[passed].tolist(), r[passed].tolist()):
-        if admitted[i]:
-            track_id = tracked[i][0]
-            lines[track_id] = PluckerLine(normal[i], direction[i])
-            seg = Segment2D(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
-                            track_id=track_id)
-            line_obs.setdefault(track_id, []).append((t, seg))
+    lines = {track_id: PluckerLine(normal[i], direction[i])
+             for i, (track_id, _) in enumerate(tracked) if admitted[i]}
+    line_obs: dict[int, list] = {}
+    keep = passed & admitted[line]
+    for i, t, e, sid in zip(line[keep].tolist(), t[keep].tolist(), scene.ends[r[keep]],
+                            scene.ids[r[keep]].tolist()):
+        track_id = tracked[i][0]
+        seg = Segment2D(e[:2], e[2:], id=sid, track_id=track_id)
+        line_obs.setdefault(track_id, []).append((t, seg))
     return lines, line_obs
 
 
