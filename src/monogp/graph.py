@@ -74,7 +74,7 @@ from .geometry import (
     Pose,
     skew,
 )
-from .segments import Segment2D, endpoints, lines_through
+from .segments import lines_through
 
 HUBER_2DOF = math.sqrt(5.99)  # chi^2 95%, 2 DOF
 HUBER_1DOF = math.sqrt(3.84)  # chi^2 95%, 1 DOF
@@ -283,7 +283,7 @@ class PointFactor(_Factor):
 class LineFactor(_Factor):
     pose_id: int
     line_id: int
-    obs: Segment2D
+    obs: np.ndarray  # (4,) observed endpoints x1 y1 x2 y2
     intr: CameraIntrinsics
     kind = "line"
     dim = 2
@@ -297,7 +297,7 @@ class LineFactor(_Factor):
 
     @staticmethod
     def _pack(factors) -> dict:
-        ends = endpoints([f.obs for f in factors]).reshape(-1, 2, 2)
+        ends = np.array([f.obs for f in factors], dtype=float).reshape(-1, 2, 2)
         # homogeneous endpoints (N, 2, 3)
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
                 "KL": np.array([f.intr.line_projection_matrix() for f in factors])}
@@ -311,7 +311,7 @@ class LineFactor(_Factor):
 class VdAlignFactor(_Factor):
     pose_id: int
     gp_id: int
-    seg: Segment2D
+    seg: np.ndarray  # (4,) segment endpoints x1 y1 x2 y2
     intr: CameraIntrinsics
     kind = "vd_align"
     dim = 1
@@ -324,7 +324,7 @@ class VdAlignFactor(_Factor):
 
     @staticmethod
     def _pack(factors) -> dict:
-        ends = endpoints([f.seg for f in factors])
+        ends = np.array([f.seg for f in factors], dtype=float)
         # C-ordered like a stack of rows, so the kernel's products sum alike
         return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
                 "K": np.array([f.intr.matrix() for f in factors])}

@@ -12,7 +12,8 @@ rows (`tracking.SceneSegments`) builds the line tracks as (frame, row)
 indices, all points go through one midpoint triangulation, all line tracks
 through one plane intersection, and every (track, frame) pair through one
 projection and one `run_gates` call (`geometry.PoseStack` holds the
-pose-derived arrays). `Segment2D`s are built only for what enters the graph.
+pose-derived arrays). Segments stay (4,) endpoint rows, x1 y1 x2 y2, from
+the frames through the gates into the graph factors.
 
 Modes: "lp" maps points and lines only; "gp" also maps the fused global
 primitives, which add vanishing-direction alignment and structural-consistency
@@ -43,7 +44,6 @@ from .geometry import (
     triangulate_points,
 )
 from .primitives import GlobalPrimitiveRegistry
-from .segments import Segment2D
 from .simulate import (
     FrameObservations,
     ScenarioConfig,
@@ -161,8 +161,8 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
     extent, and projected into all its observing frames; frames that see an
     endpoint at depth z <= EPS_Z are dropped, and every other (track, frame)
     pair, ordered by track and then frame, is gated in one `run_gates` call.
-    A line is kept with its passing observations, as `Segment2D`s for the
-    graph, when at least two pass."""
+    A line is kept with its passing observations, as (frame, endpoint row)
+    pairs, when at least two pass."""
     cams = PoseStack.of(poses)
     tracked = [(track_id, obs) for track_id, obs in sorted(tracks.items())
                if len(obs) >= 2]
@@ -189,11 +189,8 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
              for i, (track_id, _) in enumerate(tracked) if admitted[i]}
     line_obs: dict[int, list] = {}
     keep = passed & admitted[line]
-    for i, t, e, sid in zip(line[keep].tolist(), t[keep].tolist(), scene.ends[r[keep]],
-                            scene.ids[r[keep]].tolist()):
-        track_id = tracked[i][0]
-        seg = Segment2D(e[:2], e[2:], id=sid, track_id=track_id)
-        line_obs.setdefault(track_id, []).append((t, seg))
+    for i, t, e in zip(line[keep].tolist(), t[keep].tolist(), scene.ends[r[keep]]):
+        line_obs.setdefault(tracked[i][0], []).append((t, e))
     return lines, line_obs
 
 
@@ -206,10 +203,10 @@ class Landmarks:
     points: dict      # point id -> (3,) world point
     point_obs: dict   # point id -> [(frame, pixel)], every observation
     lines: dict       # track id -> PluckerLine
-    line_obs: dict    # track id -> [(frame, Segment2D)], gate-passing
+    line_obs: dict    # track id -> [(frame, (4,) endpoint row)], gate-passing
     gate_audit: list  # GateAudit
     registry: GlobalPrimitiveRegistry | None = None
-    gp_links: list = field(default_factory=list)  # (frame, Segment2D, gp id)
+    gp_links: list = field(default_factory=list)  # (frame, (4,) endpoint row, gp id)
     line_gp: dict = field(default_factory=dict)   # track id -> gp id
 
 
@@ -232,10 +229,10 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
                    config: ScenarioConfig, landmarks: Landmarks) -> Landmarks:
     """A copy of `landmarks` with the GP part mapped from `frames` on `poses`:
     per-frame VP detection, lifting and fusion into a registry, each frame's
-    (frame, segment, GP) links by segment id, and the line -> GP map. Its lines
-    are a new dict, in which a line pointing away from its GP is negated.
-    VP detection runs on each frame's endpoint rows, so `frames` (and the
-    labels of their boundary `Segment2D`s) are left as they are."""
+    (frame, endpoint row, GP) links in segment-id order, and the line -> GP
+    map. Its lines are a new dict, in which a line pointing away from its GP
+    is negated. VP detection runs on each frame's endpoint rows, so `frames`
+    (and the labels of their boundary `Segment2D`s) are left as they are."""
     intr, tau_s = config.intrinsics, GateThresholds().tau_s
     registry, gp_links = GlobalPrimitiveRegistry(), []
     for t, fr in enumerate(frames):
@@ -251,9 +248,8 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
         seg_gp = {sid: gp_id for gp_id, members in
                   registry.associate_frame(t, lifted, config.n_l) for sid in members}
         row_of = dict(zip(ids, range(len(ids))))
-        for sid, gp_id in sorted(seg_gp.items()):
-            e = ends[row_of[sid]]
-            gp_links.append((t, Segment2D(e[:2], e[2:], id=sid), gp_id))
+        gp_links += [(t, ends[row_of[sid]], gp_id)
+                     for sid, gp_id in sorted(seg_gp.items())]
     lines, line_gp = {}, {}
     for lid, line in landmarks.lines.items():
         gp_id = registry.match(line.unit_direction())

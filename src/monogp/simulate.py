@@ -19,7 +19,7 @@ block in segment order, the outliers (one `choice`, then per outlier its
 `uniform` draws), and the flow noise as one block in the order of the
 previous frame's segments. A block of k rows is the same stream as k draws
 of one row. A frame keeps its segments, predictions and truth as columns;
-its `Segment2D` lists and truth dict are built only when read.
+its `Segment2D` list and truth dict are built only when read.
 
 Optional visibility partitioning assigns each landmark a window of frames,
 so scenarios where distant frames share zero landmarks (but observe the
@@ -187,8 +187,8 @@ class FrameObservations:
     (n, 4), x1 y1 x2 y2, with `ids`, true `line_ids` and `families` (-1 on an
     outlier) and the `outlier` mask. Flow predictions: `pred_ends` (m, 4) with
     `pred_ids` and `pred_tracks` (the predicted line). The boundary forms
-    `segments`, `predicted` (`Segment2D` lists) and `truth` (id ->
-    `SegmentTruth`) are built on first read, once."""
+    `segments` (a `Segment2D` list) and `truth` (id -> `SegmentTruth`), which
+    callers outside the pipeline read, are built on first read, once."""
     frame_id: int
     points: list  # (point_id, np.ndarray pixel)
     ends: np.ndarray
@@ -204,11 +204,6 @@ class FrameObservations:
     def segments(self) -> list[Segment2D]:
         return [Segment2D(e[:2], e[2:], id=sid)
                 for e, sid in zip(self.ends, self.ids.tolist())]
-
-    @cached_property
-    def predicted(self) -> list[Segment2D]:
-        return [Segment2D(e[:2], e[2:], id=sid, track_id=k) for e, sid, k in
-                zip(self.pred_ends, self.pred_ids.tolist(), self.pred_tracks.tolist())]
 
     @cached_property
     def truth(self) -> dict:
@@ -461,16 +456,17 @@ def frame_to_dict(fr: FrameObservations) -> dict:
     return {
         "frame_id": fr.frame_id,
         "points": [[pid, [float(o[0]), float(o[1])]] for pid, o in fr.points],
-        "segments": [_seg_to_list(s) for s in fr.segments],
-        "predicted": [_seg_to_list(s) for s in fr.predicted],
+        "segments": _seg_lists(fr.ends, fr.ids, [None] * len(fr.ids)),
+        "predicted": _seg_lists(fr.pred_ends, fr.pred_ids, fr.pred_tracks.tolist()),
         "truth": {str(sid): [tr.line_id, tr.family_id, tr.outlier]
                   for sid, tr in fr.truth.items()},
     }
 
 
-def _seg_to_list(s: Segment2D):
-    return [s.id, [float(s.p_start[0]), float(s.p_start[1])],
-            [float(s.p_end[0]), float(s.p_end[1])], s.track_id]
+def _seg_lists(ends, ids, tracks) -> list:
+    """`[id, [x1, y1], [x2, y2], track id]` per endpoint row."""
+    return [[sid, e[:2], e[2:], k]
+            for sid, e, k in zip(ids.tolist(), ends.tolist(), tracks)]
 
 
 def save_observations(frames: list[FrameObservations], path) -> None:

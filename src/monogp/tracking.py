@@ -33,9 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .segments import (
-    Segment2D,
     acos_deg,
-    endpoints,
     lines_through,
     row_norms,
     rowdot,
@@ -67,24 +65,11 @@ class GateThresholds:
 
 
 class GateResult(NamedTuple):
-    """A gate's verdict: `passed`, the failure `reason` (None on a pass) and
-    the gate's `value`; a bool, str and float for one pair, (n,) arrays for
-    n stacked pairs."""
-    passed: bool
-    reason: str | None
-    value: float
-
-
-def _rows(x) -> np.ndarray:
-    """(n, 2) points or (n, 4) endpoints from one row or a stack of them."""
-    return np.atleast_2d(np.asarray(x, dtype=float))
-
-
-def _verdict(one: bool, passed, reason, value) -> GateResult:
-    """The stacked verdict, or its only row as Python scalars when `one`."""
-    if one:
-        return GateResult(bool(passed[0]), reason[0], float(value[0]))
-    return GateResult(passed, reason, value)
+    """A gate's verdict on n stacked pairs, (n,) arrays: `passed`, the failure
+    `reason` (None on a pass, an object array) and the gate's `value`."""
+    passed: np.ndarray
+    reason: np.ndarray
+    value: np.ndarray
 
 
 def _reasons(failed, reason: str) -> np.ndarray:
@@ -181,57 +166,57 @@ def match_predicted(pred, pred_frame, det, det_frame) -> np.ndarray:
 
 def reprojection_gate(p_ori_mid, p_proj_mid, d_s, d_e,
                       theta_thre: float, d_thre: float) -> GateResult:
-    """Midpoint-distance and endpoint perpendicular-distance checks."""
-    mid_err = row_norms(_rows(p_ori_mid) - _rows(p_proj_mid))
-    d = _first_max(np.atleast_1d(d_s), np.atleast_1d(d_e))
+    """Midpoint-distance and endpoint perpendicular-distance checks on
+    midpoints (n, 2) and endpoint distances (n,)."""
+    mid_err = row_norms(p_ori_mid - p_proj_mid)
+    d = _first_max(d_s, d_e)
     far = mid_err > theta_thre
     off = ~far & (d > d_thre)
     value = np.where(far, mid_err, np.where(off, d, _first_max(mid_err, d)))
     reason = _reasons(far, "midpoint")
     reason[off] = "perpendicular"
-    return _verdict(np.ndim(p_ori_mid) == 1, ~(far | off), reason, value)
+    return GateResult(~(far | off), reason, value)
 
 
 def sensitivity_gate(v_ori, p_ori_mid, p_proj_mid,
                      alpha_thre: float) -> GateResult:
-    """Reject displacements sliding along the line (unobservable errors)."""
-    disp = _rows(p_proj_mid) - _rows(p_ori_mid)
+    """Reject displacements sliding along the line (unobservable errors):
+    unit directions `v_ori` and midpoints, (n, 2) each."""
+    disp = p_proj_mid - p_ori_mid
     norm = row_norms(disp)
     moved = ~(norm < EPS_DISP)  # below it there is nothing to test
-    c = np.abs(rowdot(_rows(v_ori)[moved], disp[moved])) / norm[moved]
+    c = np.abs(rowdot(v_ori[moved], disp[moved])) / norm[moved]
     value = np.zeros(len(disp))
     value[moved] = 90.0 - acos_deg(np.clip(c, 0.0, 1.0))
     passed = ~(moved & (value > alpha_thre))
     reason = _reasons(~passed, "sensitivity")
-    return _verdict(np.ndim(p_ori_mid) == 1, passed, reason, value)
+    return GateResult(passed, reason, value)
 
 
-def overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e):
-    """Share of the original extent that the projected extent covers.
+def overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e) -> np.ndarray:
+    """Share of the original extent that the projected extent covers, (n,)
+    for n stacked pairs of segments, their endpoints (n, 2) each.
 
     Both extents are measured along the original direction in units of the
     original length; the ratio is at most 1 and negative when they are apart.
-    A float for one pair of segments, (n,) for n stacked pairs.
     """
-    o_s, o_e = _rows(p_ori_s), _rows(p_ori_e)
-    l_ori = row_norms(o_e - o_s)
+    l_ori = row_norms(p_ori_e - p_ori_s)
     if not l_ori.all():
         raise ValueError("original segment has zero length")
-    v = (o_e - o_s) / l_ori[:, None]
-    r1 = rowdot(_rows(p_proj_s) - o_s, v) / l_ori
-    r2 = rowdot(_rows(p_proj_e) - o_s, v) / l_ori
+    v = (p_ori_e - p_ori_s) / l_ori[:, None]
+    r1 = rowdot(p_proj_s - p_ori_s, v) / l_ori
+    r2 = rowdot(p_proj_e - p_ori_s, v) / l_ori
     lo, hi = _first_min(r1, r2), _first_max(r1, r2)
-    r = _first_min(hi, 1.0) - _first_max(lo, 0.0)
-    return float(r[0]) if np.ndim(p_ori_s) == 1 else r
+    return _first_min(hi, 1.0) - _first_max(lo, 0.0)
 
 
 def overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e,
                  r_thre: float) -> GateResult:
     """Projected-extent overlap ratio r; fail when r < r_thre."""
-    r = np.atleast_1d(overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e))
+    r = overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e)
     passed = ~(r < r_thre)
     reason = _reasons(~passed, "overlap")
-    return _verdict(np.ndim(p_ori_s) == 1, passed, reason, r)
+    return GateResult(passed, reason, r)
 
 
 class GateAudit(NamedTuple):
@@ -261,18 +246,11 @@ def write_gate_audit(audit: list[GateAudit], path) -> None:
 def run_gates(frame_id, track_id, observed, projected,
               thresholds: GateThresholds,
               audit: list[GateAudit] | None = None):
-    """Run all three gates on observed/projected segment pairs.
-
-    One pair: `observed` and `projected` are `Segment2D`s, `frame_id` and
-    `track_id` are ints, and the result is a bool. n pairs: they are stacked
-    endpoints (n, 4), x1 y1 x2 y2 per row, `frame_id` and `track_id` hold the
-    frame and track id of each row, and the result is the (n,) pass mask.
-    `audit` gets one `GateAudit` per call that gates any pair.
+    """Run all three gates on n observed/projected segment pairs, stacked
+    endpoints (n, 4), x1 y1 x2 y2 per row; `frame_id` and `track_id` hold the
+    frame and track id of each row. Returns the (n,) pass mask. `audit` gets
+    one `GateAudit` per call that gates any pair.
     """
-    one = isinstance(observed, Segment2D)
-    if one:
-        observed, projected = endpoints([observed]), endpoints([projected])
-        frame_id, track_id = [frame_id], [track_id]
     if (projected[:, :2] == projected[:, 2:]).all(axis=1).any():
         raise ValueError("zero-length segment")
     ones = np.ones((len(observed), 1))
@@ -293,5 +271,4 @@ def run_gates(frame_id, track_id, observed, projected,
     ]
     if audit is not None and len(observed):
         audit.append(GateAudit(np.asarray(frame_id), np.asarray(track_id), results))
-    passed = np.logical_and.reduce([res.passed for _, _, res in results])
-    return bool(passed[0]) if one else passed
+    return np.logical_and.reduce([res.passed for _, _, res in results])

@@ -17,7 +17,7 @@ from monogp.graph import numeric_jacobian
 from monogp.pipeline import run_ablation, run_pipeline
 from monogp.primitives import GlobalPrimitiveRegistry, fuse_directions, is_parallel
 from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
-from monogp.segments import Segment2D
+from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp.tracking import (
     GateThresholds,
@@ -30,6 +30,7 @@ from monogp.tracking import (
 from monogp.vanishing import canonical_direction, detect_vanishing_points, lift_vanishing_point
 
 from test_graph import build_random_factor_graph, max_relative_error
+from test_tracking import first, one_pair
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 
@@ -165,16 +166,16 @@ def test_criterion_5_jlinkage_recovers_planted_families():
 
 def test_criterion_6_gate_golden_values(tmp_path):
     checks = []
-    res = overlap_gate([0, 0], [10, 0], [5, 0], [15, 0], 0.3)
+    res = first(overlap_gate(*one_pair([0, 0], [10, 0], [5, 0], [15, 0]), 0.3))
     checks.append(res.passed and abs(res.value - 0.5) < 1e-12)
-    res = overlap_gate([0, 0], [10, 0], [12, 0], [20, 0], 0.3)
+    res = first(overlap_gate(*one_pair([0, 0], [10, 0], [12, 0], [20, 0]), 0.3))
     checks.append(not res.passed and abs(res.value + 0.2) < 1e-12)
-    res = reprojection_gate([0, 0], [3, 0], 0.0, 0.0, 2.0, 3.0)
+    res = first(reprojection_gate(*one_pair([0, 0], [3, 0], 0.0, 0.0), 2.0, 3.0))
     checks.append(not res.passed and res.reason == "midpoint")
-    res = reprojection_gate([0, 0], [0, 0], 1.0, 4.0, 10.0, 3.0)
+    res = first(reprojection_gate(*one_pair([0, 0], [0, 0], 1.0, 4.0), 10.0, 3.0))
     checks.append(not res.passed and res.reason == "perpendicular")
-    checks.append(sensitivity_gate([1.0, 0.0], [0, 0], [0, 5], 30.0).passed)
-    res = sensitivity_gate([1.0, 0.0], [0, 0], [5, 0], 10.0)
+    checks.append(first(sensitivity_gate(*one_pair([1.0, 0.0], [0, 0], [0, 5]), 30.0)).passed)
+    res = first(sensitivity_gate(*one_pair([1.0, 0.0], [0, 0], [5, 0]), 10.0))
     checks.append(not res.passed and abs(res.value - 90.0) < 1e-9)
 
     thresholds = GateThresholds()
@@ -187,8 +188,8 @@ def test_criterion_6_gate_golden_values(tmp_path):
             u = rng.normal(0.0, 1.0, 2)
             u /= np.linalg.norm(u)
             shift = rng.normal(0.0, 2.0, 2)
-            run_gates(0, i, Segment2D(a, a + 60 * u, id=i),
-                      Segment2D(a + shift, a + 60 * u + shift, id=i),
+            run_gates([0], [i], endpoints([Segment2D(a, a + 60 * u, id=i)]),
+                      endpoints([Segment2D(a + shift, a + 60 * u + shift, id=i)]),
                       thresholds, audit)
         path = tmp_path / f"audit{run}.csv"
         write_gate_audit(audit, path)

@@ -43,6 +43,7 @@ from monogp.graph import (
     total_cost,
 )
 from monogp.segments import Segment2D
+from test_segments import seg_row
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -242,7 +243,7 @@ def test_point_residual_hand_value():
 
 def line_residual(line, pose, seg, intr=K):
     """LineFactor residual of a world PluckerLine observed as `seg`."""
-    return residual_at(LineFactor(0, 0, seg, intr), pose=pose,
+    return residual_at(LineFactor(0, 0, seg_row(seg), intr), pose=pose,
                        line=plucker_to_orthonormal(line))
 
 
@@ -262,7 +263,7 @@ def test_line_residual_scale_invariant():
 
 
 def vd_align_residual(gp, pose, seg):
-    return residual_at(VdAlignFactor(0, 0, seg, K), pose=pose, gp=gp)[0]
+    return residual_at(VdAlignFactor(0, 0, seg_row(seg), K), pose=pose, gp=gp)[0]
 
 
 def test_vd_align_zero_through_principal_point():
@@ -332,12 +333,12 @@ def build_random_factor_graph(seed):
                                          to_camera(pose.inverse(), anchor_c + d_c))
     g.add_line(0, plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
-    line_f = LineFactor(0, 0, seg, K)
+    line_f = LineFactor(0, 0, seg_row(seg), K)
     g.add_factor(line_f)
 
     gp = rng.normal(0.0, 1.0, 3)
     g.add_gp(0, gp / np.linalg.norm(gp))
-    vd_f = VdAlignFactor(0, 0, seg, K)
+    vd_f = VdAlignFactor(0, 0, seg_row(seg), K)
     g.add_factor(vd_f)
     struct_f = StructFactor(0, 0)
     g.add_factor(struct_f)
@@ -493,8 +494,8 @@ def build_assembly_graph():
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
             seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
-            g.add_factor(LineFactor(t, lid, seg, K))
-            g.add_factor(VdAlignFactor(t, 0, seg, K))
+            g.add_factor(LineFactor(t, lid, seg_row(seg), K))
+            g.add_factor(VdAlignFactor(t, 0, seg_row(seg), K))
         g.add_factor(StructFactor(lid, 0))
     return g
 
@@ -687,7 +688,7 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
     for i in range(10):
         a = rng.uniform([50.0, 50.0], [500.0, 400.0])
         seg = Segment2D(a, a + [rng.uniform(40, 90), 0.0], id=i)
-        g.add_factor(VdAlignFactor(0, 0, seg, K))
+        g.add_factor(VdAlignFactor(0, 0, seg_row(seg), K))
     c0 = total_cost(g)
     report = optimize(g, fixed=[("pose", 0)])
     assert report.final_cost <= c0 + 1e-15

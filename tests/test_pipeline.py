@@ -22,7 +22,7 @@ from monogp.pipeline import (
 )
 from monogp.primitives import GlobalPrimitiveRegistry
 from monogp.scenarios import default_corridor, nonoverlap, structured
-from monogp.segments import Segment2D, endpoints
+from monogp.segments import Segment2D, lines_through
 from monogp.simulate import (
     ScenarioConfig,
     TrajectorySpec,
@@ -35,7 +35,7 @@ from monogp.tracking import GateThresholds, SceneSegments
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
 from golden import assert_golden, digests, run_entries
 from test_graph import to_camera
-from test_segments import segment_line
+from test_segments import seg_row
 
 
 def test_corridor_lp_converges_with_finite_ate():
@@ -113,6 +113,24 @@ def test_ablation_maps_each_seed_once_and_equals_separate_runs(monkeypatch):
             assert e[f"ate_{mode}"].hex() == ate.hex()
 
 
+def test_pipeline_builds_no_segment2d(monkeypatch):
+    # segments are endpoint rows from rendering through the gates into the
+    # graph factors; `Segment2D` is only a boundary form for outside callers
+    built = []
+    init = Segment2D.__post_init__
+
+    def counted(self):
+        built.append(self.id)
+        init(self)
+    monkeypatch.setattr(Segment2D, "__post_init__", counted)
+    for mode in MODES:
+        run_pipeline(structured(0), mode)
+    report = run_ablation(structured(), 2)
+    assert not report.failures and built == []
+    Segment2D([0.0, 0.0], [1.0, 0.0], id=3)  # the count sees a construction
+    assert built == [3]
+
+
 def rendered(cfg):
     """The scenario's frames and its ground-truth poses."""
     poses = generate_trajectory(cfg)
@@ -138,15 +156,18 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     if mode == "lp":
         assert lm.registry is None and not lm.gp_links and not lm.line_gp
         return
-    # one GP per planted family; links ordered by frame, then segment id
+    # one GP per planted family
     gps = lm.registry.primitives
     assert len(gps) == 3
-    keys = [(t, seg.id) for t, seg, _ in lm.gp_links]
+    # each link holds one of its frame's segment rows, byte for byte: the
+    # segment id of its row bytes (no two rows of a frame share them)
+    id_of_row = [{e.tobytes(): sid for e, sid in zip(fr.ends, fr.ids.tolist())}
+                 for fr in frames]
+    assert [len(ids) for ids in id_of_row] == [len(fr.ids) for fr in frames]
+    assert all(row.shape == (4,) for _, row, _ in lm.gp_links)
+    keys = [(t, id_of_row[t][row.tobytes()]) for t, row, _ in lm.gp_links]
+    # links ordered by frame, then segment id, each segment once
     assert keys and keys == sorted(set(keys))
-    # each link holds its frame's segment row
-    for t, seg, _ in lm.gp_links:
-        row = frames[t].ends[frames[t].ids.tolist().index(seg.id)]
-        assert endpoints([seg]).tobytes() == row.tobytes()
     assert lm.line_gp
     for lid, gp_id in lm.line_gp.items():
         assert lm.lines[lid].unit_direction() @ gps[gp_id].direction >= 0
@@ -290,7 +311,8 @@ def oracle_graph(frames, poses, cfg, mode):
             g.add_gp(gp_id, gp.direction)
         seg_lookup = {(fr.frame_id, s.id): s for fr in frames for s in fr.segments}
         for (t, sid), gp_id in sorted(seg_gp.items()):
-            g.add_factor(graph.VdAlignFactor(t, gp_id, seg_lookup[(t, sid)], intr))
+            seg = seg_row(seg_lookup[(t, sid)])
+            g.add_factor(graph.VdAlignFactor(t, gp_id, seg, intr))
         for lid, gp_id in sorted(line_gp.items()):
             g.add_factor(graph.StructFactor(lid, gp_id))
     return g, flipped
@@ -298,8 +320,6 @@ def oracle_graph(frames, poses, cfg, mode):
 
 def observation_bytes(factor):
     obs = getattr(factor, "obs", getattr(factor, "seg", None))
-    if isinstance(obs, Segment2D):
-        return obs.id, endpoints([obs]).tobytes()
     return None if obs is None else np.asarray(obs).tobytes()
 
 
@@ -548,10 +568,11 @@ def test_packed_segment_constants_equal_per_factor_form():
     aligns = [f for f in g.factors if isinstance(f, graph.VdAlignFactor)]
     assert lines and aligns
     expected = {
-        (graph.LineFactor, "ends"): np.array([[[f.obs.p_start[0], f.obs.p_start[1], 1.0],
-                                               [f.obs.p_end[0], f.obs.p_end[1], 1.0]]
+        (graph.LineFactor, "ends"): np.array([[[f.obs[0], f.obs[1], 1.0],
+                                               [f.obs[2], f.obs[3], 1.0]]
                                               for f in lines]),
-        (graph.VdAlignFactor, "lhat"): np.array([segment_line(f.seg) for f in aligns]),
+        (graph.VdAlignFactor, "lhat"): np.array([lines_through(f.seg[:2], f.seg[2:])
+                                                 for f in aligns]),
     }
     for (cls, name), want in expected.items():
         got = consts[cls][name]

@@ -15,6 +15,19 @@ def midpoint(seg):
     return 0.5 * (seg.p_start + seg.p_end)
 
 
+def seg_row(seg):
+    """The endpoint row (4,), x1 y1 x2 y2, of one `Segment2D`: the segment
+    form of the graph factors and the gates."""
+    return np.concatenate([seg.p_start, seg.p_end])
+
+
+def predicted_segments(frame):
+    """A frame's flow predictions (its `pred_*` columns) as `Segment2D`s,
+    each with its track id."""
+    return [Segment2D(e[:2], e[2:], id=sid, track_id=k) for e, sid, k in
+            zip(frame.pred_ends, frame.pred_ids.tolist(), frame.pred_tracks.tolist())]
+
+
 def test_segment_line_x_axis():
     l = segment_line(Segment2D([0.0, 0.0], [10.0, 0.0], id=0))
     if l[1] < 0:

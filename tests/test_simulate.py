@@ -28,6 +28,7 @@ from monogp.simulate import (
     save_observations,
 )
 from test_graph import line_residual, project_point, to_camera
+from test_segments import predicted_segments
 
 
 def corridor_config(**overrides):
@@ -187,7 +188,7 @@ def assert_frames_equal(got, want):
         assert [pid for pid, _ in g.points] == [pid for pid, _ in w.points]
         assert all(type(pid) is int for pid, _ in g.points)
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(g.points, w.points))
-        for gs, ws in ((g.segments, w.segments), (g.predicted, w.predicted)):
+        for gs, ws in ((g.segments, w.segments), (predicted_segments(g), w.predicted)):
             assert [(s.id, s.track_id) for s in gs] == [(s.id, s.track_id) for s in ws]
             assert all(np.array_equal(a.p_start, b.p_start) and np.array_equal(a.p_end, b.p_end)
                        for a, b in zip(gs, ws))
@@ -382,9 +383,9 @@ def test_predicted_segments_reference_previous_frame():
     world = generate_world(cfg)
     poses = generate_trajectory(cfg)
     frames = render_measurements(world, poses, cfg)
-    assert frames[0].predicted == []
+    assert predicted_segments(frames[0]) == []
     prev_ids = {s.id for s in frames[0].segments}
-    for p in frames[1].predicted:
+    for p in predicted_segments(frames[1]):
         assert p.track_id is not None
         assert -p.id - 1 in prev_ids  # flow source segment
 
@@ -457,7 +458,7 @@ def test_observation_jsonl_roundtrip(tmp_path):
         assert d["frame_id"] == fr.frame_id
         assert d["points"] == [[pid, px.tolist()] for pid, px in fr.points]
         assert d["segments"] == seg_fields(fr.segments)
-        assert d["predicted"] == seg_fields(fr.predicted)
+        assert d["predicted"] == seg_fields(predicted_segments(fr))
         assert d["truth"] == {str(sid): list(dataclasses.astuple(tr))
                               for sid, tr in fr.truth.items()}
 

@@ -23,6 +23,7 @@ from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp import tracking as tracking_module
 from monogp.tracking import (
+    GateResult,
     GateThresholds,
     SceneSegments,
     filter_short,
@@ -41,7 +42,7 @@ from test_geometry import (
     oracle_triangulate_point,
 )
 from test_graph import closest_point_to_origin, to_camera
-from test_segments import midpoint, segment_line
+from test_segments import midpoint, predicted_segments, segment_line
 
 
 def seg(x1, y1, x2, y2, sid=0, track_id=None):
@@ -154,52 +155,63 @@ def test_match_without_detections_continues_predictions():
 
 # -- gates -------------------------------------------------------------------
 
+def one_pair(*args):
+    """Each gate argument as a stack of one pair: a point (2,) as (1, 2), a
+    distance as (1,)."""
+    return [np.array([a], dtype=float) for a in args]
+
+
+def first(res):
+    """The only row of a stacked `GateResult`, as Python scalars."""
+    return GateResult(bool(res.passed[0]), res.reason[0], float(res.value[0]))
+
+
 def test_reprojection_gate_pass():
-    res = reprojection_gate([100, 100], [100, 100], 0.0, 0.0, 4.0, 3.0)
+    res = first(reprojection_gate(*one_pair([100, 100], [100, 100], 0.0, 0.0), 4.0, 3.0))
     assert res.passed and res.reason is None
 
 
 def test_reprojection_gate_midpoint_fail():
-    res = reprojection_gate([0, 0], [3, 0], 0.0, 0.0, 2.0, 3.0)
+    res = first(reprojection_gate(*one_pair([0, 0], [3, 0], 0.0, 0.0), 2.0, 3.0))
     assert not res.passed and res.reason == "midpoint"
     assert abs(res.value - 3.0) < 1e-12
 
 
 def test_reprojection_gate_perpendicular_max():
-    res = reprojection_gate([0, 0], [0, 0], 1.0, 4.0, 10.0, 3.0)
+    res = first(reprojection_gate(*one_pair([0, 0], [0, 0], 1.0, 4.0), 10.0, 3.0))
     assert not res.passed and res.reason == "perpendicular"
     assert res.value == 4.0
 
 
 def test_sensitivity_gate_lateral_displacement_passes():
-    res = sensitivity_gate([1.0, 0.0], [0, 0], [0, 5], 30.0)
+    res = first(sensitivity_gate(*one_pair([1.0, 0.0], [0, 0], [0, 5]), 30.0))
     assert res.passed and abs(res.value) < 1e-9
 
 
 def test_sensitivity_gate_sliding_fails():
-    res = sensitivity_gate([1.0, 0.0], [0, 0], [5, 0], 10.0)
+    res = first(sensitivity_gate(*one_pair([1.0, 0.0], [0, 0], [5, 0]), 10.0))
     assert not res.passed and res.reason == "sensitivity"
     assert abs(res.value - 90.0) < 1e-9
 
 
 def test_sensitivity_gate_zero_displacement_passes():
-    res = sensitivity_gate([1.0, 0.0], [7, 7], [7, 7], 10.0)
+    res = first(sensitivity_gate(*one_pair([1.0, 0.0], [7, 7], [7, 7]), 10.0))
     assert res.passed and res.value == 0.0
 
 
 def test_overlap_gate_perfect():
-    res = overlap_gate([0, 0], [10, 0], [0, 0], [10, 0], 1.0)
+    res = first(overlap_gate(*one_pair([0, 0], [10, 0], [0, 0], [10, 0]), 1.0))
     assert res.passed and abs(res.value - 1.0) < 1e-12
 
 
 def test_overlap_gate_half():
-    res = overlap_gate([0, 0], [10, 0], [5, 0], [15, 0], 0.3)
+    res = first(overlap_gate(*one_pair([0, 0], [10, 0], [5, 0], [15, 0]), 0.3))
     assert res.passed
     assert abs(res.value - 0.5) < 1e-12
 
 
 def test_overlap_gate_disjoint_negative():
-    res = overlap_gate([0, 0], [10, 0], [12, 0], [20, 0], 0.3)
+    res = first(overlap_gate(*one_pair([0, 0], [10, 0], [12, 0], [20, 0]), 0.3))
     assert not res.passed and res.reason == "overlap"
     assert abs(res.value - (-0.2)) < 1e-12
 
@@ -211,8 +223,8 @@ def test_overlap_gate_endpoint_swap_invariant():
         p_s, p_e = rng.uniform(0, 100, 2), rng.uniform(0, 100, 2)
         if np.allclose(o_s, o_e):
             continue
-        r1 = overlap_gate(o_s, o_e, p_s, p_e, 0.3).value
-        r2 = overlap_gate(o_e, o_s, p_e, p_s, 0.3).value
+        r1 = first(overlap_gate(*one_pair(o_s, o_e, p_s, p_e), 0.3)).value
+        r2 = first(overlap_gate(*one_pair(o_e, o_s, p_e, p_s), 0.3)).value
         assert abs(r1 - r2) < 1e-9
         assert r1 <= 1.0 + 1e-12
 
@@ -233,7 +245,8 @@ def test_run_gates_audit_byte_identical(tmp_path):
             observed = Segment2D(a, a + 60 * u, id=i)
             shift = rows_rng.normal(0.0, 2.0, 2)
             projected = Segment2D(a + shift, a + 60 * u + shift, id=i)
-            run_gates(0, i, observed, projected, thresholds, audit)
+            run_gates([0], [i], endpoints([observed]), endpoints([projected]), thresholds,
+                      audit)
         path = tmp_path / f"audit{run}.csv"
         write_gate_audit(audit, path)
         paths.append(path)
@@ -246,7 +259,7 @@ def test_run_gates_all_pass_on_exact_projection():
     thresholds = GateThresholds()
     observed = Segment2D([100, 100], [200, 150], id=0)
     projected = Segment2D([100, 100], [200, 150], id=0)
-    assert run_gates(0, 0, observed, projected, thresholds)
+    assert run_gates([0], [0], endpoints([observed]), endpoints([projected]), thresholds)[0]
 
 
 # -- oracles: the per-pair loops, verbatim -------------------------------------
@@ -474,7 +487,7 @@ def test_match_predicted_equals_oracle_on_scenes(config):
     rows = SceneSegments.of(frames)
     long = filter_short(rows.ends, tau_s)
     assert long.tolist() == [np.linalg.norm(s.p_end - s.p_start) >= tau_s
-                             for fr in frames for s in fr.segments + fr.predicted]
+                             for fr in frames for s in fr.segments + predicted_segments(fr)]
     is_pred = rows.track >= 0
     pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
     chosen = tracking_module.match_predicted(rows.ends[pred], rows.frame[pred],
@@ -508,6 +521,13 @@ def obs_key(line_obs):
             for k, obs in line_obs.items()}
 
 
+def row_obs_key(line_obs, tracks, rows):
+    """`obs_key` of `_triangulate_lines`' (frame, endpoint row) observations,
+    each segment id that of its track's row of `rows` in that frame."""
+    return {k: [(t, int(rows.ids[dict(tracks[k])[t]]), e.tobytes()) for t, e in obs]
+            for k, obs in line_obs.items()}
+
+
 def assert_lines_equal_oracle(tracks, rows, poses, intr, gates, tmp_path):
     """`_triangulate_lines` on (frame, row) `tracks` of `rows` equals the
     oracle on their segments; returns the oracle's audit rows."""
@@ -516,7 +536,7 @@ def assert_lines_equal_oracle(tracks, rows, poses, intr, gates, tmp_path):
     oracle_lines, oracle_obs = oracle_triangulate_lines(
         {k: list(zip([t for t, _ in obs], segment_list(rows, [r for _, r in obs])))
          for k, obs in tracks.items()}, poses, intr, gates, oracle_audit)
-    assert obs_key(line_obs) == obs_key(oracle_obs)
+    assert row_obs_key(line_obs, tracks, rows) == obs_key(oracle_obs)
     # raw bytes: the pipeline hands these floats on unnormalized
     assert list(lines) == list(oracle_lines)
     assert {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in lines.items()} == \
@@ -697,9 +717,9 @@ def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
                      endpoints(projected), thresholds, audit)
     oracle_audit = []
     for i, (o, p) in enumerate(zip(observed, projected)):
-        assert run_gates(i, 0, o, p, thresholds, single) == mask[i] == \
-            oracle_run_gates(i, 0, o, p, thresholds, oracle_audit)
-        r = overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
+        assert run_gates([i], [0], endpoints([o]), endpoints([p]), thresholds, single)[0] \
+            == mask[i] == oracle_run_gates(i, 0, o, p, thresholds, oracle_audit)
+        r = overlap_ratio(*one_pair(o.p_start, o.p_end, p.p_start, p.p_end))[0]
         assert r == oracle_overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
     for rows, path in ((audit, "stacked.csv"), (single, "single.csv")):
         write_gate_audit(rows, tmp_path / path)
