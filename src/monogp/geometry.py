@@ -74,28 +74,36 @@ def _unit(v: np.ndarray) -> np.ndarray:
 # SO(3) / SE(3)
 # ---------------------------------------------------------------------------
 
+def exp_stack(w, with_v: bool):
+    """Rodrigues' formula on axis-angle rows w (N, 3) and, with `with_v`, the
+    SE(3) left Jacobian V (else None), each with its second-order series
+    below |w| = 1e-10 (rotation) and 1e-8 (V), which keeps the rotation
+    orthonormal to machine precision near zero. Row for row these are the
+    floats of the per-vector formulas that the tests keep as oracles
+    (`float_power` is the scalar `**`, `vecdot` the scalar norm's dot
+    product)."""
+    theta = np.sqrt(np.vecdot(w, w))
+    W = skew(w)
+    WW = W @ W
+    sin, cos = np.sin(theta), np.cos(theta)
+    series = theta < 1e-10
+    th = np.where(series, 1.0, theta)
+    A = np.where(series, 1.0, sin / th)
+    B = np.where(series, 0.5, (1.0 - cos) / np.float_power(th, 2.0))
+    R = np.eye(3) + A[:, None, None] * W + B[:, None, None] * WW
+    if not with_v:
+        return R, None
+    series = theta < 1e-8
+    th = np.where(series, 1.0, theta)
+    B = np.where(series, 0.5, (1.0 - cos) / np.float_power(th, 2.0))
+    C = (th - sin) / np.float_power(th, 3.0)
+    CWW = np.where(series[:, None, None], WW / 6.0, C[:, None, None] * WW)
+    return R, np.eye(3) + B[:, None, None] * W + CWW
+
+
 def so3_exp(w) -> np.ndarray:
     """Rodrigues formula. w is an axis-angle 3-vector (radians)."""
-    w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w)
-    W = skew(w)
-    if theta < 1e-10:
-        # Second-order series keeps the result orthonormal to machine
-        # precision near zero.
-        return np.eye(3) + W + 0.5 * (W @ W)
-    A = math.sin(theta) / theta
-    B = (1.0 - math.cos(theta)) / theta**2
-    return np.eye(3) + A * W + B * (W @ W)
-
-
-def _left_jacobian_V(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    W = skew(w)
-    if theta < 1e-8:
-        return np.eye(3) + 0.5 * W + (W @ W) / 6.0
-    B = (1.0 - math.cos(theta)) / theta**2
-    C = (theta - math.sin(theta)) / theta**3
-    return np.eye(3) + B * W + C * (W @ W)
+    return exp_stack(np.asarray(w, dtype=float).reshape(1, 3), False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -180,59 +188,44 @@ class Pose:
 def se3_exp(twist) -> Pose:
     """Exponential map. twist = (rho, theta): translation part first."""
     twist = np.asarray(twist, dtype=float).reshape(6)
-    rho, theta = twist[:3], twist[3:]
-    R = so3_exp(theta)
-    t = _left_jacobian_V(theta) @ rho
-    return Pose(R, t)
+    R, V = exp_stack(twist[None, 3:], True)
+    return Pose(R[0], V[0] @ twist[:3])
 
 
 @dataclass(frozen=True, eq=False)
 class PoseStack:
     """The pose-derived arrays of n cameras, each built once per camera:
-    camera centres, translations, and C copies of each rotation and of its
-    transpose. Indexing with integer rows picks cameras, one row per use, by
-    array indexing alone.
+    camera centres, translations, and C copies of each `pose.r_wc`.
+    Indexing with integer rows picks cameras, one row per use, by array
+    indexing alone.
 
     BLAS sums a matrix-vector product in the order of the matrix's memory
-    layout, and `Pose.from_world_camera` makes F-ordered rotations, so
-    `rotate` and `to_world` multiply each row in its pose's own layout
-    (`f_order`): row for row they equal `pose.rotation @ v` and
-    `pose.r_wc @ v` bit for bit, where a C copy of an F-ordered rotation
-    rounds differently.
+    layout. Every pose the program stacks comes from `Pose.from_world_camera`,
+    whose rotation is the F-ordered transpose of `r_wc`, so `rotate`
+    multiplies by the transposed view of the C copy: row for row, `rotate`
+    and `to_world` equal `pose.rotation @ v` and `pose.r_wc @ v` bit for bit.
     """
-    f_order: np.ndarray      # (n,) rotation is F-ordered
-    rotation: np.ndarray     # (n, 3, 3) C copies of `pose.rotation`
-    r_wc: np.ndarray         # (n, 3, 3) C copies of `pose.rotation.T`
+    r_wc: np.ndarray         # (n, 3, 3) C copies of `pose.r_wc`
     translation: np.ndarray  # (n, 3)
     center: np.ndarray       # (n, 3) `pose.camera_center()`
 
     @classmethod
     def of(cls, poses) -> "PoseStack":
-        return cls(np.array([p.rotation.flags.f_contiguous for p in poses], dtype=bool),
-                   np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
-                   np.array([p.rotation.T for p in poses]).reshape(-1, 3, 3),
+        return cls(np.array([p.r_wc for p in poses]).reshape(-1, 3, 3),
                    np.array([p.translation for p in poses]).reshape(-1, 3),
                    np.array([p.camera_center() for p in poses]).reshape(-1, 3))
 
     def __len__(self) -> int:
-        return len(self.f_order)
+        return len(self.r_wc)
 
     def __getitem__(self, rows) -> "PoseStack":
         rows = np.asarray(rows, dtype=np.intp)
-        return PoseStack(self.f_order[rows], self.rotation[rows], self.r_wc[rows],
-                         self.translation[rows], self.center[rows])
-
-    def _matvec(self, c_form, f_form, v):
-        """Row i of `v` ((n, 3) or (n, k, 3)) times matrix i, in the C or
-        the F form as `f_order` says."""
-        lead = (slice(None),) + (None,) * (v.ndim - 2)
-        f = self.f_order.reshape((-1,) + (1,) * v.ndim)
-        v = v[..., None]
-        return np.where(f, f_form[lead] @ v, c_form[lead] @ v)[..., 0]
+        return PoseStack(self.r_wc[rows], self.translation[rows], self.center[rows])
 
     def rotate(self, v) -> np.ndarray:
-        """`pose.rotation @ v` per row."""
-        return self._matvec(self.rotation, self.r_wc.transpose(0, 2, 1), v)
+        """`pose.rotation @ v` per row of `v` ((n, 3) or (n, k, 3))."""
+        lead = (slice(None),) + (None,) * (v.ndim - 2)
+        return (self.r_wc.transpose(0, 2, 1)[lead] @ v[..., None])[..., 0]
 
     def transform(self, p_w) -> np.ndarray:
         """Camera coordinates (n, k, 3), `pose.rotation @ p + pose.translation`
@@ -243,13 +236,20 @@ class PoseStack:
             + self.translation[:, None]
 
     def to_world(self, v) -> np.ndarray:
-        """`pose.r_wc @ v` per row: a camera-frame direction in the world."""
-        return self._matvec(self.rotation.transpose(0, 2, 1), self.r_wc, v)
+        """`pose.r_wc @ v` per row of `v` (n, 3): a camera-frame direction in
+        the world."""
+        return (self.r_wc @ v[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
+
+def pinhole(p_c, intr: CameraIntrinsics) -> np.ndarray:
+    """Pixels (..., 2) of camera-frame points (..., 3)."""
+    x, y, z = np.moveaxis(p_c, -1, 0)
+    return np.stack([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy], axis=-1)
+
 
 def project_points(p_w, cams: PoseStack, intr: CameraIntrinsics):
     """Pixels of world points in each of n cameras: the same k points
@@ -261,9 +261,7 @@ def project_points(p_w, cams: PoseStack, intr: CameraIntrinsics):
     """
     p_c = cams.transform(p_w)
     in_front = ~(p_c[..., 2] <= EPS_Z).any(axis=1)
-    x, y, z = np.moveaxis(p_c[in_front], -1, 0)
-    return in_front, np.stack([intr.fx * x / z + intr.cx,
-                               intr.fy * y / z + intr.cy], axis=-1)
+    return in_front, pinhole(p_c[in_front], intr)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ from .geometry import (
     DegenerateLineError,
     OrthonormalLine,
     Pose,
+    exp_stack,
     skew,
 )
 from .segments import lines_through
@@ -551,31 +552,6 @@ class FactorGraph:
 # Retraction
 # ---------------------------------------------------------------------------
 
-def _exp_stack(w: np.ndarray, with_v: bool):
-    """Rodrigues' formula on axis-angle rows w (N, 3) and, with `with_v`, the
-    SE(3) left Jacobian V, each with its series branch: `geometry.so3_exp`
-    below |w| = 1e-10, `geometry._left_jacobian_V` below 1e-8. Row for row
-    the same floats as those per-vector formulas (`float_power` is the
-    scalar `**`, `vecdot` the scalar norm's dot product)."""
-    theta = np.sqrt(np.vecdot(w, w))
-    W = skew(w)
-    WW = W @ W
-    sin, cos = np.sin(theta), np.cos(theta)
-    series = theta < 1e-10
-    th = np.where(series, 1.0, theta)
-    A = np.where(series, 1.0, sin / th)
-    B = np.where(series, 0.5, (1.0 - cos) / np.float_power(th, 2.0))
-    R = np.eye(3) + A[:, None, None] * W + B[:, None, None] * WW
-    if not with_v:
-        return R, None
-    series = theta < 1e-8
-    th = np.where(series, 1.0, theta)
-    B = np.where(series, 0.5, (1.0 - cos) / np.float_power(th, 2.0))
-    C = (th - sin) / np.float_power(th, 3.0)
-    CWW = np.where(series[:, None, None], WW / 6.0, C[:, None, None] * WW)
-    return R, np.eye(3) + B[:, None, None] * W + CWW
-
-
 def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
     """Apply local-parameterization increments to a stack of variables of one
     kind and return the new state arrays (the inputs are not modified).
@@ -588,14 +564,14 @@ def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
     """
     if kind == "pose":
         R, t = values
-        dR, V = _exp_stack(deltas[:, 3:], True)
+        dR, V = exp_stack(deltas[:, 3:], True)
         return dR @ R, _mv(dR, t) + _mv(V, deltas[:, :3])
     if kind == "point":
         (X,) = values
         return (X + deltas,)
     if kind == "line":
         U, W = values
-        dU, _ = _exp_stack(deltas[:, :3], False)
+        dU, _ = exp_stack(deltas[:, :3], False)
         c, s = np.cos(deltas[:, 3]), np.sin(deltas[:, 3])
         return dU @ U, np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2) @ W
     if kind == "gp":

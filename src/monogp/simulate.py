@@ -12,7 +12,8 @@ projection, the MIN_DEPTH crossing, max_range, Liang-Barsky clipping and the
 length filter run on arrays; per frame the budget and the draws follow, and
 the flow predictions reuse the frame's line extents. The floats are those of
 a per-point, per-line loop (`PoseStack.transform` multiplies each rotation
-in its own memory layout, lengths go through `row_norms`, a clip bound moves
+in the F-ordered layout of `Pose.from_world_camera`, pixels come from the
+one `geometry.pinhole`, lengths go through `row_norms`, a clip bound moves
 only when strictly tighter). Each frame's generator draws, in this order:
 the point noise as one block in point-id order, the endpoint noise as one
 block in segment order, the outliers (one `choice`, then per outlier its
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, PoseStack
+from .geometry import CameraIntrinsics, Pose, PoseStack, pinhole
 from .segments import Segment2D, row_norms
 
 MIN_DEPTH = 0.3         # m; landmarks closer than this are culled
@@ -260,6 +261,8 @@ def generate_trajectory(config: ScenarioConfig) -> list[Pose]:
     n, spacing = traj.n_keyframes, traj.spacing
     if n < 2:
         raise ValueError("need at least 2 keyframes")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"trajectory.spacing must be finite and positive, got {spacing}")
     poses = []
     if traj.kind == "corridor":
         # Forward walk with a gentle lateral sway so the camera centers are
@@ -320,11 +323,6 @@ def _allowed(ids, frame_id: int, vis: VisibilitySpec) -> np.ndarray:
     return (lo[group] <= frame_id) & (frame_id < hi[group])
 
 
-def _pixels(p_c, intr) -> np.ndarray:
-    return np.column_stack([intr.fx * p_c[:, 0] / p_c[:, 2] + intr.cx,
-                            intr.fy * p_c[:, 1] / p_c[:, 2] + intr.cy])
-
-
 def _clip(p, q, w, h):
     """Liang-Barsky clip of the segments p-q (k, 2) to [0,w] x [0,h].
 
@@ -365,7 +363,7 @@ def _line_extents(a, b, intr, width, height, max_range):
         a = np.where(a_near[:, None], crossing, a)
         b = np.where(b_near[:, None], crossing, b)
         visible = ~(a_near & b_near) & ~(np.minimum(a[:, 2], b[:, 2]) > max_range)
-        keep, ps, pe = _clip(_pixels(a, intr), _pixels(b, intr),
+        keep, ps, pe = _clip(pinhole(a, intr), pinhole(b, intr),
                              float(width), float(height))
         length = row_norms(pe - ps)
         visible &= keep & ~(length < MIN_SEGMENT_PX)
@@ -399,7 +397,7 @@ def render_measurements(world: World, poses: list[Pose],
         # -- points ---------------------------------------------------------
         near = (_allowed(point_ids, t, vis) & (MIN_DEPTH < p_c[:, 2])
                 & (p_c[:, 2] <= vis.max_range))
-        px = _pixels(p_c[near], intr)
+        px = pinhole(p_c[near], intr)
         inside = (0 <= px[:, 0]) & (px[:, 0] <= w) & (0 <= px[:, 1]) & (px[:, 1] <= h)
         obs = px[inside] + (rng.normal(0.0, 1.0, size=(int(inside.sum()), 2))
                             * noise.sigma_point_px)

