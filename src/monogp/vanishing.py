@@ -17,16 +17,19 @@ keeps the floats of a per-pair, per-segment loop:
   hypothesis columns at a time, `max(1, _BLOCK_ELEMS // n)` columns for n
   segments: each (n, block) float temporary stays below glibc's default
   128 KiB mmap threshold, so it comes from the heap where a whole (n, m)
-  plane would be a fresh mapping on every call;
-- J-Linkage keeps each preference set as a 0/1 float row and takes set sizes
-  and intersections from BLAS (`S @ S.T` once, `S @ S[i]` per merge): sums
-  of 0/1 products are exact integers, whatever the BLAS thread count; rows
-  are ordered by segment id, which turns the tie rule (smallest sorted id
-  pair among the minimum distances) into the first minimum in row-major
-  order, `argmin`. Distinct distances differ by far more than rounding for
-  fewer than 2²⁴ hypotheses (see `jlinkage_cluster`);
-- each cluster is refined from its rows of the stacked endpoints, in input
-  order;
+  plane would be a fresh mapping on every call. Two matrix products per
+  block decide every entry at least 1e-9 rad from the θ boundary; the rest
+  (about none) take the exact angle;
+- J-Linkage keeps each preference set as a float32 0/1 row and takes set
+  sizes and intersections from BLAS (`S @ S.T` once, `S @ S[i]` per merge):
+  sums of 0/1 products are exact integers below 2²⁴, whatever the BLAS
+  thread count; rows are ordered by segment id, which turns the tie rule
+  (smallest sorted id pair among the minimum distances) into the first
+  minimum in row-major order, `argmin`. Distinct distances differ by far
+  more than rounding for fewer than 2²⁴ hypotheses (see `jlinkage_cluster`);
+- all of a frame's clusters are refined in one stacked pass, each from its
+  rows of the stacked endpoints, in input order; only the reductions (the
+  conditioning mean and scale, the SVD, the RMS) run per cluster;
 - norms and the refinement's dot products go through `segments.rowdot`
   and `row_norms`, which call the same BLAS dot as `np.linalg.norm` and `@`
   on one vector (`np.linalg.norm(axis=...)` and `einsum` round differently).
@@ -52,6 +55,9 @@ DEFAULT_CONSENSUS_DEG = 2.0
 DEFAULT_MIN_CLUSTER_SIZE = 3
 
 _EPS_INF = 1e-9
+# Relative margin of the consensus prefilter: an entry within 1e-9·(c + d)
+# of the θ boundary takes the exact angle (see `preference_matrix`).
+_MARGIN = 1e-9
 _WORD = 1 << 32  # the generator's uint32 words
 # Float elements per consensus block: an (n, block) float64 plane stays
 # below glibc's default 128 KiB mmap threshold, so it is not a fresh mmap.
@@ -154,58 +160,109 @@ def sample_vp_hypotheses(ends, m: int, rng_seed: int) -> np.ndarray:
 
 
 def _rays(mids, hyps):
-    """x and y planes (n, m) of the rays from each midpoint to each
-    hypothesis; a hypothesis at infinity (|w| < 1e-9) gives its (x, y)."""
-    finite = np.abs(hyps[:, 2]) >= _EPS_INF
-    w = np.where(finite, hyps[:, 2], 1.0)
-    return (np.where(finite, hyps[:, 0] / w - mids[:, :1], hyps[:, 0]),
-            np.where(finite, hyps[:, 1] / w - mids[:, 1:], hyps[:, 1]))
+    """x and y of the rays from midpoints (..., 2) to hypotheses (..., 3),
+    broadcast; a hypothesis at infinity (|w| < 1e-9) gives its (x, y)."""
+    finite = np.abs(hyps[..., 2]) >= _EPS_INF
+    w = np.where(finite, hyps[..., 2], 1.0)
+    return (np.where(finite, hyps[..., 0] / w - mids[..., 0], hyps[..., 0]),
+            np.where(finite, hyps[..., 1] / w - mids[..., 1], hyps[..., 1]))
 
 
-def consensus_angles(ends, vp) -> np.ndarray:
+def consensus_angles(ends, vps) -> np.ndarray:
     """Angle (degrees) between each segment's direction and its midpoint-to-VP ray.
 
-    `ends` holds stacked endpoints (n, 4). VPs at infinity (|v_w| < 1e-9) use
-    the direction (v_x, v_y). Range [0, 90]. Raises ValueError when the VP
-    sits on a segment midpoint.
+    `ends` holds stacked endpoints (n, 4) and `vps` one VP per row (n, 3), or
+    one VP (3,) for every row. VPs at infinity (|v_w| < 1e-9) use the
+    direction (v_x, v_y). Range [0, 90]; NaN where the VP sits on the
+    segment's midpoint (a ray shorter than 1e-9).
     """
     mids, dirs = segment_frames(ends)
-    to_vp = np.hstack(_rays(mids, np.asarray(vp, dtype=float)[None, :]))
-    if (row_norms(to_vp) < 1e-9).any():
-        raise ValueError("vp at segment midpoint")
+    vps = np.broadcast_to(np.asarray(vps, dtype=float), (len(ends), 3))
+    to_vp = np.column_stack(_rays(mids, vps))
     dot = np.abs(rowdot(dirs, to_vp))
     cross = np.abs(dirs[:, 0] * to_vp[:, 1] - dirs[:, 1] * to_vp[:, 0])
     # atan2 keeps full precision for tiny angles (acos saturates near 1);
     # math.atan2 rather than np.arctan2, which rounds differently
-    return np.array([math.degrees(math.atan2(c, d))
-                     for c, d in zip(cross.tolist(), dot.tolist())])
+    ang = np.array([math.degrees(math.atan2(c, d))
+                    for c, d in zip(cross.tolist(), dot.tolist())])
+    ang[row_norms(to_vp) < 1e-9] = np.nan
+    return ang
+
+
+def _planes(mids, dirs, hyps):
+    """|u×t|, |u·t| and the ray t (x, y) of segments (midpoints and unit
+    directions u, (..., 2)) against hypotheses (..., 3), broadcast."""
+    tx, ty = _rays(mids, hyps)
+    ux, uy = dirs[..., 0], dirs[..., 1]
+    return np.abs(ux * ty - uy * tx), np.abs(ux * tx + uy * ty), tx, ty
+
+
+def _degrees(cross, dot, tx, ty):
+    """Consensus angles in degrees from |u×t|, |u·t| and the ray t; 90 where
+    the ray is shorter than 1e-9 (a hypothesis on the segment's midpoint)."""
+    ang = np.degrees(np.arctan2(cross, dot))
+    return np.where(np.sqrt(tx * tx + ty * ty) >= 1e-9, ang, 90.0)
 
 
 def _angle_block(mids, dirs, hyps) -> np.ndarray:
     """(n, k) consensus angles in degrees of n segments (midpoints and unit
     directions) against k hypotheses; 90 where a hypothesis sits on a
     segment midpoint."""
-    tx, ty = _rays(mids, hyps)
-    ux, uy = dirs[:, :1], dirs[:, 1:]
-    ang = np.degrees(np.arctan2(np.abs(ux * ty - uy * tx), np.abs(ux * tx + uy * ty)))
-    return np.where(np.sqrt(tx * tx + ty * ty) >= 1e-9, ang, 90.0)
+    return _degrees(*_planes(mids[:, None], dirs[:, None], hyps))
 
 
 def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
     """(n, m) bool: segment r's consensus angle with hypothesis c is below θ.
 
-    `ends` holds stacked endpoints (n, 4). The angles are built one block of
+    `ends` holds stacked endpoints (n, 4). The entries are built one block of
     `max(1, _BLOCK_ELEMS // n)` hypothesis columns at a time, so no float
-    temporary is a fresh mmap; each entry is elementwise, so the blocks do
-    not change its bits.
+    temporary is a fresh mmap. Every entry equals `_angle_block(...) < θ`,
+    which computes it for θ outside (0°, 90°).
+
+    For 0° < θ < 90° a prefilter decides most entries without `arctan2`.
+    With c = |u×t| and d = |u·t| (the floats `_angle_block` takes), φ =
+    atan2(c, d) and r = hypot(c, d) ≤ c + d, the value d·sin θ − c·cos θ is
+    r·sin(θ − φ). Two matrix products give it per block as
+    e = |sin θ·u·t| − |cos θ·u×t|, with t = p − m written as the hypothesis
+    column (p, 1) (or (x, y, 0) at infinity) against the segment row
+    (u, −u·m); their rounding is below ~1e-15·(|p| + |m|). With
+    tol = 2e-9·(|p| + max |m| + 1) per hypothesis, which exceeds
+    1e-9·(c + d) (c + d ≤ √2·|t|) plus that rounding, an entry is in when
+    e > tol and out when e < −tol: at least 1e-9 rad from the boundary,
+    millions of times the rounding of `arctan2` and `degrees` (~1e-15
+    relative). Only entries with |e| ≤ tol take the exact formula: the
+    boundary band, every ray the 90° rule for |t| < 1e-9 could catch
+    (|e| ≤ c + d < 2e-9 ≤ tol), NaN or infinite values (they fail both
+    tests), and every entry of a hypothesis whose |p| + max |m| is not
+    below 1e300 (tol = inf), where e could overflow.
     """
     mids, dirs = segment_frames(ends)
     hyps = np.asarray(hypotheses, dtype=float)
     n, m = len(mids), len(hyps)
     step = max(1, _BLOCK_ELEMS // n)
     pref = np.empty((n, m), dtype=bool)
+    if not 0.0 < theta_cons_deg < 90.0:
+        for c in range(0, m, step):
+            pref[:, c:c + step] = _angle_block(mids, dirs, hyps[c:c + step]) < theta_cons_deg
+        return pref
+    # columns (p, 1), or (x, y, 0) at infinity: t = p - m is a product
+    P = np.array([*_rays(np.zeros(2), hyps), np.abs(hyps[:, 2]) >= _EPS_INF])
+    scale = np.hypot(P[0], P[1]) + np.hypot(*mids.T).max() + 1.0
+    tol = np.where(scale < 1e300, 2.0 * _MARGIN * scale, np.inf)  # no overflow: NaN too
+    sin_t = math.sin(math.radians(theta_cons_deg))
+    cos_t = math.cos(math.radians(theta_cons_deg))
+    ux, uy, mx, my = dirs[:, 0], dirs[:, 1], mids[:, 0], mids[:, 1]
+    along = sin_t * np.column_stack([ux, uy, -(ux * mx + uy * my)])
+    across = cos_t * np.column_stack([-uy, ux, uy * mx - ux * my])
     for c in range(0, m, step):
-        pref[:, c:c + step] = _angle_block(mids, dirs, hyps[c:c + step]) < theta_cons_deg
+        e = np.abs(along @ P[:, c:c + step])
+        e -= np.abs(across @ P[:, c:c + step])
+        block = pref[:, c:c + step]
+        np.greater(e, tol[c:c + step], out=block)
+        band = np.flatnonzero(~(np.abs(e, out=e) > tol[c:c + step]))
+        if band.size:
+            r, k = np.divmod(band, e.shape[1])
+            block[r, k] = _degrees(*_planes(mids[r], dirs[r], hyps[c + k])) < theta_cons_deg
     return pref
 
 
@@ -220,11 +277,13 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     Clusters smaller than min_cluster_size are dropped. Returns disjoint
     frozensets of segment ids.
 
-    Preference sets are 0/1 float rows S, ordered by segment id. The counts
-    come from BLAS: S @ S.T once (the set sizes are its diagonal), then
-    x = S @ S[i] after each merge. Sums of 0/1 products are exact integers
-    in any order, so they do not depend on the BLAS build or thread count.
-    A distance is 1 − |A∩B| / max(|A∪B|, 1), which is 1 for two empty sets.
+    Preference sets are float32 0/1 rows S, ordered by segment id. The
+    counts come from BLAS: S @ S.T once (the set sizes are its diagonal),
+    then x = S @ S[i] after each merge, into one preallocated row. Sums of
+    0/1 products are integers of at most m, which float32's 24-bit
+    significand holds exactly for m < 2²⁴, in any order, so they do not
+    depend on the BLAS build or thread count. The distances are float64:
+    1 − |A∩B| / max(|A∪B|, 1), which is 1 for two empty sets.
     A merge of rows i < j keeps row i, so each cluster's smallest id is its
     row index, and only the upper triangle of the distance matrix holds
     values (+inf elsewhere). The merge intersects row i with row j, zeroes
@@ -237,10 +296,11 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     differ by |ad − bc| / bd ≥ 1/m², more than 1e-15 even after rounding
     for m < 2²⁴ (1/m² > 3.5e-15). Below that size the distances within
     1e-15 of the minimum are exactly the minima, so `argmin` picks the pair
-    a tolerance scan over dmin + 1e-15 would; m ≥ 2²⁴ raises ValueError.
-    The loop stops when the minimum is >= 1 − 1e-12, which for such m means
-    no two clusters share a hypothesis. The result does not depend on
-    input order.
+    a tolerance scan over dmin + 1e-15 would. So `_MAX_HYPOTHESES` (2²⁴)
+    bounds both the tie rule and the float32 counts; m ≥ 2²⁴ raises
+    ValueError. The loop stops when the minimum is >= 1 − 1e-12, which for
+    such m means no two clusters share a hypothesis. The result does not
+    depend on input order.
     """
     ids = np.asarray(ids)
     pref = np.asarray(pref, dtype=bool)
@@ -250,15 +310,22 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     if m >= _MAX_HYPOTHESES:
         raise ValueError(f"too many hypotheses for exact ties: {m} >= 2**24")
     order = np.argsort(ids)
-    S = pref[order].astype(np.float64)
-    inter = S @ S.T
+    S = pref[order].astype(np.float32)
+    inter = (S @ S.T).astype(np.float64)
     sizes = inter.diagonal().copy()
     members = [frozenset([sid]) for sid in ids[order].tolist()]
     alive = np.ones(n, dtype=bool)
 
-    dist = 1.0 - inter / np.maximum(sizes[:, None] + sizes - inter, 1.0)
-    dist[np.tril_indices(n)] = np.inf
+    dist = sizes[:, None] + sizes
+    dist -= inter
+    np.maximum(dist, 1.0, out=dist)
+    np.divide(inter, dist, out=dist)
+    np.subtract(1.0, dist, out=dist)
+    k = np.arange(n)
+    dist[k[:, None] >= k] = np.inf
 
+    counts = np.empty(n, dtype=np.float32)
+    x, row = np.empty(n), np.empty(n)
     while True:
         i, j = divmod(int(dist.argmin()), n)
         if dist[i, j] >= 1.0 - 1e-12:  # also a lone cluster: everything is +inf
@@ -267,9 +334,14 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
         S[i] *= S[j]  # preference-set intersection
         S[j] = 0.0
         alive[j] = False
-        x = S @ S[i]
+        np.matmul(S, S[i], out=counts)
+        x[:] = counts
         sizes[i] = x[i]
-        row = 1.0 - x / np.maximum(sizes + sizes[i] - x, 1.0)
+        np.add(sizes, sizes[i], out=row)
+        row -= x
+        np.maximum(row, 1.0, out=row)
+        np.divide(x, row, out=row)
+        np.subtract(1.0, row, out=row)
         dist[:i, i] = row[:i]
         dist[i, i + 1:] = row[i + 1:]
         dist[:j, j] = np.inf
@@ -280,28 +352,74 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     return clusters
 
 
-def refine_vp(ends, member_ids) -> VanishingPointEstimate:
-    """Least-squares VP of a cluster from its stacked endpoints (n, 4):
-    smallest singular vector of the stacked lines."""
-    if len(ends) < 2:
-        raise ValueError("cluster must contain at least 2 segments")
+def refine_vps(ends, clusters) -> list:
+    """Least-squares VPs of clusters of stacked endpoints (n, 4), in one pass.
+
+    `clusters` holds (rows, member ids) per cluster, rows indexing `ends`.
+    Each VP is the smallest singular vector of its cluster's lines, after
+    shifting and scaling the pixel coordinates. Returns per cluster a
+    `VanishingPointEstimate`, or the ValueError that rejects it: fewer than
+    2 segments, a segment that conditioning shrinks to a point, identical
+    lines (rank deficient), a VP on a segment midpoint, or `LinAlgError`.
+    Only the reductions run per cluster (the conditioning mean and scale,
+    the SVD, the RMS), each on its cluster's contiguous rows as it would
+    alone; lines, de-normalization and residual angles are elementwise or
+    per-row BLAS dots on all rows at once, so each estimate's bits are those
+    of the cluster refined by itself.
+    """
+    if not clusters:
+        return []
+    rows = [np.asarray(r, dtype=np.intp) for r, _ in clusters]
+    sizes = [len(r) for r in rows]
+    bounds = np.cumsum([0, *sizes]).tolist()
+    E = ends[np.concatenate(rows)]
+    out = [None] * len(rows)
+    mids, scales = np.zeros((len(rows), 2)), np.ones(len(rows))
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b - a < 2:
+            out[k] = ValueError("cluster must contain at least 2 segments")
+            continue
+        # sum / size: `np.mean`'s own reduction and division, without its overhead
+        pts = E[a:b].reshape(-1, 2)
+        mids[k] = pts.sum(axis=0) / len(pts)
+        scales[k] = max(float(np.abs(pts - mids[k]).sum() / pts.size), 1e-9)
     # Condition the system: shift/scale pixel coordinates before the SVD.
-    pts = ends.reshape(-1, 2)
-    mid = pts.mean(axis=0)
-    scale = max(float(np.abs(pts - mid).mean()), 1e-9)
-    L = lines_through((ends[:, :2] - mid) / scale, (ends[:, 2:] - mid) / scale)
-    _, s, vt = np.linalg.svd(L, full_matrices=True)
-    if s[1] < 1e-9 * s[0]:
-        raise ValueError("rank deficient: segment lines are all identical")
-    vp = vt[-1]
+    mid_r = np.repeat(mids, sizes, axis=0)
+    scale_r = np.repeat(scales, sizes)[:, None]
+    p, q = (E[:, :2] - mid_r) / scale_r, (E[:, 2:] - mid_r) / scale_r
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    point = np.flatnonzero((p == q).all(axis=1))
+    if point.size:
+        for k in owner[point].tolist():
+            out[k] = out[k] or ValueError("zero-length segment has no line")
+        p[point], q[point] = (0.0, 0.0), (1.0, 0.0)  # any line: the cluster is rejected
+    L = lines_through(p, q)
+    V = np.tile([0.0, 0.0, 1.0], (len(rows), 1))  # stays for a rejected cluster
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if out[k] is not None:
+            continue
+        try:
+            _, s, vt = np.linalg.svd(L[a:b], full_matrices=True)
+        except np.linalg.LinAlgError as err:
+            out[k] = err
+            continue
+        if s[1] < 1e-9 * s[0]:
+            out[k] = ValueError("rank deficient: segment lines are all identical")
+        else:
+            V[k] = vt[-1]
     # undo the normalization: x_norm = (x - mid) / scale
-    vp = np.array([scale * vp[0] + mid[0] * vp[2],
-                   scale * vp[1] + mid[1] * vp[2],
-                   vp[2]])
-    vp = vp / np.linalg.norm(vp)
-    residuals = consensus_angles(ends, vp)
-    rms = math.sqrt(float(np.mean(np.square(residuals))))
-    return VanishingPointEstimate(vp, frozenset(member_ids), rms)
+    vps = np.column_stack([scales * V[:, 0] + mids[:, 0] * V[:, 2],
+                           scales * V[:, 1] + mids[:, 1] * V[:, 2],
+                           V[:, 2]])
+    vps /= row_norms(vps)[:, None]
+    sq = np.square(consensus_angles(E, np.repeat(vps, sizes, axis=0)))
+    for k in owner[np.isnan(sq)].tolist():
+        out[k] = out[k] or ValueError("vp at segment midpoint")
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if out[k] is None:
+            rms = math.sqrt(float(sq[a:b].sum() / (b - a)))
+            out[k] = VanishingPointEstimate(vps[k].copy(), frozenset(clusters[k][1]), rms)
+    return out
 
 
 def lift_vanishing_point(vp, intr: CameraIntrinsics, r_wc) -> np.ndarray:
@@ -343,15 +461,13 @@ def detect_vanishing_points(segments,
     if len(hyps) == 0:
         return []
     pref = preference_matrix(ends, hyps, theta_cons_deg)
+    clusters = [(sorted(row_of[sid] for sid in c), c)
+                for c in jlinkage_cluster(list(row_of), pref, min_cluster_size)]
     estimates = []
-    for cluster in jlinkage_cluster(list(row_of), pref, min_cluster_size):
-        rows = sorted(row_of[sid] for sid in cluster)
-        try:
-            est = refine_vp(ends[rows], cluster)
-        except ValueError:
+    for (rows, _), est in zip(clusters, refine_vps(ends, clusters)):
+        if isinstance(est, ValueError):
             continue
-        if labelled:
-            for r in rows:
-                labelled[r].cluster_label = len(estimates)
+        for r in rows if labelled else ():
+            labelled[r].cluster_label = len(estimates)
         estimates.append(est)
     return estimates

@@ -25,7 +25,7 @@ from monogp.vanishing import (
     jlinkage_cluster,
     lift_vanishing_point,
     preference_matrix,
-    refine_vp,
+    refine_vps,
     sample_vp_hypotheses,
 )
 from test_segments import midpoint, segment_line
@@ -123,7 +123,11 @@ def naive_cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
 
 
 def refine(segments):
-    return refine_vp(endpoints(segments), ids_of(segments))
+    """`refine_vps` on one cluster of every segment; raises its rejection."""
+    est, = refine_vps(endpoints(segments), [(range(len(segments)), ids_of(segments))])
+    if isinstance(est, ValueError):
+        raise est
+    return est
 
 
 def loop_sample_vp_hypotheses(segments, m, rng_seed):
@@ -396,9 +400,9 @@ def test_consensus_vp_at_midpoint_raises():
     vp = np.array([150.0, 150.0, 1.0])
     vp /= np.linalg.norm(vp)
     other = Segment2D([0.0, 10.0], [50.0, 10.0], id=1)
-    with pytest.raises(ValueError, match="vp at segment midpoint"):
-        consensus_angles(endpoints([other, seg]), vp)
-    # refine_vp raises the same, so detection drops such a cluster
+    got = consensus_angles(endpoints([other, seg]), vp)
+    assert np.isnan(got[1]) and got[0] == scalar_consensus(other, vp)
+    # refinement rejects such a cluster, so detection drops it
     with pytest.raises(ValueError, match="vp at segment midpoint"):
         refine([Segment2D([100.0, 150.0], [200.0, 150.0], id=2),
                    Segment2D([150.0, 100.0], [150.0, 200.0], id=3), seg])
@@ -448,6 +452,66 @@ def test_blocked_preferences_equal_einsum_threshold(n):
     for theta in (0.0, 0.5, 2.0, 89.999, 90.0, 95.0):
         got = preference_matrix(endpoints(segs), H, theta)
         assert got.dtype == bool and np.array_equal(got, angles < theta)
+
+
+def aimed_segments(deg, start_id):
+    """Segments whose ray at `deg` from their direction passes through the
+    origin from a far midpoint (|p| << |t| there)."""
+    segs = []
+    for i, m in enumerate([[500.0, 300.0], [-400.0, 200.0], [50.0, -450.0]]):
+        m = np.array(m)
+        b = math.atan2(-m[1], -m[0]) - math.radians(deg)
+        u = np.array([math.cos(b), math.sin(b)])
+        segs.append(Segment2D(m - 20.0 * u, m + 20.0 * u, id=start_id + i))
+    return segs
+
+
+def boundary_hypotheses(mids, dirs, deg, length):
+    """Hypotheses on rays from every midpoint at `deg` either side of its
+    direction, nudged by -3..3 ulps of the angle: at `length` and at the
+    midpoint's distance from the origin (through the origin for
+    `aimed_segments`), and at infinity."""
+    H = []
+    for m, u in zip(mids, dirs):
+        base = math.atan2(u[1], u[0])
+        a = math.radians(deg)
+        for sign in (1.0, -1.0):
+            for k in range(-3, 4):
+                b = base + sign * (a + k * math.ulp(a))
+                v = np.array([math.cos(b), math.sin(b)])
+                H += [[*(m + length * v), 1.0], [*(m + np.hypot(*m) * v), 1.0], [*v, 0.0]]
+    return np.array(H)
+
+
+def near_midpoint_hypotheses(mids, dirs):
+    """With w = 1, so x/w and y/w are exact: on segment 0's midpoint, within
+    1e-9 px of it (the 90° rule; along its direction too), and just beyond."""
+    m, u = mids[0], dirs[0]
+    return np.array([[*m, 1.0], [m[0] + 4e-10, m[1], 1.0], [m[0], m[1] - 9e-10, 1.0],
+                     [*(m + 9e-10 * u), 1.0], [m[0] + 8e-10, m[1] + 8e-10, 1.0],
+                     [*(m + 2e-9 * u), 1.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5])
+@pytest.mark.parametrize("deg", [0.5, 2.0, 45.0, 89.9])
+def test_prefilter_equals_exact_angles_at_the_boundary(deg, scale):
+    # scale 1e-5: every coordinate below 0.01, so the 90° rule's 1e-9 is large
+    segs = random_segments(20, np.random.default_rng(21)) + aimed_segments(deg, 20)
+    ends = scale * endpoints(segs)
+    mids, dirs = segment_frames(ends)
+    H = np.vstack([boundary_hypotheses(mids, dirs, deg, 300.0 * scale),
+                   edge_hypotheses(segs, rng_seed=21), near_midpoint_hypotheses(mids, dirs)])
+    angles = _angle_block(mids, dirs, H)
+    assert (angles[0, -6:-2] == 90.0).all() and (angles[0, -2:] < 90.0).all()
+    near = np.unique(angles[np.abs(angles - deg) < 1e-9])
+    assert len(near) >= 4  # computed angles at, above and below θ
+    for theta in [deg, *near, *np.nextafter(near, 0.0), *np.nextafter(near, 90.0)]:
+        got = preference_matrix(ends, H, theta)
+        assert np.array_equal(got, angles < theta)
+    # an angle equal to θ is out, one ulp above θ it is in
+    theta = near[0]
+    assert not preference_matrix(ends, H, theta)[angles == theta].any()
+    assert preference_matrix(ends, H, np.nextafter(theta, 90.0))[angles == theta].all()
 
 
 # -- clustering --------------------------------------------------------------
@@ -589,6 +653,20 @@ def test_jlinkage_two_segments():
         for k in (1, 2):
             assert jlinkage_cluster([5, -1], pref, k) == \
                 naive_jlinkage_cluster([5, -1], pref, k)
+
+
+@pytest.mark.parametrize("share", [1.0, 0.95])
+def test_jlinkage_dense_rows_equal_full_recompute_oracle(share):
+    # 4096 hypotheses: set sizes and intersections in the thousands, all
+    # held exactly by the float32 counts
+    rng = np.random.default_rng(17)
+    pref = rng.random((30, 4096)) < share
+    ids = rng.permutation(1000)[:30].tolist()
+    for k in (1, 3):
+        got = jlinkage_cluster(ids, pref, k)
+        assert got == naive_jlinkage_cluster(ids, pref, k)
+    if share == 1.0:
+        assert got == [frozenset(ids)]
 
 
 def test_jlinkage_every_segment_merges():
