@@ -55,9 +55,6 @@ DEFAULT_CONSENSUS_DEG = 2.0
 DEFAULT_MIN_CLUSTER_SIZE = 3
 
 _EPS_INF = 1e-9
-# Relative margin of the consensus prefilter: an entry within 1e-9·(c + d)
-# of the θ boundary takes the exact angle (see `preference_matrix`).
-_MARGIN = 1e-9
 _WORD = 1 << 32  # the generator's uint32 words
 # Float elements per consensus block: an (n, block) float64 plane stays
 # below glibc's default 128 KiB mmap threshold, so it is not a fresh mmap.
@@ -171,14 +168,13 @@ def _rays(mids, hyps):
 def consensus_angles(ends, vps) -> np.ndarray:
     """Angle (degrees) between each segment's direction and its midpoint-to-VP ray.
 
-    `ends` holds stacked endpoints (n, 4) and `vps` one VP per row (n, 3), or
-    one VP (3,) for every row. VPs at infinity (|v_w| < 1e-9) use the
-    direction (v_x, v_y). Range [0, 90]; NaN where the VP sits on the
-    segment's midpoint (a ray shorter than 1e-9).
+    `ends` holds stacked endpoints (n, 4) and `vps` one VP per row (n, 3).
+    VPs at infinity (|v_w| < 1e-9) use the direction (v_x, v_y). Range
+    [0, 90]; NaN where the VP sits on the segment's midpoint (a ray shorter
+    than 1e-9).
     """
     mids, dirs = segment_frames(ends)
-    vps = np.broadcast_to(np.asarray(vps, dtype=float), (len(ends), 3))
-    to_vp = np.column_stack(_rays(mids, vps))
+    to_vp = np.column_stack(_rays(mids, np.asarray(vps, dtype=float)))
     dot = np.abs(rowdot(dirs, to_vp))
     cross = np.abs(dirs[:, 0] * to_vp[:, 1] - dirs[:, 1] * to_vp[:, 0])
     # atan2 keeps full precision for tiny angles (acos saturates near 1);
@@ -204,23 +200,16 @@ def _degrees(cross, dot, tx, ty):
     return np.where(np.sqrt(tx * tx + ty * ty) >= 1e-9, ang, 90.0)
 
 
-def _angle_block(mids, dirs, hyps) -> np.ndarray:
-    """(n, k) consensus angles in degrees of n segments (midpoints and unit
-    directions) against k hypotheses; 90 where a hypothesis sits on a
-    segment midpoint."""
-    return _degrees(*_planes(mids[:, None], dirs[:, None], hyps))
-
-
 def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
     """(n, m) bool: segment r's consensus angle with hypothesis c is below θ.
 
     `ends` holds stacked endpoints (n, 4). The entries are built one block of
     `max(1, _BLOCK_ELEMS // n)` hypothesis columns at a time, so no float
-    temporary is a fresh mmap. Every entry equals `_angle_block(...) < θ`,
-    which computes it for θ outside (0°, 90°).
+    temporary is a fresh mmap. Every entry is the exact angle's test,
+    `_degrees(*_planes(...)) < θ`, but for 0° < θ < 90° a prefilter decides
+    most entries without `arctan2`.
 
-    For 0° < θ < 90° a prefilter decides most entries without `arctan2`.
-    With c = |u×t| and d = |u·t| (the floats `_angle_block` takes), φ =
+    With c = |u×t| and d = |u·t| (the floats `_planes` gives), φ =
     atan2(c, d) and r = hypot(c, d) ≤ c + d, the value d·sin θ − c·cos θ is
     r·sin(θ − φ). Two matrix products give it per block as
     e = |sin θ·u·t| − |cos θ·u×t|, with t = p − m written as the hypothesis
@@ -230,30 +219,27 @@ def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
     1e-9·(c + d) (c + d ≤ √2·|t|) plus that rounding, an entry is in when
     e > tol and out when e < −tol: at least 1e-9 rad from the boundary,
     millions of times the rounding of `arctan2` and `degrees` (~1e-15
-    relative). Only entries with |e| ≤ tol take the exact formula: the
+    relative). Only entries with |e| ≤ tol take the exact angle: the
     boundary band, every ray the 90° rule for |t| < 1e-9 could catch
     (|e| ≤ c + d < 2e-9 ≤ tol), NaN or infinite values (they fail both
     tests), and every entry of a hypothesis whose |p| + max |m| is not
-    below 1e300 (tol = inf), where e could overflow.
+    below 1e300, where e could overflow, or of any θ outside (0°, 90°)
+    (tol = inf).
     """
     mids, dirs = segment_frames(ends)
     hyps = np.asarray(hypotheses, dtype=float)
     n, m = len(mids), len(hyps)
     step = max(1, _BLOCK_ELEMS // n)
-    pref = np.empty((n, m), dtype=bool)
-    if not 0.0 < theta_cons_deg < 90.0:
-        for c in range(0, m, step):
-            pref[:, c:c + step] = _angle_block(mids, dirs, hyps[c:c + step]) < theta_cons_deg
-        return pref
     # columns (p, 1), or (x, y, 0) at infinity: t = p - m is a product
     P = np.array([*_rays(np.zeros(2), hyps), np.abs(hyps[:, 2]) >= _EPS_INF])
     scale = np.hypot(P[0], P[1]) + np.hypot(*mids.T).max() + 1.0
-    tol = np.where(scale < 1e300, 2.0 * _MARGIN * scale, np.inf)  # no overflow: NaN too
-    sin_t = math.sin(math.radians(theta_cons_deg))
-    cos_t = math.cos(math.radians(theta_cons_deg))
+    inside = 0.0 < theta_cons_deg < 90.0  # False for NaN
+    tol = np.where((scale < 1e300) & inside, 2e-9 * scale, np.inf)
+    a = math.radians(theta_cons_deg) if inside else 0.0
     ux, uy, mx, my = dirs[:, 0], dirs[:, 1], mids[:, 0], mids[:, 1]
-    along = sin_t * np.column_stack([ux, uy, -(ux * mx + uy * my)])
-    across = cos_t * np.column_stack([-uy, ux, uy * mx - ux * my])
+    along = math.sin(a) * np.column_stack([ux, uy, -(ux * mx + uy * my)])
+    across = math.cos(a) * np.column_stack([-uy, ux, uy * mx - ux * my])
+    pref = np.empty((n, m), dtype=bool)
     for c in range(0, m, step):
         e = np.abs(along @ P[:, c:c + step])
         e -= np.abs(across @ P[:, c:c + step])
@@ -467,7 +453,8 @@ def detect_vanishing_points(segments,
     for (rows, _), est in zip(clusters, refine_vps(ends, clusters)):
         if isinstance(est, ValueError):
             continue
-        for r in rows if labelled else ():
-            labelled[r].cluster_label = len(estimates)
+        if labelled:
+            for r in rows:
+                labelled[r].cluster_label = len(estimates)
         estimates.append(est)
     return estimates

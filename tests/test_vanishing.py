@@ -17,8 +17,9 @@ from monogp.simulate import (
 )
 import monogp.vanishing as vanishing
 from monogp.vanishing import (
-    _angle_block,
     _decode_pairs,
+    _degrees,
+    _planes,
     canonical_direction,
     consensus_angles,
     detect_vanishing_points,
@@ -254,13 +255,19 @@ def oracle_detect_vanishing_points(segments, rng_seed, theta_cons_deg=2.0,
     return estimates, [label_of.get(s.id) for s in segments]
 
 
+def angle_block(mids, dirs, hyps):
+    """(n, k) exact consensus angles of n segments against k hypotheses, the
+    test every preference entry equals."""
+    return _degrees(*_planes(mids[:, None], dirs[:, None], hyps))
+
+
 def random_segments(n, rng):
     return [Segment2D(rng.uniform(0, 640, 2), rng.uniform(0, 480, 2), id=i)
             for i in range(n)]
 
 
 def angle(seg, vp):
-    return float(consensus_angles(endpoints([seg]), vp)[0])
+    return float(consensus_angles(endpoints([seg]), [vp])[0])
 
 
 # -- hypothesis sampling -----------------------------------------------------
@@ -400,7 +407,7 @@ def test_consensus_vp_at_midpoint_raises():
     vp = np.array([150.0, 150.0, 1.0])
     vp /= np.linalg.norm(vp)
     other = Segment2D([0.0, 10.0], [50.0, 10.0], id=1)
-    got = consensus_angles(endpoints([other, seg]), vp)
+    got = consensus_angles(endpoints([other, seg]), [vp, vp])
     assert np.isnan(got[1]) and got[0] == scalar_consensus(other, vp)
     # refinement rejects such a cluster, so detection drops it
     with pytest.raises(ValueError, match="vp at segment midpoint"):
@@ -413,7 +420,7 @@ def test_consensus_angles_equal_scalar_steps():
     segs = random_segments(300, rng)
     for vp in [*rng.normal(0.0, 1.0, (20, 3)), [0.6, 0.8, 0.0], [0.6, 0.8, 5e-10]]:
         vp = np.asarray(vp) / np.linalg.norm(vp)
-        got = consensus_angles(endpoints(segs), vp)
+        got = consensus_angles(endpoints(segs), np.tile(vp, (len(segs), 1)))
         assert got.tolist() == [scalar_consensus(s, vp) for s in segs]
 
 
@@ -425,7 +432,7 @@ def test_consensus_matrix_equals_einsum_formulation(seed):
     extra = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 5e-10], [0.8, -0.6, -1e-9],
                       on_mid / np.linalg.norm(on_mid)])
     H = np.vstack([hyps, extra])
-    got = _angle_block(*segment_frames(endpoints(segs)), H)
+    got = angle_block(*segment_frames(endpoints(segs)), H)
     assert got[5, -1] == 90.0  # the hypothesis at segment 5's midpoint
     assert np.array_equal(got, einsum_consensus_matrix(segs, H))
 
@@ -449,7 +456,7 @@ def test_blocked_preferences_equal_einsum_threshold(n):
     H = edge_hypotheses(segs, rng_seed=n)
     angles = einsum_consensus_matrix(segs, H)
     assert angles[1, -1] == 90.0
-    for theta in (0.0, 0.5, 2.0, 89.999, 90.0, 95.0):
+    for theta in (-1.0, 0.0, 0.5, 2.0, 89.999, 90.0, 95.0, np.inf, np.nan):
         got = preference_matrix(endpoints(segs), H, theta)
         assert got.dtype == bool and np.array_equal(got, angles < theta)
 
@@ -501,7 +508,7 @@ def test_prefilter_equals_exact_angles_at_the_boundary(deg, scale):
     mids, dirs = segment_frames(ends)
     H = np.vstack([boundary_hypotheses(mids, dirs, deg, 300.0 * scale),
                    edge_hypotheses(segs, rng_seed=21), near_midpoint_hypotheses(mids, dirs)])
-    angles = _angle_block(mids, dirs, H)
+    angles = angle_block(mids, dirs, H)
     assert (angles[0, -6:-2] == 90.0).all() and (angles[0, -2:] < 90.0).all()
     near = np.unique(angles[np.abs(angles - deg) < 1e-9])
     assert len(near) >= 4  # computed angles at, above and below θ
@@ -704,7 +711,8 @@ def test_refine_vp_planted_cluster():
     if vp @ expected < 0:
         vp = -vp
     assert np.allclose(vp, expected, atol=1e-7)
-    assert (consensus_angles(endpoints(segs), est.vp_homogeneous) < 1e-6).all()
+    vps = np.tile(est.vp_homogeneous, (len(segs), 1))
+    assert (consensus_angles(endpoints(segs), vps) < 1e-6).all()
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -724,6 +732,28 @@ def test_refine_vp_identical_lines_rank_deficient():
     segs = [Segment2D([0.0, 10.0], [100.0, 10.0], id=i) for i in range(4)]
     with pytest.raises(ValueError, match="rank deficient"):
         refine(segs)
+
+
+def test_refine_vps_rejects_only_the_clusters_that_fail():
+    # a 2e-16 px segment far from its cluster's centre: conditioning shrinks
+    # it to a point, so that cluster has no line; the others are refined as
+    # if alone
+    rng = np.random.default_rng(18)
+    good = segments_through([150.0, 700.0], 6, rng)
+    far = [Segment2D([1e6, 1e6 + 40.0 * i], [1e6 + 30.0, 1e6 + 40.0 * i + 5.0], id=10 + i)
+           for i in range(3)]
+    tiny = Segment2D([1.0, 1.0], [np.nextafter(1.0, 2.0), 1.0], id=13)
+    flat = [Segment2D([0.0, 10.0], [100.0, 10.0], id=20 + i) for i in range(3)]
+    segs = good + far + [tiny] + flat + [good[0]]
+    ends = endpoints(segs)
+    got = refine_vps(ends, [(range(6), ids_of(good)), (range(6, 10), [10, 11, 12, 13]),
+                            (range(10, 13), [20, 21, 22]), ([13], [0])])
+    assert str(got[1]) == "zero-length segment has no line"
+    assert str(got[2]).startswith("rank deficient")
+    assert str(got[3]) == "cluster must contain at least 2 segments"
+    alone = refine(good)
+    assert np.array_equal(got[0].vp_homogeneous, alone.vp_homogeneous)
+    assert got[0].residual_rms == alone.residual_rms
 
 
 # -- lifting -----------------------------------------------------------------
