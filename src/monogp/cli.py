@@ -99,6 +99,13 @@ def cmd_detect_vp(args) -> int:
     return 0
 
 
+def _seed_count(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError("need at least 2 seeds")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="monogp",
                                 description="Structure-aware monocular SLAM "
@@ -128,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ablate", help="paired lp/gp ablation over seeds")
     common(sp)
-    sp.add_argument("--seeds", type=int, default=10)
+    sp.add_argument("--seeds", type=_seed_count, default=10)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_ablate)
 

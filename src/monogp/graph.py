@@ -27,18 +27,27 @@ covariance-weighted cost. Each factor kind has one noise SIGMA and one
 Huber HUBER_DELTA, class constants. Evaluation is batched by factor kind
 (Triggs et al. 2000; Agarwal et al. 2010). `PackedFactors` packs a factor
 list once: per kind, the graph rows of each factor's two variables and its
-constants (observation, intrinsics, the segment's image line).
+constants (observation, the segment's image line, and the intrinsics, built
+once per distinct `CameraIntrinsics` object). vd_align factors are also
+packed by (pose, GP, camera) pair: the ~730 factors of a `structured` gp
+graph share ~60 pairs, and the projected VP, its tangent projector and
+skew(v_cam) are computed once per pair.
 Each evaluation indexes the state arrays with those rows and runs one
 vectorized kernel per kind, which returns stacked residuals, an active mask
-and, when asked, stacked Jacobian blocks. `_linearize` scatters the weighted
-J^T Λ J blocks into the dense H in one pass; `total_cost` and
-`cost_breakdown` run the same kernels without Jacobians. The per-factor
-`residual`/`jacobians` methods are these kernels applied to one factor. An
-inactive factor (a point at depth <= EPS_Z, a line whose image line is
-degenerate) contributes nothing, and its `residual` and `jacobians` raise.
-`optimize` builds the packing and the parameter layout (`ParameterIndex`)
-once per call; each trial step retracts every kind with free variables once,
-and a rejected step restores the snapshot. The solve/update is a
+and a Jacobian thunk over the same intermediates; so residuals and
+Jacobians at one state come from one residual pass. `total_cost` holds its
+evaluation on the packing (`PackedFactors.held`), and the `_linearize` or
+`cost_breakdown` that follows at that same state calls its thunks instead of
+running the kernels again. `_linearize` scatters the weighted J^T Λ J blocks
+of the live Jacobian columns into the dense H in one pass; the columns that
+are structurally zero (vd_align's pose translation, struct's line angle) are
+neither computed nor scattered. The per-factor `residual`/`jacobians`
+methods are these kernels applied to one factor. An inactive factor (a point
+at depth <= EPS_Z, a line whose image line is degenerate) contributes
+nothing, and its `residual` and `jacobians` raise. `optimize` builds the
+packing and the parameter layout (`ParameterIndex`) once per call; each
+trial step retracts every kind with free variables once, and a rejected step
+drops the held evaluation and restores the snapshot. The solve/update is a
 single-threaded critical section per iteration.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
@@ -59,7 +68,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,12 +134,14 @@ def _huber(r_sq_weighted, delta):
 
 # ---------------------------------------------------------------------------
 # Factor kernels: stacked inputs, one row per factor. Each returns residuals
-# (N, dim), the active mask (N,) and, with `jac`, the Jacobian blocks
-# (N, dim, dof_a + dof_b) on the two variables' local parameterizations.
+# (N, dim), the active mask (N,) and a Jacobian thunk: called, it returns the
+# Jacobian blocks (N, dim, k) on the two variables' local parameterizations,
+# from the intermediates the residuals were computed with. k counts only the
+# columns that are not structurally zero (the factor class's `live`).
 # Inactive rows have zero residuals and finite Jacobians.
 # ---------------------------------------------------------------------------
 
-def _point_kernel(R, t, X, obs, intr, jac):
+def _point_kernel(R, t, X, obs, intr):
     """Pixel reprojection error of world points X in cameras (R, t).
 
     `intr` rows are (fx, fy, cx, cy). Active when the depth exceeds EPS_Z.
@@ -142,18 +153,18 @@ def _point_kernel(R, t, X, obs, intr, jac):
     r = np.column_stack([fx * p_c[:, 0] / z + cx - obs[:, 0],
                          fy * p_c[:, 1] / z + cy - obs[:, 1]])
     r[~active] = 0.0
-    if not jac:
-        return r, active, None
-    dpi = np.zeros((len(z), 2, 3))
-    dpi[:, 0, 0] = fx / z
-    dpi[:, 0, 2] = -fx * p_c[:, 0] / z**2
-    dpi[:, 1, 1] = fy / z
-    dpi[:, 1, 2] = -fy * p_c[:, 1] / z**2
-    J = np.concatenate([dpi, dpi @ -skew(p_c), dpi @ R], axis=2)
-    return r, active, J
+
+    def jac():
+        dpi = np.zeros((len(z), 2, 3))
+        dpi[:, 0, 0] = fx / z
+        dpi[:, 0, 2] = -fx * p_c[:, 0] / z**2
+        dpi[:, 1, 1] = fy / z
+        dpi[:, 1, 2] = -fy * p_c[:, 1] / z**2
+        return np.concatenate([dpi, dpi @ -skew(p_c), dpi @ R], axis=2)
+    return r, active, jac
 
 
-def _line_kernel(R, t, U, W, ends, KL, jac):
+def _line_kernel(R, t, U, W, ends, KL):
     """Signed perpendicular distances of the observed endpoints (homogeneous,
     `ends` (N, 2, 3)) to the projected infinite image line of the orthonormal
     world line (U, W). `KL` is the line projection matrix. Active unless the
@@ -171,56 +182,69 @@ def _line_kernel(R, t, U, W, ends, KL, jac):
     el = _mv(ends, l)
     r = el / s[:, None]
     r[~active] = 0.0
-    if not jac:
-        return r, active, None
-    grad_s = np.zeros_like(l)
-    grad_s[:, :2] = l[:, :2] / s[:, None]
-    dr_dl = ends / s[:, None, None] - (el / s[:, None]**2)[:, :, None] * grad_s[:, None, :]
-    A = dr_dl @ KL
-    # d n_c / d pose twist (rho, theta), left-multiplicative update
-    dnc_dpose = np.concatenate([-skew(d_c), -skew(n_c)], axis=2)
-    # d (n_w, d_w) / d orthonormal delta (3 rotation + 1 angle)
-    dnw = np.concatenate([-skew(n_w), (-w2 * u1)[:, :, None]], axis=2)
-    ddw = np.concatenate([-skew(d_w), (w1 * u2)[:, :, None]], axis=2)
-    dnc_dline = R @ dnw + skew(t) @ R @ ddw
-    J = np.concatenate([A @ dnc_dpose, A @ dnc_dline], axis=2)
-    return r, active, J
+
+    def jac():
+        grad_s = np.zeros_like(l)
+        grad_s[:, :2] = l[:, :2] / s[:, None]
+        dr_dl = ends / s[:, None, None] - (el / s[:, None]**2)[:, :, None] * grad_s[:, None, :]
+        A = dr_dl @ KL
+        # d n_c / d pose twist (rho, theta), left-multiplicative update
+        dnc_dpose = np.concatenate([-skew(d_c), -skew(n_c)], axis=2)
+        # d (n_w, d_w) / d orthonormal delta (3 rotation + 1 angle)
+        dnw = np.concatenate([-skew(n_w), (-w2 * u1)[:, :, None]], axis=2)
+        ddw = np.concatenate([-skew(d_w), (w1 * u2)[:, :, None]], axis=2)
+        dnc_dline = R @ dnw + skew(t) @ R @ ddw
+        return np.concatenate([A @ dnc_dpose, A @ dnc_dline], axis=2)
+    return r, active, jac
 
 
-def _vd_align_kernel(R, G, B, lhat, K, jac):
+def _vd_align_kernel(R, G, B, K, lhat, pair):
     """Incidence of the unit segment lines `lhat` with the normalized projected
     VPs of the global directions G. Smooth and bounded, including VPs at
-    infinity; always active. B holds the GPs' tangent bases (N, 3, 2)."""
+    infinity; always active.
+
+    R, G, B (the GPs' tangent bases) and K hold one row per distinct (pose,
+    GP, camera) pair and `pair` the pair of each factor, so the projected VP,
+    its tangent projector and skew(v_cam) are computed once per pair and
+    gathered; the products with each factor's `lhat` stay per factor. The
+    Jacobian leaves out the pose translation, on which the residual does not
+    depend."""
     v_cam = _mv(R, G)
     v_img = _mv(K, v_cam)
     n = np.linalg.norm(v_img, axis=1)
     vhat = v_img / n[:, None]
-    r = np.sum(lhat * vhat, axis=1)[:, None]
-    active = np.ones(len(n), dtype=bool)
-    if not jac:
-        return r, active, None
-    # d vhat / d v_img, projected onto the sphere tangent
-    P = (np.eye(3) - vhat[:, :, None] * vhat[:, None, :]) / n[:, None, None]
-    row = lhat[:, None, :] @ P @ K
-    J = np.concatenate([np.zeros((len(n), 1, 3)), row @ -skew(v_cam), row @ R @ B], axis=2)
-    return r, active, J
+    r = np.sum(lhat * vhat[pair], axis=1)[:, None]
+    active = np.ones(len(r), dtype=bool)
+
+    def jac():
+        # d vhat / d v_img, projected onto the sphere tangent
+        P = (np.eye(3) - vhat[:, :, None] * vhat[:, None, :]) / n[:, None, None]
+        row = lhat[:, None, :] @ P[pair] @ K[pair]
+        return np.concatenate([row @ -skew(v_cam)[pair], row @ R[pair] @ B[pair]], axis=2)
+    return r, active, jac
 
 
-def _struct_kernel(D, G, B, jac):
+def _struct_kernel(D, G, B):
     """|d · g - 1| for unit line directions D and GP directions G (zero iff
-    parallel and sign-aligned); always active."""
+    parallel and sign-aligned); always active. The Jacobian leaves out the
+    line's SO(2) angle, on which the residual does not depend."""
     r = np.abs(np.sum(D * G, axis=1) - 1.0)[:, None]
     active = np.ones(len(r), dtype=bool)
-    if not jac:
-        return r, active, None
-    # residual = 1 - d·g since d·g <= 1 for unit vectors
-    J = np.concatenate([G[:, None, :] @ skew(D), np.zeros((len(r), 1, 1)),
-                        -(D[:, None, :] @ B)], axis=2)
-    return r, active, J
+
+    def jac():
+        # residual = 1 - d·g since d·g <= 1 for unit vectors
+        return np.concatenate([G[:, None, :] @ skew(D), -(D[:, None, :] @ B)], axis=2)
+    return r, active, jac
 
 
-def _intrinsic_rows(intrs) -> np.ndarray:
-    return np.array([[k.fx, k.fy, k.cx, k.cy] for k in intrs])
+def _cameras(factors, of):
+    """The index of each factor's intrinsics among the distinct
+    `CameraIntrinsics` objects of `factors`, and `of(intrinsics)` of each
+    distinct one, stacked."""
+    cams = {id(f.intr): f.intr for f in factors}
+    position = {key: i for i, key in enumerate(cams)}
+    index = np.array([position[id(f.intr)] for f in factors], dtype=np.intp)
+    return index, np.array([of(k) for k in cams.values()], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +256,30 @@ class _Factor:
     variables, in `keys()` order; `inactive_error` is what `residual` and
     `jacobians` raise for an inactive factor. `SIGMA` is the kind's residual
     noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber threshold on the
-    whitened residual norm. `_pack` turns a list of factors of one kind into
-    their constant arrays and `_kernel` runs the kind's kernel on the graph's
-    state arrays at the factors' variable rows."""
+    whitened residual norm. `live` picks the Jacobian columns (of dof_a +
+    dof_b) that are not structurally zero; the kernel computes only those.
+    `_pack` turns a list of factors of one kind, with their variables' graph
+    rows, into their constant arrays and `_kernel` runs the kind's kernel on
+    the graph's state arrays at those rows."""
 
     variables: tuple = ()
     inactive_error: type = ValueError
+    live = slice(None)
 
-    def _evaluate(self, graph, jac: bool) -> "_Evaluation":
-        (e,) = PackedFactors([self], graph).evaluate(graph, jac)
+    def _evaluate(self, graph) -> "_Evaluation":
+        (e,) = PackedFactors([self], graph).evaluate(graph)
         if not e.active[0]:
             raise self.inactive_error(f"inactive {self.kind} factor")
         return e
 
     def residual(self, graph) -> np.ndarray:
-        return self._evaluate(graph, False).r[0]
+        return self._evaluate(graph).r[0]
 
     def jacobians(self, graph) -> dict:
-        J = self._evaluate(graph, True).J[0]
-        (ka, kb), da = self.keys(), DOF[self.variables[0]]
-        return {ka: J[:, :da], kb: J[:, da:]}
+        (ka, kb), (va, vb) = self.keys(), self.variables
+        J = np.zeros((self.dim, DOF[va] + DOF[vb]))
+        J[:, self.live] = self._evaluate(graph).jac()[0]
+        return {ka: J[:, :DOF[va]], kb: J[:, DOF[va]:]}
 
 
 @dataclass
@@ -271,13 +299,13 @@ class PointFactor(_Factor):
         return [("pose", self.pose_id), ("point", self.point_id)]
 
     @staticmethod
-    def _pack(factors) -> dict:
-        return {"obs": np.array([f.obs for f in factors], dtype=float),
-                "intr": _intrinsic_rows(f.intr for f in factors)}
+    def _pack(factors, rows_a, rows_b) -> dict:
+        cam, intr = _cameras(factors, lambda k: [k.fx, k.fy, k.cx, k.cy])
+        return {"obs": np.array([f.obs for f in factors], dtype=float), "intr": intr[cam]}
 
     @staticmethod
-    def _kernel(st, a, b, c, jac):
-        return _point_kernel(st.R[a], st.t[a], st.X[b], c["obs"], c["intr"], jac)
+    def _kernel(st, a, b, c):
+        return _point_kernel(st.R[a], st.t[a], st.X[b], c["obs"], c["intr"])
 
 
 @dataclass
@@ -297,15 +325,16 @@ class LineFactor(_Factor):
         return [("pose", self.pose_id), ("line", self.line_id)]
 
     @staticmethod
-    def _pack(factors) -> dict:
+    def _pack(factors, rows_a, rows_b) -> dict:
         ends = np.array([f.obs for f in factors], dtype=float).reshape(-1, 2, 2)
+        cam, KL = _cameras(factors, lambda k: k.line_projection_matrix())
         # homogeneous endpoints (N, 2, 3)
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
-                "KL": np.array([f.intr.line_projection_matrix() for f in factors])}
+                "KL": KL[cam]}
 
     @staticmethod
-    def _kernel(st, a, b, c, jac):
-        return _line_kernel(st.R[a], st.t[a], st.U[b], st.W[b], c["ends"], c["KL"], jac)
+    def _kernel(st, a, b, c):
+        return _line_kernel(st.R[a], st.t[a], st.U[b], st.W[b], c["ends"], c["KL"])
 
 
 @dataclass
@@ -319,20 +348,27 @@ class VdAlignFactor(_Factor):
     SIGMA = 0.01
     HUBER_DELTA = HUBER_1DOF
     variables = ("pose", "gp")
+    live = slice(3, None)  # the residual does not depend on the pose translation
 
     def keys(self):
         return [("pose", self.pose_id), ("gp", self.gp_id)]
 
     @staticmethod
-    def _pack(factors) -> dict:
+    def _pack(factors, rows_a, rows_b) -> dict:
         ends = np.array([f.seg for f in factors], dtype=float)
+        cam, K = _cameras(factors, lambda k: k.matrix())
+        # one integer key per (pose, GP, camera) pair; `pair` indexes the pairs
+        key = (rows_a * (rows_b.max() + 1) + rows_b) * len(K) + cam
+        _, first, pair = np.unique(key, return_index=True, return_inverse=True)
         # C-ordered like a stack of rows, so the kernel's products sum alike
         return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
-                "K": np.array([f.intr.matrix() for f in factors])}
+                "pose": rows_a[first], "gp": rows_b[first], "K": K[cam[first]],
+                "pair": pair}
 
     @staticmethod
-    def _kernel(st, a, b, c, jac):
-        return _vd_align_kernel(st.R[a], st.G[b], st.B[b], c["lhat"], c["K"], jac)
+    def _kernel(st, a, b, c):
+        return _vd_align_kernel(st.R[c["pose"]], st.G[c["gp"]], st.B[c["gp"]], c["K"],
+                                c["lhat"], c["pair"])
 
 
 @dataclass
@@ -344,19 +380,20 @@ class StructFactor(_Factor):
     SIGMA = 0.01
     HUBER_DELTA = HUBER_1DOF
     variables = ("line", "gp")
+    live = [0, 1, 2, 4, 5]  # the residual does not depend on the line's SO(2) angle
 
     def keys(self):
         return [("line", self.line_id), ("gp", self.gp_id)]
 
     @staticmethod
-    def _pack(factors) -> dict:
+    def _pack(factors, rows_a, rows_b) -> dict:
         return {}
 
     @staticmethod
-    def _kernel(st, a, b, c, jac):
+    def _kernel(st, a, b, c):
         # the line's unit direction, sign-aligned with its Plücker direction
         D = np.copysign(1.0, st.W[a, 1, 0])[:, None] * st.U[a, :, 1]
-        return _struct_kernel(D, st.G[b], st.B[b], jac)
+        return _struct_kernel(D, st.G[b], st.B[b])
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +402,9 @@ class StructFactor(_Factor):
 
 class _Batch:
     """The packed factors of one kind. With a parameter index, `cols` holds
-    the parameter column of every Jacobian column (N, dof_a + dof_b). `info`
-    and `delta` are the kind's scalars; broadcast over the rows, they give
-    each row the floats a per-row array of them would."""
+    the parameter column of every live Jacobian column (N, k). `info` and
+    `delta` are the kind's scalars; broadcast over the rows, they give each
+    row the floats a per-row array of them would."""
 
     def __init__(self, cls, factors, positions, rows, index):
         self.cls = cls
@@ -377,8 +414,8 @@ class _Batch:
         self.rows_a = np.array([rows[ka][k[0][1]] for k in keys], dtype=np.intp)
         self.rows_b = np.array([rows[kb][k[1][1]] for k in keys], dtype=np.intp)
         self.cols = None if index is None else np.concatenate(
-            [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)
-        self.consts = cls._pack(factors)
+            [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)[:, cls.live]
+        self.consts = cls._pack(factors, self.rows_a, self.rows_b)
         self.info = 1.0 / cls.SIGMA**2
         self.delta = cls.HUBER_DELTA
 
@@ -391,7 +428,7 @@ class _Evaluation:
     active: np.ndarray   # (N,) bool
     cost: np.ndarray     # Huber costs (N,), zero where inactive (r is zero)
     weight: np.ndarray   # IRLS weights (N,)
-    J: np.ndarray        # Jacobian blocks (N, dim, dof_a + dof_b) or None
+    jac: Callable        # () -> the live Jacobian blocks (N, dim, k)
 
 
 class PackedFactors:
@@ -400,6 +437,10 @@ class PackedFactors:
 
     Rows only ever get appended, so one packing serves every state of the
     graph; each `evaluate` indexes the graph's state arrays directly.
+    `held` is at most one evaluation that `total_cost` left, with the state
+    arrays it was made at: the next `evaluate` at that same state (the same
+    array objects; they are never written in place) returns it instead of
+    running the kernels again. Any `evaluate` drops it.
     """
 
     def __init__(self, factors, graph: "FactorGraph",
@@ -409,14 +450,18 @@ class PackedFactors:
             groups.setdefault(type(f), []).append(pos)
         self.batches = [_Batch(cls, [factors[p] for p in pos], pos, graph.rows, index)
                         for cls, pos in groups.items()]
+        self.held: tuple | None = None
 
-    def evaluate(self, graph, jac: bool = False) -> list[_Evaluation]:
+    def evaluate(self, graph) -> list[_Evaluation]:
+        held, self.held = self.held, None
+        if held is not None and all(a is b for a, b in zip(held[0], _state(graph))):
+            return held[1]
         out = []
         for b in self.batches:
-            r, active, J = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts, jac)
+            r, active, jac = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts)
             r_sq = np.sum(r * b.info * r, axis=1)
             cost, weight = _huber(r_sq, b.delta)
-            out.append(_Evaluation(b, r, active, cost, weight, J))
+            out.append(_Evaluation(b, r, active, cost, weight, jac))
         return out
 
 
@@ -430,6 +475,11 @@ _FIELDS = {"pose": ("R", "t"), "point": ("X",), "line": ("U", "W"), "gp": ("G", 
 # the value a mapping read builds from one variable's rows
 _VALUE = {"pose": Pose, "point": lambda X: X, "line": OrthonormalLine,
           "gp": lambda G, B: G}
+
+
+def _state(graph) -> tuple:
+    """The graph's state arrays, in `_FIELDS` order."""
+    return tuple(getattr(graph, name) for names in _FIELDS.values() for name in names)
 
 
 class _Variables(Mapping):
@@ -617,15 +667,20 @@ class ParameterIndex:
 def total_cost(graph: FactorGraph, packed: PackedFactors | None = None) -> float:
     """Sum of Huber-robustified Mahalanobis squared residuals.
 
-    `packed` is `PackedFactors(graph.factors, graph)`, packed here when not given.
+    `packed` is `PackedFactors(graph.factors, graph)`, packed here when not
+    given. The evaluation stays held on `packed`, so a `_linearize` or
+    `cost_breakdown` at this same state does not run the kernels again.
     """
     packed = packed if packed is not None else PackedFactors(graph.factors, graph)
-    return float(sum(e.cost.sum() for e in packed.evaluate(graph)))
+    evals = packed.evaluate(graph)
+    packed.held = (_state(graph), evals)
+    return float(sum(e.cost.sum() for e in evals))
 
 
 def cost_breakdown(graph: FactorGraph, packed: PackedFactors | None = None) -> dict:
     """Robust cost per factor kind; a kind appears only when one of its
-    factors is active, in the order of the first active factor of each kind."""
+    factors is active, in the order of the first active factor of each kind.
+    Uses the evaluation `total_cost` held on `packed` when it is of this state."""
     packed = packed if packed is not None else PackedFactors(graph.factors, graph)
     active = [e for e in packed.evaluate(graph) if e.active.any()]
     active.sort(key=lambda e: e.batch.positions[e.active][0])
@@ -677,6 +732,14 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
     `PackedFactors(graph.factors, graph, index)`, packed here when not given.
     `H` is an (n_params + 1, n_params + 1) buffer, zeroed and filled in place
     (a new one when not given); the returned H is a view of it.
+
+    The residuals come from the evaluation `total_cost` held on `packed` when
+    it is of this state, else from one kernel pass; either way the Jacobians
+    come from the evaluation's thunks, and nothing is held afterwards. Only
+    the live Jacobian columns are scattered: a structurally zero column adds
+    ±0.0 to entries that start at +0.0, which never changes one. A one-row
+    kind forms its blocks with a broadcast multiply, one product per entry
+    as its stacked matmul would.
     """
     packed = packed if packed is not None else PackedFactors(graph.factors, graph, index)
     m = n_params + 1  # row and column n_params collect the fixed variables' terms
@@ -685,16 +748,21 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
     H.fill(0.0)
     g = np.zeros(m)
     cost = 0.0
-    for e in packed.evaluate(graph, jac=True):
+    for e in packed.evaluate(graph):
         b = e.batch
         cost += e.cost.sum()
-        cols = b.cols
+        cols, J = b.cols, e.jac()
         # inactive factors add exact zeros: their Jacobians are finite
         w = np.where(e.active, e.weight * b.info, 0.0)
-        wJt = (w[:, None, None] * e.J).transpose(0, 2, 1)
+        if J.shape[1] == 1:
+            wJ = w[:, None] * J[:, 0]
+            HJ, gJ = wJ[:, :, None] * J[:, 0, None, :], wJ * e.r
+        else:
+            wJt = (w[:, None, None] * J).transpose(0, 2, 1)
+            HJ, gJ = wJt @ J, wJt @ e.r[:, :, None]
         np.add.at(H.reshape(-1), (cols[:, :, None] * m + cols[:, None, :]).ravel(),
-                  (wJt @ e.J).ravel())
-        np.add.at(g, cols.ravel(), (wJt @ e.r[:, :, None]).ravel())
+                  HJ.ravel())
+        np.add.at(g, cols.ravel(), gJ.ravel())
     H, g = H[:n_params, :n_params], g[:n_params]
     return float(cost), H, g
 
@@ -707,7 +775,14 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
     `converged=True`; running out of MAX_ITERS, or lambda reaching 1e12
     without an accepted step, reports `converged=False`. The final cost is
     the loop's last cost of the state it ends in: an accepted step's
-    `total_cost`, or else the last `_linearize`'s."""
+    `total_cost`, or else the last `_linearize`'s.
+
+    Each state is evaluated once: the first `_linearize`, and each trial's
+    `total_cost`. An accepted trial's evaluation is held on the packing and
+    linearized from (or, at the end, broken down by kind); a rejected one is
+    dropped. Only when the loop ends back at a linearized state (a gradient
+    stop or lambda overflow) does `cost_breakdown` evaluate it again, since
+    `_linearize` keeps nothing through the solves."""
     fixed = set(fixed)
     if graph.poses and not fixed:
         raise ValueError("gauge unfixed: fix at least one variable")
@@ -756,6 +831,7 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
                     converged = True
                 cost = new_cost
                 break
+            packed.held = None
             graph.restore(snap)
             lam *= LAMBDA_SCALE
         if not accepted:

@@ -2,7 +2,8 @@
 robust LM optimizer.
 
 The batched `retract` is checked against per-variable formulas kept below as
-oracles (`oracle_*`).
+oracles (`oracle_*`), and the pair-shared vd_align kernel and the live-column
+scatter of `_linearize` against their per-factor, all-column forms.
 """
 import math
 
@@ -28,14 +29,17 @@ from monogp.geometry import (
 from monogp.graph import (
     DOF,
     HUBER_2DOF,
+    MAX_ITERS,
     FactorGraph,
     LineFactor,
+    PackedFactors,
     ParameterIndex,
     PointFactor,
     StructFactor,
     VdAlignFactor,
     _huber,
     _linearize,
+    _mv,
     _tangent_bases,
     cost_breakdown,
     numeric_jacobian,
@@ -43,6 +47,8 @@ from monogp.graph import (
     retract,
     total_cost,
 )
+from monogp.pipeline import _map_scene, build_graph, map_primitives
+from monogp.scenarios import structured
 from monogp.segments import Segment2D
 from test_segments import seg_row
 
@@ -614,6 +620,143 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
     assert abs(sum(breakdown.values()) - total) <= 1e-12 * total
 
 
+# -- one residual pass per state, live columns only -----------------------------
+
+def oracle_vd_align_kernel(R, G, B, lhat, K, jac):
+    """The vd_align kernel as it was before the (pose, GP) pairs shared their
+    terms: one row per factor, all eight Jacobian columns. Kept verbatim."""
+    v_cam = _mv(R, G)
+    v_img = _mv(K, v_cam)
+    n = np.linalg.norm(v_img, axis=1)
+    vhat = v_img / n[:, None]
+    r = np.sum(lhat * vhat, axis=1)[:, None]
+    active = np.ones(len(n), dtype=bool)
+    if not jac:
+        return r, active, None
+    # d vhat / d v_img, projected onto the sphere tangent
+    P = (np.eye(3) - vhat[:, :, None] * vhat[:, None, :]) / n[:, None, None]
+    row = lhat[:, None, :] @ P @ K
+    J = np.concatenate([np.zeros((len(n), 1, 3)), row @ -skew(v_cam), row @ R @ B], axis=2)
+    return r, active, J
+
+
+def oracle_scatter(H, g, m, cols, w, J, r):
+    """The scatter of `_linearize` as it was before it skipped structurally
+    zero columns and broadcast the one-row kinds: every column of every
+    kind through stacked matmul. Kept verbatim."""
+    wJt = (w[:, None, None] * J).transpose(0, 2, 1)
+    np.add.at(H.reshape(-1), (cols[:, :, None] * m + cols[:, None, :]).ravel(),
+              (wJt @ J).ravel())
+    np.add.at(g, cols.ravel(), (wJt @ r[:, :, None]).ravel())
+
+
+K2 = CameraIntrinsics(450.0, 470.0, 300.0, 250.0)
+
+
+def build_shared_pair_graph():
+    """Three poses, two GPs and two lines: 120 vd_align factors on the 12
+    (pose, GP, camera) pairs of two `CameraIntrinsics` objects, interleaved,
+    plus struct factors and a few point factors."""
+    rng = np.random.default_rng(31)
+    g = FactorGraph()
+    g.add_pose(0, IDENTITY)
+    g.add_pose(1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
+    g.add_pose(2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
+    gps = [np.array([1.0, 0.1, 0.05]), np.array([0.05, -0.2, 1.0])]
+    for j, gp in enumerate(gps):
+        g.add_gp(j, gp / np.linalg.norm(gp))
+    for i in range(120):
+        a = rng.uniform([50.0, 50.0], [590.0, 430.0])
+        seg = np.concatenate([a, a + rng.normal(0.0, 40.0, 2)])
+        g.add_factor(VdAlignFactor(i % 3, (i // 3) % 2, seg, (K, K2)[(i // 6) % 2]))
+    for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
+        d = gps[lid] + rng.normal(0.0, 0.05, 3)
+        g.add_line(lid, plucker_to_orthonormal(
+            PluckerLine.from_two_points(anchor, np.add(anchor, d))))
+        g.add_factor(StructFactor(lid, lid))
+    for i in range(4):
+        p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
+        g.add_point(i, p)
+        g.add_factor(PointFactor(i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0,
+                                 (K, K2)[i % 2]))
+    return g
+
+
+def structured_gp_graph(seed=1):
+    """The gp graph `run_pipeline(structured(seed), "gp")` optimizes."""
+    cfg = structured(seed)
+    frames, _, poses, lm = _map_scene(cfg)
+    return build_graph(poses, map_primitives(frames, poses, cfg, lm), cfg.intrinsics)
+
+
+def test_vd_align_pairs_equal_per_factor_oracle_bitwise():
+    g = build_shared_pair_graph()
+    packed = PackedFactors(g.factors, g)
+    b = next(b for b in packed.batches if b.cls is VdAlignFactor)
+    e = next(e for e in packed.evaluate(g) if e.batch is b)
+    aligns = [g.factors[p] for p in b.positions]
+    assert len(aligns) == 120 and len(b.consts["K"]) == 12  # 10 factors per pair
+    K_rows = np.array([f.intr.matrix() for f in aligns])
+    r, active, J = oracle_vd_align_kernel(g.R[b.rows_a], g.G[b.rows_b], g.B[b.rows_b],
+                                          b.consts["lhat"], K_rows, True)
+    assert e.r.tobytes() == r.tobytes()
+    assert e.active.tobytes() == active.tobytes()
+    assert not J[:, :, :3].any()  # the pose translation columns
+    assert e.jac().tobytes() == np.ascontiguousarray(J[:, :, 3:]).tobytes()
+
+
+@pytest.mark.parametrize("build", [build_shared_pair_graph, build_assembly_graph])
+def test_linearize_equals_all_column_scatter_bitwise(build):
+    g = build()
+    index = ParameterIndex(g, [("pose", 0)])
+    n = index.n_params
+    m = n + 1
+    H_ref, g_ref = np.zeros((m, m)), np.zeros(m)
+    packed = PackedFactors(g.factors, g, index)
+    for e in packed.evaluate(g):
+        b = e.batch
+        ka, kb = b.cls.variables
+        cols = np.concatenate([index.table[ka][b.rows_a], index.table[kb][b.rows_b]], axis=1)
+        if b.cls is VdAlignFactor:
+            K_rows = np.array([g.factors[p].intr.matrix() for p in b.positions])
+            J = oracle_vd_align_kernel(g.R[b.rows_a], g.G[b.rows_b], g.B[b.rows_b],
+                                       b.consts["lhat"], K_rows, True)[2]
+        else:
+            J = np.zeros((len(cols), b.cls.dim, cols.shape[1]))
+            J[:, :, b.cls.live] = e.jac()
+        w = np.where(e.active, e.weight * b.info, 0.0)
+        oracle_scatter(H_ref, g_ref, m, cols, w, J, e.r)
+    cost, H, grad = _linearize(g, index, n)
+    assert H.tobytes() == H_ref[:n, :n].tobytes()
+    assert grad.tobytes() == g_ref[:n].tobytes()
+    assert cost == total_cost(g)
+
+
+@pytest.mark.parametrize("build", [build_assembly_graph, structured_gp_graph])
+def test_linearize_after_total_cost_equals_fresh_packing_bitwise(monkeypatch, build):
+    g = build()
+    index = ParameterIndex(g, [("pose", 0)])
+    packed = PackedFactors(g.factors, g, index)
+    runs = counted_kernels(monkeypatch)
+    cost = total_cost(g, packed)
+    assert packed.held is not None and len(runs) == len(packed.batches)
+    reused = _linearize(g, index, index.n_params, packed)
+    assert packed.held is None and len(runs) == len(packed.batches)
+    fresh = _linearize(g, index, index.n_params, PackedFactors(g.factors, g, index))
+    assert reused[0].hex() == fresh[0].hex() == cost.hex()
+    assert reused[1].tobytes() == fresh[1].tobytes()
+    assert reused[2].tobytes() == fresh[2].tobytes()
+
+
+def test_held_evaluation_is_only_used_at_its_own_state():
+    g = build_assembly_graph()
+    packed = PackedFactors(g.factors, g)
+    total_cost(g, packed)
+    g.put_rows("point", [0], [g.X[0] + 0.1])  # new arrays: another state
+    assert total_cost(g, packed) == total_cost(g)
+    assert cost_breakdown(g, packed) == cost_breakdown(g)
+
+
 # -- optimizer -----------------------------------------------------------------
 
 def test_optimize_requires_gauge():
@@ -746,6 +889,42 @@ def test_optimize_restores_each_rejected_trial_exactly(monkeypatch):
     assert len(counts["retract"]) <= 4 * counts["solve"]
     assert rejected >= 1
     assert counts["restore"] == rejected
+
+
+def counted_kernels(monkeypatch) -> list:
+    """Wrap the four factor kernels; the returned list gets each run's name."""
+    runs = []
+    for name in ("_point_kernel", "_line_kernel", "_vd_align_kernel", "_struct_kernel"):
+        def counted(*args, _kernel=getattr(graph_module, name), _name=name):
+            runs.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(graph_module, name, counted)
+    return runs
+
+
+def test_optimize_evaluates_each_state_once(monkeypatch):
+    # converges on an accepted step, with rejected trials on the way: the
+    # first linearization and each trial run the kernels; the linearization
+    # after an accepted trial and the final breakdown reuse the trial's
+    runs = counted_kernels(monkeypatch)
+    report, counts, rejected = traced_optimize(monkeypatch, build_assembly_graph(),
+                                               [("pose", 0)])
+    assert report.converged and rejected >= 1
+    for kernel in ("_point_kernel", "_line_kernel", "_vd_align_kernel", "_struct_kernel"):
+        assert runs.count(kernel) == 1 + counts["solve"], kernel
+
+
+def test_optimize_evaluates_end_state_again_after_rejected_trials(monkeypatch):
+    # with every tolerance zero the run ends on lambda overflow, back at the
+    # last linearized state, whose evaluation is not kept through the solves:
+    # the final breakdown runs the kernels once more
+    monkeypatch.setattr(graph_module, "REL_TOL", 0.0)
+    monkeypatch.setattr(graph_module, "ABS_TOL", 0.0)
+    g, fixed = perturbed_pose_graph()
+    runs = counted_kernels(monkeypatch)
+    report, counts, rejected = traced_optimize(monkeypatch, g, fixed)
+    assert not report.converged and report.iterations < MAX_ITERS and rejected >= 1
+    assert runs == ["_point_kernel"] * (2 + counts["solve"])
 
 
 def test_optimize_never_increases_cost_and_keeps_gps_unit():

@@ -47,7 +47,7 @@ ALLOWED = {
 
 # Methods reached only through an attribute on a receiver of unknown class,
 # each checked by hand to be called by the program (for example
-# `frame.segments` in `perfbench/`, `f.intr.matrix()` in `graph._pack`).
+# `frame.segments` in `perfbench/`, `k.matrix()` in `VdAlignFactor._pack`).
 UNKNOWN_RECEIVER = frozenset({
     "evaluate.Trajectory.positions",
     "geometry.CameraIntrinsics.inverse_matrix",

@@ -577,6 +577,19 @@ def test_cli_bad_arguments_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seeds", ["1", "0", "-3"])
+def test_cli_ablate_too_few_seeds_is_a_bad_argument(tmp_path, capsys, seeds):
+    out = tmp_path / "ablate"
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--config", config_file("structured"), "--seeds", seeds,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "need at least 2 seeds" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="need at least 2 seeds"):
+        run_ablation(structured(), int(seeds))
+
+
 def raise_error(*args, **kwargs):
     raise RuntimeError("injected failure")
 
