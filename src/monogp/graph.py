@@ -22,16 +22,25 @@ whole kind at once (SE(3) exponential with the left Jacobian V, the
 SO(3) x SO(2) line update, the GP tangent step); it is the one retraction
 formula, which `optimize` and `numeric_jacobian` both step with.
 
+Factors are stored the same way: one table per kind (`_FactorTable`), one
+row per factor in insertion order, holding its two variables' ids and graph
+rows, its constant row (the (2,) pixel or the (4,) endpoint row), its camera
+and its position among all factors. `add_variables` and `add_factors` add
+whole blocks of one kind. `factors` reads the tables as a sequence in
+insertion order; the read-only `PointFactor`, `LineFactor`, `VdAlignFactor`
+and `StructFactor` values are built only there.
+
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
 covariance-weighted cost. Each factor kind has one noise SIGMA and one
 Huber HUBER_DELTA, class constants. Evaluation is batched by factor kind
-(Triggs et al. 2000; Agarwal et al. 2010). `PackedFactors` packs a factor
-list once: per kind, the graph rows of each factor's two variables and its
-constants (observation, the segment's image line, and the intrinsics, built
-once per distinct `CameraIntrinsics` object). vd_align factors are also
-packed by (pose, GP, camera) pair: the ~730 factors of a `structured` gp
-graph share ~60 pairs, and the projected VP, its tangent projector and
-skew(v_cam) are computed once per pair.
+(Triggs et al. 2000; Agarwal et al. 2010). `PackedFactors` packs the tables
+once, with array operations: per kind, in the order the kinds first appear,
+the graph rows of the factors' variables and their constants (observation,
+the segment's image line, and the intrinsics, built once per distinct
+`CameraIntrinsics` object). vd_align factors are also packed by (pose, GP,
+camera) pair: the ~730 factors of a `structured` gp graph share ~60 pairs,
+and the projected VP, its tangent projector and skew(v_cam) are computed
+once per pair.
 Each evaluation indexes the state arrays with those rows and runs one
 vectorized kernel per kind, which returns stacked residuals, an active mask
 and a Jacobian thunk over the same intermediates; so residuals and
@@ -41,8 +50,8 @@ evaluation on the packing (`PackedFactors.held`), and the `_linearize` or
 running the kernels again. `_linearize` scatters the weighted J^T Λ J blocks
 of the live Jacobian columns into the dense H in one pass; the columns that
 are structurally zero (vd_align's pose translation, struct's line angle) are
-neither computed nor scattered. The per-factor `residual`/`jacobians`
-methods are these kernels applied to one factor. An inactive factor (a point
+neither computed nor scattered. A factor value's `residual`/`jacobians`
+are these kernels applied to its one-row table. An inactive factor (a point
 at depth <= EPS_Z, a line whose image line is degenerate) contributes
 nothing, and its `residual` and `jacobians` raise. `optimize` builds the
 packing and the parameter layout (`ParameterIndex`) once per call; each
@@ -68,7 +77,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,14 +246,9 @@ def _struct_kernel(D, G, B):
     return r, active, jac
 
 
-def _cameras(factors, of):
-    """The index of each factor's intrinsics among the distinct
-    `CameraIntrinsics` objects of `factors`, and `of(intrinsics)` of each
-    distinct one, stacked."""
-    cams = {id(f.intr): f.intr for f in factors}
-    position = {key: i for i, key in enumerate(cams)}
-    index = np.array([position[id(f.intr)] for f in factors], dtype=np.intp)
-    return index, np.array([of(k) for k in cams.values()], dtype=float)
+def _camera_rows(table, of) -> np.ndarray:
+    """`of(intrinsics)` of each of a factor table's distinct cameras, stacked."""
+    return np.array([of(k) for k in table.cams], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +256,37 @@ def _cameras(factors, of):
 # ---------------------------------------------------------------------------
 
 class _Factor:
-    """Shared per-factor API. `variables` names the kinds of the two
-    variables, in `keys()` order; `inactive_error` is what `residual` and
-    `jacobians` raise for an inactive factor. `SIGMA` is the kind's residual
-    noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber threshold on the
-    whitened residual norm. `live` picks the Jacobian columns (of dof_a +
-    dof_b) that are not structurally zero; the kernel computes only those.
-    `_pack` turns a list of factors of one kind, with their variables' graph
-    rows, into their constant arrays and `_kernel` runs the kind's kernel on
-    the graph's state arrays at those rows."""
+    """Shared per-factor API of the factor values `FactorGraph.factors`
+    builds on read; they are read-only. `variables` names the kinds of the
+    two variables, in `keys()` order; `width` is the length of the constant
+    row, the field `const` (none for struct); `inactive_error` is what
+    `residual` and `jacobians` raise for an inactive factor. `SIGMA` is the
+    kind's residual noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber
+    threshold on the whitened residual norm. `live` picks the Jacobian
+    columns (of dof_a + dof_b) that are not structurally zero; the kernel
+    computes only those. `_pack` turns a factor table of the kind into its
+    constant arrays and `_kernel` runs the kind's kernel on the graph's
+    state arrays at the table's rows."""
 
     variables: tuple = ()
+    width = 0
+    const: str | None = None
     inactive_error: type = ValueError
     live = slice(None)
 
+    def __post_init__(self):
+        if self.const is not None:  # a read-only copy of the constant row
+            row = np.array(getattr(self, self.const), dtype=float)
+            row.flags.writeable = False
+            object.__setattr__(self, self.const, row)
+
     def _evaluate(self, graph) -> "_Evaluation":
-        (e,) = PackedFactors([self], graph).evaluate(graph)
+        """This factor evaluated as a one-row table of its kind on `graph`."""
+        (_, a), (_, b) = self.keys()
+        table = _FactorTable(type(self))
+        const = None if self.const is None else [getattr(self, self.const)]
+        table.append(graph, [a], [b], const, getattr(self, "intr", None), 0)
+        (e,) = PackedFactors(graph, tables=[table]).evaluate(graph)
         if not e.active[0]:
             raise self.inactive_error(f"inactive {self.kind} factor")
         return e
@@ -282,33 +301,34 @@ class _Factor:
         return {ka: J[:, :DOF[va]], kb: J[:, DOF[va]:]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointFactor(_Factor):
     pose_id: int
     point_id: int
-    obs: np.ndarray
+    obs: np.ndarray  # (2,) observed pixel
     intr: CameraIntrinsics
     kind = "point"
     dim = 2
     SIGMA = 1.0  # px
     HUBER_DELTA = HUBER_2DOF
     variables = ("pose", "point")
+    width, const = 2, "obs"
     inactive_error = BehindCameraError
 
     def keys(self):
         return [("pose", self.pose_id), ("point", self.point_id)]
 
     @staticmethod
-    def _pack(factors, rows_a, rows_b) -> dict:
-        cam, intr = _cameras(factors, lambda k: [k.fx, k.fy, k.cx, k.cy])
-        return {"obs": np.array([f.obs for f in factors], dtype=float), "intr": intr[cam]}
+    def _pack(t) -> dict:
+        intr = _camera_rows(t, lambda k: [k.fx, k.fy, k.cx, k.cy])
+        return {"obs": t.consts, "intr": intr[t.cam]}
 
     @staticmethod
     def _kernel(st, a, b, c):
         return _point_kernel(st.R[a], st.t[a], st.X[b], c["obs"], c["intr"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineFactor(_Factor):
     pose_id: int
     line_id: int
@@ -319,25 +339,26 @@ class LineFactor(_Factor):
     SIGMA = 1.0  # px
     HUBER_DELTA = HUBER_2DOF
     variables = ("pose", "line")
+    width, const = 4, "obs"
     inactive_error = DegenerateLineError
 
     def keys(self):
         return [("pose", self.pose_id), ("line", self.line_id)]
 
     @staticmethod
-    def _pack(factors, rows_a, rows_b) -> dict:
-        ends = np.array([f.obs for f in factors], dtype=float).reshape(-1, 2, 2)
-        cam, KL = _cameras(factors, lambda k: k.line_projection_matrix())
+    def _pack(t) -> dict:
+        ends = t.consts.reshape(-1, 2, 2)
+        KL = _camera_rows(t, lambda k: k.line_projection_matrix())
         # homogeneous endpoints (N, 2, 3)
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
-                "KL": KL[cam]}
+                "KL": KL[t.cam]}
 
     @staticmethod
     def _kernel(st, a, b, c):
         return _line_kernel(st.R[a], st.t[a], st.U[b], st.W[b], c["ends"], c["KL"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class VdAlignFactor(_Factor):
     pose_id: int
     gp_id: int
@@ -348,15 +369,16 @@ class VdAlignFactor(_Factor):
     SIGMA = 0.01
     HUBER_DELTA = HUBER_1DOF
     variables = ("pose", "gp")
+    width, const = 4, "seg"
     live = slice(3, None)  # the residual does not depend on the pose translation
 
     def keys(self):
         return [("pose", self.pose_id), ("gp", self.gp_id)]
 
     @staticmethod
-    def _pack(factors, rows_a, rows_b) -> dict:
-        ends = np.array([f.seg for f in factors], dtype=float)
-        cam, K = _cameras(factors, lambda k: k.matrix())
+    def _pack(t) -> dict:
+        ends, cam, rows_a, rows_b = t.consts, t.cam, t.rows_a, t.rows_b
+        K = _camera_rows(t, lambda k: k.matrix())
         # one integer key per (pose, GP, camera) pair; `pair` indexes the pairs
         key = (rows_a * (rows_b.max() + 1) + rows_b) * len(K) + cam
         _, first, pair = np.unique(key, return_index=True, return_inverse=True)
@@ -371,7 +393,7 @@ class VdAlignFactor(_Factor):
                                 c["lhat"], c["pair"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructFactor(_Factor):
     line_id: int
     gp_id: int
@@ -386,7 +408,7 @@ class StructFactor(_Factor):
         return [("line", self.line_id), ("gp", self.gp_id)]
 
     @staticmethod
-    def _pack(factors, rows_a, rows_b) -> dict:
+    def _pack(t) -> dict:
         return {}
 
     @staticmethod
@@ -394,6 +416,59 @@ class StructFactor(_Factor):
         # the line's unit direction, sign-aligned with its Plücker direction
         D = np.copysign(1.0, st.W[a, 1, 0])[:, None] * st.U[a, :, 1]
         return _struct_kernel(D, st.G[b], st.B[b])
+
+
+# ---------------------------------------------------------------------------
+# Factor tables
+# ---------------------------------------------------------------------------
+
+class _FactorTable:
+    """The factors of one kind as columns, one row per factor in insertion
+    order: the two variables' ids (`ids_a`, `ids_b`) and graph rows
+    (`rows_a`, `rows_b`), the constant row `consts` (N, cls.width), the
+    camera `cam`, an index into `cams` (the kind's distinct
+    `CameraIntrinsics` objects in first-appearance order; -1 for struct),
+    and `pos`, the factor's position among all of the graph's factors. The
+    columns are never written in place: `append` replaces them."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.ids_a = self.ids_b = np.empty(0, dtype=np.int64)
+        self.rows_a = self.rows_b = self.cam = self.pos = np.empty(0, dtype=np.intp)
+        self.consts = np.empty((0, cls.width))
+        self.cams: list = []
+
+    def __len__(self):
+        return len(self.pos)
+
+    def append(self, graph: "FactorGraph", ids_a, ids_b, consts, intr, start: int):
+        """Append a block of factors: their variables' ids, their constant
+        rows (none for struct) and one camera for the block, at positions
+        `start`, `start` + 1, ... KeyError if a variable is not in `graph`."""
+        ka, kb = self.cls.variables
+        ids_a = np.asarray(ids_a, dtype=np.int64).reshape(-1)
+        ids_b = np.asarray(ids_b, dtype=np.int64).reshape(-1)
+        n = len(ids_a)
+        block = {"ids_a": ids_a, "ids_b": ids_b,
+                 "rows_a": graph.rows_of(ka, ids_a), "rows_b": graph.rows_of(kb, ids_b),
+                 "consts": np.asarray(np.empty((n, 0)) if consts is None else consts,
+                                      dtype=float).reshape(n, self.cls.width),
+                 "pos": np.arange(start, start + n, dtype=np.intp)}
+        cam = -1
+        if intr is not None:
+            cam = next((j for j, k in enumerate(self.cams) if k is intr), len(self.cams))
+            if cam == len(self.cams):
+                self.cams.append(intr)
+        block["cam"] = np.full(n, cam, dtype=np.intp)
+        for name, column in block.items():
+            setattr(self, name, np.concatenate([getattr(self, name), column]))
+
+    def value(self, row: int) -> _Factor:
+        """The factor value of one row."""
+        ids = int(self.ids_a[row]), int(self.ids_b[row])
+        if self.cls.const is None:
+            return self.cls(*ids)
+        return self.cls(*ids, self.consts[row], self.cams[self.cam[row]])
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +481,14 @@ class _Batch:
     `delta` are the kind's scalars; broadcast over the rows, they give each
     row the floats a per-row array of them would."""
 
-    def __init__(self, cls, factors, positions, rows, index):
-        self.cls = cls
-        self.positions = np.array(positions)  # indices into the packed factor list
+    def __init__(self, table: _FactorTable, index):
+        self.cls = cls = table.cls
+        self.positions = table.pos  # positions among the graph's factors
+        self.rows_a, self.rows_b = table.rows_a, table.rows_b
         ka, kb = cls.variables
-        keys = [f.keys() for f in factors]
-        self.rows_a = np.array([rows[ka][k[0][1]] for k in keys], dtype=np.intp)
-        self.rows_b = np.array([rows[kb][k[1][1]] for k in keys], dtype=np.intp)
         self.cols = None if index is None else np.concatenate(
             [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)[:, cls.live]
-        self.consts = cls._pack(factors, self.rows_a, self.rows_b)
+        self.consts = cls._pack(table)
         self.info = 1.0 / cls.SIGMA**2
         self.delta = cls.HUBER_DELTA
 
@@ -432,8 +505,11 @@ class _Evaluation:
 
 
 class PackedFactors:
-    """A factor list packed by kind against a graph's variable rows and, for
-    `_linearize`, a `ParameterIndex` of its free variables.
+    """A graph's factor tables packed against its variable rows and, for
+    `_linearize`, a `ParameterIndex` of its free variables: one batch per
+    kind, in the order the kinds first appear among the factors, with the
+    factors of a kind in insertion order. `tables` packs other tables (a
+    factor value's one-row table) on the graph's state instead.
 
     Rows only ever get appended, so one packing serves every state of the
     graph; each `evaluate` indexes the graph's state arrays directly.
@@ -443,13 +519,10 @@ class PackedFactors:
     running the kernels again. Any `evaluate` drops it.
     """
 
-    def __init__(self, factors, graph: "FactorGraph",
-                 index: "ParameterIndex | None" = None):
-        groups: dict = {}
-        for pos, f in enumerate(factors):
-            groups.setdefault(type(f), []).append(pos)
-        self.batches = [_Batch(cls, [factors[p] for p in pos], pos, graph.rows, index)
-                        for cls, pos in groups.items()]
+    def __init__(self, graph: "FactorGraph", index: "ParameterIndex | None" = None,
+                 tables=None):
+        tables = graph.tables.values() if tables is None else tables
+        self.batches = [_Batch(t, index) for t in tables]
         self.held: tuple | None = None
 
     def evaluate(self, graph) -> list[_Evaluation]:
@@ -501,9 +574,28 @@ class _Variables(Mapping):
         return len(self._graph.rows[self._kind])
 
 
+class _Factors(Sequence):
+    """Read-only view of the graph's factors in insertion order. Each read
+    builds the factor's value from its table row."""
+
+    def __init__(self, graph: "FactorGraph"):
+        self._graph = graph
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # IndexError out of range; negative from the end
+        for t in self._graph.tables.values():
+            row = int(np.searchsorted(t.pos, i))
+            if row < len(t) and t.pos[row] == i:
+                return t.value(row)
+
+    def __len__(self):
+        return self._graph.n_factors
+
+
 class FactorGraph:
     """Variables as stacked arrays per kind, one row per variable, with one
-    id -> row map per kind in `rows`; and the factors."""
+    id -> row map per kind in `rows`; and the factors as one table per kind
+    in `tables`, in the order the kinds first appear."""
 
     def __init__(self):
         self.rows: dict[str, dict] = {kind: {} for kind in DOF}
@@ -514,65 +606,64 @@ class FactorGraph:
         self.W = np.empty((0, 2, 2))  # and W in SO(2)
         self.G = np.empty((0, 3))     # GP unit directions
         self.B = np.empty((0, 3, 2))  # their tangent bases (`_tangent_bases`)
-        self.factors: list = []
-        self._buffers: dict[str, tuple] = {}  # state array -> (buffer, rows filled)
+        self.tables: dict[type, _FactorTable] = {}
+        self.n_factors = 0
 
     poses = property(lambda self: _Variables(self, "pose"))
     points = property(lambda self: _Variables(self, "point"))
     lines = property(lambda self: _Variables(self, "line"))
     gps = property(lambda self: _Variables(self, "gp"))
+    factors = property(lambda self: _Factors(self))
 
-    def _put(self, kind: str, vid: int, *values):
-        """Write one variable's rows; a new id appends a row.
-
-        A state array that is the whole filled prefix of its growth buffer
-        takes an appended row in the buffer's spare room, so adding n
-        variables one at a time is amortized O(n). Every array handed out
-        (a snapshot's too) is a prefix no longer than the filled part, so the
-        write lands outside all of them. Any other write goes to a copy.
-        """
+    def add_variables(self, kind: str, ids, *values):
+        """Add a block of variables of one kind, or overwrite those whose id
+        exists: `values` are the kind's state arrays in `_FIELDS` order, one
+        row per id, except that a gp takes only its directions (each within
+        1e-9 of unit norm, then normalized) and gets their tangent bases.
+        The state arrays are replaced, never written in place."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1).tolist()
+        if not ids:
+            return
+        if kind == "gp":
+            G = np.asarray(values[0], dtype=float).reshape(-1, 3)
+            n = np.array([np.linalg.norm(d) for d in G]).reshape(-1, 1)
+            if (np.abs(n - 1.0) > 1e-9).any():
+                raise ValueError("gp direction must be unit")
+            G = G / n
+            values = (G, _tangent_bases(G))
         arrays = [getattr(self, name) for name in _FIELDS[kind]]
-        values = [np.asarray(v, dtype=float).reshape(a.shape[1:])
+        values = [np.asarray(v, dtype=float).reshape((len(ids),) + a.shape[1:])
                   for v, a in zip(values, arrays)]
         rows = self.rows[kind]
-        row = rows.setdefault(vid, len(rows))
+        at = np.array([rows.setdefault(vid, len(rows)) for vid in ids], dtype=np.intp)
         for name, a, v in zip(_FIELDS[kind], arrays, values):
-            if row == len(a):
-                buf, filled = self._buffers.get(name, (None, 0))
-                if buf is None or a.base is not buf or len(a) != filled \
-                        or filled == len(buf):
-                    buf = np.empty((max(8, 2 * len(a)),) + a.shape[1:])
-                    buf[:len(a)] = a
-                buf[row] = v
-                self._buffers[name] = (buf, row + 1)
-                a = buf[:row + 1]
-            else:
-                a = a.copy()
-                a[row] = v
-            setattr(self, name, a)
+            out = np.empty((len(rows),) + a.shape[1:])
+            out[:len(a)] = a
+            out[at] = v
+            setattr(self, name, out)
 
-    def add_pose(self, pose_id: int, pose: Pose):
-        self._put("pose", pose_id, pose.rotation, pose.translation)
+    def add_factors(self, cls, ids_a, ids_b, consts=None, intr=None):
+        """Append a block of factors of the kind `cls`, in order: the ids of
+        each one's two variables (of the kinds `cls.variables`), their
+        constant rows (N, cls.width) and the block's `CameraIntrinsics` (none
+        for struct). KeyError if a variable is missing."""
+        if not len(ids_a):
+            return
+        table = self.tables[cls] if cls in self.tables else _FactorTable(cls)
+        table.append(self, ids_a, ids_b, consts, intr, self.n_factors)
+        self.tables[cls] = table
+        self.n_factors += len(ids_a)
 
-    def add_point(self, point_id: int, p_w):
-        self._put("point", point_id, p_w)
-
-    def add_line(self, line_id: int, line: OrthonormalLine):
-        self._put("line", line_id, line.U, line.W)
-
-    def add_gp(self, gp_id: int, direction):
-        d = np.asarray(direction, dtype=float)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("gp direction must be unit")
-        d = d / n
-        self._put("gp", gp_id, d, _tangent_bases(d[None])[0])
-
-    def add_factor(self, factor):
-        for kind, vid in factor.keys():
-            if vid not in self.rows[kind]:
-                raise KeyError(f"factor references missing variable {(kind, vid)}")
-        self.factors.append(factor)
+    def rows_of(self, kind: str, ids) -> np.ndarray:
+        """The graph rows of variables of `kind` by id (an int array).
+        KeyError names the first missing one."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        known = np.fromiter(self.rows[kind], dtype=np.int64, count=len(self.rows[kind]))
+        missing = ids[~np.isin(ids, known)]
+        if len(missing):
+            raise KeyError(f"factor references missing variable {(kind, int(missing[0]))}")
+        order = np.argsort(known)  # known[row] is the id of that row
+        return order[np.searchsorted(known, ids, sorter=order)]
 
     # -- state access -----------------------------------------------------
 
@@ -667,11 +758,11 @@ class ParameterIndex:
 def total_cost(graph: FactorGraph, packed: PackedFactors | None = None) -> float:
     """Sum of Huber-robustified Mahalanobis squared residuals.
 
-    `packed` is `PackedFactors(graph.factors, graph)`, packed here when not
-    given. The evaluation stays held on `packed`, so a `_linearize` or
+    `packed` is `PackedFactors(graph)`, packed here when not given. The
+    evaluation stays held on `packed`, so a `_linearize` or
     `cost_breakdown` at this same state does not run the kernels again.
     """
-    packed = packed if packed is not None else PackedFactors(graph.factors, graph)
+    packed = packed if packed is not None else PackedFactors(graph)
     evals = packed.evaluate(graph)
     packed.held = (_state(graph), evals)
     return float(sum(e.cost.sum() for e in evals))
@@ -681,7 +772,7 @@ def cost_breakdown(graph: FactorGraph, packed: PackedFactors | None = None) -> d
     """Robust cost per factor kind; a kind appears only when one of its
     factors is active, in the order of the first active factor of each kind.
     Uses the evaluation `total_cost` held on `packed` when it is of this state."""
-    packed = packed if packed is not None else PackedFactors(graph.factors, graph)
+    packed = packed if packed is not None else PackedFactors(graph)
     active = [e for e in packed.evaluate(graph) if e.active.any()]
     active.sort(key=lambda e: e.batch.positions[e.active][0])
     return {e.batch.cls.kind: float(e.cost.sum()) for e in active}
@@ -729,7 +820,7 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
     """One batched pass over all factors: robust cost, gradient, Gauss-Newton H.
 
     `index` places the free variables; fixed ones get no rows. `packed` is
-    `PackedFactors(graph.factors, graph, index)`, packed here when not given.
+    `PackedFactors(graph, index)`, packed here when not given.
     `H` is an (n_params + 1, n_params + 1) buffer, zeroed and filled in place
     (a new one when not given); the returned H is a view of it.
 
@@ -741,7 +832,7 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
     kind forms its blocks with a broadcast multiply, one product per entry
     as its stacked matmul would.
     """
-    packed = packed if packed is not None else PackedFactors(graph.factors, graph, index)
+    packed = packed if packed is not None else PackedFactors(graph, index)
     m = n_params + 1  # row and column n_params collect the fixed variables' terms
     if H is None:
         H = np.empty((m, m))
@@ -789,7 +880,7 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
 
     index = ParameterIndex(graph, fixed)
     n_params = index.n_params
-    packed = PackedFactors(graph.factors, graph, index)
+    packed = PackedFactors(graph, index)
     blocks = [(kind, rows, index.slices[kind]) for kind, rows in index.rows.items()
               if len(rows)]
     diagonal = np.diag_indices(n_params)

@@ -13,7 +13,9 @@ indices, all points go through one midpoint triangulation, all line tracks
 through one plane intersection, and every (track, frame) pair through one
 projection and one `run_gates` call (`geometry.PoseStack` holds the
 pose-derived arrays). Segments stay (4,) endpoint rows, x1 y1 x2 y2, from
-the frames through the gates into the graph factors.
+the frames through the gates into the graph's factor tables: mapping hands
+its observations over as columns (`Observations`), which `build_graph` adds
+as one block per factor kind.
 
 Modes: "lp" maps points and lines only; "gp" also maps the fused global
 primitives, which add vanishing-direction alignment and structural-consistency
@@ -133,23 +135,42 @@ def build_line_tracks(scene: SceneSegments) -> dict[int, list]:
     return tracks
 
 
+@dataclass
+class Observations:
+    """Observations as columns, one per row: the frame, the id of what is
+    observed (a point, a line track or a GP) and the observed row (a (2,)
+    pixel or a (4,) endpoint row). `build_graph` adds them as factors in
+    row order."""
+    frame: np.ndarray  # (N,) int
+    ids: np.ndarray    # (N,) int
+    rows: np.ndarray   # (N, 2) or (N, 4) float
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def empty(cls, width: int) -> "Observations":
+        return cls(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, width)))
+
+
 def _triangulate_points(frames, poses, intr):
     """Points seen in at least two frames, each triangulated from its first
-    and last observation in one stacked pass, and every point's
-    observations."""
-    obs_by_point: dict[int, list] = {}
-    for fr in frames:
-        for pid, px in fr.points:
-            obs_by_point.setdefault(pid, []).append((fr.frame_id, px))
-    pids = [pid for pid, items in sorted(obs_by_point.items()) if len(items) >= 2]
+    and last observation in one stacked pass, and the observations of the
+    points kept, by point id and then frame."""
+    frame = np.concatenate([np.full(len(fr.point_ids), fr.frame_id) for fr in frames])
+    pid = np.concatenate([fr.point_ids for fr in frames])
+    px = np.concatenate([fr.point_px for fr in frames])
+    order = np.argsort(pid, kind="stable")  # by point, each in frame order
+    frame, pid, px = frame[order], pid[order], px[order]
+    pids, first, count = np.unique(pid, return_index=True, return_counts=True)
+    seen = count >= 2
+    pids, first, last = pids[seen], first[seen], (first + count - 1)[seen]
     cams = PoseStack.of(poses)
-    first = [obs_by_point[pid][0] for pid in pids]
-    last = [obs_by_point[pid][-1] for pid in pids]
-    ok, xyz = triangulate_points(
-        np.array([px for _, px in first], dtype=float).reshape(-1, 2),
-        np.array([px for _, px in last], dtype=float).reshape(-1, 2),
-        cams[[t for t, _ in first]], cams[[t for t, _ in last]], intr)
-    return dict(zip(compress(pids, ok), xyz)), obs_by_point
+    ok, xyz = triangulate_points(px[first], px[last], cams[frame[first]], cams[frame[last]],
+                                 intr)
+    keep = np.isin(pid, pids[ok])
+    return (dict(zip(pids[ok].tolist(), xyz)),
+            Observations(frame[keep], pid[keep], px[keep]))
 
 
 def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
@@ -161,8 +182,8 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
     extent, and projected into all its observing frames; frames that see an
     endpoint at depth z <= EPS_Z are dropped, and every other (track, frame)
     pair, ordered by track and then frame, is gated in one `run_gates` call.
-    A line is kept with its passing observations, as (frame, endpoint row)
-    pairs, when at least two pass."""
+    A line is kept with its passing observations when at least two pass;
+    they are returned by track and then frame."""
     cams = PoseStack.of(poses)
     tracked = [(track_id, obs) for track_id, obs in sorted(tracks.items())
                if len(obs) >= 2]
@@ -187,27 +208,27 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
     admitted = np.bincount(line[passed], minlength=len(tracked)) >= 2
     lines = {track_id: PluckerLine(normal[i], direction[i])
              for i, (track_id, _) in enumerate(tracked) if admitted[i]}
-    line_obs: dict[int, list] = {}
     keep = passed & admitted[line]
-    for i, t, e in zip(line[keep].tolist(), t[keep].tolist(), scene.ends[r[keep]]):
-        line_obs.setdefault(tracked[i][0], []).append((t, e))
-    return lines, line_obs
+    return lines, Observations(t[keep], track_ids[line[keep]], scene.ends[r[keep]])
 
 
 @dataclass
 class Landmarks:
-    """What mapping found on one pose set, each map in ascending id order.
-    `map_landmarks` leaves the GP part (`registry`, `gp_links`, `line_gp`)
-    empty; `map_primitives` returns a copy with it, in which every line with a
-    GP is sign-aligned to it."""
-    points: dict      # point id -> (3,) world point
-    point_obs: dict   # point id -> [(frame, pixel)], every observation
-    lines: dict       # track id -> PluckerLine
-    line_obs: dict    # track id -> [(frame, (4,) endpoint row)], gate-passing
-    gate_audit: list  # GateAudit
+    """What mapping found on one pose set, each map in ascending id order and
+    each `Observations` in the order of its points or lines. `map_landmarks`
+    leaves the GP part (`registry`, `gp_links`, `line_gp`) empty;
+    `map_primitives` returns a copy with it, in which every line with a GP
+    is sign-aligned to it. `build_graph` adds the observations as factor
+    blocks without building a factor value."""
+    points: dict                # point id -> (3,) world point
+    point_obs: Observations     # every observation of each point: pixels
+    lines: dict                 # track id -> PluckerLine
+    line_obs: Observations      # gate-passing line observations: endpoint rows
+    gate_audit: list            # GateAudit
     registry: GlobalPrimitiveRegistry | None = None
-    gp_links: list = field(default_factory=list)  # (frame, (4,) endpoint row, gp id)
-    line_gp: dict = field(default_factory=dict)   # track id -> gp id
+    # segment-to-GP links: endpoint rows by frame, then segment id
+    gp_links: Observations = field(default_factory=lambda: Observations.empty(4))
+    line_gp: dict = field(default_factory=dict)  # track id -> gp id
 
 
 def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
@@ -217,24 +238,24 @@ def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
     intr = config.intrinsics
     scene = SceneSegments.of(frames)
     tracks = build_line_tracks(scene)
-    points, obs_by_point = _triangulate_points(frames, poses, intr)
+    points, point_obs = _triangulate_points(frames, poses, intr)
     audit: list[GateAudit] = []
     lines, line_obs = _triangulate_lines(tracks, scene, poses, intr, GateThresholds(),
                                          audit)
-    return Landmarks(points, {pid: obs_by_point[pid] for pid in points},
-                     lines, line_obs, audit)
+    return Landmarks(points, point_obs, lines, line_obs, audit)
 
 
 def map_primitives(frames: list[FrameObservations], poses: list[Pose],
                    config: ScenarioConfig, landmarks: Landmarks) -> Landmarks:
     """A copy of `landmarks` with the GP part mapped from `frames` on `poses`:
     per-frame VP detection, lifting and fusion into a registry, each frame's
-    (frame, endpoint row, GP) links in segment-id order, and the line -> GP
-    map. Its lines are a new dict, in which a line pointing away from its GP
-    is negated. VP detection runs on each frame's endpoint rows, so `frames`
-    (and the labels of their boundary `Segment2D`s) are left as they are."""
+    segment-to-GP links (frame, GP, endpoint row) in segment-id order, and
+    the line -> GP map. Its lines are a new dict, in which a line pointing
+    away from its GP is negated. VP detection runs on each frame's endpoint
+    rows, so `frames` (and the labels of their boundary `Segment2D`s) are
+    left as they are."""
     intr, tau_s = config.intrinsics, GateThresholds().tau_s
-    registry, gp_links = GlobalPrimitiveRegistry(), []
+    registry, links = GlobalPrimitiveRegistry(), [Observations.empty(4)]
     for t, fr in enumerate(frames):
         long = filter_short(fr.ends, tau_s)
         ends, ids = fr.ends[long], fr.ids[long].tolist()
@@ -245,11 +266,15 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
             rng_seed=config.rng_seed * 1009 + t, ids=ids)
         lifted = [(lift_vanishing_point(est.vp_homogeneous, intr, poses[t].r_wc),
                    est.member_segment_ids) for est in estimates]
-        seg_gp = {sid: gp_id for gp_id, members in
-                  registry.associate_frame(t, lifted, config.n_l) for sid in members}
+        seg_gp = sorted({sid: gp_id for gp_id, members in
+                         registry.associate_frame(t, lifted, config.n_l)
+                         for sid in members}.items())
         row_of = dict(zip(ids, range(len(ids))))
-        gp_links += [(t, ends[row_of[sid]], gp_id)
-                     for sid, gp_id in sorted(seg_gp.items())]
+        links.append(Observations(np.full(len(seg_gp), t, dtype=int),
+                                  np.array([gp_id for _, gp_id in seg_gp], dtype=int),
+                                  ends[[row_of[sid] for sid, _ in seg_gp]].reshape(-1, 4)))
+    gp_links = Observations(*(np.concatenate([getattr(o, name) for o in links])
+                              for name in ("frame", "ids", "rows")))
     lines, line_gp = {}, {}
     for lid, line in landmarks.lines.items():
         gp_id = registry.match(line.unit_direction())
@@ -264,24 +289,20 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
 
 def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph:
     """Poses, points, lines and GPs with their point, line, vd_align and
-    struct factors, from whatever `landmarks` holds."""
+    struct factors, from whatever `landmarks` holds, each kind added as one
+    block."""
     g = fg.FactorGraph()
-    for t, pose in enumerate(poses):
-        g.add_pose(t, pose)
-    for pid, p in landmarks.points.items():
-        g.add_point(pid, p)
-        for t, px in landmarks.point_obs[pid]:
-            g.add_factor(fg.PointFactor(t, pid, np.asarray(px), intr))
-    for lid, line in landmarks.lines.items():
-        g.add_line(lid, plucker_to_orthonormal(line))
-        for t, seg in landmarks.line_obs[lid]:
-            g.add_factor(fg.LineFactor(t, lid, seg, intr))
-    for gp_id, gp in enumerate(landmarks.registry.primitives if landmarks.registry else []):
-        g.add_gp(gp_id, gp.direction)
-    for t, seg, gp_id in landmarks.gp_links:
-        g.add_factor(fg.VdAlignFactor(t, gp_id, seg, intr))
-    for lid, gp_id in landmarks.line_gp.items():
-        g.add_factor(fg.StructFactor(lid, gp_id))
+    g.add_variables("pose", range(len(poses)), [p.rotation for p in poses],
+                    [p.translation for p in poses])
+    g.add_variables("point", list(landmarks.points), list(landmarks.points.values()))
+    lines = [plucker_to_orthonormal(line) for line in landmarks.lines.values()]
+    g.add_variables("line", list(landmarks.lines), [o.U for o in lines], [o.W for o in lines])
+    gps = landmarks.registry.primitives if landmarks.registry else []
+    g.add_variables("gp", range(len(gps)), [gp.direction for gp in gps])
+    for cls, obs in ((fg.PointFactor, landmarks.point_obs), (fg.LineFactor, landmarks.line_obs),
+                     (fg.VdAlignFactor, landmarks.gp_links)):
+        g.add_factors(cls, obs.frame, obs.ids, obs.rows, intr)
+    g.add_factors(fg.StructFactor, list(landmarks.line_gp), list(landmarks.line_gp.values()))
     return g
 
 

@@ -19,8 +19,9 @@ the point noise as one block in point-id order, the endpoint noise as one
 block in segment order, the outliers (one `choice`, then per outlier its
 `uniform` draws), and the flow noise as one block in the order of the
 previous frame's segments. A block of k rows is the same stream as k draws
-of one row. A frame keeps its segments, predictions and truth as columns;
-its `Segment2D` list and truth dict are built only when read.
+of one row. A frame keeps its points, segments, predictions and truth as
+columns; its (id, pixel) list, `Segment2D` list and truth dict are built
+only when read.
 
 Optional visibility partitioning assigns each landmark a window of frames,
 so scenarios where distant frames share zero landmarks (but observe the
@@ -184,14 +185,17 @@ class SegmentTruth:
 
 @dataclass
 class FrameObservations:
-    """One frame's measurements as columns. Detections: endpoint rows `ends`
-    (n, 4), x1 y1 x2 y2, with `ids`, true `line_ids` and `families` (-1 on an
-    outlier) and the `outlier` mask. Flow predictions: `pred_ends` (m, 4) with
-    `pred_ids` and `pred_tracks` (the predicted line). The boundary forms
-    `segments` (a `Segment2D` list) and `truth` (id -> `SegmentTruth`), which
-    callers outside the pipeline read, are built on first read, once."""
+    """One frame's measurements as columns. Points: `point_ids` (k,) in id
+    order with their pixels `point_px` (k, 2). Detections: endpoint rows
+    `ends` (n, 4), x1 y1 x2 y2, with `ids`, true `line_ids` and `families`
+    (-1 on an outlier) and the `outlier` mask. Flow predictions: `pred_ends`
+    (m, 4) with `pred_ids` and `pred_tracks` (the predicted line). The
+    boundary forms `points` ((id, pixel) pairs), `segments` (a `Segment2D`
+    list) and `truth` (id -> `SegmentTruth`), which callers outside the
+    pipeline read, are built on first read, once."""
     frame_id: int
-    points: list  # (point_id, np.ndarray pixel)
+    point_ids: np.ndarray
+    point_px: np.ndarray
     ends: np.ndarray
     ids: np.ndarray
     line_ids: np.ndarray
@@ -200,6 +204,10 @@ class FrameObservations:
     pred_ends: np.ndarray
     pred_ids: np.ndarray
     pred_tracks: np.ndarray
+
+    @cached_property
+    def points(self) -> list:
+        return list(zip(self.point_ids.tolist(), self.point_px))
 
     @cached_property
     def segments(self) -> list[Segment2D]:
@@ -227,21 +235,24 @@ def _scene_box(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_world(config: ScenarioConfig) -> World:
+    """Points, then each family's lines, drawn uniformly in the scene box.
+    Each is one block of draws: all points as one (n_points, 3) `uniform`,
+    each family's lines as one (count, 4) `random`, a line's base point and
+    length mapped as `uniform` maps them; the stream and the floats are
+    those of one `uniform` call per point, and per line one for its base
+    and one for its length."""
     rng = np.random.default_rng([config.rng_seed, 11])
     lo, hi = _scene_box(config)
-    points = {}
-    for pid in range(config.n_points):
-        points[pid] = rng.uniform(lo, hi)
+    points = dict(enumerate(rng.uniform(lo, hi, size=(config.n_points, 3))))
     lines = {}
-    lid = 0
     family_directions = []
     for fam_id, (d, count) in enumerate(config.direction_families):
         family_directions.append(d.copy())
-        for _ in range(count):
-            base = rng.uniform(lo, hi)
-            half = 0.5 * rng.uniform(1.5, 3.5)
-            lines[lid] = WorldLine(base - half * d, base + half * d, fam_id)
-            lid += 1
+        u = rng.random((count, 4))
+        base = lo + (hi - lo) * u[:, :3]
+        half = 0.5 * (1.5 + (3.5 - 1.5) * u[:, 3:])
+        for p0, p1 in zip(base - half * d, base + half * d):
+            lines[len(lines)] = WorldLine(p0, p1, fam_id)
     return World(points, lines, family_directions)
 
 
@@ -401,9 +412,8 @@ def render_measurements(world: World, poses: list[Pose],
         inside = (0 <= px[:, 0]) & (px[:, 0] <= w) & (0 <= px[:, 1]) & (px[:, 1] <= h)
         obs = px[inside] + (rng.normal(0.0, 1.0, size=(int(inside.sum()), 2))
                             * noise.sigma_point_px)
-        pt_obs = list(zip(point_ids[near][inside].tolist(), obs))
-        if len(pt_obs) < 8:
-            warnings.warn(f"sparse frame {t}: only {len(pt_obs)} points visible")
+        if len(obs) < 8:
+            warnings.warn(f"sparse frame {t}: only {len(obs)} points visible")
         # -- segments: the flow predictions reuse the frame's extents --------
         seen, ps, pe = seen_all[t], ps_all[t], pe_all[t]
         rows = np.flatnonzero(_allowed(line_ids, t, vis) & seen)
@@ -441,8 +451,8 @@ def render_measurements(world: World, poses: list[Pose],
                 + rng.normal(0.0, 1.0, size=(len(rows), 2, 2)) * noise.sigma_flow_px
                 ).reshape(-1, 4)
         frames.append(FrameObservations(
-            t, pt_obs, ends, t * 100000 + np.arange(n), seg_lines, seg_families, outlier,
-            pred, pred_ids, tracks))
+            t, point_ids[near][inside], obs, ends, t * 100000 + np.arange(n), seg_lines,
+            seg_families, outlier, pred, pred_ids, tracks))
     return frames
 
 

@@ -6,6 +6,7 @@ oracles (`oracle_*`), and the pair-shared vd_align kernel and the live-column
 scatter of `_linearize` against their per-factor, all-column forms.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,8 +49,8 @@ from monogp.graph import (
     total_cost,
 )
 from monogp.pipeline import _map_scene, build_graph, map_primitives
-from monogp.scenarios import structured
-from monogp.segments import Segment2D
+from monogp.scenarios import default_corridor, structured
+from monogp.segments import Segment2D, lines_through
 from test_segments import seg_row
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
@@ -77,15 +78,48 @@ def closest_point_to_origin(line):
     return cross3(d, line.normal) / float(d @ d)
 
 
+# -- one variable or factor at a time, through the block adds -------------------
+
+def add_pose(g, vid, pose):
+    g.add_variables("pose", [vid], [pose.rotation], [pose.translation])
+
+
+def add_point(g, vid, p):
+    g.add_variables("point", [vid], [p])
+
+
+def add_line(g, vid, line):
+    g.add_variables("line", [vid], [line.U], [line.W])
+
+
+def add_gp(g, vid, direction):
+    g.add_variables("gp", [vid], [direction])
+
+
+def add_factor(g, f):
+    """Add the factor value `f` as a block of one."""
+    (_, a), (_, b) = f.keys()
+    const = None if f.const is None else [getattr(f, f.const)]
+    g.add_factors(type(f), [a], [b], const, getattr(f, "intr", None))
+
+
 def residual_at(factor, **values):
     """`factor.residual` on a graph holding variable 0 of each given kind,
     e.g. `residual_at(f, pose=pose, point=p)`."""
     g = FactorGraph()
-    add = {"pose": g.add_pose, "point": g.add_point, "line": g.add_line, "gp": g.add_gp}
+    add = {"pose": add_pose, "point": add_point, "line": add_line, "gp": add_gp}
     for kind, value in values.items():
-        add[kind](0, value)
-    g.add_factor(factor)
+        add[kind](g, 0, value)
+    add_factor(g, factor)
     return factor.residual(g)
+
+
+def grouped(obs):
+    """Mapping's `Observations` as {id: [(frame, row)]}, ids in first-row order."""
+    out = {}
+    for t, k, row in zip(obs.frame.tolist(), obs.ids.tolist(), obs.rows):
+        out.setdefault(k, []).append((t, row))
+    return out
 
 
 # -- per-variable retraction oracles ---------------------------------------------
@@ -392,13 +426,13 @@ def build_random_factor_graph(seed):
     rng = np.random.default_rng(seed)
     g = FactorGraph()
     pose = se3_exp(rng.normal(0.0, 0.3, 6))
-    g.add_pose(0, pose)
+    add_pose(g, 0, pose)
 
     p_c = np.array([rng.normal(0.0, 0.5), rng.normal(0.0, 0.5),
                     rng.uniform(2.0, 5.0)])
-    g.add_point(0, to_camera(pose.inverse(), p_c))
+    add_point(g, 0, to_camera(pose.inverse(), p_c))
     point_f = PointFactor(0, 0, rng.normal([320.0, 240.0], 50.0), K)
-    g.add_factor(point_f)
+    add_factor(g, point_f)
 
     anchor_c = np.array([rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
                          rng.uniform(2.0, 6.0)])
@@ -406,17 +440,17 @@ def build_random_factor_graph(seed):
     d_c = d / np.linalg.norm(d)
     line_w = PluckerLine.from_two_points(to_camera(pose.inverse(), anchor_c),
                                          to_camera(pose.inverse(), anchor_c + d_c))
-    g.add_line(0, plucker_to_orthonormal(line_w))
+    add_line(g, 0, plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
     line_f = LineFactor(0, 0, seg_row(seg), K)
-    g.add_factor(line_f)
+    add_factor(g, line_f)
 
     gp = rng.normal(0.0, 1.0, 3)
-    g.add_gp(0, gp / np.linalg.norm(gp))
+    add_gp(g, 0, gp / np.linalg.norm(gp))
     vd_f = VdAlignFactor(0, 0, seg_row(seg), K)
-    g.add_factor(vd_f)
+    add_factor(g, vd_f)
     struct_f = StructFactor(0, 0)
-    g.add_factor(struct_f)
+    add_factor(g, struct_f)
     return g, [point_f, line_f, vd_f, struct_f]
 
 
@@ -440,9 +474,9 @@ def test_jacobians_match_finite_differences():
 
 def test_add_factor_missing_variable_rejected():
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
+    add_pose(g, 0, IDENTITY)
     with pytest.raises(KeyError):
-        g.add_factor(PointFactor(0, 99, np.array([0.0, 0.0]), K))
+        add_factor(g, PointFactor(0, 99, np.array([0.0, 0.0]), K))
 
 
 def test_graph_built_one_row_at_a_time_equals_stacked_rows():
@@ -451,9 +485,9 @@ def test_graph_built_one_row_at_a_time_equals_stacked_rows():
     points = rng.normal(0.0, 2.0, (2000, 3))
     g = FactorGraph()
     for i, pose in enumerate(poses):
-        g.add_pose(i, pose)
+        add_pose(g, i, pose)
     for i, p in enumerate(points):
-        g.add_point(i, p)
+        add_point(g, i, p)
     expected = {"R": np.stack([p.rotation for p in poses]),
                 "t": np.stack([p.translation for p in poses]),
                 "X": np.stack(list(points)),
@@ -471,17 +505,17 @@ def test_snapshot_never_sees_a_later_write():
     rng = np.random.default_rng(22)
     g = FactorGraph()
     for i in range(5):
-        g.add_point(i, rng.normal(size=3))
+        add_point(g, i, rng.normal(size=3))
     first = g.snapshot()
     first_values = {k: v.copy() for k, v in first.items()}
     for i in range(5, 40):  # appends into the growth buffer
-        g.add_point(i, rng.normal(size=3))
+        add_point(g, i, rng.normal(size=3))
     second = g.snapshot()
     second_values = {k: v.copy() for k, v in second.items()}
     g.put_rows("point", [1], [[5.0, 5.0, 5.0]])  # a copy, outside the buffer
-    g.add_point(40, [7.0, 7.0, 7.0])  # appends to that copy
-    g.add_point(0, [9.0, 9.0, 9.0])   # overwrites
-    g.add_point(41, [8.0, 8.0, 8.0])
+    add_point(g, 40, [7.0, 7.0, 7.0])  # appends to that copy
+    add_point(g, 0, [9.0, 9.0, 9.0])   # overwrites
+    add_point(g, 41, [8.0, 8.0, 8.0])
     for snap, values in ((first, first_values), (second, second_values)):
         for name, arr in snap.items():
             assert arr.tobytes() == values[name].tobytes(), name
@@ -492,30 +526,30 @@ def test_snapshot_never_sees_a_later_write():
 def test_gp_must_be_unit():
     g = FactorGraph()
     with pytest.raises(ValueError):
-        g.add_gp(0, [1.0, 1.0, 0.0])
+        add_gp(g, 0, [1.0, 1.0, 0.0])
 
 
 def test_total_cost_zero_at_ground_truth():
     rng = np.random.default_rng(5)
     g = FactorGraph()
     pose = se3_exp(rng.normal(0.0, 0.2, 6))
-    g.add_pose(0, pose)
+    add_pose(g, 0, pose)
     for i in range(20):
         p_c = np.array([rng.normal(0, 0.5), rng.normal(0, 0.5),
                         rng.uniform(2, 5)])
         p_w = to_camera(pose.inverse(), p_c)
-        g.add_point(i, p_w)
-        g.add_factor(PointFactor(0, i, project_point(p_w, pose, K), K))
+        add_point(g, i, p_w)
+        add_factor(g, PointFactor(0, i, project_point(p_w, pose, K), K))
     assert total_cost(g) < 1e-12
 
 
 def test_total_cost_huber_elbow_value():
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
+    add_pose(g, 0, IDENTITY)
     p = np.array([0.0, 0.0, 2.0])
-    g.add_point(0, p)
+    add_point(g, 0, p)
     obs = project_point(p, IDENTITY, K) + [10.0, 0.0]
-    g.add_factor(PointFactor(0, 0, obs, K))
+    add_factor(g, PointFactor(0, 0, obs, K))
     assert PointFactor.SIGMA == 1.0 and PointFactor.HUBER_DELTA == HUBER_2DOF
     # past the elbow: 2 delta |r| - delta^2 at |r| = 10
     expected = 2.0 * HUBER_2DOF * 10.0 - HUBER_2DOF**2
@@ -526,10 +560,10 @@ def test_behind_camera_factor_deactivated():
     # behind the camera, and in front of it but not beyond EPS_Z
     for depth in (-2.0, EPS_Z / 2.0):
         g = FactorGraph()
-        g.add_pose(0, IDENTITY)
-        g.add_point(0, np.array([0.0, 0.0, depth]))
+        add_pose(g, 0, IDENTITY)
+        add_point(g, 0, np.array([0.0, 0.0, depth]))
         f = PointFactor(0, 0, np.array([320.0, 240.0]), K)
-        g.add_factor(f)
+        add_factor(g, f)
         assert total_cost(g) == 0.0  # only factor is deactivated
         assert cost_breakdown(g) == {}
         with pytest.raises(BehindCameraError):
@@ -548,30 +582,31 @@ def build_assembly_graph():
     camera and one past the Huber elbow."""
     rng = np.random.default_rng(11)
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
-    g.add_pose(1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
-    g.add_pose(2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
+    add_pose(g, 0, IDENTITY)
+    add_pose(g, 1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
+    add_pose(g, 2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
     for i in range(6):
         p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
-        g.add_point(i, p)
+        add_point(g, i, p)
         for t in range(3):
             obs = project_point(p, g.poses[t], K) + rng.normal(0.0, 2.0, 2)
-            g.add_factor(PointFactor(t, i, obs, K))
-    g.factors[-1].obs = g.factors[-1].obs + [20.0, 0.0]  # past the elbow
-    g.add_point(6, np.array([0.2, 0.1, -2.0]))
-    g.add_factor(PointFactor(1, 6, np.array([300.0, 250.0]), K))  # behind
+            if (i, t) == (5, 2):
+                obs = obs + [20.0, 0.0]  # past the elbow
+            add_factor(g, PointFactor(t, i, obs, K))
+    add_point(g, 6, np.array([0.2, 0.1, -2.0]))
+    add_factor(g, PointFactor(1, 6, np.array([300.0, 250.0]), K))  # behind
     gp = np.array([1.0, 0.1, 0.05])
-    g.add_gp(0, gp / np.linalg.norm(gp))
+    add_gp(g, 0, gp / np.linalg.norm(gp))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
         line = PluckerLine.from_two_points(anchor, anchor + gp + rng.normal(0.0, 0.02, 3))
-        g.add_line(lid, plucker_to_orthonormal(line))
+        add_line(g, lid, plucker_to_orthonormal(line))
         for t in range(3):
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
             seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
-            g.add_factor(LineFactor(t, lid, seg_row(seg), K))
-            g.add_factor(VdAlignFactor(t, 0, seg_row(seg), K))
-        g.add_factor(StructFactor(lid, 0))
+            add_factor(g, LineFactor(t, lid, seg_row(seg), K))
+            add_factor(g, VdAlignFactor(t, 0, seg_row(seg), K))
+        add_factor(g, StructFactor(lid, 0))
     return g
 
 
@@ -659,39 +694,46 @@ def build_shared_pair_graph():
     plus struct factors and a few point factors."""
     rng = np.random.default_rng(31)
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
-    g.add_pose(1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
-    g.add_pose(2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
+    add_pose(g, 0, IDENTITY)
+    add_pose(g, 1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
+    add_pose(g, 2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
     gps = [np.array([1.0, 0.1, 0.05]), np.array([0.05, -0.2, 1.0])]
     for j, gp in enumerate(gps):
-        g.add_gp(j, gp / np.linalg.norm(gp))
+        add_gp(g, j, gp / np.linalg.norm(gp))
     for i in range(120):
         a = rng.uniform([50.0, 50.0], [590.0, 430.0])
         seg = np.concatenate([a, a + rng.normal(0.0, 40.0, 2)])
-        g.add_factor(VdAlignFactor(i % 3, (i // 3) % 2, seg, (K, K2)[(i // 6) % 2]))
+        add_factor(g, VdAlignFactor(i % 3, (i // 3) % 2, seg, (K, K2)[(i // 6) % 2]))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
         d = gps[lid] + rng.normal(0.0, 0.05, 3)
-        g.add_line(lid, plucker_to_orthonormal(
+        add_line(g, lid, plucker_to_orthonormal(
             PluckerLine.from_two_points(anchor, np.add(anchor, d))))
-        g.add_factor(StructFactor(lid, lid))
+        add_factor(g, StructFactor(lid, lid))
     for i in range(4):
         p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
-        g.add_point(i, p)
-        g.add_factor(PointFactor(i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0,
+        add_point(g, i, p)
+        add_factor(g, PointFactor(i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0,
                                  (K, K2)[i % 2]))
     return g
 
 
-def structured_gp_graph(seed=1):
-    """The gp graph `run_pipeline(structured(seed), "gp")` optimizes."""
-    cfg = structured(seed)
+def gp_graph(cfg):
+    """The gp graph `run_pipeline(cfg, "gp")` optimizes."""
     frames, _, poses, lm = _map_scene(cfg)
     return build_graph(poses, map_primitives(frames, poses, cfg, lm), cfg.intrinsics)
 
 
+def structured_gp_graph(seed=1):
+    return gp_graph(structured(seed))
+
+
+def corridor_gp_graph():
+    return gp_graph(default_corridor())
+
+
 def test_vd_align_pairs_equal_per_factor_oracle_bitwise():
     g = build_shared_pair_graph()
-    packed = PackedFactors(g.factors, g)
+    packed = PackedFactors(g)
     b = next(b for b in packed.batches if b.cls is VdAlignFactor)
     e = next(e for e in packed.evaluate(g) if e.batch is b)
     aligns = [g.factors[p] for p in b.positions]
@@ -712,7 +754,7 @@ def test_linearize_equals_all_column_scatter_bitwise(build):
     n = index.n_params
     m = n + 1
     H_ref, g_ref = np.zeros((m, m)), np.zeros(m)
-    packed = PackedFactors(g.factors, g, index)
+    packed = PackedFactors(g, index)
     for e in packed.evaluate(g):
         b = e.batch
         ka, kb = b.cls.variables
@@ -736,13 +778,13 @@ def test_linearize_equals_all_column_scatter_bitwise(build):
 def test_linearize_after_total_cost_equals_fresh_packing_bitwise(monkeypatch, build):
     g = build()
     index = ParameterIndex(g, [("pose", 0)])
-    packed = PackedFactors(g.factors, g, index)
+    packed = PackedFactors(g, index)
     runs = counted_kernels(monkeypatch)
     cost = total_cost(g, packed)
     assert packed.held is not None and len(runs) == len(packed.batches)
     reused = _linearize(g, index, index.n_params, packed)
     assert packed.held is None and len(runs) == len(packed.batches)
-    fresh = _linearize(g, index, index.n_params, PackedFactors(g.factors, g, index))
+    fresh = _linearize(g, index, index.n_params, PackedFactors(g, index))
     assert reused[0].hex() == fresh[0].hex() == cost.hex()
     assert reused[1].tobytes() == fresh[1].tobytes()
     assert reused[2].tobytes() == fresh[2].tobytes()
@@ -750,20 +792,170 @@ def test_linearize_after_total_cost_equals_fresh_packing_bitwise(monkeypatch, bu
 
 def test_held_evaluation_is_only_used_at_its_own_state():
     g = build_assembly_graph()
-    packed = PackedFactors(g.factors, g)
+    packed = PackedFactors(g)
     total_cost(g, packed)
     g.put_rows("point", [0], [g.X[0] + 0.1])  # new arrays: another state
     assert total_cost(g, packed) == total_cost(g)
     assert cost_breakdown(g, packed) == cost_breakdown(g)
 
 
+# -- factor tables against the per-factor packing --------------------------------
+
+def oracle_cameras(factors, of):
+    """The index of each factor's intrinsics among the distinct
+    `CameraIntrinsics` objects of `factors`, and `of(intrinsics)` of each
+    distinct one, stacked. Kept verbatim from the per-factor packing."""
+    cams = {id(f.intr): f.intr for f in factors}
+    position = {key: i for i, key in enumerate(cams)}
+    index = np.array([position[id(f.intr)] for f in factors], dtype=np.intp)
+    return index, np.array([of(k) for k in cams.values()], dtype=float)
+
+
+def oracle_consts(cls, factors, rows_a, rows_b) -> dict:
+    """Each kind's `_pack` as it was on a list of factor values. Kept verbatim."""
+    if cls is PointFactor:
+        cam, intr = oracle_cameras(factors, lambda k: [k.fx, k.fy, k.cx, k.cy])
+        return {"obs": np.array([f.obs for f in factors], dtype=float), "intr": intr[cam]}
+    if cls is LineFactor:
+        ends = np.array([f.obs for f in factors], dtype=float).reshape(-1, 2, 2)
+        cam, KL = oracle_cameras(factors, lambda k: k.line_projection_matrix())
+        return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
+                "KL": KL[cam]}
+    if cls is VdAlignFactor:
+        ends = np.array([f.seg for f in factors], dtype=float)
+        cam, K = oracle_cameras(factors, lambda k: k.matrix())
+        key = (rows_a * (rows_b.max() + 1) + rows_b) * len(K) + cam
+        _, first, pair = np.unique(key, return_index=True, return_inverse=True)
+        return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
+                "pose": rows_a[first], "gp": rows_b[first], "K": K[cam[first]],
+                "pair": pair}
+    return {}
+
+
+def oracle_packing(g, index=None) -> list:
+    """The batches `PackedFactors` built from the factor list before the
+    factor tables: grouped by kind in first-appearance order, with per-factor
+    `keys()`, row lookups and constants, from the values `g.factors` reads."""
+    factors = list(g.factors)
+    groups = {}
+    for pos, f in enumerate(factors):
+        groups.setdefault(type(f), []).append(pos)
+    batches = []
+    for cls, positions in groups.items():
+        members = [factors[p] for p in positions]
+        ka, kb = cls.variables
+        keys = [f.keys() for f in members]
+        rows_a = np.array([g.rows[ka][k[0][1]] for k in keys], dtype=np.intp)
+        rows_b = np.array([g.rows[kb][k[1][1]] for k in keys], dtype=np.intp)
+        cols = None if index is None else np.concatenate(
+            [index.table[ka][rows_a], index.table[kb][rows_b]], axis=1)[:, cls.live]
+        batches.append(SimpleNamespace(
+            cls=cls, positions=np.array(positions), rows_a=rows_a, rows_b=rows_b,
+            cols=cols, consts=oracle_consts(cls, members, rows_a, rows_b),
+            info=1.0 / cls.SIGMA**2, delta=cls.HUBER_DELTA))
+    return batches
+
+
+def assert_batches_equal(batches, expected, names=("positions", "rows_a", "rows_b", "cols")):
+    """Packed batches equal, kind by kind, byte for byte: `names` and the constants."""
+    assert [b.cls for b in batches] == [b.cls for b in expected]
+    for b, ref in zip(batches, expected):
+        for name in names:
+            got, want = getattr(b, name), getattr(ref, name)
+            if want is None:
+                assert got is None, name
+                continue
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert list(b.consts) == list(ref.consts)
+        for name, want in ref.consts.items():
+            got = b.consts[name]
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("build", [build_assembly_graph, build_shared_pair_graph,
+                                   corridor_gp_graph])
+def test_packed_tables_equal_per_factor_packing_bitwise(build):
+    g = build()
+    index = ParameterIndex(g, [("pose", 0)])
+    assert_batches_equal(PackedFactors(g, index).batches, oracle_packing(g, index))
+
+
+@pytest.mark.parametrize("build", [build_assembly_graph, corridor_gp_graph])
+def test_linearize_on_tables_equals_per_factor_packing_bitwise(build):
+    # build_assembly_graph inserts the kinds interleaved (line, vd_align,
+    # line, ..., struct); the corridor gp graph has all four kinds
+    g = build()
+    index = ParameterIndex(g, [("pose", 0)])
+    oracle = PackedFactors(g, index)
+    oracle.batches = oracle_packing(g, index)
+    ref = _linearize(g, index, index.n_params, oracle)
+    out = _linearize(g, index, index.n_params)
+    assert out[0].hex() == ref[0].hex()
+    assert out[1].tobytes() == ref[1].tobytes()
+    assert out[2].tobytes() == ref[2].tobytes()
+
+
+def test_factors_read_as_a_sequence_of_read_only_values():
+    g = build_assembly_graph()
+    factors = g.factors
+    assert len(factors) == 6 * 3 + 1 + 2 * 7
+    kinds = [f.kind for f in factors]
+    assert kinds[:19] == ["point"] * 19
+    assert kinds[19:26] == ["line", "vd_align"] * 3 + ["struct"]
+    assert factors[-1] == StructFactor(1, 0) and factors[-1].keys() == [("line", 1), ("gp", 0)]
+    first = factors[0]
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        first.obs = first.obs + 1.0
+    with pytest.raises(ValueError):
+        first.obs[0] = 0.0
+    # a value is a copy: reading again gives the table's row unchanged
+    assert factors[0].obs.tobytes() == first.obs.tobytes()
+    with pytest.raises(IndexError):
+        factors[len(factors)]
+
+
+def test_factor_values_read_back_as_added():
+    # each value carries the ids and the `CameraIntrinsics` object it was
+    # added with, two cameras interleaved within each kind
+    g = build_shared_pair_graph()
+    aligns = [f for f in g.factors if f.kind == "vd_align"]
+    assert [(f.pose_id, f.gp_id) for f in aligns] == [(i % 3, (i // 3) % 2) for i in range(120)]
+    assert all(f.intr is (K, K2)[(i // 6) % 2] for i, f in enumerate(aligns))
+    points = [f for f in g.factors if f.kind == "point"]
+    assert [(f.pose_id, f.point_id) for f in points] == [(i % 3, i) for i in range(4)]
+    assert all(f.intr is (K, K2)[i % 2] for i, f in enumerate(points))
+
+
+def test_block_add_equals_one_factor_at_a_time():
+    g = build_assembly_graph()
+    block = FactorGraph()
+    block.add_variables("pose", list(g.poses), g.R, g.t)
+    block.add_variables("point", list(g.points), g.X)
+    block.add_variables("line", list(g.lines), g.U, g.W)
+    block.add_variables("gp", list(g.gps), g.G)
+    for run in ([f for f in g.factors if f.kind == "point"],
+                [f for f in g.factors if f.kind in ("line", "vd_align", "struct")]):
+        for cls in dict.fromkeys(type(f) for f in run):
+            fs = [f for f in run if type(f) is cls]
+            const = None if cls.const is None else [getattr(f, cls.const) for f in fs]
+            block.add_factors(cls, [f.keys()[0][1] for f in fs], [f.keys()[1][1] for f in fs],
+                              const, getattr(fs[0], "intr", None))
+    # the kinds in their first-appearance order, each kind's factors in order;
+    # only the positions differ
+    assert_batches_equal(PackedFactors(block).batches, PackedFactors(g).batches,
+                         names=("rows_a", "rows_b"))
+    assert_batches_equal(PackedFactors(block).batches, oracle_packing(block))
+    assert total_cost(block) == total_cost(g)
+
+
 # -- optimizer -----------------------------------------------------------------
 
 def test_optimize_requires_gauge():
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
-    g.add_point(0, np.array([0.0, 0.0, 2.0]))
-    g.add_factor(PointFactor(0, 0, np.array([320.0, 240.0]), K))
+    add_pose(g, 0, IDENTITY)
+    add_point(g, 0, np.array([0.0, 0.0, 2.0]))
+    add_factor(g, PointFactor(0, 0, np.array([320.0, 240.0]), K))
     with pytest.raises(ValueError, match="gauge unfixed"):
         optimize(g)
 
@@ -771,13 +963,13 @@ def test_optimize_requires_gauge():
 def test_optimize_stationary_at_ground_truth():
     rng = np.random.default_rng(6)
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
-    g.add_pose(1, Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0]))
+    add_pose(g, 0, IDENTITY)
+    add_pose(g, 1, Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0]))
     for i in range(15):
         p = rng.uniform([-1, -1, 2], [1, 1, 5])
-        g.add_point(i, p)
+        add_point(g, i, p)
         for t in (0, 1):
-            g.add_factor(PointFactor(t, i, project_point(p, g.poses[t], K), K))
+            add_factor(g, PointFactor(t, i, project_point(p, g.poses[t], K), K))
     report = optimize(g, fixed=[("pose", 0), ("pose", 1)])
     assert report.converged
     assert report.iterations <= 2
@@ -795,10 +987,10 @@ def perturbed_pose_graph():
     perturbed = se3_exp(np.concatenate([
         rng.normal(0.0, 0.05, 3), rng.normal(0.0, np.radians(1.0), 3)
     ])).compose(IDENTITY)
-    g.add_pose(0, perturbed)
+    add_pose(g, 0, perturbed)
     for i, p in points.items():
-        g.add_point(i, p)
-        g.add_factor(PointFactor(0, i, project_point(p, IDENTITY, K), K))
+        add_point(g, i, p)
+        add_factor(g, PointFactor(0, i, project_point(p, IDENTITY, K), K))
     return g, [("point", i) for i in points]
 
 
@@ -930,13 +1122,13 @@ def test_optimize_evaluates_end_state_again_after_rejected_trials(monkeypatch):
 def test_optimize_never_increases_cost_and_keeps_gps_unit():
     rng = np.random.default_rng(8)
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
+    add_pose(g, 0, IDENTITY)
     gp_truth = np.array([1.0, 0.0, 0.0])
-    g.add_gp(0, gp_step(gp_truth, 0.05, -0.03))
+    add_gp(g, 0, gp_step(gp_truth, 0.05, -0.03))
     for i in range(10):
         a = rng.uniform([50.0, 50.0], [500.0, 400.0])
         seg = Segment2D(a, a + [rng.uniform(40, 90), 0.0], id=i)
-        g.add_factor(VdAlignFactor(0, 0, seg_row(seg), K))
+        add_factor(g, VdAlignFactor(0, 0, seg_row(seg), K))
     c0 = total_cost(g)
     report = optimize(g, fixed=[("pose", 0)])
     assert report.final_cost <= c0 + 1e-15
@@ -947,9 +1139,9 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
 
 def test_report_json_fields():
     g = FactorGraph()
-    g.add_pose(0, IDENTITY)
-    g.add_point(0, np.array([0.0, 0.0, 2.0]))
-    g.add_factor(PointFactor(0, 0, np.array([322.0, 240.0]), K))
+    add_pose(g, 0, IDENTITY)
+    add_point(g, 0, np.array([0.0, 0.0, 2.0]))
+    add_factor(g, PointFactor(0, 0, np.array([322.0, 240.0]), K))
     report = optimize(g, fixed=[("pose", 0)])
     import json
     d = json.loads(report.to_json())

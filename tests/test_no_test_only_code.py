@@ -59,13 +59,11 @@ UNKNOWN_RECEIVER = frozenset({
     "geometry.Pose.r_wc",
     "geometry.PoseStack.to_world",
     "geometry.PoseStack.transform",
-    "graph.FactorGraph.add_factor",
-    "graph.FactorGraph.add_gp",
-    "graph.FactorGraph.add_line",
-    "graph.FactorGraph.add_point",
-    "graph.FactorGraph.add_pose",
+    "graph.FactorGraph.add_factors",
+    "graph.FactorGraph.add_variables",
     "graph.FactorGraph.put_rows",
     "graph.FactorGraph.restore",
+    "graph.FactorGraph.rows_of",
     "graph.FactorGraph.snapshot",
     "graph.FactorGraph.take_rows",
     "graph.LineFactor._kernel",
@@ -78,11 +76,14 @@ UNKNOWN_RECEIVER = frozenset({
     "graph.VdAlignFactor._kernel",
     "graph.VdAlignFactor._pack",
     "graph._Factor.residual",
+    "graph._FactorTable.append",
+    "graph._FactorTable.value",
     "pipeline.AblationReport.to_csv",
     "pipeline.AblationReport.to_json",
     "primitives.GlobalPrimitive.frames",
     "primitives.GlobalPrimitiveRegistry.associate_frame",
     "primitives.GlobalPrimitiveRegistry.to_json",
+    "simulate.FrameObservations.points",
     "simulate.FrameObservations.segments",
     "simulate.FrameObservations.truth",
     "simulate.ScenarioConfig.intrinsics",

@@ -35,7 +35,17 @@ from monogp.tracking import GateThresholds, SceneSegments
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
 from golden import CONFIGS, assert_golden, digests, run_entries
 from golden import config_path as config_file
-from test_graph import to_camera
+from test_graph import (
+    add_factor,
+    add_gp,
+    add_line,
+    add_point,
+    add_pose,
+    assert_batches_equal,
+    grouped,
+    oracle_packing,
+    to_camera,
+)
 from test_segments import seg_row
 
 
@@ -132,6 +142,24 @@ def test_pipeline_builds_no_segment2d(monkeypatch):
     assert built == [3]
 
 
+def test_pipeline_builds_no_factor_value(monkeypatch):
+    # factors go from mapping's observation columns into the graph's factor
+    # tables as blocks; a factor value is built only when `graph.factors` is read
+    built = []
+    init = graph._Factor.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        init(self)
+    monkeypatch.setattr(graph._Factor, "__post_init__", counted)
+    for cfg in (structured(1), default_corridor()):
+        result = run_pipeline(cfg, "gp")
+        assert len(result.graph.factors) > 1000
+    assert built == []
+    result.graph.factors[0]  # the count sees a value built on read
+    assert built == ["point"]
+
+
 def test_pipeline_stacks_only_f_ordered_rotations(monkeypatch):
     # `PoseStack` multiplies by the transposed view of its C copy of
     # `r_wc`, which is `pose.rotation @ v` bit for bit only for the
@@ -170,11 +198,12 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     cfg = structured(0)
     frames, poses = rendered(cfg)
     lm = mapped(frames, poses, cfg, mode)
-    assert lm.lines and list(lm.line_obs) == list(lm.lines)
-    assert all(len(obs) >= 2 for obs in lm.line_obs.values())
-    assert lm.points and list(lm.point_obs) == list(lm.points)
+    line_obs, point_obs = grouped(lm.line_obs), grouped(lm.point_obs)
+    assert lm.lines and list(line_obs) == list(lm.lines)
+    assert all(len(obs) >= 2 for obs in line_obs.values())
+    assert lm.points and list(point_obs) == list(lm.points)
     for pid, p in lm.points.items():
-        assert all(to_camera(poses[t], p)[2] > EPS_Z for t, _ in lm.point_obs[pid])
+        assert all(to_camera(poses[t], p)[2] > EPS_Z for t, _ in point_obs[pid])
     if mode == "lp":
         assert lm.registry is None and not lm.gp_links and not lm.line_gp
         return
@@ -186,8 +215,9 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     id_of_row = [{e.tobytes(): sid for e, sid in zip(fr.ends, fr.ids.tolist())}
                  for fr in frames]
     assert [len(ids) for ids in id_of_row] == [len(fr.ids) for fr in frames]
-    assert all(row.shape == (4,) for _, row, _ in lm.gp_links)
-    keys = [(t, id_of_row[t][row.tobytes()]) for t, row, _ in lm.gp_links]
+    assert lm.gp_links.rows.shape[1:] == (4,)
+    keys = [(t, id_of_row[t][row.tobytes()])
+            for t, row in zip(lm.gp_links.frame.tolist(), lm.gp_links.rows)]
     # links ordered by frame, then segment id, each segment once
     assert keys and keys == sorted(set(keys))
     assert lm.line_gp
@@ -207,7 +237,7 @@ def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
     assert all(lm.lines[k] is v for k, v in lines.items())
     assert {k: (v.normal.tobytes(), v.direction.tobytes())
             for k, v in lm.lines.items()} == line_bytes
-    assert lm.registry is None and lm.gp_links == [] and lm.line_gp == {}
+    assert lm.registry is None and len(lm.gp_links) == 0 and lm.line_gp == {}
     # the result shares what it does not change
     for name in ("points", "point_obs", "line_obs", "gate_audit"):
         assert getattr(gp, name) is getattr(lm, name), name
@@ -286,10 +316,12 @@ def oracle_graph(frames, poses, cfg, mode):
     """The factor graph as `run_pipeline` built it inline, mapping included,
     and how many lines it sign-flipped onto their GP."""
     intr, tau_s = cfg.intrinsics, GateThresholds().tau_s
-    points, obs_by_point = pipeline._triangulate_points(frames, poses, intr)
+    points, point_obs = pipeline._triangulate_points(frames, poses, intr)
+    obs_by_point = grouped(point_obs)
     scene = SceneSegments.of(frames)
     lines, line_obs = pipeline._triangulate_lines(
         build_line_tracks(scene), scene, poses, intr, GateThresholds(), [])
+    line_obs = grouped(line_obs)
     registry, seg_gp = None, {}
     if mode == "gp":
         registry = GlobalPrimitiveRegistry()
@@ -308,11 +340,11 @@ def oracle_graph(frames, poses, cfg, mode):
                     seg_gp[(t, sid)] = gp_id
     g = graph.FactorGraph()
     for t, pose in enumerate(poses):
-        g.add_pose(t, pose)
+        add_pose(g, t, pose)
     for pid, p in points.items():
-        g.add_point(pid, p)
+        add_point(g, pid, p)
         for t, px in obs_by_point[pid]:
-            g.add_factor(graph.PointFactor(t, pid, np.asarray(px), intr))
+            add_factor(g, graph.PointFactor(t, pid, np.asarray(px), intr))
     line_gp, flipped = {}, 0
     if mode == "gp" and registry is not None:
         for lid, line in lines.items():
@@ -325,18 +357,18 @@ def oracle_graph(frames, poses, cfg, mode):
                 float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
             line = type(line)(-line.normal, -line.direction)
             flipped += 1
-        g.add_line(lid, plucker_to_orthonormal(line))
+        add_line(g, lid, plucker_to_orthonormal(line))
         for t, seg in line_obs[lid]:
-            g.add_factor(graph.LineFactor(t, lid, seg, intr))
+            add_factor(g, graph.LineFactor(t, lid, seg, intr))
     if mode == "gp" and registry is not None:
         for gp_id, gp in enumerate(registry.primitives):
-            g.add_gp(gp_id, gp.direction)
+            add_gp(g, gp_id, gp.direction)
         seg_lookup = {(fr.frame_id, s.id): s for fr in frames for s in fr.segments}
         for (t, sid), gp_id in sorted(seg_gp.items()):
             seg = seg_row(seg_lookup[(t, sid)])
-            g.add_factor(graph.VdAlignFactor(t, gp_id, seg, intr))
+            add_factor(g, graph.VdAlignFactor(t, gp_id, seg, intr))
         for lid, gp_id in sorted(line_gp.items()):
-            g.add_factor(graph.StructFactor(lid, gp_id))
+            add_factor(g, graph.StructFactor(lid, gp_id))
     return g, flipped
 
 
@@ -369,6 +401,10 @@ def test_build_graph_matches_inline_construction(scenario, perturbed, mode):
     for name in ("R", "t", "X", "U", "W", "G", "B"):
         a, b = getattr(g, name), getattr(oracle, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # the packing of the block-built tables: rows, parameter columns and
+    # constants byte for byte those of the per-factor packing of the oracle
+    index = graph.ParameterIndex(g, [("pose", 0)])
+    assert_batches_equal(graph.PackedFactors(g, index).batches, oracle_packing(oracle, index))
 
 
 # Recorded from the per-pair matcher: track id -> (first frame, one entry per
@@ -615,7 +651,7 @@ def test_packed_segment_constants_equal_per_factor_form():
     cfg = structured(0)
     frames, poses = rendered(cfg)
     g = build_graph(poses, mapped(frames, poses, cfg, "gp"), cfg.intrinsics)
-    consts = {b.cls: b.consts for b in graph.PackedFactors(g.factors, g).batches}
+    consts = {b.cls: b.consts for b in graph.PackedFactors(g).batches}
     lines = [f for f in g.factors if isinstance(f, graph.LineFactor)]
     aligns = [f for f in g.factors if isinstance(f, graph.VdAlignFactor)]
     assert lines and aligns

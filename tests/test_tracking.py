@@ -41,7 +41,7 @@ from test_geometry import (
     oracle_triangulate_line,
     oracle_triangulate_point,
 )
-from test_graph import closest_point_to_origin, to_camera
+from test_graph import closest_point_to_origin, grouped, to_camera
 from test_segments import midpoint, predicted_segments, segment_line
 
 
@@ -536,7 +536,7 @@ def assert_lines_equal_oracle(tracks, rows, poses, intr, gates, tmp_path):
     oracle_lines, oracle_obs = oracle_triangulate_lines(
         {k: list(zip([t for t, _ in obs], segment_list(rows, [r for _, r in obs])))
          for k, obs in tracks.items()}, poses, intr, gates, oracle_audit)
-    assert row_obs_key(line_obs, tracks, rows) == obs_key(oracle_obs)
+    assert row_obs_key(grouped(line_obs), tracks, rows) == obs_key(oracle_obs)
     # raw bytes: the pipeline hands these floats on unnormalized
     assert list(lines) == list(oracle_lines)
     assert {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in lines.items()} == \
@@ -571,7 +571,9 @@ def test_triangulate_points_equals_oracle_on_scenes(config, ground_truth):
     frames, poses = scene(config, ground_truth)
     points, obs = _triangulate_points(frames, poses, config.intrinsics)
     oracle_points, oracle_obs = oracle_triangulate_points(frames, poses, config.intrinsics)
-    assert obs == oracle_obs
+    # the observations of the triangulated points, by point and then frame
+    assert {k: [(t, px.tobytes()) for t, px in v] for k, v in grouped(obs).items()} == \
+        {k: [(t, px.tobytes()) for t, px in oracle_obs[k]] for k in sorted(oracle_points)}
     assert list(points) == list(oracle_points)
     assert {k: p.tobytes() for k, p in points.items()} == \
         {k: p.tobytes() for k, p in oracle_points.items()}
