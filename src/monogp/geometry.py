@@ -63,13 +63,6 @@ def cross3(a, b) -> np.ndarray:
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize zero vector")
-    return v / n
-
-
 # ---------------------------------------------------------------------------
 # SO(3) / SE(3)
 # ---------------------------------------------------------------------------
@@ -329,23 +322,28 @@ class OrthonormalLine:
         object.__setattr__(self, "W", W)
 
 
-def plucker_to_orthonormal(line: PluckerLine) -> OrthonormalLine:
-    n, d = line.normal, line.direction
-    nn, nd = np.linalg.norm(n), np.linalg.norm(d)
-    u2 = d / nd
-    if nn < 1e-12 * nd:
-        # Line through the origin: any unit vector orthogonal to d works.
-        k = int(np.argmin(np.abs(u2)))
-        u1 = _unit(cross3(u2, np.eye(3)[k]))
-        w1, w2 = 0.0, 1.0
-    else:
-        u1 = n / nn
-        h = math.hypot(nn, nd)
-        w1, w2 = nn / h, nd / h
-    u3 = cross3(u1, u2)
-    U = np.column_stack([u1, u2, u3])
-    W = np.array([[w1, -w2], [w2, w1]])
-    return OrthonormalLine(U, W)
+def plucker_to_orthonormal(normals, directions) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal parameterizations (U (n, 3, 3), W (n, 2, 2)) of Plücker
+    lines given as normal and direction rows (n, 3): U's columns are n/|n|,
+    d/|d| and their cross product, W the rotation [[w1, -w2], [w2, w1]] with
+    (w1, w2) = (|n|, |d|) / hypot(|n|, |d|). A line through the origin
+    (|n| < 1e-12 |d|) takes for u1 the unit cross product of d/|d| with the
+    axis of its smallest entry, and (w1, w2) = (0, 1).
+
+    Row for row the floats of the one-line form: the norms are `row_norms`
+    and the hypotenuse `math.hypot` (`np.hypot` may round differently)."""
+    n = np.asarray(normals, dtype=float).reshape(-1, 3)
+    d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    nn, nd = row_norms(n), row_norms(d)
+    u2 = d / nd[:, None]
+    origin = nn < 1e-12 * nd
+    axis = np.eye(3)[np.argmin(np.abs(u2), axis=1)]
+    u1 = np.where(origin[:, None], _unit_rows(_cross_rows(u2, axis)),
+                  n / np.where(origin, 1.0, nn)[:, None])
+    h = np.array([math.hypot(a, b) for a, b in zip(nn.tolist(), nd.tolist())])
+    w1, w2 = np.where(origin, 0.0, nn / h), np.where(origin, 1.0, nd / h)
+    U = np.stack([u1, u2, _cross_rows(u1, u2)], axis=2)
+    return U, np.stack([w1, -w2, w2, w1], axis=1).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,53 +11,34 @@ Variables and their local parameterizations:
   line  4 DOF  orthonormal SO(3) x SO(2) update over Plücker state
   gp    2 DOF  tangent-plane step + renormalization onto the unit sphere
 
-State. `FactorGraph` keeps the variables of each kind as stacked arrays, one
-row per variable, with one id -> row map per kind: pose R (P, 3, 3) and
-t (P, 3), points X (Q, 3), line U (L, 3, 3) and W (L, 2, 2), GP directions
-G (M, 3) with their tangent bases B (M, 3, 2). The arrays are never written
-in place, so a snapshot is the arrays themselves and a restore reassigns
-them. `poses`, `points`, `lines` and `gps` read the state as mappings by id;
-`Pose` and `OrthonormalLine` values are built only there. `retract` steps a
-whole kind at once (SE(3) exponential with the left Jacobian V, the
-SO(3) x SO(2) line update, the GP tangent step); it is the one retraction
-formula, which `optimize` and `numeric_jacobian` both step with.
+State. `FactorGraph` keeps each kind's variables as stacked arrays, one row
+per variable, with one id -> row map per kind: pose R (P, 3, 3) and t (P, 3),
+points X (Q, 3), line U (L, 3, 3) and W (L, 2, 2), GP directions G (M, 3)
+with their tangent bases B (M, 3, 2). The arrays are never written in place,
+so a snapshot is the arrays themselves. `poses`, `points`, `lines` and `gps`
+read them as mappings by id. `retract` steps a whole kind at once; it is the
+one retraction formula, which `optimize` and `numeric_jacobian` step with.
 
 Factors are stored the same way: one table per kind (`_FactorTable`), one
-row per factor in insertion order, holding its two variables' ids and graph
-rows, its constant row (the (2,) pixel or the (4,) endpoint row), its camera
-and its position among all factors. `add_variables` and `add_factors` add
-whole blocks of one kind. `factors` reads the tables as a sequence in
-insertion order; the read-only `PointFactor`, `LineFactor`, `VdAlignFactor`
-and `StructFactor` values are built only there.
+row per factor in insertion order, added in blocks by `add_factors`;
+`factors` builds read-only factor values only when read.
 
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
-covariance-weighted cost. Each factor kind has one noise SIGMA and one
-Huber HUBER_DELTA, class constants. Evaluation is batched by factor kind
-(Triggs et al. 2000; Agarwal et al. 2010). `PackedFactors` packs the tables
-once, with array operations: per kind, in the order the kinds first appear,
-the graph rows of the factors' variables and their constants (observation,
-the segment's image line, and the intrinsics, built once per distinct
-`CameraIntrinsics` object). vd_align factors are also packed by (pose, GP,
-camera) pair: the ~730 factors of a `structured` gp graph share ~60 pairs,
-and the projected VP, its tangent projector and skew(v_cam) are computed
-once per pair.
-Each evaluation indexes the state arrays with those rows and runs one
-vectorized kernel per kind, which returns stacked residuals, an active mask
-and a Jacobian thunk over the same intermediates; so residuals and
-Jacobians at one state come from one residual pass. `total_cost` holds its
-evaluation on the packing (`PackedFactors.held`), and the `_linearize` or
-`cost_breakdown` that follows at that same state calls its thunks instead of
-running the kernels again. `_linearize` scatters the weighted J^T Λ J blocks
-of the live Jacobian columns into the dense H in one pass; the columns that
-are structurally zero (vd_align's pose translation, struct's line angle) are
-neither computed nor scattered. A factor value's `residual`/`jacobians`
-are these kernels applied to its one-row table. An inactive factor (a point
-at depth <= EPS_Z, a line whose image line is degenerate) contributes
-nothing, and its `residual` and `jacobians` raise. `optimize` builds the
-packing and the parameter layout (`ParameterIndex`) once per call; each
-trial step retracts every kind with free variables once, and a rejected step
-drops the held evaluation and restores the snapshot. The solve/update is a
-single-threaded critical section per iteration.
+covariance-weighted cost; each kind has one noise SIGMA and one Huber
+HUBER_DELTA. `PackedFactors` packs the tables once per `optimize` call, per
+kind (vd_align terms once per (pose, GP, camera) pair), and each evaluation
+runs one vectorized kernel per kind, returning residuals, an active mask and
+a Jacobian thunk over the same intermediates (Triggs et al. 2000; Agarwal et
+al. 2010). `total_cost` holds its evaluation, and a `_linearize` at the same
+state reuses it. `_linearize` scatters the weighted J^T J blocks of the live
+Jacobian columns into H_cc over poses, lines and GPs, the pose-point coupling
+H_pc and one 3x3 block per point: each entry the sum a dense H would hold,
+and no dense H. Each LM trial eliminates the points (Schur complement:
+batched 3x3 inverses, one dense solve of the reduced system, back
+substitution), retracts every kind once, and restores the snapshot if the
+cost rose. An inactive factor (a point at depth <= EPS_Z, a line whose image
+line is degenerate) contributes nothing, and its `residual` and `jacobians`
+raise.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
   gradient           ||g||_inf < ABS_TOL at a linearization       converged
@@ -475,9 +456,25 @@ class _FactorTable:
 # Packing and batched evaluation
 # ---------------------------------------------------------------------------
 
+def _positions(cols: np.ndarray, cls, nc: int) -> tuple:
+    """Where `_linearize` adds a kind's terms, from the parameter columns
+    `cols` (N, k) of its live Jacobian columns: the flat positions of each
+    factor's J^T J block (N * k * k) in its (n_params + 2, nc + 4) buffer,
+    and of its gradient terms (N * k) in g. A reduced column (pose, line,
+    GP; a fixed one as nc) keeps its row and column; a point factor's last
+    three, coordinate a of free point r, take row nc + 1 + 3 r + a (a fixed
+    point's, the last row) and, against each other, column nc + 1 + a."""
+    r = c = np.minimum(cols, nc)
+    if cls is PointFactor:
+        p = cols[:, 6:]
+        r, c = (np.concatenate([r[:, :6], q], axis=1) for q in (p + 1, nc + 1 + (p - nc) % 3))
+    return (r[:, :, None] * (nc + 4) + c[:, None, :]).ravel(), r.ravel()
+
+
 class _Batch:
     """The packed factors of one kind. With a parameter index, `cols` holds
-    the parameter column of every live Jacobian column (N, k). `info` and
+    the parameter column of every live Jacobian column (N, k) and `at` the
+    `_positions` of its terms, computed once per packing. `info` and
     `delta` are the kind's scalars; broadcast over the rows, they give each
     row the floats a per-row array of them would."""
 
@@ -488,6 +485,8 @@ class _Batch:
         ka, kb = cls.variables
         self.cols = None if index is None else np.concatenate(
             [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)[:, cls.live]
+        if index is not None:
+            self.at = _positions(self.cols, cls, index.n_reduced)
         self.consts = cls._pack(table)
         self.info = 1.0 / cls.SIGMA**2
         self.delta = cls.HUBER_DELTA
@@ -730,24 +729,27 @@ def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
 class ParameterIndex:
     """Where the free variables sit in the LM parameter vector.
 
-    Free variables take columns kind by kind (pose, point, line, gp), by
-    ascending id within a kind; fixed ones take none. `rows[kind]` holds the
-    kind's free graph rows in column order, `slices[kind]` their span of the
-    parameter vector and `table[kind]` the parameter columns of every graph
-    row (n_params for a fixed variable). `optimize` builds one per call.
+    Free variables take columns kind by kind, poses, lines and GPs first (the
+    `n_reduced` columns of the reduced system the points are eliminated
+    from), then points; by ascending id within a kind; fixed ones take none.
+    `rows[kind]` holds the kind's free graph rows in column order,
+    `slices[kind]` their span of the parameter vector and `table[kind]` the
+    parameter columns of every graph row (n_params for a fixed variable).
+    `optimize` builds one per call.
     """
 
     def __init__(self, graph: "FactorGraph", fixed=()):
         fixed = set(fixed)
         self.rows, self.slices = {}, {}
         n = 0
-        for kind, dof in DOF.items():
+        for kind in ("pose", "line", "gp", "point"):
             rows = graph.rows[kind]
             self.rows[kind] = np.array([rows[vid] for vid in sorted(rows)
                                         if (kind, vid) not in fixed], dtype=np.intp)
-            self.slices[kind] = slice(n, n + dof * len(self.rows[kind]))
+            self.slices[kind] = slice(n, n + DOF[kind] * len(self.rows[kind]))
             n = self.slices[kind].stop
         self.n_params = n
+        self.n_reduced = self.slices["point"].start
         self.table = {}
         for kind, dof in DOF.items():
             table = np.full((len(graph.rows[kind]), dof), n, dtype=np.intp)
@@ -815,34 +817,83 @@ class OptimizationReport:
         }, sort_keys=True)
 
 
+@dataclass
+class _NormalEquations:
+    """The Gauss-Newton system of one linearization without the dense H:
+    `cc` over the reduced columns (poses, lines, GPs), `pc` the point rows
+    against the pose columns (a point couples only with the poses that see
+    it), `pp` the (P, 3, 3) point blocks and `g` over all parameters, in
+    `ParameterIndex` order. Each entry is the sum the dense H would hold;
+    the point rows against lines and GPs, and two points against each
+    other, are zero and not stored."""
+    cc: np.ndarray
+    pc: np.ndarray
+    pp: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self):
+        # writeable views of both diagonals, and their undamped values
+        self.diagonals = [np.einsum("...ii->...i", H) for H in (self.cc, self.pp)]
+        self.undamped = [d.copy() for d in self.diagonals]
+
+    def step(self, lam: float) -> np.ndarray:
+        """The LM step at damping `lam`, by the Schur complement of the point
+        blocks (Triggs et al. 2000, section 6.1). Both diagonals are damped in
+        place to `undamped + lam * max(undamped, 1e-12)`; the damped point
+        blocks M are inverted in one batch; the reduced system
+        (H_cc - H_cp M^-1 H_pc) d_c = -(g_c - H_cp M^-1 g_p) is solved; and
+        the points are back-substituted, d_p = -M^-1 (g_p + H_pc d_c). A dead
+        point's block is lam * 1e-12 * I and couples to nothing. LinAlgError
+        if a damped point block or the reduced system is singular."""
+        for d, u in zip(self.diagonals, self.undamped):
+            d[...] = u + lam * np.clip(u, 1e-12, None)
+        cc, pc, g = self.cc, self.pc, self.g
+        nc, (n_pt, n6) = len(cc), pc.shape
+        M_inv = np.linalg.inv(self.pp)
+        # M^-1 [g_p, H_pc], and [g_c, H_cc] less H_cp times it on the pose rows
+        W = M_inv @ np.column_stack([g[nc:], pc]).reshape(-1, 3, n6 + 1)
+        W = W.reshape(n_pt, n6 + 1)
+        S = np.column_stack([g[:nc], cc])
+        S[:n6, :n6 + 1] -= pc.T @ W
+        delta = np.linalg.solve(S[:, 1:], -S[:, 0])
+        return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n6])])
+
+
 def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
                packed: PackedFactors | None = None, H: np.ndarray | None = None):
-    """One batched pass over all factors: robust cost, gradient, Gauss-Newton H.
+    """One batched pass over all factors: robust cost and the Gauss-Newton
+    system, as `_NormalEquations`.
 
     `index` places the free variables; fixed ones get no rows. `packed` is
-    `PackedFactors(graph, index)`, packed here when not given.
-    `H` is an (n_params + 1, n_params + 1) buffer, zeroed and filled in place
-    (a new one when not given); the returned H is a view of it.
+    `PackedFactors(graph, index)`, packed here when not given. `H` is an
+    (n_params + 2, n_reduced + 4) buffer, zeroed and filled in place (a new
+    one when not given); the pieces are views of it.
 
     The residuals come from the evaluation `total_cost` held on `packed` when
     it is of this state, else from one kernel pass; either way the Jacobians
-    come from the evaluation's thunks, and nothing is held afterwards. Only
-    the live Jacobian columns are scattered: a structurally zero column adds
-    ±0.0 to entries that start at +0.0, which never changes one. A one-row
-    kind forms its blocks with a broadcast multiply, one product per entry
-    as its stacked matmul would.
+    come from the evaluation's thunks, and nothing is held afterwards. Each
+    kind's weighted J^T J blocks are scattered at the batch's `_positions`,
+    kind by kind and factor by factor, so every entry sums its terms in the
+    order the dense H did. Only the live Jacobian columns are scattered: a
+    structurally zero column adds ±0.0 to entries that start at +0.0, which
+    never changes one. A one-row kind forms its blocks with a broadcast
+    multiply, one product per entry as its stacked matmul would.
     """
     packed = packed if packed is not None else PackedFactors(graph, index)
-    m = n_params + 1  # row and column n_params collect the fixed variables' terms
+    nc, n6 = index.n_reduced, index.slices["pose"].stop
+    # rows and columns < nc are the reduced ones; row nc + 1 + 3 r + a, point
+    # r's coordinate a, holds H_pc and, in column nc + 1 + b, the point block.
+    # Row and column nc and the last row collect the fixed variables' terms;
+    # the reduced rows' last three columns (H_cp) are not read.
     if H is None:
-        H = np.empty((m, m))
+        H = np.empty((n_params + 2, nc + 4))
     H.fill(0.0)
-    g = np.zeros(m)
+    g = np.zeros(n_params + 2)
     cost = 0.0
     for e in packed.evaluate(graph):
         b = e.batch
         cost += e.cost.sum()
-        cols, J = b.cols, e.jac()
+        J = e.jac()
         # inactive factors add exact zeros: their Jacobians are finite
         w = np.where(e.active, e.weight * b.info, 0.0)
         if J.shape[1] == 1:
@@ -851,11 +902,12 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
         else:
             wJt = (w[:, None, None] * J).transpose(0, 2, 1)
             HJ, gJ = wJt @ J, wJt @ e.r[:, :, None]
-        np.add.at(H.reshape(-1), (cols[:, :, None] * m + cols[:, None, :]).ravel(),
-                  HJ.ravel())
-        np.add.at(g, cols.ravel(), gJ.ravel())
-    H, g = H[:n_params, :n_params], g[:n_params]
-    return float(cost), H, g
+        np.add.at(H.reshape(-1), b.at[0], HJ.ravel())
+        np.add.at(g, b.at[1], gJ.ravel())
+    points = H[nc + 1:-1]
+    return float(cost), _NormalEquations(H[:nc, :nc], points[:, :n6],
+                                         points[:, nc + 1:].reshape(-1, 3, 3),
+                                         np.concatenate([g[:nc], g[nc + 1:-1]]))
 
 
 def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
@@ -881,32 +933,27 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
     index = ParameterIndex(graph, fixed)
     n_params = index.n_params
     packed = PackedFactors(graph, index)
-    blocks = [(kind, rows, index.slices[kind]) for kind, rows in index.rows.items()
-              if len(rows)]
-    diagonal = np.diag_indices(n_params)
-    # one H buffer (with the fixed variables' row and column) per call,
-    # refilled in place each iteration; a trial step damps its diagonal
-    H_buf = np.empty((n_params + 1, n_params + 1))
+    blocks = [(kind, index.rows[kind], index.slices[kind]) for kind in DOF
+              if len(index.rows[kind])]
+    # one buffer for the pieces of H per call, refilled each iteration
+    H_buf = np.empty((n_params + 2, index.n_reduced + 4))
 
     lam = LAMBDA_INIT
     converged = False
     for iters in range(1, MAX_ITERS + 1):
-        cost, H, g = _linearize(graph, index, n_params, packed, H_buf)
+        cost, system = _linearize(graph, index, n_params, packed, H_buf)
         if iters == 1:
             initial_cost = cost
-        if np.max(np.abs(g), initial=0.0) < ABS_TOL:
+        if np.max(np.abs(system.g), initial=0.0) < ABS_TOL:
             converged = True
             break
         x = np.concatenate([graph.t[index.rows["pose"]], graph.X[index.rows["point"]]])
         step_tol = REL_TOL * (np.linalg.norm(x) + REL_TOL)
-        undamped = H.diagonal().copy()
-        damping = np.clip(undamped, 1e-12, None)
         snap = graph.snapshot()
         accepted = False
         while lam < 1e12:
-            H[diagonal] = undamped + lam * damping
             try:
-                delta = np.linalg.solve(H, -g)
+                delta = system.step(lam)
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_SCALE
                 continue

@@ -295,8 +295,9 @@ def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph
     g.add_variables("pose", range(len(poses)), [p.rotation for p in poses],
                     [p.translation for p in poses])
     g.add_variables("point", list(landmarks.points), list(landmarks.points.values()))
-    lines = [plucker_to_orthonormal(line) for line in landmarks.lines.values()]
-    g.add_variables("line", list(landmarks.lines), [o.U for o in lines], [o.W for o in lines])
+    lines = landmarks.lines.values()
+    g.add_variables("line", list(landmarks.lines), *plucker_to_orthonormal(
+        [line.normal for line in lines], [line.direction for line in lines]))
     gps = landmarks.registry.primitives if landmarks.registry else []
     g.add_variables("gp", range(len(gps)), [gp.direction for gp in gps])
     for cls, obs in ((fg.PointFactor, landmarks.point_obs), (fg.LineFactor, landmarks.line_obs),

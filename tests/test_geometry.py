@@ -33,7 +33,13 @@ from monogp.geometry import (
 )
 from monogp.graph import retract
 from monogp.segments import Segment2D, endpoints
-from test_graph import closest_point_to_origin, line_residual, project_point, to_camera
+from test_graph import (
+    closest_point_to_origin,
+    line_residual,
+    oracle_plucker_to_orthonormal,
+    project_point,
+    to_camera,
+)
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -218,8 +224,30 @@ def test_orthonormal_roundtrip_random():
     rng = np.random.default_rng(8)
     for _ in range(1000):
         line = PluckerLine.from_two_points(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
-        ca, cb = line.canonical_coords(), plucker_coords(plucker_to_orthonormal(line))
+        ca, cb = line.canonical_coords(), plucker_coords(oracle_plucker_to_orthonormal(line))
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
+
+
+def test_plucker_to_orthonormal_equals_one_line_form_bitwise():
+    rng = np.random.default_rng(12)
+    lines = [PluckerLine.from_two_points(p, q) for p, q in rng.normal(0.0, 3.0, (2000, 2, 3))]
+    # through the origin: exactly, and within the 1e-12 relative threshold
+    lines += [PluckerLine(np.zeros(3), d) for d in rng.normal(0.0, 1.0, (10, 3))]
+    lines += [PluckerLine.from_two_points(s * d, (s + 1.0) * d)
+              for s, d in zip(rng.normal(0.0, 2.0, 10), rng.normal(0.0, 1.0, (10, 3)))]
+    n = np.array([line.normal for line in lines])
+    d = np.array([line.direction for line in lines])
+    U, W = plucker_to_orthonormal(n, d)
+    ref = [oracle_plucker_to_orthonormal(line) for line in lines]
+    assert U.tobytes() == np.array([o.U for o in ref]).tobytes()
+    assert W.tobytes() == np.array([o.W for o in ref]).tobytes()
+    assert sum(o.W[0, 0] == 0.0 for o in ref) >= 10
+    # some rows' hypotenuses differ between np.hypot and the one-line form's
+    # math.hypot, so the comparison above checks which one is used
+    assert any(np.hypot(a, b) != math.hypot(a, b) for a, b in
+               ((np.linalg.norm(line.normal), np.linalg.norm(line.direction)) for line in lines))
+    U, W = plucker_to_orthonormal([], [])
+    assert U.shape == (0, 3, 3) and W.shape == (0, 2, 2)
 
 
 def update_line(o, delta) -> OrthonormalLine:
@@ -230,14 +258,14 @@ def update_line(o, delta) -> OrthonormalLine:
 
 def test_orthonormal_zero_update_is_identity():
     line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
-    o = plucker_to_orthonormal(line)
+    o = oracle_plucker_to_orthonormal(line)
     o2 = update_line(o, np.zeros(4))
     assert np.allclose(o.U, o2.U) and np.allclose(o.W, o2.W)
 
 
 def test_orthonormal_small_update_small_change():
     line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
-    o = plucker_to_orthonormal(line)
+    o = oracle_plucker_to_orthonormal(line)
     o2 = update_line(o, 1e-8 * np.ones(4))
     assert np.linalg.norm(plucker_coords(o) - plucker_coords(o2)) < 1e-6
 
@@ -245,7 +273,7 @@ def test_orthonormal_small_update_small_change():
 def test_orthonormal_update_preserves_constraint():
     rng = np.random.default_rng(9)
     line = PluckerLine.from_two_points([2.0, 0.0, 1.0], [0.0, 1.0, 4.0])
-    o = plucker_to_orthonormal(line)
+    o = oracle_plucker_to_orthonormal(line)
     for _ in range(100):
         o = update_line(o, rng.normal(0.0, 0.1, 4))
         v = plucker_coords(o)

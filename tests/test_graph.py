@@ -3,8 +3,12 @@ robust LM optimizer.
 
 The batched `retract` is checked against per-variable formulas kept below as
 oracles (`oracle_*`), and the pair-shared vd_align kernel and the live-column
-scatter of `_linearize` against their per-factor, all-column forms.
+scatter of `_linearize` against their per-factor, all-column forms. The
+pieces `_linearize` assembles are checked bit for bit against the dense H it
+scattered before the Schur step, and the Schur step against a dense
+`np.linalg.solve` of the same damped system.
 """
+import functools
 import math
 from types import SimpleNamespace
 
@@ -21,7 +25,6 @@ from monogp.geometry import (
     PoseStack,
     OrthonormalLine,
     cross3,
-    plucker_to_orthonormal,
     project_points,
     se3_exp,
     skew,
@@ -30,6 +33,8 @@ from monogp.geometry import (
 from monogp.graph import (
     DOF,
     HUBER_2DOF,
+    LAMBDA_INIT,
+    LAMBDA_SCALE,
     MAX_ITERS,
     FactorGraph,
     LineFactor,
@@ -40,6 +45,7 @@ from monogp.graph import (
     VdAlignFactor,
     _huber,
     _linearize,
+    _NormalEquations,
     _mv,
     _tangent_bases,
     cost_breakdown,
@@ -120,6 +126,28 @@ def grouped(obs):
     for t, k, row in zip(obs.frame.tolist(), obs.ids.tolist(), obs.rows):
         out.setdefault(k, []).append((t, row))
     return out
+
+
+def oracle_plucker_to_orthonormal(line: PluckerLine) -> OrthonormalLine:
+    """`plucker_to_orthonormal` as it was, one line at a time, with its
+    `_unit` inlined. Kept verbatim."""
+    n, d = line.normal, line.direction
+    nn, nd = np.linalg.norm(n), np.linalg.norm(d)
+    u2 = d / nd
+    if nn < 1e-12 * nd:
+        # Line through the origin: any unit vector orthogonal to d works.
+        k = int(np.argmin(np.abs(u2)))
+        c = cross3(u2, np.eye(3)[k])
+        u1 = c / np.linalg.norm(c)
+        w1, w2 = 0.0, 1.0
+    else:
+        u1 = n / nn
+        h = math.hypot(nn, nd)
+        w1, w2 = nn / h, nd / h
+    u3 = cross3(u1, u2)
+    U = np.column_stack([u1, u2, u3])
+    W = np.array([[w1, -w2], [w2, w1]])
+    return OrthonormalLine(U, W)
 
 
 # -- per-variable retraction oracles ---------------------------------------------
@@ -279,8 +307,8 @@ def test_retract_rodrigues_equals_scalar_oracles_bitwise():
     R_new, t_new = retract("pose", (R, t), np.concatenate([rho, w], axis=1))
     assert R_new.tobytes() == (dR @ R).tobytes()
     assert t_new.tobytes() == ((dR @ t[:, :, None]) + (V @ rho[:, :, None]))[:, :, 0].tobytes()
-    U = np.array([o.U for o in (plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d))
-                                for p, d in rng.normal(0.0, 2.0, (n, 2, 3)))])
+    U = np.array([oracle_plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d)).U
+                  for p, d in rng.normal(0.0, 2.0, (n, 2, 3))])
     W = np.array([oracle_rot2(phi) for phi in rng.normal(0.0, 0.3, n)])
     U_new, _ = retract("line", (U, W), np.concatenate([w, np.zeros((n, 1))], axis=1))
     assert U_new.tobytes() == (dR @ U).tobytes()
@@ -296,7 +324,7 @@ def test_retract_points_add():
 def test_retract_lines_match_orthonormal_update():
     rng = np.random.default_rng(23)
     n = len(STEP_ANGLES)
-    lines = [plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d))
+    lines = [oracle_plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d))
              for p, d in rng.normal(0.0, 2.0, (n, 2, 3))]
     U, W = np.array([o.U for o in lines]), np.array([o.W for o in lines])
     deltas = np.concatenate([random_axis_steps(rng, STEP_ANGLES),
@@ -353,7 +381,7 @@ def test_point_residual_hand_value():
 def line_residual(line, pose, seg, intr=K):
     """LineFactor residual of a world PluckerLine observed as `seg`."""
     return residual_at(LineFactor(0, 0, seg_row(seg), intr), pose=pose,
-                       line=plucker_to_orthonormal(line))
+                       line=oracle_plucker_to_orthonormal(line))
 
 
 def test_line_residual_perpendicular_distances():
@@ -406,7 +434,7 @@ def test_vd_align_increases_away_from_truth():
 
 def struct_residual(line_dir, gp):
     p = np.array([0.0, 0.0, 2.0])
-    line = plucker_to_orthonormal(PluckerLine.from_two_points(p, p + line_dir))
+    line = oracle_plucker_to_orthonormal(PluckerLine.from_two_points(p, p + line_dir))
     return residual_at(StructFactor(0, 0), line=line, gp=gp)[0]
 
 
@@ -440,7 +468,7 @@ def build_random_factor_graph(seed):
     d_c = d / np.linalg.norm(d)
     line_w = PluckerLine.from_two_points(to_camera(pose.inverse(), anchor_c),
                                          to_camera(pose.inverse(), anchor_c + d_c))
-    add_line(g, 0, plucker_to_orthonormal(line_w))
+    add_line(g, 0, oracle_plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
     line_f = LineFactor(0, 0, seg_row(seg), K)
     add_factor(g, line_f)
@@ -572,9 +600,10 @@ def test_behind_camera_factor_deactivated():
             f.jacobians(g)
         index = ParameterIndex(g, [("pose", 0)])
         assert index.n_params == 3
-        cost, H, grad = _linearize(g, index, index.n_params)
+        cost, system = _linearize(g, index, index.n_params)
         assert cost == 0.0
-        assert not H.any() and not grad.any()
+        assert system.cc.shape == (0, 0) and system.pp.shape == (1, 3, 3)
+        assert not system.pp.any() and not system.g.any()
 
 
 def build_assembly_graph():
@@ -599,7 +628,7 @@ def build_assembly_graph():
     add_gp(g, 0, gp / np.linalg.norm(gp))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
         line = PluckerLine.from_two_points(anchor, anchor + gp + rng.normal(0.0, 0.02, 3))
-        add_line(g, lid, plucker_to_orthonormal(line))
+        add_line(g, lid, oracle_plucker_to_orthonormal(line))
         for t in range(3):
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
@@ -614,8 +643,8 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
     # a line noise other than 1 px, so every kind's weight differs from 1
     monkeypatch.setattr(LineFactor, "SIGMA", 1.5)
     g = build_assembly_graph()
-    keys = ([("pose", 1), ("pose", 2)] + [("point", i) for i in sorted(g.points)]
-            + [("line", 0), ("line", 1), ("gp", 0)])
+    keys = ([("pose", 1), ("pose", 2), ("line", 0), ("line", 1), ("gp", 0)]
+            + [("point", i) for i in sorted(g.points)])
     index, n = {}, 0
     for key in keys:
         index[key] = (n, DOF[key[0]])
@@ -645,7 +674,8 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
     assert inactive == 1 and elbow >= 1
     layout = ParameterIndex(g, [("pose", 0)])
     assert layout.n_params == n
-    cost, H, grad = _linearize(g, layout, n)
+    cost, system = _linearize(g, layout, n)
+    H, grad = dense_H(system), system.g
     assert np.max(np.abs(H - H_ref)) < 1e-5 * np.max(np.abs(H_ref))
     assert np.max(np.abs(grad - g_ref)) < 1e-5 * np.max(np.abs(g_ref))
     total = total_cost(g)
@@ -685,6 +715,70 @@ def oracle_scatter(H, g, m, cols, w, J, r):
     np.add.at(g, cols.ravel(), (wJt @ r[:, :, None]).ravel())
 
 
+def oracle_dense_linearize(graph, index, n_params, packed=None):
+    """`_linearize` as it was before the Schur complement: every batch
+    scattered into one dense (n_params + 1)^2 H, whose last row and column
+    collect the fixed variables' terms. Kept verbatim, returning (cost, H, g)."""
+    packed = packed if packed is not None else PackedFactors(graph, index)
+    m = n_params + 1  # row and column n_params collect the fixed variables' terms
+    H = np.empty((m, m))
+    H.fill(0.0)
+    g = np.zeros(m)
+    cost = 0.0
+    for e in packed.evaluate(graph):
+        b = e.batch
+        cost += e.cost.sum()
+        cols, J = b.cols, e.jac()
+        # inactive factors add exact zeros: their Jacobians are finite
+        w = np.where(e.active, e.weight * b.info, 0.0)
+        if J.shape[1] == 1:
+            wJ = w[:, None] * J[:, 0]
+            HJ, gJ = wJ[:, :, None] * J[:, 0, None, :], wJ * e.r
+        else:
+            wJt = (w[:, None, None] * J).transpose(0, 2, 1)
+            HJ, gJ = wJt @ J, wJt @ e.r[:, :, None]
+        np.add.at(H.reshape(-1), (cols[:, :, None] * m + cols[:, None, :]).ravel(),
+                  HJ.ravel())
+        np.add.at(g, cols.ravel(), gJ.ravel())
+    H, g = H[:n_params, :n_params], g[:n_params]
+    return float(cost), H, g
+
+
+def dense_H(system):
+    """The dense H of a `_NormalEquations`, with H_cp the transpose of H_pc."""
+    cc, pc, pp = system.cc, system.pc, system.pp
+    nc, (n_pt, n6) = len(cc), pc.shape
+    H = np.zeros((nc + n_pt, nc + n_pt))
+    H[:nc, :nc], H[nc:, :n6], H[:n6, nc:] = cc, pc, pc.T
+    for r, block in enumerate(pp):
+        H[nc + 3 * r:nc + 3 * r + 3, nc + 3 * r:nc + 3 * r + 3] = block
+    return H
+
+
+def assert_holds_dense_entries(system, H, g, index):
+    """`system` holds the matching entries of the dense (H, g) bit for bit:
+    H_cc, H_pc, the point blocks and g; every entry it leaves out is zero
+    (the point rows against lines and GPs, one point against another), and
+    H's pose-point block is H_pc transposed up to rounding."""
+    nc, n6 = index.n_reduced, index.slices["pose"].stop
+    P = (index.n_params - nc) // 3
+    rest = H[nc:, nc:].copy()
+    blocks = [rest[3 * r:3 * r + 3, 3 * r:3 * r + 3].copy() for r in range(P)]
+    for r in range(P):
+        rest[3 * r:3 * r + 3, 3 * r:3 * r + 3] = 0.0
+    expected = (H[:nc, :nc], H[nc:, :n6], np.array(blocks).reshape(P, 3, 3), g)
+    for got, want in zip((system.cc, system.pc, system.pp, system.g), expected):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert not rest.any() and not H[nc:, n6:nc].any() and not H[n6:nc, nc:].any()
+    assert np.max(np.abs(H[:n6, nc:] - system.pc.T), initial=0.0) <= \
+        1e-15 * np.max(np.abs(system.pc), initial=0.0)
+
+
+def system_bytes(system) -> list:
+    return [np.ascontiguousarray(a).tobytes() for a in (system.cc, system.pc, system.pp, system.g)]
+
+
 K2 = CameraIntrinsics(450.0, 470.0, 300.0, 250.0)
 
 
@@ -706,7 +800,7 @@ def build_shared_pair_graph():
         add_factor(g, VdAlignFactor(i % 3, (i // 3) % 2, seg, (K, K2)[(i // 6) % 2]))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
         d = gps[lid] + rng.normal(0.0, 0.05, 3)
-        add_line(g, lid, plucker_to_orthonormal(
+        add_line(g, lid, oracle_plucker_to_orthonormal(
             PluckerLine.from_two_points(anchor, np.add(anchor, d))))
         add_factor(g, StructFactor(lid, lid))
     for i in range(4):
@@ -768,9 +862,8 @@ def test_linearize_equals_all_column_scatter_bitwise(build):
             J[:, :, b.cls.live] = e.jac()
         w = np.where(e.active, e.weight * b.info, 0.0)
         oracle_scatter(H_ref, g_ref, m, cols, w, J, e.r)
-    cost, H, grad = _linearize(g, index, n)
-    assert H.tobytes() == H_ref[:n, :n].tobytes()
-    assert grad.tobytes() == g_ref[:n].tobytes()
+    cost, system = _linearize(g, index, n)
+    assert_holds_dense_entries(system, H_ref[:n, :n], g_ref[:n], index)
     assert cost == total_cost(g)
 
 
@@ -786,8 +879,7 @@ def test_linearize_after_total_cost_equals_fresh_packing_bitwise(monkeypatch, bu
     assert packed.held is None and len(runs) == len(packed.batches)
     fresh = _linearize(g, index, index.n_params, PackedFactors(g, index))
     assert reused[0].hex() == fresh[0].hex() == cost.hex()
-    assert reused[1].tobytes() == fresh[1].tobytes()
-    assert reused[2].tobytes() == fresh[2].tobytes()
+    assert system_bytes(reused[1]) == system_bytes(fresh[1])
 
 
 def test_held_evaluation_is_only_used_at_its_own_state():
@@ -849,9 +941,10 @@ def oracle_packing(g, index=None) -> list:
         rows_b = np.array([g.rows[kb][k[1][1]] for k in keys], dtype=np.intp)
         cols = None if index is None else np.concatenate(
             [index.table[ka][rows_a], index.table[kb][rows_b]], axis=1)[:, cls.live]
+        at = None if index is None else graph_module._positions(cols, cls, index.n_reduced)
         batches.append(SimpleNamespace(
             cls=cls, positions=np.array(positions), rows_a=rows_a, rows_b=rows_b,
-            cols=cols, consts=oracle_consts(cls, members, rows_a, rows_b),
+            cols=cols, at=at, consts=oracle_consts(cls, members, rows_a, rows_b),
             info=1.0 / cls.SIGMA**2, delta=cls.HUBER_DELTA))
     return batches
 
@@ -892,8 +985,194 @@ def test_linearize_on_tables_equals_per_factor_packing_bitwise(build):
     ref = _linearize(g, index, index.n_params, oracle)
     out = _linearize(g, index, index.n_params)
     assert out[0].hex() == ref[0].hex()
-    assert out[1].tobytes() == ref[1].tobytes()
-    assert out[2].tobytes() == ref[2].tobytes()
+    assert system_bytes(out[1]) == system_bytes(ref[1])
+
+
+# -- the Schur complement step against the dense solve ---------------------------
+
+@functools.cache
+def pipeline_graph(scene, seed: int, mode: str):
+    """The graph `run_pipeline(scene(seed), mode)` optimizes, at its initial
+    state. Shared: linearize it, never optimize it."""
+    cfg = scene(seed)
+    frames, _, poses, lm = _map_scene(cfg)
+    if mode == "gp":
+        lm = map_primitives(frames, poses, cfg, lm)
+    return build_graph(poses, lm, cfg.intrinsics)
+
+
+PIPELINE_SCENES = [(structured, s, mode) for s in range(3) for mode in ("lp", "gp")] + [
+    (default_corridor, 0, "lp"), (default_corridor, 0, "gp")]
+PIPELINE_IDS = [f"{scene.__name__}{seed}-{mode}" for scene, seed, mode in PIPELINE_SCENES]
+LAMBDAS = (1e-12, LAMBDA_INIT, 1e6)
+# fixed sets for the assembly graph: a later pose, a point and a line; a GP
+# and every point (no point block at all)
+FIXED = [[("pose", 0)], [("pose", 1), ("point", 2), ("line", 0)],
+         [("pose", 0), ("gp", 0)] + [("point", i) for i in range(7)]]
+
+
+def dense_step(system, lam):
+    """The LM step as `optimize` took it before the Schur complement: the
+    dense H with its undamped diagonal damped to `undamped + lam *
+    max(undamped, 1e-12)`, and one `np.linalg.solve` of it against -g."""
+    H = dense_H(system)
+    undamped = np.concatenate([system.undamped[0], system.undamped[1].ravel()])
+    H[np.diag_indices(len(H))] = undamped + lam * np.clip(undamped, 1e-12, None)
+    return np.linalg.solve(H, -system.g)
+
+
+def assert_step_matches_dense_solve(system, lam, forward=True):
+    """`system.step(lam)` leaves as small a residual in the damped dense
+    system as its `np.linalg.solve` (normwise backward error below 1e-14)
+    and, with `forward`, is within 1e-9 of that solve's step. Leave out
+    `forward` only for a system that damping alone keeps from singular
+    (the free scale gauge at lam = 1e-12: condition numbers near 1e30)."""
+    ref = dense_step(system, lam)
+    delta = system.step(lam)
+    H = dense_H(system)  # damped as `step` left it
+    assert delta.shape == ref.shape
+    for d in (ref, delta):
+        residual = np.max(np.abs(H @ d + system.g), initial=0.0)
+        scale = np.max(np.abs(H).sum(axis=1), initial=0.0) * np.max(np.abs(d), initial=0.0)
+        assert residual <= 1e-14 * (scale + np.max(np.abs(system.g), initial=0.0))
+    if forward:
+        assert np.max(np.abs(delta - ref), initial=0.0) <= \
+            1e-9 * np.max(np.abs(ref), initial=0.0)
+
+
+def random_system(rng, n_poses: int, n_other: int, n_points: int, dead=()):
+    """A `_NormalEquations` J^T J and a random g of random rows: three on each
+    live point's coordinates, two for each of two or three poses that see
+    it (its coordinates and the pose's six columns), and rows on five random
+    reduced columns (n_other of them stand for lines and GPs). A `dead`
+    point has no rows: a zero block, and zero gradient."""
+    nc = 6 * n_poses + n_other
+    n = nc + 3 * n_points
+    blocks = []
+    for r in set(range(n_points)) - set(dead):
+        J = np.zeros((3, n))
+        J[:, nc + 3 * r:nc + 3 * r + 3] = rng.normal(size=(3, 3))
+        blocks.append(J)
+        for t in rng.choice(n_poses, min(n_poses, int(rng.integers(2, 4))), replace=False):
+            J = np.zeros((2, n))
+            J[:, 6 * t:6 * t + 6] = rng.normal(size=(2, 6))
+            J[:, nc + 3 * r:nc + 3 * r + 3] = rng.normal(size=(2, 3))
+            blocks.append(J)
+    for _ in range(nc + 5 if nc else 0):
+        J = np.zeros((1, n))
+        J[0, rng.choice(nc, min(nc, 5), replace=False)] = rng.normal(size=min(nc, 5))
+        blocks.append(J)
+    J = np.vstack(blocks)
+    H = J.T @ J
+    g = rng.normal(size=n)
+    for r in dead:
+        g[nc + 3 * r:nc + 3 * r + 3] = 0.0
+    pp = np.array([H[nc + 3 * r:nc + 3 * r + 3, nc + 3 * r:nc + 3 * r + 3]
+                   for r in range(n_points)]).reshape(n_points, 3, 3)
+    return _NormalEquations(H[:nc, :nc].copy(), H[nc:, :6 * n_poses].copy(), pp, g)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("shape", [(4, 7, 6, (1, 4)), (3, 5, 0, ()), (0, 0, 4, (2,)),
+                                   (5, 0, 9, (0, 8))],
+                         ids=["dead-points", "no-points", "points-only", "poses-and-points"])
+def test_schur_step_matches_dense_solve_on_random_systems(shape, lam):
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        system = random_system(rng, *shape)
+        if shape[3]:
+            assert not system.pp[list(shape[3])].any()
+        assert_step_matches_dense_solve(system, lam)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("fixed", FIXED, ids=["pose0", "pose-point-line", "no-free-point"])
+def test_schur_step_with_fixed_variables_matches_dense_solve(fixed, lam):
+    g = build_assembly_graph()
+    index = ParameterIndex(g, fixed)
+    cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
+    cost, system = _linearize(g, index, index.n_params)
+    assert cost.hex() == cost_ref.hex()
+    assert_holds_dense_entries(system, H, g_ref, index)
+    assert len(system.pp) == len(index.rows["point"])
+    # the scale gauge is free, and a point is dead (block lam * 1e-12 * I)
+    assert_step_matches_dense_solve(system, lam, forward=lam >= LAMBDA_INIT)
+
+
+@pytest.mark.parametrize("scene, seed, mode", PIPELINE_SCENES, ids=PIPELINE_IDS)
+def test_linearize_holds_dense_scatter_entries_bitwise(scene, seed, mode):
+    g = pipeline_graph(scene, seed, mode)
+    index = ParameterIndex(g, [("pose", 0)])
+    cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
+    cost, system = _linearize(g, index, index.n_params)
+    assert cost.hex() == cost_ref.hex()
+    assert_holds_dense_entries(system, H, g_ref, index)
+
+
+@pytest.mark.parametrize("scene, seed, mode", PIPELINE_SCENES, ids=PIPELINE_IDS)
+def test_schur_step_matches_dense_solve_on_pipeline_systems(scene, seed, mode):
+    g = pipeline_graph(scene, seed, mode)
+    index = ParameterIndex(g, [("pose", 0)])
+    for lam in LAMBDAS:  # the scale gauge is free: see `assert_step_matches_dense_solve`
+        _, system = _linearize(g, index, index.n_params)
+        assert_step_matches_dense_solve(system, lam, forward=lam >= LAMBDA_INIT)
+
+
+def test_schur_step_raises_on_a_singular_point_block():
+    # a rank-2 point block, damped too little to change its diagonal
+    pp = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+    system = _NormalEquations(np.eye(6), np.zeros((3, 6)), pp, np.ones(9))
+    with pytest.raises(np.linalg.LinAlgError):
+        system.step(1e-20)
+    # damped enough, it inverts
+    ref = dense_step(system, LAMBDA_INIT)
+    assert np.max(np.abs(system.step(LAMBDA_INIT) - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_optimize_raises_lambda_when_a_point_block_is_singular(monkeypatch):
+    # the first trial's point blocks do not invert: LM retries at LAMBDA_SCALE
+    # times the damping without a solve, as it did when the dense H was singular
+    lams, solved_at = [], []
+    step, inv, solve = _NormalEquations.step, np.linalg.inv, np.linalg.solve
+
+    def logged_step(self, lam):
+        lams.append(lam)
+        return step(self, lam)
+
+    def failing_once(a):
+        if len(lams) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    def logged_solve(*args):
+        solved_at.append(lams[-1])
+        return solve(*args)
+
+    monkeypatch.setattr(_NormalEquations, "step", logged_step)
+    monkeypatch.setattr(np.linalg, "inv", failing_once)
+    monkeypatch.setattr(np.linalg, "solve", logged_solve)
+    report = optimize(build_assembly_graph(), [("pose", 0)])
+    assert lams[:2] == [LAMBDA_INIT, LAMBDA_INIT * LAMBDA_SCALE]
+    assert solved_at[0] == lams[1] and len(solved_at) == len(lams) - 1
+    assert report.converged and report.final_cost < report.initial_cost
+
+
+def test_optimize_solves_only_the_reduced_system(monkeypatch):
+    # one solve per trial, of the reduced (pose, line, GP) system: no dense
+    # solve of the full one
+    g = structured_gp_graph()
+    index = ParameterIndex(g, [("pose", 0)])
+    shapes, solve = [], np.linalg.solve
+
+    def logged_solve(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", logged_solve)
+    report, counts, _ = traced_optimize(monkeypatch, g, [("pose", 0)])
+    nc = index.n_reduced
+    assert 0 < nc < index.n_params and len(index.rows["point"]) > 0
+    assert shapes == [(nc, nc)] * counts["solve"] and report.iterations > 1
 
 
 def test_factors_read_as_a_sequence_of_read_only_values():

@@ -78,6 +78,7 @@ UNKNOWN_RECEIVER = frozenset({
     "graph._Factor.residual",
     "graph._FactorTable.append",
     "graph._FactorTable.value",
+    "graph._NormalEquations.step",
     "pipeline.AblationReport.to_csv",
     "pipeline.AblationReport.to_json",
     "primitives.GlobalPrimitive.frames",

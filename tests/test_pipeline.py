@@ -8,7 +8,7 @@ import pytest
 from monogp import graph, pipeline
 from monogp.cli import main
 from monogp.evaluate import load_tum
-from monogp.geometry import EPS_Z, PoseStack, plucker_to_orthonormal
+from monogp.geometry import EPS_Z, PoseStack
 from monogp.pipeline import (
     MODES,
     PipelineError,
@@ -44,6 +44,7 @@ from test_graph import (
     assert_batches_equal,
     grouped,
     oracle_packing,
+    oracle_plucker_to_orthonormal,
     to_camera,
 )
 from test_segments import seg_row
@@ -357,7 +358,7 @@ def oracle_graph(frames, poses, cfg, mode):
                 float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
             line = type(line)(-line.normal, -line.direction)
             flipped += 1
-        add_line(g, lid, plucker_to_orthonormal(line))
+        add_line(g, lid, oracle_plucker_to_orthonormal(line))
         for t, seg in line_obs[lid]:
             add_factor(g, graph.LineFactor(t, lid, seg, intr))
     if mode == "gp" and registry is not None:
