@@ -31,8 +31,7 @@ for _ in range(15):  # clutter that belongs to no family
                               id=len(segments)))
     families.append(-1)
 
-estimates = detect_vanishing_points(segments, n_hypotheses=500,
-                                    theta_cons_deg=2.0, rng_seed=0)
+estimates = detect_vanishing_points(segments, n_hypotheses=500, rng_seed=0)
 print(f"{len(segments)} segments -> {len(estimates)} vanishing points\n")
 for i, est in enumerate(estimates):
     lifted = lift_vanishing_point(est.vp_homogeneous, K, pose.r_wc)

@@ -56,13 +56,6 @@ def skew(v) -> np.ndarray:
     return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
-def cross3(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors (much faster than np.cross here)."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
 # ---------------------------------------------------------------------------
 # SO(3) / SE(3)
 # ---------------------------------------------------------------------------
@@ -263,8 +256,7 @@ def project_points(p_w, cams: PoseStack, intr: CameraIntrinsics):
 
 @dataclass(frozen=True)
 class PluckerLine:
-    """3D line as (normal, direction) with n·d = 0. Unnormalized internally;
-    comparisons should use canonical_coords()."""
+    """3D line as (normal, direction) with n·d = 0, unnormalized."""
     normal: np.ndarray
     direction: np.ndarray
 
@@ -286,17 +278,10 @@ class PluckerLine:
     def from_two_points(cls, p, q) -> "PluckerLine":
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        return cls(cross3(p, q - p), q - p)
+        return cls(np.cross(p, q - p), q - p)
 
     def unit_direction(self) -> np.ndarray:
         return self.direction / np.linalg.norm(self.direction)
-
-    def canonical_coords(self) -> np.ndarray:
-        """Unit-norm 6-vector (n, d) with canonical sign, for comparisons."""
-        v = np.concatenate([self.normal, self.direction])
-        v = v / np.linalg.norm(v)
-        k = int(np.argmax(np.abs(v)))
-        return v if v[k] >= 0 else -v
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +323,11 @@ def plucker_to_orthonormal(normals, directions) -> tuple[np.ndarray, np.ndarray]
     u2 = d / nd[:, None]
     origin = nn < 1e-12 * nd
     axis = np.eye(3)[np.argmin(np.abs(u2), axis=1)]
-    u1 = np.where(origin[:, None], _unit_rows(_cross_rows(u2, axis)),
+    u1 = np.where(origin[:, None], _unit_rows(np.cross(u2, axis)),
                   n / np.where(origin, 1.0, nn)[:, None])
     h = np.array([math.hypot(a, b) for a, b in zip(nn.tolist(), nd.tolist())])
     w1, w2 = np.where(origin, 0.0, nn / h), np.where(origin, 1.0, nd / h)
-    U = np.stack([u1, u2, _cross_rows(u1, u2)], axis=2)
+    U = np.stack([u1, u2, np.cross(u1, u2)], axis=2)
     return U, np.stack([w1, -w2, w2, w1], axis=1).reshape(-1, 2, 2)
 
 
@@ -356,11 +341,6 @@ def plucker_to_orthonormal(normals, directions) -> tuple[np.ndarray, np.ndarray]
 # calls), and every matrix-vector product keeps the layout of its scalar form
 # (`PoseStack`; `K.T` stays a transposed view). Rejected rows are masked out,
 # never raised.
-
-def _cross_rows(a, b) -> np.ndarray:
-    """Row-wise `cross3` of (n, 3) rows, C-ordered."""
-    return np.ascontiguousarray(cross3(a.T, b.T).T)
-
 
 def _unit_rows(v) -> np.ndarray:
     return v / row_norms(v)[:, None]
@@ -400,8 +380,8 @@ def backprojected_planes(ends, cams: PoseStack, intr: CameraIntrinsics):
     `ends` (n, 4), one camera per row: normals a (n, 3) and offsets b (n,),
     P^T l for the image line l and P = K [R | t]."""
     ones = np.ones(len(ends))
-    l_img = _cross_rows(np.column_stack([ends[:, :2], ones]),
-                        np.column_stack([ends[:, 2:], ones]))
+    l_img = np.cross(np.column_stack([ends[:, :2], ones]),
+                     np.column_stack([ends[:, 2:], ones]))
     kl = (intr.matrix().T @ l_img[:, :, None])[:, :, 0]
     return cams.to_world(kl), rowdot(cams.translation, kl)
 
@@ -421,11 +401,11 @@ def triangulate_lines(ends_a, ends_b, cams_a: PoseStack, cams_b: PoseStack,
     c = np.abs(rowdot(_unit_rows(na), _unit_rows(nb)))
     ok = ~(acos_deg(np.clip(c, 0.0, 1.0)) < MIN_PLANE_ANGLE_DEG)
     na, nb, rhs = na[ok], nb[ok], -np.column_stack([ba, bb])[ok]
-    d = _cross_rows(na, nb)
+    d = np.cross(na, nb)
     # the least-norm point on both planes; lstsq does not stack
     x = np.array([np.linalg.lstsq(np.stack([a, b]), r, rcond=None)[0]
                   for a, b, r in zip(na, nb, rhs)]).reshape(-1, 3)
-    return ok, _cross_rows(x, d), d
+    return ok, np.cross(x, d), d
 
 
 def closest_points_on_lines(normal, direction, origin, ray) -> np.ndarray:
@@ -433,7 +413,7 @@ def closest_points_on_lines(normal, direction, origin, ray) -> np.ndarray:
     to the rays from `origin` along `ray` (n, 3). Where a line and its ray
     are parallel (|det| < 1e-12) it is the line's point closest to the world
     origin. Used to recover 3D segment endpoints."""
-    p0 = _cross_rows(direction, normal) / rowdot(direction, direction)[:, None]
+    p0 = np.cross(direction, normal) / rowdot(direction, direction)[:, None]
     d, r = _unit_rows(direction), _unit_rows(ray)
     dr, ones = rowdot(d, r), np.ones(len(d))
     # minimize ||p0 + s d - (o + t r)||^2 over (s, t)

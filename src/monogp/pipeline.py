@@ -54,8 +54,8 @@ from .simulate import (
     render_measurements,
 )
 from .tracking import (
+    TAU_S,
     GateAudit,
-    GateThresholds,
     SceneSegments,
     filter_short,
     match_predicted,
@@ -67,8 +67,7 @@ MODES = ("lp", "gp")
 
 # Per-frame VP detection settings; `detect_vanishing_points`' own defaults
 # (500 and 3) serve `monogp detect-vp`. Every other setting of the pipeline
-# is a constant of the module that uses it, or a default of `GateThresholds`
-# or of `detect_vanishing_points`' consensus angle.
+# is a constant of the module that uses it.
 VP_HYPOTHESES = 300
 VP_MIN_CLUSTER = 6
 
@@ -111,11 +110,11 @@ def build_line_tracks(scene: SceneSegments) -> dict[int, list]:
     [(frame, row of `scene`)], frames increasing.
 
     One matching pass per scene over the predictions and detections at least
-    tau_s long (`match_predicted`). Each prediction adds its matched
+    `TAU_S` long (`match_predicted`). Each prediction adds its matched
     detection, or else itself, to its track, in frame and then prediction
     order, which also orders the tracks. Frame 0 joins through the flow
     sources of frame 1's predictions."""
-    long = filter_short(scene.ends, GateThresholds().tau_s)
+    long = filter_short(scene.ends, TAU_S)
     is_pred = scene.track >= 0
     pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
     chosen = match_predicted(scene.ends[pred], scene.frame[pred],
@@ -173,7 +172,7 @@ def _triangulate_points(frames, poses, intr):
             Observations(frame[keep], pid[keep], px[keep]))
 
 
-def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
+def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, audit):
     """Triangulated lines plus gate-passing per-frame observations.
 
     `tracks` holds (frame, row) pairs of `scene`. One stacked pass over the
@@ -203,8 +202,7 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, gates, audit):
     track_ids = np.array([track_id for track_id, _ in tracked], dtype=int)
     in_front, pixels = project_points(p3[line], cams[pairs[:, 0]], intr)
     line, (t, r) = line[in_front], pairs[in_front].T
-    passed = run_gates(t, track_ids[line], scene.ends[r], pixels.reshape(-1, 4),
-                       gates, audit)
+    passed = run_gates(t, track_ids[line], scene.ends[r], pixels.reshape(-1, 4), audit)
     admitted = np.bincount(line[passed], minlength=len(tracked)) >= 2
     lines = {track_id: PluckerLine(normal[i], direction[i])
              for i, (track_id, _) in enumerate(tracked) if admitted[i]}
@@ -240,8 +238,7 @@ def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
     tracks = build_line_tracks(scene)
     points, point_obs = _triangulate_points(frames, poses, intr)
     audit: list[GateAudit] = []
-    lines, line_obs = _triangulate_lines(tracks, scene, poses, intr, GateThresholds(),
-                                         audit)
+    lines, line_obs = _triangulate_lines(tracks, scene, poses, intr, audit)
     return Landmarks(points, point_obs, lines, line_obs, audit)
 
 
@@ -254,10 +251,10 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
     away from its GP is negated. VP detection runs on each frame's endpoint
     rows, so `frames` (and the labels of their boundary `Segment2D`s) are
     left as they are."""
-    intr, tau_s = config.intrinsics, GateThresholds().tau_s
+    intr = config.intrinsics
     registry, links = GlobalPrimitiveRegistry(), [Observations.empty(4)]
     for t, fr in enumerate(frames):
-        long = filter_short(fr.ends, tau_s)
+        long = filter_short(fr.ends, TAU_S)
         ends, ids = fr.ends[long], fr.ids[long].tolist()
         if len(ids) < 2:
             continue

@@ -190,9 +190,9 @@ class FrameObservations:
     `ends` (n, 4), x1 y1 x2 y2, with `ids`, true `line_ids` and `families`
     (-1 on an outlier) and the `outlier` mask. Flow predictions: `pred_ends`
     (m, 4) with `pred_ids` and `pred_tracks` (the predicted line). The
-    boundary forms `points` ((id, pixel) pairs), `segments` (a `Segment2D`
-    list) and `truth` (id -> `SegmentTruth`), which callers outside the
-    pipeline read, are built on first read, once."""
+    boundary forms `segments` (a `Segment2D` list) and `truth` (id ->
+    `SegmentTruth`), which callers outside the pipeline read, are built on
+    first read, once."""
     frame_id: int
     point_ids: np.ndarray
     point_px: np.ndarray
@@ -204,10 +204,6 @@ class FrameObservations:
     pred_ends: np.ndarray
     pred_ids: np.ndarray
     pred_tracks: np.ndarray
-
-    @cached_property
-    def points(self) -> list:
-        return list(zip(self.point_ids.tolist(), self.point_px))
 
     @cached_property
     def segments(self) -> list[Segment2D]:
@@ -463,7 +459,8 @@ def render_measurements(world: World, poses: list[Pose],
 def frame_to_dict(fr: FrameObservations) -> dict:
     return {
         "frame_id": fr.frame_id,
-        "points": [[pid, [float(o[0]), float(o[1])]] for pid, o in fr.points],
+        "points": [[pid, px] for pid, px in zip(fr.point_ids.tolist(),
+                                                 fr.point_px.tolist())],
         "segments": _seg_lists(fr.ends, fr.ids, [None] * len(fr.ids)),
         "predicted": _seg_lists(fr.pred_ends, fr.pred_ids, fr.pred_tracks.tolist()),
         "truth": {str(sid): [tr.line_id, tr.family_id, tr.outlier]

@@ -25,7 +25,6 @@ one-row stack. The floats are those of the per-pair loops they replaced:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -50,18 +49,13 @@ MATCH_W_ANGLE = 0.5
 MATCH_W_OVERLAP = 0.5
 
 
-@dataclass
-class GateThresholds:
-    tau_s: float = 15.0       # min segment length, px
-    theta_thre: float = 4.0   # midpoint distance, px
-    d_thre: float = 3.0       # endpoint perpendicular distance, px
-    alpha_thre: float = 30.0  # sensitivity, degrees
-    r_thre: float = 0.3       # overlap ratio, dimensionless
-
-    def __post_init__(self):
-        if min(self.tau_s, self.theta_thre, self.d_thre, self.alpha_thre,
-               self.r_thre) <= 0 or self.r_thre > 1:
-            raise ValueError("invalid gate thresholds")
+# Mapline thresholds: segments shorter than TAU_S are neither tracked nor
+# used for VP detection; `run_gates` applies the other four.
+TAU_S = 15.0       # min segment length, px
+THETA_THRE = 4.0   # midpoint distance, px
+D_THRE = 3.0       # endpoint perpendicular distance, px
+ALPHA_THRE = 30.0  # sensitivity, degrees
+R_THRE = 0.3       # overlap ratio, dimensionless
 
 
 class GateResult(NamedTuple):
@@ -244,7 +238,6 @@ def write_gate_audit(audit: list[GateAudit], path) -> None:
 
 
 def run_gates(frame_id, track_id, observed, projected,
-              thresholds: GateThresholds,
               audit: list[GateAudit] | None = None):
     """Run all three gates on n observed/projected segment pairs, stacked
     endpoints (n, 4), x1 y1 x2 y2 per row; `frame_id` and `track_id` hold the
@@ -260,14 +253,13 @@ def run_gates(frame_id, track_id, observed, projected,
     ori_mid, _ = segment_frames(observed)
     proj_mid, proj_dir = segment_frames(projected)
     results = [
-        ("reprojection", max(thresholds.theta_thre, thresholds.d_thre),
-         reprojection_gate(ori_mid, proj_mid, d_s, d_e,
-                           thresholds.theta_thre, thresholds.d_thre)),
-        ("sensitivity", thresholds.alpha_thre,
-         sensitivity_gate(proj_dir, ori_mid, proj_mid, thresholds.alpha_thre)),
-        ("overlap", thresholds.r_thre,
+        ("reprojection", max(THETA_THRE, D_THRE),
+         reprojection_gate(ori_mid, proj_mid, d_s, d_e, THETA_THRE, D_THRE)),
+        ("sensitivity", ALPHA_THRE,
+         sensitivity_gate(proj_dir, ori_mid, proj_mid, ALPHA_THRE)),
+        ("overlap", R_THRE,
          overlap_gate(observed[:, :2], observed[:, 2:], projected[:, :2],
-                      projected[:, 2:], thresholds.r_thre)),
+                      projected[:, 2:], R_THRE)),
     ]
     if audit is not None and len(observed):
         audit.append(GateAudit(np.asarray(frame_id), np.asarray(track_id), results))

@@ -13,13 +13,14 @@ keeps the floats of a per-pair, per-segment loop:
   uint32 words, exactly as `Generator.choice(n, 2, replace=False)` draws
   them (Floyd's algorithm with Lemire's bounded draw), one block of words
   per batch of attempts;
-- the preference matrix (consensus angle < θ) is built one block of
-  hypothesis columns at a time, `max(1, _BLOCK_ELEMS // n)` columns for n
-  segments: each (n, block) float temporary stays below glibc's default
-  128 KiB mmap threshold, so it comes from the heap where a whole (n, m)
-  plane would be a fresh mapping on every call. Two matrix products per
-  block decide every entry at least 1e-9 rad from the θ boundary; the rest
-  (about none) take the exact angle;
+- the preference matrix (consensus angle below θ = `CONSENSUS_DEG`) is
+  built one block of hypothesis columns at a time, `max(1, _BLOCK_ELEMS //
+  n)` columns for n segments: each (n, block) float temporary stays below
+  glibc's default 128 KiB mmap threshold, so it comes from the heap where a
+  whole (n, m) plane would be a fresh mapping on every call. Two matrix
+  products per block decide every entry at least 1e-9 rad from the θ
+  boundary; the rest (about none) take `consensus_angles`, the exact angle
+  that refinement also uses;
 - J-Linkage keeps each preference set as a float32 0/1 row and takes set
   sizes and intersections from BLAS (`S @ S.T` once, `S @ S[i]` per merge):
   sums of 0/1 products are exact integers below 2²⁴, whatever the BLAS
@@ -51,8 +52,11 @@ from .segments import (
 )
 
 DEFAULT_N_HYPOTHESES = 500
-DEFAULT_CONSENSUS_DEG = 2.0
 DEFAULT_MIN_CLUSTER_SIZE = 3
+
+# J-Linkage's consensus angle θ, in degrees; `preference_matrix` relies on
+# 0° < θ < 90°.
+CONSENSUS_DEG = 2.0
 
 _EPS_INF = 1e-9
 _WORD = 1 << 32  # the generator's uint32 words
@@ -185,46 +189,31 @@ def consensus_angles(ends, vps) -> np.ndarray:
     return ang
 
 
-def _planes(mids, dirs, hyps):
-    """|u×t|, |u·t| and the ray t (x, y) of segments (midpoints and unit
-    directions u, (..., 2)) against hypotheses (..., 3), broadcast."""
-    tx, ty = _rays(mids, hyps)
-    ux, uy = dirs[..., 0], dirs[..., 1]
-    return np.abs(ux * ty - uy * tx), np.abs(ux * tx + uy * ty), tx, ty
-
-
-def _degrees(cross, dot, tx, ty):
-    """Consensus angles in degrees from |u×t|, |u·t| and the ray t; 90 where
-    the ray is shorter than 1e-9 (a hypothesis on the segment's midpoint)."""
-    ang = np.degrees(np.arctan2(cross, dot))
-    return np.where(np.sqrt(tx * tx + ty * ty) >= 1e-9, ang, 90.0)
-
-
-def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
-    """(n, m) bool: segment r's consensus angle with hypothesis c is below θ.
+def preference_matrix(ends, hypotheses) -> np.ndarray:
+    """(n, m) bool: segment r's consensus angle with hypothesis c is below
+    `CONSENSUS_DEG`.
 
     `ends` holds stacked endpoints (n, 4). The entries are built one block of
     `max(1, _BLOCK_ELEMS // n)` hypothesis columns at a time, so no float
     temporary is a fresh mmap. Every entry is the exact angle's test,
-    `_degrees(*_planes(...)) < θ`, but for 0° < θ < 90° a prefilter decides
-    most entries without `arctan2`.
+    `consensus_angles(...) < CONSENSUS_DEG`, but a prefilter decides most
+    entries without it.
 
-    With c = |u×t| and d = |u·t| (the floats `_planes` gives), φ =
-    atan2(c, d) and r = hypot(c, d) ≤ c + d, the value d·sin θ − c·cos θ is
-    r·sin(θ − φ). Two matrix products give it per block as
-    e = |sin θ·u·t| − |cos θ·u×t|, with t = p − m written as the hypothesis
-    column (p, 1) (or (x, y, 0) at infinity) against the segment row
-    (u, −u·m); their rounding is below ~1e-15·(|p| + |m|). With
+    With c = |u×t| and d = |u·t| for the segment's unit direction u and its
+    ray t to the hypothesis, φ = atan2(c, d) and r = hypot(c, d) ≤ c + d,
+    the value d·sin θ − c·cos θ is r·sin(θ − φ). Two matrix products give it
+    per block as e = |sin θ·u·t| − |cos θ·u×t|, with t = p − m written as
+    the hypothesis column (p, 1) (or (x, y, 0) at infinity) against the
+    segment row (u, −u·m); their rounding is below ~1e-15·(|p| + |m|). With
     tol = 2e-9·(|p| + max |m| + 1) per hypothesis, which exceeds
     1e-9·(c + d) (c + d ≤ √2·|t|) plus that rounding, an entry is in when
     e > tol and out when e < −tol: at least 1e-9 rad from the boundary,
-    millions of times the rounding of `arctan2` and `degrees` (~1e-15
-    relative). Only entries with |e| ≤ tol take the exact angle: the
-    boundary band, every ray the 90° rule for |t| < 1e-9 could catch
-    (|e| ≤ c + d < 2e-9 ≤ tol), NaN or infinite values (they fail both
-    tests), and every entry of a hypothesis whose |p| + max |m| is not
-    below 1e300, where e could overflow, or of any θ outside (0°, 90°)
-    (tol = inf).
+    millions of times the rounding of the exact angle (~1e-15 relative).
+    Only entries with |e| ≤ tol take the exact angle: the boundary band,
+    every ray shorter than 1e-9 (NaN, so out; |e| ≤ c + d < 2e-9 ≤ tol),
+    NaN or infinite values (they fail both tests), and every entry of a
+    hypothesis whose |p| + max |m| is not below 1e300, where e could
+    overflow (tol = inf).
     """
     mids, dirs = segment_frames(ends)
     hyps = np.asarray(hypotheses, dtype=float)
@@ -233,9 +222,8 @@ def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
     # columns (p, 1), or (x, y, 0) at infinity: t = p - m is a product
     P = np.array([*_rays(np.zeros(2), hyps), np.abs(hyps[:, 2]) >= _EPS_INF])
     scale = np.hypot(P[0], P[1]) + np.hypot(*mids.T).max() + 1.0
-    inside = 0.0 < theta_cons_deg < 90.0  # False for NaN
-    tol = np.where((scale < 1e300) & inside, 2e-9 * scale, np.inf)
-    a = math.radians(theta_cons_deg) if inside else 0.0
+    tol = np.where(scale < 1e300, 2e-9 * scale, np.inf)
+    a = math.radians(CONSENSUS_DEG)
     ux, uy, mx, my = dirs[:, 0], dirs[:, 1], mids[:, 0], mids[:, 1]
     along = math.sin(a) * np.column_stack([ux, uy, -(ux * mx + uy * my)])
     across = math.cos(a) * np.column_stack([-uy, ux, uy * mx - ux * my])
@@ -248,7 +236,7 @@ def preference_matrix(ends, hypotheses, theta_cons_deg: float) -> np.ndarray:
         band = np.flatnonzero(~(np.abs(e, out=e) > tol[c:c + step]))
         if band.size:
             r, k = np.divmod(band, e.shape[1])
-            block[r, k] = _degrees(*_planes(mids[r], dirs[r], hyps[c + k])) < theta_cons_deg
+            block[r, k] = consensus_angles(ends[r], hyps[c + k]) < CONSENSUS_DEG
     return pref
 
 
@@ -418,7 +406,6 @@ def lift_vanishing_point(vp, intr: CameraIntrinsics, r_wc) -> np.ndarray:
 
 def detect_vanishing_points(segments,
                             n_hypotheses: int = DEFAULT_N_HYPOTHESES,
-                            theta_cons_deg: float = DEFAULT_CONSENSUS_DEG,
                             min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
                             rng_seed: int = 0,
                             ids=None) -> list[VanishingPointEstimate]:
@@ -446,7 +433,7 @@ def detect_vanishing_points(segments,
     hyps = sample_vp_hypotheses(ends, n_hypotheses, rng_seed)
     if len(hyps) == 0:
         return []
-    pref = preference_matrix(ends, hyps, theta_cons_deg)
+    pref = preference_matrix(ends, hyps)
     clusters = [(sorted(row_of[sid] for sid in c), c)
                 for c in jlinkage_cluster(list(row_of), pref, min_cluster_size)]
     estimates = []

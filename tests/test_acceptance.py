@@ -20,7 +20,6 @@ from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, s
 from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp.tracking import (
-    GateThresholds,
     overlap_gate,
     reprojection_gate,
     run_gates,
@@ -135,8 +134,7 @@ def test_criterion_5_jlinkage_recovers_planted_families():
     successes, worst_angle, worst_acc = 0, 0.0, 1.0
     for seed in range(20):
         segments, families, pose = _planted_vp_scene(seed)
-        estimates = detect_vanishing_points(segments, n_hypotheses=500,
-                                            theta_cons_deg=2.0, rng_seed=seed)
+        estimates = detect_vanishing_points(segments, n_hypotheses=500, rng_seed=seed)
         lifted = [lift_vanishing_point(e.vp_homogeneous, K, pose.r_wc)
                   for e in estimates]
         # map each estimate to its nearest planted axis
@@ -178,7 +176,6 @@ def test_criterion_6_gate_golden_values(tmp_path):
     res = first(sensitivity_gate(*one_pair([1.0, 0.0], [0, 0], [5, 0]), 10.0))
     checks.append(not res.passed and abs(res.value - 90.0) < 1e-9)
 
-    thresholds = GateThresholds()
     paths = []
     for run in range(2):
         audit = []
@@ -189,8 +186,7 @@ def test_criterion_6_gate_golden_values(tmp_path):
             u /= np.linalg.norm(u)
             shift = rng.normal(0.0, 2.0, 2)
             run_gates([0], [i], endpoints([Segment2D(a, a + 60 * u, id=i)]),
-                      endpoints([Segment2D(a + shift, a + 60 * u + shift, id=i)]),
-                      thresholds, audit)
+                      endpoints([Segment2D(a + shift, a + 60 * u + shift, id=i)]), audit)
         path = tmp_path / f"audit{run}.csv"
         write_gate_audit(audit, path)
         paths.append(path)
@@ -244,7 +240,7 @@ def test_criterion_8_nonoverlap_association():
     world = generate_world(cfg)
     poses = generate_trajectory(cfg)
     frames = render_measurements(world, poses, cfg)
-    seen = {fr.frame_id: {("p", pid) for pid, _ in fr.points} |
+    seen = {fr.frame_id: {("p", pid) for pid in fr.point_ids.tolist()} |
             {("l", fr.truth[s.id].line_id) for s in fr.segments}
             for fr in frames}
     graph = result.registry.association_graph()

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from monogp import geometry as geometry_module
 from monogp.geometry import (
@@ -22,7 +21,6 @@ from monogp.geometry import (
     PoseStack,
     backproject,
     closest_points_on_lines,
-    cross3,
     plucker_to_orthonormal,
     project_points,
     se3_exp,
@@ -33,6 +31,7 @@ from monogp.geometry import (
 )
 from monogp.graph import retract
 from monogp.segments import Segment2D, endpoints
+from monogp.vanishing import canonical_direction
 from test_graph import (
     closest_point_to_origin,
     line_residual,
@@ -64,6 +63,9 @@ def test_se3_exp_quarter_turn_about_z():
 
 
 def test_se3_exp_matches_matrix_exponential():
+    # imported here, so that importing this module (test_tracking's oracles
+    # do) needs no scipy
+    from scipy.linalg import expm
     rng = np.random.default_rng(3)
     for _ in range(1000):
         xi = rng.normal(0.0, 0.3, size=6)
@@ -224,7 +226,8 @@ def test_orthonormal_roundtrip_random():
     rng = np.random.default_rng(8)
     for _ in range(1000):
         line = PluckerLine.from_two_points(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
-        ca, cb = line.canonical_coords(), plucker_coords(oracle_plucker_to_orthonormal(line))
+        ca = canonical_direction(np.concatenate([line.normal, line.direction]))
+        cb = plucker_coords(oracle_plucker_to_orthonormal(line))
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
 
 
@@ -359,7 +362,7 @@ def oracle_triangulate_point(obs_a, obs_b, pose_a, pose_b, intr, min_ray_angle_d
 def oracle_backprojected_plane(seg, pose, intr):
     ps = np.array([seg.p_start[0], seg.p_start[1], 1.0])
     pe = np.array([seg.p_end[0], seg.p_end[1], 1.0])
-    l_img = cross3(ps, pe)
+    l_img = np.cross(ps, pe)
     K_ = intr.matrix()
     a = pose.rotation.T @ (K_.T @ l_img)
     b = float(pose.translation @ (K_.T @ l_img))
@@ -379,11 +382,11 @@ def oracle_triangulate_line(seg_a, seg_b, pose_a, pose_b, intr, min_plane_angle_
     cos_ang = np.clip(abs(float(na @ nb)), 0.0, 1.0)
     if math.degrees(math.acos(cos_ang)) < min_plane_angle_deg:
         raise OracleTriangulationError("insufficient parallax: planes nearly parallel")
-    d = cross3(pa[:3], pb[:3])
+    d = np.cross(pa[:3], pb[:3])
     A = np.vstack([pa[:3], pb[:3]])
     rhs = -np.array([pa[3], pb[3]])
     x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return PluckerLine(cross3(x, d), d)
+    return PluckerLine(np.cross(x, d), d)
 
 
 def oracle_closest_point_on_line_to_ray(line, origin, direction):
@@ -552,7 +555,8 @@ def test_triangulate_line_noiseless_roundtrip():
     ok, normal, direction = stacked_line_rows(pairs, K)
     assert ok.sum() > 40  # the rest have a plane angle below the threshold
     for truth, n, d in zip([t for t, k in zip(truths, ok) if k], normal, direction):
-        ca, cb = truth.canonical_coords(), PluckerLine(n, d).canonical_coords()
+        ca = canonical_direction(np.concatenate([truth.normal, truth.direction]))
+        cb = canonical_direction(np.concatenate([n, d]))
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
 
 

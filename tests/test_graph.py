@@ -24,7 +24,6 @@ from monogp.geometry import (
     Pose,
     PoseStack,
     OrthonormalLine,
-    cross3,
     project_points,
     se3_exp,
     skew,
@@ -81,7 +80,7 @@ def project_point(p_w, pose, intr):
 def closest_point_to_origin(line):
     """The point of a Plücker line nearest the world origin."""
     d = line.direction
-    return cross3(d, line.normal) / float(d @ d)
+    return np.cross(d, line.normal) / float(d @ d)
 
 
 # -- one variable or factor at a time, through the block adds -------------------
@@ -137,14 +136,14 @@ def oracle_plucker_to_orthonormal(line: PluckerLine) -> OrthonormalLine:
     if nn < 1e-12 * nd:
         # Line through the origin: any unit vector orthogonal to d works.
         k = int(np.argmin(np.abs(u2)))
-        c = cross3(u2, np.eye(3)[k])
+        c = np.cross(u2, np.eye(3)[k])
         u1 = c / np.linalg.norm(c)
         w1, w2 = 0.0, 1.0
     else:
         u1 = n / nn
         h = math.hypot(nn, nd)
         w1, w2 = nn / h, nd / h
-    u3 = cross3(u1, u2)
+    u3 = np.cross(u1, u2)
     U = np.column_stack([u1, u2, u3])
     W = np.array([[w1, -w2], [w2, w1]])
     return OrthonormalLine(U, W)

@@ -41,8 +41,6 @@ ALLOWED = {
         "value-type helper: criterion 1 maps camera points to the world with it",
     "geometry.Pose.compose":
         "value-type helper: the oracle that `retract` on poses is checked against",
-    "geometry.PluckerLine.canonical_coords":
-        "value-type helper: the line tests compare Plücker lines with it",
 }
 
 # Methods reached only through an attribute on a receiver of unknown class,
@@ -84,7 +82,6 @@ UNKNOWN_RECEIVER = frozenset({
     "primitives.GlobalPrimitive.frames",
     "primitives.GlobalPrimitiveRegistry.associate_frame",
     "primitives.GlobalPrimitiveRegistry.to_json",
-    "simulate.FrameObservations.points",
     "simulate.FrameObservations.segments",
     "simulate.FrameObservations.truth",
     "simulate.ScenarioConfig.intrinsics",

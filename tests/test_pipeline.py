@@ -31,7 +31,7 @@ from monogp.simulate import (
     generate_world,
     render_measurements,
 )
-from monogp.tracking import GateThresholds, SceneSegments
+from monogp.tracking import TAU_S, SceneSegments
 from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
 from golden import CONFIGS, assert_golden, digests, run_entries
 from golden import config_path as config_file
@@ -316,18 +316,18 @@ def test_vp_detection_labels_a_segment_list_it_is_given():
 def oracle_graph(frames, poses, cfg, mode):
     """The factor graph as `run_pipeline` built it inline, mapping included,
     and how many lines it sign-flipped onto their GP."""
-    intr, tau_s = cfg.intrinsics, GateThresholds().tau_s
+    intr = cfg.intrinsics
     points, point_obs = pipeline._triangulate_points(frames, poses, intr)
     obs_by_point = grouped(point_obs)
     scene = SceneSegments.of(frames)
     lines, line_obs = pipeline._triangulate_lines(
-        build_line_tracks(scene), scene, poses, intr, GateThresholds(), [])
+        build_line_tracks(scene), scene, poses, intr, [])
     line_obs = grouped(line_obs)
     registry, seg_gp = None, {}
     if mode == "gp":
         registry = GlobalPrimitiveRegistry()
         for t, fr in enumerate(frames):
-            segs = [s for s in fr.segments if np.linalg.norm(s.p_end - s.p_start) >= tau_s]
+            segs = [s for s in fr.segments if np.linalg.norm(s.p_end - s.p_start) >= TAU_S]
             if len(segs) < 2:
                 continue
             estimates = detect_vanishing_points(

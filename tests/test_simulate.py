@@ -185,9 +185,9 @@ def assert_frames_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.frame_id == w.frame_id
-        assert [pid for pid, _ in g.points] == [pid for pid, _ in w.points]
-        assert all(type(pid) is int for pid, _ in g.points)
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(g.points, w.points))
+        assert g.point_ids.dtype.kind == "i"
+        assert g.point_ids.tolist() == [pid for pid, _ in w.points]
+        assert all(np.array_equal(a, b) for a, (_, b) in zip(g.point_px, w.points))
         for gs, ws in ((g.segments, w.segments), (predicted_segments(g), w.predicted)):
             assert [(s.id, s.track_id) for s in gs] == [(s.id, s.track_id) for s in ws]
             assert all(np.array_equal(a.p_start, b.p_start) and np.array_equal(a.p_end, b.p_end)
@@ -338,7 +338,7 @@ def test_noiseless_points_are_exact_projections():
     frames = render_measurements(world, poses, cfg)
     intr = cfg.intrinsics
     for fr in frames:
-        for pid, px in fr.points:
+        for pid, px in zip(fr.point_ids.tolist(), fr.point_px):
             assert np.allclose(px, project_point(world.points[pid],
                                                  poses[fr.frame_id], intr),
                                atol=1e-12)
@@ -429,9 +429,9 @@ def test_visibility_partition_separates_frames():
     world = generate_world(cfg)
     poses = generate_trajectory(cfg)
     frames = render_measurements(world, poses, cfg)
-    early = {pid for pid, _ in frames[1].points} | \
+    early = set(frames[1].point_ids.tolist()) | \
         {frames[1].truth[s.id].line_id for s in frames[1].segments}
-    late = {pid for pid, _ in frames[29].points} | \
+    late = set(frames[29].point_ids.tolist()) | \
         {frames[29].truth[s.id].line_id for s in frames[29].segments}
     assert early and late
     assert not early & late
@@ -456,7 +456,8 @@ def test_observation_jsonl_roundtrip(tmp_path):
     for fr, line in zip(frames, lines):
         d = json.loads(line)
         assert d["frame_id"] == fr.frame_id
-        assert d["points"] == [[pid, px.tolist()] for pid, px in fr.points]
+        assert d["points"] == [[pid, px.tolist()]
+                               for pid, px in zip(fr.point_ids.tolist(), fr.point_px)]
         assert d["segments"] == seg_fields(fr.segments)
         assert d["predicted"] == seg_fields(predicted_segments(fr))
         assert d["truth"] == {str(sid): list(dataclasses.astuple(tr))

@@ -23,8 +23,12 @@ from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp import tracking as tracking_module
 from monogp.tracking import (
+    ALPHA_THRE,
+    D_THRE,
+    R_THRE,
+    TAU_S,
+    THETA_THRE,
     GateResult,
-    GateThresholds,
     SceneSegments,
     filter_short,
     overlap_gate,
@@ -232,7 +236,6 @@ def test_overlap_gate_endpoint_swap_invariant():
 # -- audit CSV ---------------------------------------------------------------
 
 def test_run_gates_audit_byte_identical(tmp_path):
-    thresholds = GateThresholds()
     rng = np.random.default_rng(1)
     paths = []
     for run in range(2):
@@ -245,8 +248,7 @@ def test_run_gates_audit_byte_identical(tmp_path):
             observed = Segment2D(a, a + 60 * u, id=i)
             shift = rows_rng.normal(0.0, 2.0, 2)
             projected = Segment2D(a + shift, a + 60 * u + shift, id=i)
-            run_gates([0], [i], endpoints([observed]), endpoints([projected]), thresholds,
-                      audit)
+            run_gates([0], [i], endpoints([observed]), endpoints([projected]), audit)
         path = tmp_path / f"audit{run}.csv"
         write_gate_audit(audit, path)
         paths.append(path)
@@ -256,10 +258,9 @@ def test_run_gates_audit_byte_identical(tmp_path):
 
 
 def test_run_gates_all_pass_on_exact_projection():
-    thresholds = GateThresholds()
     observed = Segment2D([100, 100], [200, 150], id=0)
     projected = Segment2D([100, 100], [200, 150], id=0)
-    assert run_gates([0], [0], endpoints([observed]), endpoints([projected]), thresholds)[0]
+    assert run_gates([0], [0], endpoints([observed]), endpoints([projected]))[0]
 
 
 # -- oracles: the per-pair loops, verbatim -------------------------------------
@@ -375,19 +376,19 @@ def oracle_overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e, r_thre):
     return OracleGateResult(True, None, r)
 
 
-def oracle_run_gates(frame_id, track_id, observed, projected, thresholds, audit=None):
+def oracle_run_gates(frame_id, track_id, observed, projected, audit=None):
     l_proj = segment_line(projected)
     d_s = abs(float(l_proj @ np.array([*observed.p_start, 1.0])))
     d_e = abs(float(l_proj @ np.array([*observed.p_end, 1.0])))
     rep = oracle_reprojection_gate(midpoint(observed), midpoint(projected), d_s, d_e,
-                                   thresholds.theta_thre, thresholds.d_thre)
+                                   THETA_THRE, D_THRE)
     sen = oracle_sensitivity_gate(direction(projected), midpoint(observed),
-                                  midpoint(projected), thresholds.alpha_thre)
+                                  midpoint(projected), ALPHA_THRE)
     ove = oracle_overlap_gate(observed.p_start, observed.p_end,
-                              projected.p_start, projected.p_end, thresholds.r_thre)
-    results = [("reprojection", rep, max(thresholds.theta_thre, thresholds.d_thre)),
-               ("sensitivity", sen, thresholds.alpha_thre),
-               ("overlap", ove, thresholds.r_thre)]
+                              projected.p_start, projected.p_end, R_THRE)
+    results = [("reprojection", rep, max(THETA_THRE, D_THRE)),
+               ("sensitivity", sen, ALPHA_THRE),
+               ("overlap", ove, R_THRE)]
     if audit is not None:
         for name, res, thr in results:
             audit.append(OracleAuditRow(frame_id, track_id, name, res.value, thr,
@@ -403,7 +404,7 @@ def oracle_project_point(p_w, pose, intr):
                      intr.fy * p_c[1] / p_c[2] + intr.cy])
 
 
-def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
+def oracle_triangulate_lines(tracks, poses_init, intr, audit):
     lines, line_obs = {}, {}
     for track_id, obs in sorted(tracks.items()):
         if len(obs) < 2:
@@ -427,7 +428,7 @@ def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
             except ValueError:
                 continue
             projected = Segment2D(q_s, q_e, id=seg.id)
-            if oracle_run_gates(t, track_id, seg, projected, gates, audit):
+            if oracle_run_gates(t, track_id, seg, projected, audit):
                 passing.append((t, seg))
         if len(passing) >= 2:
             lines[track_id] = line
@@ -438,7 +439,7 @@ def oracle_triangulate_lines(tracks, poses_init, intr, gates, audit):
 def oracle_triangulate_points(frames, poses, intr):
     obs_by_point = {}
     for fr in frames:
-        for pid, px in fr.points:
+        for pid, px in zip(fr.point_ids.tolist(), fr.point_px):
             obs_by_point.setdefault(pid, []).append((fr.frame_id, px))
     points = {}
     for pid, items in sorted(obs_by_point.items()):
@@ -483,10 +484,9 @@ def segment_list(scene, rows):
 def test_match_predicted_equals_oracle_on_scenes(config):
     # every frame in one call, against the per-frame oracle
     frames, _ = scene(config)
-    tau_s = GateThresholds().tau_s
     rows = SceneSegments.of(frames)
-    long = filter_short(rows.ends, tau_s)
-    assert long.tolist() == [np.linalg.norm(s.p_end - s.p_start) >= tau_s
+    long = filter_short(rows.ends, TAU_S)
+    assert long.tolist() == [np.linalg.norm(s.p_end - s.p_start) >= TAU_S
                              for fr in frames for s in fr.segments + predicted_segments(fr)]
     is_pred = rows.track >= 0
     pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
@@ -528,14 +528,14 @@ def row_obs_key(line_obs, tracks, rows):
             for k, obs in line_obs.items()}
 
 
-def assert_lines_equal_oracle(tracks, rows, poses, intr, gates, tmp_path):
+def assert_lines_equal_oracle(tracks, rows, poses, intr, tmp_path):
     """`_triangulate_lines` on (frame, row) `tracks` of `rows` equals the
     oracle on their segments; returns the oracle's audit rows."""
     audit, oracle_audit = [], []
-    lines, line_obs = _triangulate_lines(tracks, rows, poses, intr, gates, audit)
+    lines, line_obs = _triangulate_lines(tracks, rows, poses, intr, audit)
     oracle_lines, oracle_obs = oracle_triangulate_lines(
         {k: list(zip([t for t, _ in obs], segment_list(rows, [r for _, r in obs])))
-         for k, obs in tracks.items()}, poses, intr, gates, oracle_audit)
+         for k, obs in tracks.items()}, poses, intr, oracle_audit)
     assert row_obs_key(grouped(line_obs), tracks, rows) == obs_key(oracle_obs)
     # raw bytes: the pipeline hands these floats on unnormalized
     assert list(lines) == list(oracle_lines)
@@ -552,7 +552,7 @@ def test_gate_audit_equals_oracle_on_scenes(config, tmp_path):
     frames, poses = scene(config)
     rows = SceneSegments.of(frames)
     audit = assert_lines_equal_oracle(build_line_tracks(rows), rows, poses,
-                                      config.intrinsics, GateThresholds(), tmp_path)
+                                      config.intrinsics, tmp_path)
     assert {r.verdict for r in audit} >= {"pass", "midpoint"}
 
 
@@ -561,7 +561,7 @@ def test_gate_audit_equals_oracle_on_ground_truth_poses(config, tmp_path):
     frames, poses = scene(config, ground_truth=True)
     rows = SceneSegments.of(frames)
     audit = assert_lines_equal_oracle(build_line_tracks(rows), rows, poses,
-                                      config.intrinsics, GateThresholds(), tmp_path)
+                                      config.intrinsics, tmp_path)
     assert "pass" in {r.verdict for r in audit}
 
 
@@ -632,8 +632,7 @@ def test_gates_skip_frame_behind_camera(tmp_path):
         else:
             track.append((t, Segment2D(*(oracle_project_point(p, pose, intr)
                                          for p in ends), id=t)))
-    audit = assert_lines_equal_oracle(*row_tracks({3: track}), poses, intr, GateThresholds(),
-                                      tmp_path)
+    audit = assert_lines_equal_oracle(*row_tracks({3: track}), poses, intr, tmp_path)
     assert [(r.frame_id, r.gate) for r in audit] == \
         [(t, g) for t in (0, 2) for g in ("reprojection", "sensitivity", "overlap")]
     assert all(r.verdict == "pass" for r in audit)
@@ -659,7 +658,7 @@ def test_track_behind_every_camera_has_no_audit_rows(tmp_path):
     line = oracle_triangulate_line(behind[0][1], behind[1][1], *poses, intr)
     assert closest_point_to_origin(line)[2] < 0  # triangulated, behind the cameras
     audit = assert_lines_equal_oracle(*row_tracks({4: behind, 9: seen}), poses, intr,
-                                      GateThresholds(), tmp_path)
+                                      tmp_path)
     assert {r.track_id for r in audit} == {9} and len(audit) == 6
 
 
@@ -671,11 +670,10 @@ def test_tracks_seen_once_are_skipped(tmp_path):
     once = [(1, Segment2D(*(pinhole(p, poses[1], intr) for p in ends), id=0))]
     twice = [(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
              for t, pose in enumerate(poses)]
-    lines, _ = _triangulate_lines(*row_tracks({1: once}), poses, intr, GateThresholds(),
-                                  audit := [])
+    lines, _ = _triangulate_lines(*row_tracks({1: once}), poses, intr, audit := [])
     assert lines == {} and audit == []
     audit = assert_lines_equal_oracle(*row_tracks({2: twice, 1: once}), poses, intr,
-                                      GateThresholds(), tmp_path)
+                                      tmp_path)
     assert {r.track_id for r in audit} == {2}
 
 
@@ -691,15 +689,15 @@ def test_zero_length_projection_raises():
              (t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
              for t, pose in enumerate(poses)]
     with pytest.raises(ValueError, match="zero-length segment"):
-        _triangulate_lines(*row_tracks({0: track}), poses, intr, GateThresholds(), [])
+        _triangulate_lines(*row_tracks({0: track}), poses, intr, [])
     with pytest.raises(ValueError, match="zero-length segment"):
-        oracle_triangulate_lines({0: track}, poses, intr, GateThresholds(), [])
+        oracle_triangulate_lines({0: track}, poses, intr, [])
     # run_gates itself, before it writes any audit row
     observed = endpoints([seg(100, 100, 200, 120), seg(300, 240, 340, 240)])
     projected = np.array([[100.0, 101.0, 200.0, 121.0], [320.0, 240.0, 320.0, 240.0]])
     audit = []
     with pytest.raises(ValueError, match="zero-length segment"):
-        run_gates([0, 1], [7, 7], observed, projected, GateThresholds(), audit)
+        run_gates([0, 1], [7, 7], observed, projected, audit)
     assert audit == []
 
 
@@ -713,14 +711,13 @@ def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
         projected.append(Segment2D(observed[-1].p_start + rng.normal(0.0, 3.0, 2),
                                    observed[-1].p_end + rng.normal(0.0, 3.0, 2), id=i))
     projected[0] = observed[0]  # no displacement
-    thresholds = GateThresholds()
     audit, single = [], []
     mask = run_gates(list(range(200)), [0] * 200, endpoints(observed),
-                     endpoints(projected), thresholds, audit)
+                     endpoints(projected), audit)
     oracle_audit = []
     for i, (o, p) in enumerate(zip(observed, projected)):
-        assert run_gates([i], [0], endpoints([o]), endpoints([p]), thresholds, single)[0] \
-            == mask[i] == oracle_run_gates(i, 0, o, p, thresholds, oracle_audit)
+        assert run_gates([i], [0], endpoints([o]), endpoints([p]), single)[0] \
+            == mask[i] == oracle_run_gates(i, 0, o, p, oracle_audit)
         r = overlap_ratio(*one_pair(o.p_start, o.p_end, p.p_start, p.p_end))[0]
         assert r == oracle_overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
     for rows, path in ((audit, "stacked.csv"), (single, "single.csv")):

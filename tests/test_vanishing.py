@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from monogp.geometry import CameraIntrinsics, cross3, so3_exp
+from monogp.geometry import CameraIntrinsics, so3_exp
 from monogp.segments import Segment2D, endpoints, segment_frames
 from monogp.simulate import (
     NoiseSpec,
@@ -18,8 +18,6 @@ from monogp.simulate import (
 import monogp.vanishing as vanishing
 from monogp.vanishing import (
     _decode_pairs,
-    _degrees,
-    _planes,
     canonical_direction,
     consensus_angles,
     detect_vanishing_points,
@@ -107,19 +105,17 @@ def ids_of(segments):
     return [s.id for s in segments]
 
 
-def preferences(segments, hypotheses, theta_cons_deg):
-    return preference_matrix(endpoints(segments), hypotheses, theta_cons_deg)
+def preferences(segments, hypotheses):
+    return preference_matrix(endpoints(segments), hypotheses)
 
 
-def cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
-    return jlinkage_cluster(ids_of(segments),
-                            preferences(segments, hypotheses, theta_cons_deg),
+def cluster(segments, hypotheses, min_cluster_size):
+    return jlinkage_cluster(ids_of(segments), preferences(segments, hypotheses),
                             min_cluster_size)
 
 
-def naive_cluster(segments, hypotheses, theta_cons_deg, min_cluster_size):
-    return naive_jlinkage_cluster(ids_of(segments),
-                                  preferences(segments, hypotheses, theta_cons_deg),
+def naive_cluster(segments, hypotheses, min_cluster_size):
+    return naive_jlinkage_cluster(ids_of(segments), preferences(segments, hypotheses),
                                   min_cluster_size)
 
 
@@ -142,7 +138,7 @@ def loop_sample_vp_hypotheses(segments, m, rng_seed):
     while len(hypotheses) < m and attempts < 50 * m:
         attempts += 1
         i, j = rng.choice(len(segments), size=2, replace=False)
-        v = cross3(lines[i], lines[j])
+        v = np.cross(lines[i], lines[j])
         n = np.linalg.norm(v)
         if n < 1e-12:
             continue  # numerically identical lines
@@ -215,7 +211,7 @@ def loop_refine_vp(cluster_segments):
     for seg in cluster_segments:
         a = np.array([*(seg.p_start - mid) / scale, 1.0])
         b = np.array([*(seg.p_end - mid) / scale, 1.0])
-        l = cross3(a, b)
+        l = np.cross(a, b)
         L.append(l / np.hypot(l[0], l[1]))
     _, s, vt = np.linalg.svd(np.array(L), full_matrices=True)
     if s[1] < 1e-9 * s[0]:
@@ -255,10 +251,11 @@ def oracle_detect_vanishing_points(segments, rng_seed, theta_cons_deg=2.0,
     return estimates, [label_of.get(s.id) for s in segments]
 
 
-def angle_block(mids, dirs, hyps):
-    """(n, k) exact consensus angles of n segments against k hypotheses, the
-    test every preference entry equals."""
-    return _degrees(*_planes(mids[:, None], dirs[:, None], hyps))
+def angle_block(ends, hyps):
+    """(n, k) `consensus_angles` of n segments (stacked endpoints) against k
+    hypotheses, the exact angle every preference entry is decided by."""
+    n, k = len(ends), len(hyps)
+    return consensus_angles(np.repeat(ends, k, axis=0), np.tile(hyps, (n, 1))).reshape(n, k)
 
 
 def random_segments(n, rng):
@@ -425,16 +422,19 @@ def test_consensus_angles_equal_scalar_steps():
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
-def test_consensus_matrix_equals_einsum_formulation(seed):
+def test_consensus_matrix_equals_scalar_steps(seed):
     segs = cluttered_frame(seed)
     hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=seed)
     on_mid = np.array([*midpoint(segs[5]), 1.0])
     extra = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 5e-10], [0.8, -0.6, -1e-9],
                       on_mid / np.linalg.norm(on_mid)])
     H = np.vstack([hyps, extra])
-    got = angle_block(*segment_frames(endpoints(segs)), H)
-    assert got[5, -1] == 90.0  # the hypothesis at segment 5's midpoint
-    assert np.array_equal(got, einsum_consensus_matrix(segs, H))
+    got = angle_block(endpoints(segs), H)
+    assert np.isnan(got[5, -1])  # the hypothesis at segment 5's midpoint
+    got[5, -1] = -1.0
+    want = [[scalar_consensus(s, h) if (r, c) != (5, len(H) - 1) else -1.0
+             for c, h in enumerate(H)] for r, s in enumerate(segs)]
+    assert got.tolist() == want
 
 
 def edge_hypotheses(segs, rng_seed):
@@ -450,14 +450,15 @@ def edge_hypotheses(segs, rng_seed):
 
 
 @pytest.mark.parametrize("n", [2, 39, 100, 1000])
-def test_blocked_preferences_equal_einsum_threshold(n):
+def test_blocked_preferences_equal_einsum_threshold(n, monkeypatch):
     # 1, 2, 5 and 43 column blocks for 508 hypotheses
     segs = random_segments(n, np.random.default_rng(n))
     H = edge_hypotheses(segs, rng_seed=n)
     angles = einsum_consensus_matrix(segs, H)
     assert angles[1, -1] == 90.0
-    for theta in (-1.0, 0.0, 0.5, 2.0, 89.999, 90.0, 95.0, np.inf, np.nan):
-        got = preference_matrix(endpoints(segs), H, theta)
+    for theta in (0.5, 2.0, 89.999):
+        monkeypatch.setattr(vanishing, "CONSENSUS_DEG", theta)
+        got = preference_matrix(endpoints(segs), H)
         assert got.dtype == bool and np.array_equal(got, angles < theta)
 
 
@@ -492,7 +493,7 @@ def boundary_hypotheses(mids, dirs, deg, length):
 
 def near_midpoint_hypotheses(mids, dirs):
     """With w = 1, so x/w and y/w are exact: on segment 0's midpoint, within
-    1e-9 px of it (the 90° rule; along its direction too), and just beyond."""
+    1e-9 px of it (a NaN angle; along its direction too), and just beyond."""
     m, u = mids[0], dirs[0]
     return np.array([[*m, 1.0], [m[0] + 4e-10, m[1], 1.0], [m[0], m[1] - 9e-10, 1.0],
                      [*(m + 9e-10 * u), 1.0], [m[0] + 8e-10, m[1] + 8e-10, 1.0],
@@ -501,24 +502,27 @@ def near_midpoint_hypotheses(mids, dirs):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5])
 @pytest.mark.parametrize("deg", [0.5, 2.0, 45.0, 89.9])
-def test_prefilter_equals_exact_angles_at_the_boundary(deg, scale):
-    # scale 1e-5: every coordinate below 0.01, so the 90° rule's 1e-9 is large
+def test_prefilter_equals_exact_angles_at_the_boundary(deg, scale, monkeypatch):
+    # scale 1e-5: every coordinate below 0.01, so the NaN rule's 1e-9 is large
     segs = random_segments(20, np.random.default_rng(21)) + aimed_segments(deg, 20)
     ends = scale * endpoints(segs)
     mids, dirs = segment_frames(ends)
     H = np.vstack([boundary_hypotheses(mids, dirs, deg, 300.0 * scale),
                    edge_hypotheses(segs, rng_seed=21), near_midpoint_hypotheses(mids, dirs)])
-    angles = angle_block(mids, dirs, H)
-    assert (angles[0, -6:-2] == 90.0).all() and (angles[0, -2:] < 90.0).all()
+    angles = angle_block(ends, H)
+    assert np.isnan(angles[0, -6:-2]).all() and (angles[0, -2:] < 90.0).all()
     near = np.unique(angles[np.abs(angles - deg) < 1e-9])
     assert len(near) >= 4  # computed angles at, above and below θ
+
+    def prefs(theta):
+        monkeypatch.setattr(vanishing, "CONSENSUS_DEG", theta)
+        return preference_matrix(ends, H)
     for theta in [deg, *near, *np.nextafter(near, 0.0), *np.nextafter(near, 90.0)]:
-        got = preference_matrix(ends, H, theta)
-        assert np.array_equal(got, angles < theta)
+        assert np.array_equal(prefs(theta), angles < theta)
     # an angle equal to θ is out, one ulp above θ it is in
     theta = near[0]
-    assert not preference_matrix(ends, H, theta)[angles == theta].any()
-    assert preference_matrix(ends, H, np.nextafter(theta, 90.0))[angles == theta].all()
+    assert not prefs(theta)[angles == theta].any()
+    assert prefs(np.nextafter(theta, 90.0))[angles == theta].all()
 
 
 # -- clustering --------------------------------------------------------------
@@ -527,7 +531,7 @@ def test_single_planted_cluster_recovered():
     rng = np.random.default_rng(4)
     segs = segments_through([900.0, 250.0], 20, rng)
     hyps = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=0)
-    clusters = cluster(segs, hyps, 2.0, 3)
+    clusters = cluster(segs, hyps, 3)
     assert len(clusters) == 1
     assert clusters[0] == frozenset(range(20))
 
@@ -545,7 +549,7 @@ def test_three_planted_families_no_contamination():
         outliers.append(Segment2D(a, a + 50.0 * np.array([np.cos(th), np.sin(th)]),
                                   id=60 + i))
     hyps = sample_vp_hypotheses(endpoints(segs + outliers), 500, rng_seed=0)
-    clusters = cluster(segs + outliers, hyps, 2.0, 3)
+    clusters = cluster(segs + outliers, hyps, 3)
     big = [c for c in clusters if len(c) >= 18]
     assert len(big) == 3
     for c in big:
@@ -558,32 +562,30 @@ def test_cluster_partition_invariant_to_input_order():
     segs = segments_through([1200.0, 100.0], 10, rng) + \
         segments_through([-400.0, 300.0], 10, rng, start_id=10)
     hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=7)
-    c1 = set(cluster(segs, hyps, 2.0, 3))
-    c2 = set(cluster(list(reversed(segs)), hyps, 2.0, 3))
+    c1 = set(cluster(segs, hyps, 3))
+    c2 = set(cluster(list(reversed(segs)), hyps, 3))
     assert c1 == c2
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 @pytest.mark.parametrize("theta", [1.0, 2.0, 5.0])
-def test_jlinkage_matches_full_recompute_oracle(seed, theta):
+def test_jlinkage_matches_full_recompute_oracle(seed, theta, monkeypatch):
+    monkeypatch.setattr(vanishing, "CONSENSUS_DEG", theta)
     segs = cluttered_frame(seed)
     hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=seed)
     for order in (segs, list(reversed(segs))):
-        assert cluster(order, hyps, theta, 1) == \
-            naive_cluster(order, hyps, theta, 1)
-        assert cluster(order, hyps, theta, 3) == \
-            naive_cluster(order, hyps, theta, 3)
+        assert cluster(order, hyps, 1) == naive_cluster(order, hyps, 1)
+        assert cluster(order, hyps, 3) == naive_cluster(order, hyps, 3)
 
 
 def test_jlinkage_oracle_with_empty_preference_sets():
     segs = cluttered_frame(14)
     # hypotheses from the first family alone leave most segments preferring none
     hyps = sample_vp_hypotheses(endpoints(segs[:12]), 100, rng_seed=0)
-    empty = ~preferences(segs, hyps, 2.0).any(axis=1)
+    empty = ~preferences(segs, hyps).any(axis=1)
     assert empty.sum() >= 2  # pairs with union == 0 exist
     for order in (segs, list(reversed(segs))):
-        assert cluster(order, hyps, 2.0, 1) == \
-            naive_cluster(order, hyps, 2.0, 1)
+        assert cluster(order, hyps, 1) == naive_cluster(order, hyps, 1)
 
 
 @pytest.mark.parametrize("scheme", ["shuffled", "sparse", "negative"])
@@ -599,7 +601,7 @@ def test_jlinkage_matches_oracle_on_ids_out_of_input_order(scheme, seed):
     hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=seed)
     for order in (segs, list(reversed(segs)), [segs[i] for i in rng.permutation(len(segs))]):
         for k in (1, 3):
-            assert cluster(order, hyps, 2.0, k) == naive_cluster(order, hyps, 2.0, k)
+            assert cluster(order, hyps, k) == naive_cluster(order, hyps, k)
 
 
 def ring_preferences(n):
@@ -680,8 +682,8 @@ def test_jlinkage_every_segment_merges():
     rng = np.random.default_rng(12)
     segs = segments_through([700.0, -300.0], 25, rng, start_id=40)
     hyps = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=1)
-    assert cluster(segs, hyps, 2.0, 3) == [frozenset(range(40, 65))]
-    assert cluster(segs, hyps, 2.0, 3) == naive_cluster(segs, hyps, 2.0, 3)
+    assert cluster(segs, hyps, 3) == [frozenset(range(40, 65))]
+    assert cluster(segs, hyps, 3) == naive_cluster(segs, hyps, 3)
     ids = rng.permutation(1000)[:30].tolist()
     assert jlinkage_cluster(ids, np.ones((30, 70), dtype=bool), 3) == [frozenset(ids)]
 
@@ -719,7 +721,7 @@ def test_refine_vp_planted_cluster():
 def test_refine_vp_equals_per_segment_loop(seed):
     segs = cluttered_frame(seed)
     hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=seed)
-    clusters = cluster(segs, hyps, 2.0, 2)
+    clusters = cluster(segs, hyps, 2)
     assert len(clusters) >= 4
     for ids in clusters:
         members = [s for s in segs if s.id in ids]
@@ -844,11 +846,11 @@ def clutter_frames():
 
 
 @pytest.mark.parametrize("t", range(4))
-def test_detect_equals_oracle_path_on_clutter_frames(t):
+def test_detect_equals_oracle_path_on_clutter_frames(t, monkeypatch):
     segs = clutter_frames()[t]
     for order, theta, k in ((segs, 2.0, 3), (list(reversed(segs)), 1.0, 6)):
-        ests = detect_vanishing_points(order, theta_cons_deg=theta, min_cluster_size=k,
-                                       rng_seed=5 * 1009 + t)
+        monkeypatch.setattr(vanishing, "CONSENSUS_DEG", theta)
+        ests = detect_vanishing_points(order, min_cluster_size=k, rng_seed=5 * 1009 + t)
         want, labels = oracle_detect_vanishing_points(order, 5 * 1009 + t, theta, k)
         got = [(e.vp_homogeneous.tolist(), sorted(e.member_segment_ids), e.residual_rms)
                for e in ests]
