@@ -101,8 +101,12 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        for name in ("fx", "fy", "cx", "cy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("fx", "fy"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.fx, 0.0, self.cx],

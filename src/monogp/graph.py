@@ -21,14 +21,15 @@ one retraction formula, which `optimize` and `numeric_jacobian` step with.
 
 Factors are stored the same way: one table per kind (`_FactorTable`), one
 row per factor in insertion order, added in blocks by `add_factors`;
-`factors` builds read-only factor values only when read.
+`factors` builds read-only factor values only when read. The graph holds
+the one camera, `intr`, of every point, line and vd_align factor.
 
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
 covariance-weighted cost; each kind has one noise SIGMA and one Huber
 HUBER_DELTA. `PackedFactors` packs the tables once per `optimize` call, per
-kind (vd_align terms once per (pose, GP, camera) pair), and each evaluation
-runs one vectorized kernel per kind, returning residuals, an active mask and
-a Jacobian thunk over the same intermediates (Triggs et al. 2000; Agarwal et
+kind (vd_align terms once per (pose, GP) pair), and each evaluation runs one
+vectorized kernel per kind, returning residuals, an active mask and a
+Jacobian thunk over the same intermediates (Triggs et al. 2000; Agarwal et
 al. 2010). `total_cost` holds its evaluation, and a `_linearize` at the same
 state reuses it. `_linearize` scatters the weighted J^T J blocks of the live
 Jacobian columns into H_cc over poses, lines and GPs, the pose-point coupling
@@ -134,12 +135,12 @@ def _huber(r_sq_weighted, delta):
 def _point_kernel(R, t, X, obs, intr):
     """Pixel reprojection error of world points X in cameras (R, t).
 
-    `intr` rows are (fx, fy, cx, cy). Active when the depth exceeds EPS_Z.
+    `intr` is (fx, fy, cx, cy), scalars. Active when the depth exceeds EPS_Z.
     """
     p_c = _mv(R, X) + t
     active = p_c[:, 2] > EPS_Z
     z = np.where(active, p_c[:, 2], 1.0)
-    fx, fy, cx, cy = intr.T
+    fx, fy, cx, cy = intr
     r = np.column_stack([fx * p_c[:, 0] / z + cx - obs[:, 0],
                          fy * p_c[:, 1] / z + cy - obs[:, 1]])
     r[~active] = 0.0
@@ -157,8 +158,8 @@ def _point_kernel(R, t, X, obs, intr):
 def _line_kernel(R, t, U, W, ends, KL):
     """Signed perpendicular distances of the observed endpoints (homogeneous,
     `ends` (N, 2, 3)) to the projected infinite image line of the orthonormal
-    world line (U, W). `KL` is the line projection matrix. Active unless the
-    image line is degenerate (projects to a point)."""
+    world line (U, W). `KL` is the (3, 3) line projection matrix. Active
+    unless the image line is degenerate (projects to a point)."""
     w1, w2 = W[:, 0, 0, None], W[:, 1, 0, None]
     u1, u2 = U[:, :, 0], U[:, :, 1]
     n_w, d_w = w1 * u1, w2 * u2
@@ -193,12 +194,12 @@ def _vd_align_kernel(R, G, B, K, lhat, pair):
     VPs of the global directions G. Smooth and bounded, including VPs at
     infinity; always active.
 
-    R, G, B (the GPs' tangent bases) and K hold one row per distinct (pose,
-    GP, camera) pair and `pair` the pair of each factor, so the projected VP,
-    its tangent projector and skew(v_cam) are computed once per pair and
-    gathered; the products with each factor's `lhat` stay per factor. The
-    Jacobian leaves out the pose translation, on which the residual does not
-    depend."""
+    R, G and B (the GPs' tangent bases) hold one row per distinct (pose, GP)
+    pair and `pair` the pair of each factor, so the projected VP, its tangent
+    projector and skew(v_cam) are computed once per pair and gathered; the
+    products with each factor's `lhat` stay per factor. K is the (3, 3)
+    camera matrix. The Jacobian leaves out the pose translation, on which the
+    residual does not depend."""
     v_cam = _mv(R, G)
     v_img = _mv(K, v_cam)
     n = np.linalg.norm(v_img, axis=1)
@@ -209,7 +210,7 @@ def _vd_align_kernel(R, G, B, K, lhat, pair):
     def jac():
         # d vhat / d v_img, projected onto the sphere tangent
         P = (np.eye(3) - vhat[:, :, None] * vhat[:, None, :]) / n[:, None, None]
-        row = lhat[:, None, :] @ P[pair] @ K[pair]
+        row = lhat[:, None, :] @ P[pair] @ K
         return np.concatenate([row @ -skew(v_cam)[pair], row @ R[pair] @ B[pair]], axis=2)
     return r, active, jac
 
@@ -227,11 +228,6 @@ def _struct_kernel(D, G, B):
     return r, active, jac
 
 
-def _camera_rows(table, of) -> np.ndarray:
-    """`of(intrinsics)` of each of a factor table's distinct cameras, stacked."""
-    return np.array([of(k) for k in table.cams], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Factors
 # ---------------------------------------------------------------------------
@@ -245,9 +241,9 @@ class _Factor:
     kind's residual noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber
     threshold on the whitened residual norm. `live` picks the Jacobian
     columns (of dof_a + dof_b) that are not structurally zero; the kernel
-    computes only those. `_pack` turns a factor table of the kind into its
-    constant arrays and `_kernel` runs the kind's kernel on the graph's
-    state arrays at the table's rows."""
+    computes only those. `_pack` turns a factor table of the kind and the
+    graph's camera into its constant arrays and `_kernel` runs the kind's
+    kernel on the graph's state arrays at the table's rows."""
 
     variables: tuple = ()
     width = 0
@@ -266,7 +262,7 @@ class _Factor:
         (_, a), (_, b) = self.keys()
         table = _FactorTable(type(self))
         const = None if self.const is None else [getattr(self, self.const)]
-        table.append(graph, [a], [b], const, getattr(self, "intr", None), 0)
+        table.append(graph, [a], [b], const, 0)
         (e,) = PackedFactors(graph, tables=[table]).evaluate(graph)
         if not e.active[0]:
             raise self.inactive_error(f"inactive {self.kind} factor")
@@ -287,7 +283,6 @@ class PointFactor(_Factor):
     pose_id: int
     point_id: int
     obs: np.ndarray  # (2,) observed pixel
-    intr: CameraIntrinsics
     kind = "point"
     dim = 2
     SIGMA = 1.0  # px
@@ -300,9 +295,8 @@ class PointFactor(_Factor):
         return [("pose", self.pose_id), ("point", self.point_id)]
 
     @staticmethod
-    def _pack(t) -> dict:
-        intr = _camera_rows(t, lambda k: [k.fx, k.fy, k.cx, k.cy])
-        return {"obs": t.consts, "intr": intr[t.cam]}
+    def _pack(t, k) -> dict:
+        return {"obs": t.consts, "intr": (k.fx, k.fy, k.cx, k.cy)}
 
     @staticmethod
     def _kernel(st, a, b, c):
@@ -314,7 +308,6 @@ class LineFactor(_Factor):
     pose_id: int
     line_id: int
     obs: np.ndarray  # (4,) observed endpoints x1 y1 x2 y2
-    intr: CameraIntrinsics
     kind = "line"
     dim = 2
     SIGMA = 1.0  # px
@@ -327,12 +320,11 @@ class LineFactor(_Factor):
         return [("pose", self.pose_id), ("line", self.line_id)]
 
     @staticmethod
-    def _pack(t) -> dict:
+    def _pack(t, k) -> dict:
         ends = t.consts.reshape(-1, 2, 2)
-        KL = _camera_rows(t, lambda k: k.line_projection_matrix())
         # homogeneous endpoints (N, 2, 3)
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
-                "KL": KL[t.cam]}
+                "KL": k.line_projection_matrix()}
 
     @staticmethod
     def _kernel(st, a, b, c):
@@ -344,7 +336,6 @@ class VdAlignFactor(_Factor):
     pose_id: int
     gp_id: int
     seg: np.ndarray  # (4,) segment endpoints x1 y1 x2 y2
-    intr: CameraIntrinsics
     kind = "vd_align"
     dim = 1
     SIGMA = 0.01
@@ -357,15 +348,14 @@ class VdAlignFactor(_Factor):
         return [("pose", self.pose_id), ("gp", self.gp_id)]
 
     @staticmethod
-    def _pack(t) -> dict:
-        ends, cam, rows_a, rows_b = t.consts, t.cam, t.rows_a, t.rows_b
-        K = _camera_rows(t, lambda k: k.matrix())
-        # one integer key per (pose, GP, camera) pair; `pair` indexes the pairs
-        key = (rows_a * (rows_b.max() + 1) + rows_b) * len(K) + cam
+    def _pack(t, k) -> dict:
+        ends, rows_a, rows_b = t.consts, t.rows_a, t.rows_b
+        # one integer key per (pose, GP) pair; `pair` indexes the pairs
+        key = rows_a * (rows_b.max() + 1) + rows_b
         _, first, pair = np.unique(key, return_index=True, return_inverse=True)
         # C-ordered like a stack of rows, so the kernel's products sum alike
         return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
-                "pose": rows_a[first], "gp": rows_b[first], "K": K[cam[first]],
+                "pose": rows_a[first], "gp": rows_b[first], "K": k.matrix(),
                 "pair": pair}
 
     @staticmethod
@@ -389,7 +379,7 @@ class StructFactor(_Factor):
         return [("line", self.line_id), ("gp", self.gp_id)]
 
     @staticmethod
-    def _pack(t) -> dict:
+    def _pack(t, k) -> dict:
         return {}
 
     @staticmethod
@@ -406,26 +396,23 @@ class StructFactor(_Factor):
 class _FactorTable:
     """The factors of one kind as columns, one row per factor in insertion
     order: the two variables' ids (`ids_a`, `ids_b`) and graph rows
-    (`rows_a`, `rows_b`), the constant row `consts` (N, cls.width), the
-    camera `cam`, an index into `cams` (the kind's distinct
-    `CameraIntrinsics` objects in first-appearance order; -1 for struct),
-    and `pos`, the factor's position among all of the graph's factors. The
+    (`rows_a`, `rows_b`), the constant row `consts` (N, cls.width) and
+    `pos`, the factor's position among all of the graph's factors. The
     columns are never written in place: `append` replaces them."""
 
     def __init__(self, cls):
         self.cls = cls
         self.ids_a = self.ids_b = np.empty(0, dtype=np.int64)
-        self.rows_a = self.rows_b = self.cam = self.pos = np.empty(0, dtype=np.intp)
+        self.rows_a = self.rows_b = self.pos = np.empty(0, dtype=np.intp)
         self.consts = np.empty((0, cls.width))
-        self.cams: list = []
 
     def __len__(self):
         return len(self.pos)
 
-    def append(self, graph: "FactorGraph", ids_a, ids_b, consts, intr, start: int):
-        """Append a block of factors: their variables' ids, their constant
-        rows (none for struct) and one camera for the block, at positions
-        `start`, `start` + 1, ... KeyError if a variable is not in `graph`."""
+    def append(self, graph: "FactorGraph", ids_a, ids_b, consts, start: int):
+        """Append a block of factors: their variables' ids and their constant
+        rows (none for struct), at positions `start`, `start` + 1, ...
+        KeyError if a variable is not in `graph`."""
         ka, kb = self.cls.variables
         ids_a = np.asarray(ids_a, dtype=np.int64).reshape(-1)
         ids_b = np.asarray(ids_b, dtype=np.int64).reshape(-1)
@@ -435,12 +422,6 @@ class _FactorTable:
                  "consts": np.asarray(np.empty((n, 0)) if consts is None else consts,
                                       dtype=float).reshape(n, self.cls.width),
                  "pos": np.arange(start, start + n, dtype=np.intp)}
-        cam = -1
-        if intr is not None:
-            cam = next((j for j, k in enumerate(self.cams) if k is intr), len(self.cams))
-            if cam == len(self.cams):
-                self.cams.append(intr)
-        block["cam"] = np.full(n, cam, dtype=np.intp)
         for name, column in block.items():
             setattr(self, name, np.concatenate([getattr(self, name), column]))
 
@@ -449,7 +430,7 @@ class _FactorTable:
         ids = int(self.ids_a[row]), int(self.ids_b[row])
         if self.cls.const is None:
             return self.cls(*ids)
-        return self.cls(*ids, self.consts[row], self.cams[self.cam[row]])
+        return self.cls(*ids, self.consts[row])
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +459,7 @@ class _Batch:
     `delta` are the kind's scalars; broadcast over the rows, they give each
     row the floats a per-row array of them would."""
 
-    def __init__(self, table: _FactorTable, index):
+    def __init__(self, table: _FactorTable, index, intr: CameraIntrinsics):
         self.cls = cls = table.cls
         self.positions = table.pos  # positions among the graph's factors
         self.rows_a, self.rows_b = table.rows_a, table.rows_b
@@ -487,7 +468,7 @@ class _Batch:
             [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)[:, cls.live]
         if index is not None:
             self.at = _positions(self.cols, cls, index.n_reduced)
-        self.consts = cls._pack(table)
+        self.consts = cls._pack(table, intr)
         self.info = 1.0 / cls.SIGMA**2
         self.delta = cls.HUBER_DELTA
 
@@ -521,7 +502,7 @@ class PackedFactors:
     def __init__(self, graph: "FactorGraph", index: "ParameterIndex | None" = None,
                  tables=None):
         tables = graph.tables.values() if tables is None else tables
-        self.batches = [_Batch(t, index) for t in tables]
+        self.batches = [_Batch(t, index, graph.intr) for t in tables]
         self.held: tuple | None = None
 
     def evaluate(self, graph) -> list[_Evaluation]:
@@ -593,10 +574,12 @@ class _Factors(Sequence):
 
 class FactorGraph:
     """Variables as stacked arrays per kind, one row per variable, with one
-    id -> row map per kind in `rows`; and the factors as one table per kind
-    in `tables`, in the order the kinds first appear."""
+    id -> row map per kind in `rows`; the factors as one table per kind in
+    `tables`, in the order the kinds first appear; and `intr`, the one
+    camera of every point, line and vd_align factor."""
 
-    def __init__(self):
+    def __init__(self, intr: CameraIntrinsics):
+        self.intr = intr
         self.rows: dict[str, dict] = {kind: {} for kind in DOF}
         self.R = np.empty((0, 3, 3))  # pose rotations, camera from world
         self.t = np.empty((0, 3))     # pose translations
@@ -641,15 +624,15 @@ class FactorGraph:
             out[at] = v
             setattr(self, name, out)
 
-    def add_factors(self, cls, ids_a, ids_b, consts=None, intr=None):
+    def add_factors(self, cls, ids_a, ids_b, consts=None):
         """Append a block of factors of the kind `cls`, in order: the ids of
-        each one's two variables (of the kinds `cls.variables`), their
-        constant rows (N, cls.width) and the block's `CameraIntrinsics` (none
-        for struct). KeyError if a variable is missing."""
+        each one's two variables (of the kinds `cls.variables`) and their
+        constant rows (N, cls.width; none for struct). KeyError if a
+        variable is missing."""
         if not len(ids_a):
             return
         table = self.tables[cls] if cls in self.tables else _FactorTable(cls)
-        table.append(self, ids_a, ids_b, consts, intr, self.n_factors)
+        table.append(self, ids_a, ids_b, consts, self.n_factors)
         self.tables[cls] = table
         self.n_factors += len(ids_a)
 
@@ -859,15 +842,15 @@ class _NormalEquations:
         return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n6])])
 
 
-def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
+def _linearize(graph: FactorGraph, index: ParameterIndex,
                packed: PackedFactors | None = None, H: np.ndarray | None = None):
     """One batched pass over all factors: robust cost and the Gauss-Newton
     system, as `_NormalEquations`.
 
     `index` places the free variables; fixed ones get no rows. `packed` is
     `PackedFactors(graph, index)`, packed here when not given. `H` is an
-    (n_params + 2, n_reduced + 4) buffer, zeroed and filled in place (a new
-    one when not given); the pieces are views of it.
+    (index.n_params + 2, index.n_reduced + 4) buffer, zeroed and filled in
+    place (a new one when not given); the pieces are views of it.
 
     The residuals come from the evaluation `total_cost` held on `packed` when
     it is of this state, else from one kernel pass; either way the Jacobians
@@ -880,7 +863,7 @@ def _linearize(graph: FactorGraph, index: ParameterIndex, n_params: int,
     multiply, one product per entry as its stacked matmul would.
     """
     packed = packed if packed is not None else PackedFactors(graph, index)
-    nc, n6 = index.n_reduced, index.slices["pose"].stop
+    n_params, nc, n6 = index.n_params, index.n_reduced, index.slices["pose"].stop
     # rows and columns < nc are the reduced ones; row nc + 1 + 3 r + a, point
     # r's coordinate a, holds H_pc and, in column nc + 1 + b, the point block.
     # Row and column nc and the last row collect the fixed variables' terms;
@@ -931,17 +914,16 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
         raise ValueError("gauge unfixed: fix at least one variable")
 
     index = ParameterIndex(graph, fixed)
-    n_params = index.n_params
     packed = PackedFactors(graph, index)
     blocks = [(kind, index.rows[kind], index.slices[kind]) for kind in DOF
               if len(index.rows[kind])]
     # one buffer for the pieces of H per call, refilled each iteration
-    H_buf = np.empty((n_params + 2, index.n_reduced + 4))
+    H_buf = np.empty((index.n_params + 2, index.n_reduced + 4))
 
     lam = LAMBDA_INIT
     converged = False
     for iters in range(1, MAX_ITERS + 1):
-        cost, system = _linearize(graph, index, n_params, packed, H_buf)
+        cost, system = _linearize(graph, index, packed, H_buf)
         if iters == 1:
             initial_cost = cost
         if np.max(np.abs(system.g), initial=0.0) < ABS_TOL:

@@ -287,8 +287,8 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
 def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph:
     """Poses, points, lines and GPs with their point, line, vd_align and
     struct factors, from whatever `landmarks` holds, each kind added as one
-    block."""
-    g = fg.FactorGraph()
+    block, on a graph of the one camera `intr`."""
+    g = fg.FactorGraph(intr)
     g.add_variables("pose", range(len(poses)), [p.rotation for p in poses],
                     [p.translation for p in poses])
     g.add_variables("point", list(landmarks.points), list(landmarks.points.values()))
@@ -299,7 +299,7 @@ def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph
     g.add_variables("gp", range(len(gps)), [gp.direction for gp in gps])
     for cls, obs in ((fg.PointFactor, landmarks.point_obs), (fg.LineFactor, landmarks.line_obs),
                      (fg.VdAlignFactor, landmarks.gp_links)):
-        g.add_factors(cls, obs.frame, obs.ids, obs.rows, intr)
+        g.add_factors(cls, obs.frame, obs.ids, obs.rows)
     g.add_factors(fg.StructFactor, list(landmarks.line_gp), list(landmarks.line_gp.values()))
     return g
 

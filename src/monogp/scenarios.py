@@ -66,11 +66,3 @@ def nonoverlap(seed: int = 0) -> ScenarioConfig:
         visibility=VisibilitySpec(max_range=14.0,
                                   partition_windows=[[0, 28], [22, 50]]),
     )
-
-
-BY_NAME = {
-    "corridor": default_corridor,
-    "corridor-perturbed": perturbed_corridor,
-    "structured": structured,
-    "nonoverlap": nonoverlap,
-}

@@ -122,6 +122,18 @@ class ScenarioConfig:
             raise ValueError("counts must be positive")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
+        self.intrinsics  # noqa: B018 - CameraIntrinsics checks fx, fy, cx and cy
+        for name in ("image_width", "image_height"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        vis = self.visibility
+        if not (math.isfinite(vis.max_range) and vis.max_range > 0):
+            raise ValueError(f"visibility.max_range must be finite and positive, "
+                             f"got {vis.max_range}")
+        for i, window in enumerate(vis.partition_windows or []):
+            if np.shape(window) != (2,) or not window[0] <= window[1]:
+                raise ValueError(f"visibility.partition_windows[{i}]: expected a "
+                                 f"[start, end) pair, got {window!r}")
         fams = []
         for i, (d, count) in enumerate(self.direction_families):
             d = np.array(d, dtype=float)

@@ -8,6 +8,7 @@ pieces `_linearize` assembles are checked bit for bit against the dense H it
 scattered before the Schur step, and the Schur step against a dense
 `np.linalg.solve` of the same damped system.
 """
+import dataclasses
 import functools
 import math
 from types import SimpleNamespace
@@ -105,13 +106,13 @@ def add_factor(g, f):
     """Add the factor value `f` as a block of one."""
     (_, a), (_, b) = f.keys()
     const = None if f.const is None else [getattr(f, f.const)]
-    g.add_factors(type(f), [a], [b], const, getattr(f, "intr", None))
+    g.add_factors(type(f), [a], [b], const)
 
 
-def residual_at(factor, **values):
-    """`factor.residual` on a graph holding variable 0 of each given kind,
-    e.g. `residual_at(f, pose=pose, point=p)`."""
-    g = FactorGraph()
+def residual_at(factor, intr=K, **values):
+    """`factor.residual` on a graph of camera `intr` holding variable 0 of
+    each given kind, e.g. `residual_at(f, pose=pose, point=p)`."""
+    g = FactorGraph(intr)
     add = {"pose": add_pose, "point": add_point, "line": add_line, "gp": add_gp}
     for kind, value in values.items():
         add[kind](g, 0, value)
@@ -368,18 +369,18 @@ def test_huber_cost_values():
 def test_point_residual_exact_observation():
     p = np.array([0.3, -0.2, 3.0])
     obs = project_point(p, IDENTITY, K)
-    assert np.allclose(residual_at(PointFactor(0, 0, obs, K), pose=IDENTITY, point=p), 0.0)
+    assert np.allclose(residual_at(PointFactor(0, 0, obs), pose=IDENTITY, point=p), 0.0)
 
 
 def test_point_residual_hand_value():
-    f = PointFactor(0, 0, np.array([560.0, 240.0]), K)
+    f = PointFactor(0, 0, np.array([560.0, 240.0]))
     r = residual_at(f, pose=IDENTITY, point=[1.0, 0.0, 2.0])
     assert np.allclose(r, [10.0, 0.0])
 
 
 def line_residual(line, pose, seg, intr=K):
     """LineFactor residual of a world PluckerLine observed as `seg`."""
-    return residual_at(LineFactor(0, 0, seg_row(seg), intr), pose=pose,
+    return residual_at(LineFactor(0, 0, seg_row(seg)), intr, pose=pose,
                        line=oracle_plucker_to_orthonormal(line))
 
 
@@ -399,7 +400,7 @@ def test_line_residual_scale_invariant():
 
 
 def vd_align_residual(gp, pose, seg):
-    return residual_at(VdAlignFactor(0, 0, seg_row(seg), K), pose=pose, gp=gp)[0]
+    return residual_at(VdAlignFactor(0, 0, seg_row(seg)), pose=pose, gp=gp)[0]
 
 
 def test_vd_align_zero_through_principal_point():
@@ -451,14 +452,14 @@ def test_struct_residual_values():
 def build_random_factor_graph(seed):
     """One of each factor type on a random, feasible configuration."""
     rng = np.random.default_rng(seed)
-    g = FactorGraph()
+    g = FactorGraph(K)
     pose = se3_exp(rng.normal(0.0, 0.3, 6))
     add_pose(g, 0, pose)
 
     p_c = np.array([rng.normal(0.0, 0.5), rng.normal(0.0, 0.5),
                     rng.uniform(2.0, 5.0)])
     add_point(g, 0, to_camera(pose.inverse(), p_c))
-    point_f = PointFactor(0, 0, rng.normal([320.0, 240.0], 50.0), K)
+    point_f = PointFactor(0, 0, rng.normal([320.0, 240.0], 50.0))
     add_factor(g, point_f)
 
     anchor_c = np.array([rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
@@ -469,12 +470,12 @@ def build_random_factor_graph(seed):
                                          to_camera(pose.inverse(), anchor_c + d_c))
     add_line(g, 0, oracle_plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
-    line_f = LineFactor(0, 0, seg_row(seg), K)
+    line_f = LineFactor(0, 0, seg_row(seg))
     add_factor(g, line_f)
 
     gp = rng.normal(0.0, 1.0, 3)
     add_gp(g, 0, gp / np.linalg.norm(gp))
-    vd_f = VdAlignFactor(0, 0, seg_row(seg), K)
+    vd_f = VdAlignFactor(0, 0, seg_row(seg))
     add_factor(g, vd_f)
     struct_f = StructFactor(0, 0)
     add_factor(g, struct_f)
@@ -500,17 +501,17 @@ def test_jacobians_match_finite_differences():
 # -- graph bookkeeping -----------------------------------------------------------
 
 def test_add_factor_missing_variable_rejected():
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     with pytest.raises(KeyError):
-        add_factor(g, PointFactor(0, 99, np.array([0.0, 0.0]), K))
+        add_factor(g, PointFactor(0, 99, np.array([0.0, 0.0])))
 
 
 def test_graph_built_one_row_at_a_time_equals_stacked_rows():
     rng = np.random.default_rng(21)
     poses = [se3_exp(rng.normal(0.0, 0.3, 6)) for _ in range(200)]
     points = rng.normal(0.0, 2.0, (2000, 3))
-    g = FactorGraph()
+    g = FactorGraph(K)
     for i, pose in enumerate(poses):
         add_pose(g, i, pose)
     for i, p in enumerate(points):
@@ -530,7 +531,7 @@ def test_graph_built_one_row_at_a_time_equals_stacked_rows():
 
 def test_snapshot_never_sees_a_later_write():
     rng = np.random.default_rng(22)
-    g = FactorGraph()
+    g = FactorGraph(K)
     for i in range(5):
         add_point(g, i, rng.normal(size=3))
     first = g.snapshot()
@@ -551,14 +552,14 @@ def test_snapshot_never_sees_a_later_write():
 
 
 def test_gp_must_be_unit():
-    g = FactorGraph()
+    g = FactorGraph(K)
     with pytest.raises(ValueError):
         add_gp(g, 0, [1.0, 1.0, 0.0])
 
 
 def test_total_cost_zero_at_ground_truth():
     rng = np.random.default_rng(5)
-    g = FactorGraph()
+    g = FactorGraph(K)
     pose = se3_exp(rng.normal(0.0, 0.2, 6))
     add_pose(g, 0, pose)
     for i in range(20):
@@ -566,17 +567,17 @@ def test_total_cost_zero_at_ground_truth():
                         rng.uniform(2, 5)])
         p_w = to_camera(pose.inverse(), p_c)
         add_point(g, i, p_w)
-        add_factor(g, PointFactor(0, i, project_point(p_w, pose, K), K))
+        add_factor(g, PointFactor(0, i, project_point(p_w, pose, K)))
     assert total_cost(g) < 1e-12
 
 
 def test_total_cost_huber_elbow_value():
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     p = np.array([0.0, 0.0, 2.0])
     add_point(g, 0, p)
     obs = project_point(p, IDENTITY, K) + [10.0, 0.0]
-    add_factor(g, PointFactor(0, 0, obs, K))
+    add_factor(g, PointFactor(0, 0, obs))
     assert PointFactor.SIGMA == 1.0 and PointFactor.HUBER_DELTA == HUBER_2DOF
     # past the elbow: 2 delta |r| - delta^2 at |r| = 10
     expected = 2.0 * HUBER_2DOF * 10.0 - HUBER_2DOF**2
@@ -586,10 +587,10 @@ def test_total_cost_huber_elbow_value():
 def test_behind_camera_factor_deactivated():
     # behind the camera, and in front of it but not beyond EPS_Z
     for depth in (-2.0, EPS_Z / 2.0):
-        g = FactorGraph()
+        g = FactorGraph(K)
         add_pose(g, 0, IDENTITY)
         add_point(g, 0, np.array([0.0, 0.0, depth]))
-        f = PointFactor(0, 0, np.array([320.0, 240.0]), K)
+        f = PointFactor(0, 0, np.array([320.0, 240.0]))
         add_factor(g, f)
         assert total_cost(g) == 0.0  # only factor is deactivated
         assert cost_breakdown(g) == {}
@@ -599,7 +600,7 @@ def test_behind_camera_factor_deactivated():
             f.jacobians(g)
         index = ParameterIndex(g, [("pose", 0)])
         assert index.n_params == 3
-        cost, system = _linearize(g, index, index.n_params)
+        cost, system = _linearize(g, index)
         assert cost == 0.0
         assert system.cc.shape == (0, 0) and system.pp.shape == (1, 3, 3)
         assert not system.pp.any() and not system.g.any()
@@ -609,7 +610,7 @@ def build_assembly_graph():
     """Three poses and all four factor kinds; one point factor behind its
     camera and one past the Huber elbow."""
     rng = np.random.default_rng(11)
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     add_pose(g, 1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
     add_pose(g, 2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
@@ -620,9 +621,9 @@ def build_assembly_graph():
             obs = project_point(p, g.poses[t], K) + rng.normal(0.0, 2.0, 2)
             if (i, t) == (5, 2):
                 obs = obs + [20.0, 0.0]  # past the elbow
-            add_factor(g, PointFactor(t, i, obs, K))
+            add_factor(g, PointFactor(t, i, obs))
     add_point(g, 6, np.array([0.2, 0.1, -2.0]))
-    add_factor(g, PointFactor(1, 6, np.array([300.0, 250.0]), K))  # behind
+    add_factor(g, PointFactor(1, 6, np.array([300.0, 250.0])))  # behind
     gp = np.array([1.0, 0.1, 0.05])
     add_gp(g, 0, gp / np.linalg.norm(gp))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
@@ -632,8 +633,8 @@ def build_assembly_graph():
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
             seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
-            add_factor(g, LineFactor(t, lid, seg_row(seg), K))
-            add_factor(g, VdAlignFactor(t, 0, seg_row(seg), K))
+            add_factor(g, LineFactor(t, lid, seg_row(seg)))
+            add_factor(g, VdAlignFactor(t, 0, seg_row(seg)))
         add_factor(g, StructFactor(lid, 0))
     return g
 
@@ -673,7 +674,7 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
     assert inactive == 1 and elbow >= 1
     layout = ParameterIndex(g, [("pose", 0)])
     assert layout.n_params == n
-    cost, system = _linearize(g, layout, n)
+    cost, system = _linearize(g, layout)
     H, grad = dense_H(system), system.g
     assert np.max(np.abs(H - H_ref)) < 1e-5 * np.max(np.abs(H_ref))
     assert np.max(np.abs(grad - g_ref)) < 1e-5 * np.max(np.abs(g_ref))
@@ -778,15 +779,12 @@ def system_bytes(system) -> list:
     return [np.ascontiguousarray(a).tobytes() for a in (system.cc, system.pc, system.pp, system.g)]
 
 
-K2 = CameraIntrinsics(450.0, 470.0, 300.0, 250.0)
-
-
 def build_shared_pair_graph():
-    """Three poses, two GPs and two lines: 120 vd_align factors on the 12
-    (pose, GP, camera) pairs of two `CameraIntrinsics` objects, interleaved,
-    plus struct factors and a few point factors."""
+    """Three poses, two GPs and two lines: 120 vd_align factors on the 6
+    (pose, GP) pairs, interleaved, plus struct factors and a few point
+    factors."""
     rng = np.random.default_rng(31)
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     add_pose(g, 1, se3_exp([0.3, 0.05, -0.1, 0.02, -0.04, 0.03]))
     add_pose(g, 2, se3_exp([0.6, -0.05, 0.1, -0.03, 0.05, -0.02]))
@@ -796,7 +794,7 @@ def build_shared_pair_graph():
     for i in range(120):
         a = rng.uniform([50.0, 50.0], [590.0, 430.0])
         seg = np.concatenate([a, a + rng.normal(0.0, 40.0, 2)])
-        add_factor(g, VdAlignFactor(i % 3, (i // 3) % 2, seg, (K, K2)[(i // 6) % 2]))
+        add_factor(g, VdAlignFactor(i % 3, (i // 3) % 2, seg))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
         d = gps[lid] + rng.normal(0.0, 0.05, 3)
         add_line(g, lid, oracle_plucker_to_orthonormal(
@@ -805,9 +803,14 @@ def build_shared_pair_graph():
     for i in range(4):
         p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
         add_point(g, i, p)
-        add_factor(g, PointFactor(i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0,
-                                 (K, K2)[i % 2]))
+        add_factor(g, PointFactor(i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0))
     return g
+
+
+def gathered(k, n: int) -> np.ndarray:
+    """`n` copies of the (3, 3) camera matrix `k` stacked, as the per-factor
+    packing gathered them."""
+    return np.array([k] * n)
 
 
 def gp_graph(cfg):
@@ -830,14 +833,36 @@ def test_vd_align_pairs_equal_per_factor_oracle_bitwise():
     b = next(b for b in packed.batches if b.cls is VdAlignFactor)
     e = next(e for e in packed.evaluate(g) if e.batch is b)
     aligns = [g.factors[p] for p in b.positions]
-    assert len(aligns) == 120 and len(b.consts["K"]) == 12  # 10 factors per pair
-    K_rows = np.array([f.intr.matrix() for f in aligns])
+    assert len(aligns) == 120 and len(b.consts["pose"]) == 6  # 20 factors per pair
+    # the one (3, 3) camera matrix gives the bits of per-factor copies of it
     r, active, J = oracle_vd_align_kernel(g.R[b.rows_a], g.G[b.rows_b], g.B[b.rows_b],
-                                          b.consts["lhat"], K_rows, True)
+                                          b.consts["lhat"], gathered(K.matrix(), 120), True)
     assert e.r.tobytes() == r.tobytes()
     assert e.active.tobytes() == active.tobytes()
     assert not J[:, :, :3].any()  # the pose translation columns
     assert e.jac().tobytes() == np.ascontiguousarray(J[:, :, 3:]).tobytes()
+
+
+def test_one_camera_equals_gathered_camera_rows_bitwise():
+    # the point and line kernels on the graph's one camera (scalars, one KL)
+    # give the bits of the per-factor camera rows they were once fed
+    g = corridor_gp_graph()
+    kinds = set()
+    for e in PackedFactors(g).evaluate(g):
+        b, c = e.batch, e.batch.consts
+        a, n = b.rows_a, len(b.rows_a)
+        if b.cls is PointFactor:
+            ref = graph_module._point_kernel(g.R[a], g.t[a], g.X[b.rows_b], c["obs"],
+                                             np.tile(c["intr"], (n, 1)).T)
+        elif b.cls is LineFactor:
+            ref = graph_module._line_kernel(g.R[a], g.t[a], g.U[b.rows_b], g.W[b.rows_b],
+                                            c["ends"], gathered(c["KL"], n))
+        else:
+            continue
+        kinds.add(b.cls)
+        assert e.r.tobytes() == ref[0].tobytes() and e.active.tobytes() == ref[1].tobytes()
+        assert e.jac().tobytes() == ref[2]().tobytes()
+    assert kinds == {PointFactor, LineFactor}
 
 
 @pytest.mark.parametrize("build", [build_shared_pair_graph, build_assembly_graph])
@@ -853,15 +878,15 @@ def test_linearize_equals_all_column_scatter_bitwise(build):
         ka, kb = b.cls.variables
         cols = np.concatenate([index.table[ka][b.rows_a], index.table[kb][b.rows_b]], axis=1)
         if b.cls is VdAlignFactor:
-            K_rows = np.array([g.factors[p].intr.matrix() for p in b.positions])
             J = oracle_vd_align_kernel(g.R[b.rows_a], g.G[b.rows_b], g.B[b.rows_b],
-                                       b.consts["lhat"], K_rows, True)[2]
+                                       b.consts["lhat"], gathered(g.intr.matrix(), len(cols)),
+                                       True)[2]
         else:
             J = np.zeros((len(cols), b.cls.dim, cols.shape[1]))
             J[:, :, b.cls.live] = e.jac()
         w = np.where(e.active, e.weight * b.info, 0.0)
         oracle_scatter(H_ref, g_ref, m, cols, w, J, e.r)
-    cost, system = _linearize(g, index, n)
+    cost, system = _linearize(g, index)
     assert_holds_dense_entries(system, H_ref[:n, :n], g_ref[:n], index)
     assert cost == total_cost(g)
 
@@ -874,9 +899,9 @@ def test_linearize_after_total_cost_equals_fresh_packing_bitwise(monkeypatch, bu
     runs = counted_kernels(monkeypatch)
     cost = total_cost(g, packed)
     assert packed.held is not None and len(runs) == len(packed.batches)
-    reused = _linearize(g, index, index.n_params, packed)
+    reused = _linearize(g, index, packed)
     assert packed.held is None and len(runs) == len(packed.batches)
-    fresh = _linearize(g, index, index.n_params, PackedFactors(g, index))
+    fresh = _linearize(g, index, PackedFactors(g, index))
     assert reused[0].hex() == fresh[0].hex() == cost.hex()
     assert system_bytes(reused[1]) == system_bytes(fresh[1])
 
@@ -892,33 +917,22 @@ def test_held_evaluation_is_only_used_at_its_own_state():
 
 # -- factor tables against the per-factor packing --------------------------------
 
-def oracle_cameras(factors, of):
-    """The index of each factor's intrinsics among the distinct
-    `CameraIntrinsics` objects of `factors`, and `of(intrinsics)` of each
-    distinct one, stacked. Kept verbatim from the per-factor packing."""
-    cams = {id(f.intr): f.intr for f in factors}
-    position = {key: i for i, key in enumerate(cams)}
-    index = np.array([position[id(f.intr)] for f in factors], dtype=np.intp)
-    return index, np.array([of(k) for k in cams.values()], dtype=float)
-
-
-def oracle_consts(cls, factors, rows_a, rows_b) -> dict:
-    """Each kind's `_pack` as it was on a list of factor values. Kept verbatim."""
+def oracle_consts(cls, factors, rows_a, rows_b, k) -> dict:
+    """Each kind's `_pack` as it was on a list of factor values, with the
+    graph's one camera `k` in place of each factor's."""
     if cls is PointFactor:
-        cam, intr = oracle_cameras(factors, lambda k: [k.fx, k.fy, k.cx, k.cy])
-        return {"obs": np.array([f.obs for f in factors], dtype=float), "intr": intr[cam]}
+        return {"obs": np.array([f.obs for f in factors], dtype=float),
+                "intr": (k.fx, k.fy, k.cx, k.cy)}
     if cls is LineFactor:
         ends = np.array([f.obs for f in factors], dtype=float).reshape(-1, 2, 2)
-        cam, KL = oracle_cameras(factors, lambda k: k.line_projection_matrix())
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
-                "KL": KL[cam]}
+                "KL": k.line_projection_matrix()}
     if cls is VdAlignFactor:
         ends = np.array([f.seg for f in factors], dtype=float)
-        cam, K = oracle_cameras(factors, lambda k: k.matrix())
-        key = (rows_a * (rows_b.max() + 1) + rows_b) * len(K) + cam
+        key = rows_a * (rows_b.max() + 1) + rows_b
         _, first, pair = np.unique(key, return_index=True, return_inverse=True)
         return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
-                "pose": rows_a[first], "gp": rows_b[first], "K": K[cam[first]],
+                "pose": rows_a[first], "gp": rows_b[first], "K": k.matrix(),
                 "pair": pair}
     return {}
 
@@ -943,7 +957,7 @@ def oracle_packing(g, index=None) -> list:
         at = None if index is None else graph_module._positions(cols, cls, index.n_reduced)
         batches.append(SimpleNamespace(
             cls=cls, positions=np.array(positions), rows_a=rows_a, rows_b=rows_b,
-            cols=cols, at=at, consts=oracle_consts(cls, members, rows_a, rows_b),
+            cols=cols, at=at, consts=oracle_consts(cls, members, rows_a, rows_b, g.intr),
             info=1.0 / cls.SIGMA**2, delta=cls.HUBER_DELTA))
     return batches
 
@@ -960,7 +974,7 @@ def assert_batches_equal(batches, expected, names=("positions", "rows_a", "rows_
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert list(b.consts) == list(ref.consts)
         for name, want in ref.consts.items():
-            got = b.consts[name]
+            got, want = np.asarray(b.consts[name]), np.asarray(want)
             assert got.shape == want.shape and got.dtype == want.dtype, name
             assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
 
@@ -981,8 +995,8 @@ def test_linearize_on_tables_equals_per_factor_packing_bitwise(build):
     index = ParameterIndex(g, [("pose", 0)])
     oracle = PackedFactors(g, index)
     oracle.batches = oracle_packing(g, index)
-    ref = _linearize(g, index, index.n_params, oracle)
-    out = _linearize(g, index, index.n_params)
+    ref = _linearize(g, index, oracle)
+    out = _linearize(g, index)
     assert out[0].hex() == ref[0].hex()
     assert system_bytes(out[1]) == system_bytes(ref[1])
 
@@ -1090,7 +1104,7 @@ def test_schur_step_with_fixed_variables_matches_dense_solve(fixed, lam):
     g = build_assembly_graph()
     index = ParameterIndex(g, fixed)
     cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
-    cost, system = _linearize(g, index, index.n_params)
+    cost, system = _linearize(g, index)
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index)
     assert len(system.pp) == len(index.rows["point"])
@@ -1103,7 +1117,7 @@ def test_linearize_holds_dense_scatter_entries_bitwise(scene, seed, mode):
     g = pipeline_graph(scene, seed, mode)
     index = ParameterIndex(g, [("pose", 0)])
     cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
-    cost, system = _linearize(g, index, index.n_params)
+    cost, system = _linearize(g, index)
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index)
 
@@ -1113,7 +1127,7 @@ def test_schur_step_matches_dense_solve_on_pipeline_systems(scene, seed, mode):
     g = pipeline_graph(scene, seed, mode)
     index = ParameterIndex(g, [("pose", 0)])
     for lam in LAMBDAS:  # the scale gauge is free: see `assert_step_matches_dense_solve`
-        _, system = _linearize(g, index, index.n_params)
+        _, system = _linearize(g, index)
         assert_step_matches_dense_solve(system, lam, forward=lam >= LAMBDA_INIT)
 
 
@@ -1194,20 +1208,21 @@ def test_factors_read_as_a_sequence_of_read_only_values():
 
 
 def test_factor_values_read_back_as_added():
-    # each value carries the ids and the `CameraIntrinsics` object it was
-    # added with, two cameras interleaved within each kind
+    # each value carries the ids and the constant row it was added with, and
+    # no camera: the graph holds the one camera
     g = build_shared_pair_graph()
+    assert g.intr is K
     aligns = [f for f in g.factors if f.kind == "vd_align"]
     assert [(f.pose_id, f.gp_id) for f in aligns] == [(i % 3, (i // 3) % 2) for i in range(120)]
-    assert all(f.intr is (K, K2)[(i // 6) % 2] for i, f in enumerate(aligns))
     points = [f for f in g.factors if f.kind == "point"]
     assert [(f.pose_id, f.point_id) for f in points] == [(i % 3, i) for i in range(4)]
-    assert all(f.intr is (K, K2)[i % 2] for i, f in enumerate(points))
+    assert [x.name for x in dataclasses.fields(aligns[0])] == ["pose_id", "gp_id", "seg"]
+    assert [x.name for x in dataclasses.fields(points[0])] == ["pose_id", "point_id", "obs"]
 
 
 def test_block_add_equals_one_factor_at_a_time():
     g = build_assembly_graph()
-    block = FactorGraph()
+    block = FactorGraph(g.intr)
     block.add_variables("pose", list(g.poses), g.R, g.t)
     block.add_variables("point", list(g.points), g.X)
     block.add_variables("line", list(g.lines), g.U, g.W)
@@ -1218,7 +1233,7 @@ def test_block_add_equals_one_factor_at_a_time():
             fs = [f for f in run if type(f) is cls]
             const = None if cls.const is None else [getattr(f, cls.const) for f in fs]
             block.add_factors(cls, [f.keys()[0][1] for f in fs], [f.keys()[1][1] for f in fs],
-                              const, getattr(fs[0], "intr", None))
+                              const)
     # the kinds in their first-appearance order, each kind's factors in order;
     # only the positions differ
     assert_batches_equal(PackedFactors(block).batches, PackedFactors(g).batches,
@@ -1230,24 +1245,24 @@ def test_block_add_equals_one_factor_at_a_time():
 # -- optimizer -----------------------------------------------------------------
 
 def test_optimize_requires_gauge():
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     add_point(g, 0, np.array([0.0, 0.0, 2.0]))
-    add_factor(g, PointFactor(0, 0, np.array([320.0, 240.0]), K))
+    add_factor(g, PointFactor(0, 0, np.array([320.0, 240.0])))
     with pytest.raises(ValueError, match="gauge unfixed"):
         optimize(g)
 
 
 def test_optimize_stationary_at_ground_truth():
     rng = np.random.default_rng(6)
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     add_pose(g, 1, Pose.from_world_camera(np.eye(3), [0.5, 0.0, 0.0]))
     for i in range(15):
         p = rng.uniform([-1, -1, 2], [1, 1, 5])
         add_point(g, i, p)
         for t in (0, 1):
-            add_factor(g, PointFactor(t, i, project_point(p, g.poses[t], K), K))
+            add_factor(g, PointFactor(t, i, project_point(p, g.poses[t], K)))
     report = optimize(g, fixed=[("pose", 0), ("pose", 1)])
     assert report.converged
     assert report.iterations <= 2
@@ -1258,7 +1273,7 @@ def perturbed_pose_graph():
     """One pose, 1 degree and 5 cm off the identity, seeing 50 exact points;
     returns the graph and the keys of the points, to be fixed."""
     rng = np.random.default_rng(7)
-    g = FactorGraph()
+    g = FactorGraph(K)
     points = {}
     for i in range(50):
         points[i] = rng.uniform([-1.5, -1.5, 2.0], [1.5, 1.5, 6.0])
@@ -1268,7 +1283,7 @@ def perturbed_pose_graph():
     add_pose(g, 0, perturbed)
     for i, p in points.items():
         add_point(g, i, p)
-        add_factor(g, PointFactor(0, i, project_point(p, IDENTITY, K), K))
+        add_factor(g, PointFactor(0, i, project_point(p, IDENTITY, K)))
     return g, [("point", i) for i in points]
 
 
@@ -1399,14 +1414,14 @@ def test_optimize_evaluates_end_state_again_after_rejected_trials(monkeypatch):
 
 def test_optimize_never_increases_cost_and_keeps_gps_unit():
     rng = np.random.default_rng(8)
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     gp_truth = np.array([1.0, 0.0, 0.0])
     add_gp(g, 0, gp_step(gp_truth, 0.05, -0.03))
     for i in range(10):
         a = rng.uniform([50.0, 50.0], [500.0, 400.0])
         seg = Segment2D(a, a + [rng.uniform(40, 90), 0.0], id=i)
-        add_factor(g, VdAlignFactor(0, 0, seg_row(seg), K))
+        add_factor(g, VdAlignFactor(0, 0, seg_row(seg)))
     c0 = total_cost(g)
     report = optimize(g, fixed=[("pose", 0)])
     assert report.final_cost <= c0 + 1e-15
@@ -1416,10 +1431,10 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
 
 
 def test_report_json_fields():
-    g = FactorGraph()
+    g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     add_point(g, 0, np.array([0.0, 0.0, 2.0]))
-    add_factor(g, PointFactor(0, 0, np.array([322.0, 240.0]), K))
+    add_factor(g, PointFactor(0, 0, np.array([322.0, 240.0])))
     report = optimize(g, fixed=[("pose", 0)])
     import json
     d = json.loads(report.to_json())

@@ -1,11 +1,13 @@
-"""Every function, class and method in `src/monogp` is reached by the program.
+"""Every function, class, method and module-level name in `src/monogp` is
+reached by the program.
 
 One implementation per formula: library code that only tests call is a second
 copy of something the pipeline runs, or dead. The program is `src/`,
 `perfbench/` and `demos/`; a use inside a definition of the same name does
 not count.
-- A top-level function or class is reached when its name occurs as a `Name`
-  or `Attribute`.
+- A top-level function, class or assigned name (a constant or a table) is
+  reached when it is read as a `Name` or `Attribute`, or imported; assigning
+  a name does not count.
 - A method `C.m` is reached only by an attribute `x.m`, never by a bare name
   `m` (a local variable), and only where the receiver `x` may be a `C`. The
   receiver's class is known for the first parameter of a method (`self`,
@@ -35,6 +37,8 @@ ALLOWED = {
         "acceptance criterion 7 audits the fused GP support with it",
     "primitives.GlobalPrimitiveRegistry.association_graph":
         "acceptance criterion 8 finds the frame links through GPs with it",
+    "scenarios.nonoverlap":
+        "acceptance criterion 8 and the golden outputs run this landmark-disjoint scene",
     "simulate.ScenarioConfig.save":
         "acceptance criterion 10 writes the scenario config file with it",
     "geometry.Pose.inverse":
@@ -84,7 +88,6 @@ UNKNOWN_RECEIVER = frozenset({
     "primitives.GlobalPrimitiveRegistry.to_json",
     "simulate.FrameObservations.segments",
     "simulate.FrameObservations.truth",
-    "simulate.ScenarioConfig.intrinsics",
 })
 
 
@@ -93,14 +96,19 @@ def _is_dunder(name):
 
 
 def definitions(package):
-    """Qualified name -> (class or None, name) of every top-level function and
-    class and every method in `package` ({module: source}), and the base
-    names of each class."""
+    """Qualified name -> (class or None, name) of every top-level function,
+    class and assigned name and every method in `package` ({module:
+    source}), and the base names of each class."""
     defs, bases = {}, {}
     for module, source in package.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{module}.{node.name}"] = (None, node.name)
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defs[f"{module}.{target.id}"] = (None, target.id)
             if isinstance(node, ast.ClassDef):
                 bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
                 for item in node.body:
@@ -110,9 +118,9 @@ def definitions(package):
 
 
 class _Uses(ast.NodeVisitor):
-    """Names used as `Name` or `Attribute`, and for each attribute the classes
-    its receivers are known to have (None: unknown), except inside a
-    definition of the same name."""
+    """Names read as `Name` or `Attribute` or imported, and for each attribute
+    the classes its receivers are known to have (None: unknown), except
+    inside a definition of the same name."""
 
     def __init__(self, classes):
         self.classes = classes
@@ -153,8 +161,11 @@ class _Uses(ast.NodeVisitor):
         return node.id if node.id in self.classes else None
 
     def visit_Name(self, node):
-        if node.id not in self.enclosing:
+        if isinstance(node.ctx, ast.Load) and node.id not in self.enclosing:
             self.names.add(node.id)
+
+    def visit_ImportFrom(self, node):
+        self.names.update(alias.name for alias in node.names)
 
     def visit_Attribute(self, node):
         if node.attr not in self.enclosing:
@@ -240,6 +251,21 @@ def test_methods_resolve_by_receiver_class():
                "    return s.norm, Square.area, Square.pack\n"]
     assert scan(package, program) == (["m.Segment2D.length", "m.Square.side"],
                                       ["m.Segment2D.norm", "m.Segment2D.size"])
+
+
+def test_module_level_names_are_reached_when_read_or_imported():
+    package = {"m": (
+        "LIMIT = 3\n"
+        "TABLE: dict = {}\n"
+        "USED = 1\n"
+        "IMPORTED = 2\n"
+        "A, B = 1, 2\n")}  # tuple targets are not scanned
+    program = ["from m import IMPORTED\n"
+               "def f(x):\n"
+               "    TABLE = {}\n"   # assignments, not reads
+               "    LIMIT: int = x\n"
+               "    return x.USED\n"]
+    assert scan(package, program) == (["m.LIMIT", "m.TABLE"], [])
 
 
 def test_methods_on_unknown_receivers_are_pinned():

@@ -339,13 +339,13 @@ def oracle_graph(frames, poses, cfg, mode):
             for gp_id, seg_ids in registry.associate_frame(t, lifted, cfg.n_l):
                 for sid in seg_ids:
                     seg_gp[(t, sid)] = gp_id
-    g = graph.FactorGraph()
+    g = graph.FactorGraph(intr)
     for t, pose in enumerate(poses):
         add_pose(g, t, pose)
     for pid, p in points.items():
         add_point(g, pid, p)
         for t, px in obs_by_point[pid]:
-            add_factor(g, graph.PointFactor(t, pid, np.asarray(px), intr))
+            add_factor(g, graph.PointFactor(t, pid, np.asarray(px)))
     line_gp, flipped = {}, 0
     if mode == "gp" and registry is not None:
         for lid, line in lines.items():
@@ -360,14 +360,14 @@ def oracle_graph(frames, poses, cfg, mode):
             flipped += 1
         add_line(g, lid, oracle_plucker_to_orthonormal(line))
         for t, seg in line_obs[lid]:
-            add_factor(g, graph.LineFactor(t, lid, seg, intr))
+            add_factor(g, graph.LineFactor(t, lid, seg))
     if mode == "gp" and registry is not None:
         for gp_id, gp in enumerate(registry.primitives):
             add_gp(g, gp_id, gp.direction)
         seg_lookup = {(fr.frame_id, s.id): s for fr in frames for s in fr.segments}
         for (t, sid), gp_id in sorted(seg_gp.items()):
             seg = seg_row(seg_lookup[(t, sid)])
-            add_factor(g, graph.VdAlignFactor(t, gp_id, seg, intr))
+            add_factor(g, graph.VdAlignFactor(t, gp_id, seg))
         for lid, gp_id in sorted(line_gp.items()):
             add_factor(g, graph.StructFactor(lid, gp_id))
     return g, flipped

@@ -221,6 +221,28 @@ def test_config_validation():
         corridor_config(n_points=0)
     with pytest.raises(ValueError):
         corridor_config(outlier_fraction=1.0)
+    # a config that could observe nothing fails at construction, naming the field
+    nan, inf = float("nan"), float("inf")
+    cases = [({"fx": nan}, "fx must be finite"), ({"fy": 0.0}, "fy must be positive"),
+             ({"fx": -500.0}, "fx must be positive"), ({"cx": inf}, "cx must be finite"),
+             ({"cy": nan}, "cy must be finite"),
+             ({"image_width": 0}, "image_width must be positive"),
+             ({"image_height": -480}, "image_height must be positive")]
+    cases += [({"visibility": VisibilitySpec(max_range=r)}, "visibility.max_range must be")
+              for r in (0.0, -1.0, nan, inf)]
+    cases += [({"visibility": VisibilitySpec(partition_windows=w)},
+               r"visibility.partition_windows\[1\]: expected a \[start, end\) pair")
+              for w in ([[0, 5], [0]], [[0, 5], [6, 2]], [[0, 5], [0, 1, 2]], [[0, 5], 3])]
+    for overrides, message in cases:
+        with pytest.raises(ValueError, match=message):
+            corridor_config(**overrides)
+    # from JSON too: `json` parses NaN
+    d = json.loads(corridor_config().to_json())
+    d["fx"] = nan
+    with pytest.raises(ValueError, match="fx must be finite"):
+        ScenarioConfig.from_json(json.dumps(d))
+    # valid edges still construct
+    corridor_config(visibility=VisibilitySpec(max_range=0.5, partition_windows=[[0, 5], [5, 5]]))
 
 
 def test_config_normalizes_family_directions():
