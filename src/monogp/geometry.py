@@ -168,12 +168,6 @@ class Pose:
     def inverse(self) -> "Pose":
         return Pose(self.rotation.T, -self.rotation.T @ self.translation)
 
-    def matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
-
 
 def se3_exp(twist) -> Pose:
     """Exponential map. twist = (rho, theta): translation part first."""

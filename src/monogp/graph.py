@@ -17,20 +17,22 @@ points X (Q, 3), line U (L, 3, 3) and W (L, 2, 2), GP directions G (M, 3)
 with their tangent bases B (M, 3, 2). The arrays are never written in place,
 so a snapshot is the arrays themselves. `poses`, `points`, `lines` and `gps`
 read them as mappings by id. `retract` steps a whole kind at once; it is the
-one retraction formula, which `optimize` and `numeric_jacobian` step with.
+one retraction formula, which `optimize` steps with.
 
-Factors are stored the same way: one table per kind (`_FactorTable`), one
-row per factor in insertion order, added in blocks by `add_factors`;
-`factors` builds read-only factor values only when read. The graph holds
-the one camera, `intr`, of every point, line and vd_align factor.
+Factors are stored the same way: one table per kind (`_FactorTable`), the
+kinds in the fixed order `KINDS`, each kind's factors in insertion order,
+appended in blocks by `add_factors`; `factors` builds read-only factor values
+only when read. The graph holds the one camera, `intr`, of every point, line
+and vd_align factor.
 
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
 covariance-weighted cost; each kind has one noise SIGMA and one Huber
 HUBER_DELTA. `PackedFactors` packs the tables once per `optimize` call, per
 kind (vd_align terms once per (pose, GP) pair), and each evaluation runs one
-vectorized kernel per kind, returning residuals, an active mask and a
-Jacobian thunk over the same intermediates (Triggs et al. 2000; Agarwal et
-al. 2010). `total_cost` holds its evaluation, and a `_linearize` at the same
+vectorized kernel per kind (`_evaluate_batch`, which a factor value's
+`residual` runs on a one-row table too), returning residuals, an active mask
+and a Jacobian thunk over the same intermediates (Triggs et al. 2000;
+Agarwal et al. 2010). `total_cost` holds its evaluation, and a `_linearize` at the same
 state reuses it. `_linearize` scatters the weighted J^T J blocks of the live
 Jacobian columns into H_cc over poses, lines and GPs, the pose-point coupling
 H_pc and one 3x3 block per point: each entry the sum a dense H would hold,
@@ -38,8 +40,7 @@ and no dense H. Each LM trial eliminates the points (Schur complement:
 batched 3x3 inverses, one dense solve of the reduced system, back
 substitution), retracts every kind once, and restores the snapshot if the
 cost rose. An inactive factor (a point at depth <= EPS_Z, a line whose image
-line is degenerate) contributes nothing, and its `residual` and `jacobians`
-raise.
+line is degenerate) contributes nothing, and its `residual` raises.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
   gradient           ||g||_inf < ABS_TOL at a linearization       converged
@@ -87,8 +88,6 @@ REL_TOL = 1e-8   # relative cost decrease and relative step
 ABS_TOL = 1e-10  # gradient, ||g||_inf
 LAMBDA_INIT = 1e-4
 LAMBDA_SCALE = 10.0
-
-NUMERIC_STEP = 1e-6  # central-difference step of `numeric_jacobian`
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -237,13 +236,13 @@ class _Factor:
     builds on read; they are read-only. `variables` names the kinds of the
     two variables, in `keys()` order; `width` is the length of the constant
     row, the field `const` (none for struct); `inactive_error` is what
-    `residual` and `jacobians` raise for an inactive factor. `SIGMA` is the
-    kind's residual noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber
-    threshold on the whitened residual norm. `live` picks the Jacobian
-    columns (of dof_a + dof_b) that are not structurally zero; the kernel
-    computes only those. `_pack` turns a factor table of the kind and the
-    graph's camera into its constant arrays and `_kernel` runs the kind's
-    kernel on the graph's state arrays at the table's rows."""
+    `residual` raises for an inactive factor. `SIGMA` is the kind's residual
+    noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber threshold on
+    the whitened residual norm. `live` picks the Jacobian columns (of dof_a
+    + dof_b) that are not structurally zero; the kernel computes only those.
+    `_pack` turns a factor table of the kind and the graph's camera into its
+    constant arrays and `_kernel` runs the kind's kernel on the graph's
+    state arrays at the table's rows."""
 
     variables: tuple = ()
     width = 0
@@ -257,25 +256,16 @@ class _Factor:
             row.flags.writeable = False
             object.__setattr__(self, self.const, row)
 
-    def _evaluate(self, graph) -> "_Evaluation":
-        """This factor evaluated as a one-row table of its kind on `graph`."""
+    def residual(self, graph) -> np.ndarray:
+        """This factor's residual on `graph`, evaluated as a one-row table of
+        its kind."""
         (_, a), (_, b) = self.keys()
         table = _FactorTable(type(self))
-        const = None if self.const is None else [getattr(self, self.const)]
-        table.append(graph, [a], [b], const, 0)
-        (e,) = PackedFactors(graph, tables=[table]).evaluate(graph)
+        table.append(graph, [a], [b], None if self.const is None else [getattr(self, self.const)])
+        e = _evaluate_batch(_Batch(table, None, graph.intr), graph)
         if not e.active[0]:
             raise self.inactive_error(f"inactive {self.kind} factor")
-        return e
-
-    def residual(self, graph) -> np.ndarray:
-        return self._evaluate(graph).r[0]
-
-    def jacobians(self, graph) -> dict:
-        (ka, kb), (va, vb) = self.keys(), self.variables
-        J = np.zeros((self.dim, DOF[va] + DOF[vb]))
-        J[:, self.live] = self._evaluate(graph).jac()[0]
-        return {ka: J[:, :DOF[va]], kb: J[:, DOF[va]:]}
+        return e.r[0]
 
 
 @dataclass(frozen=True)
@@ -389,6 +379,10 @@ class StructFactor(_Factor):
         return _struct_kernel(D, st.G[b], st.B[b])
 
 
+# the factor kinds, in the order the graph stores, packs and sums them
+KINDS = (PointFactor, LineFactor, VdAlignFactor, StructFactor)
+
+
 # ---------------------------------------------------------------------------
 # Factor tables
 # ---------------------------------------------------------------------------
@@ -396,23 +390,21 @@ class StructFactor(_Factor):
 class _FactorTable:
     """The factors of one kind as columns, one row per factor in insertion
     order: the two variables' ids (`ids_a`, `ids_b`) and graph rows
-    (`rows_a`, `rows_b`), the constant row `consts` (N, cls.width) and
-    `pos`, the factor's position among all of the graph's factors. The
+    (`rows_a`, `rows_b`) and the constant row `consts` (N, cls.width). The
     columns are never written in place: `append` replaces them."""
 
     def __init__(self, cls):
         self.cls = cls
         self.ids_a = self.ids_b = np.empty(0, dtype=np.int64)
-        self.rows_a = self.rows_b = self.pos = np.empty(0, dtype=np.intp)
+        self.rows_a = self.rows_b = np.empty(0, dtype=np.intp)
         self.consts = np.empty((0, cls.width))
 
     def __len__(self):
-        return len(self.pos)
+        return len(self.ids_a)
 
-    def append(self, graph: "FactorGraph", ids_a, ids_b, consts, start: int):
+    def append(self, graph: "FactorGraph", ids_a, ids_b, consts):
         """Append a block of factors: their variables' ids and their constant
-        rows (none for struct), at positions `start`, `start` + 1, ...
-        KeyError if a variable is not in `graph`."""
+        rows (none for struct). KeyError if a variable is not in `graph`."""
         ka, kb = self.cls.variables
         ids_a = np.asarray(ids_a, dtype=np.int64).reshape(-1)
         ids_b = np.asarray(ids_b, dtype=np.int64).reshape(-1)
@@ -420,8 +412,7 @@ class _FactorTable:
         block = {"ids_a": ids_a, "ids_b": ids_b,
                  "rows_a": graph.rows_of(ka, ids_a), "rows_b": graph.rows_of(kb, ids_b),
                  "consts": np.asarray(np.empty((n, 0)) if consts is None else consts,
-                                      dtype=float).reshape(n, self.cls.width),
-                 "pos": np.arange(start, start + n, dtype=np.intp)}
+                                      dtype=float).reshape(n, self.cls.width)}
         for name, column in block.items():
             setattr(self, name, np.concatenate([getattr(self, name), column]))
 
@@ -461,7 +452,6 @@ class _Batch:
 
     def __init__(self, table: _FactorTable, index, intr: CameraIntrinsics):
         self.cls = cls = table.cls
-        self.positions = table.pos  # positions among the graph's factors
         self.rows_a, self.rows_b = table.rows_a, table.rows_b
         ka, kb = cls.variables
         self.cols = None if index is None else np.concatenate(
@@ -484,12 +474,20 @@ class _Evaluation:
     jac: Callable        # () -> the live Jacobian blocks (N, dim, k)
 
 
+def _evaluate_batch(b: _Batch, graph) -> _Evaluation:
+    """The kind's kernel on the batch's rows of the graph's state arrays,
+    with the Huber costs and IRLS weights of its residuals."""
+    r, active, jac = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts)
+    r_sq = np.sum(r * b.info * r, axis=1)
+    cost, weight = _huber(r_sq, b.delta)
+    return _Evaluation(b, r, active, cost, weight, jac)
+
+
 class PackedFactors:
     """A graph's factor tables packed against its variable rows and, for
     `_linearize`, a `ParameterIndex` of its free variables: one batch per
-    kind, in the order the kinds first appear among the factors, with the
-    factors of a kind in insertion order. `tables` packs other tables (a
-    factor value's one-row table) on the graph's state instead.
+    kind that has factors, in `KINDS` order, with the factors of a kind in
+    insertion order.
 
     Rows only ever get appended, so one packing serves every state of the
     graph; each `evaluate` indexes the graph's state arrays directly.
@@ -499,23 +497,15 @@ class PackedFactors:
     running the kernels again. Any `evaluate` drops it.
     """
 
-    def __init__(self, graph: "FactorGraph", index: "ParameterIndex | None" = None,
-                 tables=None):
-        tables = graph.tables.values() if tables is None else tables
-        self.batches = [_Batch(t, index, graph.intr) for t in tables]
+    def __init__(self, graph: "FactorGraph", index: "ParameterIndex | None" = None):
+        self.batches = [_Batch(t, index, graph.intr) for t in graph.tables.values() if len(t)]
         self.held: tuple | None = None
 
     def evaluate(self, graph) -> list[_Evaluation]:
         held, self.held = self.held, None
         if held is not None and all(a is b for a, b in zip(held[0], _state(graph))):
             return held[1]
-        out = []
-        for b in self.batches:
-            r, active, jac = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts)
-            r_sq = np.sum(r * b.info * r, axis=1)
-            cost, weight = _huber(r_sq, b.delta)
-            out.append(_Evaluation(b, r, active, cost, weight, jac))
-        return out
+        return [_evaluate_batch(b, graph) for b in self.batches]
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +545,8 @@ class _Variables(Mapping):
 
 
 class _Factors(Sequence):
-    """Read-only view of the graph's factors in insertion order. Each read
-    builds the factor's value from its table row."""
+    """Read-only view of the graph's factors, table by table in `KINDS`
+    order. Each read builds the factor's value from its table row."""
 
     def __init__(self, graph: "FactorGraph"):
         self._graph = graph
@@ -564,19 +554,19 @@ class _Factors(Sequence):
     def __getitem__(self, i):
         i = range(len(self))[i]  # IndexError out of range; negative from the end
         for t in self._graph.tables.values():
-            row = int(np.searchsorted(t.pos, i))
-            if row < len(t) and t.pos[row] == i:
-                return t.value(row)
+            if i < len(t):
+                return t.value(i)
+            i -= len(t)
 
     def __len__(self):
-        return self._graph.n_factors
+        return sum(len(t) for t in self._graph.tables.values())
 
 
 class FactorGraph:
     """Variables as stacked arrays per kind, one row per variable, with one
     id -> row map per kind in `rows`; the factors as one table per kind in
-    `tables`, in the order the kinds first appear; and `intr`, the one
-    camera of every point, line and vd_align factor."""
+    `tables`, in `KINDS` order; and `intr`, the one camera of every point,
+    line and vd_align factor."""
 
     def __init__(self, intr: CameraIntrinsics):
         self.intr = intr
@@ -588,8 +578,7 @@ class FactorGraph:
         self.W = np.empty((0, 2, 2))  # and W in SO(2)
         self.G = np.empty((0, 3))     # GP unit directions
         self.B = np.empty((0, 3, 2))  # their tangent bases (`_tangent_bases`)
-        self.tables: dict[type, _FactorTable] = {}
-        self.n_factors = 0
+        self.tables = {cls: _FactorTable(cls) for cls in KINDS}
 
     poses = property(lambda self: _Variables(self, "pose"))
     points = property(lambda self: _Variables(self, "point"))
@@ -629,12 +618,7 @@ class FactorGraph:
         each one's two variables (of the kinds `cls.variables`) and their
         constant rows (N, cls.width; none for struct). KeyError if a
         variable is missing."""
-        if not len(ids_a):
-            return
-        table = self.tables[cls] if cls in self.tables else _FactorTable(cls)
-        table.append(self, ids_a, ids_b, consts, self.n_factors)
-        self.tables[cls] = table
-        self.n_factors += len(ids_a)
+        self.tables[cls].append(self, ids_a, ids_b, consts)
 
     def rows_of(self, kind: str, ids) -> np.ndarray:
         """The graph rows of variables of `kind` by id (an int array).
@@ -754,32 +738,12 @@ def total_cost(graph: FactorGraph, packed: PackedFactors | None = None) -> float
 
 
 def cost_breakdown(graph: FactorGraph, packed: PackedFactors | None = None) -> dict:
-    """Robust cost per factor kind; a kind appears only when one of its
-    factors is active, in the order of the first active factor of each kind.
-    Uses the evaluation `total_cost` held on `packed` when it is of this state."""
+    """Robust cost per factor kind, in `KINDS` order; a kind appears only
+    when one of its factors is active. Uses the evaluation `total_cost` held
+    on `packed` when it is of this state."""
     packed = packed if packed is not None else PackedFactors(graph)
-    active = [e for e in packed.evaluate(graph) if e.active.any()]
-    active.sort(key=lambda e: e.batch.positions[e.active][0])
-    return {e.batch.cls.kind: float(e.cost.sum()) for e in active}
-
-
-def numeric_jacobian(factor, graph: FactorGraph) -> dict:
-    """Central-difference Jacobian on each variable's local parameterization,
-    stepping the variable's row with `retract` by +-NUMERIC_STEP."""
-    out = {}
-    for kind, vid in factor.keys():
-        rows = [graph.rows[kind][vid]]
-        base, snap = graph.take_rows(kind, rows), graph.snapshot()
-        cols = []
-        for e in np.eye(DOF[kind]) * NUMERIC_STEP:
-            graph.put_rows(kind, rows, retract(kind, base, e[None]))
-            r_plus = factor.residual(graph)
-            graph.put_rows(kind, rows, retract(kind, base, -e[None]))
-            r_minus = factor.residual(graph)
-            cols.append((r_plus - r_minus) / (2.0 * NUMERIC_STEP))
-        graph.restore(snap)
-        out[(kind, vid)] = np.column_stack(cols)
-    return out
+    return {e.batch.cls.kind: float(e.cost.sum())
+            for e in packed.evaluate(graph) if e.active.any()}
 
 
 @dataclass

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -46,13 +47,38 @@ MIN_OUTLIER_PX = 25.0   # planted outlier segments are at least this long
 # A family direction within this of unit norm (a normalized one is within
 # 1.5 eps) is kept bit for bit, so `dataclasses.replace` does not move it.
 UNIT_NORM_TOL = 4 * np.finfo(float).eps
+TRAJECTORY_KINDS = ("corridor", "orbit", "figure8")
+
+
+def _check(spec, names, section: str = "", integer=False, low=None, strict=False):
+    """ValueError naming the field unless each field `names` of `spec` is a
+    finite number (an integer if `integer`; a bool is neither) and, if `low`
+    is given, at least `low` (above it if `strict`)."""
+    for name in names:
+        value, where = getattr(spec, name), section + name
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integer else numbers.Real):
+            raise ValueError(f"{where} must be {'an integer' if integer else 'a number'}, "
+                             f"got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{where} must be finite, got {value!r}")
+        if low is not None and not (value > low if strict else value >= low):
+            bound = "positive" if strict else "non-negative" if low == 0 else f"at least {low}"
+            raise ValueError(f"{where} must be {bound}, got {value!r}")
 
 
 @dataclass
 class TrajectorySpec:
-    kind: str = "corridor"  # corridor | orbit | figure8
+    kind: str = "corridor"  # one of TRAJECTORY_KINDS
     n_keyframes: int = 20
     spacing: float = 0.25   # m between consecutive keyframes
+
+    def __post_init__(self):
+        if self.kind not in TRAJECTORY_KINDS:
+            raise ValueError(f"trajectory.kind must be one of {', '.join(TRAJECTORY_KINDS)}, "
+                             f"got {self.kind!r}")
+        _check(self, ["n_keyframes"], "trajectory.", integer=True, low=2)
+        _check(self, ["spacing"], "trajectory.", low=0, strict=True)
 
 
 @dataclass
@@ -60,6 +86,9 @@ class NoiseSpec:
     sigma_point_px: float = 0.0
     sigma_endpoint_px: float = 0.0
     sigma_flow_px: float = 0.0
+
+    def __post_init__(self):
+        _check(self, [f.name for f in fields(self)], "noise.", low=0)
 
 
 @dataclass
@@ -69,11 +98,25 @@ class VisibilitySpec:
     # landmark_id % len(windows) is visible only inside windows[g].
     partition_windows: list | None = None
 
+    def __post_init__(self):
+        _check(self, ["max_range"], "visibility.", low=0, strict=True)
+        windows = self.partition_windows
+        if not isinstance(windows, (list, type(None))):
+            raise ValueError(f"visibility.partition_windows: expected a list, got {windows!r}")
+        for i, window in enumerate(windows or []):
+            if np.shape(window) != (2,) or not all(isinstance(x, numbers.Real) for x in window) \
+                    or not window[0] <= window[1]:
+                raise ValueError(f"visibility.partition_windows[{i}]: expected a "
+                                 f"[start, end) pair, got {window!r}")
+
 
 @dataclass
 class InitPerturbation:
     rot_deg: float = 0.0   # per-axis rotation noise, degrees
     trans_m: float = 0.0   # per-axis translation noise, meters
+
+    def __post_init__(self):
+        _check(self, [f.name for f in fields(self)], "init_perturbation.", low=0)
 
 
 # the nested sections of a scenario config
@@ -118,32 +161,30 @@ class ScenarioConfig:
     init_perturbation: InitPerturbation = field(default_factory=InitPerturbation)
 
     def __post_init__(self):
-        if self.n_points <= 0 or self.n_l <= 0:
-            raise ValueError("counts must be positive")
+        # the sections check themselves when constructed
+        _check(self, ["rng_seed"], integer=True, low=0)
+        _check(self, ["n_points", "n_l", "image_width", "image_height"], integer=True,
+               low=0, strict=True)
+        _check(self, ["fx", "fy", "cx", "cy", "outlier_fraction"])
+        self.intrinsics  # noqa: B018 - CameraIntrinsics checks fx > 0 and fy > 0
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
-        self.intrinsics  # noqa: B018 - CameraIntrinsics checks fx, fy, cx and cy
-        for name in ("image_width", "image_height"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        vis = self.visibility
-        if not (math.isfinite(vis.max_range) and vis.max_range > 0):
-            raise ValueError(f"visibility.max_range must be finite and positive, "
-                             f"got {vis.max_range}")
-        for i, window in enumerate(vis.partition_windows or []):
-            if np.shape(window) != (2,) or not window[0] <= window[1]:
-                raise ValueError(f"visibility.partition_windows[{i}]: expected a "
-                                 f"[start, end) pair, got {window!r}")
+        if not isinstance(self.direction_families, list):
+            raise ValueError(f"direction_families must be a list, got {self.direction_families!r}")
         fams = []
-        for i, (d, count) in enumerate(self.direction_families):
-            d = np.array(d, dtype=float)
+        for i, family in enumerate(self.direction_families):
+            if not (isinstance(family, (list, tuple)) and len(family) == 2 and
+                    np.shape(family[0]) == (3,) and isinstance(family[1], numbers.Integral)):
+                raise ValueError(f"direction family {i}: expected a [3-vector, line "
+                                 f"count] pair, got {family!r}")
+            d, count = np.array(family[0], dtype=float), int(family[1])
             n = np.linalg.norm(d)
             if not (np.isfinite(d).all() and 0.0 < n < math.inf):
                 raise ValueError(f"direction family {i}: direction must be "
                                  f"finite and nonzero, got {d.tolist()}")
-            if int(count) < 0:
+            if count < 0:
                 raise ValueError(f"direction family {i}: negative line count {count}")
-            fams.append((d if abs(n - 1.0) <= UNIT_NORM_TOL else d / n, int(count)))
+            fams.append((d if abs(n - 1.0) <= UNIT_NORM_TOL else d / n, count))
         self.direction_families = fams
 
     @property
@@ -278,10 +319,6 @@ def generate_trajectory(config: ScenarioConfig) -> list[Pose]:
     """Smooth camera-from-world keyframe poses; the first pose is identity."""
     traj = config.trajectory
     n, spacing = traj.n_keyframes, traj.spacing
-    if n < 2:
-        raise ValueError("need at least 2 keyframes")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"trajectory.spacing must be finite and positive, got {spacing}")
     poses = []
     if traj.kind == "corridor":
         # Forward walk with a gentle lateral sway so the camera centers are
@@ -306,15 +343,13 @@ def generate_trajectory(config: ScenarioConfig) -> list[Pose]:
             phi = k * dphi
             c = center + radius * np.array([math.sin(phi), 0.0, -math.cos(phi)])
             poses.append(_look_at_pose(c, center))
-    elif traj.kind == "figure8":
+    else:  # figure8
         center = np.array([0.0, 0.0, 6.0])
         amp = spacing * (n - 1) / 4.0
         for k in range(n):
             t = 2.0 * math.pi * k / n
             c = np.array([amp * math.sin(t), 0.5 * amp * math.sin(2.0 * t), 0.0])
             poses.append(_look_at_pose(c, center))
-    else:
-        raise ValueError(f"unknown trajectory kind {traj.kind!r}")
     return poses
 
 

@@ -44,7 +44,8 @@ def test_identity_line_parses():
     traj = load_tum(path)
     os.unlink(path)
     assert len(traj.poses) == 2
-    assert np.allclose(traj.poses[0].matrix(), np.eye(4))
+    assert np.allclose(traj.poses[0].rotation, np.eye(3))
+    assert np.allclose(traj.poses[0].translation, 0.0)
     assert np.allclose(traj.poses[1].camera_center(), [1.0, 2.0, 3.0])
 
 
@@ -60,7 +61,8 @@ def test_tum_roundtrip_random(tmp_path):
     loaded = load_tum(path)
     assert np.array_equal(loaded.timestamps, traj.timestamps)
     for a, b in zip(traj.poses, loaded.poses):
-        assert np.allclose(a.matrix(), b.matrix(), rtol=0.0, atol=1e-14)
+        assert np.allclose(a.rotation, b.rotation, rtol=0.0, atol=1e-14)
+        assert np.allclose(a.translation, b.translation, rtol=0.0, atol=1e-14)
 
 
 def test_tum_parse_error_names_line(tmp_path):

@@ -52,7 +52,8 @@ def random_pose(rng, scale=0.5):
 
 def test_se3_exp_zero_twist_is_identity():
     pose = se3_exp(np.zeros(6))
-    assert np.allclose(pose.matrix(), np.eye(4), atol=1e-15)
+    assert np.allclose(pose.rotation, np.eye(3), atol=1e-15)
+    assert np.allclose(pose.translation, 0.0, atol=1e-15)
 
 
 def test_se3_exp_quarter_turn_about_z():
@@ -64,15 +65,18 @@ def test_se3_exp_quarter_turn_about_z():
 
 def test_se3_exp_matches_matrix_exponential():
     # imported here, so that importing this module (test_tracking's oracles
-    # do) needs no scipy
-    from scipy.linalg import expm
+    # do) needs no scipy; skipped without it
+    expm = pytest.importorskip("scipy.linalg").expm
     rng = np.random.default_rng(3)
     for _ in range(1000):
         xi = rng.normal(0.0, 0.3, size=6)
         twist = np.zeros((4, 4))
         twist[:3, :3] = skew(xi[3:])
         twist[:3, 3] = xi[:3]
-        assert np.allclose(se3_exp(xi).matrix(), expm(twist), atol=1e-9)
+        pose = se3_exp(xi)
+        T = np.eye(4)
+        T[:3, :3], T[:3, 3] = pose.rotation, pose.translation
+        assert np.allclose(T, expm(twist), atol=1e-9)
 
 
 def test_pose_compose_inverse_is_identity():
@@ -80,16 +84,18 @@ def test_pose_compose_inverse_is_identity():
     for _ in range(50):
         pose = random_pose(rng)
         ident = pose.compose(pose.inverse())
-        assert np.allclose(ident.matrix(), np.eye(4), atol=1e-9)
+        assert np.allclose(ident.rotation, np.eye(3), atol=1e-9)
+        assert np.allclose(ident.translation, 0.0, atol=1e-9)
 
 
 def test_pose_composition_associative():
     rng = np.random.default_rng(5)
     for _ in range(50):
         a, b, c = (random_pose(rng) for _ in range(3))
-        m1 = a.compose(b).compose(c).matrix()
-        m2 = a.compose(b.compose(c)).matrix()
-        assert np.allclose(m1, m2, atol=1e-12)
+        p1 = a.compose(b).compose(c)
+        p2 = a.compose(b.compose(c))
+        assert np.allclose(p1.rotation, p2.rotation, atol=1e-12)
+        assert np.allclose(p1.translation, p2.translation, atol=1e-12)
 
 
 def test_pose_rejects_non_orthonormal_rotation():

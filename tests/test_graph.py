@@ -1,6 +1,10 @@
 """Factor residuals, analytic-vs-numeric Jacobians, batched retraction,
 robust LM optimizer.
 
+Each kind's batched Jacobian thunk is checked against central differences
+through `retract` on the same batch; the per-factor central-difference
+oracle `numeric_jacobian` is kept below for the weighted normal equations.
+
 The batched `retract` is checked against per-variable formulas kept below as
 oracles (`oracle_*`), and the pair-shared vd_align kernel and the live-column
 scatter of `_linearize` against their per-factor, all-column forms. The
@@ -10,6 +14,7 @@ scattered before the Schur step, and the Schur step against a dense
 """
 import dataclasses
 import functools
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -33,6 +38,7 @@ from monogp.geometry import (
 from monogp.graph import (
     DOF,
     HUBER_2DOF,
+    KINDS,
     LAMBDA_INIT,
     LAMBDA_SCALE,
     MAX_ITERS,
@@ -49,7 +55,6 @@ from monogp.graph import (
     _mv,
     _tangent_bases,
     cost_breakdown,
-    numeric_jacobian,
     optimize,
     retract,
     total_cost,
@@ -487,15 +492,68 @@ def max_relative_error(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
+NUMERIC_STEP = 1e-6  # central-difference step
+
+
+def numeric_jacobian(factor, graph) -> dict:
+    """Central-difference Jacobian of one factor value's residual on each
+    variable's local parameterization, stepping the variable's row with
+    `retract` by +-NUMERIC_STEP."""
+    out = {}
+    for kind, vid in factor.keys():
+        rows = [graph.rows[kind][vid]]
+        base, snap = graph.take_rows(kind, rows), graph.snapshot()
+        cols = []
+        for e in np.eye(DOF[kind]) * NUMERIC_STEP:
+            graph.put_rows(kind, rows, retract(kind, base, e[None]))
+            r_plus = factor.residual(graph)
+            graph.put_rows(kind, rows, retract(kind, base, -e[None]))
+            r_minus = factor.residual(graph)
+            cols.append((r_plus - r_minus) / (2.0 * NUMERIC_STEP))
+        graph.restore(snap)
+        out[(kind, vid)] = np.column_stack(cols)
+    return out
+
+
+def batch_jacobian_errors(graph) -> dict:
+    """Per kind, the worst `max_relative_error` over its two variables of the
+    batch's Jacobian thunk (`PackedFactors(graph).evaluate`), placed in the
+    kind's `live` columns with zeros elsewhere, against central differences
+    of the batch's residuals that step the batch's rows of the variable with
+    `retract` by +-NUMERIC_STEP. The two variables of a factor are of
+    different kinds, so stepping a kind's rows moves one variable of each
+    factor."""
+    out = {}
+    for e in PackedFactors(graph).evaluate(graph):
+        b, n = e.batch, len(e.r)
+        dofs = [DOF[kind] for kind in b.cls.variables]
+        analytic = np.zeros((n, b.cls.dim, sum(dofs)))
+        analytic[:, :, b.cls.live] = e.jac()
+        worst, start = 0.0, 0
+        for kind, rows in zip(b.cls.variables, (b.rows_a, b.rows_b)):
+            base, snap = graph.take_rows(kind, rows), graph.snapshot()
+            cols = []
+            for step in np.eye(DOF[kind]) * NUMERIC_STEP:
+                graph.put_rows(kind, rows, retract(kind, base, np.tile(step, (n, 1))))
+                r_plus = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts)[0]
+                graph.put_rows(kind, rows, retract(kind, base, np.tile(-step, (n, 1))))
+                r_minus = b.cls._kernel(graph, b.rows_a, b.rows_b, b.consts)[0]
+                cols.append((r_plus - r_minus) / (2.0 * NUMERIC_STEP))
+            graph.restore(snap)
+            J = analytic[:, :, start:start + DOF[kind]]
+            worst = max(worst, max_relative_error(J, np.stack(cols, axis=2)))
+            start += DOF[kind]
+        out[b.cls.kind] = worst
+    return out
+
+
 def test_jacobians_match_finite_differences():
     for seed in range(100):
         g, factors = build_random_factor_graph(seed)
-        for f in factors:
-            analytic = f.jacobians(g)
-            numeric = numeric_jacobian(f, g)
-            for key in analytic:
-                assert max_relative_error(analytic[key], numeric[key]) < 1e-5, \
-                    (f.kind, key, seed)
+        errors = batch_jacobian_errors(g)
+        assert list(errors) == [f.kind for f in factors]
+        for kind, error in errors.items():
+            assert error < 1e-5, (kind, seed)
 
 
 # -- graph bookkeeping -----------------------------------------------------------
@@ -596,8 +654,6 @@ def test_behind_camera_factor_deactivated():
         assert cost_breakdown(g) == {}
         with pytest.raises(BehindCameraError):
             f.residual(g)
-        with pytest.raises(BehindCameraError):
-            f.jacobians(g)
         index = ParameterIndex(g, [("pose", 0)])
         assert index.n_params == 3
         cost, system = _linearize(g, index)
@@ -832,8 +888,8 @@ def test_vd_align_pairs_equal_per_factor_oracle_bitwise():
     packed = PackedFactors(g)
     b = next(b for b in packed.batches if b.cls is VdAlignFactor)
     e = next(e for e in packed.evaluate(g) if e.batch is b)
-    aligns = [g.factors[p] for p in b.positions]
-    assert len(aligns) == 120 and len(b.consts["pose"]) == 6  # 20 factors per pair
+    aligns = [f for f in g.factors if f.kind == "vd_align"]
+    assert len(aligns) == len(b.rows_a) == 120 and len(b.consts["pose"]) == 6  # 20 factors per pair
     # the one (3, 3) camera matrix gives the bits of per-factor copies of it
     r, active, J = oracle_vd_align_kernel(g.R[b.rows_a], g.G[b.rows_b], g.B[b.rows_b],
                                           b.consts["lhat"], gathered(K.matrix(), 120), True)
@@ -939,15 +995,14 @@ def oracle_consts(cls, factors, rows_a, rows_b, k) -> dict:
 
 def oracle_packing(g, index=None) -> list:
     """The batches `PackedFactors` built from the factor list before the
-    factor tables: grouped by kind in first-appearance order, with per-factor
+    factor tables: grouped by kind, in `KINDS` order, with per-factor
     `keys()`, row lookups and constants, from the values `g.factors` reads."""
     factors = list(g.factors)
-    groups = {}
-    for pos, f in enumerate(factors):
-        groups.setdefault(type(f), []).append(pos)
     batches = []
-    for cls, positions in groups.items():
-        members = [factors[p] for p in positions]
+    for cls in KINDS:
+        members = [f for f in factors if type(f) is cls]
+        if not members:
+            continue
         ka, kb = cls.variables
         keys = [f.keys() for f in members]
         rows_a = np.array([g.rows[ka][k[0][1]] for k in keys], dtype=np.intp)
@@ -956,13 +1011,13 @@ def oracle_packing(g, index=None) -> list:
             [index.table[ka][rows_a], index.table[kb][rows_b]], axis=1)[:, cls.live]
         at = None if index is None else graph_module._positions(cols, cls, index.n_reduced)
         batches.append(SimpleNamespace(
-            cls=cls, positions=np.array(positions), rows_a=rows_a, rows_b=rows_b,
+            cls=cls, rows_a=rows_a, rows_b=rows_b,
             cols=cols, at=at, consts=oracle_consts(cls, members, rows_a, rows_b, g.intr),
             info=1.0 / cls.SIGMA**2, delta=cls.HUBER_DELTA))
     return batches
 
 
-def assert_batches_equal(batches, expected, names=("positions", "rows_a", "rows_b", "cols")):
+def assert_batches_equal(batches, expected, names=("rows_a", "rows_b", "cols")):
     """Packed batches equal, kind by kind, byte for byte: `names` and the constants."""
     assert [b.cls for b in batches] == [b.cls for b in expected]
     for b, ref in zip(batches, expected):
@@ -1189,12 +1244,14 @@ def test_optimize_solves_only_the_reduced_system(monkeypatch):
 
 
 def test_factors_read_as_a_sequence_of_read_only_values():
+    # build_assembly_graph adds each line's line, vd_align and struct
+    # factors interleaved; they read back table by table in `KINDS` order
     g = build_assembly_graph()
     factors = g.factors
     assert len(factors) == 6 * 3 + 1 + 2 * 7
-    kinds = [f.kind for f in factors]
-    assert kinds[:19] == ["point"] * 19
-    assert kinds[19:26] == ["line", "vd_align"] * 3 + ["struct"]
+    assert [f.kind for f in factors] == \
+        ["point"] * 19 + ["line"] * 6 + ["vd_align"] * 6 + ["struct"] * 2
+    assert [f.keys()[0][1] for f in factors if f.kind == "line"] == [0, 1, 2] * 2
     assert factors[-1] == StructFactor(1, 0) and factors[-1].keys() == [("line", 1), ("gp", 0)]
     first = factors[0]
     with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
@@ -1220,26 +1277,55 @@ def test_factor_values_read_back_as_added():
     assert [x.name for x in dataclasses.fields(points[0])] == ["pose_id", "point_id", "obs"]
 
 
+def with_variables_of(g):
+    """A graph of `g`'s camera holding its variables and no factor."""
+    out = FactorGraph(g.intr)
+    out.add_variables("pose", list(g.poses), g.R, g.t)
+    out.add_variables("point", list(g.points), g.X)
+    out.add_variables("line", list(g.lines), g.U, g.W)
+    out.add_variables("gp", list(g.gps), g.G)
+    return out
+
+
 def test_block_add_equals_one_factor_at_a_time():
     g = build_assembly_graph()
-    block = FactorGraph(g.intr)
-    block.add_variables("pose", list(g.poses), g.R, g.t)
-    block.add_variables("point", list(g.points), g.X)
-    block.add_variables("line", list(g.lines), g.U, g.W)
-    block.add_variables("gp", list(g.gps), g.G)
-    for run in ([f for f in g.factors if f.kind == "point"],
-                [f for f in g.factors if f.kind in ("line", "vd_align", "struct")]):
-        for cls in dict.fromkeys(type(f) for f in run):
-            fs = [f for f in run if type(f) is cls]
-            const = None if cls.const is None else [getattr(f, cls.const) for f in fs]
-            block.add_factors(cls, [f.keys()[0][1] for f in fs], [f.keys()[1][1] for f in fs],
-                              const)
-    # the kinds in their first-appearance order, each kind's factors in order;
-    # only the positions differ
-    assert_batches_equal(PackedFactors(block).batches, PackedFactors(g).batches,
-                         names=("rows_a", "rows_b"))
+    block = with_variables_of(g)
+    # one block per kind, added in the reverse of `KINDS` order
+    for cls in reversed(KINDS):
+        fs = [f for f in g.factors if type(f) is cls]
+        const = None if cls.const is None else [getattr(f, cls.const) for f in fs]
+        block.add_factors(cls, [f.keys()[0][1] for f in fs], [f.keys()[1][1] for f in fs],
+                          const)
+    # the kinds in `KINDS` order, each kind's factors in order
+    assert_batches_equal(PackedFactors(block).batches, PackedFactors(g).batches)
     assert_batches_equal(PackedFactors(block).batches, oracle_packing(block))
     assert total_cost(block) == total_cost(g)
+
+
+def test_kinds_are_read_packed_and_summed_in_kinds_order():
+    # the assembly graph's factors added one at a time, struct first and then
+    # the other kinds round-robin: they read, pack, break down and linearize
+    # in `KINDS` order, each kind's factors in insertion order
+    g = build_assembly_graph()
+    mixed = with_variables_of(g)
+    by_kind = [[f for f in g.factors if type(f) is cls] for cls in reversed(KINDS)]
+    order = by_kind[0] + [f for group in itertools.zip_longest(*by_kind[1:])
+                          for f in group if f is not None]
+    assert [f.kind for f in order[:5]] == ["struct", "struct", "vd_align", "line", "point"]
+    for f in order:
+        add_factor(mixed, f)
+    assert [f.kind for f in mixed.factors] == [f.kind for f in g.factors]
+    assert [f.keys() for f in mixed.factors] == [f.keys() for f in g.factors]
+    assert [b.cls for b in PackedFactors(mixed).batches] == list(KINDS)
+    assert list(cost_breakdown(mixed)) == [cls.kind for cls in KINDS]
+    assert cost_breakdown(mixed) == cost_breakdown(g)
+    # the dense scatter sums in the packing's order, `KINDS` order
+    index = ParameterIndex(mixed, [("pose", 0)])
+    cost_ref, H, g_ref = oracle_dense_linearize(mixed, index, index.n_params)
+    cost, system = _linearize(mixed, index)
+    assert cost.hex() == cost_ref.hex()
+    assert_holds_dense_entries(system, H, g_ref, index)
+    assert system_bytes(system) == system_bytes(_linearize(g, index)[1])
 
 
 # -- optimizer -----------------------------------------------------------------

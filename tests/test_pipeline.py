@@ -608,6 +608,21 @@ def test_cli_non_positive_spacing_is_an_error_line(tmp_path, capsys, command, ki
         assert err.startswith("error: ") and "trajectory.spacing" in err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["run", "--mode", "gp"]])
+def test_cli_wrong_value_type_is_an_error_line(tmp_path, capsys, command):
+    # `null` and a quoted number, where a number is due
+    with open(config_file("structured")) as f:
+        d = json.load(f)
+    for bad, field in (({"visibility": {"max_range": None}}, "visibility.max_range"),
+                       ({"n_points": "25"}, "n_points")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**d, **bad}))
+        assert main([command[0], "--config", str(path), *command[1:],
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+
 def test_cli_bad_arguments_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--mode", "sideways"])

@@ -15,6 +15,7 @@ from monogp.simulate import (
     MIN_DEPTH,
     MIN_OUTLIER_PX,
     MIN_SEGMENT_PX,
+    InitPerturbation,
     NoiseSpec,
     ScenarioConfig,
     SegmentTruth,
@@ -228,14 +229,17 @@ def test_config_validation():
              ({"cy": nan}, "cy must be finite"),
              ({"image_width": 0}, "image_width must be positive"),
              ({"image_height": -480}, "image_height must be positive")]
-    cases += [({"visibility": VisibilitySpec(max_range=r)}, "visibility.max_range must be")
-              for r in (0.0, -1.0, nan, inf)]
-    cases += [({"visibility": VisibilitySpec(partition_windows=w)},
-               r"visibility.partition_windows\[1\]: expected a \[start, end\) pair")
-              for w in ([[0, 5], [0]], [[0, 5], [6, 2]], [[0, 5], [0, 1, 2]], [[0, 5], 3])]
     for overrides, message in cases:
         with pytest.raises(ValueError, match=message):
             corridor_config(**overrides)
+    # the visibility section fails at its own construction
+    for r in (0.0, -1.0, nan, inf):
+        with pytest.raises(ValueError, match="visibility.max_range must be"):
+            corridor_config(visibility=VisibilitySpec(max_range=r))
+    for w in ([[0, 5], [0]], [[0, 5], [6, 2]], [[0, 5], [0, 1, 2]], [[0, 5], 3]):
+        with pytest.raises(ValueError, match=r"visibility.partition_windows\[1\]: "
+                                             r"expected a \[start, end\) pair"):
+            corridor_config(visibility=VisibilitySpec(partition_windows=w))
     # from JSON too: `json` parses NaN
     d = json.loads(corridor_config().to_json())
     d["fx"] = nan
@@ -243,6 +247,48 @@ def test_config_validation():
         ScenarioConfig.from_json(json.dumps(d))
     # valid edges still construct
     corridor_config(visibility=VisibilitySpec(max_range=0.5, partition_windows=[[0, 5], [5, 5]]))
+    # each section checks its own fields when constructed, so a section
+    # assigned after construction (as `perturbed_corridor` does) is checked too
+    sections = [(lambda v: NoiseSpec(sigma_point_px=v), "noise.sigma_point_px must be"),
+                (lambda v: NoiseSpec(sigma_flow_px=v), "noise.sigma_flow_px must be"),
+                (lambda v: InitPerturbation(rot_deg=v), "init_perturbation.rot_deg must be"),
+                (lambda v: InitPerturbation(trans_m=v), "init_perturbation.trans_m must be"),
+                (lambda v: TrajectorySpec(spacing=v), "trajectory.spacing must be")]
+    for make, message in sections:
+        for bad in (nan, inf, -1.0, None, "1.0", True):
+            with pytest.raises(ValueError, match=message):
+                make(bad)
+        make(2.5)
+    for bad in (1, 0, 2.0, "20", None):
+        with pytest.raises(ValueError, match="trajectory.n_keyframes must be"):
+            TrajectorySpec(n_keyframes=bad)
+    with pytest.raises(ValueError, match="trajectory.kind must be one of corridor, orbit"):
+        TrajectorySpec(kind="spiral")
+    TrajectorySpec("figure8", 2, 0.5)
+    # a JSON value of the wrong type is a ValueError naming the field
+    for key, section, bad, message in [
+            ("n_points", None, "25", "n_points must be an integer, got '25'"),
+            ("n_l", None, 2.5, "n_l must be an integer"),
+            ("rng_seed", None, -1, "rng_seed must be non-negative"),
+            ("fx", None, "500", "fx must be a number"),
+            ("outlier_fraction", None, None, "outlier_fraction must be a number"),
+            ("image_width", None, True, "image_width must be an integer"),
+            ("direction_families", None, {"x": 1}, "direction_families must be a list"),
+            ("direction_families", None, [[1.0, 0.0, 0.0]],
+             r"direction family 0: expected a \[3-vector, line count\] pair"),
+            ("direction_families", None, [[[1.0, 0.0, 0.0], None]], "direction family 0"),
+            ("max_range", "visibility", None, "visibility.max_range must be a number"),
+            ("partition_windows", "visibility", 3, "visibility.partition_windows: expected"),
+            ("partition_windows", "visibility", [["a", "b"]], "partition_windows\\[0\\]"),
+            ("sigma_point_px", "noise", -1.0, "noise.sigma_point_px must be non-negative"),
+            ("rot_deg", "init_perturbation", nan, "init_perturbation.rot_deg must be finite"),
+            ("n_keyframes", "trajectory", 1, "trajectory.n_keyframes must be at least 2"),
+            ("spacing", "trajectory", nan, "trajectory.spacing must be finite"),
+            ("kind", "trajectory", 3, "trajectory.kind must be one of")]:
+        d = json.loads(corridor_config().to_json())
+        (d if section is None else d[section])[key] = bad
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig.from_json(json.dumps(d))
 
 
 def test_config_normalizes_family_directions():
@@ -331,7 +377,8 @@ def test_first_pose_is_identity():
         cfg = corridor_config(trajectory=TrajectorySpec(kind, 10, 0.25))
         poses = generate_trajectory(cfg)
         if kind == "corridor":
-            assert np.allclose(poses[0].matrix(), np.eye(4), atol=1e-12)
+            assert np.allclose(poses[0].rotation, np.eye(3), atol=1e-12)
+            assert np.allclose(poses[0].translation, 0.0, atol=1e-12)
         assert len(poses) == 10
 
 
