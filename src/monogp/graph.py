@@ -618,7 +618,8 @@ class FactorGraph:
         each one's two variables (of the kinds `cls.variables`) and their
         constant rows (N, cls.width; none for struct). KeyError if a
         variable is missing."""
-        self.tables[cls].append(self, ids_a, ids_b, consts)
+        if len(ids_a):
+            self.tables[cls].append(self, ids_a, ids_b, consts)
 
     def rows_of(self, kind: str, ids) -> np.ndarray:
         """The graph rows of variables of `kind` by id (an int array).
