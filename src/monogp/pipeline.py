@@ -3,9 +3,10 @@
 simulate -> perturb the poses -> map landmarks on the perturbed poses
 (`map_landmarks`: line tracking and verification gates, point and line
 triangulation) -> in gp mode, map global primitives onto them
-(`map_primitives`: per-frame VP detection, global-primitive fusion and
-line-to-GP association) -> factor graph construction (`build_graph`) ->
-Levenberg-Marquardt -> ATE evaluation against ground truth.
+(`map_primitives`: VP detection over all frames, stage by stage, then
+per-frame global-primitive fusion and line-to-GP association) -> factor
+graph construction (`build_graph`) -> Levenberg-Marquardt -> ATE
+evaluation against ground truth.
 
 Mapping runs in stacked passes: one matching pass over the scene's segment
 rows (`tracking.SceneSegments`) builds the line tracks as (frame, row)
@@ -61,7 +62,11 @@ from .tracking import (
     match_predicted,
     run_gates,
 )
-from .vanishing import detect_vanishing_points, lift_vanishing_point
+from .vanishing import (
+    detect_scene_vanishing_points,
+    detect_vanishing_points,  # noqa: F401 - perfbench/layers.py wraps it under this name
+    lift_vanishing_point,
+)
 
 MODES = ("lp", "gp")
 
@@ -245,7 +250,8 @@ def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
 def map_primitives(frames: list[FrameObservations], poses: list[Pose],
                    config: ScenarioConfig, landmarks: Landmarks) -> Landmarks:
     """A copy of `landmarks` with the GP part mapped from `frames` on `poses`:
-    per-frame VP detection, lifting and fusion into a registry, each frame's
+    VP detection on all frames in one `detect_scene_vanishing_points` call,
+    then frame by frame lifting and fusion into a registry, each frame's
     segment-to-GP links (frame, GP, endpoint row) in segment-id order, and
     the line -> GP map. Its lines are a new dict, in which a line pointing
     away from its GP is negated. VP detection runs on each frame's endpoint
@@ -253,14 +259,12 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
     left as they are."""
     intr = config.intrinsics
     registry, links = GlobalPrimitiveRegistry(), [Observations.empty(4)]
+    scene = []  # per frame its segments at least TAU_S long (rows, ids) and seed
     for t, fr in enumerate(frames):
         long = filter_short(fr.ends, TAU_S)
-        ends, ids = fr.ends[long], fr.ids[long].tolist()
-        if len(ids) < 2:
-            continue
-        estimates = detect_vanishing_points(
-            ends, n_hypotheses=VP_HYPOTHESES, min_cluster_size=VP_MIN_CLUSTER,
-            rng_seed=config.rng_seed * 1009 + t, ids=ids)
+        scene.append((fr.ends[long], fr.ids[long].tolist(), config.rng_seed * 1009 + t))
+    detected = detect_scene_vanishing_points(scene, VP_HYPOTHESES, VP_MIN_CLUSTER)
+    for t, ((ends, ids, _), estimates) in enumerate(zip(scene, detected)):
         lifted = [(lift_vanishing_point(est.vp_homogeneous, intr, poses[t].r_wc),
                    est.member_segment_ids) for est in estimates]
         seg_gp = sorted({sid: gp_id for gp_id, members in

@@ -67,7 +67,7 @@ def _check(spec, names, section: str = "", integer=False, low=None, strict=False
             raise ValueError(f"{where} must be {bound}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectorySpec:
     kind: str = "corridor"  # one of TRAJECTORY_KINDS
     n_keyframes: int = 20
@@ -81,7 +81,7 @@ class TrajectorySpec:
         _check(self, ["spacing"], "trajectory.", low=0, strict=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     sigma_point_px: float = 0.0
     sigma_endpoint_px: float = 0.0
@@ -91,7 +91,7 @@ class NoiseSpec:
         _check(self, [f.name for f in fields(self)], "noise.", low=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VisibilitySpec:
     max_range: float = 12.0
     # Optional list of [start, end) frame windows; landmark group g =
@@ -110,7 +110,7 @@ class VisibilitySpec:
                                  f"[start, end) pair, got {window!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitPerturbation:
     rot_deg: float = 0.0   # per-axis rotation noise, degrees
     trans_m: float = 0.0   # per-axis translation noise, meters

@@ -7,12 +7,17 @@ intrinsics and camera rotation to a unit world-frame vanishing direction.
 Vanishing points are kept in spherical normalization (||v|| = 1) so points
 at infinity need no special cases.
 
-The per-frame front end stacks a frame's endpoints once, runs on arrays and
-keeps the floats of a per-pair, per-segment loop:
-- the hypothesis pairs are decoded in bulk from the seeded generator's
-  uint32 words, exactly as `Generator.choice(n, 2, replace=False)` draws
-  them (Floyd's algorithm with Lemire's bounded draw), one block of words
-  per batch of attempts;
+`detect_scene_vanishing_points` runs each stage over all of a scene's frames
+before the next stage: sampling for every frame in one draw loop, consensus
+and J-Linkage frame by frame, then one refinement pass over every frame's
+clusters. `detect_vanishing_points` is its one-frame case. Each frame gets
+the floats of a per-frame, per-pair, per-segment loop:
+- the hypothesis pairs are decoded in bulk from each frame's seeded
+  generator's uint32 words, exactly as `Generator.choice(n, 2,
+  replace=False)` draws them (Floyd's algorithm with Lemire's bounded draw),
+  one block of words per batch of attempts; a frame left short by
+  degenerate pairs draws its next batch in the next pass, and the lines,
+  cross products and norms of a pass run on all frames' pairs at once;
 - the preference matrix (consensus angle below θ = `CONSENSUS_DEG`) is
   built one block of hypothesis columns at a time, `max(1, _BLOCK_ELEMS //
   n)` columns for n segments: each (n, block) float temporary stays below
@@ -28,7 +33,7 @@ keeps the floats of a per-pair, per-segment loop:
   (smallest sorted id pair among the minimum distances) into the first
   minimum in row-major order, `argmin`. Distinct distances differ by far
   more than rounding for fewer than 2²⁴ hypotheses (see `jlinkage_cluster`);
-- all of a frame's clusters are refined in one stacked pass, each from its
+- all of a scene's clusters are refined in one stacked pass, each from its
   rows of the stacked endpoints, in input order; only the reductions (the
   conditioning mean and scale, the SVD, the RMS) run per cluster;
 - norms and the refinement's dot products go through `segments.rowdot`
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -129,35 +135,55 @@ def _decode_pairs(words, n: int):
     return pairs, per * t + dropped
 
 
-def sample_vp_hypotheses(ends, m: int, rng_seed: int) -> np.ndarray:
-    """Up to m VP hypotheses (k, 3) from random pairs of distinct segments, seeded.
+def sample_vp_hypotheses(scene_ends, m: int, rng_seeds) -> list[np.ndarray]:
+    """Up to m VP hypotheses (k, 3) per frame from random pairs of its
+    distinct segments, each frame from its own seeded generator.
 
-    `ends` holds the segments' stacked endpoints (n, 4).
-    Each attempt draws its pair as `rng.choice(n, 2, replace=False)` would;
-    a batch of attempts takes one block of words. A pair of numerically
-    identical lines (||v|| < 1e-12) is skipped, up to 50·m attempts in all.
+    `scene_ends` holds each frame's stacked endpoints (n, 4), n >= 2, and
+    `rng_seeds` one seed per frame. Each attempt draws its pair as
+    `rng.choice(n, 2, replace=False)` would on the frame's generator; a batch
+    of attempts takes one block of words. A pair of numerically identical
+    lines (||v|| < 1e-12) is skipped, up to 50·m attempts per frame: a frame
+    short of m after a batch draws another in the next pass of the loop.
+    Lines, cross products and normalization run on all frames' pairs of a
+    pass at once; they are elementwise or per-row BLAS dots, so each frame
+    gets the hypotheses it gets alone.
     """
-    n = len(ends)
-    if n < 2:
+    sizes = [len(ends) for ends in scene_ends]
+    if not sizes:
+        return []
+    if min(sizes) < 2:
         raise ValueError("too few segments: need at least 2")
-    rng = np.random.default_rng(rng_seed)
-    lines = lines_through(ends[:, :2], ends[:, 2:])
-    per = 2 if n == 2 else 3
-    words = np.empty(0, dtype=np.uint32)
-    found = [np.empty((0, 3))]
-    count = attempts = 0
-    while count < m and attempts < 50 * m:
-        batch = min(m - count, 50 * m - attempts)
-        words = np.concatenate([words, rng.integers(0, _WORD, per * batch, dtype=np.uint32)])
-        pairs, used = _decode_pairs(words, n)
-        words = words[used:]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    stacked = np.concatenate(scene_ends)
+    lines = lines_through(stacked[:, :2], stacked[:, 2:])
+    rngs = [np.random.default_rng(seed) for seed in rng_seeds]
+    words = [np.empty(0, dtype=np.uint32)] * len(sizes)
+    found = [[np.empty((0, 3))] for _ in sizes]
+    count, attempts = [0] * len(sizes), [0] * len(sizes)
+    todo = [f for f in range(len(sizes)) if m > 0]
+    while todo:
+        pairs, bounds = [], [0]
+        for f in todo:
+            n = sizes[f]
+            batch = min(m - count[f], 50 * m - attempts[f])
+            w = np.concatenate([words[f], rngs[f].integers(
+                0, _WORD, (2 if n == 2 else 3) * batch, dtype=np.uint32)])
+            drawn, used = _decode_pairs(w, n)
+            words[f] = w[used:]
+            attempts[f] += len(drawn)
+            pairs.append(drawn + starts[f])
+            bounds.append(bounds[-1] + len(drawn))
+        pairs = np.concatenate(pairs)
         v = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
         norm = row_norms(v)
         ok = ~(norm < 1e-12)
-        found.append(v[ok] / norm[ok, None])
-        attempts += len(pairs)
-        count += int(ok.sum())
-    return np.concatenate(found)
+        for f, a, b in zip(todo, bounds, bounds[1:]):
+            keep = ok[a:b]
+            found[f].append(v[a:b][keep] / norm[a:b][keep, None])
+            count[f] += int(keep.sum())
+        todo = [f for f in todo if count[f] < m and attempts[f] < 50 * m]
+    return [np.concatenate(hyps) for hyps in found]
 
 
 def _rays(mids, hyps):
@@ -404,44 +430,62 @@ def lift_vanishing_point(vp, intr: CameraIntrinsics, r_wc) -> np.ndarray:
     return canonical_direction(np.asarray(r_wc) @ v_cam)
 
 
+def detect_scene_vanishing_points(frames,
+                                  n_hypotheses: int = DEFAULT_N_HYPOTHESES,
+                                  min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
+                                  ) -> list[list[VanishingPointEstimate]]:
+    """VP detection on every frame of a scene, one stage at a time: sample,
+    cluster, refine. Returns each frame's estimates.
+
+    `frames` holds per frame its stacked endpoints (n, 4), their segment ids
+    (n,) and its seed. Segment ids must be unique within a frame: clusters
+    are sets of ids. A frame with fewer than 2 segments, or whose pairs give
+    no hypothesis, has no estimates. Sampling runs on all usable frames at
+    once (`sample_vp_hypotheses`), consensus and J-Linkage per frame, and one
+    `refine_vps` call refines every frame's clusters, each from its endpoint
+    rows in input order; every frame's estimates are those it gets alone.
+    """
+    row_ofs = []
+    for _, ids, _ in frames:
+        row_of = {}
+        for r, sid in enumerate(ids):
+            if sid in row_of:
+                raise ValueError(f"duplicate segment id {sid}")
+            row_of[sid] = r
+        row_ofs.append(row_of)
+    usable = [f for f, row_of in enumerate(row_ofs) if len(row_of) >= 2]
+    hyps = sample_vp_hypotheses([frames[f][0] for f in usable], n_hypotheses,
+                                [frames[f][2] for f in usable])
+    starts = list(accumulate((len(ends) for ends, _, _ in frames), initial=0))
+    clusters, owner = [], []
+    for f, h in zip(usable, hyps):
+        if len(h) == 0:
+            continue
+        row_of = row_ofs[f]
+        for c in jlinkage_cluster(list(row_of), preference_matrix(frames[f][0], h),
+                                  min_cluster_size):
+            clusters.append((sorted(starts[f] + row_of[sid] for sid in c), c))
+            owner.append(f)
+    out = [[] for _ in frames]
+    if clusters:
+        stacked = np.concatenate([ends for ends, _, _ in frames])
+        for f, est in zip(owner, refine_vps(stacked, clusters)):
+            if not isinstance(est, ValueError):
+                out[f].append(est)
+    return out
+
+
 def detect_vanishing_points(segments,
                             n_hypotheses: int = DEFAULT_N_HYPOTHESES,
                             min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
-                            rng_seed: int = 0,
-                            ids=None) -> list[VanishingPointEstimate]:
-    """Full per-frame VP detection: sample, cluster, refine.
-
-    `segments` is a list of `Segment2D`, every one of which gets its
-    cluster_label set (index into the returned list, None for outliers) on
-    every return; or, with their segment `ids`, stacked endpoints (n, 4),
-    which carry no labels. Segment ids must be unique: clusters are sets of
-    ids. Each cluster is refined from its endpoint rows, in input order.
-    """
-    if ids is None:
-        labelled, ends, ids = segments, endpoints(segments), [s.id for s in segments]
-    else:
-        labelled, ends = [], segments
-    row_of = {}
-    for r, sid in enumerate(ids):
-        if sid in row_of:
-            raise ValueError(f"duplicate segment id {sid}")
-        row_of[sid] = r
-    for s in labelled:
-        s.cluster_label = None
-    if len(ids) < 2:
-        return []
-    hyps = sample_vp_hypotheses(ends, n_hypotheses, rng_seed)
-    if len(hyps) == 0:
-        return []
-    pref = preference_matrix(ends, hyps)
-    clusters = [(sorted(row_of[sid] for sid in c), c)
-                for c in jlinkage_cluster(list(row_of), pref, min_cluster_size)]
-    estimates = []
-    for (rows, _), est in zip(clusters, refine_vps(ends, clusters)):
-        if isinstance(est, ValueError):
-            continue
-        if labelled:
-            for r in rows:
-                labelled[r].cluster_label = len(estimates)
-        estimates.append(est)
+                            rng_seed: int = 0) -> list[VanishingPointEstimate]:
+    """VP detection on one frame's list of `Segment2D`: the one-frame case of
+    `detect_scene_vanishing_points`. Every segment gets its cluster_label set
+    (index into the returned list, None for outliers) on every return."""
+    estimates, = detect_scene_vanishing_points(
+        [(endpoints(segments), [s.id for s in segments], rng_seed)],
+        n_hypotheses, min_cluster_size)
+    label = {sid: k for k, est in enumerate(estimates) for sid in est.member_segment_ids}
+    for s in segments:
+        s.cluster_label = label.get(s.id)
     return estimates

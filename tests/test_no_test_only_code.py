@@ -11,9 +11,11 @@ not count.
 - A method `C.m` is reached only by an attribute `x.m`, never by a bare name
   `m` (a local variable), and only where the receiver `x` may be a `C`. The
   receiver's class is known for the first parameter of a method (`self`,
-  `cls`), for a package class name (`C.m`) and for a call of one
-  (`C(...).m`); it then has to be `C`, a base of `C` or a subclass. Any other
-  receiver may be any class.
+  `cls`), for a parameter annotated with package classes and None (`p: C`,
+  `p: C | None`, `p: C | D`), for a package class name (`C.m`) and for a
+  call of one (`C(...).m`); it then has to be `C` (or `D`), a base or a
+  subclass (a parameter is taken not to be rebound). Any other receiver, a
+  parameter with any other annotation among them, may be any class.
 The scan never flags live code, but a method that shares its name with an
 attribute read on an unknown receiver passes. Those methods are pinned in
 `UNKNOWN_RECEIVER`: a new one fails the guard until someone checks that the
@@ -46,28 +48,17 @@ ALLOWED = {
 
 # Methods reached only through an attribute on a receiver of unknown class,
 # each checked by hand to be called by the program (for example
-# `frame.segments` in `perfbench/`, `k.matrix()` in `VdAlignFactor._pack`).
+# `frame.segments` in `perfbench/`, `line.unit_direction()` in `map_primitives`).
 UNKNOWN_RECEIVER = frozenset({
-    "evaluate.Trajectory.positions",
-    "geometry.CameraIntrinsics.inverse_matrix",
     "geometry.CameraIntrinsics.line_projection_matrix",
-    "geometry.CameraIntrinsics.matrix",
     "geometry.PluckerLine.unit_direction",
     "geometry.Pose.camera_center",
     "geometry.Pose.r_wc",
-    "geometry.PoseStack.to_world",
-    "geometry.PoseStack.transform",
     "graph.FactorGraph.add_factors",
     "graph.FactorGraph.add_variables",
-    "graph.FactorGraph.put_rows",
-    "graph.FactorGraph.restore",
-    "graph.FactorGraph.rows_of",
-    "graph.FactorGraph.snapshot",
-    "graph.FactorGraph.take_rows",
     "graph.LineFactor._kernel",
     "graph.LineFactor._pack",
     "graph.OptimizationReport.to_json",
-    "graph.PackedFactors.evaluate",
     "graph.PointFactor._kernel",
     "graph.PointFactor._pack",
     "graph.StructFactor._kernel",
@@ -84,7 +75,6 @@ UNKNOWN_RECEIVER = frozenset({
     "primitives.GlobalPrimitiveRegistry.associate_frame",
     "primitives.GlobalPrimitiveRegistry.to_json",
     "simulate.FrameObservations.segments",
-    "simulate.FrameObservations.truth",
 })
 
 
@@ -124,7 +114,7 @@ class _Uses(ast.NodeVisitor):
         self.names = set()
         self.receivers = {}
         self.enclosing = []
-        self.bound = {}  # name of a method's first parameter -> its class
+        self.bound = {}  # parameter name -> the classes it may have
         self.in_class = None
 
     def _definition(self, node):
@@ -132,12 +122,34 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
         self.enclosing.pop()
 
+    def _annotated(self, node):
+        """The package classes an annotation allows besides None (`C`,
+        `C | None`, `C | D`, quoted or not), or None for any other."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            left, right = self._annotated(node.left), self._annotated(node.right)
+            return None if left is None or right is None else left | right
+        if isinstance(node, ast.Constant) and node.value is None:
+            return frozenset()
+        if isinstance(node, ast.Name) and node.id in self.classes:
+            return frozenset([node.id])
+        return None
+
     def visit_FunctionDef(self, node):
         bound, in_class, self.in_class = self.bound, self.in_class, None
+        self.bound = dict(bound)
+        args = node.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            classes = self._annotated(arg.annotation)
+            if classes:
+                self.bound[arg.arg] = classes
+            else:  # the parameter shadows any outer binding of its name
+                self.bound.pop(arg.arg, None)
         static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                      for d in node.decorator_list)
-        if in_class and node.args.args and not static:
-            self.bound = {**bound, node.args.args[0].arg: in_class}
+        if in_class and args.args and not static:
+            self.bound[args.args[0].arg] = frozenset([in_class])
         self._definition(node)
         self.bound, self.in_class = bound, in_class
 
@@ -148,14 +160,14 @@ class _Uses(ast.NodeVisitor):
         self._definition(node)
         self.in_class = in_class
 
-    def _receiver_class(self, node):
+    def _receiver_classes(self, node):
         if isinstance(node, ast.Call):
             node = node.func
         if not isinstance(node, ast.Name):
-            return None
+            return {None}
         if node.id in self.bound:
             return self.bound[node.id]
-        return node.id if node.id in self.classes else None
+        return {node.id if node.id in self.classes else None}
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load) and node.id not in self.enclosing:
@@ -167,8 +179,8 @@ class _Uses(ast.NodeVisitor):
     def visit_Attribute(self, node):
         if node.attr not in self.enclosing:
             self.names.add(node.attr)
-            self.receivers.setdefault(node.attr, set()).add(
-                self._receiver_class(node.value))
+            self.receivers.setdefault(node.attr, set()).update(
+                self._receiver_classes(node.value))
         self.generic_visit(node)
 
 
@@ -248,6 +260,23 @@ def test_methods_resolve_by_receiver_class():
                "    return s.norm, Square.area, Square.pack\n"]
     assert scan(package, program) == (["m.Segment2D.length", "m.Square.side"],
                                       ["m.Segment2D.norm", "m.Segment2D.size"])
+
+
+def test_methods_resolve_by_parameter_annotation():
+    package = {"m": (
+        "class Table:\n"
+        "    def rows(self): pass\n"
+        "    def cols(self): pass\n"
+        "    def cells(self): pass\n"
+        "class Packed:\n"
+        "    def evaluate(self): pass\n"
+        "    def flat(self): pass\n")}
+    program = ["def f(t: Table, p: 'Packed | None', q: Table | Packed, n: int):\n"
+               "    t.rows, p.evaluate, q.cols\n"
+               "    def g(t):\n"            # unannotated: shadows the outer t
+               "        return t.flat\n"
+               "    return n.cells\n"]      # not a package class: any receiver
+    assert scan(package, program) == ([], ["m.Packed.flat", "m.Table.cells"])
 
 
 def test_module_level_names_are_reached_when_read_or_imported():

@@ -31,8 +31,12 @@ from monogp.simulate import (
     generate_world,
     render_measurements,
 )
-from monogp.tracking import TAU_S, SceneSegments
-from monogp.vanishing import detect_vanishing_points, lift_vanishing_point
+from monogp.tracking import TAU_S, SceneSegments, filter_short
+from monogp.vanishing import (
+    detect_scene_vanishing_points,
+    detect_vanishing_points,
+    lift_vanishing_point,
+)
 from golden import CONFIGS, assert_golden, digests, run_entries
 from golden import config_path as config_file
 from test_graph import (
@@ -311,6 +315,28 @@ def test_vp_detection_labels_a_segment_list_it_is_given():
         assert {s.id for s in segs if s.cluster_label == i} == est.member_segment_ids
     assert {s.id for s in segs if s.cluster_label is None} == \
         {s.id for s in segs} - set().union(*(e.member_segment_ids for e in estimates))
+
+
+@pytest.mark.parametrize("cfg", [structured(0), structured(1), structured(2), default_corridor()],
+                         ids=["structured0", "structured1", "structured2", "corridor"])
+def test_scene_vp_detection_equals_per_frame_detection(cfg):
+    # the frames `map_primitives` detects on, with its settings and seeds
+    frames, _ = rendered(cfg)
+    scene, per_frame = [], []
+    for t, fr in enumerate(frames):
+        long = filter_short(fr.ends, TAU_S)
+        seed = cfg.rng_seed * 1009 + t
+        scene.append((fr.ends[long], fr.ids[long].tolist(), seed))
+        per_frame.append(detect_vanishing_points(
+            [s for s, keep in zip(fr.segments, long) if keep], pipeline.VP_HYPOTHESES,
+            pipeline.VP_MIN_CLUSTER, rng_seed=seed))
+    got = detect_scene_vanishing_points(scene, pipeline.VP_HYPOTHESES, pipeline.VP_MIN_CLUSTER)
+
+    def bits(estimates):
+        return [(e.vp_homogeneous.tobytes(), sorted(e.member_segment_ids),
+                 e.residual_rms.hex()) for e in estimates]
+    assert sum(map(len, got)) >= len(frames)
+    assert list(map(bits, got)) == list(map(bits, per_frame))
 
 
 def oracle_graph(frames, poses, cfg, mode):
@@ -647,7 +673,7 @@ def raise_error(*args, **kwargs):
 
 
 def test_vp_detection_failure_is_a_mapping_error(monkeypatch, tmp_path, config_path):
-    monkeypatch.setattr(pipeline, "detect_vanishing_points", raise_error)
+    monkeypatch.setattr(pipeline, "detect_scene_vanishing_points", raise_error)
     with pytest.raises(PipelineError) as exc:
         run_pipeline(default_corridor(), "gp")
     assert exc.value.stage == "mapping"

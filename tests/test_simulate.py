@@ -291,6 +291,25 @@ def test_config_validation():
             ScenarioConfig.from_json(json.dumps(d))
 
 
+def test_config_sections_are_frozen():
+    # a section field written after construction would skip its check and
+    # fail late (`n_keyframes = 1` as a division by zero in `simulate`)
+    cfg = default_corridor()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trajectory.n_keyframes = 1
+    for section, name, value in [("noise", "sigma_point_px", -1.0),
+                                 ("visibility", "max_range", 0.0),
+                                 ("init_perturbation", "rot_deg", float("nan"))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(getattr(cfg, section), name, value)
+    assert cfg.to_json() == default_corridor().to_json()
+    # a whole section is still replaced, checked at its own construction
+    cfg.noise = NoiseSpec(sigma_point_px=1.0, sigma_endpoint_px=1.0, sigma_flow_px=0.5)
+    cfg.init_perturbation = InitPerturbation(rot_deg=1.0, trans_m=0.05)
+    cfg.name = "corridor-perturbed"
+    assert cfg.to_json() == perturbed_corridor().to_json()
+
+
 def test_config_normalizes_family_directions():
     cfg = corridor_config(direction_families=[([2.0, 0.0, 0.0], 5)])
     d, count = cfg.direction_families[0]

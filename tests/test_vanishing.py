@@ -20,6 +20,7 @@ from monogp.vanishing import (
     _decode_pairs,
     canonical_direction,
     consensus_angles,
+    detect_scene_vanishing_points,
     detect_vanishing_points,
     jlinkage_cluster,
     lift_vanishing_point,
@@ -30,6 +31,12 @@ from monogp.vanishing import (
 from test_segments import midpoint, segment_line
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
+
+
+def sample(ends, m, rng_seed):
+    """`sample_vp_hypotheses` on a scene of one frame."""
+    hyps, = sample_vp_hypotheses([ends], m, [rng_seed])
+    return hyps
 
 
 def segments_through(vp_xy, n, rng, length=(30.0, 80.0), start_id=0):
@@ -272,7 +279,7 @@ def angle(seg, vp):
 def test_hypotheses_from_parallel_segments_lie_at_infinity():
     segs = [Segment2D([0.0, 0.0], [10.0, 0.0], id=0),
             Segment2D([0.0, 5.0], [10.0, 5.0], id=1)]
-    hyps = sample_vp_hypotheses(endpoints(segs), 10, rng_seed=0)
+    hyps = sample(endpoints(segs), 10, rng_seed=0)
     for h in hyps:
         assert abs(h[2]) < 1e-9
         assert abs(abs(h[0]) - 1.0) < 1e-9  # direction along x
@@ -281,7 +288,7 @@ def test_hypotheses_from_parallel_segments_lie_at_infinity():
 def test_hypotheses_from_converging_segments():
     segs = [Segment2D([0.0, 0.0], [50.0, 50.0], id=0),
             Segment2D([200.0, 100.0], [150.0, 100.0], id=1)]
-    hyps = sample_vp_hypotheses(endpoints(segs), 5, rng_seed=1)
+    hyps = sample(endpoints(segs), 5, rng_seed=1)
     expected = np.array([100.0, 100.0, 1.0])
     expected /= np.linalg.norm(expected)
     for h in hyps:
@@ -292,8 +299,8 @@ def test_hypotheses_from_converging_segments():
 def test_hypotheses_deterministic_given_seed():
     rng = np.random.default_rng(2)
     segs = segments_through([1000.0, 300.0], 10, rng)
-    h1 = sample_vp_hypotheses(endpoints(segs), 50, rng_seed=42)
-    h2 = sample_vp_hypotheses(endpoints(segs), 50, rng_seed=42)
+    h1 = sample(endpoints(segs), 50, rng_seed=42)
+    h2 = sample(endpoints(segs), 50, rng_seed=42)
     assert all(np.array_equal(a, b) for a, b in zip(h1, h2))
 
 
@@ -301,7 +308,7 @@ def test_hypotheses_deterministic_given_seed():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_sampler_equals_choice_loop(n, seed):
     segs = random_segments(n, np.random.default_rng(100 + seed))
-    got = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=seed)
+    got = sample(endpoints(segs), 200, rng_seed=seed)
     want, _ = loop_sample_vp_hypotheses(segs, 200, seed)
     assert got.shape == want.shape == (200, 3)
     assert np.array_equal(got, want)
@@ -310,7 +317,7 @@ def test_sampler_equals_choice_loop(n, seed):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_sampler_equals_choice_loop_with_degenerate_pairs(seed):
     segs = cluttered_frame(seed)  # three exact duplicates
-    got = sample_vp_hypotheses(endpoints(segs), 3000, rng_seed=seed)
+    got = sample(endpoints(segs), 3000, rng_seed=seed)
     want, attempts = loop_sample_vp_hypotheses(segs, 3000, seed)
     assert attempts > 3000  # degenerate pairs forced extra attempts
     assert np.array_equal(got, want)
@@ -319,12 +326,12 @@ def test_sampler_equals_choice_loop_with_degenerate_pairs(seed):
 def test_sampler_on_copies_stops_at_attempt_cap():
     seg = Segment2D([10.0, 20.0], [200.0, 90.0], id=0)
     copies = [Segment2D(seg.p_start, seg.p_end, id=i) for i in range(5)]
-    got = sample_vp_hypotheses(endpoints(copies), 40, rng_seed=4)
+    got = sample(endpoints(copies), 40, rng_seed=4)
     want, attempts = loop_sample_vp_hypotheses(copies, 40, 4)
     assert attempts == 50 * 40 and got.shape == want.shape == (0, 3)
     # one distinct segment: 4 of 6 pairs are degenerate, over many batches
     mixed = copies[:3] + [Segment2D([5.0, 400.0], [300.0, 380.0], id=3)]
-    got = sample_vp_hypotheses(endpoints(mixed), 40, rng_seed=4)
+    got = sample(endpoints(mixed), 40, rng_seed=4)
     want, attempts = loop_sample_vp_hypotheses(mixed, 40, 4)
     assert attempts > 80 and np.array_equal(got, want)
 
@@ -360,7 +367,7 @@ def test_decode_pairs_rejection_matches_scalar_lemire(n):
 
 def test_too_few_segments_raises():
     with pytest.raises(ValueError, match="too few segments"):
-        sample_vp_hypotheses(endpoints([Segment2D([0, 0], [1, 0], id=0)]), 10, rng_seed=0)
+        sample(endpoints([Segment2D([0, 0], [1, 0], id=0)]), 10, rng_seed=0)
 
 
 # -- consensus ---------------------------------------------------------------
@@ -424,7 +431,7 @@ def test_consensus_angles_equal_scalar_steps():
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_consensus_matrix_equals_scalar_steps(seed):
     segs = cluttered_frame(seed)
-    hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=seed)
+    hyps = sample(endpoints(segs), 500, rng_seed=seed)
     on_mid = np.array([*midpoint(segs[5]), 1.0])
     extra = np.array([[0.6, 0.8, 0.0], [0.8, -0.6, 5e-10], [0.8, -0.6, -1e-9],
                       on_mid / np.linalg.norm(on_mid)])
@@ -440,7 +447,7 @@ def test_consensus_matrix_equals_scalar_steps(seed):
 def edge_hypotheses(segs, rng_seed):
     """Sampled hypotheses, then ones at infinity, with |w| at, just above and
     just below 1e-9 (either sign), and one on segment 1's midpoint."""
-    hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=rng_seed)
+    hyps = sample(endpoints(segs), 500, rng_seed=rng_seed)
     up, down = np.nextafter(1e-9, 1.0), np.nextafter(1e-9, 0.0)
     on_mid = np.array([*midpoint(segs[1]), 1.0])
     extra = [[0.6, 0.8, 0.0], [0.0, 1.0, 0.0], [0.8, -0.6, 1e-9],
@@ -530,7 +537,7 @@ def test_prefilter_equals_exact_angles_at_the_boundary(deg, scale, monkeypatch):
 def test_single_planted_cluster_recovered():
     rng = np.random.default_rng(4)
     segs = segments_through([900.0, 250.0], 20, rng)
-    hyps = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=0)
+    hyps = sample(endpoints(segs), 200, rng_seed=0)
     clusters = cluster(segs, hyps, 3)
     assert len(clusters) == 1
     assert clusters[0] == frozenset(range(20))
@@ -548,7 +555,7 @@ def test_three_planted_families_no_contamination():
         th = rng.uniform(0.0, 2 * np.pi)
         outliers.append(Segment2D(a, a + 50.0 * np.array([np.cos(th), np.sin(th)]),
                                   id=60 + i))
-    hyps = sample_vp_hypotheses(endpoints(segs + outliers), 500, rng_seed=0)
+    hyps = sample(endpoints(segs + outliers), 500, rng_seed=0)
     clusters = cluster(segs + outliers, hyps, 3)
     big = [c for c in clusters if len(c) >= 18]
     assert len(big) == 3
@@ -561,7 +568,7 @@ def test_cluster_partition_invariant_to_input_order():
     rng = np.random.default_rng(6)
     segs = segments_through([1200.0, 100.0], 10, rng) + \
         segments_through([-400.0, 300.0], 10, rng, start_id=10)
-    hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=7)
+    hyps = sample(endpoints(segs), 300, rng_seed=7)
     c1 = set(cluster(segs, hyps, 3))
     c2 = set(cluster(list(reversed(segs)), hyps, 3))
     assert c1 == c2
@@ -572,7 +579,7 @@ def test_cluster_partition_invariant_to_input_order():
 def test_jlinkage_matches_full_recompute_oracle(seed, theta, monkeypatch):
     monkeypatch.setattr(vanishing, "CONSENSUS_DEG", theta)
     segs = cluttered_frame(seed)
-    hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=seed)
+    hyps = sample(endpoints(segs), 300, rng_seed=seed)
     for order in (segs, list(reversed(segs))):
         assert cluster(order, hyps, 1) == naive_cluster(order, hyps, 1)
         assert cluster(order, hyps, 3) == naive_cluster(order, hyps, 3)
@@ -581,7 +588,7 @@ def test_jlinkage_matches_full_recompute_oracle(seed, theta, monkeypatch):
 def test_jlinkage_oracle_with_empty_preference_sets():
     segs = cluttered_frame(14)
     # hypotheses from the first family alone leave most segments preferring none
-    hyps = sample_vp_hypotheses(endpoints(segs[:12]), 100, rng_seed=0)
+    hyps = sample(endpoints(segs[:12]), 100, rng_seed=0)
     empty = ~preferences(segs, hyps).any(axis=1)
     assert empty.sum() >= 2  # pairs with union == 0 exist
     for order in (segs, list(reversed(segs))):
@@ -598,7 +605,7 @@ def test_jlinkage_matches_oracle_on_ids_out_of_input_order(scheme, seed):
                "negative": -5 * rng.permutation(len(segs)) - 1}[scheme]
     for s, sid in zip(segs, new_ids):
         s.id = int(sid)
-    hyps = sample_vp_hypotheses(endpoints(segs), 300, rng_seed=seed)
+    hyps = sample(endpoints(segs), 300, rng_seed=seed)
     for order in (segs, list(reversed(segs)), [segs[i] for i in rng.permutation(len(segs))]):
         for k in (1, 3):
             assert cluster(order, hyps, k) == naive_cluster(order, hyps, k)
@@ -681,7 +688,7 @@ def test_jlinkage_dense_rows_equal_full_recompute_oracle(share):
 def test_jlinkage_every_segment_merges():
     rng = np.random.default_rng(12)
     segs = segments_through([700.0, -300.0], 25, rng, start_id=40)
-    hyps = sample_vp_hypotheses(endpoints(segs), 200, rng_seed=1)
+    hyps = sample(endpoints(segs), 200, rng_seed=1)
     assert cluster(segs, hyps, 3) == [frozenset(range(40, 65))]
     assert cluster(segs, hyps, 3) == naive_cluster(segs, hyps, 3)
     ids = rng.permutation(1000)[:30].tolist()
@@ -720,7 +727,7 @@ def test_refine_vp_planted_cluster():
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_refine_vp_equals_per_segment_loop(seed):
     segs = cluttered_frame(seed)
-    hyps = sample_vp_hypotheses(endpoints(segs), 500, rng_seed=seed)
+    hyps = sample(endpoints(segs), 500, rng_seed=seed)
     clusters = cluster(segs, hyps, 2)
     assert len(clusters) >= 4
     for ids in clusters:
@@ -828,6 +835,81 @@ def test_detect_clears_stale_labels_on_every_return():
     # fewer than two segments
     assert detect_vanishing_points(segs[:1], rng_seed=0) == []
     assert segs[0].cluster_label is None
+
+
+# -- scene detection -----------------------------------------------------------
+
+def scene_input(scene):
+    """`detect_scene_vanishing_points` input of [(segments, seed)] per frame."""
+    return [(endpoints(segs), [s.id for s in segs], seed) for segs, seed in scene]
+
+
+def estimate_bits(estimates):
+    return [(e.vp_homogeneous.tobytes(), sorted(e.member_segment_ids), e.residual_rms.hex())
+            for e in estimates]
+
+
+def assert_scene_equals_per_frame(scene, n_hypotheses=500, min_cluster_size=3):
+    """The scene detector's estimates are, bit for bit, each frame's alone."""
+    got = detect_scene_vanishing_points(scene_input(scene), n_hypotheses, min_cluster_size)
+    want = [detect_vanishing_points(segs, n_hypotheses, min_cluster_size, rng_seed=seed)
+            for segs, seed in scene]
+    assert [estimate_bits(e) for e in got] == [estimate_bits(e) for e in want]
+    return got
+
+
+def duplicated_frame():
+    """A planted family and ten exact copies of its first segment: about a
+    fifth of the pairs are identical lines."""
+    segs = segments_through([1500.0, 240.0], 15, np.random.default_rng(10))
+    return segs + [Segment2D(segs[0].p_start, segs[0].p_end, id=100 + i) for i in range(10)]
+
+
+def copies_frame():
+    """Three copies of one segment: no pair gives a hypothesis."""
+    seg = Segment2D([10.0, 20.0], [200.0, 90.0], id=0)
+    return [Segment2D(seg.p_start, seg.p_end, id=i) for i in range(3)]
+
+
+def test_scene_sampler_equals_choice_loop_per_frame():
+    rng = np.random.default_rng(3)
+    scene = [(random_segments(38, rng), 0), (duplicated_frame(), 1), (copies_frame(), 2),
+             (random_segments(2, rng), 3)]
+    got = sample_vp_hypotheses([endpoints(segs) for segs, _ in scene], 300,
+                               [seed for _, seed in scene])
+    attempts = []
+    for hyps, (segs, seed) in zip(got, scene):
+        want, n = loop_sample_vp_hypotheses(segs, 300, seed)
+        assert np.array_equal(hyps, want)
+        attempts.append(n)
+    # the duplicated frame drew a second batch; the copies ran to the cap
+    assert attempts[0] == 300 and attempts[1] > 300 and attempts[2] == 50 * 300
+    assert [len(h) for h in got] == [300, 300, 0, 300]
+    assert sample_vp_hypotheses([], 300, []) == []
+
+
+def test_scene_detection_equals_per_frame_on_degenerate_frames():
+    lone = [Segment2D([10.0, 400.0], [60.0, 330.0], id=7)]
+    scene = [(cluttered_frame(11), 3), (duplicated_frame(), 4), (lone, 5), (copies_frame(), 6),
+             ([], 7), (cluttered_frame(12), 8)]
+    got = assert_scene_equals_per_frame(scene)
+    assert [bool(e) for e in got] == [True, True, False, False, False, True]
+    assert [e.member_segment_ids for e in got[1]] == [{s.id for s in duplicated_frame()}]
+
+
+def test_scene_detection_without_a_usable_frame():
+    lone = [Segment2D([10.0, 400.0], [60.0, 330.0], id=7)]
+    assert detect_scene_vanishing_points(scene_input([(lone, 0), ([], 1), (copies_frame(), 2)])) \
+        == [[], [], []]
+    assert detect_scene_vanishing_points([]) == []
+
+
+def test_scene_detection_rejects_duplicate_ids_in_a_frame():
+    segs = cluttered_frame(11)
+    scene = scene_input([(segs, 0), (segs[:5], 1)])
+    scene[1][1][4] = scene[1][1][0]
+    with pytest.raises(ValueError, match="duplicate segment id 0"):
+        detect_scene_vanishing_points(scene)
 
 
 def clutter_frames():
