@@ -36,11 +36,15 @@ Agarwal et al. 2010). `total_cost` holds its evaluation, and a `_linearize` at t
 state reuses it. `_linearize` scatters the weighted J^T J blocks of the live
 Jacobian columns into H_cc over poses, lines and GPs, the pose-point coupling
 H_pc and one 3x3 block per point: each entry the sum a dense H would hold,
-and no dense H. Each LM trial eliminates the points (Schur complement:
-batched 3x3 inverses, one dense solve of the reduced system, back
-substitution), retracts every kind once, and restores the snapshot if the
-cost rose. An inactive factor (a point at depth <= EPS_Z, a line whose image
-line is degenerate) contributes nothing, and its `residual` raises.
+and no dense H. vd_align is linearized per (pose, GP) pair: each factor's
+Jacobian row is lhat^T A of its pair's 3x5 block A, so the pair adds
+A^T L A and A^T b, where L and b sum the weighted lhat lhat^T and r lhat of
+its factors. Each LM trial eliminates the points (Schur complement: batched
+3x3 inverses, one dense solve of the reduced system, back substitution) in
+buffers sized once per `optimize` call, retracts every kind once, and
+restores the snapshot if the cost rose. An inactive factor (a point at depth
+<= EPS_Z, a line whose image line is degenerate) contributes nothing, and
+its `residual` raises.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
   gradient           ||g||_inf < ABS_TOL at a linearization       converged
@@ -127,7 +131,8 @@ def _huber(r_sq_weighted, delta):
 # (N, dim), the active mask (N,) and a Jacobian thunk: called, it returns the
 # Jacobian blocks (N, dim, k) on the two variables' local parameterizations,
 # from the intermediates the residuals were computed with. k counts only the
-# columns that are not structurally zero (the factor class's `live`).
+# columns that are not structurally zero (the factor class's `live`); the
+# vd_align thunk returns one block per (pose, GP) pair instead.
 # Inactive rows have zero residuals and finite Jacobians.
 # ---------------------------------------------------------------------------
 
@@ -194,11 +199,12 @@ def _vd_align_kernel(R, G, B, K, lhat, pair):
     infinity; always active.
 
     R, G and B (the GPs' tangent bases) hold one row per distinct (pose, GP)
-    pair and `pair` the pair of each factor, so the projected VP, its tangent
-    projector and skew(v_cam) are computed once per pair and gathered; the
-    products with each factor's `lhat` stay per factor. K is the (3, 3)
-    camera matrix. The Jacobian leaves out the pose translation, on which the
-    residual does not depend."""
+    pair and `pair` the pair of each factor, so the projected VP is computed
+    once per pair and gathered; K is the (3, 3) camera matrix. The Jacobian
+    thunk returns one block per pair, A (P, 3, 5) = d vhat / d (pose
+    rotation, GP tangent step): factor f's Jacobian row is lhat_f^T A of its
+    pair. It leaves out the pose translation, on which the residual does not
+    depend."""
     v_cam = _mv(R, G)
     v_img = _mv(K, v_cam)
     n = np.linalg.norm(v_img, axis=1)
@@ -207,10 +213,9 @@ def _vd_align_kernel(R, G, B, K, lhat, pair):
     active = np.ones(len(r), dtype=bool)
 
     def jac():
-        # d vhat / d v_img, projected onto the sphere tangent
-        P = (np.eye(3) - vhat[:, :, None] * vhat[:, None, :]) / n[:, None, None]
-        row = lhat[:, None, :] @ P[pair] @ K
-        return np.concatenate([row @ -skew(v_cam)[pair], row @ R[pair] @ B[pair]], axis=2)
+        # d vhat / d v_img, projected onto the sphere tangent, times K
+        PK = ((np.eye(3) - vhat[:, :, None] * vhat[:, None, :]) / n[:, None, None]) @ K
+        return np.concatenate([PK @ -skew(v_cam), PK @ R @ B], axis=2)
     return r, active, jac
 
 
@@ -344,9 +349,14 @@ class VdAlignFactor(_Factor):
         key = rows_a * (rows_b.max() + 1) + rows_b
         _, first, pair = np.unique(key, return_index=True, return_inverse=True)
         # C-ordered like a stack of rows, so the kernel's products sum alike
-        return {"lhat": np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:])),
-                "pose": rows_a[first], "gp": rows_b[first], "K": k.matrix(),
-                "pair": pair}
+        lhat = np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:]))
+        # the factors grouped by pair (`order`, insertion order within a
+        # pair; group p starts at `starts[p]`), each with lhat lhat^T | lhat
+        order = np.argsort(pair, kind="stable")
+        ll = np.concatenate([(lhat[:, :, None] * lhat[:, None, :]).reshape(-1, 9), lhat], axis=1)
+        return {"lhat": lhat, "pose": rows_a[first], "gp": rows_b[first], "K": k.matrix(),
+                "pair": pair, "order": order,
+                "starts": np.searchsorted(pair[order], np.arange(len(first))), "ll": ll[order]}
 
     @staticmethod
     def _kernel(st, a, b, c):
@@ -445,20 +455,24 @@ def _positions(cols: np.ndarray, cls, nc: int) -> tuple:
 
 class _Batch:
     """The packed factors of one kind. With a parameter index, `cols` holds
-    the parameter column of every live Jacobian column (N, k) and `at` the
-    `_positions` of its terms, computed once per packing. `info` and
-    `delta` are the kind's scalars; broadcast over the rows, they give each
-    row the floats a per-row array of them would."""
+    the parameter column of every live Jacobian column of each term (N, k)
+    and `at` the `_positions` of its terms, computed once per packing: a
+    term is a factor, or for vd_align a (pose, GP) pair. `info` and `delta`
+    are the kind's scalars; broadcast over the rows, they give each row the
+    floats a per-row array of them would."""
 
     def __init__(self, table: _FactorTable, index, intr: CameraIntrinsics):
         self.cls = cls = table.cls
         self.rows_a, self.rows_b = table.rows_a, table.rows_b
-        ka, kb = cls.variables
-        self.cols = None if index is None else np.concatenate(
-            [index.table[ka][self.rows_a], index.table[kb][self.rows_b]], axis=1)[:, cls.live]
-        if index is not None:
-            self.at = _positions(self.cols, cls, index.n_reduced)
         self.consts = cls._pack(table, intr)
+        self.cols = None
+        if index is not None:
+            ka, kb = cls.variables
+            a, b = ((self.consts["pose"], self.consts["gp"]) if cls is VdAlignFactor
+                    else (self.rows_a, self.rows_b))
+            self.cols = np.concatenate([index.table[ka][a], index.table[kb][b]],
+                                       axis=1)[:, cls.live]
+            self.at = _positions(self.cols, cls, index.n_reduced)
         self.info = 1.0 / cls.SIGMA**2
         self.delta = cls.HUBER_DELTA
 
@@ -471,7 +485,7 @@ class _Evaluation:
     active: np.ndarray   # (N,) bool
     cost: np.ndarray     # Huber costs (N,), zero where inactive (r is zero)
     weight: np.ndarray   # IRLS weights (N,)
-    jac: Callable        # () -> the live Jacobian blocks (N, dim, k)
+    jac: Callable        # () -> the live Jacobian blocks (N, dim, k); vd_align's per pair
 
 
 def _evaluate_batch(b: _Batch, graph) -> _Evaluation:
@@ -773,16 +787,33 @@ class _NormalEquations:
     it), `pp` the (P, 3, 3) point blocks and `g` over all parameters, in
     `ParameterIndex` order. Each entry is the sum the dense H would hold;
     the point rows against lines and GPs, and two points against each
-    other, are zero and not stored."""
+    other, are zero and not stored. `buffer` is the scatter buffer that
+    `_linearize` made `cc`, `pc` and `pp` views of.
+
+    The LM trials work in buffers sized once, with the system: the undamped
+    diagonals, and from the first step on [g_p | H_pc], M^-1 [g_p | H_pc],
+    the reduced system and H_cp M^-1 [g_p | H_pc]. `_linearize` refills a
+    system it made in place and calls `update`, so `optimize` allocates one
+    system per call, and [g_p | H_pc] is formed once per linearization."""
     cc: np.ndarray
     pc: np.ndarray
     pp: np.ndarray
     g: np.ndarray
+    buffer: np.ndarray | None = None
 
     def __post_init__(self):
         # writeable views of both diagonals, and their undamped values
         self.diagonals = [np.einsum("...ii->...i", H) for H in (self.cc, self.pp)]
-        self.undamped = [d.copy() for d in self.diagonals]
+        self.undamped = [np.empty_like(d) for d in self.diagonals]
+        self.buffers = None  # the trial buffers, allocated by the first step
+        self.update()
+
+    def update(self):
+        """Read the undamped diagonals of the system's current entries; the
+        next step forms [g_p | H_pc] from them."""
+        for d, u in zip(self.diagonals, self.undamped):
+            u[...] = d
+        self.formed = False
 
     def step(self, lam: float) -> np.ndarray:
         """The LM step at damping `lam`, by the Schur complement of the point
@@ -793,39 +824,62 @@ class _NormalEquations:
         the points are back-substituted, d_p = -M^-1 (g_p + H_pc d_c). A dead
         point's block is lam * 1e-12 * I and couples to nothing. LinAlgError
         if a damped point block or the reduced system is singular."""
+        nc, (n_pt, n6) = len(self.cc), self.pc.shape
+        if self.buffers is None:  # allocated once the linearization's temporaries are freed
+            self.buffers = (np.empty((n_pt, n6 + 1)), np.empty((n_pt, n6 + 1)),
+                            np.empty((nc, nc + 1)), np.empty((n6, n6 + 1)))
+        gpc, W, S, T = self.buffers
+        if not self.formed:
+            gpc[:, 0], gpc[:, 1:] = self.g[nc:], self.pc
+            self.formed = True
         for d, u in zip(self.diagonals, self.undamped):
-            d[...] = u + lam * np.clip(u, 1e-12, None)
-        cc, pc, g = self.cc, self.pc, self.g
-        nc, (n_pt, n6) = len(cc), pc.shape
+            np.clip(u, 1e-12, None, out=d)
+            d *= lam
+            d += u
         M_inv = np.linalg.inv(self.pp)
         # M^-1 [g_p, H_pc], and [g_c, H_cc] less H_cp times it on the pose rows
-        W = M_inv @ np.column_stack([g[nc:], pc]).reshape(-1, 3, n6 + 1)
-        W = W.reshape(n_pt, n6 + 1)
-        S = np.column_stack([g[:nc], cc])
-        S[:n6, :n6 + 1] -= pc.T @ W
+        np.matmul(M_inv, gpc.reshape(-1, 3, n6 + 1), out=W.reshape(-1, 3, n6 + 1))
+        S[:, 0], S[:, 1:] = self.g[:nc], self.cc
+        S[:n6, :n6 + 1] -= np.matmul(self.pc.T, W, out=T)
         delta = np.linalg.solve(S[:, 1:], -S[:, 0])
         return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n6])])
 
 
+def _pair_terms(A: np.ndarray, w: np.ndarray, r: np.ndarray, c: dict) -> tuple:
+    """The vd_align kind's J^T J blocks (P, 5, 5) and gradient terms (P, 5),
+    one per (pose, GP) pair. Factor f of pair p has the Jacobian row
+    lhat_f^T A_p (`A` from the kernel's thunk), so the pair's terms sum to
+    A_p^T L_p A_p and A_p^T b_p, with L_p = sum w_f lhat_f lhat_f^T and
+    b_p = sum w_f r_f lhat_f over its factors in insertion order."""
+    o = c["order"]
+    terms = c["ll"] * w[o, None]
+    terms[:, 9:] *= r[o]
+    sums = np.add.reduceat(terms, c["starts"], axis=0)
+    At = A.transpose(0, 2, 1)
+    return At @ sums[:, :9].reshape(-1, 3, 3) @ A, _mv(At, sums[:, 9:])
+
+
 def _linearize(graph: FactorGraph, index: ParameterIndex,
-               packed: PackedFactors | None = None, H: np.ndarray | None = None):
+               packed: PackedFactors | None = None, system: _NormalEquations | None = None):
     """One batched pass over all factors: robust cost and the Gauss-Newton
     system, as `_NormalEquations`.
 
     `index` places the free variables; fixed ones get no rows. `packed` is
-    `PackedFactors(graph, index)`, packed here when not given. `H` is an
-    (index.n_params + 2, index.n_reduced + 4) buffer, zeroed and filled in
-    place (a new one when not given); the pieces are views of it.
+    `PackedFactors(graph, index)`, packed here when not given. `system` is
+    one this function returned for the same `index`, refilled in place (a
+    new one when not given); its pieces are views of an
+    (index.n_params + 2, index.n_reduced + 4) buffer, zeroed and filled.
 
     The residuals come from the evaluation `total_cost` held on `packed` when
     it is of this state, else from one kernel pass; either way the Jacobians
     come from the evaluation's thunks, and nothing is held afterwards. Each
     kind's weighted J^T J blocks are scattered at the batch's `_positions`,
-    kind by kind and factor by factor, so every entry sums its terms in the
-    order the dense H did. Only the live Jacobian columns are scattered: a
-    structurally zero column adds ±0.0 to entries that start at +0.0, which
-    never changes one. A one-row kind forms its blocks with a broadcast
-    multiply, one product per entry as its stacked matmul would.
+    kind by kind and term by term in insertion order: per factor, except
+    vd_align's, which sum per (pose, GP) pair first (`_pair_terms`). Only
+    the live Jacobian columns are scattered: a structurally zero column adds
+    ±0.0 to entries that start at +0.0, which never changes one. A one-row
+    kind forms its blocks with a broadcast multiply, one product per entry
+    as its stacked matmul would.
     """
     packed = packed if packed is not None else PackedFactors(graph, index)
     n_params, nc, n6 = index.n_params, index.n_reduced, index.slices["pose"].stop
@@ -833,8 +887,12 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     # r's coordinate a, holds H_pc and, in column nc + 1 + b, the point block.
     # Row and column nc and the last row collect the fixed variables' terms;
     # the reduced rows' last three columns (H_cp) are not read.
-    if H is None:
+    if system is None:
         H = np.empty((n_params + 2, nc + 4))
+        points = H[nc + 1:-1]
+        system = _NormalEquations(H[:nc, :nc], points[:, :n6],
+                                  points[:, nc + 1:].reshape(-1, 3, 3), np.empty(n_params), H)
+    H = system.buffer
     H.fill(0.0)
     g = np.zeros(n_params + 2)
     cost = 0.0
@@ -844,7 +902,9 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
         J = e.jac()
         # inactive factors add exact zeros: their Jacobians are finite
         w = np.where(e.active, e.weight * b.info, 0.0)
-        if J.shape[1] == 1:
+        if b.cls is VdAlignFactor:
+            HJ, gJ = _pair_terms(J, w, e.r, b.consts)
+        elif J.shape[1] == 1:
             wJ = w[:, None] * J[:, 0]
             HJ, gJ = wJ[:, :, None] * J[:, 0, None, :], wJ * e.r
         else:
@@ -852,10 +912,9 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
             HJ, gJ = wJt @ J, wJt @ e.r[:, :, None]
         np.add.at(H.reshape(-1), b.at[0], HJ.ravel())
         np.add.at(g, b.at[1], gJ.ravel())
-    points = H[nc + 1:-1]
-    return float(cost), _NormalEquations(H[:nc, :nc], points[:, :n6],
-                                         points[:, nc + 1:].reshape(-1, 3, 3),
-                                         np.concatenate([g[:nc], g[nc + 1:-1]]))
+    system.g[:nc], system.g[nc:] = g[:nc], g[nc + 1:-1]
+    system.update()
+    return float(cost), system
 
 
 def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
@@ -882,13 +941,12 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
     packed = PackedFactors(graph, index)
     blocks = [(kind, index.rows[kind], index.slices[kind]) for kind in DOF
               if len(index.rows[kind])]
-    # one buffer for the pieces of H per call, refilled each iteration
-    H_buf = np.empty((index.n_params + 2, index.n_reduced + 4))
 
     lam = LAMBDA_INIT
     converged = False
+    system = None  # one system and its trial buffers per call, refilled each iteration
     for iters in range(1, MAX_ITERS + 1):
-        cost, system = _linearize(graph, index, packed, H_buf)
+        cost, system = _linearize(graph, index, packed, system)
         if iters == 1:
             initial_cost = cost
         if np.max(np.abs(system.g), initial=0.0) < ABS_TOL:

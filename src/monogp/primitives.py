@@ -22,7 +22,8 @@ FUSE_TOL_DEG = 5.0
 
 def _axis_angle_deg(d1, d2) -> float:
     """Sign-free angle between two unit directions: arccos(|d1·d2|), degrees."""
-    c = np.clip(abs(float(np.asarray(d1) @ np.asarray(d2))), 0.0, 1.0)
+    c = abs(float(np.asarray(d1) @ np.asarray(d2)))
+    c = 1.0 if c > 1.0 else c  # a NaN stays NaN
     return math.degrees(math.acos(c))
 
 

@@ -94,20 +94,23 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class VisibilitySpec:
     max_range: float = 12.0
-    # Optional list of [start, end) frame windows; landmark group g =
-    # landmark_id % len(windows) is visible only inside windows[g].
-    partition_windows: list | None = None
+    # Optional [start, end) frame windows; landmark group g =
+    # landmark_id % len(windows) is visible only inside windows[g]. Given as
+    # lists or tuples, stored as a tuple of pairs, so the section stays frozen.
+    partition_windows: tuple | None = None
 
     def __post_init__(self):
         _check(self, ["max_range"], "visibility.", low=0, strict=True)
         windows = self.partition_windows
-        if not isinstance(windows, (list, type(None))):
+        if not isinstance(windows, (list, tuple, type(None))):
             raise ValueError(f"visibility.partition_windows: expected a list, got {windows!r}")
         for i, window in enumerate(windows or []):
             if np.shape(window) != (2,) or not all(isinstance(x, numbers.Real) for x in window) \
                     or not window[0] <= window[1]:
                 raise ValueError(f"visibility.partition_windows[{i}]: expected a "
                                  f"[start, end) pair, got {window!r}")
+        if windows is not None:
+            object.__setattr__(self, "partition_windows", tuple(tuple(w) for w in windows))
 
 
 @dataclass(frozen=True)

@@ -209,3 +209,22 @@ def test_registry_json_dump():
     entries = json.loads(reg.to_json())
     assert entries == [{"gp_id": 0, "direction": [0.0, 1.0, 0.0],
                         "support": 0.1, "frames": [4]}]
+
+
+def test_axis_angle_clamps_above_one_and_keeps_nan():
+    axis_angle = primitives_module._axis_angle_deg
+
+    def clipped(d, g):  # the form it replaced: np.clip on the float
+        return math.degrees(math.acos(np.clip(abs(float(d @ g)), 0.0, 1.0)))
+
+    rng = np.random.default_rng(4)
+    units = rng.normal(size=(2000, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    for d, g in zip(units[::2], units[1::2]):
+        assert axis_angle(d, g) == clipped(d, g)
+    # a unit vector whose |d·d| rounds above 1, both signs: the angle is 0
+    above = [d for d in units if abs(float(d @ d)) > 1.0]
+    assert above
+    for d in above[:5]:
+        assert axis_angle(d, d) == axis_angle(d, -d) == clipped(d, d) == 0.0
+    assert math.isnan(axis_angle(np.array([math.nan, 0.0, 0.0]), units[0]))

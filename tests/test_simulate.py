@@ -310,6 +310,28 @@ def test_config_sections_are_frozen():
     assert cfg.to_json() == perturbed_corridor().to_json()
 
 
+def test_partition_windows_cannot_be_edited_in_place():
+    # held as a tuple of pairs: a window edited in place would skip the
+    # check (here an end before its start) and run unnoticed
+    cfg = nonoverlap(0)
+    windows = cfg.visibility.partition_windows
+    assert windows == ((0, 28), (22, 50))
+    with pytest.raises(TypeError):
+        cfg.visibility.partition_windows[0][1] = -5
+    with pytest.raises(TypeError):
+        cfg.visibility.partition_windows[0] = [0, -5]
+    assert cfg.visibility.partition_windows == windows
+    # lists and tuples construct alike, through `replace` too, and write the
+    # JSON lists they are read from
+    lists = dataclasses.replace(cfg.visibility, partition_windows=[[0, 28], [22, 50]])
+    tuples = dataclasses.replace(cfg.visibility, partition_windows=((0, 28), (22, 50)))
+    assert lists == tuples == cfg.visibility
+    assert json.loads(cfg.to_json())["visibility"]["partition_windows"] == [[0, 28], [22, 50]]
+    assert ScenarioConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
+    with pytest.raises(ValueError, match=r"visibility.partition_windows\[0\]"):
+        dataclasses.replace(cfg.visibility, partition_windows=[[0, -5]])
+
+
 def test_config_normalizes_family_directions():
     cfg = corridor_config(direction_families=[([2.0, 0.0, 0.0], 5)])
     d, count = cfg.direction_families[0]
