@@ -4,7 +4,6 @@ primitives, plus a synthetic benchmark harness."""
 from .geometry import (
     CameraIntrinsics,
     OrthonormalLine,
-    PluckerLine,
     Pose,
     se3_exp,
 )
@@ -19,7 +18,7 @@ from .pipeline import run_ablation, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "CameraIntrinsics", "OrthonormalLine", "PluckerLine", "Pose",
+    "CameraIntrinsics", "OrthonormalLine", "Pose",
     "se3_exp", "Segment2D",
     "detect_vanishing_points", "lift_vanishing_point",
     "GlobalPrimitive", "GlobalPrimitiveRegistry", "fuse_directions",

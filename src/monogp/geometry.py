@@ -249,40 +249,6 @@ def project_points(p_w, cams: PoseStack, intr: CameraIntrinsics):
 
 
 # ---------------------------------------------------------------------------
-# Plücker lines
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PluckerLine:
-    """3D line as (normal, direction) with n·d = 0, unnormalized."""
-    normal: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float).reshape(3)
-        d = np.asarray(self.direction, dtype=float).reshape(3)
-        dn = np.linalg.norm(d)
-        if dn == 0.0:
-            raise ValueError("line direction must be nonzero")
-        scale = max(1.0, np.linalg.norm(n)) * dn
-        if abs(float(n @ d)) > 1e-9 * scale:
-            raise ValueError("Plücker constraint n·d = 0 violated")
-        n.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "direction", d)
-
-    @classmethod
-    def from_two_points(cls, p, q) -> "PluckerLine":
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return cls(np.cross(p, q - p), q - p)
-
-    def unit_direction(self) -> np.ndarray:
-        return self.direction / np.linalg.norm(self.direction)
-
-
-# ---------------------------------------------------------------------------
 # Orthonormal line parameterization
 # ---------------------------------------------------------------------------
 

@@ -877,9 +877,7 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     kind by kind and term by term in insertion order: per factor, except
     vd_align's, which sum per (pose, GP) pair first (`_pair_terms`). Only
     the live Jacobian columns are scattered: a structurally zero column adds
-    ±0.0 to entries that start at +0.0, which never changes one. A one-row
-    kind forms its blocks with a broadcast multiply, one product per entry
-    as its stacked matmul would.
+    ±0.0 to entries that start at +0.0, which never changes one.
     """
     packed = packed if packed is not None else PackedFactors(graph, index)
     n_params, nc, n6 = index.n_params, index.n_reduced, index.slices["pose"].stop
@@ -904,9 +902,6 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
         w = np.where(e.active, e.weight * b.info, 0.0)
         if b.cls is VdAlignFactor:
             HJ, gJ = _pair_terms(J, w, e.r, b.consts)
-        elif J.shape[1] == 1:
-            wJ = w[:, None] * J[:, 0]
-            HJ, gJ = wJ[:, :, None] * J[:, 0, None, :], wJ * e.r
         else:
             wJt = (w[:, None, None] * J).transpose(0, 2, 1)
             HJ, gJ = wJt @ J, wJt @ e.r[:, :, None]

@@ -15,8 +15,9 @@ through one plane intersection, and every (track, frame) pair through one
 projection and one `run_gates` call (`geometry.PoseStack` holds the
 pose-derived arrays). Segments stay (4,) endpoint rows, x1 y1 x2 y2, from
 the frames through the gates into the graph's factor tables: mapping hands
-its observations over as columns (`Observations`), which `build_graph` adds
-as one block per factor kind.
+its landmarks over as rows (`Landmarks`: points, and lines in the
+orthonormal form the graph optimizes) and its observations as columns
+(`Observations`), which `build_graph` adds as one block per kind.
 
 Modes: "lp" maps points and lines only; "gp" also maps the fused global
 primitives, which add vanishing-direction alignment and structural-consistency
@@ -35,7 +36,6 @@ import numpy as np
 from . import graph as fg
 from .evaluate import Trajectory, ate_rmse
 from .geometry import (
-    PluckerLine,
     Pose,
     PoseStack,
     backproject,
@@ -47,6 +47,7 @@ from .geometry import (
     triangulate_points,
 )
 from .primitives import GlobalPrimitiveRegistry
+from .segments import rowdot
 from .simulate import (
     FrameObservations,
     ScenarioConfig,
@@ -159,8 +160,9 @@ class Observations:
 
 def _triangulate_points(frames, poses, intr):
     """Points seen in at least two frames, each triangulated from its first
-    and last observation in one stacked pass, and the observations of the
-    points kept, by point id and then frame."""
+    and last observation in one stacked pass: their ids (P,) and world
+    points (P, 3), and the observations of the points kept, by point id and
+    then frame."""
     frame = np.concatenate([np.full(len(fr.point_ids), fr.frame_id) for fr in frames])
     pid = np.concatenate([fr.point_ids for fr in frames])
     px = np.concatenate([fr.point_px for fr in frames])
@@ -173,8 +175,7 @@ def _triangulate_points(frames, poses, intr):
     ok, xyz = triangulate_points(px[first], px[last], cams[frame[first]], cams[frame[last]],
                                  intr)
     keep = np.isin(pid, pids[ok])
-    return (dict(zip(pids[ok].tolist(), xyz)),
-            Observations(frame[keep], pid[keep], px[keep]))
+    return pids[ok], xyz, Observations(frame[keep], pid[keep], px[keep])
 
 
 def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, audit):
@@ -186,8 +187,9 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, audit):
     extent, and projected into all its observing frames; frames that see an
     endpoint at depth z <= EPS_Z are dropped, and every other (track, frame)
     pair, ordered by track and then frame, is gated in one `run_gates` call.
-    A line is kept with its passing observations when at least two pass;
-    they are returned by track and then frame."""
+    A line is kept with its passing observations when at least two pass.
+    Returns the kept lines' track ids (L,) and orthonormal forms U (L, 3, 3)
+    and W (L, 2, 2), and their observations by track and then frame."""
     cams = PoseStack.of(poses)
     tracked = [(track_id, obs) for track_id, obs in sorted(tracks.items())
                if len(obs) >= 2]
@@ -209,29 +211,32 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, audit):
     line, (t, r) = line[in_front], pairs[in_front].T
     passed = run_gates(t, track_ids[line], scene.ends[r], pixels.reshape(-1, 4), audit)
     admitted = np.bincount(line[passed], minlength=len(tracked)) >= 2
-    lines = {track_id: PluckerLine(normal[i], direction[i])
-             for i, (track_id, _) in enumerate(tracked) if admitted[i]}
     keep = passed & admitted[line]
-    return lines, Observations(t[keep], track_ids[line[keep]], scene.ends[r[keep]])
+    return (track_ids[admitted], *plucker_to_orthonormal(normal[admitted], direction[admitted]),
+            Observations(t[keep], track_ids[line[keep]], scene.ends[r[keep]]))
 
 
 @dataclass
 class Landmarks:
-    """What mapping found on one pose set, each map in ascending id order and
+    """What mapping found on one pose set, as rows in ascending id order, and
     each `Observations` in the order of its points or lines. `map_landmarks`
     leaves the GP part (`registry`, `gp_links`, `line_gp`) empty;
     `map_primitives` returns a copy with it, in which every line with a GP
-    is sign-aligned to it. `build_graph` adds the observations as factor
-    blocks without building a factor value."""
-    points: dict                # point id -> (3,) world point
+    is sign-aligned to it. `build_graph` adds the rows as variable blocks
+    and the observations as factor blocks."""
+    point_ids: np.ndarray       # (P,) int
+    points: np.ndarray          # (P, 3) world points
     point_obs: Observations     # every observation of each point: pixels
-    lines: dict                 # track id -> PluckerLine
+    line_ids: np.ndarray        # (L,) int: track ids
+    U: np.ndarray               # (L, 3, 3) orthonormal line forms
+    W: np.ndarray               # (L, 2, 2)
     line_obs: Observations      # gate-passing line observations: endpoint rows
     gate_audit: list            # GateAudit
     registry: GlobalPrimitiveRegistry | None = None
     # segment-to-GP links: endpoint rows by frame, then segment id
     gp_links: Observations = field(default_factory=lambda: Observations.empty(4))
-    line_gp: dict = field(default_factory=dict)  # track id -> gp id
+    # (line id, GP id) rows, in line order
+    line_gp: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
 
 
 def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
@@ -241,10 +246,9 @@ def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
     intr = config.intrinsics
     scene = SceneSegments.of(frames)
     tracks = build_line_tracks(scene)
-    points, point_obs = _triangulate_points(frames, poses, intr)
     audit: list[GateAudit] = []
-    lines, line_obs = _triangulate_lines(tracks, scene, poses, intr, audit)
-    return Landmarks(points, point_obs, lines, line_obs, audit)
+    return Landmarks(*_triangulate_points(frames, poses, intr),
+                     *_triangulate_lines(tracks, scene, poses, intr, audit), audit)
 
 
 def map_primitives(frames: list[FrameObservations], poses: list[Pose],
@@ -253,10 +257,11 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
     VP detection on all frames in one `detect_scene_vanishing_points` call,
     then frame by frame lifting and fusion into a registry, each frame's
     segment-to-GP links (frame, GP, endpoint row) in segment-id order, and
-    the line -> GP map. Its lines are a new dict, in which a line pointing
-    away from its GP is negated. VP detection runs on each frame's endpoint
-    rows, so `frames` (and the labels of their boundary `Segment2D`s) are
-    left as they are."""
+    the line -> GP map. Each line is matched by its unit direction, U's
+    second column; in a new U, a line pointing away from its GP has its
+    first two columns negated, the orthonormal form of (-n, -d). VP
+    detection runs on each frame's endpoint rows, so `frames` (and the
+    labels of their boundary `Segment2D`s) are left as they are."""
     intr = config.intrinsics
     registry, links = GlobalPrimitiveRegistry(), [Observations.empty(4)]
     scene = []  # per frame its segments at least TAU_S long (rows, ids) and seed
@@ -276,16 +281,15 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
                                   ends[[row_of[sid] for sid, _ in seg_gp]].reshape(-1, 4)))
     gp_links = Observations(*(np.concatenate([getattr(o, name) for o in links])
                               for name in ("frame", "ids", "rows")))
-    lines, line_gp = {}, {}
-    for lid, line in landmarks.lines.items():
-        gp_id = registry.match(line.unit_direction())
-        if gp_id is not None:
-            line_gp[lid] = gp_id
-            if float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
-                line = type(line)(-line.normal, -line.direction)
-        lines[lid] = line
-    return replace(landmarks, lines=lines, registry=registry, gp_links=gp_links,
-                   line_gp=line_gp)
+    unit = np.ascontiguousarray(landmarks.U[:, :, 1])
+    gp = np.array([-1 if m is None else m for m in map(registry.match, unit)], dtype=int)
+    rows = np.flatnonzero(gp >= 0)
+    gp_dirs = np.array([p.direction for p in registry.primitives]).reshape(-1, 3)
+    flip = rows[rowdot(unit[rows], gp_dirs[gp[rows]]) < 0]
+    U = landmarks.U.copy()
+    U[flip, :, :2] *= -1.0
+    return replace(landmarks, U=U, registry=registry, gp_links=gp_links,
+                   line_gp=np.column_stack([landmarks.line_ids[rows], gp[rows]]))
 
 
 def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph:
@@ -295,16 +299,14 @@ def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph
     g = fg.FactorGraph(intr)
     g.add_variables("pose", range(len(poses)), [p.rotation for p in poses],
                     [p.translation for p in poses])
-    g.add_variables("point", list(landmarks.points), list(landmarks.points.values()))
-    lines = landmarks.lines.values()
-    g.add_variables("line", list(landmarks.lines), *plucker_to_orthonormal(
-        [line.normal for line in lines], [line.direction for line in lines]))
+    g.add_variables("point", landmarks.point_ids, landmarks.points)
+    g.add_variables("line", landmarks.line_ids, landmarks.U, landmarks.W)
     gps = landmarks.registry.primitives if landmarks.registry else []
     g.add_variables("gp", range(len(gps)), [gp.direction for gp in gps])
     for cls, obs in ((fg.PointFactor, landmarks.point_obs), (fg.LineFactor, landmarks.line_obs),
                      (fg.VdAlignFactor, landmarks.gp_links)):
         g.add_factors(cls, obs.frame, obs.ids, obs.rows)
-    g.add_factors(fg.StructFactor, list(landmarks.line_gp), list(landmarks.line_gp.values()))
+    g.add_factors(fg.StructFactor, *landmarks.line_gp.T)
     return g
 
 

@@ -219,17 +219,14 @@ class ScenarioConfig:
 
 
 @dataclass
-class WorldLine:
+class World:
+    """Planted landmarks as rows whose index is the id: points (P, 3), each
+    line's endpoints `p0` and `p1` (L, 3) and its direction family `family`
+    (L,)."""
+    points: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
-    family_id: int
-
-
-@dataclass
-class World:
-    points: dict          # id -> 3-vector
-    lines: dict           # id -> WorldLine
-    family_directions: list  # ground-truth GP directions (unit)
+    family: np.ndarray
 
 
 @dataclass
@@ -287,25 +284,22 @@ def _scene_box(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_world(config: ScenarioConfig) -> World:
-    """Points, then each family's lines, drawn uniformly in the scene box.
-    Each is one block of draws: all points as one (n_points, 3) `uniform`,
-    each family's lines as one (count, 4) `random`, a line's base point and
+    """Points, then the lines of each family in turn, drawn uniformly in the
+    scene box. Each is one block of draws: all points as one (n_points, 3)
+    `uniform`, all lines as one (L, 4) `random`, a line's base point and
     length mapped as `uniform` maps them; the stream and the floats are
     those of one `uniform` call per point, and per line one for its base
     and one for its length."""
     rng = np.random.default_rng([config.rng_seed, 11])
     lo, hi = _scene_box(config)
-    points = dict(enumerate(rng.uniform(lo, hi, size=(config.n_points, 3))))
-    lines = {}
-    family_directions = []
-    for fam_id, (d, count) in enumerate(config.direction_families):
-        family_directions.append(d.copy())
-        u = rng.random((count, 4))
-        base = lo + (hi - lo) * u[:, :3]
-        half = 0.5 * (1.5 + (3.5 - 1.5) * u[:, 3:])
-        for p0, p1 in zip(base - half * d, base + half * d):
-            lines[len(lines)] = WorldLine(p0, p1, fam_id)
-    return World(points, lines, family_directions)
+    points = rng.uniform(lo, hi, size=(config.n_points, 3))
+    fams = config.direction_families
+    family = np.repeat(np.arange(len(fams)), [count for _, count in fams])
+    dirs = np.array([d for d, _ in fams]).reshape(-1, 3)[family]
+    u = rng.random((len(family), 4))
+    base = lo + (hi - lo) * u[:, :3]
+    half = 0.5 * (1.5 + (3.5 - 1.5) * u[:, 3:])
+    return World(points, base - half * dirs, base + half * dirs, family)
 
 
 def _look_at_pose(position, target) -> Pose:
@@ -433,21 +427,14 @@ def render_measurements(world: World, poses: list[Pose],
     w, h = config.image_width, config.image_height
     vis = config.visibility
     noise = config.noise
-    point_ids = np.array(sorted(world.points), dtype=int)
-    points = np.array([world.points[i] for i in point_ids.tolist()],
-                      dtype=float).reshape(-1, 3)
-    line_ids = np.array(sorted(world.lines), dtype=int)
-    lines = [world.lines[i] for i in line_ids.tolist()]
-    p0 = np.array([wl.p0 for wl in lines], dtype=float).reshape(-1, 3)
-    p1 = np.array([wl.p1 for wl in lines], dtype=float).reshape(-1, 3)
-    family = np.array([wl.family_id for wl in lines], dtype=int)
+    point_ids, line_ids = np.arange(len(world.points)), np.arange(len(world.p0))
     # every frame's geometry in one stacked pass: camera points, line extents
     cams = PoseStack.of(poses)
-    p_cam = cams.transform(points)
-    extents = _line_extents(cams.transform(p0).reshape(-1, 3),
-                            cams.transform(p1).reshape(-1, 3), intr, w, h, vis.max_range)
+    p_cam = cams.transform(world.points)
+    extents = _line_extents(cams.transform(world.p0).reshape(-1, 3),
+                            cams.transform(world.p1).reshape(-1, 3), intr, w, h, vis.max_range)
     seen_all, ps_all, pe_all, length_all = (
-        x.reshape((len(poses), len(lines)) + x.shape[1:]) for x in extents)
+        x.reshape((len(poses), len(line_ids)) + x.shape[1:]) for x in extents)
     frames = []
     for t, p_c in enumerate(p_cam):
         rng = np.random.default_rng([config.rng_seed, 7919, t])
@@ -464,13 +451,13 @@ def render_measurements(world: World, poses: list[Pose],
         seen, ps, pe = seen_all[t], ps_all[t], pe_all[t]
         rows = np.flatnonzero(_allowed(line_ids, t, vis) & seen)
         # budget: longest first, id as a stable tie-break, then id order
-        order = np.lexsort((line_ids[rows], -length_all[t, rows]))
+        order = np.lexsort((rows, -length_all[t, rows]))
         rows = np.sort(rows[order[:config.n_l]])
         n = len(rows)
         ends = (np.stack([ps[rows], pe[rows]], axis=1)
                 + rng.normal(0.0, 1.0, size=(n, 2, 2)) * noise.sigma_endpoint_px
                 ).reshape(n, 4)
-        seg_lines, seg_families = line_ids[rows], family[rows]
+        seg_lines, seg_families = rows, world.family[rows]
         outlier = np.zeros(n, dtype=bool)
         # -- outliers -------------------------------------------------------
         n_out = int(round(config.outlier_fraction * n))
@@ -490,11 +477,10 @@ def render_measurements(world: World, poses: list[Pose],
         if t > 0:  # frame t-1's inliers whose line this frame still sees
             prev = frames[t - 1]
             src = np.flatnonzero(~prev.outlier)
-            src = src[seen[np.searchsorted(line_ids, prev.line_ids[src])]]
+            src = src[seen[prev.line_ids[src]]]
             pred_ids, tracks = -(prev.ids[src] + 1), prev.line_ids[src]
-        rows = np.searchsorted(line_ids, tracks)
-        pred = (np.stack([ps[rows], pe[rows]], axis=1)
-                + rng.normal(0.0, 1.0, size=(len(rows), 2, 2)) * noise.sigma_flow_px
+        pred = (np.stack([ps[tracks], pe[tracks]], axis=1)
+                + rng.normal(0.0, 1.0, size=(len(tracks), 2, 2)) * noise.sigma_flow_px
                 ).reshape(-1, 4)
         frames.append(FrameObservations(
             t, point_ids[near][inside], obs, ends, t * 100000 + np.arange(n), seg_lines,

@@ -16,7 +16,6 @@ from monogp.geometry import (
     CameraIntrinsics,
     DegenerateLineError,
     OrthonormalLine,
-    PluckerLine,
     Pose,
     PoseStack,
     backproject,
@@ -35,6 +34,7 @@ from monogp.vanishing import canonical_direction
 from test_graph import (
     closest_point_to_origin,
     line_residual,
+    line_through,
     oracle_plucker_to_orthonormal,
     project_point,
     to_camera,
@@ -154,11 +154,6 @@ def test_project_points_bitwise_per_pose():
 
 # -- Plücker lines -----------------------------------------------------------
 
-def test_plucker_constraint_enforced():
-    with pytest.raises(ValueError):
-        PluckerLine(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-
 def segment_through(points, pose):
     """Image segment between the projections of two world points."""
     return Segment2D(*(project_point(p, pose, K) for p in points), id=0)
@@ -167,7 +162,7 @@ def segment_through(points, pose):
 def test_transform_plucker_point_membership():
     # points of a world line stay on the camera-frame line: their images lie
     # on its projection, under translations and rotations
-    line = PluckerLine.from_two_points([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    line = line_through([1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
     rng = np.random.default_rng(6)
     poses = [Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))]
     poses += [se3_exp(np.concatenate([rng.normal(0.0, 0.3, 3) + [0.0, 0.0, 4.0],
@@ -180,7 +175,7 @@ def test_transform_plucker_point_membership():
 
 def test_project_plucker_horizontal_line():
     # a horizontal line at depth 1 projects onto the image row y = cy + fy * ty
-    line = PluckerLine.from_two_points([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    line = line_through([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
     for ty, row in ((0.0, 240.0), (0.1, 290.0)):
         seg = Segment2D([100.0, row], [500.0, row], id=0)
         r = line_residual(line, Pose(np.eye(3), np.array([0.0, ty, 0.0])), seg)
@@ -188,8 +183,8 @@ def test_project_plucker_horizontal_line():
 
 
 def test_project_plucker_scale_invariant_up_to_normalization():
-    line = PluckerLine.from_two_points([0.5, -0.2, 2.0], [1.5, 0.8, 2.0])
-    double = PluckerLine(2.0 * line.normal, 2.0 * line.direction)
+    line = line_through([0.5, -0.2, 2.0], [1.5, 0.8, 2.0])
+    double = (2.0 * line[0], 2.0 * line[1])
     seg = Segment2D([100.0, 200.0], [400.0, 250.0], id=0)
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -199,7 +194,7 @@ def test_project_plucker_scale_invariant_up_to_normalization():
 
 
 def test_project_plucker_optical_axis_degenerate():
-    line = PluckerLine.from_two_points([0.0, 0.0, 1.0], [0.0, 0.0, 2.0])
+    line = line_through([0.0, 0.0, 1.0], [0.0, 0.0, 2.0])
     seg = Segment2D([300.0, 240.0], [340.0, 240.0], id=0)
     with pytest.raises(DegenerateLineError):
         line_residual(line, IDENTITY, seg)
@@ -210,7 +205,7 @@ def test_point_on_line_projects_onto_image_line():
     for _ in range(100):
         p0 = rng.normal(0.0, 1.0, 3) + [0.0, 0.0, 4.0]
         d = rng.normal(0.0, 1.0, 3)
-        line = PluckerLine.from_two_points(p0, p0 + d)
+        line = line_through(p0, p0 + d)
         lam = rng.uniform(-0.5, 0.5)
         p = p0 + lam * d / np.linalg.norm(d)
         if p[2] < 0.5:
@@ -231,21 +226,20 @@ def plucker_coords(o):
 def test_orthonormal_roundtrip_random():
     rng = np.random.default_rng(8)
     for _ in range(1000):
-        line = PluckerLine.from_two_points(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
-        ca = canonical_direction(np.concatenate([line.normal, line.direction]))
+        line = line_through(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
+        ca = canonical_direction(np.concatenate(line))
         cb = plucker_coords(oracle_plucker_to_orthonormal(line))
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
 
 
 def test_plucker_to_orthonormal_equals_one_line_form_bitwise():
     rng = np.random.default_rng(12)
-    lines = [PluckerLine.from_two_points(p, q) for p, q in rng.normal(0.0, 3.0, (2000, 2, 3))]
+    lines = [line_through(p, q) for p, q in rng.normal(0.0, 3.0, (2000, 2, 3))]
     # through the origin: exactly, and within the 1e-12 relative threshold
-    lines += [PluckerLine(np.zeros(3), d) for d in rng.normal(0.0, 1.0, (10, 3))]
-    lines += [PluckerLine.from_two_points(s * d, (s + 1.0) * d)
+    lines += [(np.zeros(3), d) for d in rng.normal(0.0, 1.0, (10, 3))]
+    lines += [line_through(s * d, (s + 1.0) * d)
               for s, d in zip(rng.normal(0.0, 2.0, 10), rng.normal(0.0, 1.0, (10, 3)))]
-    n = np.array([line.normal for line in lines])
-    d = np.array([line.direction for line in lines])
+    n, d = (np.array(rows) for rows in zip(*lines))
     U, W = plucker_to_orthonormal(n, d)
     ref = [oracle_plucker_to_orthonormal(line) for line in lines]
     assert U.tobytes() == np.array([o.U for o in ref]).tobytes()
@@ -254,9 +248,28 @@ def test_plucker_to_orthonormal_equals_one_line_form_bitwise():
     # some rows' hypotenuses differ between np.hypot and the one-line form's
     # math.hypot, so the comparison above checks which one is used
     assert any(np.hypot(a, b) != math.hypot(a, b) for a, b in
-               ((np.linalg.norm(line.normal), np.linalg.norm(line.direction)) for line in lines))
+               ((np.linalg.norm(n), np.linalg.norm(d)) for n, d in lines))
     U, W = plucker_to_orthonormal([], [])
     assert U.shape == (0, 3, 3) and W.shape == (0, 2, 2)
+
+
+def test_negated_line_negates_u1_and_u2():
+    # the orthonormal form of (-n, -d) is U with its first two columns
+    # negated and the same W, the sign flip `map_primitives` applies
+    rng = np.random.default_rng(13)
+    n, d = (np.array(rows) for rows in
+            zip(*[line_through(p, q) for p, q in rng.normal(0.0, 3.0, (2000, 2, 3))]))
+    U, W = plucker_to_orthonormal(n, d)
+    U_neg, W_neg = plucker_to_orthonormal(-n, -d)
+    U[:, :, :2] *= -1.0
+    assert U.tobytes() == U_neg.tobytes() and W.tobytes() == W_neg.tobytes()
+    # through the origin u1 is a cross product with an axis: equal values,
+    # though an exact zero may change its sign
+    d = rng.normal(0.0, 1.0, (10, 3))
+    U, W = plucker_to_orthonormal(np.zeros((10, 3)), d)
+    U_neg, W_neg = plucker_to_orthonormal(np.zeros((10, 3)), -d)
+    U[:, :, :2] *= -1.0
+    assert np.array_equal(U, U_neg) and W.tobytes() == W_neg.tobytes()
 
 
 def update_line(o, delta) -> OrthonormalLine:
@@ -266,14 +279,14 @@ def update_line(o, delta) -> OrthonormalLine:
 
 
 def test_orthonormal_zero_update_is_identity():
-    line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
+    line = line_through([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
     o = oracle_plucker_to_orthonormal(line)
     o2 = update_line(o, np.zeros(4))
     assert np.allclose(o.U, o2.U) and np.allclose(o.W, o2.W)
 
 
 def test_orthonormal_small_update_small_change():
-    line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
+    line = line_through([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])
     o = oracle_plucker_to_orthonormal(line)
     o2 = update_line(o, 1e-8 * np.ones(4))
     assert np.linalg.norm(plucker_coords(o) - plucker_coords(o2)) < 1e-6
@@ -281,7 +294,7 @@ def test_orthonormal_small_update_small_change():
 
 def test_orthonormal_update_preserves_constraint():
     rng = np.random.default_rng(9)
-    line = PluckerLine.from_two_points([2.0, 0.0, 1.0], [0.0, 1.0, 4.0])
+    line = line_through([2.0, 0.0, 1.0], [0.0, 1.0, 4.0])
     o = oracle_plucker_to_orthonormal(line)
     for _ in range(100):
         o = update_line(o, rng.normal(0.0, 0.1, 4))
@@ -392,12 +405,12 @@ def oracle_triangulate_line(seg_a, seg_b, pose_a, pose_b, intr, min_plane_angle_
     A = np.vstack([pa[:3], pb[:3]])
     rhs = -np.array([pa[3], pb[3]])
     x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return PluckerLine(np.cross(x, d), d)
+    return np.cross(x, d), d
 
 
 def oracle_closest_point_on_line_to_ray(line, origin, direction):
     p0 = closest_point_to_origin(line)
-    d = line.unit_direction()
+    d = line[1] / np.linalg.norm(line[1])
     o = np.asarray(origin, dtype=float)
     r = oracle_unit(np.asarray(direction, dtype=float))
     A = np.array([[1.0, -(d @ r)], [d @ r, -1.0]])
@@ -466,7 +479,7 @@ def assert_lines_equal_oracle(pairs, intr):
     assert ok.tolist() == [e is not None for e in expected]
     kept = [e for e in expected if e is not None]
     assert [(n.tobytes(), d.tobytes()) for n, d in zip(normal, direction)] == \
-        [(e.normal.tobytes(), e.direction.tobytes()) for e in kept]
+        [(n.tobytes(), d.tobytes()) for n, d in kept]
     return ok
 
 
@@ -553,7 +566,7 @@ def test_triangulate_line_noiseless_roundtrip():
         d = rng.normal(0.0, 1.0, 3)
         d /= np.linalg.norm(d)
         p1 = p0 + 1.5 * d
-        truths.append(PluckerLine.from_two_points(p0, p1))
+        truths.append(line_through(p0, p1))
         pairs.append((Segment2D(project_point(p0, pose_a, K),
                                 project_point(p1, pose_a, K), id=0),
                       Segment2D(project_point(p0, pose_b, K),
@@ -561,7 +574,7 @@ def test_triangulate_line_noiseless_roundtrip():
     ok, normal, direction = stacked_line_rows(pairs, K)
     assert ok.sum() > 40  # the rest have a plane angle below the threshold
     for truth, n, d in zip([t for t, k in zip(truths, ok) if k], normal, direction):
-        ca = canonical_direction(np.concatenate([truth.normal, truth.direction]))
+        ca = canonical_direction(np.concatenate(truth))
         cb = canonical_direction(np.concatenate([n, d]))
         assert np.allclose(ca, cb, atol=1e-9) or np.allclose(ca, -cb, atol=1e-9)
 
@@ -608,8 +621,8 @@ def test_triangulate_lines_plane_angle_boundary(monkeypatch):
 
 
 def assert_closest_points_equal_oracle(lines, origins, rays):
-    out = closest_points_on_lines(np.array([l.normal for l in lines]),
-                                  np.array([l.direction for l in lines]),
+    out = closest_points_on_lines(np.array([n for n, _ in lines]),
+                                  np.array([d for _, d in lines]),
                                   np.array(origins, dtype=float), np.array(rays, dtype=float))
     assert [p.tobytes() for p in out] == \
         [oracle_closest_point_on_line_to_ray(l, o, r).tobytes()
@@ -619,7 +632,7 @@ def assert_closest_points_equal_oracle(lines, origins, rays):
 
 def test_closest_points_equal_scalar_oracle():
     rng = np.random.default_rng(16)
-    lines = [PluckerLine.from_two_points(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
+    lines = [line_through(rng.normal(0, 3, 3), rng.normal(0, 3, 3))
              for _ in range(200)]
     origins = rng.normal(0.0, 2.0, (200, 3))
     rays = [backproject(rng.uniform([0, 0], [640, 480], (1, 2)), PoseStack.of([pose]), K)[0]
@@ -628,11 +641,11 @@ def test_closest_points_equal_scalar_oracle():
 
 
 def test_closest_points_parallel_ray_falls_back_to_line_origin_point():
-    line = PluckerLine.from_two_points([1.0, 2.0, 3.0], [1.0, 2.0, 5.0])
+    line = line_through([1.0, 2.0, 3.0], [1.0, 2.0, 5.0])
     p0 = closest_point_to_origin(line)
     tilted = [0.0, 1e-3, 1.0]  # |det| ~ 1e-6, solved
     for ray in ([0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [0.0, 1e-7, 1.0], tilted):
-        d, r = line.unit_direction(), oracle_unit(np.array(ray))
+        d, r = oracle_unit(line[1]), oracle_unit(np.array(ray))
         small = abs(np.linalg.det(np.array([[1.0, -(d @ r)], [d @ r, -1.0]]))) < 1e-12
         assert small == (ray is not tilted)
         out = assert_closest_points_equal_oracle([line], [[0.0, 0.0, 0.0]], [ray])

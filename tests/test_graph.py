@@ -30,10 +30,10 @@ from monogp.geometry import (
     EPS_Z,
     BehindCameraError,
     CameraIntrinsics,
-    PluckerLine,
     Pose,
     PoseStack,
     OrthonormalLine,
+    pinhole,
     project_points,
     se3_exp,
     skew,
@@ -57,6 +57,7 @@ from monogp.graph import (
     _linearize,
     _NormalEquations,
     _mv,
+    _point_kernel,
     _tangent_bases,
     cost_breakdown,
     optimize,
@@ -87,10 +88,17 @@ def project_point(p_w, pose, intr):
     return px[0, 0]
 
 
+def line_through(p, q):
+    """The world line through points p and q as Plücker (normal, direction)
+    rows: (p × (q − p), q − p)."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return np.cross(p, q - p), q - p
+
+
 def closest_point_to_origin(line):
-    """The point of a Plücker line nearest the world origin."""
-    d = line.direction
-    return np.cross(d, line.normal) / float(d @ d)
+    """The point of a Plücker line (normal, direction) nearest the world origin."""
+    n, d = line
+    return np.cross(d, n) / float(d @ d)
 
 
 # -- one variable or factor at a time, through the block adds -------------------
@@ -137,10 +145,10 @@ def grouped(obs):
     return out
 
 
-def oracle_plucker_to_orthonormal(line: PluckerLine) -> OrthonormalLine:
-    """`plucker_to_orthonormal` as it was, one line at a time, with its
-    `_unit` inlined. Kept verbatim."""
-    n, d = line.normal, line.direction
+def oracle_plucker_to_orthonormal(line) -> OrthonormalLine:
+    """`plucker_to_orthonormal` as it was, one (normal, direction) line at a
+    time, with its `_unit` inlined. Kept verbatim."""
+    n, d = line
     nn, nd = np.linalg.norm(n), np.linalg.norm(d)
     u2 = d / nd
     if nn < 1e-12 * nd:
@@ -316,7 +324,7 @@ def test_retract_rodrigues_equals_scalar_oracles_bitwise():
     R_new, t_new = retract("pose", (R, t), np.concatenate([rho, w], axis=1))
     assert R_new.tobytes() == (dR @ R).tobytes()
     assert t_new.tobytes() == ((dR @ t[:, :, None]) + (V @ rho[:, :, None]))[:, :, 0].tobytes()
-    U = np.array([oracle_plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d)).U
+    U = np.array([oracle_plucker_to_orthonormal(line_through(p, p + d)).U
                   for p, d in rng.normal(0.0, 2.0, (n, 2, 3))])
     W = np.array([oracle_rot2(phi) for phi in rng.normal(0.0, 0.3, n)])
     U_new, _ = retract("line", (U, W), np.concatenate([w, np.zeros((n, 1))], axis=1))
@@ -333,7 +341,7 @@ def test_retract_points_add():
 def test_retract_lines_match_orthonormal_update():
     rng = np.random.default_rng(23)
     n = len(STEP_ANGLES)
-    lines = [oracle_plucker_to_orthonormal(PluckerLine.from_two_points(p, p + d))
+    lines = [oracle_plucker_to_orthonormal(line_through(p, p + d))
              for p, d in rng.normal(0.0, 2.0, (n, 2, 3))]
     U, W = np.array([o.U for o in lines]), np.array([o.W for o in lines])
     deltas = np.concatenate([random_axis_steps(rng, STEP_ANGLES),
@@ -387,22 +395,43 @@ def test_point_residual_hand_value():
     assert np.allclose(r, [10.0, 0.0])
 
 
+def test_point_kernel_pixel_step_equals_pinhole_bitwise():
+    # the kernel computes `pinhole`'s formula inline; the two must agree bit
+    # for bit, on large and negative camera coordinates too
+    rng = np.random.default_rng(31)
+    n = 3000
+    R = np.array([so3_exp(w) for w in rng.normal(0.0, 1.0, (n, 3))])
+    X = rng.normal(0.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-3.0, 6.0, (n, 1))
+    p_c = _mv(R, X)
+    # translations that put each point in front, at depths from 1e-3 to 1e6
+    t = np.zeros((n, 3))
+    t[:, 2] = 10.0 ** rng.uniform(-3.0, 6.0, n) - p_c[:, 2]
+    t[:, :2] = rng.normal(0.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-3.0, 6.0, (n, 1))
+    obs = rng.uniform(-1e3, 2e3, (n, 2))
+    intr = CameraIntrinsics(517.3, 516.5, 318.6, 255.3)
+    r, active, _ = _point_kernel(R, t, X, obs, (intr.fx, intr.fy, intr.cx, intr.cy))
+    p_c = _mv(R, X) + t
+    assert active.all() and (p_c[:, :2] < 0).any(axis=0).all()
+    assert np.abs(p_c).max() > 1e5
+    assert r.tobytes() == (pinhole(p_c, intr) - obs).tobytes()
+
+
 def line_residual(line, pose, seg, intr=K):
-    """LineFactor residual of a world PluckerLine observed as `seg`."""
+    """LineFactor residual of a world line (normal, direction) observed as `seg`."""
     return residual_at(LineFactor(0, 0, seg_row(seg)), intr, pose=pose,
                        line=oracle_plucker_to_orthonormal(line))
 
 
 def test_line_residual_perpendicular_distances():
-    line = PluckerLine.from_two_points([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    line = line_through([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
     r = line_residual(line, IDENTITY, Segment2D([100.0, 243.0], [300.0, 237.0], id=0))
     assert np.allclose(np.abs(r), [3.0, 3.0], atol=1e-9)
     assert abs(r[0] + r[1]) < 1e-9  # opposite signs
 
 
 def test_line_residual_scale_invariant():
-    line = PluckerLine.from_two_points([0.2, 0.1, 2.0], [1.2, 2.1, 2.0])
-    double = PluckerLine(2.0 * line.normal, 2.0 * line.direction)
+    line = line_through([0.2, 0.1, 2.0], [1.2, 2.1, 2.0])
+    double = (2.0 * line[0], 2.0 * line[1])
     obs = Segment2D([100.0, 200.0], [400.0, 250.0], id=0)
     assert np.allclose(np.abs(line_residual(line, IDENTITY, obs)),
                        np.abs(line_residual(double, IDENTITY, obs)), atol=1e-12)
@@ -443,7 +472,7 @@ def test_vd_align_increases_away_from_truth():
 
 def struct_residual(line_dir, gp):
     p = np.array([0.0, 0.0, 2.0])
-    line = oracle_plucker_to_orthonormal(PluckerLine.from_two_points(p, p + line_dir))
+    line = oracle_plucker_to_orthonormal(line_through(p, p + line_dir))
     return residual_at(StructFactor(0, 0), line=line, gp=gp)[0]
 
 
@@ -475,8 +504,8 @@ def build_random_factor_graph(seed):
                          rng.uniform(2.0, 6.0)])
     d = rng.normal(0.0, 1.0, 3)
     d_c = d / np.linalg.norm(d)
-    line_w = PluckerLine.from_two_points(to_camera(pose.inverse(), anchor_c),
-                                         to_camera(pose.inverse(), anchor_c + d_c))
+    line_w = line_through(to_camera(pose.inverse(), anchor_c),
+                          to_camera(pose.inverse(), anchor_c + d_c))
     add_line(g, 0, oracle_plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
     line_f = LineFactor(0, 0, seg_row(seg))
@@ -697,7 +726,7 @@ def build_assembly_graph():
     gp = np.array([1.0, 0.1, 0.05])
     add_gp(g, 0, gp / np.linalg.norm(gp))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
-        line = PluckerLine.from_two_points(anchor, anchor + gp + rng.normal(0.0, 0.02, 3))
+        line = line_through(anchor, anchor + gp + rng.normal(0.0, 0.02, 3))
         add_line(g, lid, oracle_plucker_to_orthonormal(line))
         for t in range(3):
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
@@ -922,7 +951,7 @@ def build_shared_pair_graph():
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
         d = gps[lid] + rng.normal(0.0, 0.05, 3)
         add_line(g, lid, oracle_plucker_to_orthonormal(
-            PluckerLine.from_two_points(anchor, np.add(anchor, d))))
+            line_through(anchor, np.add(anchor, d))))
         add_factor(g, StructFactor(lid, lid))
     for i in range(4):
         p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])

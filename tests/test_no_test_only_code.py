@@ -30,8 +30,6 @@ PROGRAM = [ROOT / "src", ROOT / "perfbench", ROOT / "demos"]
 
 # Reached only from tests, on purpose: qualified name -> reason.
 ALLOWED = {
-    "geometry.PluckerLine.from_two_points":
-        "acceptance criterion 1 builds its random world line with it",
     "primitives.GlobalPrimitiveRegistry.recompute_support":
         "acceptance criterion 7 audits the fused GP support with it",
     "primitives.GlobalPrimitiveRegistry.association_graph":
@@ -48,10 +46,9 @@ ALLOWED = {
 
 # Methods reached only through an attribute on a receiver of unknown class,
 # each checked by hand to be called by the program (for example
-# `frame.segments` in `perfbench/`, `line.unit_direction()` in `map_primitives`).
+# `frame.segments` in `perfbench/`, `p.camera_center()` in `PoseStack.of`).
 UNKNOWN_RECEIVER = frozenset({
     "geometry.CameraIntrinsics.line_projection_matrix",
-    "geometry.PluckerLine.unit_direction",
     "geometry.Pose.camera_center",
     "geometry.Pose.r_wc",
     "graph.FactorGraph.add_factors",

@@ -52,6 +52,7 @@ from test_graph import (
     to_camera,
 )
 from test_segments import seg_row
+from test_tracking import oracle_triangulate_lines, segment_tracks
 
 
 def test_corridor_lp_converges_with_finite_ate():
@@ -204,13 +205,16 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     frames, poses = rendered(cfg)
     lm = mapped(frames, poses, cfg, mode)
     line_obs, point_obs = grouped(lm.line_obs), grouped(lm.point_obs)
-    assert lm.lines and list(line_obs) == list(lm.lines)
+    n_lines = len(lm.line_ids)
+    assert n_lines and list(line_obs) == lm.line_ids.tolist()
+    assert lm.U.shape == (n_lines, 3, 3) and lm.W.shape == (n_lines, 2, 2)
     assert all(len(obs) >= 2 for obs in line_obs.values())
-    assert lm.points and list(point_obs) == list(lm.points)
-    for pid, p in lm.points.items():
+    assert len(lm.point_ids) and list(point_obs) == lm.point_ids.tolist()
+    assert lm.points.shape == (len(lm.point_ids), 3)
+    for pid, p in zip(lm.point_ids.tolist(), lm.points):
         assert all(to_camera(poses[t], p)[2] > EPS_Z for t, _ in point_obs[pid])
     if mode == "lp":
-        assert lm.registry is None and not lm.gp_links and not lm.line_gp
+        assert lm.registry is None and not lm.gp_links and lm.line_gp.shape == (0, 2)
         return
     # one GP per planted family
     gps = lm.registry.primitives
@@ -225,35 +229,34 @@ def test_map_landmarks_on_ground_truth_poses(mode):
             for t, row in zip(lm.gp_links.frame.tolist(), lm.gp_links.rows)]
     # links ordered by frame, then segment id, each segment once
     assert keys and keys == sorted(set(keys))
-    assert lm.line_gp
-    for lid, gp_id in lm.line_gp.items():
-        assert lm.lines[lid].unit_direction() @ gps[gp_id].direction >= 0
+    # line -> GP rows in line order, each line pointing along its GP
+    assert len(lm.line_gp) and lm.line_gp[:, 0].tolist() == sorted(set(lm.line_gp[:, 0].tolist()))
+    row_of = dict(zip(lm.line_ids.tolist(), range(n_lines)))
+    for lid, gp_id in lm.line_gp.tolist():
+        assert lm.U[row_of[lid], :, 1] @ gps[gp_id].direction >= 0
 
 
 def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
     cfg = structured(0)
     frames, poses = rendered(cfg)
     lm = map_landmarks(frames, poses, cfg)
-    lines = dict(lm.lines)
-    line_bytes = {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in lines.items()}
+    U = lm.U
+    U_bytes = U.tobytes()
     gp = map_primitives(frames, poses, cfg, lm)
     # the input is unchanged
-    assert list(lm.lines) == list(lines)
-    assert all(lm.lines[k] is v for k, v in lines.items())
-    assert {k: (v.normal.tobytes(), v.direction.tobytes())
-            for k, v in lm.lines.items()} == line_bytes
-    assert lm.registry is None and len(lm.gp_links) == 0 and lm.line_gp == {}
+    assert lm.U is U and U.tobytes() == U_bytes
+    assert lm.registry is None and len(lm.gp_links) == 0 and len(lm.line_gp) == 0
     # the result shares what it does not change
-    for name in ("points", "point_obs", "line_obs", "gate_audit"):
+    for name in ("point_ids", "points", "point_obs", "line_ids", "W", "line_obs", "gate_audit"):
         assert getattr(gp, name) is getattr(lm, name), name
-    assert gp.lines is not lm.lines and list(gp.lines) == list(lm.lines)
+    assert gp.U is not lm.U and gp.U.shape == lm.U.shape
     flipped = 0
-    for lid, line in gp.lines.items():
-        src = lm.lines[lid]
-        if (line.normal.tobytes(), line.direction.tobytes()) != line_bytes[lid]:
-            assert line.normal.tobytes() == (-src.normal).tobytes()
-            assert line.direction.tobytes() == (-src.direction).tobytes()
-            assert lid in gp.line_gp
+    for lid, new, src in zip(lm.line_ids.tolist(), gp.U, lm.U):
+        if new.tobytes() != src.tobytes():
+            # the orthonormal form of (-n, -d): u1 and u2 negated, u3 kept
+            assert new[:, :2].tobytes() == (-src[:, :2]).tobytes()
+            assert new[:, 2].tobytes() == src[:, 2].tobytes()
+            assert lid in gp.line_gp[:, 0]
             flipped += 1
     assert flipped and gp.registry.primitives and gp.gp_links
 
@@ -343,12 +346,12 @@ def oracle_graph(frames, poses, cfg, mode):
     """The factor graph as `run_pipeline` built it inline, mapping included,
     and how many lines it sign-flipped onto their GP."""
     intr = cfg.intrinsics
-    points, point_obs = pipeline._triangulate_points(frames, poses, intr)
+    point_ids, xyz, point_obs = pipeline._triangulate_points(frames, poses, intr)
+    points = dict(zip(point_ids.tolist(), xyz))
     obs_by_point = grouped(point_obs)
     scene = SceneSegments.of(frames)
-    lines, line_obs = pipeline._triangulate_lines(
-        build_line_tracks(scene), scene, poses, intr, [])
-    line_obs = grouped(line_obs)
+    lines, line_obs = oracle_triangulate_lines(
+        segment_tracks(build_line_tracks(scene), scene), poses, intr, [])
     registry, seg_gp = None, {}
     if mode == "gp":
         registry = GlobalPrimitiveRegistry()
@@ -374,19 +377,19 @@ def oracle_graph(frames, poses, cfg, mode):
             add_factor(g, graph.PointFactor(t, pid, np.asarray(px)))
     line_gp, flipped = {}, 0
     if mode == "gp" and registry is not None:
-        for lid, line in lines.items():
-            gp_id = registry.match(line.unit_direction())
+        for lid, (n, d) in lines.items():
+            gp_id = registry.match(d / np.linalg.norm(d))
             if gp_id is not None:
                 line_gp[lid] = gp_id
-    for lid, line in sorted(lines.items()):
+    for lid, (n, d) in sorted(lines.items()):
         gp_id = line_gp.get(lid)
         if gp_id is not None and \
-                float(line.unit_direction() @ registry.primitives[gp_id].direction) < 0:
-            line = type(line)(-line.normal, -line.direction)
+                float(d / np.linalg.norm(d) @ registry.primitives[gp_id].direction) < 0:
+            n, d = -n, -d
             flipped += 1
-        add_line(g, lid, oracle_plucker_to_orthonormal(line))
+        add_line(g, lid, oracle_plucker_to_orthonormal((n, d)))
         for t, seg in line_obs[lid]:
-            add_factor(g, graph.LineFactor(t, lid, seg))
+            add_factor(g, graph.LineFactor(t, lid, seg_row(seg)))
     if mode == "gp" and registry is not None:
         for gp_id, gp in enumerate(registry.primitives):
             add_gp(g, gp_id, gp.direction)

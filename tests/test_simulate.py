@@ -2,13 +2,14 @@
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from monogp import simulate
-from monogp.geometry import Pose, PluckerLine
+from monogp.geometry import Pose
 from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
 from monogp.segments import Segment2D
 from monogp.simulate import (
@@ -22,13 +23,12 @@ from monogp.simulate import (
     TrajectorySpec,
     VisibilitySpec,
     World,
-    WorldLine,
     generate_trajectory,
     generate_world,
     render_measurements,
     save_observations,
 )
-from test_graph import line_residual, project_point, to_camera
+from test_graph import line_residual, line_through, project_point, to_camera
 from test_segments import predicted_segments
 
 
@@ -75,10 +75,10 @@ def oracle_clip_2d(p, q, w, h):
     return p + t0 * d, p + t1 * d
 
 
-def oracle_project_world_segment(wl, pose, intr, width, height, max_range):
-    """Visible 2D extent of a world segment, or None."""
-    a = pose.rotation @ wl.p0 + pose.translation
-    b = pose.rotation @ wl.p1 + pose.translation
+def oracle_project_world_segment(p0, p1, pose, intr, width, height, max_range):
+    """Visible 2D extent of the world segment p0-p1, or None."""
+    a = pose.rotation @ p0 + pose.translation
+    b = pose.rotation @ p1 + pose.translation
     # clip to the z >= MIN_DEPTH half space
     if a[2] < MIN_DEPTH and b[2] < MIN_DEPTH:
         return None
@@ -119,7 +119,7 @@ def oracle_render_measurements(world, poses, config):
     for t, pose in enumerate(poses):
         rng = np.random.default_rng([config.rng_seed, 7919, t])
         pt_obs = []
-        for pid in sorted(world.points):
+        for pid in range(len(world.points)):
             if not oracle_allowed(pid, t, vis):
                 continue
             p_c = pose.rotation @ world.points[pid] + pose.translation
@@ -135,11 +135,11 @@ def oracle_render_measurements(world, poses, config):
         def extent(lid):
             if lid not in extents:
                 extents[lid] = oracle_project_world_segment(
-                    world.lines[lid], pose, intr, w, h, vis.max_range)
+                    world.p0[lid], world.p1[lid], pose, intr, w, h, vis.max_range)
             return extents[lid]
 
         candidates = []
-        for lid in sorted(world.lines):
+        for lid in range(len(world.p0)):
             if not oracle_allowed(lid, t, vis):
                 continue
             proj = extent(lid)
@@ -152,7 +152,7 @@ def oracle_render_measurements(world, poses, config):
             sid = t * 100000 + i
             noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_endpoint_px
             segments.append(Segment2D(ps + noise[0], pe + noise[1], id=sid))
-            truth[sid] = SegmentTruth(lid, world.lines[lid].family_id, False)
+            truth[sid] = SegmentTruth(lid, int(world.family[lid]), False)
         n_out = int(round(config.outlier_fraction * len(segments)))
         if n_out > 0:
             idx = rng.choice(len(segments), size=n_out, replace=False)
@@ -215,6 +215,15 @@ def test_config_json_roundtrip(tmp_path):
     cfg.save(path)
     loaded = ScenarioConfig.load(path)
     assert loaded.to_json() == cfg.to_json()
+
+
+@pytest.mark.parametrize("name, scenario", [
+    ("corridor", default_corridor), ("corridor-perturbed", perturbed_corridor),
+    ("structured", structured), ("nonoverlap", nonoverlap)])
+def test_config_file_is_its_scenario_at_seed_0(name, scenario):
+    # the golden entries run the JSON files, the tests the functions
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert ScenarioConfig.load(path).to_json() == scenario(0).to_json()
 
 
 def test_config_validation():
@@ -388,19 +397,54 @@ def test_config_section_must_be_an_object():
 def test_world_family_bookkeeping():
     cfg = corridor_config()
     world = generate_world(cfg)
-    assert len(world.lines) == 60
-    assert len(world.family_directions) == 3
-    for wl in world.lines.values():
-        fam = world.family_directions[wl.family_id]
-        d = (wl.p1 - wl.p0) / np.linalg.norm(wl.p1 - wl.p0)
+    assert world.points.shape == (60, 3)
+    assert world.p0.shape == world.p1.shape == (60, 3)
+    assert world.family.tolist() == [0] * 20 + [1] * 20 + [2] * 20
+    for p0, p1, f in zip(world.p0, world.p1, world.family):
+        fam = cfg.direction_families[f][0]
+        d = (p1 - p0) / np.linalg.norm(p1 - p0)
         assert np.allclose(d, fam, atol=1e-12) or np.allclose(d, -fam, atol=1e-12)
 
 
 def test_world_deterministic():
     w1 = generate_world(corridor_config())
     w2 = generate_world(corridor_config())
-    assert all(np.array_equal(w1.points[i], w2.points[i]) for i in w1.points)
-    assert all(np.array_equal(w1.lines[i].p0, w2.lines[i].p0) for i in w1.lines)
+    for name in ("points", "p0", "p1", "family"):
+        assert getattr(w1, name).tobytes() == getattr(w2, name).tobytes()
+
+
+def oracle_generate_world(config):
+    """Oracle: one `uniform` draw per point, and per line one for its base
+    and one for its length, family by family."""
+    rng = np.random.default_rng([config.rng_seed, 11])
+    lo, hi = simulate._scene_box(config)
+    points = [rng.uniform(lo, hi) for _ in range(config.n_points)]
+    p0, p1, family = [], [], []
+    for fam_id, (d, count) in enumerate(config.direction_families):
+        for _ in range(count):
+            base = rng.uniform(lo, hi)
+            half = 0.5 * rng.uniform(1.5, 3.5)
+            p0.append(base - half * d)
+            p1.append(base + half * d)
+            family.append(fam_id)
+    return points, p0, p1, family
+
+
+@pytest.mark.parametrize("cfg", [
+    corridor_config(),
+    structured(3),
+    corridor_config(direction_families=[([1.0, 0.0, 0.0], 0), ([0.0, 0.6, 0.8], 7),
+                                        ([0.0, 0.0, 1.0], 0)]),
+    corridor_config(direction_families=[]),
+], ids=["corridor", "structured3", "empty-families", "no-families"])
+def test_world_rows_equal_per_landmark_draws(cfg):
+    world = generate_world(cfg)
+    points, p0, p1, family = oracle_generate_world(cfg)
+    assert world.points.tobytes() == np.array(points).tobytes()
+    assert world.p0.shape == world.p1.shape == (len(family), 3)
+    assert world.p0.tobytes() == np.array(p0).tobytes()
+    assert world.p1.tobytes() == np.array(p1).tobytes()
+    assert world.family.dtype.kind == "i" and world.family.tolist() == family
 
 
 # -- trajectory ---------------------------------------------------------------
@@ -464,8 +508,8 @@ def test_noiseless_segments_lie_on_true_lines():
         for seg in fr.segments:
             truth = fr.truth[seg.id]
             assert not truth.outlier
-            wl = world.lines[truth.line_id]
-            r = line_residual(PluckerLine.from_two_points(wl.p0, wl.p1),
+            lid = truth.line_id
+            r = line_residual(line_through(world.p0[lid], world.p1[lid]),
                               poses[fr.frame_id], seg, intr)
             assert np.max(np.abs(r)) < 1e-6
 
@@ -514,7 +558,7 @@ def test_world_lines_projected_in_one_pass_per_scene(monkeypatch):
 
     monkeypatch.setattr(simulate, "_line_extents", counting_extents)
     render_measurements(world, poses, cfg)
-    assert calls == [len(world.lines) * len(poses)]
+    assert calls == [len(world.p0) * len(poses)]
 
 
 def test_rendering_reproducible():
@@ -641,7 +685,7 @@ def test_line_extents_equal_scalar_projection(pose):
     seen, starts, ends, length = simulate._line_extents(
         to_camera(pose, p0), to_camera(pose, p1), intr, 640, 480, 12.0)
     for k, (a, b) in enumerate(lines):
-        want = oracle_project_world_segment(WorldLine(np.array(a), np.array(b), 0),
+        want = oracle_project_world_segment(np.array(a), np.array(b),
                                             pose, intr, 640, 480, 12.0)
         assert bool(seen[k]) == (want is not None), (a, b)
         if want is not None:
@@ -650,12 +694,16 @@ def test_line_extents_equal_scalar_projection(pose):
 
 
 def test_budget_breaks_length_ties_by_line_id():
-    # lines 5 and 2 mirror each other about the optical axis: equal lengths
-    lines = {5: WorldLine(np.array([-1.0, 0.5, 4.0]), np.array([-0.5, 0.5, 4.0]), 0),
-             2: WorldLine(np.array([0.5, 0.5, 4.0]), np.array([1.0, 0.5, 4.0]), 0),
-             9: WorldLine(np.array([0.0, -0.5, 4.0]), np.array([0.2, -0.5, 4.0]), 0)}
-    world = World({i: np.array([0.1 * i, 0.0, 3.0]) for i in range(10)}, lines,
-                  [np.array([1.0, 0.0, 0.0])])
+    # lines 5 and 2 mirror each other about the optical axis: equal lengths;
+    # the other lines lie behind the camera
+    p0 = np.tile([0.0, 0.0, -5.0], (10, 1))
+    p1 = np.tile([1.0, 0.0, -5.0], (10, 1))
+    for lid, a, b in ((5, [-1.0, 0.5, 4.0], [-0.5, 0.5, 4.0]),
+                      (2, [0.5, 0.5, 4.0], [1.0, 0.5, 4.0]),
+                      (9, [0.0, -0.5, 4.0], [0.2, -0.5, 4.0])):
+        p0[lid], p1[lid] = a, b
+    world = World(np.array([[0.1 * i, 0.0, 3.0] for i in range(10)]), p0, p1,
+                  np.zeros(10, dtype=int))
     cfg = corridor_config(n_l=2, noise=NoiseSpec(0.5, 0.5, 0.5))
     poses = [Pose(np.eye(3), np.zeros(3))] * 2
     frames = render_measurements(world, poses, cfg)

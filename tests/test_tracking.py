@@ -45,7 +45,12 @@ from test_geometry import (
     oracle_triangulate_line,
     oracle_triangulate_point,
 )
-from test_graph import closest_point_to_origin, grouped, to_camera
+from test_graph import (
+    closest_point_to_origin,
+    grouped,
+    oracle_plucker_to_orthonormal,
+    to_camera,
+)
 from test_segments import midpoint, predicted_segments, segment_line
 
 
@@ -480,6 +485,12 @@ def segment_list(scene, rows):
             for r in rows]
 
 
+def segment_tracks(tracks, scene):
+    """(frame, row) tracks of a `SceneSegments` as {id: [(frame, Segment2D)]}."""
+    return {k: list(zip([t for t, _ in obs], segment_list(scene, [r for _, r in obs])))
+            for k, obs in tracks.items()}
+
+
 @pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
 def test_match_predicted_equals_oracle_on_scenes(config):
     # every frame in one call, against the per-frame oracle
@@ -532,15 +543,15 @@ def assert_lines_equal_oracle(tracks, rows, poses, intr, tmp_path):
     """`_triangulate_lines` on (frame, row) `tracks` of `rows` equals the
     oracle on their segments; returns the oracle's audit rows."""
     audit, oracle_audit = [], []
-    lines, line_obs = _triangulate_lines(tracks, rows, poses, intr, audit)
-    oracle_lines, oracle_obs = oracle_triangulate_lines(
-        {k: list(zip([t for t, _ in obs], segment_list(rows, [r for _, r in obs])))
-         for k, obs in tracks.items()}, poses, intr, oracle_audit)
+    ids, U, W, line_obs = _triangulate_lines(tracks, rows, poses, intr, audit)
+    oracle_lines, oracle_obs = oracle_triangulate_lines(segment_tracks(tracks, rows), poses,
+                                                        intr, oracle_audit)
     assert row_obs_key(grouped(line_obs), tracks, rows) == obs_key(oracle_obs)
-    # raw bytes: the pipeline hands these floats on unnormalized
-    assert list(lines) == list(oracle_lines)
-    assert {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in lines.items()} == \
-        {k: (v.normal.tobytes(), v.direction.tobytes()) for k, v in oracle_lines.items()}
+    # raw bytes: the orthonormal forms of the oracle's unnormalized lines
+    assert ids.tolist() == list(oracle_lines)
+    ref = [oracle_plucker_to_orthonormal(line) for line in oracle_lines.values()]
+    assert U.tobytes() == np.array([o.U for o in ref]).reshape(-1, 3, 3).tobytes()
+    assert W.tobytes() == np.array([o.W for o in ref]).reshape(-1, 2, 2).tobytes()
     write_gate_audit(audit, tmp_path / "stacked.csv")
     oracle_write_gate_audit(oracle_audit, tmp_path / "oracle.csv")
     assert (tmp_path / "stacked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -569,15 +580,14 @@ def test_gate_audit_equals_oracle_on_ground_truth_poses(config, tmp_path):
 @pytest.mark.parametrize("config", SCENES, ids=lambda c: f"{c.name}({c.rng_seed})")
 def test_triangulate_points_equals_oracle_on_scenes(config, ground_truth):
     frames, poses = scene(config, ground_truth)
-    points, obs = _triangulate_points(frames, poses, config.intrinsics)
+    ids, points, obs = _triangulate_points(frames, poses, config.intrinsics)
     oracle_points, oracle_obs = oracle_triangulate_points(frames, poses, config.intrinsics)
     # the observations of the triangulated points, by point and then frame
     assert {k: [(t, px.tobytes()) for t, px in v] for k, v in grouped(obs).items()} == \
         {k: [(t, px.tobytes()) for t, px in oracle_obs[k]] for k in sorted(oracle_points)}
-    assert list(points) == list(oracle_points)
-    assert {k: p.tobytes() for k, p in points.items()} == \
-        {k: p.tobytes() for k, p in oracle_points.items()}
-    assert points
+    assert ids.tolist() == list(oracle_points)
+    assert points.tobytes() == np.array(list(oracle_points.values())).tobytes()
+    assert len(points)
 
 
 def test_match_equal_scores_first_detection_wins():
@@ -670,8 +680,8 @@ def test_tracks_seen_once_are_skipped(tmp_path):
     once = [(1, Segment2D(*(pinhole(p, poses[1], intr) for p in ends), id=0))]
     twice = [(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
              for t, pose in enumerate(poses)]
-    lines, _ = _triangulate_lines(*row_tracks({1: once}), poses, intr, audit := [])
-    assert lines == {} and audit == []
+    ids, U, W, _ = _triangulate_lines(*row_tracks({1: once}), poses, intr, audit := [])
+    assert len(ids) == len(U) == len(W) == 0 and audit == []
     audit = assert_lines_equal_oracle(*row_tracks({2: twice, 1: once}), poses, intr,
                                       tmp_path)
     assert {r.track_id for r in audit} == {2}
