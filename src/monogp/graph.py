@@ -21,30 +21,31 @@ one retraction formula, which `optimize` steps with.
 
 Factors are stored the same way: one table per kind (`_FactorTable`), the
 kinds in the fixed order `KINDS`, each kind's factors in insertion order,
-appended in blocks by `add_factors`; `factors` builds read-only factor values
-only when read. The graph holds the one camera, `intr`, of every point, line
-and vd_align factor.
+appended in blocks by `add_factors`. A factor is a row of its kind's table,
+and the kind classes (`PointFactor`, ...) are never instantiated: `factors`
+reads each as a `_FactorRow`, (table, row). The graph holds the one camera,
+`intr`, of every point, line and vd_align factor.
 
 Levenberg-Marquardt with Huber IRLS weighting minimizes the total
 covariance-weighted cost; each kind has one noise SIGMA and one Huber
 HUBER_DELTA. `PackedFactors` packs the tables once per `optimize` call, per
 kind (vd_align terms once per (pose, GP) pair), and each evaluation runs one
-vectorized kernel per kind (`_evaluate_batch`, which a factor value's
-`residual` runs on a one-row table too), returning residuals, an active mask
-and a Jacobian thunk over the same intermediates (Triggs et al. 2000;
-Agarwal et al. 2010). `total_cost` holds its evaluation, and a `_linearize` at the same
-state reuses it. `_linearize` scatters the weighted J^T J blocks of the live
-Jacobian columns into H_cc over poses, lines and GPs, the pose-point coupling
-H_pc and one 3x3 block per point: each entry the sum a dense H would hold,
-and no dense H. vd_align is linearized per (pose, GP) pair: each factor's
-Jacobian row is lhat^T A of its pair's 3x5 block A, so the pair adds
-A^T L A and A^T b, where L and b sum the weighted lhat lhat^T and r lhat of
-its factors. Each LM trial eliminates the points (Schur complement: batched
-3x3 inverses, one dense solve of the reduced system, back substitution) in
-buffers sized once per `optimize` call, retracts every kind once, and
-restores the snapshot if the cost rose. An inactive factor (a point at depth
-<= EPS_Z, a line whose image line is degenerate) contributes nothing, and
-its `residual` raises.
+vectorized kernel per kind (`_evaluate_batch`, which a `_FactorRow`'s
+`residual` runs on a one-row slice of its table too), returning residuals,
+an active mask and a Jacobian thunk over the same intermediates (Triggs et
+al. 2000; Agarwal et al. 2010). `total_cost` holds its evaluation, and a
+`_linearize` at the same state reuses it. `_linearize` scatters the weighted
+J^T J blocks of the live Jacobian columns into H_cc over poses, lines and
+GPs, the pose-point coupling H_pc and one 3x3 block per point: each entry
+the sum a dense H would hold, and no dense H. vd_align is linearized per
+(pose, GP) pair: each factor's Jacobian row is lhat^T A of its pair's 3x5
+block A, so the pair adds A^T L A and A^T b, where L and b sum the weighted
+lhat lhat^T and r lhat of its factors. Each LM trial eliminates the points
+(Schur complement: batched 3x3 inverses, one dense solve of the reduced
+system, back substitution) in buffers sized once per `optimize` call,
+retracts every kind once, and restores the snapshot if the cost rose. An
+inactive factor (a point at depth <= EPS_Z, a line whose image line is
+degenerate) contributes nothing, and its `residual` raises.
 
 Stopping rules (Madsen, Nielsen & Tingleff 2004), checked in this order:
   gradient           ||g||_inf < ABS_TOL at a linearization       converged
@@ -237,57 +238,32 @@ def _struct_kernel(D, G, B):
 # ---------------------------------------------------------------------------
 
 class _Factor:
-    """Shared per-factor API of the factor values `FactorGraph.factors`
-    builds on read; they are read-only. `variables` names the kinds of the
-    two variables, in `keys()` order; `width` is the length of the constant
-    row, the field `const` (none for struct); `inactive_error` is what
-    `residual` raises for an inactive factor. `SIGMA` is the kind's residual
-    noise (information 1/SIGMA^2) and `HUBER_DELTA` its Huber threshold on
-    the whitened residual norm. `live` picks the Jacobian columns (of dof_a
-    + dof_b) that are not structurally zero; the kernel computes only those.
-    `_pack` turns a factor table of the kind and the graph's camera into its
-    constant arrays and `_kernel` runs the kind's kernel on the graph's
-    state arrays at the table's rows."""
+    """A factor kind: its constants, and how its table is packed and
+    evaluated. The kind classes are never instantiated; a factor is a row of
+    its kind's `_FactorTable`. `variables` names the kinds of the two
+    variables; `width` is the length of the constant row (0 for struct);
+    `inactive_error` is what `_FactorRow.residual` raises for an inactive
+    factor. `SIGMA` is the kind's residual noise (information 1/SIGMA^2) and
+    `HUBER_DELTA` its Huber threshold on the whitened residual norm. `live`
+    picks the Jacobian columns (of dof_a + dof_b) that are not structurally
+    zero; the kernel computes only those. `_pack` turns a factor table of the
+    kind and the graph's camera into its constant arrays and `_kernel` runs
+    the kind's kernel on the graph's state arrays at the table's rows."""
 
     variables: tuple = ()
     width = 0
-    const: str | None = None
     inactive_error: type = ValueError
     live = slice(None)
 
-    def __post_init__(self):
-        if self.const is not None:  # a read-only copy of the constant row
-            row = np.array(getattr(self, self.const), dtype=float)
-            row.flags.writeable = False
-            object.__setattr__(self, self.const, row)
 
-    def residual(self, graph) -> np.ndarray:
-        """This factor's residual on `graph`, evaluated as a one-row table of
-        its kind."""
-        (_, a), (_, b) = self.keys()
-        table = _FactorTable(type(self))
-        table.append(graph, [a], [b], None if self.const is None else [getattr(self, self.const)])
-        e = _evaluate_batch(_Batch(table, None, graph.intr), graph)
-        if not e.active[0]:
-            raise self.inactive_error(f"inactive {self.kind} factor")
-        return e.r[0]
-
-
-@dataclass(frozen=True)
 class PointFactor(_Factor):
-    pose_id: int
-    point_id: int
-    obs: np.ndarray  # (2,) observed pixel
     kind = "point"
     dim = 2
     SIGMA = 1.0  # px
     HUBER_DELTA = HUBER_2DOF
     variables = ("pose", "point")
-    width, const = 2, "obs"
+    width = 2  # observed pixel
     inactive_error = BehindCameraError
-
-    def keys(self):
-        return [("pose", self.pose_id), ("point", self.point_id)]
 
     @staticmethod
     def _pack(t, k) -> dict:
@@ -298,21 +274,14 @@ class PointFactor(_Factor):
         return _point_kernel(st.R[a], st.t[a], st.X[b], c["obs"], c["intr"])
 
 
-@dataclass(frozen=True)
 class LineFactor(_Factor):
-    pose_id: int
-    line_id: int
-    obs: np.ndarray  # (4,) observed endpoints x1 y1 x2 y2
     kind = "line"
     dim = 2
     SIGMA = 1.0  # px
     HUBER_DELTA = HUBER_2DOF
     variables = ("pose", "line")
-    width, const = 4, "obs"
+    width = 4  # observed endpoints x1 y1 x2 y2
     inactive_error = DegenerateLineError
-
-    def keys(self):
-        return [("pose", self.pose_id), ("line", self.line_id)]
 
     @staticmethod
     def _pack(t, k) -> dict:
@@ -326,21 +295,14 @@ class LineFactor(_Factor):
         return _line_kernel(st.R[a], st.t[a], st.U[b], st.W[b], c["ends"], c["KL"])
 
 
-@dataclass(frozen=True)
 class VdAlignFactor(_Factor):
-    pose_id: int
-    gp_id: int
-    seg: np.ndarray  # (4,) segment endpoints x1 y1 x2 y2
     kind = "vd_align"
     dim = 1
     SIGMA = 0.01
     HUBER_DELTA = HUBER_1DOF
     variables = ("pose", "gp")
-    width, const = 4, "seg"
+    width = 4  # segment endpoints x1 y1 x2 y2
     live = slice(3, None)  # the residual does not depend on the pose translation
-
-    def keys(self):
-        return [("pose", self.pose_id), ("gp", self.gp_id)]
 
     @staticmethod
     def _pack(t, k) -> dict:
@@ -364,19 +326,13 @@ class VdAlignFactor(_Factor):
                                 c["lhat"], c["pair"])
 
 
-@dataclass(frozen=True)
 class StructFactor(_Factor):
-    line_id: int
-    gp_id: int
     kind = "struct"
     dim = 1
     SIGMA = 0.01
     HUBER_DELTA = HUBER_1DOF
     variables = ("line", "gp")
     live = [0, 1, 2, 4, 5]  # the residual does not depend on the line's SO(2) angle
-
-    def keys(self):
-        return [("line", self.line_id), ("gp", self.gp_id)]
 
     @staticmethod
     def _pack(t, k) -> dict:
@@ -399,39 +355,38 @@ KINDS = (PointFactor, LineFactor, VdAlignFactor, StructFactor)
 
 class _FactorTable:
     """The factors of one kind as columns, one row per factor in insertion
-    order: the two variables' ids (`ids_a`, `ids_b`) and graph rows
-    (`rows_a`, `rows_b`) and the constant row `consts` (N, cls.width). The
-    columns are never written in place: `append` replaces them."""
+    order: the two variables' graph rows (`rows_a`, `rows_b`) and the
+    constant row `consts` (N, cls.width). The columns are never written in
+    place: `append` replaces them."""
 
     def __init__(self, cls):
         self.cls = cls
-        self.ids_a = self.ids_b = np.empty(0, dtype=np.int64)
         self.rows_a = self.rows_b = np.empty(0, dtype=np.intp)
         self.consts = np.empty((0, cls.width))
 
     def __len__(self):
-        return len(self.ids_a)
+        return len(self.rows_a)
 
     def append(self, graph: "FactorGraph", ids_a, ids_b, consts):
         """Append a block of factors: their variables' ids and their constant
-        rows (none for struct). KeyError if a variable is not in `graph`."""
+        rows (none for struct). ValueError, before the table changes, if the
+        three differ in count; KeyError if a variable is not in `graph`."""
         ka, kb = self.cls.variables
         ids_a = np.asarray(ids_a, dtype=np.int64).reshape(-1)
         ids_b = np.asarray(ids_b, dtype=np.int64).reshape(-1)
         n = len(ids_a)
-        block = {"ids_a": ids_a, "ids_b": ids_b,
-                 "rows_a": graph.rows_of(ka, ids_a), "rows_b": graph.rows_of(kb, ids_b),
-                 "consts": np.asarray(np.empty((n, 0)) if consts is None else consts,
-                                      dtype=float).reshape(n, self.cls.width)}
+        consts = np.empty((n, 0)) if consts is None else np.asarray(consts, dtype=float)
+        if len(ids_b) != n or len(consts) != n:
+            raise ValueError(f"{self.cls.kind} factor block of {n} ids_a, {len(ids_b)} "
+                             f"ids_b and {len(consts)} constant rows")
+        if not n:
+            # keep the columns: new empty ones cost ~1 MB of peak RSS over
+            # the structured scenes' lp and gp runs (ru_maxrss)
+            return
+        block = {"rows_a": graph.rows_of(ka, ids_a), "rows_b": graph.rows_of(kb, ids_b),
+                 "consts": consts.reshape(n, self.cls.width)}
         for name, column in block.items():
             setattr(self, name, np.concatenate([getattr(self, name), column]))
-
-    def value(self, row: int) -> _Factor:
-        """The factor value of one row."""
-        ids = int(self.ids_a[row]), int(self.ids_b[row])
-        if self.cls.const is None:
-            return self.cls(*ids)
-        return self.cls(*ids, self.consts[row])
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +513,29 @@ class _Variables(Mapping):
         return len(self._graph.rows[self._kind])
 
 
+class _FactorRow:
+    """One factor: row `row` of its kind's table `table`."""
+
+    def __init__(self, table: _FactorTable, row: int):
+        self.table, self.row = table, row
+
+    kind = property(lambda self: self.table.cls.kind)
+
+    def residual(self, graph) -> np.ndarray:
+        """This factor's residual on `graph`, evaluated as a one-row slice of
+        its table; the kind's `inactive_error` if the factor is inactive."""
+        t, one = self.table, _FactorTable(self.table.cls)
+        at = slice(self.row, self.row + 1)
+        one.rows_a, one.rows_b, one.consts = t.rows_a[at], t.rows_b[at], t.consts[at]
+        e = _evaluate_batch(_Batch(one, None, graph.intr), graph)
+        if not e.active[0]:
+            raise t.cls.inactive_error(f"inactive {t.cls.kind} factor")
+        return e.r[0]
+
+
 class _Factors(Sequence):
     """Read-only view of the graph's factors, table by table in `KINDS`
-    order. Each read builds the factor's value from its table row."""
+    order; each read is a `_FactorRow`."""
 
     def __init__(self, graph: "FactorGraph"):
         self._graph = graph
@@ -569,7 +544,7 @@ class _Factors(Sequence):
         i = range(len(self))[i]  # IndexError out of range; negative from the end
         for t in self._graph.tables.values():
             if i < len(t):
-                return t.value(i)
+                return _FactorRow(t, i)
             i -= len(t)
 
     def __len__(self):
@@ -630,10 +605,9 @@ class FactorGraph:
     def add_factors(self, cls, ids_a, ids_b, consts=None):
         """Append a block of factors of the kind `cls`, in order: the ids of
         each one's two variables (of the kinds `cls.variables`) and their
-        constant rows (N, cls.width; none for struct). KeyError if a
-        variable is missing."""
-        if len(ids_a):
-            self.tables[cls].append(self, ids_a, ids_b, consts)
+        constant rows (N, cls.width; none for struct). ValueError if the
+        three differ in count, KeyError if a variable is missing."""
+        self.tables[cls].append(self, ids_a, ids_b, consts)
 
     def rows_of(self, kind: str, ids) -> np.ndarray:
         """The graph rows of variables of `kind` by id (an int array).
@@ -927,7 +901,14 @@ def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
     linearized from (or, at the end, broken down by kind); a rejected one is
     dropped. Only when the loop ends back at a linearized state (a gradient
     stop or lambda overflow) does `cost_breakdown` evaluate it again, since
-    `_linearize` keeps nothing through the solves."""
+    `_linearize` keeps nothing through the solves.
+
+    ValueError names the first key in `fixed` that is not a variable of
+    the graph, and is raised when poses exist but nothing is fixed."""
+    fixed = list(fixed)
+    for kind, vid in fixed:
+        if vid not in graph.rows.get(kind, ()):
+            raise ValueError(f"fixed key {(kind, vid)!r} is not a variable of the graph")
     fixed = set(fixed)
     if graph.poses and not fixed:
         raise ValueError("gauge unfixed: fix at least one variable")

@@ -1,7 +1,8 @@
 """2D line segments and the plain-text segment list format.
 
 File format: one segment per line, `id x1 y1 x2 y2 [track_id]`,
-whitespace-separated decimal, each id on one line only.
+whitespace-separated decimal, each id on one line only. The optional track
+id must be an integer; it is checked and not kept.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ class Segment2D:
     p_start: np.ndarray
     p_end: np.ndarray
     id: int
-    track_id: int | None = None
     cluster_label: int | None = None
 
     def __post_init__(self):
@@ -90,11 +90,12 @@ def load_segments(path) -> list[Segment2D]:
                 coords = np.array([float(p) for p in parts[1:5]])
                 if not np.isfinite(coords).all():
                     raise ValueError("non-finite value")
-                track = int(parts[5]) if len(parts) == 6 else None
+                if len(parts) == 6:
+                    int(parts[5])  # the track id: an integer, not kept
                 if sid in seen:
                     raise ValueError(f"duplicate segment id {sid}")
                 seen.add(sid)
-                segments.append(Segment2D(coords[:2], coords[2:], id=sid, track_id=track))
+                segments.append(Segment2D(coords[:2], coords[2:], id=sid))
             except ValueError as e:
                 raise ValueError(f"parse error at line {lineno}: {e}") from None
     return segments

@@ -1,7 +1,7 @@
 """Lie-group, projection, Plücker, and triangulation tests.
 
 The Plücker transform and projection (Bartoli & Sturm 2005) are computed by
-the line factor's kernel, so their tests evaluate `LineFactor.residual`.
+the line factor's kernel, so their tests evaluate a line factor's `residual`.
 The stacked triangulation is checked against the scalar two-view functions it
 replaced, kept below verbatim as oracles (renamed `oracle_*`).
 """

@@ -16,10 +16,10 @@ terms an entry sums on the others (`pair_tolerance`). The Schur step is
 checked bit for bit against the per-trial formula it had before it reused
 its buffers, and against a dense `np.linalg.solve` of the same damped system.
 """
-import dataclasses
 import functools
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -119,22 +119,37 @@ def add_gp(g, vid, direction):
     g.add_variables("gp", [vid], [direction])
 
 
-def add_factor(g, f):
-    """Add the factor value `f` as a block of one."""
-    (_, a), (_, b) = f.keys()
-    const = None if f.const is None else [getattr(f, f.const)]
-    g.add_factors(type(f), [a], [b], const)
+def add_factor(g, cls, id_a, id_b, const=None):
+    """Add one factor of the kind `cls` as a block of one: the ids of its two
+    variables and its constant row (none for struct). Returns its row view,
+    as `g.factors` reads it."""
+    g.add_factors(cls, [id_a], [id_b], None if const is None else [const])
+    return g.factors[sum(len(g.tables[c]) for c in KINDS[:KINDS.index(cls) + 1]) - 1]
 
 
-def residual_at(factor, intr=K, **values):
-    """`factor.residual` on a graph of camera `intr` holding variable 0 of
-    each given kind, e.g. `residual_at(f, pose=pose, point=p)`."""
+def factor_records(g) -> list:
+    """Each factor of `g`, in `g.factors` order, as the (cls, id_a, id_b,
+    const) `add_factor` takes: the ids read back from the table's graph
+    rows, `const` the table's constant row (None for struct)."""
+    ids = {kind: list(rows) for kind, rows in g.rows.items()}
+    out = []
+    for f in g.factors:
+        t = f.table
+        (ka, kb), i = t.cls.variables, f.row
+        out.append((t.cls, ids[ka][t.rows_a[i]], ids[kb][t.rows_b[i]],
+                    t.consts[i] if t.cls.width else None))
+    return out
+
+
+def residual_at(cls, const, intr=K, **values):
+    """The residual of one factor of the kind `cls` with the constant row
+    `const` on a graph of camera `intr` holding variable 0 of each given
+    kind, e.g. `residual_at(PointFactor, obs, pose=pose, point=p)`."""
     g = FactorGraph(intr)
     add = {"pose": add_pose, "point": add_point, "line": add_line, "gp": add_gp}
     for kind, value in values.items():
         add[kind](g, 0, value)
-    add_factor(g, factor)
-    return factor.residual(g)
+    return add_factor(g, cls, 0, 0, const).residual(g)
 
 
 def grouped(obs):
@@ -386,12 +401,11 @@ def test_huber_cost_values():
 def test_point_residual_exact_observation():
     p = np.array([0.3, -0.2, 3.0])
     obs = project_point(p, IDENTITY, K)
-    assert np.allclose(residual_at(PointFactor(0, 0, obs), pose=IDENTITY, point=p), 0.0)
+    assert np.allclose(residual_at(PointFactor, obs, pose=IDENTITY, point=p), 0.0)
 
 
 def test_point_residual_hand_value():
-    f = PointFactor(0, 0, np.array([560.0, 240.0]))
-    r = residual_at(f, pose=IDENTITY, point=[1.0, 0.0, 2.0])
+    r = residual_at(PointFactor, np.array([560.0, 240.0]), pose=IDENTITY, point=[1.0, 0.0, 2.0])
     assert np.allclose(r, [10.0, 0.0])
 
 
@@ -418,7 +432,7 @@ def test_point_kernel_pixel_step_equals_pinhole_bitwise():
 
 def line_residual(line, pose, seg, intr=K):
     """LineFactor residual of a world line (normal, direction) observed as `seg`."""
-    return residual_at(LineFactor(0, 0, seg_row(seg)), intr, pose=pose,
+    return residual_at(LineFactor, seg_row(seg), intr, pose=pose,
                        line=oracle_plucker_to_orthonormal(line))
 
 
@@ -438,7 +452,7 @@ def test_line_residual_scale_invariant():
 
 
 def vd_align_residual(gp, pose, seg):
-    return residual_at(VdAlignFactor(0, 0, seg_row(seg)), pose=pose, gp=gp)[0]
+    return residual_at(VdAlignFactor, seg_row(seg), pose=pose, gp=gp)[0]
 
 
 def test_vd_align_zero_through_principal_point():
@@ -473,7 +487,7 @@ def test_vd_align_increases_away_from_truth():
 def struct_residual(line_dir, gp):
     p = np.array([0.0, 0.0, 2.0])
     line = oracle_plucker_to_orthonormal(line_through(p, p + line_dir))
-    return residual_at(StructFactor(0, 0), line=line, gp=gp)[0]
+    return residual_at(StructFactor, None, line=line, gp=gp)[0]
 
 
 def test_struct_residual_values():
@@ -497,8 +511,7 @@ def build_random_factor_graph(seed):
     p_c = np.array([rng.normal(0.0, 0.5), rng.normal(0.0, 0.5),
                     rng.uniform(2.0, 5.0)])
     add_point(g, 0, to_camera(pose.inverse(), p_c))
-    point_f = PointFactor(0, 0, rng.normal([320.0, 240.0], 50.0))
-    add_factor(g, point_f)
+    point_f = add_factor(g, PointFactor, 0, 0, rng.normal([320.0, 240.0], 50.0))
 
     anchor_c = np.array([rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
                          rng.uniform(2.0, 6.0)])
@@ -508,15 +521,12 @@ def build_random_factor_graph(seed):
                           to_camera(pose.inverse(), anchor_c + d_c))
     add_line(g, 0, oracle_plucker_to_orthonormal(line_w))
     seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
-    line_f = LineFactor(0, 0, seg_row(seg))
-    add_factor(g, line_f)
+    line_f = add_factor(g, LineFactor, 0, 0, seg_row(seg))
 
     gp = rng.normal(0.0, 1.0, 3)
     add_gp(g, 0, gp / np.linalg.norm(gp))
-    vd_f = VdAlignFactor(0, 0, seg_row(seg))
-    add_factor(g, vd_f)
-    struct_f = StructFactor(0, 0)
-    add_factor(g, struct_f)
+    vd_f = add_factor(g, VdAlignFactor, 0, 0, seg_row(seg))
+    struct_f = add_factor(g, StructFactor, 0, 0)
     return g, [point_f, line_f, vd_f, struct_f]
 
 
@@ -529,12 +539,15 @@ NUMERIC_STEP = 1e-6  # central-difference step
 
 
 def numeric_jacobian(factor, graph) -> dict:
-    """Central-difference Jacobian of one factor value's residual on each
-    variable's local parameterization, stepping the variable's row with
-    `retract` by +-NUMERIC_STEP."""
+    """Central-difference Jacobian of one factor's residual (`factor` read
+    from `graph.factors`) on each variable's local parameterization, by
+    (kind, id) key, stepping the variable's row with `retract` by
+    +-NUMERIC_STEP."""
     out = {}
-    for kind, vid in factor.keys():
-        rows = [graph.rows[kind][vid]]
+    t = factor.table
+    for kind, column in zip(t.cls.variables, (t.rows_a, t.rows_b)):
+        rows = column[factor.row:factor.row + 1]
+        vid = list(graph.rows[kind])[rows[0]]
         base, snap = graph.take_rows(kind, rows), graph.snapshot()
         cols = []
         for e in np.eye(DOF[kind]) * NUMERIC_STEP:
@@ -605,7 +618,28 @@ def test_add_factor_missing_variable_rejected():
     g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     with pytest.raises(KeyError):
-        add_factor(g, PointFactor(0, 99, np.array([0.0, 0.0])))
+        add_factor(g, PointFactor, 0, 99, np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("ids_a, ids_b, consts", [
+    ([0, 1], [0, 1, 2], np.zeros((2, 2))),
+    ([0, 1, 2], [0, 1], np.zeros((3, 2))),
+    ([0, 1], [0, 1], np.zeros((3, 2))),
+    ([0, 1], [0, 1], np.zeros((1, 4))),
+])
+def test_add_factors_columns_of_unequal_length_rejected(ids_a, ids_b, consts):
+    g = FactorGraph(K)
+    add_pose(g, 0, IDENTITY)
+    add_pose(g, 1, IDENTITY)
+    for i in range(3):
+        add_point(g, i, np.array([0.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="point factor block of"):
+        g.add_factors(PointFactor, ids_a, ids_b, consts)
+    table = g.tables[PointFactor]
+    assert len(table.rows_a) == len(table.rows_b) == len(table.consts) == 0
+    with pytest.raises(ValueError, match="struct factor block of 1 ids_a, 2 ids_b"):
+        g.add_factors(StructFactor, [0], [0, 1])
+    assert total_cost(g) == 0.0
 
 
 def test_graph_built_one_row_at_a_time_equals_stacked_rows():
@@ -668,7 +702,7 @@ def test_total_cost_zero_at_ground_truth():
                         rng.uniform(2, 5)])
         p_w = to_camera(pose.inverse(), p_c)
         add_point(g, i, p_w)
-        add_factor(g, PointFactor(0, i, project_point(p_w, pose, K)))
+        add_factor(g, PointFactor, 0, i, project_point(p_w, pose, K))
     assert total_cost(g) < 1e-12
 
 
@@ -678,7 +712,7 @@ def test_total_cost_huber_elbow_value():
     p = np.array([0.0, 0.0, 2.0])
     add_point(g, 0, p)
     obs = project_point(p, IDENTITY, K) + [10.0, 0.0]
-    add_factor(g, PointFactor(0, 0, obs))
+    add_factor(g, PointFactor, 0, 0, obs)
     assert PointFactor.SIGMA == 1.0 and PointFactor.HUBER_DELTA == HUBER_2DOF
     # past the elbow: 2 delta |r| - delta^2 at |r| = 10
     expected = 2.0 * HUBER_2DOF * 10.0 - HUBER_2DOF**2
@@ -691,8 +725,7 @@ def test_behind_camera_factor_deactivated():
         g = FactorGraph(K)
         add_pose(g, 0, IDENTITY)
         add_point(g, 0, np.array([0.0, 0.0, depth]))
-        f = PointFactor(0, 0, np.array([320.0, 240.0]))
-        add_factor(g, f)
+        f = add_factor(g, PointFactor, 0, 0, np.array([320.0, 240.0]))
         assert total_cost(g) == 0.0  # only factor is deactivated
         assert cost_breakdown(g) == {}
         with pytest.raises(BehindCameraError):
@@ -720,9 +753,9 @@ def build_assembly_graph():
             obs = project_point(p, g.poses[t], K) + rng.normal(0.0, 2.0, 2)
             if (i, t) == (5, 2):
                 obs = obs + [20.0, 0.0]  # past the elbow
-            add_factor(g, PointFactor(t, i, obs))
+            add_factor(g, PointFactor, t, i, obs)
     add_point(g, 6, np.array([0.2, 0.1, -2.0]))
-    add_factor(g, PointFactor(1, 6, np.array([300.0, 250.0])))  # behind
+    add_factor(g, PointFactor, 1, 6, np.array([300.0, 250.0]))  # behind
     gp = np.array([1.0, 0.1, 0.05])
     add_gp(g, 0, gp / np.linalg.norm(gp))
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
@@ -732,9 +765,9 @@ def build_assembly_graph():
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
             seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
-            add_factor(g, LineFactor(t, lid, seg_row(seg)))
-            add_factor(g, VdAlignFactor(t, 0, seg_row(seg)))
-        add_factor(g, StructFactor(lid, 0))
+            add_factor(g, LineFactor, t, lid, seg_row(seg))
+            add_factor(g, VdAlignFactor, t, 0, seg_row(seg))
+        add_factor(g, StructFactor, lid, 0)
     return g
 
 
@@ -756,10 +789,11 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
         except BehindCameraError:
             inactive += 1
             continue
-        info = 1.0 / f.SIGMA**2
+        cls = f.table.cls
+        info = 1.0 / cls.SIGMA**2
         s = np.sqrt(info * float(r @ r))
-        w = 1.0 if s <= f.HUBER_DELTA else f.HUBER_DELTA / s
-        elbow += s > f.HUBER_DELTA
+        w = 1.0 if s <= cls.HUBER_DELTA else cls.HUBER_DELTA / s
+        elbow += s > cls.HUBER_DELTA
         J = numeric_jacobian(f, g)
         for ka in J:
             if ka not in index:
@@ -947,16 +981,16 @@ def build_shared_pair_graph():
     for i in range(120):
         a = rng.uniform([50.0, 50.0], [590.0, 430.0])
         seg = np.concatenate([a, a + rng.normal(0.0, 40.0, 2)])
-        add_factor(g, VdAlignFactor(i % 3, (i // 3) % 2, seg))
+        add_factor(g, VdAlignFactor, i % 3, (i // 3) % 2, seg)
     for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
         d = gps[lid] + rng.normal(0.0, 0.05, 3)
         add_line(g, lid, oracle_plucker_to_orthonormal(
             line_through(anchor, np.add(anchor, d))))
-        add_factor(g, StructFactor(lid, lid))
+        add_factor(g, StructFactor, lid, lid)
     for i in range(4):
         p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
         add_point(g, i, p)
-        add_factor(g, PointFactor(i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0))
+        add_factor(g, PointFactor, i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0)
     return g
 
 
@@ -1069,18 +1103,19 @@ def test_held_evaluation_is_only_used_at_its_own_state():
 
 # -- factor tables against the per-factor packing --------------------------------
 
-def oracle_consts(cls, factors, rows_a, rows_b, k) -> dict:
-    """Each kind's `_pack` as it was on a list of factor values, with the
-    graph's one camera `k` in place of each factor's."""
+def oracle_consts(cls, consts, rows_a, rows_b, k) -> dict:
+    """Each kind's `_pack` as it was on a list of factor values (here their
+    constant rows `consts`), with the graph's one camera `k` in place of
+    each factor's."""
     if cls is PointFactor:
-        return {"obs": np.array([f.obs for f in factors], dtype=float),
+        return {"obs": np.array(consts, dtype=float),
                 "intr": (k.fx, k.fy, k.cx, k.cy)}
     if cls is LineFactor:
-        ends = np.array([f.obs for f in factors], dtype=float).reshape(-1, 2, 2)
+        ends = np.array(consts, dtype=float).reshape(-1, 2, 2)
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
                 "KL": k.line_projection_matrix()}
     if cls is VdAlignFactor:
-        ends = np.array([f.seg for f in factors], dtype=float)
+        ends = np.array(consts, dtype=float)
         key = rows_a * (rows_b.max() + 1) + rows_b
         _, first, pair = np.unique(key, return_index=True, return_inverse=True)
         lhat = np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:]))
@@ -1097,18 +1132,17 @@ def oracle_consts(cls, factors, rows_a, rows_b, k) -> dict:
 def oracle_packing(g, index=None) -> list:
     """The batches `PackedFactors` built from the factor list before the
     factor tables: grouped by kind, in `KINDS` order, with per-factor
-    `keys()`, row lookups and constants, from the values `g.factors` reads."""
-    factors = list(g.factors)
+    keys, row lookups and constants, from the records `factor_records` reads."""
+    factors = factor_records(g)
     batches = []
     for cls in KINDS:
-        members = [f for f in factors if type(f) is cls]
+        members = [f for f in factors if f[0] is cls]
         if not members:
             continue
         ka, kb = cls.variables
-        keys = [f.keys() for f in members]
-        rows_a = np.array([g.rows[ka][k[0][1]] for k in keys], dtype=np.intp)
-        rows_b = np.array([g.rows[kb][k[1][1]] for k in keys], dtype=np.intp)
-        consts = oracle_consts(cls, members, rows_a, rows_b, g.intr)
+        rows_a = np.array([g.rows[ka][a] for _, a, _, _ in members], dtype=np.intp)
+        rows_b = np.array([g.rows[kb][b] for _, _, b, _ in members], dtype=np.intp)
+        consts = oracle_consts(cls, [c for *_, c in members], rows_a, rows_b, g.intr)
         # vd_align's terms are per (pose, GP) pair
         a, b = (consts["pose"], consts["gp"]) if cls is VdAlignFactor else (rows_a, rows_b)
         cols = None if index is None else np.concatenate(
@@ -1446,38 +1480,87 @@ def test_optimize_solves_only_the_reduced_system(monkeypatch):
     assert shapes == [(nc, nc)] * counts["solve"] and report.iterations > 1
 
 
-def test_factors_read_as_a_sequence_of_read_only_values():
+def test_factors_read_as_a_sequence_of_row_views():
     # build_assembly_graph adds each line's line, vd_align and struct
-    # factors interleaved; they read back table by table in `KINDS` order
+    # factors interleaved; they read back table by table in `KINDS` order,
+    # each as (table, row) of its kind's table
     g = build_assembly_graph()
     factors = g.factors
     assert len(factors) == 6 * 3 + 1 + 2 * 7
     assert [f.kind for f in factors] == \
         ["point"] * 19 + ["line"] * 6 + ["vd_align"] * 6 + ["struct"] * 2
-    assert [f.keys()[0][1] for f in factors if f.kind == "line"] == [0, 1, 2] * 2
-    assert factors[-1] == StructFactor(1, 0) and factors[-1].keys() == [("line", 1), ("gp", 0)]
-    first = factors[0]
-    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
-        first.obs = first.obs + 1.0
-    with pytest.raises(ValueError):
-        first.obs[0] = 0.0
-    # a value is a copy: reading again gives the table's row unchanged
-    assert factors[0].obs.tobytes() == first.obs.tobytes()
-    with pytest.raises(IndexError):
-        factors[len(factors)]
+    assert [(f.table, f.row) for f in factors] == \
+        [(g.tables[cls], i) for cls in KINDS for i in range(len(g.tables[cls]))]
+    records = factor_records(g)
+    assert [a for cls, a, _, _ in records if cls is LineFactor] == [0, 1, 2] * 2
+    assert records[-1] == (StructFactor, 1, 0, None)
+    assert (factors[-1].table, factors[-1].row) == (g.tables[StructFactor], 1)
+    assert (factors[-33].table, factors[-33].row) == (g.tables[PointFactor], 0)
+    for i in (len(factors), -len(factors) - 1):
+        with pytest.raises(IndexError):
+            factors[i]
 
 
-def test_factor_values_read_back_as_added():
-    # each value carries the ids and the constant row it was added with, and
-    # no camera: the graph holds the one camera
+def test_factor_rows_read_back_as_added():
+    # each row holds the ids and the constant row it was added with, and no
+    # camera: the graph holds the one camera
     g = build_shared_pair_graph()
     assert g.intr is K
-    aligns = [f for f in g.factors if f.kind == "vd_align"]
-    assert [(f.pose_id, f.gp_id) for f in aligns] == [(i % 3, (i // 3) % 2) for i in range(120)]
-    points = [f for f in g.factors if f.kind == "point"]
-    assert [(f.pose_id, f.point_id) for f in points] == [(i % 3, i) for i in range(4)]
-    assert [x.name for x in dataclasses.fields(aligns[0])] == ["pose_id", "gp_id", "seg"]
-    assert [x.name for x in dataclasses.fields(points[0])] == ["pose_id", "point_id", "obs"]
+    records = factor_records(g)
+    aligns = [r for r in records if r[0] is VdAlignFactor]
+    assert [(a, b) for _, a, b, _ in aligns] == [(i % 3, (i // 3) % 2) for i in range(120)]
+    points = [r for r in records if r[0] is PointFactor]
+    assert [(a, b) for _, a, b, _ in points] == [(i % 3, i) for i in range(4)]
+
+
+def graph_with_inactive_factors():
+    """Two poses and all four factor kinds, with a point behind both
+    cameras and a line whose image line is degenerate in camera 0."""
+    g = FactorGraph(K)
+    add_pose(g, 0, IDENTITY)
+    add_pose(g, 1, se3_exp([0.2, 0.0, 0.0, 0.0, 0.05, 0.0]))
+    for i, p in enumerate(([0.0, 0.0, 2.0], [0.3, -0.2, -1.5], [0.1, 0.2, 4.0])):
+        add_point(g, i, np.array(p))
+        for t in (0, 1):
+            add_factor(g, PointFactor, t, i, np.array([320.0 + 7.0 * i, 240.0 - 3.0 * t]))
+    # a line through the camera 0 centre projects to a point there
+    add_line(g, 0, oracle_plucker_to_orthonormal(line_through([0.0, 0.0, 0.0], [0.2, 0.1, 3.0])))
+    add_line(g, 1, oracle_plucker_to_orthonormal(line_through([-1.0, 0.5, 4.0], [1.0, 0.5, 4.0])))
+    add_gp(g, 0, np.array([1.0, 0.0, 0.0]))
+    for t in (0, 1):
+        for lid in (0, 1):
+            add_factor(g, LineFactor, t, lid, np.array([100.0, 300.0, 500.0, 310.0]))
+        add_factor(g, VdAlignFactor, t, 0, np.array([100.0, 300.0, 500.0, 310.0]))
+    add_factor(g, StructFactor, 1, 0)
+    return g
+
+
+@pytest.mark.parametrize("build", [corridor_gp_graph, graph_with_inactive_factors])
+def test_factor_rows_read_counts_and_residuals_of_the_packed_evaluation(build):
+    # what `perfbench/workloads.py:graph_sizes` reads off `g.factors`: each
+    # factor's kind, their count and each one's `residual`, which raises the
+    # kind's error exactly where the packed evaluation marks it inactive
+    g = build()
+    counts = {cls.kind: 0 for cls in KINDS}
+    for f in g.factors:
+        counts[f.kind] += 1
+    assert list(counts.items()) == [(cls.kind, len(g.tables[cls])) for cls in KINDS]
+    assert len(g.factors) == sum(counts.values())
+    factors = iter(g.factors)
+    inactive = 0
+    for e in PackedFactors(g).evaluate(g):
+        for r, active in zip(e.r, e.active.tolist()):
+            f = next(factors)
+            assert f.kind == e.batch.cls.kind
+            if active:
+                assert f.residual(g).tobytes() == r.tobytes()
+            else:
+                inactive += 1
+                with pytest.raises(e.batch.cls.inactive_error):
+                    f.residual(g)
+    assert next(factors, None) is None
+    if build is graph_with_inactive_factors:
+        assert inactive == 3  # one point seen from both cameras, one line from camera 0
 
 
 def with_variables_of(g):
@@ -1495,10 +1578,9 @@ def test_block_add_equals_one_factor_at_a_time():
     block = with_variables_of(g)
     # one block per kind, added in the reverse of `KINDS` order
     for cls in reversed(KINDS):
-        fs = [f for f in g.factors if type(f) is cls]
-        const = None if cls.const is None else [getattr(f, cls.const) for f in fs]
-        block.add_factors(cls, [f.keys()[0][1] for f in fs], [f.keys()[1][1] for f in fs],
-                          const)
+        fs = [f for f in factor_records(g) if f[0] is cls]
+        const = None if not cls.width else [c for *_, c in fs]
+        block.add_factors(cls, [a for _, a, _, _ in fs], [b for _, _, b, _ in fs], const)
     # the kinds in `KINDS` order, each kind's factors in order
     assert_batches_equal(PackedFactors(block).batches, PackedFactors(g).batches)
     assert_batches_equal(PackedFactors(block).batches, oracle_packing(block))
@@ -1511,14 +1593,14 @@ def test_kinds_are_read_packed_and_summed_in_kinds_order():
     # in `KINDS` order, each kind's factors in insertion order
     g = build_assembly_graph()
     mixed = with_variables_of(g)
-    by_kind = [[f for f in g.factors if type(f) is cls] for cls in reversed(KINDS)]
+    by_kind = [[f for f in factor_records(g) if f[0] is cls] for cls in reversed(KINDS)]
     order = by_kind[0] + [f for group in itertools.zip_longest(*by_kind[1:])
                           for f in group if f is not None]
-    assert [f.kind for f in order[:5]] == ["struct", "struct", "vd_align", "line", "point"]
+    assert [f[0].kind for f in order[:5]] == ["struct", "struct", "vd_align", "line", "point"]
     for f in order:
-        add_factor(mixed, f)
+        add_factor(mixed, *f)
     assert [f.kind for f in mixed.factors] == [f.kind for f in g.factors]
-    assert [f.keys() for f in mixed.factors] == [f.keys() for f in g.factors]
+    assert [f[:3] for f in factor_records(mixed)] == [f[:3] for f in factor_records(g)]
     assert [b.cls for b in PackedFactors(mixed).batches] == list(KINDS)
     assert list(cost_breakdown(mixed)) == [cls.kind for cls in KINDS]
     assert cost_breakdown(mixed) == cost_breakdown(g)
@@ -1537,9 +1619,16 @@ def test_optimize_requires_gauge():
     g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     add_point(g, 0, np.array([0.0, 0.0, 2.0]))
-    add_factor(g, PointFactor(0, 0, np.array([320.0, 240.0])))
+    add_factor(g, PointFactor, 0, 0, np.array([320.0, 240.0]))
     with pytest.raises(ValueError, match="gauge unfixed"):
         optimize(g)
+    # a key that names no variable of the graph, before anything is packed
+    for fixed, first in (([("pose", 99)], "('pose', 99)"),
+                         ([("camera", 0)], "('camera', 0)"),
+                         ([("pose", 0), ("point", 1), ("pose", 2)], "('point', 1)")):
+        with pytest.raises(ValueError, match=re.escape(f"fixed key {first} is not a variable")):
+            optimize(g, fixed=fixed)
+    assert g.X.tolist() == [[0.0, 0.0, 2.0]] and g.t.tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_optimize_stationary_at_ground_truth():
@@ -1551,7 +1640,7 @@ def test_optimize_stationary_at_ground_truth():
         p = rng.uniform([-1, -1, 2], [1, 1, 5])
         add_point(g, i, p)
         for t in (0, 1):
-            add_factor(g, PointFactor(t, i, project_point(p, g.poses[t], K)))
+            add_factor(g, PointFactor, t, i, project_point(p, g.poses[t], K))
     report = optimize(g, fixed=[("pose", 0), ("pose", 1)])
     assert report.converged
     assert report.iterations <= 2
@@ -1572,7 +1661,7 @@ def perturbed_pose_graph():
     add_pose(g, 0, perturbed)
     for i, p in points.items():
         add_point(g, i, p)
-        add_factor(g, PointFactor(0, i, project_point(p, IDENTITY, K)))
+        add_factor(g, PointFactor, 0, i, project_point(p, IDENTITY, K))
     return g, [("point", i) for i in points]
 
 
@@ -1710,7 +1799,7 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
     for i in range(10):
         a = rng.uniform([50.0, 50.0], [500.0, 400.0])
         seg = Segment2D(a, a + [rng.uniform(40, 90), 0.0], id=i)
-        add_factor(g, VdAlignFactor(0, 0, seg_row(seg)))
+        add_factor(g, VdAlignFactor, 0, 0, seg_row(seg))
     c0 = total_cost(g)
     report = optimize(g, fixed=[("pose", 0)])
     assert report.final_cost <= c0 + 1e-15
@@ -1723,7 +1812,7 @@ def test_report_json_fields():
     g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
     add_point(g, 0, np.array([0.0, 0.0, 2.0]))
-    add_factor(g, PointFactor(0, 0, np.array([322.0, 240.0])))
+    add_factor(g, PointFactor, 0, 0, np.array([322.0, 240.0]))
     report = optimize(g, fixed=[("pose", 0)])
     import json
     d = json.loads(report.to_json())

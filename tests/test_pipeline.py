@@ -46,6 +46,7 @@ from test_graph import (
     add_point,
     add_pose,
     assert_batches_equal,
+    factor_records,
     grouped,
     oracle_packing,
     oracle_plucker_to_orthonormal,
@@ -150,19 +151,20 @@ def test_pipeline_builds_no_segment2d(monkeypatch):
 
 def test_pipeline_builds_no_factor_value(monkeypatch):
     # factors go from mapping's observation columns into the graph's factor
-    # tables as blocks; a factor value is built only when `graph.factors` is read
+    # tables as blocks, and the pipeline reads none back: a factor is read
+    # only as a row view of its table, when `graph.factors` is indexed
     built = []
-    init = graph._Factor.__post_init__
+    init = graph._FactorRow.__init__
 
-    def counted(self):
-        built.append(self.kind)
-        init(self)
-    monkeypatch.setattr(graph._Factor, "__post_init__", counted)
+    def counted(self, table, row):
+        built.append(table.cls.kind)
+        init(self, table, row)
+    monkeypatch.setattr(graph._FactorRow, "__init__", counted)
     for cfg in (structured(1), default_corridor()):
         result = run_pipeline(cfg, "gp")
         assert len(result.graph.factors) > 1000
     assert built == []
-    result.graph.factors[0]  # the count sees a value built on read
+    result.graph.factors[0]  # the count sees a view built on read
     assert built == ["point"]
 
 
@@ -271,8 +273,8 @@ def test_lp_and_gp_graphs_share_point_variables_and_factors(seed):
               for m in (lm, map_primitives(frames, poses, cfg, lm))]
 
     def point_factors(g):
-        return [(f.pose_id, f.point_id, np.asarray(f.obs).tobytes())
-                for f in g.factors if isinstance(f, graph.PointFactor)]
+        return [(a, b, obs.tobytes())
+                for cls, a, b, obs in factor_records(g) if cls is graph.PointFactor]
     lp, gp = graphs
     assert lp.rows["point"] == gp.rows["point"] and lp.rows["point"]
     assert lp.X.shape == gp.X.shape and lp.X.tobytes() == gp.X.tobytes()
@@ -374,7 +376,7 @@ def oracle_graph(frames, poses, cfg, mode):
     for pid, p in points.items():
         add_point(g, pid, p)
         for t, px in obs_by_point[pid]:
-            add_factor(g, graph.PointFactor(t, pid, np.asarray(px)))
+            add_factor(g, graph.PointFactor, t, pid, np.asarray(px))
     line_gp, flipped = {}, 0
     if mode == "gp" and registry is not None:
         for lid, (n, d) in lines.items():
@@ -389,22 +391,22 @@ def oracle_graph(frames, poses, cfg, mode):
             flipped += 1
         add_line(g, lid, oracle_plucker_to_orthonormal((n, d)))
         for t, seg in line_obs[lid]:
-            add_factor(g, graph.LineFactor(t, lid, seg_row(seg)))
+            add_factor(g, graph.LineFactor, t, lid, seg_row(seg))
     if mode == "gp" and registry is not None:
         for gp_id, gp in enumerate(registry.primitives):
             add_gp(g, gp_id, gp.direction)
         seg_lookup = {(fr.frame_id, s.id): s for fr in frames for s in fr.segments}
         for (t, sid), gp_id in sorted(seg_gp.items()):
             seg = seg_row(seg_lookup[(t, sid)])
-            add_factor(g, graph.VdAlignFactor(t, gp_id, seg))
+            add_factor(g, graph.VdAlignFactor, t, gp_id, seg)
         for lid, gp_id in sorted(line_gp.items()):
-            add_factor(g, graph.StructFactor(lid, gp_id))
+            add_factor(g, graph.StructFactor, lid, gp_id)
     return g, flipped
 
 
-def observation_bytes(factor):
-    obs = getattr(factor, "obs", getattr(factor, "seg", None))
-    return None if obs is None else np.asarray(obs).tobytes()
+def observation_bytes(record):
+    const = record[3]
+    return None if const is None else const.tobytes()
 
 
 @pytest.mark.parametrize("scenario, perturbed, mode", [
@@ -422,11 +424,11 @@ def test_build_graph_matches_inline_construction(scenario, perturbed, mode):
     if not perturbed:
         # the sign alignment and the struct factors are exercised
         assert flipped > 0
-        assert any(isinstance(f, graph.StructFactor) for f in g.factors)
-    assert [type(f) for f in g.factors] == [type(f) for f in oracle.factors]
-    assert [f.keys() for f in g.factors] == [f.keys() for f in oracle.factors]
-    assert [observation_bytes(f) for f in g.factors] == \
-        [observation_bytes(f) for f in oracle.factors]
+        assert any(f.kind == "struct" for f in g.factors)
+    records, oracle_records = factor_records(g), factor_records(oracle)
+    assert [f[:3] for f in records] == [f[:3] for f in oracle_records]
+    assert [observation_bytes(f) for f in records] == \
+        [observation_bytes(f) for f in oracle_records]
     assert g.rows == oracle.rows
     for name in ("R", "t", "X", "U", "W", "G", "B"):
         a, b = getattr(g, name), getattr(oracle, name)
@@ -697,15 +699,15 @@ def test_packed_segment_constants_equal_per_factor_form():
     frames, poses = rendered(cfg)
     g = build_graph(poses, mapped(frames, poses, cfg, "gp"), cfg.intrinsics)
     consts = {b.cls: b.consts for b in graph.PackedFactors(g).batches}
-    lines = [f for f in g.factors if isinstance(f, graph.LineFactor)]
-    aligns = [f for f in g.factors if isinstance(f, graph.VdAlignFactor)]
+    lines = [obs for cls, _, _, obs in factor_records(g) if cls is graph.LineFactor]
+    aligns = [seg for cls, _, _, seg in factor_records(g) if cls is graph.VdAlignFactor]
     assert lines and aligns
     expected = {
-        (graph.LineFactor, "ends"): np.array([[[f.obs[0], f.obs[1], 1.0],
-                                               [f.obs[2], f.obs[3], 1.0]]
-                                              for f in lines]),
-        (graph.VdAlignFactor, "lhat"): np.array([lines_through(f.seg[:2], f.seg[2:])
-                                                 for f in aligns]),
+        (graph.LineFactor, "ends"): np.array([[[obs[0], obs[1], 1.0],
+                                               [obs[2], obs[3], 1.0]]
+                                              for obs in lines]),
+        (graph.VdAlignFactor, "lhat"): np.array([lines_through(seg[:2], seg[2:])
+                                                 for seg in aligns]),
     }
     for (cls, name), want in expected.items():
         got = consts[cls][name]

@@ -1,4 +1,6 @@
 """Segment primitives and the segment list file format."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,17 @@ def seg_row(seg):
     return np.concatenate([seg.p_start, seg.p_end])
 
 
+@dataclass
+class Tracked(Segment2D):
+    """A `Segment2D` with the id of the line track it belongs to, `None` for
+    a detection: the segment form of the tracking and simulation oracles."""
+    track_id: int | None = None
+
+
 def predicted_segments(frame):
-    """A frame's flow predictions (its `pred_*` columns) as `Segment2D`s,
-    each with its track id."""
-    return [Segment2D(e[:2], e[2:], id=sid, track_id=k) for e, sid, k in
+    """A frame's flow predictions (its `pred_*` columns) as `Tracked`
+    segments, each with its track id."""
+    return [Tracked(e[:2], e[2:], id=sid, track_id=k) for e, sid, k in
             zip(frame.pred_ends, frame.pred_ids.tolist(), frame.pred_tracks.tolist())]
 
 
@@ -77,8 +86,7 @@ def test_segment_file_roundtrip(tmp_path):
     path.write_text("# id x1 y1 x2 y2 [track]\n0 0.0 1.0 10.0 2.0 7\n\n3 5.5 5.5 9.25 0.125\n")
     loaded = load_segments(path)
     assert len(loaded) == 2
-    assert loaded[0].id == 0 and loaded[0].track_id == 7
-    assert loaded[1].id == 3 and loaded[1].track_id is None
+    assert loaded[0].id == 0 and loaded[1].id == 3
     assert loaded[0].p_start.tolist() == [0.0, 1.0] and loaded[0].p_end.tolist() == [10.0, 2.0]
     assert loaded[1].p_start.tolist() == [5.5, 5.5] and loaded[1].p_end.tolist() == [9.25, 0.125]
 

@@ -29,7 +29,7 @@ from monogp.simulate import (
     save_observations,
 )
 from test_graph import line_residual, line_through, project_point, to_camera
-from test_segments import predicted_segments
+from test_segments import Tracked, predicted_segments
 
 
 def corridor_config(**overrides):
@@ -176,8 +176,8 @@ def oracle_render_measurements(world, poses, config):
                 if proj is None:
                     continue
                 noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_flow_px
-                predicted.append(Segment2D(proj[0] + noise[0], proj[1] + noise[1],
-                                           id=-(seg.id + 1), track_id=info.line_id))
+                predicted.append(Tracked(proj[0] + noise[0], proj[1] + noise[1],
+                                         id=-(seg.id + 1), track_id=info.line_id))
         frames.append(OracleFrame(t, pt_obs, segments, predicted, truth))
     return frames
 
@@ -189,8 +189,10 @@ def assert_frames_equal(got, want):
         assert g.point_ids.dtype.kind == "i"
         assert g.point_ids.tolist() == [pid for pid, _ in w.points]
         assert all(np.array_equal(a, b) for a, (_, b) in zip(g.point_px, w.points))
+        assert [s.id for s in g.segments] == [s.id for s in w.segments]
+        assert [(s.id, s.track_id) for s in predicted_segments(g)] == \
+            [(s.id, s.track_id) for s in w.predicted]
         for gs, ws in ((g.segments, w.segments), (predicted_segments(g), w.predicted)):
-            assert [(s.id, s.track_id) for s in gs] == [(s.id, s.track_id) for s in ws]
             assert all(np.array_equal(a.p_start, b.p_start) and np.array_equal(a.p_end, b.p_end)
                        for a, b in zip(gs, ws))
         assert g.truth == w.truth
@@ -604,16 +606,17 @@ def test_observation_jsonl_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == len(frames)
 
-    def seg_fields(segs):
-        return [[s.id, s.p_start.tolist(), s.p_end.tolist(), s.track_id] for s in segs]
+    def seg_fields(segs, tracks):
+        return [[s.id, s.p_start.tolist(), s.p_end.tolist(), k] for s, k in zip(segs, tracks)]
 
     for fr, line in zip(frames, lines):
         d = json.loads(line)
         assert d["frame_id"] == fr.frame_id
         assert d["points"] == [[pid, px.tolist()]
                                for pid, px in zip(fr.point_ids.tolist(), fr.point_px)]
-        assert d["segments"] == seg_fields(fr.segments)
-        assert d["predicted"] == seg_fields(predicted_segments(fr))
+        assert d["segments"] == seg_fields(fr.segments, [None] * len(fr.segments))
+        predicted = predicted_segments(fr)
+        assert d["predicted"] == seg_fields(predicted, [p.track_id for p in predicted])
         assert d["truth"] == {str(sid): list(dataclasses.astuple(tr))
                               for sid, tr in fr.truth.items()}
 

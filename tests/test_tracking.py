@@ -51,11 +51,11 @@ from test_graph import (
     oracle_plucker_to_orthonormal,
     to_camera,
 )
-from test_segments import midpoint, predicted_segments, segment_line
+from test_segments import Tracked, midpoint, predicted_segments, segment_line
 
 
 def seg(x1, y1, x2, y2, sid=0, track_id=None):
-    return Segment2D([x1, y1], [x2, y2], id=sid, track_id=track_id)
+    return Tracked([x1, y1], [x2, y2], id=sid, track_id=track_id)
 
 
 def direction(s):
@@ -99,8 +99,8 @@ def match_predicted(predicted, detected):
         endpoints(predicted), np.zeros(len(predicted), dtype=int),
         endpoints(detected), np.zeros(len(detected), dtype=int))
     return [(p.track_id, p, "predicted") if k < 0 else
-            (p.track_id, Segment2D(detected[k].p_start, detected[k].p_end,
-                                   id=detected[k].id, track_id=p.track_id), "detected")
+            (p.track_id, Tracked(detected[k].p_start, detected[k].p_end,
+                                 id=detected[k].id, track_id=p.track_id), "detected")
             for p, k in zip(predicted, chosen.tolist())]
 
 
@@ -331,8 +331,8 @@ def oracle_match_predicted(predicted, detected):
                 best_seg, best_score, best_k = det, score, k
         if best_seg is not None:
             taken.add(best_k)
-            chosen = Segment2D(best_seg.p_start, best_seg.p_end, id=best_seg.id,
-                               track_id=pred.track_id)
+            chosen = Tracked(best_seg.p_start, best_seg.p_end, id=best_seg.id,
+                             track_id=pred.track_id)
             out.append((pred.track_id, chosen, "detected"))
         else:
             out.append((pred.track_id, pred, "predicted"))
@@ -479,9 +479,9 @@ def match_key(matches):
 
 
 def segment_list(scene, rows):
-    """`Segment2D`s of the rows of a `SceneSegments`."""
-    return [Segment2D(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
-                      track_id=int(scene.track[r]) if scene.track[r] >= 0 else None)
+    """`Tracked` segments of the rows of a `SceneSegments`."""
+    return [Tracked(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
+                    track_id=int(scene.track[r]) if scene.track[r] >= 0 else None)
             for r in rows]
 
 
