@@ -112,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "back-end benchmark harness")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", required=True, help="scenario JSON")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="scenario JSON")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
 

@@ -252,25 +252,6 @@ def project_points(p_w, cams: PoseStack, intr: CameraIntrinsics):
 # Orthonormal line parameterization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrthonormalLine:
-    """Minimal SO(3) x SO(2) line parameterization (4 DOF updates)."""
-    U: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float).reshape(3, 3)
-        W = np.asarray(self.W, dtype=float).reshape(2, 2)
-        if np.abs(U @ U.T - np.eye(3)).max() > 1e-6:
-            raise ValueError("U is not orthonormal")
-        if np.abs(W @ W.T - np.eye(2)).max() > 1e-6:
-            raise ValueError("W is not orthonormal")
-        U.setflags(write=False)
-        W.setflags(write=False)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "W", W)
-
-
 def plucker_to_orthonormal(normals, directions) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal parameterizations (U (n, 3, 3), W (n, 2, 2)) of Plücker
     lines given as normal and direction rows (n, 3): U's columns are n/|n|,

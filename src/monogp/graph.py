@@ -76,7 +76,6 @@ from .geometry import (
     BehindCameraError,
     CameraIntrinsics,
     DegenerateLineError,
-    OrthonormalLine,
     Pose,
     exp_stack,
     skew,
@@ -484,8 +483,9 @@ class PackedFactors:
 # the state arrays of each variable kind
 _FIELDS = {"pose": ("R", "t"), "point": ("X",), "line": ("U", "W"), "gp": ("G", "B")}
 
-# the value a mapping read builds from one variable's rows
-_VALUE = {"pose": Pose, "point": lambda X: X, "line": OrthonormalLine,
+# the value a mapping read builds from one variable's rows: a line is its
+# (U, W) pair, a gp its direction
+_VALUE = {"pose": Pose, "point": lambda X: X, "line": lambda U, W: (U, W),
           "gp": lambda G, B: G}
 
 

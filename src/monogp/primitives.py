@@ -58,15 +58,6 @@ class GlobalPrimitive:
     support_weight: float
     associations: list = field(default_factory=list)  # (frame_id, frozenset of segment ids)
 
-    def frames(self) -> list:
-        return [f for f, _ in self.associations]
-
-
-@dataclass(frozen=True)
-class GPAssociationGraph:
-    nodes: frozenset
-    edges: frozenset  # (frame_a, frame_b, gp_id) with frame_a < frame_b
-
 
 class GlobalPrimitiveRegistry:
     """Single-writer registry of Global Primitives.
@@ -123,7 +114,10 @@ class GlobalPrimitiveRegistry:
         gp = self.primitives[gp_id]
         return sum(len(ids) / n_l for _, ids in gp.associations)
 
-    def association_graph(self) -> GPAssociationGraph:
+    def association_graph(self) -> tuple[frozenset, frozenset]:
+        """The frames with a segment on some primitive (nodes) and the edges
+        (frame_a, frame_b, gp_id), frame_a < frame_b, between two such frames
+        of one primitive."""
         nodes, edges = set(), set()
         for gp_id, gp in enumerate(self.primitives):
             frames = [f for f, ids in gp.associations if ids]
@@ -133,7 +127,7 @@ class GlobalPrimitiveRegistry:
                     a, b = sorted((frames[i], frames[j]))
                     if a != b:
                         edges.add((a, b, gp_id))
-        return GPAssociationGraph(frozenset(nodes), frozenset(edges))
+        return frozenset(nodes), frozenset(edges)
 
     def to_json(self) -> str:
         entries = [
@@ -141,7 +135,7 @@ class GlobalPrimitiveRegistry:
                 "gp_id": gp_id,
                 "direction": [float(x) for x in gp.direction],
                 "support": gp.support_weight,
-                "frames": sorted(gp.frames()),
+                "frames": sorted(f for f, _ in gp.associations),
             }
             for gp_id, gp in enumerate(self.primitives)
         ]

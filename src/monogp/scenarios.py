@@ -1,6 +1,8 @@
 """Canned benchmark scenarios."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .simulate import (
     InitPerturbation,
     NoiseSpec,
@@ -29,12 +31,10 @@ def default_corridor(seed: int = 0) -> ScenarioConfig:
 
 def perturbed_corridor(seed: int = 0) -> ScenarioConfig:
     """Corridor with 1 px noise and 1 deg / 5 cm initialization errors."""
-    cfg = default_corridor(seed)
-    cfg.name = "corridor-perturbed"
-    cfg.noise = NoiseSpec(sigma_point_px=1.0, sigma_endpoint_px=1.0,
-                          sigma_flow_px=0.5)
-    cfg.init_perturbation = InitPerturbation(rot_deg=1.0, trans_m=0.05)
-    return cfg
+    return replace(default_corridor(seed), name="corridor-perturbed",
+                   noise=NoiseSpec(sigma_point_px=1.0, sigma_endpoint_px=1.0,
+                                   sigma_flow_px=0.5),
+                   init_perturbation=InitPerturbation(rot_deg=1.0, trans_m=0.05))
 
 
 def structured(seed: int = 0) -> ScenarioConfig:

@@ -20,8 +20,7 @@ block in segment order, the outliers (one `choice`, then per outlier its
 `uniform` draws), and the flow noise as one block in the order of the
 previous frame's segments. A block of k rows is the same stream as k draws
 of one row. A frame keeps its points, segments, predictions and truth as
-columns; its (id, pixel) list, `Segment2D` list and truth dict are built
-only when read.
+columns; its `Segment2D` list and truth dict are built only when read.
 
 Optional visibility partitioning assigns each landmark a window of frames,
 so scenarios where distant frames share zero landmarks (but observe the
@@ -139,13 +138,16 @@ def _known_keys(spec, d, where: str) -> dict:
     return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scene, its camera and its measurement settings, checked when
+    constructed and frozen after: change one through `dataclasses.replace`."""
     name: str = "scenario"
     rng_seed: int = 0
     n_points: int = 200
-    # [(unit direction, line count)] per family
-    direction_families: list = field(default_factory=lambda: [
+    # (direction, line count) per family, given as a list or tuple; stored as
+    # a tuple of (read-only unit direction, count) pairs
+    direction_families: tuple = field(default_factory=lambda: [
         ([1.0, 0.0, 0.0], 20),
         ([0.0, 1.0, 0.0], 20),
         ([0.0, 0.0, 1.0], 20),
@@ -172,7 +174,7 @@ class ScenarioConfig:
         self.intrinsics  # noqa: B018 - CameraIntrinsics checks fx > 0 and fy > 0
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
-        if not isinstance(self.direction_families, list):
+        if not isinstance(self.direction_families, (list, tuple)):
             raise ValueError(f"direction_families must be a list, got {self.direction_families!r}")
         fams = []
         for i, family in enumerate(self.direction_families):
@@ -187,8 +189,10 @@ class ScenarioConfig:
                                  f"finite and nonzero, got {d.tolist()}")
             if count < 0:
                 raise ValueError(f"direction family {i}: negative line count {count}")
-            fams.append((d if abs(n - 1.0) <= UNIT_NORM_TOL else d / n, count))
-        self.direction_families = fams
+            d = d if abs(n - 1.0) <= UNIT_NORM_TOL else d / n
+            d.setflags(write=False)
+            fams.append((d, count))
+        object.__setattr__(self, "direction_families", tuple(fams))
 
     @property
     def intrinsics(self) -> CameraIntrinsics:
@@ -196,8 +200,8 @@ class ScenarioConfig:
 
     def to_json(self) -> str:
         d = asdict(self)
-        for i, (dirn, count) in enumerate(d["direction_families"]):
-            d["direction_families"][i] = [list(map(float, dirn)), count]
+        d["direction_families"] = [[list(map(float, dirn)), count]
+                                   for dirn, count in d["direction_families"]]
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod

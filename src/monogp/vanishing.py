@@ -430,9 +430,7 @@ def lift_vanishing_point(vp, intr: CameraIntrinsics, r_wc) -> np.ndarray:
     return canonical_direction(np.asarray(r_wc) @ v_cam)
 
 
-def detect_scene_vanishing_points(frames,
-                                  n_hypotheses: int = DEFAULT_N_HYPOTHESES,
-                                  min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
+def detect_scene_vanishing_points(frames, n_hypotheses: int, min_cluster_size: int
                                   ) -> list[list[VanishingPointEstimate]]:
     """VP detection on every frame of a scene, one stage at a time: sample,
     cluster, refine. Returns each frame's estimates.

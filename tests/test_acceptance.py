@@ -238,8 +238,8 @@ def test_criterion_8_nonoverlap_association():
     seen = {fr.frame_id: {("p", pid) for pid in fr.point_ids.tolist()} |
             {("l", fr.truth[s.id].line_id) for s in fr.segments}
             for fr in frames}
-    graph = result.registry.association_graph()
-    bridge = next(((a, b) for a, b, _ in graph.edges
+    _, edges = result.registry.association_graph()
+    bridge = next(((a, b) for a, b, _ in edges
                    if not seen.get(a, set()) & seen.get(b, set())), None)
 
     lp_ates, gp_ates = [], []

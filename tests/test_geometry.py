@@ -15,7 +15,6 @@ from monogp.geometry import (
     EPS_Z,
     CameraIntrinsics,
     DegenerateLineError,
-    OrthonormalLine,
     Pose,
     PoseStack,
     backproject,
@@ -32,6 +31,7 @@ from monogp.graph import retract
 from monogp.segments import Segment2D, endpoints
 from monogp.vanishing import canonical_direction
 from test_graph import (
+    OrthonormalLine,
     closest_point_to_origin,
     line_residual,
     line_through,

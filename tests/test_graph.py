@@ -21,6 +21,7 @@ import itertools
 import math
 import re
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from monogp.geometry import (
     CameraIntrinsics,
     Pose,
     PoseStack,
-    OrthonormalLine,
     pinhole,
     project_points,
     se3_exp,
@@ -158,6 +158,12 @@ def grouped(obs):
     for t, k, row in zip(obs.frame.tolist(), obs.ids.tolist(), obs.rows):
         out.setdefault(k, []).append((t, row))
     return out
+
+
+class OrthonormalLine(NamedTuple):
+    """One line's orthonormal parameterization: U in SO(3), W in SO(2)."""
+    U: np.ndarray
+    W: np.ndarray
 
 
 def oracle_plucker_to_orthonormal(line) -> OrthonormalLine:
@@ -684,6 +690,48 @@ def test_snapshot_never_sees_a_later_write():
             assert arr.tobytes() == values[name].tobytes(), name
     assert g.X[2:40].tobytes() == second_values["X"][2:].tobytes()
     assert g.X[[0, 1, 40, 41]].tolist() == [[9.0] * 3, [5.0] * 3, [7.0] * 3, [8.0] * 3]
+
+
+def test_each_variable_kind_reads_back_as_its_added_rows():
+    rng = np.random.default_rng(23)
+    poses = {4: se3_exp(rng.normal(0.0, 0.3, 6)), 1: IDENTITY}
+    points = {9: rng.normal(0.0, 2.0, 3), 2: rng.normal(0.0, 2.0, 3)}
+    lines = {5: oracle_plucker_to_orthonormal(line_through([1.0, 2.0, 3.0], [0.0, 1.0, 5.0])),
+             0: oracle_plucker_to_orthonormal(line_through([-1.0, 0.5, 4.0], [1.0, 0.5, 4.0]))}
+    gps = {3: np.array([0.0, 0.6, 0.8]), 8: np.array([1.0, 0.0, 0.0])}
+    g = FactorGraph(K)
+    for vid, pose in poses.items():
+        add_pose(g, vid, pose)
+    for vid, p in points.items():
+        add_point(g, vid, p)
+    for vid, line in lines.items():
+        add_line(g, vid, line)
+    for vid, d in gps.items():
+        add_gp(g, vid, d)
+    before = {k: v.copy() for k, v in g.snapshot().items()}
+    for vid, pose in poses.items():
+        got = g.poses[vid]
+        assert isinstance(got, Pose)
+        assert got.rotation.tobytes() == pose.rotation.tobytes()
+        assert got.translation.tobytes() == pose.translation.tobytes()
+        # read-only copies: no write reaches the graph through them
+        assert not got.rotation.flags.writeable and not got.translation.flags.writeable
+        assert not (np.shares_memory(got.rotation, g.R) or np.shares_memory(got.translation, g.t))
+    # a point and a gp read as one row, a line as its (U, W) pair
+    reads = [(g.points, {vid: (p,) for vid, p in points.items()}),
+             (g.lines, {vid: (line.U, line.W) for vid, line in lines.items()}),
+             (g.gps, {vid: (d,) for vid, d in gps.items()})]
+    for view, added in reads:
+        assert list(view) == list(added)
+        for vid, rows in added.items():
+            got = view[vid]
+            got = got if isinstance(got, tuple) else (got,)
+            assert len(got) == len(rows)
+            for a, b in zip(got, rows):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                a[...] = np.nan
+    for name, ref in before.items():
+        assert getattr(g, name).tobytes() == ref.tobytes(), name
 
 
 def test_gp_must_be_unit():

@@ -69,7 +69,6 @@ UNKNOWN_RECEIVER = frozenset({
     "graph._NormalEquations.step",
     "pipeline.AblationReport.to_csv",
     "pipeline.AblationReport.to_json",
-    "primitives.GlobalPrimitive.frames",
     "primitives.GlobalPrimitiveRegistry.associate_frame",
     "primitives.GlobalPrimitiveRegistry.to_json",
     "simulate.FrameObservations.segments",

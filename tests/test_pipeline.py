@@ -92,13 +92,13 @@ def test_gp_without_line_families_degenerates_to_lp():
 
 def test_nonoverlap_association_edge_between_disjoint_frames():
     result = run_pipeline(nonoverlap(), "gp")
-    graph = result.registry.association_graph()
+    _, edges = result.registry.association_graph()
     frames = result.config.trajectory.n_keyframes
     windows = result.config.visibility.partition_windows
     # frames before the second window opens vs after the first closes
     early = range(0, windows[1][0])
     late = range(windows[0][1], frames)
-    linked = {(a, b) for a, b, _ in graph.edges}
+    linked = {(a, b) for a, b, _ in edges}
     assert any((a, b) in linked for a in early for b in late)
 
 

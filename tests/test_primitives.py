@@ -185,9 +185,9 @@ def test_association_graph_complete_per_gp():
     d = np.array([0.0, 0.0, 1.0])
     for frame in (1, 2, 3):
         reg.associate_frame(frame, [(d, frozenset([frame]))], n_l=10)
-    g = reg.association_graph()
-    assert g.nodes == frozenset({1, 2, 3})
-    assert {(a, b) for a, b, _ in g.edges} == {(1, 2), (1, 3), (2, 3)}
+    nodes, edges = reg.association_graph()
+    assert nodes == frozenset({1, 2, 3})
+    assert {(a, b) for a, b, _ in edges} == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_association_graph_disjoint_gps():
@@ -196,9 +196,9 @@ def test_association_graph_disjoint_gps():
     reg.associate_frame(1, [(np.array([1.0, 0.0, 0.0]), frozenset([1]))], n_l=10)
     reg.associate_frame(5, [(np.array([0.0, 0.0, 1.0]), frozenset([2]))], n_l=10)
     reg.associate_frame(6, [(np.array([0.0, 0.0, 1.0]), frozenset([3]))], n_l=10)
-    g = reg.association_graph()
+    _, edges = reg.association_graph()
     by_gp = {}
-    for a, b, gp_id in g.edges:
+    for a, b, gp_id in edges:
         by_gp.setdefault(gp_id, set()).add((a, b))
     assert by_gp == {0: {(0, 1)}, 1: {(5, 6)}}
 

@@ -303,8 +303,9 @@ def test_config_validation():
 
 
 def test_config_sections_are_frozen():
-    # a section field written after construction would skip its check and
-    # fail late (`n_keyframes = 1` as a division by zero in `simulate`)
+    # a field written after construction would skip its check and fail late
+    # (`n_keyframes = 1` as a division by zero in `simulate`) or not at all
+    # (`image_width = 0`: gp maps nothing and reports convergence)
     cfg = default_corridor()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.trajectory.n_keyframes = 1
@@ -313,11 +314,18 @@ def test_config_sections_are_frozen():
                                  ("init_perturbation", "rot_deg", float("nan"))]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(getattr(cfg, section), name, value)
+    noise = NoiseSpec(sigma_point_px=1.0, sigma_endpoint_px=1.0, sigma_flow_px=0.5)
+    for name, value in [("image_width", 0), ("n_l", 0), ("noise", noise)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.direction_families[0][0][0] = np.nan
+    with pytest.raises(TypeError):
+        cfg.direction_families[0] = (np.array([np.nan, 0.0, 0.0]), 20)
     assert cfg.to_json() == default_corridor().to_json()
-    # a whole section is still replaced, checked at its own construction
-    cfg.noise = NoiseSpec(sigma_point_px=1.0, sigma_endpoint_px=1.0, sigma_flow_px=0.5)
-    cfg.init_perturbation = InitPerturbation(rot_deg=1.0, trans_m=0.05)
-    cfg.name = "corridor-perturbed"
+    # a whole section is replaced through `replace`, checked at its own construction
+    cfg = dataclasses.replace(cfg, noise=noise, name="corridor-perturbed",
+                              init_perturbation=InitPerturbation(rot_deg=1.0, trans_m=0.05))
     assert cfg.to_json() == perturbed_corridor().to_json()
 
 
@@ -711,7 +719,7 @@ def test_budget_breaks_length_ties_by_line_id():
     poses = [Pose(np.eye(3), np.zeros(3))] * 2
     frames = render_measurements(world, poses, cfg)
     assert [frames[0].truth[s.id].line_id for s in frames[0].segments] == [2, 5]
-    cfg.n_l = 1
+    cfg = dataclasses.replace(cfg, n_l=1)
     frames = render_measurements(world, poses, cfg)
     assert [frames[0].truth[s.id].line_id for s in frames[0].segments] == [2]
     assert_frames_equal(frames, oracle_render_measurements(world, poses, cfg))

@@ -17,6 +17,8 @@ from monogp.simulate import (
 )
 import monogp.vanishing as vanishing
 from monogp.vanishing import (
+    DEFAULT_MIN_CLUSTER_SIZE,
+    DEFAULT_N_HYPOTHESES,
     _decode_pairs,
     canonical_direction,
     consensus_angles,
@@ -899,9 +901,10 @@ def test_scene_detection_equals_per_frame_on_degenerate_frames():
 
 def test_scene_detection_without_a_usable_frame():
     lone = [Segment2D([10.0, 400.0], [60.0, 330.0], id=7)]
-    assert detect_scene_vanishing_points(scene_input([(lone, 0), ([], 1), (copies_frame(), 2)])) \
-        == [[], [], []]
-    assert detect_scene_vanishing_points([]) == []
+    settings = DEFAULT_N_HYPOTHESES, DEFAULT_MIN_CLUSTER_SIZE
+    assert detect_scene_vanishing_points(
+        scene_input([(lone, 0), ([], 1), (copies_frame(), 2)]), *settings) == [[], [], []]
+    assert detect_scene_vanishing_points([], *settings) == []
 
 
 def test_scene_detection_rejects_duplicate_ids_in_a_frame():
@@ -909,7 +912,7 @@ def test_scene_detection_rejects_duplicate_ids_in_a_frame():
     scene = scene_input([(segs, 0), (segs[:5], 1)])
     scene[1][1][4] = scene[1][1][0]
     with pytest.raises(ValueError, match="duplicate segment id 0"):
-        detect_scene_vanishing_points(scene)
+        detect_scene_vanishing_points(scene, DEFAULT_N_HYPOTHESES, DEFAULT_MIN_CLUSTER_SIZE)
 
 
 def clutter_frames():
