@@ -34,15 +34,20 @@ vectorized kernel per kind (`_evaluate_batch`, which a `_FactorRow`'s
 `residual` runs on a one-row slice of its table too), returning residuals,
 an active mask and a Jacobian thunk over the same intermediates (Triggs et
 al. 2000; Agarwal et al. 2010). `total_cost` holds its evaluation, and a
-`_linearize` at the same state reuses it. `_linearize` scatters the weighted
-J^T J blocks of the live Jacobian columns into H_cc over poses, lines and
-GPs, the pose-point coupling H_pc and one 3x3 block per point: each entry
-the sum a dense H would hold, and no dense H. vd_align is linearized per
+`_linearize` at the same state reuses it. Each `optimize` call eliminates
+one kind by the Schur complement, from the graph's own sizes: the poses
+when 6 x (free poses) > 3 x (free points), else the points; lines and GPs
+always stay in the reduced system. No factor joins two poses or two
+points, so the eliminated kind's blocks are 6x6 or 3x3 block-diagonal.
+`_linearize` scatters the weighted J^T J blocks of the live Jacobian
+columns into H_cc over the kept kinds, the eliminated rows' coupling to
+the kept columns and one block per eliminated variable: each entry the
+sum a dense H would hold, and no dense H. vd_align is linearized per
 (pose, GP) pair: each factor's Jacobian row is lhat^T A of its pair's 3x5
 block A, so the pair adds A^T L A and A^T b, where L and b sum the weighted
-lhat lhat^T and r lhat of its factors. Each LM trial eliminates the points
-(Schur complement: batched 3x3 inverses, one dense solve of the reduced
-system, back substitution) in buffers sized once per `optimize` call,
+lhat lhat^T and r lhat of its factors. Each LM trial eliminates that kind
+(batched block inverses, one dense solve of the reduced system, back
+substitution) in buffers sized once per `optimize` call,
 retracts every kind once, and restores the snapshot if the cost rose. An
 inactive factor (a point at depth <= EPS_Z, a line whose image line is
 degenerate) contributes nothing, and its `residual` raises.
@@ -392,19 +397,23 @@ class _FactorTable:
 # Packing and batched evaluation
 # ---------------------------------------------------------------------------
 
-def _positions(cols: np.ndarray, cls, nc: int) -> tuple:
+def _positions(cols: np.ndarray, cls, index: "ParameterIndex") -> tuple:
     """Where `_linearize` adds a kind's terms, from the parameter columns
     `cols` (N, k) of its live Jacobian columns: the flat positions of each
-    factor's J^T J block (N * k * k) in its (n_params + 2, nc + 4) buffer,
-    and of its gradient terms (N * k) in g. A reduced column (pose, line,
-    GP; a fixed one as nc) keeps its row and column; a point factor's last
-    three, coordinate a of free point r, take row nc + 1 + 3 r + a (a fixed
-    point's, the last row) and, against each other, column nc + 1 + a."""
-    r = c = np.minimum(cols, nc)
-    if cls is PointFactor:
-        p = cols[:, 6:]
-        r, c = (np.concatenate([r[:, :6], q], axis=1) for q in (p + 1, nc + 1 + (p - nc) % 3))
-    return (r[:, :, None] * (nc + 4) + c[:, None, :]).ravel(), r.ravel()
+    factor's J^T J block (N * k * k) in its (n_params + 2, nc + 1 + d)
+    buffer, and of its gradient terms (N * k) in g, where nc is
+    `index.n_reduced` and d the eliminated kind's DOF. A kept column (a
+    fixed variable's as nc) keeps its row and column; a column of the
+    eliminated kind, coordinate a of free variable r, takes row
+    nc + 1 + d r + a (a fixed variable's, the last row) and, against the
+    same variable's columns, column nc + 1 + a."""
+    nc, d = index.n_reduced, DOF[index.eliminated]
+    ka, kb = cls.variables
+    eliminated = np.repeat([ka == index.eliminated, kb == index.eliminated],
+                           [DOF[ka], DOF[kb]])[cls.live]
+    r = np.where(eliminated, cols + 1, np.minimum(cols, nc))
+    c = np.where(eliminated, nc + 1 + (cols - nc) % d, r)
+    return (r[:, :, None] * (nc + 1 + d) + c[:, None, :]).ravel(), r.ravel()
 
 
 class _Batch:
@@ -426,7 +435,7 @@ class _Batch:
                     else (self.rows_a, self.rows_b))
             self.cols = np.concatenate([index.table[ka][a], index.table[kb][b]],
                                        axis=1)[:, cls.live]
-            self.at = _positions(self.cols, cls, index.n_reduced)
+            self.at = _positions(self.cols, cls, index)
         self.info = 1.0 / cls.SIGMA**2
         self.delta = cls.HUBER_DELTA
 
@@ -683,29 +692,37 @@ def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 class ParameterIndex:
-    """Where the free variables sit in the LM parameter vector.
+    """Where the free variables sit in the LM parameter vector, and which
+    kind the Schur step eliminates.
 
-    Free variables take columns kind by kind, poses, lines and GPs first (the
-    `n_reduced` columns of the reduced system the points are eliminated
-    from), then points; by ascending id within a kind; fixed ones take none.
-    `rows[kind]` holds the kind's free graph rows in column order,
-    `slices[kind]` their span of the parameter vector and `table[kind]` the
-    parameter columns of every graph row (n_params for a fixed variable).
-    `optimize` builds one per call.
+    `eliminated` is "pose" when 6 x (free poses) > 3 x (free points), else
+    "point": the larger of the two block-diagonal sets. Free variables take
+    columns kind by kind, the kept kinds first in the order pose, point,
+    line, gp (the `n_reduced` columns of the reduced system), then the
+    eliminated kind; by ascending id within a kind; fixed ones take none.
+    The eliminated kind couples with the first `n_coupled` columns: the
+    poses' for points, all kept columns for poses. `rows[kind]` holds the
+    kind's free graph rows in column order, `slices[kind]` their span of
+    the parameter vector and `table[kind]` the parameter columns of every
+    graph row (n_params for a fixed variable). `optimize` builds one per
+    call.
     """
 
     def __init__(self, graph: "FactorGraph", fixed=()):
         fixed = set(fixed)
+        free = {kind: np.array([rows[vid] for vid in sorted(rows) if (kind, vid) not in fixed],
+                               dtype=np.intp) for kind, rows in graph.rows.items()}
+        larger = DOF["pose"] * len(free["pose"]) > DOF["point"] * len(free["point"])
+        self.eliminated = "pose" if larger else "point"
         self.rows, self.slices = {}, {}
         n = 0
-        for kind in ("pose", "line", "gp", "point"):
-            rows = graph.rows[kind]
-            self.rows[kind] = np.array([rows[vid] for vid in sorted(rows)
-                                        if (kind, vid) not in fixed], dtype=np.intp)
-            self.slices[kind] = slice(n, n + DOF[kind] * len(self.rows[kind]))
+        for kind in [k for k in DOF if k != self.eliminated] + [self.eliminated]:
+            self.rows[kind] = free[kind]
+            self.slices[kind] = slice(n, n + DOF[kind] * len(free[kind]))
             n = self.slices[kind].stop
         self.n_params = n
-        self.n_reduced = self.slices["point"].start
+        self.n_reduced = self.slices[self.eliminated].start
+        self.n_coupled = self.slices["pose"].stop if self.eliminated == "point" else self.n_reduced
         self.table = {}
         for kind, dof in DOF.items():
             table = np.full((len(graph.rows[kind]), dof), n, dtype=np.intp)
@@ -755,68 +772,70 @@ class OptimizationReport:
 
 @dataclass
 class _NormalEquations:
-    """The Gauss-Newton system of one linearization without the dense H:
-    `cc` over the reduced columns (poses, lines, GPs), `pc` the point rows
-    against the pose columns (a point couples only with the poses that see
-    it), `pp` the (P, 3, 3) point blocks and `g` over all parameters, in
-    `ParameterIndex` order. Each entry is the sum the dense H would hold;
-    the point rows against lines and GPs, and two points against each
+    """The Gauss-Newton system of one linearization without the dense H, in
+    `ParameterIndex` order: `cc` over the kept (reduced) columns, `ec` the
+    eliminated kind's rows against the kept columns it couples with (the
+    first `n_coupled`: a point couples only with the poses that see it, a
+    pose with points, lines and GPs), `ee` its (E, d, d) diagonal blocks,
+    6x6 for poses or 3x3 for points, and `g` over all parameters. Each
+    entry is the sum the dense H would hold; the eliminated rows against
+    the other kept columns, and two eliminated variables against each
     other, are zero and not stored. `buffer` is the scatter buffer that
-    `_linearize` made `cc`, `pc` and `pp` views of.
+    `_linearize` made `cc`, `ec` and `ee` views of.
 
     The LM trials work in buffers sized once, with the system: the undamped
-    diagonals, and from the first step on [g_p | H_pc], M^-1 [g_p | H_pc],
-    the reduced system and H_cp M^-1 [g_p | H_pc]. `_linearize` refills a
+    diagonals, and from the first step on [g_e | H_ec], M^-1 [g_e | H_ec],
+    the reduced system and H_ce M^-1 [g_e | H_ec]. `_linearize` refills a
     system it made in place and calls `update`, so `optimize` allocates one
-    system per call, and [g_p | H_pc] is formed once per linearization."""
+    system per call, and [g_e | H_ec] is formed once per linearization."""
     cc: np.ndarray
-    pc: np.ndarray
-    pp: np.ndarray
+    ec: np.ndarray
+    ee: np.ndarray
     g: np.ndarray
     buffer: np.ndarray | None = None
 
     def __post_init__(self):
         # writeable views of both diagonals, and their undamped values
-        self.diagonals = [np.einsum("...ii->...i", H) for H in (self.cc, self.pp)]
+        self.diagonals = [np.einsum("...ii->...i", H) for H in (self.cc, self.ee)]
         self.undamped = [np.empty_like(d) for d in self.diagonals]
         self.buffers = None  # the trial buffers, allocated by the first step
         self.update()
 
     def update(self):
         """Read the undamped diagonals of the system's current entries; the
-        next step forms [g_p | H_pc] from them."""
+        next step forms [g_e | H_ec] from them."""
         for d, u in zip(self.diagonals, self.undamped):
             u[...] = d
         self.formed = False
 
     def step(self, lam: float) -> np.ndarray:
-        """The LM step at damping `lam`, by the Schur complement of the point
-        blocks (Triggs et al. 2000, section 6.1). Both diagonals are damped in
-        place to `undamped + lam * max(undamped, 1e-12)`; the damped point
-        blocks M are inverted in one batch; the reduced system
-        (H_cc - H_cp M^-1 H_pc) d_c = -(g_c - H_cp M^-1 g_p) is solved; and
-        the points are back-substituted, d_p = -M^-1 (g_p + H_pc d_c). A dead
-        point's block is lam * 1e-12 * I and couples to nothing. LinAlgError
-        if a damped point block or the reduced system is singular."""
-        nc, (n_pt, n6) = len(self.cc), self.pc.shape
+        """The LM step at damping `lam`, by the Schur complement of the
+        eliminated blocks (Triggs et al. 2000, section 6.1). Both diagonals
+        are damped in place to `undamped + lam * max(undamped, 1e-12)`; the
+        damped blocks M are inverted in one batch; the reduced system
+        (H_cc - H_ce M^-1 H_ec) d_c = -(g_c - H_ce M^-1 g_e) is solved; and
+        the eliminated kind is back-substituted, d_e = -M^-1 (g_e + H_ec d_c).
+        A dead variable's block is lam * 1e-12 * I and couples to nothing.
+        LinAlgError if a damped block or the reduced system is singular."""
+        nc, (n_e, n_k), d = len(self.cc), self.ec.shape, self.ee.shape[1]
         if self.buffers is None:  # allocated once the linearization's temporaries are freed
-            self.buffers = (np.empty((n_pt, n6 + 1)), np.empty((n_pt, n6 + 1)),
-                            np.empty((nc, nc + 1)), np.empty((n6, n6 + 1)))
-        gpc, W, S, T = self.buffers
+            self.buffers = (np.empty((n_e, n_k + 1)), np.empty((n_e, n_k + 1)),
+                            np.empty((nc, nc + 1)), np.empty((n_k, n_k + 1)))
+        gec, W, S, T = self.buffers
         if not self.formed:
-            gpc[:, 0], gpc[:, 1:] = self.g[nc:], self.pc
+            gec[:, 0], gec[:, 1:] = self.g[nc:], self.ec
             self.formed = True
-        for d, u in zip(self.diagonals, self.undamped):
-            np.clip(u, 1e-12, None, out=d)
-            d *= lam
-            d += u
-        M_inv = np.linalg.inv(self.pp)
-        # M^-1 [g_p, H_pc], and [g_c, H_cc] less H_cp times it on the pose rows
-        np.matmul(M_inv, gpc.reshape(-1, 3, n6 + 1), out=W.reshape(-1, 3, n6 + 1))
+        for diag, u in zip(self.diagonals, self.undamped):
+            np.maximum(u, 1e-12, out=diag)
+            diag *= lam
+            diag += u
+        M_inv = np.linalg.inv(self.ee)
+        # M^-1 [g_e, H_ec], and [g_c, H_cc] less H_ce times it on the coupled rows
+        np.matmul(M_inv, gec.reshape(-1, d, n_k + 1), out=W.reshape(-1, d, n_k + 1))
         S[:, 0], S[:, 1:] = self.g[:nc], self.cc
-        S[:n6, :n6 + 1] -= np.matmul(self.pc.T, W, out=T)
+        S[:n_k, :n_k + 1] -= np.matmul(self.ec.T, W, out=T)
         delta = np.linalg.solve(S[:, 1:], -S[:, 0])
-        return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n6])])
+        return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n_k])])
 
 
 def _pair_terms(A: np.ndarray, w: np.ndarray, r: np.ndarray, c: dict) -> tuple:
@@ -842,7 +861,8 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     `PackedFactors(graph, index)`, packed here when not given. `system` is
     one this function returned for the same `index`, refilled in place (a
     new one when not given); its pieces are views of an
-    (index.n_params + 2, index.n_reduced + 4) buffer, zeroed and filled.
+    (index.n_params + 2, index.n_reduced + 1 + d) buffer, d the eliminated
+    kind's DOF, zeroed and filled.
 
     The residuals come from the evaluation `total_cost` held on `packed` when
     it is of this state, else from one kernel pass; either way the Jacobians
@@ -854,16 +874,16 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     ±0.0 to entries that start at +0.0, which never changes one.
     """
     packed = packed if packed is not None else PackedFactors(graph, index)
-    n_params, nc, n6 = index.n_params, index.n_reduced, index.slices["pose"].stop
-    # rows and columns < nc are the reduced ones; row nc + 1 + 3 r + a, point
-    # r's coordinate a, holds H_pc and, in column nc + 1 + b, the point block.
-    # Row and column nc and the last row collect the fixed variables' terms;
-    # the reduced rows' last three columns (H_cp) are not read.
+    n_params, nc, d = index.n_params, index.n_reduced, DOF[index.eliminated]
+    # rows and columns < nc are the kept ones; row nc + 1 + d r + a, the
+    # eliminated variable r's coordinate a, holds H_ec and, in column
+    # nc + 1 + b, its block. Row and column nc and the last row collect the
+    # fixed variables' terms; the kept rows' last d columns (H_ce) are not read.
     if system is None:
-        H = np.empty((n_params + 2, nc + 4))
-        points = H[nc + 1:-1]
-        system = _NormalEquations(H[:nc, :nc], points[:, :n6],
-                                  points[:, nc + 1:].reshape(-1, 3, 3), np.empty(n_params), H)
+        H = np.empty((n_params + 2, nc + 1 + d))
+        eliminated = H[nc + 1:-1]
+        system = _NormalEquations(H[:nc, :nc], eliminated[:, :index.n_coupled],
+                                  eliminated[:, nc + 1:].reshape(-1, d, d), np.empty(n_params), H)
     H = system.buffer
     H.fill(0.0)
     g = np.zeros(n_params + 2)

@@ -150,9 +150,6 @@ class Observations:
     ids: np.ndarray    # (N,) int
     rows: np.ndarray   # (N, 2) or (N, 4) float
 
-    def __len__(self) -> int:
-        return len(self.frame)
-
     @classmethod
     def empty(cls, width: int) -> "Observations":
         return cls(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, width)))

@@ -204,6 +204,16 @@ class ScenarioConfig:
                                    for dirn, count in d["direction_families"]]
         return json.dumps(d, indent=2, sort_keys=True)
 
+    # compared and hashed by their JSON, which holds every field exactly
+    # (floats by repr); the generated ones would compare numpy directions
+    def __eq__(self, other):
+        if not isinstance(other, ScenarioConfig):
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __hash__(self):
+        return hash(self.to_json())
+
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         """The config of a JSON object; an unknown key raises ValueError."""

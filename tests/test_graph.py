@@ -12,9 +12,11 @@ pieces `_linearize` assembles are checked against the dense H it scattered
 before the Schur step, with each vd_align factor's Jacobian row as it was
 before the (pose, GP) pairs summed their terms: bit for bit on every entry
 that no vd_align term reaches, and within PAIR_RTOL of the magnitudes of the
-terms an entry sums on the others (`pair_tolerance`). The Schur step is
-checked bit for bit against the per-trial formula it had before it reused
-its buffers, and against a dense `np.linalg.solve` of the same damped system.
+terms an entry sums on the others (`pair_tolerance`). The Schur step, which
+eliminates the poses when 6 x (free poses) > 3 x (free points) and else the
+points, is checked bit for bit against the per-trial formula it had before
+it reused its buffers, and against a dense `np.linalg.solve` of the same
+damped system.
 """
 import functools
 import itertools
@@ -65,7 +67,7 @@ from monogp.graph import (
     total_cost,
 )
 from monogp.pipeline import _map_scene, build_graph, map_primitives
-from monogp.scenarios import default_corridor, structured
+from monogp.scenarios import default_corridor, nonoverlap, structured
 from monogp.segments import Segment2D, lines_through
 from test_segments import seg_row
 
@@ -782,8 +784,8 @@ def test_behind_camera_factor_deactivated():
         assert index.n_params == 3
         cost, system = _linearize(g, index)
         assert cost == 0.0
-        assert system.cc.shape == (0, 0) and system.pp.shape == (1, 3, 3)
-        assert not system.pp.any() and not system.g.any()
+        assert system.cc.shape == (0, 0) and system.ee.shape == (1, 3, 3)
+        assert not system.ee.any() and not system.g.any()
 
 
 def build_assembly_graph():
@@ -971,53 +973,54 @@ def pair_tolerance(graph, index, packed=None) -> tuple:
 
 
 def dense_H(system):
-    """The dense H of a `_NormalEquations`, with H_cp the transpose of H_pc."""
-    cc, pc, pp = system.cc, system.pc, system.pp
-    nc, (n_pt, n6) = len(cc), pc.shape
-    H = np.zeros((nc + n_pt, nc + n_pt))
-    H[:nc, :nc], H[nc:, :n6], H[:n6, nc:] = cc, pc, pc.T
-    for r, block in enumerate(pp):
-        H[nc + 3 * r:nc + 3 * r + 3, nc + 3 * r:nc + 3 * r + 3] = block
+    """The dense H of a `_NormalEquations`, with H_ce the transpose of H_ec."""
+    cc, ec, ee = system.cc, system.ec, system.ee
+    nc, (n_e, n_k), d = len(cc), ec.shape, ee.shape[1]
+    H = np.zeros((nc + n_e, nc + n_e))
+    H[:nc, :nc], H[nc:, :n_k], H[:n_k, nc:] = cc, ec, ec.T
+    for r, block in enumerate(ee):
+        H[nc + d * r:nc + d * r + d, nc + d * r:nc + d * r + d] = block
     return H
 
 
 def assert_holds_dense_entries(system, H, g, index, tol=None):
     """`system` holds the matching entries of the dense (H, g) bit for bit:
-    H_cc, H_pc, the point blocks and g; every entry it leaves out is zero
-    (the point rows against lines and GPs, one point against another), and
-    H's pose-point block is H_pc transposed up to rounding. With `tol`
-    (`pair_tolerance`), an entry whose bound is not 0 is held within it."""
-    nc, n6 = index.n_reduced, index.slices["pose"].stop
-    P = (index.n_params - nc) // 3
+    H_cc, H_ec, the eliminated blocks and g; every entry it leaves out is
+    zero (the eliminated rows against kept columns they do not couple with,
+    one eliminated variable against another), and H's kept-eliminated block
+    is H_ec transposed up to rounding. With `tol` (`pair_tolerance`), an
+    entry whose bound is not 0 is held within it."""
+    nc, n_k, d = index.n_reduced, index.n_coupled, DOF[index.eliminated]
+    E = (index.n_params - nc) // d
 
     def pieces(H, g):
-        blocks = [H[nc + 3 * r:nc + 3 * r + 3, nc + 3 * r:nc + 3 * r + 3] for r in range(P)]
-        return H[:nc, :nc], H[nc:, :n6], np.array(blocks).reshape(P, 3, 3), g
+        blocks = [H[nc + d * r:nc + d * r + d, nc + d * r:nc + d * r + d] for r in range(E)]
+        return H[:nc, :nc], H[nc:, :n_k], np.array(blocks).reshape(E, d, d), g
 
     rest = H[nc:, nc:].copy()
-    for r in range(P):
-        rest[3 * r:3 * r + 3, 3 * r:3 * r + 3] = 0.0
+    for r in range(E):
+        rest[d * r:d * r + d, d * r:d * r + d] = 0.0
     bounds = pieces(*tol) if tol is not None else [np.zeros_like(w) for w in pieces(H, g)]
-    for got, want, bound in zip((system.cc, system.pc, system.pp, system.g), pieces(H, g),
+    for got, want, bound in zip((system.cc, system.ec, system.ee, system.g), pieces(H, g),
                                 bounds):
         assert got.shape == want.shape
         got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
         exact = bound == 0.0
         assert got[exact].tobytes() == want[exact].tobytes()
         assert (np.abs(got - want) <= bound).all()
-    assert not rest.any() and not H[nc:, n6:nc].any() and not H[n6:nc, nc:].any()
-    assert np.max(np.abs(H[:n6, nc:] - system.pc.T), initial=0.0) <= \
-        1e-15 * np.max(np.abs(system.pc), initial=0.0)
+    assert not rest.any() and not H[nc:, n_k:nc].any() and not H[n_k:nc, nc:].any()
+    assert np.max(np.abs(H[:n_k, nc:] - system.ec.T), initial=0.0) <= \
+        1e-15 * np.max(np.abs(system.ec), initial=0.0)
 
 
 def system_bytes(system) -> list:
-    return [np.ascontiguousarray(a).tobytes() for a in (system.cc, system.pc, system.pp, system.g)]
+    return [np.ascontiguousarray(a).tobytes() for a in (system.cc, system.ec, system.ee, system.g)]
 
 
-def build_shared_pair_graph():
+def build_shared_pair_graph(n_points=4):
     """Three poses, two GPs and two lines: 120 vd_align factors on the 6
-    (pose, GP) pairs, interleaved, plus struct factors and a few point
-    factors."""
+    (pose, GP) pairs, interleaved, plus struct factors and `n_points`
+    points with one point factor each."""
     rng = np.random.default_rng(31)
     g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
@@ -1035,7 +1038,7 @@ def build_shared_pair_graph():
         add_line(g, lid, oracle_plucker_to_orthonormal(
             line_through(anchor, np.add(anchor, d))))
         add_factor(g, StructFactor, lid, lid)
-    for i in range(4):
+    for i in range(n_points):
         p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
         add_point(g, i, p)
         add_factor(g, PointFactor, i % 3, i, project_point(p, g.poses[i % 3], K) + 1.0)
@@ -1195,7 +1198,7 @@ def oracle_packing(g, index=None) -> list:
         a, b = (consts["pose"], consts["gp"]) if cls is VdAlignFactor else (rows_a, rows_b)
         cols = None if index is None else np.concatenate(
             [index.table[ka][a], index.table[kb][b]], axis=1)[:, cls.live]
-        at = None if index is None else graph_module._positions(cols, cls, index.n_reduced)
+        at = None if index is None else graph_module._positions(cols, cls, index)
         batches.append(SimpleNamespace(
             cls=cls, rows_a=rows_a, rows_b=rows_b,
             cols=cols, at=at, consts=consts,
@@ -1260,9 +1263,11 @@ PIPELINE_SCENES = [(structured, s, mode) for s in range(3) for mode in ("lp", "g
 PIPELINE_IDS = [f"{scene.__name__}{seed}-{mode}" for scene, seed, mode in PIPELINE_SCENES]
 LAMBDAS = (1e-12, LAMBDA_INIT, 1e6)
 # fixed sets for the assembly graph: a later pose, a point and a line; a GP
-# and every point (no point block at all)
+# and every point (the poses eliminated, no point block at all); every pose
+# (the points eliminated, coupled to no column)
 FIXED = [[("pose", 0)], [("pose", 1), ("point", 2), ("line", 0)],
-         [("pose", 0), ("gp", 0)] + [("point", i) for i in range(7)]]
+         [("pose", 0), ("gp", 0)] + [("point", i) for i in range(7)],
+         [("pose", t) for t in range(3)]]
 
 
 def dense_step(system, lam):
@@ -1335,12 +1340,13 @@ def test_schur_step_matches_dense_solve_on_random_systems(shape, lam):
     for _ in range(5):
         system = random_system(rng, *shape)
         if shape[3]:
-            assert not system.pp[list(shape[3])].any()
+            assert not system.ee[list(shape[3])].any()
         assert_step_matches_dense_solve(system, lam)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
-@pytest.mark.parametrize("fixed", FIXED, ids=["pose0", "pose-point-line", "no-free-point"])
+@pytest.mark.parametrize("fixed", FIXED, ids=["pose0", "pose-point-line", "no-free-point",
+                                          "no-free-pose"])
 def test_schur_step_with_fixed_variables_matches_dense_solve(fixed, lam):
     g = build_assembly_graph()
     index = ParameterIndex(g, fixed)
@@ -1348,7 +1354,7 @@ def test_schur_step_with_fixed_variables_matches_dense_solve(fixed, lam):
     cost, system = _linearize(g, index)
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(g, index))
-    assert len(system.pp) == len(index.rows["point"])
+    assert len(system.ee) == len(index.rows[index.eliminated])
     # the scale gauge is free, and a point is dead (block lam * 1e-12 * I)
     assert_step_matches_dense_solve(system, lam, forward=lam >= LAMBDA_INIT)
 
@@ -1370,8 +1376,8 @@ GP_SCENES = [(scene, seed) for scene, seed, mode in PIPELINE_SCENES if mode == "
                          ids=[f"{scene.__name__}{seed}" for scene, seed in GP_SCENES])
 def test_vd_align_pair_terms_equal_per_factor_sums(scene, seed):
     # the vd_align kind alone, its terms summed per (pose, GP) pair, against
-    # its per-factor terms summed factor by factor: H_cc, H_pc (it reaches
-    # no point) and g, each entry within PAIR_RTOL of its terms' magnitudes
+    # its per-factor terms summed factor by factor: H_cc, H_ec and g (it
+    # reaches no point), each entry within PAIR_RTOL of its terms' magnitudes
     g = pipeline_graph(scene, seed, "gp")
     index = ParameterIndex(g, [("pose", 0)])
     packed = PackedFactors(g, index)
@@ -1383,16 +1389,24 @@ def test_vd_align_pair_terms_equal_per_factor_sums(scene, seed):
     assert cost.hex() == cost_ref.hex()
     H_tol, g_tol = pair_tolerance(g, index, packed)
     assert_holds_dense_entries(system, H, g_ref, index, (H_tol, g_tol))
-    assert not system.pc.any() and not system.pp.any()
+    assert not dense_H(system)[index.slices["point"]].any()
     # the pair sums round differently: the bound is what holds them
     nc = index.n_reduced
     assert system.cc.tobytes() != np.ascontiguousarray(H[:nc, :nc]).tobytes()
 
 
-@pytest.mark.parametrize("scene, seed, mode", PIPELINE_SCENES, ids=PIPELINE_IDS)
+# the structured and nonoverlap graphs have more pose than point unknowns
+# (114 against 57-69, 294 against 117-138), the corridor's fewer (114
+# against 456-507)
+STEP_DENSE_SCENES = PIPELINE_SCENES + [(nonoverlap, 0, "lp"), (nonoverlap, 0, "gp")]
+
+
+@pytest.mark.parametrize("scene, seed, mode", STEP_DENSE_SCENES,
+                         ids=PIPELINE_IDS + ["nonoverlap0-lp", "nonoverlap0-gp"])
 def test_schur_step_matches_dense_solve_on_pipeline_systems(scene, seed, mode):
     g = pipeline_graph(scene, seed, mode)
     index = ParameterIndex(g, [("pose", 0)])
+    assert index.eliminated == ("point" if scene is default_corridor else "pose")
     for lam in LAMBDAS:  # the scale gauge is free: see `assert_step_matches_dense_solve`
         _, system = _linearize(g, index)
         assert_step_matches_dense_solve(system, lam, forward=lam >= LAMBDA_INIT)
@@ -1411,15 +1425,16 @@ def test_schur_step_raises_on_a_singular_point_block():
 
 def oracle_step(system, lam):
     """`_NormalEquations.step` as it was before it reused its buffers: new
-    arrays for [g_p, H_pc], M^-1 times it, the reduced system and its
-    H_cp M^-1 [g_p, H_pc] on every trial. Kept verbatim."""
+    arrays for [g_e, H_ec], M^-1 times it, the reduced system and its
+    H_ce M^-1 [g_e, H_ec] on every trial. Kept verbatim but for the block
+    size b, 3 when it eliminated only points."""
     for d, u in zip(system.diagonals, system.undamped):
         d[...] = u + lam * np.clip(u, 1e-12, None)
-    cc, pc, g = system.cc, system.pc, system.g
-    nc, (n_pt, n6) = len(cc), pc.shape
-    M_inv = np.linalg.inv(system.pp)
+    cc, pc, g = system.cc, system.ec, system.g
+    nc, (n_pt, n6), b = len(cc), pc.shape, system.ee.shape[1]
+    M_inv = np.linalg.inv(system.ee)
     # M^-1 [g_p, H_pc], and [g_c, H_cc] less H_cp times it on the pose rows
-    W = M_inv @ np.column_stack([g[nc:], pc]).reshape(-1, 3, n6 + 1)
+    W = M_inv @ np.column_stack([g[nc:], pc]).reshape(-1, b, n6 + 1)
     W = W.reshape(n_pt, n6 + 1)
     S = np.column_stack([g[:nc], cc])
     S[:n6, :n6 + 1] -= pc.T @ W
@@ -1427,7 +1442,10 @@ def oracle_step(system, lam):
     return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n6])])
 
 
-STEP_SCENES = [(structured, 0, "gp"), (structured, 1, "lp"), (default_corridor, 0, "gp")]
+# poses eliminated on the structured graphs; points on the corridor's, which
+# step as before the elimination was chosen
+STEP_SCENES = [(structured, 0, "gp"), (structured, 1, "lp"), (default_corridor, 0, "gp"),
+               (default_corridor, 0, "lp")]
 
 
 @pytest.mark.parametrize("scene, seed, mode", STEP_SCENES,
@@ -1435,6 +1453,7 @@ STEP_SCENES = [(structured, 0, "gp"), (structured, 1, "lp"), (default_corridor, 
 def test_step_in_reused_buffers_equals_per_trial_formula_bitwise(monkeypatch, scene, seed, mode):
     g = pipeline_graph(scene, seed, mode)
     index = ParameterIndex(g, [("pose", 0)])
+    assert index.eliminated == ("point" if scene is default_corridor else "pose")
     _, system = _linearize(g, index)
     _, ref = _linearize(g, index)
     assert system_bytes(system) == system_bytes(ref)
@@ -1510,22 +1529,67 @@ def test_optimize_raises_lambda_when_a_point_block_is_singular(monkeypatch):
     assert report.converged and report.final_cost < report.initial_cost
 
 
-def test_optimize_solves_only_the_reduced_system(monkeypatch):
-    # one solve per trial, of the reduced (pose, line, GP) system: no dense
-    # solve of the full one
-    g = structured_gp_graph()
+# -- which kind the Schur step eliminates -----------------------------------------
+
+def test_poses_are_eliminated_only_when_they_have_more_unknowns():
+    # two free poses (12 unknowns) against four free points (12): a tie keeps
+    # the points; one point fewer, or no point, and the poses go
+    g = build_shared_pair_graph()
+    for fixed, kind in [([], "point"), ([("point", 0)], "pose"),
+                        ([("point", i) for i in range(4)], "pose"),
+                        ([("pose", 1), ("pose", 2)], "point")]:
+        index = ParameterIndex(g, [("pose", 0)] + fixed)
+        assert index.eliminated == kind
+        kept = [k for k in DOF if k != kind]
+        assert [index.slices[k].start for k in kept + [kind]] == sorted(
+            index.slices[k].start for k in DOF)
+        assert index.n_reduced == index.slices[kind].start
+        assert index.n_coupled == (index.n_reduced if kind == "pose"
+                                   else index.slices["pose"].stop)
+
+
+def test_schur_step_eliminates_the_poses_of_a_graph_without_points():
+    g = build_shared_pair_graph(n_points=0)
     index = ParameterIndex(g, [("pose", 0)])
-    shapes, solve = [], np.linalg.solve
+    assert index.eliminated == "pose" and index.n_coupled == index.n_reduced
+    cost, system = _linearize(g, index)
+    assert system.ee.shape == (2, 6, 6) and system.ec.shape == (12, index.n_reduced)
+    cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
+    assert cost.hex() == cost_ref.hex()
+    assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(g, index))
+    # vd_align does not see the pose translations, so with no point only the
+    # damping holds them: the backward error is checked, not the forward one
+    for lam in LAMBDAS:
+        assert_step_matches_dense_solve(system, lam, forward=False)
+    report = optimize(g, [("pose", 0)])
+    assert report.iterations > 1 and report.final_cost < report.initial_cost
+
+
+@pytest.mark.parametrize("scene, seed, kind", [(structured, 1, "pose"),
+                                               (default_corridor, 1, "point")],
+                         ids=["pose", "point"])
+def test_optimize_solves_one_reduced_system_per_trial(monkeypatch, scene, seed, kind):
+    # one solve per trial, of the reduced system: no dense solve of the full one
+    g = gp_graph(scene(seed))
+    index = ParameterIndex(g, [("pose", 0)])
+    assert index.eliminated == kind
+    shapes, trials = [], []
+    solve, step = np.linalg.solve, _NormalEquations.step
 
     def logged_solve(a, b):
         shapes.append(a.shape)
         return solve(a, b)
 
+    def logged_step(self, lam):
+        trials.append(lam)
+        return step(self, lam)
+
     monkeypatch.setattr(np.linalg, "solve", logged_solve)
-    report, counts, _ = traced_optimize(monkeypatch, g, [("pose", 0)])
+    monkeypatch.setattr(_NormalEquations, "step", logged_step)
+    report = optimize(g, [("pose", 0)])
     nc = index.n_reduced
-    assert 0 < nc < index.n_params and len(index.rows["point"]) > 0
-    assert shapes == [(nc, nc)] * counts["solve"] and report.iterations > 1
+    assert 0 < nc < index.n_params and report.iterations > 1
+    assert shapes == [(nc, nc)] * len(trials)
 
 
 def test_factors_read_as_a_sequence_of_row_views():

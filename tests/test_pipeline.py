@@ -216,7 +216,7 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     for pid, p in zip(lm.point_ids.tolist(), lm.points):
         assert all(to_camera(poses[t], p)[2] > EPS_Z for t, _ in point_obs[pid])
     if mode == "lp":
-        assert lm.registry is None and not lm.gp_links and lm.line_gp.shape == (0, 2)
+        assert lm.registry is None and not len(lm.gp_links.frame) and lm.line_gp.shape == (0, 2)
         return
     # one GP per planted family
     gps = lm.registry.primitives
@@ -247,7 +247,7 @@ def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
     gp = map_primitives(frames, poses, cfg, lm)
     # the input is unchanged
     assert lm.U is U and U.tobytes() == U_bytes
-    assert lm.registry is None and len(lm.gp_links) == 0 and len(lm.line_gp) == 0
+    assert lm.registry is None and len(lm.gp_links.frame) == 0 and len(lm.line_gp) == 0
     # the result shares what it does not change
     for name in ("point_ids", "points", "point_obs", "line_ids", "W", "line_obs", "gate_audit"):
         assert getattr(gp, name) is getattr(lm, name), name
@@ -260,7 +260,7 @@ def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
             assert new[:, 2].tobytes() == src[:, 2].tobytes()
             assert lid in gp.line_gp[:, 0]
             flipped += 1
-    assert flipped and gp.registry.primitives and gp.gp_links
+    assert flipped and gp.registry.primitives and len(gp.gp_links.frame)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -292,7 +292,7 @@ def test_map_primitives_leaves_its_frames_unchanged():
     frames, poses = rendered(cfg)
     before = frames_state(frames)
     gp = map_primitives(frames, poses, cfg, map_landmarks(frames, poses, cfg))
-    assert gp.gp_links and frames_state(frames) == before
+    assert len(gp.gp_links.frame) and frames_state(frames) == before
     assert all(label is None for _, labels in before for label in labels)
 
 

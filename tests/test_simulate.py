@@ -370,6 +370,18 @@ def test_config_normalizes_family_directions_once():
         assert [d.tobytes() for d, _ in again.direction_families] == first
 
 
+def test_equal_configs_compare_equal_and_hash_alike():
+    a, b = structured(0), structured(0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert dataclasses.replace(a, rng_seed=1) != a
+    assert a != a.to_json()
+    # non-axis families keep their bits through a JSON round trip
+    cfg = corridor_config(direction_families=[([1.0, 1.0, 0.3], 5), ([2.0, 0.0, 0.0], 4)])
+    again = ScenarioConfig.from_json(cfg.to_json())
+    assert again == cfg and hash(again) == hash(cfg)
+
+
 @pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
                                        [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]])
 def test_config_rejects_zero_or_nonfinite_family_direction(direction):
