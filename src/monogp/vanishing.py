@@ -30,9 +30,12 @@ the floats of a per-frame, per-pair, per-segment loop:
   sizes and intersections from BLAS (`S @ S.T` once, `S @ S[i]` per merge):
   sums of 0/1 products are exact integers below 2²⁴, whatever the BLAS
   thread count; rows are ordered by segment id, which turns the tie rule
-  (smallest sorted id pair among the minimum distances) into the first
-  minimum in row-major order, `argmin`. Distinct distances differ by far
-  more than rounding for fewer than 2²⁴ hypotheses (see `jlinkage_cluster`);
+  (smallest sorted id pair among the maximum Jaccard similarities, the
+  minimum distances) into the first maximum in row-major order, `argmax`.
+  Distinct similarities differ by far more than rounding for fewer than 2²⁴
+  hypotheses (see `jlinkage_cluster`). A merge records the merged-away row
+  in a union-find `parent` list and retires it by setting its size to
+  +inf; the clusters are read off `parent` once, after the last merge;
 - all of a scene's clusters are refined in one stacked pass, each from its
   rows of the stacked endpoints, in input order; only the reductions (the
   conditioning mean and scale, the SVD, the RMS) run per cluster;
@@ -69,7 +72,7 @@ _WORD = 1 << 32  # the generator's uint32 words
 # Float elements per consensus block: an (n, block) float64 plane stays
 # below glibc's default 128 KiB mmap threshold, so it is not a fresh mmap.
 _BLOCK_ELEMS = 12_000
-# Fewer hypotheses than this keep distinct Jaccard distances > 1e-15 apart,
+# Fewer hypotheses than this keep distinct Jaccard similarities > 1e-15 apart,
 # which J-Linkage's tie rule needs (see `jlinkage_cluster`).
 _MAX_HYPOTHESES = 1 << 24
 
@@ -272,35 +275,40 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
 
     `ids` (n,) are the unique segment ids and `pref` (n, m) says which of m
     hypotheses each segment is consistent with. Agglomerative merging by
-    minimum Jaccard distance of cluster preference sets (intersection of
-    member preferences), stopping when the minimum distance reaches 1.
-    Clusters smaller than min_cluster_size are dropped. Returns disjoint
-    frozensets of segment ids.
+    maximum Jaccard similarity |A∩B| / |A∪B| of cluster preference sets
+    (intersection of member preferences), stopping when no two clusters
+    share a hypothesis (Jaccard distance 1). Clusters smaller than
+    min_cluster_size are dropped. Returns disjoint frozensets of segment ids.
 
     Preference sets are float32 0/1 rows S, ordered by segment id. The
     counts come from BLAS: S @ S.T once (the set sizes are its diagonal),
-    then x = S @ S[i] after each merge, into one preallocated row. Sums of
-    0/1 products are integers of at most m, which float32's 24-bit
-    significand holds exactly for m < 2²⁴, in any order, so they do not
-    depend on the BLAS build or thread count. The distances are float64:
-    1 − |A∩B| / max(|A∪B|, 1), which is 1 for two empty sets.
-    A merge of rows i < j keeps row i, so each cluster's smallest id is its
-    row index, and only the upper triangle of the distance matrix holds
-    values (+inf elsewhere). The merge intersects row i with row j, zeroes
-    row j (its distance from i then reads 1.0), rewrites row and column i
-    from x and sets row and column j to +inf.
+    then S @ S[i] after each merge, into one preallocated row. Sums of 0/1
+    products are integers of at most m, which float32's 24-bit significand
+    holds exactly for m < 2²⁴, in any order, so they do not depend on the
+    BLAS build or thread count. The similarities are float64, in a
+    symmetric matrix with a zero diagonal; two empty sets start at
+    0 / max(0, 1) = 0. A merge of rows i < j keeps row i, so each cluster's
+    smallest id is its row index, and records `parent[j] = i`; the clusters
+    are read off `parent` once, at the end. The merge intersects S[i] with
+    S[j], retires j by setting its size to +inf (its similarity to any row
+    then reads 0; its row of S stays as it is), writes row and column i
+    from the new counts and zeroes row and column j. A merged cluster shares
+    at least one hypothesis, so every union with it is at least 1.
 
-    Ties: the pair merged is the smallest sorted id pair among the minimum
-    distances, which is the first minimum in row-major order, `argmin`.
-    Unions are at most m, so two distinct distances 1 − a/b and 1 − c/d
-    differ by |ad − bc| / bd ≥ 1/m², more than 1e-15 even after rounding
-    for m < 2²⁴ (1/m² > 3.5e-15). Below that size the distances within
-    1e-15 of the minimum are exactly the minima, so `argmin` picks the pair
-    a tolerance scan over dmin + 1e-15 would. So `_MAX_HYPOTHESES` (2²⁴)
-    bounds both the tie rule and the float32 counts; m ≥ 2²⁴ raises
-    ValueError. The loop stops when the minimum is >= 1 − 1e-12, which for
-    such m means no two clusters share a hypothesis. The result does not
-    depend on input order.
+    Ties: the pair merged is the smallest sorted id pair among the maximum
+    similarities, which is the first maximum in row-major order, `argmax`
+    (in a symmetric matrix with a zero diagonal, a first maximum at (r, c)
+    with c < r would have its mirror (c, r) in an earlier row). Unions are
+    at most m, so two distinct similarities a/b and c/d differ by
+    |ad − bc| / bd ≥ 1/m², more than 1e-15 even after rounding for m < 2²⁴
+    (1/m² > 3.5e-15), and equal fractions divide to equal floats. So
+    `argmax` of a/b picks the pair, ties included, that `argmin` of the
+    distance 1 − a/b picks, and that a tolerance scan over the minimum
+    distance + 1e-15 would. Every positive similarity is at least 1/m, so
+    the stop "maximum ≤ 0" is the distance stop "minimum ≥ 1 − 1e-12".
+    `_MAX_HYPOTHESES` (2²⁴) bounds both the tie rule and the float32
+    counts; m ≥ 2²⁴ raises ValueError. The result does not depend on input
+    order.
     """
     ids = np.asarray(ids)
     pref = np.asarray(pref, dtype=bool)
@@ -313,41 +321,40 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     S = pref[order].astype(np.float32)
     inter = (S @ S.T).astype(np.float64)
     sizes = inter.diagonal().copy()
-    members = [frozenset([sid]) for sid in ids[order].tolist()]
-    alive = np.ones(n, dtype=bool)
 
-    dist = sizes[:, None] + sizes
-    dist -= inter
-    np.maximum(dist, 1.0, out=dist)
-    np.divide(inter, dist, out=dist)
-    np.subtract(1.0, dist, out=dist)
-    k = np.arange(n)
-    dist[k[:, None] >= k] = np.inf
+    sim = sizes[:, None] + sizes
+    sim -= inter
+    np.maximum(sim, 1.0, out=sim)
+    np.divide(inter, sim, out=sim)
+    sim.flat[::n + 1] = 0.0
 
+    parent = list(range(n))
     counts = np.empty(n, dtype=np.float32)
-    x, row = np.empty(n), np.empty(n)
+    row = np.empty(n)
     while True:
-        i, j = divmod(int(dist.argmin()), n)
-        if dist[i, j] >= 1.0 - 1e-12:  # also a lone cluster: everything is +inf
+        i, j = divmod(int(sim.argmax()), n)
+        if sim[i, j] <= 0.0:  # also a lone cluster
             break
-        members[i] = members[i] | members[j]
+        parent[j] = i
+        sizes[j] = np.inf
         S[i] *= S[j]  # preference-set intersection
-        S[j] = 0.0
-        alive[j] = False
         np.matmul(S, S[i], out=counts)
-        x[:] = counts
-        sizes[i] = x[i]
+        sizes[i] = counts[i]
         np.add(sizes, sizes[i], out=row)
-        row -= x
-        np.maximum(row, 1.0, out=row)
-        np.divide(x, row, out=row)
-        np.subtract(1.0, row, out=row)
-        dist[:i, i] = row[:i]
-        dist[i, i + 1:] = row[i + 1:]
-        dist[:j, j] = np.inf
-        dist[j, j + 1:] = np.inf
+        row -= counts
+        np.divide(counts, row, out=row)
+        row[i] = 0.0
+        sim[i] = row
+        sim[:, i] = row
+        sim[j] = 0.0
+        sim[:, j] = 0.0
 
-    clusters = [c for c, a in zip(members, alive) if a and len(c) >= min_cluster_size]
+    # parent[r] <= r, so one ascending pass resolves every root
+    members = {}
+    for r, sid in enumerate(ids[order].tolist()):
+        parent[r] = parent[parent[r]]
+        members.setdefault(parent[r], []).append(sid)
+    clusters = [frozenset(c) for c in members.values() if len(c) >= min_cluster_size]
     clusters.sort(key=lambda c: (-len(c), min(c)))
     return clusters
 

@@ -647,6 +647,20 @@ def test_jaccard_distances_are_more_than_the_tie_tolerance_apart():
     assert values[-2] < 1.0 - 1e-12 and values[-1] == 1.0  # a > 0 stays below the stop
 
 
+def test_jaccard_similarities_order_like_distances():
+    # the fractions of the distance test above, as similarities a/b
+    b = np.repeat(np.arange(1, 501), np.arange(2, 502)).astype(float)
+    a = np.concatenate([np.arange(k + 1) for k in range(1, 501)]).astype(float)
+    sim = a / b
+    sims, sim_rank = np.unique(sim, return_inverse=True)
+    dists, dist_rank = np.unique(1.0 - sim, return_inverse=True)
+    # descending similarity: the order and the ties of ascending distance
+    assert len(sims) == len(dists)
+    assert np.array_equal(dist_rank, len(sims) - 1 - sim_rank)
+    assert np.diff(sims).min() > 1e-15
+    assert (sim[a > 0] > 0.0).all() and (sim[a == 0] == 0.0).all()  # "max <= 0" stops
+
+
 def test_jlinkage_rejects_hypothesis_counts_from_2_pow_24():
     pref = np.broadcast_to(True, (2, 1 << 24))  # a view: nothing is allocated
     with pytest.raises(ValueError, match="too many hypotheses"):
@@ -915,8 +929,8 @@ def test_scene_detection_rejects_duplicate_ids_in_a_frame():
         detect_scene_vanishing_points(scene, DEFAULT_N_HYPOTHESES, DEFAULT_MIN_CLUSTER_SIZE)
 
 
-def clutter_frames():
-    """Frames of a five-family orbit scene with 20% outlier segments."""
+def clutter_frames(ts=(0, 9, 21, 33)):
+    """Frames ts of a five-family orbit scene with 20% outlier segments."""
     cfg = ScenarioConfig(
         name="vp-clutter", rng_seed=5, n_points=20,
         direction_families=[([1.0, 0.0, 0.0], 30), ([0.0, 1.0, 0.0], 30),
@@ -927,7 +941,7 @@ def clutter_frames():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
-    return [frames[t].segments for t in (0, 9, 21, 33)]
+    return [frames[t].segments for t in ts]
 
 
 @pytest.mark.parametrize("t", range(4))
@@ -941,6 +955,18 @@ def test_detect_equals_oracle_path_on_clutter_frames(t, monkeypatch):
                for e in ests]
         assert len(got) >= 4 and got == want
         assert [s.cluster_label for s in order] == labels
+
+
+def test_jlinkage_equals_full_recompute_oracle_on_clutter_frames():
+    # ~86 merges a frame at the shipped hypothesis count; equal partitions
+    # give equal clusters for every min_cluster_size, so k = 1 covers them
+    ts = range(2, 40, 4)
+    for t, segs in zip(ts, clutter_frames(ts)):
+        hyps = sample(endpoints(segs), DEFAULT_N_HYPOTHESES, rng_seed=5 * 1009 + t)
+        for order in (segs, list(reversed(segs))):
+            got = cluster(order, hyps, 1)
+            assert got == naive_cluster(order, hyps, 1)
+            assert len(segs) - len(got) >= 60  # merges
 
 
 # Recorded from the full-recompute J-Linkage; a front-end rewrite must keep them.
