@@ -41,13 +41,18 @@ always stay in the reduced system. No factor joins two poses or two
 points, so the eliminated kind's blocks are 6x6 or 3x3 block-diagonal.
 `_linearize` scatters the weighted J^T J blocks of the live Jacobian
 columns into H_cc over the kept kinds, the eliminated rows' coupling to
-the kept columns and one block per eliminated variable: each entry the
-sum a dense H would hold, and no dense H. vd_align is linearized per
+the kept columns (H_ec) and one block per eliminated variable, and the
+gradient terms into g, all in one flat buffer (`_layout`): each entry the
+sum a dense H would hold, and no dense H. It forms and scatters a kind's
+terms a chunk at a time through scratch arrays below 128 KiB, at int32
+positions computed once per packing, so no float or int64 array of
+factors x k^2 entries is held or built. vd_align is linearized per
 (pose, GP) pair: each factor's Jacobian row is lhat^T A of its pair's 3x5
 block A, so the pair adds A^T L A and A^T b, where L and b sum the weighted
 lhat lhat^T and r lhat of its factors. Each LM trial eliminates that kind
 (batched block inverses, one dense solve of the reduced system, back
-substitution) in buffers sized once per `optimize` call,
+substitution) in buffers sized once per `optimize` call (the scatter
+buffer, its scratch and the trial buffers),
 retracts every kind once, and restores the snapshot if the cost rose. An
 inactive factor (a point at depth <= EPS_Z, a line whose image line is
 degenerate) contributes nothing, and its `residual` raises.
@@ -97,6 +102,12 @@ REL_TOL = 1e-8   # relative cost decrease and relative step
 ABS_TOL = 1e-10  # gradient, ||g||_inf
 LAMBDA_INIT = 1e-4
 LAMBDA_SCALE = 10.0
+
+# `_linearize` scatters a kind's terms `_SCATTER_ELEMS // k^2` at a time (k
+# live Jacobian columns), so a chunk's (terms, k, k) J^T J blocks and their
+# positions fit scratch arrays of this many entries: below glibc's default
+# 128 KiB mmap threshold, as `vanishing._BLOCK_ELEMS`
+_SCATTER_ELEMS = 12_000
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -397,32 +408,63 @@ class _FactorTable:
 # Packing and batched evaluation
 # ---------------------------------------------------------------------------
 
-def _positions(cols: np.ndarray, cls, index: "ParameterIndex") -> tuple:
-    """Where `_linearize` adds a kind's terms, from the parameter columns
-    `cols` (N, k) of its live Jacobian columns: the flat positions of each
-    factor's J^T J block (N * k * k) in its (n_params + 2, nc + 1 + d)
-    buffer, and of its gradient terms (N * k) in g, where nc is
-    `index.n_reduced` and d the eliminated kind's DOF. A kept column (a
-    fixed variable's as nc) keeps its row and column; a column of the
-    eliminated kind, coordinate a of free variable r, takes row
-    nc + 1 + d r + a (a fixed variable's, the last row) and, against the
-    same variable's columns, column nc + 1 + a."""
+def _layout(index: "ParameterIndex") -> tuple:
+    """The parts of `_linearize`'s scatter buffer, one flat float array, as
+    (start, width, gradient, size): the kept rows, (nc + 1) x (nc + 1) from
+    0; the eliminated kind's rows, (n_e + 1) x width from `start`, where
+    width = n_coupled + 1 + d; the gradient, n_params + 1 entries from
+    `gradient`; `size` entries in all. nc is `index.n_reduced`, n_e the
+    eliminated unknowns and d their kind's DOF. An eliminated row holds, in
+    its first n_coupled columns, H_ec and, in its last d, its variable's
+    block. Row and column nc of the kept rows, the last eliminated row,
+    column n_coupled of the eliminated rows and the last gradient entry
+    collect the fixed variables' terms, and column nc of the kept rows also
+    their terms against eliminated columns (H_ce, which the step takes as
+    H_ec transposed): none of them is read."""
     nc, d = index.n_reduced, DOF[index.eliminated]
+    start = (nc + 1) ** 2
+    width = index.n_coupled + 1 + d
+    gradient = start + (index.n_params - nc + 1) * width
+    return start, width, gradient, gradient + index.n_params + 1
+
+
+def _positions(cols: np.ndarray, cls, index: "ParameterIndex") -> tuple:
+    """Where `_linearize` adds a kind's terms in its `_layout` buffer, from
+    the parameter columns `cols` (N, k) of their live Jacobian columns: the
+    positions of each term's J^T J block, (N, k, k) int32, and of its
+    gradient terms, (N, k). Built from (N, k) int32 arrays, so no int64
+    temporary has N k^2 entries. A kept column c takes kept row c, an
+    eliminated one row c - nc of the eliminated rows; a fixed variable's
+    takes its part's collecting row and column. ValueError if the buffer
+    has 2^31 entries or more."""
+    nc, n_k, d = index.n_reduced, index.n_coupled, DOF[index.eliminated]
+    start, width, gradient, size = _layout(index)
+    if size > np.iinfo(np.int32).max:
+        raise ValueError(f"a scatter buffer of {size} entries: int32 positions "
+                         "address fewer than 2**31")
     ka, kb = cls.variables
     eliminated = np.repeat([ka == index.eliminated, kb == index.eliminated],
                            [DOF[ka], DOF[kb]])[cls.live]
-    r = np.where(eliminated, cols + 1, np.minimum(cols, nc))
-    c = np.where(eliminated, nc + 1 + (cols - nc) % d, r)
-    return (r[:, :, None] * (nc + 1 + d) + c[:, None, :]).ravel(), r.ravel()
+    c = cols.astype(np.int32)
+    kept = np.minimum(c, nc)
+    row = np.where(eliminated, start + (c - nc) * width, kept * (nc + 1))
+    # each column's place in a kept row, and in an eliminated row
+    in_kept = np.where(eliminated, np.int32(nc), kept)
+    in_eliminated = np.where(eliminated, n_k + 1 + (c - nc) % d, np.minimum(c, n_k))
+    at = row[:, :, None] + in_kept[:, None, :]
+    at[:, eliminated] = row[:, eliminated, None] + in_eliminated[:, None, :]
+    return at, gradient + cols
 
 
 class _Batch:
     """The packed factors of one kind. With a parameter index, `cols` holds
     the parameter column of every live Jacobian column of each term (N, k)
     and `at` the `_positions` of its terms, computed once per packing: a
-    term is a factor, or for vd_align a (pose, GP) pair. `info` and `delta`
-    are the kind's scalars; broadcast over the rows, they give each row the
-    floats a per-row array of them would."""
+    term is a factor, or for vd_align a (pose, GP) pair. No array of a
+    batch has N k^2 floats or int64s: the J^T J positions are int32, and
+    `_linearize` forms the J^T J blocks a chunk at a time. `info` and
+    `delta` are the kind's scalars; broadcast over the rows, they give each
+    row the floats a per-row array of them would."""
 
     def __init__(self, table: _FactorTable, index, intr: CameraIntrinsics):
         self.cls = cls = table.cls
@@ -780,14 +822,21 @@ class _NormalEquations:
     6x6 for poses or 3x3 for points, and `g` over all parameters. Each
     entry is the sum the dense H would hold; the eliminated rows against
     the other kept columns, and two eliminated variables against each
-    other, are zero and not stored. `buffer` is the scatter buffer that
-    `_linearize` made `cc`, `ec` and `ee` views of.
+    other, are zero and not stored. `buffer` is the `_layout` scatter
+    buffer that `_linearize` made all four views of; a system given its
+    pieces has none.
 
-    The LM trials work in buffers sized once, with the system: the undamped
-    diagonals, and from the first step on [g_e | H_ec], M^-1 [g_e | H_ec],
-    the reduced system and H_ce M^-1 [g_e | H_ec]. `_linearize` refills a
-    system it made in place and calls `update`, so `optimize` allocates one
-    system per call, and [g_e | H_ec] is formed once per linearization."""
+    The scatter and the LM trials work in buffers sized once, with the
+    system: `scratch`, four arrays of at most `_SCATTER_ELEMS` entries
+    through which `add` scatters every chunk of terms; the undamped
+    diagonals; and from
+    the first step on [g_e | H_ec], M^-1 [g_e | H_ec], the reduced system
+    and H_ce M^-1 [g_e | H_ec]. `_linearize` refills a system it made in
+    place and calls `update`, so `optimize` allocates one system per call,
+    and [g_e | H_ec] is formed once per linearization. A system given its
+    pieces reads its diagonals at once; one `_linearize` makes reads them
+    only once it has filled the buffer: reading the unwritten pages first
+    would fault each of them in twice."""
     cc: np.ndarray
     ec: np.ndarray
     ee: np.ndarray
@@ -799,7 +848,39 @@ class _NormalEquations:
         self.diagonals = [np.einsum("...ii->...i", H) for H in (self.cc, self.ee)]
         self.undamped = [np.empty_like(d) for d in self.diagonals]
         self.buffers = None  # the trial buffers, allocated by the first step
-        self.update()
+        # a chunk's J^T J blocks and their positions, its weighted J and its
+        # gradient terms. Per term the last two take dim / k and 1 / k of
+        # the k^2 entries, at most 2/9 for every kind, so they get a quarter
+        # (at full size they raised ablation's peak RSS by ~0.25 MB)
+        self.scratch = (np.empty(_SCATTER_ELEMS), np.empty(_SCATTER_ELEMS, dtype=np.intp),
+                        np.empty(_SCATTER_ELEMS // 4), np.empty(_SCATTER_ELEMS // 4))
+        if self.buffer is None:
+            self.update()
+
+    def add(self, at: tuple, J: np.ndarray, rhs: np.ndarray, w=None, L=None):
+        """Add one kind's terms to the buffer at their `_positions` `at`,
+        term by term in order, `_SCATTER_ELEMS // k^2` terms at a time
+        through `scratch`: per term, with weights `w` (N,), J^T w J and
+        J^T w rhs of its Jacobian block J (dim, k); or, with `L` (N, dim,
+        dim), J^T L J and J^T rhs."""
+        terms, positions, weighted, grad = self.scratch
+        k = J.shape[2]
+        n = _SCATTER_ELEMS // k**2
+        for s in range(0, len(J), n):
+            t = slice(s, s + n)
+            Jc = J[t]
+            m = len(Jc)
+            if L is None:
+                Jt = JtL = np.multiply(w[t, None, None], Jc,
+                                       out=weighted[:Jc.size].reshape(Jc.shape)).transpose(0, 2, 1)
+            else:
+                Jt = Jc.transpose(0, 2, 1)
+                JtL = Jt @ L[t]
+            HJ = np.matmul(JtL, Jc, out=terms[:m * k * k].reshape(m, k, k))
+            gJ = np.matmul(Jt, rhs[t], out=grad[:m * k].reshape(m, k, 1))
+            np.copyto(positions[:m * k * k], at[0][t].reshape(-1))
+            np.add.at(self.buffer, positions[:m * k * k], HJ.reshape(-1))
+            np.add.at(self.buffer, at[1][t].reshape(-1), gJ.reshape(-1))
 
     def update(self):
         """Read the undamped diagonals of the system's current entries; the
@@ -838,18 +919,17 @@ class _NormalEquations:
         return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n_k])])
 
 
-def _pair_terms(A: np.ndarray, w: np.ndarray, r: np.ndarray, c: dict) -> tuple:
-    """The vd_align kind's J^T J blocks (P, 5, 5) and gradient terms (P, 5),
-    one per (pose, GP) pair. Factor f of pair p has the Jacobian row
-    lhat_f^T A_p (`A` from the kernel's thunk), so the pair's terms sum to
-    A_p^T L_p A_p and A_p^T b_p, with L_p = sum w_f lhat_f lhat_f^T and
-    b_p = sum w_f r_f lhat_f over its factors in insertion order."""
+def _pair_sums(w: np.ndarray, r: np.ndarray, c: dict) -> tuple:
+    """The vd_align kind's weighted sums per (pose, GP) pair, L (P, 3, 3)
+    and b (P, 3, 1). Factor f of pair p has the Jacobian row lhat_f^T A_p
+    (`A` from the kernel's thunk), so the pair's terms sum to A_p^T L_p A_p
+    and A_p^T b_p, with L_p = sum w_f lhat_f lhat_f^T and b_p = sum w_f r_f
+    lhat_f over its factors in insertion order."""
     o = c["order"]
     terms = c["ll"] * w[o, None]
     terms[:, 9:] *= r[o]
     sums = np.add.reduceat(terms, c["starts"], axis=0)
-    At = A.transpose(0, 2, 1)
-    return At @ sums[:, :9].reshape(-1, 3, 3) @ A, _mv(At, sums[:, 9:])
+    return sums[:, :9].reshape(-1, 3, 3), sums[:, 9:, None]
 
 
 def _linearize(graph: FactorGraph, index: ParameterIndex,
@@ -860,33 +940,32 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     `index` places the free variables; fixed ones get no rows. `packed` is
     `PackedFactors(graph, index)`, packed here when not given. `system` is
     one this function returned for the same `index`, refilled in place (a
-    new one when not given); its pieces are views of an
-    (index.n_params + 2, index.n_reduced + 1 + d) buffer, d the eliminated
-    kind's DOF, zeroed and filled.
+    new one when not given); its pieces are views of one `_layout` buffer,
+    zeroed and filled.
 
     The residuals come from the evaluation `total_cost` held on `packed` when
     it is of this state, else from one kernel pass; either way the Jacobians
     come from the evaluation's thunks, and nothing is held afterwards. Each
-    kind's weighted J^T J blocks are scattered at the batch's `_positions`,
-    kind by kind and term by term in insertion order: per factor, except
-    vd_align's, which sum per (pose, GP) pair first (`_pair_terms`). Only
-    the live Jacobian columns are scattered: a structurally zero column adds
-    ±0.0 to entries that start at +0.0, which never changes one.
+    kind's weighted J^T J blocks and gradient terms are formed and
+    scattered at the batch's `_positions` a chunk of terms at a time
+    (`_NormalEquations.add`), kind by kind and term by term in insertion
+    order, so each entry is the same sum as when a kind was scattered
+    whole: per factor, except vd_align's, whose weighted terms are summed
+    per (pose, GP) pair first (`_pair_sums`). Only the live Jacobian
+    columns are scattered: a structurally zero column adds ±0.0 to entries
+    that start at +0.0, which never changes one.
     """
     packed = packed if packed is not None else PackedFactors(graph, index)
-    n_params, nc, d = index.n_params, index.n_reduced, DOF[index.eliminated]
-    # rows and columns < nc are the kept ones; row nc + 1 + d r + a, the
-    # eliminated variable r's coordinate a, holds H_ec and, in column
-    # nc + 1 + b, its block. Row and column nc and the last row collect the
-    # fixed variables' terms; the kept rows' last d columns (H_ce) are not read.
     if system is None:
-        H = np.empty((n_params + 2, nc + 1 + d))
-        eliminated = H[nc + 1:-1]
-        system = _NormalEquations(H[:nc, :nc], eliminated[:, :index.n_coupled],
-                                  eliminated[:, nc + 1:].reshape(-1, d, d), np.empty(n_params), H)
-    H = system.buffer
-    H.fill(0.0)
-    g = np.zeros(n_params + 2)
+        nc, n_k, d = index.n_reduced, index.n_coupled, DOF[index.eliminated]
+        start, width, gradient, size = _layout(index)
+        buffer = np.empty(size)
+        kept = buffer[:start].reshape(nc + 1, nc + 1)
+        eliminated = buffer[start:gradient].reshape(-1, width)[:-1]
+        system = _NormalEquations(kept[:nc, :nc], eliminated[:, :n_k],
+                                  eliminated[:, n_k + 1:].reshape(-1, d, d),
+                                  buffer[gradient:-1], buffer)
+    system.buffer.fill(0.0)
     cost = 0.0
     for e in packed.evaluate(graph):
         b = e.batch
@@ -895,13 +974,10 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
         # inactive factors add exact zeros: their Jacobians are finite
         w = np.where(e.active, e.weight * b.info, 0.0)
         if b.cls is VdAlignFactor:
-            HJ, gJ = _pair_terms(J, w, e.r, b.consts)
+            L, rhs = _pair_sums(w, e.r, b.consts)
+            system.add(b.at, J, rhs, L=L)
         else:
-            wJt = (w[:, None, None] * J).transpose(0, 2, 1)
-            HJ, gJ = wJt @ J, wJt @ e.r[:, :, None]
-        np.add.at(H.reshape(-1), b.at[0], HJ.ravel())
-        np.add.at(g, b.at[1], gJ.ravel())
-    system.g[:nc], system.g[nc:] = g[:nc], g[nc + 1:-1]
+            system.add(b.at, J, e.r[:, :, None], w=w)
     system.update()
     return float(cost), system
 

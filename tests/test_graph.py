@@ -12,7 +12,9 @@ pieces `_linearize` assembles are checked against the dense H it scattered
 before the Schur step, with each vd_align factor's Jacobian row as it was
 before the (pose, GP) pairs summed their terms: bit for bit on every entry
 that no vd_align term reaches, and within PAIR_RTOL of the magnitudes of the
-terms an entry sums on the others (`pair_tolerance`). The Schur step, which
+terms an entry sums on the others (`pair_tolerance`), also where the point
+kind spans several chunks of the scatter, whose memory one corridor
+`optimize` call bounds. The Schur step, which
 eliminates the poses when 6 x (free poses) > 3 x (free points) and else the
 points, is checked bit for bit against the per-trial formula it had before
 it reused its buffers, and against a dense `np.linalg.solve` of the same
@@ -22,6 +24,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -1367,6 +1370,61 @@ def test_linearize_holds_dense_scatter_entries_bitwise(scene, seed, mode):
     cost, system = _linearize(g, index)
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(g, index))
+
+
+def with_inactive_point_factor(g):
+    """`g` plus a point 1 m behind camera 0 and one point factor of it in
+    camera 0: that factor is inactive, and its point has no other."""
+    R, t = g.take_rows("pose", g.rows["pose"][0])
+    vid = max(g.rows["point"]) + 1
+    g.add_variables("point", [vid], [R.T @ (np.array([0.1, -0.2, -1.0]) - t)])
+    g.add_factors(PointFactor, [0], [vid], [[320.0, 240.0]])
+    return g
+
+
+# the corridor graph eliminates its points, the structured one its poses;
+# a fixed point is eliminated in the first and kept in the second
+CHUNKED_SCENES = [(default_corridor, 0, "point"), (structured, 0, "pose")]
+
+
+@pytest.mark.parametrize("scene, seed, eliminated", CHUNKED_SCENES,
+                         ids=[f"{scene.__name__}{seed}-gp" for scene, seed, _ in CHUNKED_SCENES])
+def test_chunked_scatter_holds_dense_entries_bitwise(scene, seed, eliminated):
+    # the point kind spans several chunks of `_NormalEquations.add`, with a
+    # fixed variable besides the anchor and an inactive factor added (the
+    # structured graph starts with inactive ones of its own): every entry
+    # is the oracle's sum, bit for bit where no vd_align term reaches it
+    g = with_inactive_point_factor(gp_graph(scene(seed)))
+    index = ParameterIndex(g, [("pose", 0), ("point", 1)])
+    assert index.eliminated == eliminated
+    packed = PackedFactors(g, index)
+    (point,) = [e for e in packed.evaluate(g) if e.batch.cls is PointFactor]
+    assert len(point.r) > 2 * (graph_module._SCATTER_ELEMS // 9**2)
+    assert not point.active[-1]
+    cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params, packed)
+    cost, system = _linearize(g, index, packed)
+    assert cost.hex() == cost_ref.hex()
+    assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(g, index, packed))
+
+
+def test_optimize_scatters_through_bounded_memory():
+    # no packed batch holds its terms' J^T J or int64 positions (N k^2
+    # entries), and one optimize call on the corridor gp graph, the largest
+    # tier-1 graph, stays below 5 MiB of traced allocations at its peak
+    g = corridor_gp_graph()
+    index = ParameterIndex(g, [("pose", 0)])
+    for b in PackedFactors(g, index).batches:
+        n, k = b.cols.shape
+        arrays = [*vars(b).values(), *b.at, *b.consts.values()]
+        held = [a for a in arrays if isinstance(a, np.ndarray) and a.size == n * k * k]
+        assert len(held) == 1 and held[0] is b.at[0] and b.at[0].dtype == np.int32
+    tracemalloc.start()
+    try:
+        optimize(g, [("pose", 0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0 * 2**20
 
 
 GP_SCENES = [(scene, seed) for scene, seed, mode in PIPELINE_SCENES if mode == "gp"]
