@@ -11,6 +11,18 @@ rows they accept instead of raising. Their floats are those of the scalar
 one-pose, two-view formulas, row for row (Triggs et al., "Bundle
 Adjustment — A Modern Synthesis", 2000, evaluate per view in batches).
 
+Row numerics. Every stacked stage (simulation, gating, triangulation, VP
+detection, LM retraction) keeps the floats of its per-row formula. Equal to
+it bit for bit: `np.vecdot(a, b)` (`a[i] @ b[i]`, one BLAS dot per row),
+`row_norms(a)` (`math.sqrt(a[i] @ a[i])`; `np.linalg.norm(a[i])` ravels the
+row first, so it may differ on strided rows of over three entries),
+`mv(M, v)` (`M[i] @ v[i]` in `M[i]`'s memory layout, or `M @ v[i]`) and
+`acos_deg` (libm `acos`). Rounding differently: `np.linalg.norm(axis=...)`,
+`einsum`, `np.hypot` and `np.arccos`. Deliberate exceptions: the graph
+kernels and `graph._tangent_bases` keep `np.linalg.norm(axis=1)`, whose
+floats the optimized outputs are pinned to, and the scalar
+`primitives._axis_angle_deg` clips and takes `math.acos` without arrays.
+
 All types are immutable values; all functions are pure.
 """
 from __future__ import annotations
@@ -19,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .segments import acos_deg, row_norms, rowdot
 
 # Camera-frame depth below which a point counts as behind the camera.
 EPS_Z = 1e-6
@@ -56,6 +66,23 @@ def skew(v) -> np.ndarray:
     return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
+def row_norms(a) -> np.ndarray:
+    """Euclidean norms (n,) of the rows of a (n, k)."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def mv(M, v) -> np.ndarray:
+    """Matrix-vector products (n, i) of a stack (n, i, j) or one matrix
+    (i, j) with the rows of v (n, j)."""
+    return (M @ v[:, :, None])[:, :, 0]
+
+
+def acos_deg(c) -> np.ndarray:
+    """Degrees of `math.acos` of each entry of c, clipped to [0, 1] first
+    (a NaN stays NaN)."""
+    return np.array([math.degrees(math.acos(x)) for x in np.clip(c, 0.0, 1.0).tolist()])
+
+
 # ---------------------------------------------------------------------------
 # SO(3) / SE(3)
 # ---------------------------------------------------------------------------
@@ -66,9 +93,8 @@ def exp_stack(w, with_v: bool):
     below |w| = 1e-10 (rotation) and 1e-8 (V), which keeps the rotation
     orthonormal to machine precision near zero. Row for row these are the
     floats of the per-vector formulas that the tests keep as oracles
-    (`float_power` is the scalar `**`, `vecdot` the scalar norm's dot
-    product)."""
-    theta = np.sqrt(np.vecdot(w, w))
+    (`float_power` is the scalar `**`)."""
+    theta = row_norms(w)
     W = skew(w)
     WW = W @ W
     sin, cos = np.sin(theta), np.cos(theta)
@@ -222,7 +248,7 @@ class PoseStack:
     def to_world(self, v) -> np.ndarray:
         """`pose.r_wc @ v` per row of `v` (n, 3): a camera-frame direction in
         the world."""
-        return (self.r_wc @ v[..., None])[..., 0]
+        return mv(self.r_wc, v)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +306,11 @@ def plucker_to_orthonormal(normals, directions) -> tuple[np.ndarray, np.ndarray]
 # Triangulation: one row per point or line, every step stacked
 # ---------------------------------------------------------------------------
 #
-# Each row's floats are those of the scalar two-view formulas: dot products
-# and norms go through `rowdot` and `row_norms`, angles through `acos_deg`,
-# 2x2 systems through stacked `np.linalg.det`/`solve` (equal to the one-matrix
-# calls), and every matrix-vector product keeps the layout of its scalar form
-# (`PoseStack`; `K.T` stays a transposed view). Rejected rows are masked out,
-# never raised.
+# Each row's floats are those of the scalar two-view formulas (see "Row
+# numerics" above); 2x2 systems go through stacked `np.linalg.det`/`solve`
+# (equal to the one-matrix calls), and every matrix-vector product keeps the
+# layout of its scalar form (`PoseStack`; `K.T` stays a transposed view).
+# Rejected rows are masked out, never raised.
 
 def _unit_rows(v) -> np.ndarray:
     return v / row_norms(v)[:, None]
@@ -295,7 +320,7 @@ def backproject(px, cams: PoseStack, intr: CameraIntrinsics) -> np.ndarray:
     """Unit world directions (n, 3) of the viewing rays through pixels px
     (n, 2), one camera per row; each ray starts at its `cams.center`."""
     h = np.column_stack([px, np.ones(len(px))])
-    return _unit_rows(cams.to_world((intr.inverse_matrix() @ h[:, :, None])[:, :, 0]))
+    return _unit_rows(cams.to_world(mv(intr.inverse_matrix(), h)))
 
 
 def triangulate_points(px_a, px_b, cams_a: PoseStack, cams_b: PoseStack,
@@ -308,14 +333,14 @@ def triangulate_points(px_a, px_b, cams_a: PoseStack, cams_b: PoseStack,
     (m, 3), each the midpoint of the closest points of the two rays.
     """
     ra, rb = backproject(px_a, cams_a, intr), backproject(px_b, cams_b, intr)
-    base, ab = cams_b.center - cams_a.center, rowdot(ra, rb)
+    base, ab = cams_b.center - cams_a.center, np.vecdot(ra, rb)
     ok = ~(row_norms(base) < 1e-9)
-    ok &= ~(acos_deg(np.clip(np.abs(ab), 0.0, 1.0)) < MIN_RAY_ANGLE_DEG)
+    ok &= ~(acos_deg(np.abs(ab)) < MIN_RAY_ANGLE_DEG)
     ca, cb, ra, rb, ab, base = (cams_a.center[ok], cams_b.center[ok], ra[ok], rb[ok],
                                 ab[ok], base[ok])
     # the ray parameters (s, t) of the closest points
-    A = np.column_stack([rowdot(ra, ra), -ab, ab, -rowdot(rb, rb)]).reshape(-1, 2, 2)
-    b = np.column_stack([rowdot(base, ra), rowdot(base, rb)])
+    A = np.column_stack([np.vecdot(ra, ra), -ab, ab, -np.vecdot(rb, rb)]).reshape(-1, 2, 2)
+    b = np.column_stack([np.vecdot(base, ra), np.vecdot(base, rb)])
     st = np.linalg.solve(A, b[..., None])[..., 0]
     return ok, 0.5 * ((ca + st[:, :1] * ra) + (cb + st[:, 1:] * rb))
 
@@ -327,8 +352,8 @@ def backprojected_planes(ends, cams: PoseStack, intr: CameraIntrinsics):
     ones = np.ones(len(ends))
     l_img = np.cross(np.column_stack([ends[:, :2], ones]),
                      np.column_stack([ends[:, 2:], ones]))
-    kl = (intr.matrix().T @ l_img[:, :, None])[:, :, 0]
-    return cams.to_world(kl), rowdot(cams.translation, kl)
+    kl = mv(intr.matrix().T, l_img)
+    return cams.to_world(kl), np.vecdot(cams.translation, kl)
 
 
 def triangulate_lines(ends_a, ends_b, cams_a: PoseStack, cams_b: PoseStack,
@@ -343,8 +368,8 @@ def triangulate_lines(ends_a, ends_b, cams_a: PoseStack, cams_b: PoseStack,
     """
     na, ba = backprojected_planes(ends_a, cams_a, intr)
     nb, bb = backprojected_planes(ends_b, cams_b, intr)
-    c = np.abs(rowdot(_unit_rows(na), _unit_rows(nb)))
-    ok = ~(acos_deg(np.clip(c, 0.0, 1.0)) < MIN_PLANE_ANGLE_DEG)
+    c = np.abs(np.vecdot(_unit_rows(na), _unit_rows(nb)))
+    ok = ~(acos_deg(c) < MIN_PLANE_ANGLE_DEG)
     na, nb, rhs = na[ok], nb[ok], -np.column_stack([ba, bb])[ok]
     d = np.cross(na, nb)
     # the least-norm point on both planes; lstsq does not stack
@@ -358,13 +383,13 @@ def closest_points_on_lines(normal, direction, origin, ray) -> np.ndarray:
     to the rays from `origin` along `ray` (n, 3). Where a line and its ray
     are parallel (|det| < 1e-12) it is the line's point closest to the world
     origin. Used to recover 3D segment endpoints."""
-    p0 = np.cross(direction, normal) / rowdot(direction, direction)[:, None]
+    p0 = np.cross(direction, normal) / np.vecdot(direction, direction)[:, None]
     d, r = _unit_rows(direction), _unit_rows(ray)
-    dr, ones = rowdot(d, r), np.ones(len(d))
+    dr, ones = np.vecdot(d, r), np.ones(len(d))
     # minimize ||p0 + s d - (o + t r)||^2 over (s, t)
     A = np.column_stack([ones, -dr, dr, -ones]).reshape(-1, 2, 2)
     op = origin - p0
-    b = np.column_stack([rowdot(op, d), rowdot(op, r)])
+    b = np.column_stack([np.vecdot(op, d), np.vecdot(op, r)])
     solvable = ~(np.abs(np.linalg.det(A)) < 1e-12)
     out = p0.copy()
     s = np.linalg.solve(A[solvable], b[solvable, :, None])[:, :1, 0]

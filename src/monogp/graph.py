@@ -88,6 +88,8 @@ from .geometry import (
     DegenerateLineError,
     Pose,
     exp_stack,
+    mv,
+    row_norms,
     skew,
 )
 from .segments import lines_through
@@ -110,11 +112,6 @@ LAMBDA_SCALE = 10.0
 _SCATTER_ELEMS = 12_000
 
 
-def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked matrix-vector products (N, i, j) x (N, j) -> (N, i)."""
-    return (M @ v[:, :, None])[:, :, 0]
-
-
 # ---------------------------------------------------------------------------
 # Sphere tangent parameterization
 # ---------------------------------------------------------------------------
@@ -123,9 +120,9 @@ def _tangent_bases(anchors: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal tangent-plane bases (N, 3, 2) at unit anchors (N, 3)."""
     k = np.argmin(np.abs(anchors), axis=1)
     S = skew(anchors)
-    b1 = _mv(S, np.eye(3)[k])
+    b1 = mv(S, np.eye(3)[k])
     b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
-    b2 = _mv(S, b1)
+    b2 = mv(S, b1)
     return np.stack([b1, b2], axis=2)
 
 
@@ -157,7 +154,7 @@ def _point_kernel(R, t, X, obs, intr):
 
     `intr` is (fx, fy, cx, cy), scalars. Active when the depth exceeds EPS_Z.
     """
-    p_c = _mv(R, X) + t
+    p_c = mv(R, X) + t
     active = p_c[:, 2] > EPS_Z
     z = np.where(active, p_c[:, 2], 1.0)
     fx, fy, cx, cy = intr
@@ -183,14 +180,14 @@ def _line_kernel(R, t, U, W, ends, KL):
     w1, w2 = W[:, 0, 0, None], W[:, 1, 0, None]
     u1, u2 = U[:, :, 0], U[:, :, 1]
     n_w, d_w = w1 * u1, w2 * u2
-    d_c = _mv(R, d_w)
-    n_c = _mv(R, n_w) + _mv(skew(t), d_c)
-    l = _mv(KL, n_c)
+    d_c = mv(R, d_w)
+    n_c = mv(R, n_w) + mv(skew(t), d_c)
+    l = mv(KL, n_c)
     s = np.hypot(l[:, 0], l[:, 1])
     norm = np.linalg.norm(l, axis=1)
     active = (norm != 0.0) & (s / np.where(norm == 0.0, 1.0, norm) >= EPS_IMAGE_LINE)
     s = np.where(active, s, 1.0)
-    el = _mv(ends, l)
+    el = mv(ends, l)
     r = el / s[:, None]
     r[~active] = 0.0
 
@@ -221,8 +218,8 @@ def _vd_align_kernel(R, G, B, K, lhat, pair):
     rotation, GP tangent step): factor f's Jacobian row is lhat_f^T A of its
     pair. It leaves out the pose translation, on which the residual does not
     depend."""
-    v_cam = _mv(R, G)
-    v_img = _mv(K, v_cam)
+    v_cam = mv(R, G)
+    v_img = mv(K, v_cam)
     n = np.linalg.norm(v_img, axis=1)
     vhat = v_img / n[:, None]
     r = np.sum(lhat * vhat[pair], axis=1)[:, None]
@@ -637,7 +634,7 @@ class FactorGraph:
             return
         if kind == "gp":
             G = np.asarray(values[0], dtype=float).reshape(-1, 3)
-            n = np.array([np.linalg.norm(d) for d in G]).reshape(-1, 1)
+            n = row_norms(G)[:, None]
             if (np.abs(n - 1.0) > 1e-9).any():
                 raise ValueError("gp direction must be unit")
             G = G / n
@@ -712,7 +709,7 @@ def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
     if kind == "pose":
         R, t = values
         dR, V = exp_stack(deltas[:, 3:], True)
-        return dR @ R, _mv(dR, t) + _mv(V, deltas[:, :3])
+        return dR @ R, mv(dR, t) + mv(V, deltas[:, :3])
     if kind == "point":
         (X,) = values
         return (X + deltas,)
@@ -724,7 +721,7 @@ def retract(kind: str, values: tuple, deltas: np.ndarray) -> tuple:
     if kind == "gp":
         G, B = values
         d = G + deltas[:, :1] * B[:, :, 0] + deltas[:, 1:] * B[:, :, 1]
-        G = d / np.sqrt(np.vecdot(d, d))[:, None]
+        G = d / row_norms(d)[:, None]
         return G, _tangent_bases(G)
     raise ValueError(f"unknown variable kind {kind!r}")
 

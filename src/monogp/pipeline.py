@@ -47,7 +47,6 @@ from .geometry import (
     triangulate_points,
 )
 from .primitives import GlobalPrimitiveRegistry
-from .segments import rowdot
 from .simulate import (
     FrameObservations,
     ScenarioConfig,
@@ -282,7 +281,7 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
     gp = np.array([-1 if m is None else m for m in map(registry.match, unit)], dtype=int)
     rows = np.flatnonzero(gp >= 0)
     gp_dirs = np.array([p.direction for p in registry.primitives]).reshape(-1, 3)
-    flip = rows[rowdot(unit[rows], gp_dirs[gp[rows]]) < 0]
+    flip = rows[np.vecdot(unit[rows], gp_dirs[gp[rows]]) < 0]
     U = landmarks.U.copy()
     U[flip, :, :2] *= -1.0
     return replace(landmarks, U=U, registry=registry, gp_links=gp_links,

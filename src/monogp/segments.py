@@ -6,10 +6,11 @@ id must be an integer; it is checked and not kept.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import row_norms
 
 
 @dataclass
@@ -27,24 +28,6 @@ class Segment2D:
         # NaN equals nothing) several times faster than `(a == b).all()`.
         if self.p_start.tolist() == self.p_end.tolist():
             raise ValueError("zero-length segment")
-
-
-def rowdot(a, b) -> np.ndarray:
-    """Row-wise dot products (n,) of (n, k) rows, each through the BLAS dot
-    of `a[i] @ b[i]`: a stacked `matmul` with one-row, one-column operands
-    calls that dot per row (`einsum` and `np.sum` round differently)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def row_norms(a) -> np.ndarray:
-    """Row norms (n,), bit for bit `np.linalg.norm(a[i])`, which is
-    `sqrt(a[i] @ a[i])` (`np.linalg.norm(axis=1)` rounds differently)."""
-    return np.sqrt(rowdot(a, a))
-
-
-def acos_deg(c) -> np.ndarray:
-    """Degrees of `math.acos` of each entry (`np.arccos` rounds differently)."""
-    return np.array([math.degrees(math.acos(x)) for x in c.tolist()])
 
 
 def lines_through(p, q) -> np.ndarray:
@@ -68,7 +51,7 @@ def endpoints(segments) -> np.ndarray:
 def segment_frames(ends) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and unit directions (n, 2) of stacked endpoints (n, 4),
     bit for bit `0.5 * (p_start + p_end)` and `d / np.linalg.norm(d)` of each
-    `d = p_end - p_start`."""
+    `d = p_end - p_start` (see `geometry`'s row numerics)."""
     d = ends[:, 2:] - ends[:, :2]
     return 0.5 * (ends[:, :2] + ends[:, 2:]), d / row_norms(d)[:, None]
 

@@ -13,14 +13,15 @@ length filter run on arrays; per frame the budget and the draws follow, and
 the flow predictions reuse the frame's line extents. The floats are those of
 a per-point, per-line loop (`PoseStack.transform` multiplies each rotation
 in the F-ordered layout of `Pose.from_world_camera`, pixels come from the
-one `geometry.pinhole`, lengths go through `row_norms`, a clip bound moves
-only when strictly tighter). Each frame's generator draws, in this order:
-the point noise as one block in point-id order, the endpoint noise as one
-block in segment order, the outliers (one `choice`, then per outlier its
-`uniform` draws), and the flow noise as one block in the order of the
-previous frame's segments. A block of k rows is the same stream as k draws
-of one row. A frame keeps its points, segments, predictions and truth as
-columns; its `Segment2D` list and truth dict are built only when read.
+one `geometry.pinhole`, lengths keep the per-row floats (see `geometry`'s
+row numerics), a clip bound moves only when strictly tighter). Each frame's
+generator draws, in this order: the point noise as one block in point-id
+order, the endpoint noise as one block in segment order, the outliers (one
+`choice`, then per outlier its `uniform` draws), and the flow noise as one
+block in the order of the previous frame's segments. A block of k rows is
+the same stream as k draws of one row. A frame keeps its points, segments,
+predictions and truth as columns; its `Segment2D` list and truth dict are
+built only when read.
 
 Optional visibility partitioning assigns each landmark a window of frames,
 so scenarios where distant frames share zero landmarks (but observe the
@@ -37,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, PoseStack, pinhole
-from .segments import Segment2D, row_norms
+from .geometry import CameraIntrinsics, Pose, PoseStack, pinhole, row_norms
+from .segments import Segment2D
 
 MIN_DEPTH = 0.3         # m; landmarks closer than this are culled
 MIN_SEGMENT_PX = 2.0    # discard projected segments shorter than this
@@ -46,7 +47,7 @@ MIN_OUTLIER_PX = 25.0   # planted outlier segments are at least this long
 # A family direction within this of unit norm (a normalized one is within
 # 1.5 eps) is kept bit for bit, so `dataclasses.replace` does not move it.
 UNIT_NORM_TOL = 4 * np.finfo(float).eps
-TRAJECTORY_KINDS = ("corridor", "orbit", "figure8")
+TRAJECTORY_KINDS = ("corridor", "orbit")
 
 
 def _check(spec, names, section: str = "", integer=False, low=None, strict=False):
@@ -293,7 +294,7 @@ def _scene_box(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     if traj.kind == "corridor":
         depth = traj.spacing * (traj.n_keyframes - 1) + 9.0
         return np.array([-3.5, -2.5, 1.5]), np.array([3.5, 2.5, depth])
-    # orbit / figure8 look at a fixed center ahead of the first camera
+    # an orbit looks at a fixed center ahead of the first camera
     return np.array([-3.0, -2.5, 3.0]), np.array([3.0, 2.5, 9.0])
 
 
@@ -346,20 +347,13 @@ def generate_trajectory(config: ScenarioConfig) -> list[Pose]:
             pitch = 0.03 * math.sin(0.3 * k)
             r_wc = _rot_y(yaw) @ _rot_x(pitch)
             poses.append(Pose.from_world_camera(r_wc, centers[k]))
-    elif traj.kind == "orbit":
+    else:  # orbit
         center = np.array([0.0, 0.0, 6.0])
         radius = 6.0
         dphi = spacing / radius
         for k in range(n):
             phi = k * dphi
             c = center + radius * np.array([math.sin(phi), 0.0, -math.cos(phi)])
-            poses.append(_look_at_pose(c, center))
-    else:  # figure8
-        center = np.array([0.0, 0.0, 6.0])
-        amp = spacing * (n - 1) / 4.0
-        for k in range(n):
-            t = 2.0 * math.pi * k / n
-            c = np.array([amp * math.sin(t), 0.5 * amp * math.sin(2.0 * t), 0.0])
             poses.append(_look_at_pose(c, center))
     return poses
 

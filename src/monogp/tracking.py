@@ -14,12 +14,8 @@ the first-index best among the detections not yet taken), and `run_gates`
 gates every (track, frame) pair of a pose set in one call, its decisions
 kept as columns until `write_gate_audit`. A single segment pair is a
 one-row stack. The floats are those of the per-pair loops they replaced:
-- dot products and norms go through `segments.rowdot` and `row_norms`, the
-  BLAS dot of `a @ b` and `np.linalg.norm` on one row (`einsum` and
-  `np.linalg.norm(axis=...)` round differently);
-- angles take `math.acos` of each gated entry (`segments.acos_deg`;
-  `np.arccos` rounds differently), and `max`/`min` keep Python's
-  first-of-equals rule;
+- dot products, norms and angles keep the per-row floats (see `geometry`'s
+  row numerics), and `max`/`min` keep Python's first-of-equals rule;
 - audit values are Python floats, so `gate_audit.csv` keeps their `repr`.
 """
 from __future__ import annotations
@@ -31,13 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .segments import (
-    acos_deg,
-    lines_through,
-    row_norms,
-    rowdot,
-    segment_frames,
-)
+from .geometry import acos_deg, row_norms
+from .segments import lines_through, segment_frames
 
 EPS_DISP = 1e-6  # px; below this the sensitivity gate has nothing to test
 
@@ -136,9 +127,9 @@ def match_predicted(pred, pred_frame, det, det_frame) -> np.ndarray:
     i, k = i[near], k[near]
     gated = ~(row_norms(det_mid[k] - pred_mid[i]) >= MATCH_GATE_MID_PX)
     i, k = i[gated], k[gated]
-    c = np.abs(rowdot(det_dir[k], pred_dir[i]))
+    c = np.abs(np.vecdot(det_dir[k], pred_dir[i]))
     c /= row_norms(det_dir)[k] * row_norms(pred_dir)[i]
-    ang = acos_deg(np.clip(c, 0.0, 1.0))
+    ang = acos_deg(c)
     gated = ~(ang >= MATCH_GATE_ANG_DEG)
     i, k, ang = i[gated], k[gated], ang[gated]
     overlap = np.clip(overlap_ratio(pred[i, :2], pred[i, 2:],
@@ -179,9 +170,9 @@ def sensitivity_gate(v_ori, p_ori_mid, p_proj_mid,
     disp = p_proj_mid - p_ori_mid
     norm = row_norms(disp)
     moved = ~(norm < EPS_DISP)  # below it there is nothing to test
-    c = np.abs(rowdot(v_ori[moved], disp[moved])) / norm[moved]
+    c = np.abs(np.vecdot(v_ori[moved], disp[moved])) / norm[moved]
     value = np.zeros(len(disp))
-    value[moved] = 90.0 - acos_deg(np.clip(c, 0.0, 1.0))
+    value[moved] = 90.0 - acos_deg(c)
     passed = ~(moved & (value > alpha_thre))
     reason = _reasons(~passed, "sensitivity")
     return GateResult(passed, reason, value)
@@ -198,8 +189,8 @@ def overlap_ratio(p_ori_s, p_ori_e, p_proj_s, p_proj_e) -> np.ndarray:
     if not l_ori.all():
         raise ValueError("original segment has zero length")
     v = (p_ori_e - p_ori_s) / l_ori[:, None]
-    r1 = rowdot(p_proj_s - p_ori_s, v) / l_ori
-    r2 = rowdot(p_proj_e - p_ori_s, v) / l_ori
+    r1 = np.vecdot(p_proj_s - p_ori_s, v) / l_ori
+    r2 = np.vecdot(p_proj_e - p_ori_s, v) / l_ori
     lo, hi = _first_min(r1, r2), _first_max(r1, r2)
     return _first_min(hi, 1.0) - _first_max(lo, 0.0)
 
@@ -248,8 +239,8 @@ def run_gates(frame_id, track_id, observed, projected,
         raise ValueError("zero-length segment")
     ones = np.ones((len(observed), 1))
     l_proj = lines_through(projected[:, :2], projected[:, 2:])
-    d_s = np.abs(rowdot(l_proj, np.hstack([observed[:, :2], ones])))
-    d_e = np.abs(rowdot(l_proj, np.hstack([observed[:, 2:], ones])))
+    d_s = np.abs(np.vecdot(l_proj, np.hstack([observed[:, :2], ones])))
+    d_e = np.abs(np.vecdot(l_proj, np.hstack([observed[:, 2:], ones])))
     ori_mid, _ = segment_frames(observed)
     proj_mid, proj_dir = segment_frames(projected)
     results = [

@@ -39,9 +39,8 @@ the floats of a per-frame, per-pair, per-segment loop:
 - all of a scene's clusters are refined in one stacked pass, each from its
   rows of the stacked endpoints, in input order; only the reductions (the
   conditioning mean and scale, the SVD, the RMS) run per cluster;
-- norms and the refinement's dot products go through `segments.rowdot`
-  and `row_norms`, which call the same BLAS dot as `np.linalg.norm` and `@`
-  on one vector (`np.linalg.norm(axis=...)` and `einsum` round differently).
+- norms and the refinement's dot products keep the per-row floats
+  (see `geometry`'s row numerics).
 """
 from __future__ import annotations
 
@@ -51,14 +50,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .geometry import CameraIntrinsics
-from .segments import (
-    endpoints,
-    lines_through,
-    row_norms,
-    rowdot,
-    segment_frames,
-)
+from .geometry import CameraIntrinsics, row_norms
+from .segments import endpoints, lines_through, segment_frames
 
 DEFAULT_N_HYPOTHESES = 500
 DEFAULT_MIN_CLUSTER_SIZE = 3
@@ -208,7 +201,7 @@ def consensus_angles(ends, vps) -> np.ndarray:
     """
     mids, dirs = segment_frames(ends)
     to_vp = np.column_stack(_rays(mids, np.asarray(vps, dtype=float)))
-    dot = np.abs(rowdot(dirs, to_vp))
+    dot = np.abs(np.vecdot(dirs, to_vp))
     cross = np.abs(dirs[:, 0] * to_vp[:, 1] - dirs[:, 1] * to_vp[:, 0])
     # atan2 keeps full precision for tiny angles (acos saturates near 1);
     # math.atan2 rather than np.arctan2, which rounds differently

@@ -17,10 +17,13 @@ from monogp.geometry import (
     DegenerateLineError,
     Pose,
     PoseStack,
+    acos_deg,
     backproject,
     closest_points_on_lines,
+    mv,
     plucker_to_orthonormal,
     project_points,
+    row_norms,
     se3_exp,
     skew,
     so3_exp,
@@ -337,6 +340,56 @@ def test_pose_stack_bitwise_per_pose():
             p_c = to_camera(poses[k], p[i, j])
             assert px[i, j].tolist() == [K.fx * p_c[0] / p_c[2] + K.cx,
                                          K.fy * p_c[1] / p_c[2] + K.cy]
+
+
+# -- row numerics: the stacked spellings equal the per-row formulas ---------
+
+def row_layouts(rng, n, k):
+    """The same random rows (n, k), entries at lognormal scales, C-ordered,
+    F-ordered and as a column slice of a wider array."""
+    a = rng.normal(0.0, 1.0, (n, k)) * rng.lognormal(0.0, 2.0, (n, k))
+    wide = np.zeros((n, k + 3))
+    wide[:, 1:k + 1] = a
+    return {"C": a, "F": np.asfortranarray(a), "slice": wide[:, 1:k + 1]}
+
+
+def test_vecdot_equals_row_dot_bitwise():
+    rng = np.random.default_rng(41)
+    for k in range(2, 10):
+        xs, ys = row_layouts(rng, 200, k), row_layouts(rng, 200, k)
+        for a in xs.values():
+            for b in ys.values():
+                for u, v in ((a, b), (b, a)):
+                    assert np.vecdot(u, v).tolist() == [float(p @ q) for p, q in zip(u, v)]
+
+
+def test_row_norms_equal_scalar_norm_bitwise():
+    rng = np.random.default_rng(42)
+    for k in range(2, 10):
+        for layout, a in row_layouts(rng, 200, k).items():
+            norms = row_norms(a).tolist()
+            assert norms == [math.sqrt(r @ r) for r in a]
+            if layout == "C" or (layout == "F" and k == 3):
+                assert norms == [float(np.linalg.norm(r)) for r in a]
+
+
+def test_mv_equals_matrix_vector_product_bitwise():
+    rng = np.random.default_rng(43)
+    M = rng.normal(0.0, 1.0, (300, 3, 3)) * rng.lognormal(0.0, 2.0, (300, 3, 3))
+    v = row_layouts(rng, 300, 3)["C"]
+    for stack in (M, M.transpose(0, 2, 1)):
+        assert mv(stack, v).tolist() == [(m @ x).tolist() for m, x in zip(stack, v)]
+    for one in (M[0], M[0].T):
+        assert mv(one, v).tolist() == [(one @ x).tolist() for x in v]
+
+
+def test_acos_deg_clips_then_takes_math_acos():
+    rng = np.random.default_rng(44)
+    c = np.concatenate([rng.uniform(0.0, 1.0, 500), rng.uniform(-0.5, 1.5, 100),
+                        [0.0, -0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0),
+                         -1e-16, 1.0 + 1e-15, np.nan]])
+    want = [math.degrees(math.acos(min(max(x, 0.0), 1.0))) for x in c.tolist()]
+    assert acos_deg(c).tobytes() == np.array(want).tobytes()
 
 
 # -- triangulation: the scalar two-view functions, verbatim ------------------

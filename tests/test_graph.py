@@ -38,6 +38,7 @@ from monogp.geometry import (
     CameraIntrinsics,
     Pose,
     PoseStack,
+    mv,
     pinhole,
     project_points,
     se3_exp,
@@ -61,7 +62,6 @@ from monogp.graph import (
     _huber,
     _linearize,
     _NormalEquations,
-    _mv,
     _point_kernel,
     _tangent_bases,
     cost_breakdown,
@@ -427,7 +427,7 @@ def test_point_kernel_pixel_step_equals_pinhole_bitwise():
     n = 3000
     R = np.array([so3_exp(w) for w in rng.normal(0.0, 1.0, (n, 3))])
     X = rng.normal(0.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-3.0, 6.0, (n, 1))
-    p_c = _mv(R, X)
+    p_c = mv(R, X)
     # translations that put each point in front, at depths from 1e-3 to 1e6
     t = np.zeros((n, 3))
     t[:, 2] = 10.0 ** rng.uniform(-3.0, 6.0, n) - p_c[:, 2]
@@ -435,7 +435,7 @@ def test_point_kernel_pixel_step_equals_pinhole_bitwise():
     obs = rng.uniform(-1e3, 2e3, (n, 2))
     intr = CameraIntrinsics(517.3, 516.5, 318.6, 255.3)
     r, active, _ = _point_kernel(R, t, X, obs, (intr.fx, intr.fy, intr.cx, intr.cy))
-    p_c = _mv(R, X) + t
+    p_c = mv(R, X) + t
     assert active.all() and (p_c[:, :2] < 0).any(axis=0).all()
     assert np.abs(p_c).max() > 1e5
     assert r.tobytes() == (pinhole(p_c, intr) - obs).tobytes()
@@ -876,8 +876,8 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
 def oracle_vd_align_kernel(R, G, B, lhat, K, jac):
     """The vd_align kernel as it was before the (pose, GP) pairs shared their
     terms: one row per factor, all eight Jacobian columns. Kept verbatim."""
-    v_cam = _mv(R, G)
-    v_img = _mv(K, v_cam)
+    v_cam = mv(R, G)
+    v_img = mv(K, v_cam)
     n = np.linalg.norm(v_img, axis=1)
     vhat = v_img / n[:, None]
     r = np.sum(lhat * vhat, axis=1)[:, None]

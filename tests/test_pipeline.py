@@ -623,10 +623,10 @@ def test_cli_bad_config_is_an_error_line(tmp_path, config_path, capsys, command)
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["run", "--mode", "gp"]])
-@pytest.mark.parametrize("kind", ["corridor", "orbit", "figure8"])
+@pytest.mark.parametrize("kind", ["corridor", "orbit"])
 def test_cli_non_positive_spacing_is_an_error_line(tmp_path, capsys, command, kind):
-    # a corridor divided by its zero path length; an orbit or figure 8 kept
-    # every camera in one place
+    # a corridor divided by its zero path length; an orbit kept every camera
+    # in one place
     with open(config_file("structured")) as f:
         d = json.load(f)
     for spacing in (0.0, -0.25):

@@ -275,7 +275,7 @@ def test_config_validation():
             TrajectorySpec(n_keyframes=bad)
     with pytest.raises(ValueError, match="trajectory.kind must be one of corridor, orbit"):
         TrajectorySpec(kind="spiral")
-    TrajectorySpec("figure8", 2, 0.5)
+    TrajectorySpec("orbit", 2, 0.5)
     # a JSON value of the wrong type is a ValueError naming the field
     for key, section, bad, message in [
             ("n_points", None, "25", "n_points must be an integer, got '25'"),
@@ -480,7 +480,7 @@ def test_corridor_path_length_exact():
 
 
 def test_first_pose_is_identity():
-    for kind in ("corridor", "orbit", "figure8"):
+    for kind in ("corridor", "orbit"):
         cfg = corridor_config(trajectory=TrajectorySpec(kind, 10, 0.25))
         poses = generate_trajectory(cfg)
         if kind == "corridor":
@@ -490,7 +490,7 @@ def test_first_pose_is_identity():
 
 
 def test_consecutive_rotations_bounded():
-    for kind in ("corridor", "orbit", "figure8"):
+    for kind in ("corridor", "orbit"):
         cfg = corridor_config(trajectory=TrajectorySpec(kind, 20, 0.25))
         poses = generate_trajectory(cfg)
         for a, b in zip(poses, poses[1:]):
