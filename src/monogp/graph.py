@@ -820,8 +820,7 @@ class _NormalEquations:
     entry is the sum the dense H would hold; the eliminated rows against
     the other kept columns, and two eliminated variables against each
     other, are zero and not stored. `buffer` is the `_layout` scatter
-    buffer that `_linearize` made all four views of; a system given its
-    pieces has none.
+    buffer that `_linearize` made all four views of.
 
     The scatter and the LM trials work in buffers sized once, with the
     system: `scratch`, four arrays of at most `_SCATTER_ELEMS` entries
@@ -830,9 +829,8 @@ class _NormalEquations:
     the first step on [g_e | H_ec], M^-1 [g_e | H_ec], the reduced system
     and H_ce M^-1 [g_e | H_ec]. `_linearize` refills a system it made in
     place and calls `update`, so `optimize` allocates one system per call,
-    and [g_e | H_ec] is formed once per linearization. A system given its
-    pieces reads its diagonals at once; one `_linearize` makes reads them
-    only once it has filled the buffer: reading the unwritten pages first
+    and [g_e | H_ec] is formed once per linearization. The diagonals are
+    read only once the buffer is filled: reading the unwritten pages first
     would fault each of them in twice."""
     cc: np.ndarray
     ec: np.ndarray
@@ -851,8 +849,6 @@ class _NormalEquations:
         # (at full size they raised ablation's peak RSS by ~0.25 MB)
         self.scratch = (np.empty(_SCATTER_ELEMS), np.empty(_SCATTER_ELEMS, dtype=np.intp),
                         np.empty(_SCATTER_ELEMS // 4), np.empty(_SCATTER_ELEMS // 4))
-        if self.buffer is None:
-            self.update()
 
     def add(self, at: tuple, J: np.ndarray, rhs: np.ndarray, w=None, L=None):
         """Add one kind's terms to the buffer at their `_positions` `at`,

@@ -139,7 +139,7 @@ def _known_keys(spec, d, where: str) -> dict:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A scene, its camera and its measurement settings, checked when
     constructed and frozen after: change one through `dataclasses.replace`."""
@@ -204,16 +204,6 @@ class ScenarioConfig:
         d["direction_families"] = [[list(map(float, dirn)), count]
                                    for dirn, count in d["direction_families"]]
         return json.dumps(d, indent=2, sort_keys=True)
-
-    # compared and hashed by their JSON, which holds every field exactly
-    # (floats by repr); the generated ones would compare numpy directions
-    def __eq__(self, other):
-        if not isinstance(other, ScenarioConfig):
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    def __hash__(self):
-        return hash(self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

@@ -1331,7 +1331,9 @@ def random_system(rng, n_poses: int, n_other: int, n_points: int, dead=()):
         g[nc + 3 * r:nc + 3 * r + 3] = 0.0
     pp = np.array([H[nc + 3 * r:nc + 3 * r + 3, nc + 3 * r:nc + 3 * r + 3]
                    for r in range(n_points)]).reshape(n_points, 3, 3)
-    return _NormalEquations(H[:nc, :nc].copy(), H[nc:, :6 * n_poses].copy(), pp, g)
+    system = _NormalEquations(H[:nc, :nc].copy(), H[nc:, :6 * n_poses].copy(), pp, g)
+    system.update()
+    return system
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -1474,6 +1476,7 @@ def test_schur_step_raises_on_a_singular_point_block():
     # a rank-2 point block, damped too little to change its diagonal
     pp = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
     system = _NormalEquations(np.eye(6), np.zeros((3, 6)), pp, np.ones(9))
+    system.update()
     with pytest.raises(np.linalg.LinAlgError):
         system.step(1e-20)
     # damped enough, it inverts
