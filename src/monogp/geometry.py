@@ -114,8 +114,10 @@ def exp_stack(w, with_v: bool):
 
 
 def so3_exp(w) -> np.ndarray:
-    """Rodrigues formula. w is an axis-angle 3-vector (radians)."""
-    return exp_stack(np.asarray(w, dtype=float).reshape(1, 3), False)[0][0]
+    """Rodrigues formula. w holds axis-angle 3-vectors (..., 3) (radians);
+    returns their rotations (..., 3, 3)."""
+    w = np.asarray(w, dtype=float)
+    return exp_stack(w.reshape(-1, 3), False)[0].reshape(w.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)

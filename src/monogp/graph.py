@@ -1,9 +1,8 @@
 """Robust nonlinear least-squares core.
 
 Factor types: point reprojection, line reprojection (observed endpoints
-against the projected infinite image line), vanishing-direction alignment
-(homogeneous incidence of a segment line with the projected VP), and
-structural consistency (3D line direction against a global direction).
+against the projected infinite image line) and vanishing-direction
+alignment (homogeneous incidence of a segment line with the projected VP).
 
 Variables and their local parameterizations:
   pose  6 DOF  left-multiplicative SE(3) exponential
@@ -232,19 +231,6 @@ def _vd_align_kernel(R, G, B, K, lhat, pair):
     return r, active, jac
 
 
-def _struct_kernel(D, G, B):
-    """|d · g - 1| for unit line directions D and GP directions G (zero iff
-    parallel and sign-aligned); always active. The Jacobian leaves out the
-    line's SO(2) angle, on which the residual does not depend."""
-    r = np.abs(np.sum(D * G, axis=1) - 1.0)[:, None]
-    active = np.ones(len(r), dtype=bool)
-
-    def jac():
-        # residual = 1 - d·g since d·g <= 1 for unit vectors
-        return np.concatenate([G[:, None, :] @ skew(D), -(D[:, None, :] @ B)], axis=2)
-    return r, active, jac
-
-
 # ---------------------------------------------------------------------------
 # Factors
 # ---------------------------------------------------------------------------
@@ -253,17 +239,16 @@ class _Factor:
     """A factor kind: its constants, and how its table is packed and
     evaluated. The kind classes are never instantiated; a factor is a row of
     its kind's `_FactorTable`. `variables` names the kinds of the two
-    variables; `width` is the length of the constant row (0 for struct);
-    `inactive_error` is what `_FactorRow.residual` raises for an inactive
-    factor. `SIGMA` is the kind's residual noise (information 1/SIGMA^2) and
-    `HUBER_DELTA` its Huber threshold on the whitened residual norm. `live`
-    picks the Jacobian columns (of dof_a + dof_b) that are not structurally
-    zero; the kernel computes only those. `_pack` turns a factor table of the
-    kind and the graph's camera into its constant arrays and `_kernel` runs
-    the kind's kernel on the graph's state arrays at the table's rows."""
+    variables; `width` is the length of the constant row; `inactive_error`
+    is what `_FactorRow.residual` raises for an inactive factor. `SIGMA` is
+    the kind's residual noise (information 1/SIGMA^2) and `HUBER_DELTA` its
+    Huber threshold on the whitened residual norm. `live` picks the Jacobian
+    columns (of dof_a + dof_b) that are not structurally zero; the kernel
+    computes only those. `_pack` turns a factor table of the kind and the
+    graph's camera into its constant arrays and `_kernel` runs the kind's
+    kernel on the graph's state arrays at the table's rows."""
 
     variables: tuple = ()
-    width = 0
     inactive_error: type = ValueError
     live = slice(None)
 
@@ -338,27 +323,8 @@ class VdAlignFactor(_Factor):
                                 c["lhat"], c["pair"])
 
 
-class StructFactor(_Factor):
-    kind = "struct"
-    dim = 1
-    SIGMA = 0.01
-    HUBER_DELTA = HUBER_1DOF
-    variables = ("line", "gp")
-    live = [0, 1, 2, 4, 5]  # the residual does not depend on the line's SO(2) angle
-
-    @staticmethod
-    def _pack(t, k) -> dict:
-        return {}
-
-    @staticmethod
-    def _kernel(st, a, b, c):
-        # the line's unit direction, sign-aligned with its Plücker direction
-        D = np.copysign(1.0, st.W[a, 1, 0])[:, None] * st.U[a, :, 1]
-        return _struct_kernel(D, st.G[b], st.B[b])
-
-
 # the factor kinds, in the order the graph stores, packs and sums them
-KINDS = (PointFactor, LineFactor, VdAlignFactor, StructFactor)
+KINDS = (PointFactor, LineFactor, VdAlignFactor)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +347,13 @@ class _FactorTable:
 
     def append(self, graph: "FactorGraph", ids_a, ids_b, consts):
         """Append a block of factors: their variables' ids and their constant
-        rows (none for struct). ValueError, before the table changes, if the
-        three differ in count; KeyError if a variable is not in `graph`."""
+        rows. ValueError, before the table changes, if the three differ in
+        count; KeyError if a variable is not in `graph`."""
         ka, kb = self.cls.variables
         ids_a = np.asarray(ids_a, dtype=np.int64).reshape(-1)
         ids_b = np.asarray(ids_b, dtype=np.int64).reshape(-1)
         n = len(ids_a)
-        consts = np.empty((n, 0)) if consts is None else np.asarray(consts, dtype=float)
+        consts = np.asarray(consts, dtype=float)
         if len(ids_b) != n or len(consts) != n:
             raise ValueError(f"{self.cls.kind} factor block of {n} ids_a, {len(ids_b)} "
                              f"ids_b and {len(consts)} constant rows")
@@ -650,11 +616,11 @@ class FactorGraph:
             out[at] = v
             setattr(self, name, out)
 
-    def add_factors(self, cls, ids_a, ids_b, consts=None):
+    def add_factors(self, cls, ids_a, ids_b, consts):
         """Append a block of factors of the kind `cls`, in order: the ids of
         each one's two variables (of the kinds `cls.variables`) and their
-        constant rows (N, cls.width; none for struct). ValueError if the
-        three differ in count, KeyError if a variable is missing."""
+        constant rows (N, cls.width). ValueError if the three differ in count,
+        KeyError if a variable is missing."""
         self.tables[cls].append(self, ids_a, ids_b, consts)
 
     def rows_of(self, kind: str, ids) -> np.ndarray:

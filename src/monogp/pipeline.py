@@ -4,7 +4,7 @@ simulate -> perturb the poses -> map landmarks on the perturbed poses
 (`map_landmarks`: line tracking and verification gates, point and line
 triangulation) -> in gp mode, map global primitives onto them
 (`map_primitives`: VP detection over all frames, stage by stage, then
-per-frame global-primitive fusion and line-to-GP association) -> factor
+per-frame global-primitive fusion and segment-to-GP association) -> factor
 graph construction (`build_graph`) -> Levenberg-Marquardt -> ATE
 evaluation against ground truth.
 
@@ -20,9 +20,9 @@ orthonormal form the graph optimizes) and its observations as columns
 (`Observations`), which `build_graph` adds as one block per kind.
 
 Modes: "lp" maps points and lines only; "gp" also maps the fused global
-primitives, which add vanishing-direction alignment and structural-consistency
-factors. `run_ablation` simulates and maps each seed once for both modes.
-Fully deterministic given the scenario config.
+primitives, which add vanishing-direction alignment factors. `run_ablation`
+simulates and maps each seed once for both modes. Fully deterministic given
+the scenario config.
 """
 from __future__ import annotations
 
@@ -101,12 +101,12 @@ def perturb_poses(poses_gt: list[Pose], config: ScenarioConfig) -> list[Pose]:
     """Initial pose estimates; the first pose stays exact (gauge anchor)."""
     pert = config.init_perturbation
     rng = np.random.default_rng([config.rng_seed, 23])
+    # per pose a rotation then a translation draw, in the stream's order
+    draws = rng.normal(0.0, 1.0, size=(len(poses_gt) - 1, 2, 3))
+    rots = so3_exp(draws[:, 0] * math.radians(pert.rot_deg))
     out = [poses_gt[0]]
-    for pose in poses_gt[1:]:
-        d_rot = rng.normal(0.0, 1.0, size=3) * math.radians(pert.rot_deg)
-        d_trans = rng.normal(0.0, 1.0, size=3) * pert.trans_m
-        r_wc = so3_exp(d_rot) @ pose.r_wc
-        out.append(Pose.from_world_camera(r_wc, pose.camera_center() + d_trans))
+    for pose, R, d_trans in zip(poses_gt[1:], rots, draws[:, 1] * pert.trans_m):
+        out.append(Pose.from_world_camera(R @ pose.r_wc, pose.camera_center() + d_trans))
     return out
 
 
@@ -216,9 +216,8 @@ def _triangulate_lines(tracks, scene: SceneSegments, poses, intr, audit):
 class Landmarks:
     """What mapping found on one pose set, as rows in ascending id order, and
     each `Observations` in the order of its points or lines. `map_landmarks`
-    leaves the GP part (`registry`, `gp_links`, `line_gp`) empty;
-    `map_primitives` returns a copy with it, in which every line with a GP
-    is sign-aligned to it. `build_graph` adds the rows as variable blocks
+    leaves the GP part (`registry`, `gp_links`) empty; `map_primitives`
+    returns a copy with it. `build_graph` adds the rows as variable blocks
     and the observations as factor blocks."""
     point_ids: np.ndarray       # (P,) int
     points: np.ndarray          # (P, 3) world points
@@ -231,8 +230,6 @@ class Landmarks:
     registry: GlobalPrimitiveRegistry | None = None
     # segment-to-GP links: endpoint rows by frame, then segment id
     gp_links: Observations = field(default_factory=lambda: Observations.empty(4))
-    # (line id, GP id) rows, in line order
-    line_gp: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
 
 
 def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
@@ -252,10 +249,7 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
     """A copy of `landmarks` with the GP part mapped from `frames` on `poses`:
     VP detection on all frames in one `detect_scene_vanishing_points` call,
     then frame by frame lifting and fusion into a registry, each frame's
-    segment-to-GP links (frame, GP, endpoint row) in segment-id order, and
-    the line -> GP map. Each line is matched by its unit direction, U's
-    second column; in a new U, a line pointing away from its GP has its
-    first two columns negated, the orthonormal form of (-n, -d). VP
+    segment-to-GP links (frame, GP, endpoint row) in segment-id order. VP
     detection runs on each frame's endpoint rows, so `frames` (and the
     labels of their boundary `Segment2D`s) are left as they are."""
     intr = config.intrinsics
@@ -277,21 +271,13 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
                                   ends[[row_of[sid] for sid, _ in seg_gp]].reshape(-1, 4)))
     gp_links = Observations(*(np.concatenate([getattr(o, name) for o in links])
                               for name in ("frame", "ids", "rows")))
-    unit = np.ascontiguousarray(landmarks.U[:, :, 1])
-    gp = np.array([-1 if m is None else m for m in map(registry.match, unit)], dtype=int)
-    rows = np.flatnonzero(gp >= 0)
-    gp_dirs = np.array([p.direction for p in registry.primitives]).reshape(-1, 3)
-    flip = rows[np.vecdot(unit[rows], gp_dirs[gp[rows]]) < 0]
-    U = landmarks.U.copy()
-    U[flip, :, :2] *= -1.0
-    return replace(landmarks, U=U, registry=registry, gp_links=gp_links,
-                   line_gp=np.column_stack([landmarks.line_ids[rows], gp[rows]]))
+    return replace(landmarks, registry=registry, gp_links=gp_links)
 
 
 def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph:
-    """Poses, points, lines and GPs with their point, line, vd_align and
-    struct factors, from whatever `landmarks` holds, each kind added as one
-    block, on a graph of the one camera `intr`."""
+    """Poses, points, lines and GPs with their point, line and vd_align
+    factors, from whatever `landmarks` holds, each kind added as one block,
+    on a graph of the one camera `intr`."""
     g = fg.FactorGraph(intr)
     g.add_variables("pose", range(len(poses)), [p.rotation for p in poses],
                     [p.translation for p in poses])
@@ -302,7 +288,6 @@ def build_graph(poses: list[Pose], landmarks: Landmarks, intr) -> fg.FactorGraph
     for cls, obs in ((fg.PointFactor, landmarks.point_obs), (fg.LineFactor, landmarks.line_obs),
                      (fg.VdAlignFactor, landmarks.gp_links)):
         g.add_factors(cls, obs.frame, obs.ids, obs.rows)
-    g.add_factors(fg.StructFactor, *landmarks.line_gp.T)
     return g
 
 

@@ -399,7 +399,8 @@ def refine_vps(ends, clusters) -> list:
         if out[k] is not None:
             continue
         try:
-            _, s, vt = np.linalg.svd(L[a:b], full_matrices=True)
+            # U is never read; a 2-line cluster needs the full V for its null vector
+            _, s, vt = np.linalg.svd(L[a:b], full_matrices=b - a < 3)
         except np.linalg.LinAlgError as err:
             out[k] = err
             continue

@@ -257,8 +257,8 @@ def test_plucker_to_orthonormal_equals_one_line_form_bitwise():
 
 
 def test_negated_line_negates_u1_and_u2():
-    # the orthonormal form of (-n, -d) is U with its first two columns
-    # negated and the same W, the sign flip `map_primitives` applies
+    # the orthonormal form of (-n, -d), the same line with the opposite
+    # sign, is U with its first two columns negated and the same W
     rng = np.random.default_rng(13)
     n, d = (np.array(rows) for rows in
             zip(*[line_through(p, q) for p, q in rng.normal(0.0, 3.0, (2000, 2, 3))]))

@@ -57,7 +57,6 @@ from monogp.graph import (
     PackedFactors,
     ParameterIndex,
     PointFactor,
-    StructFactor,
     VdAlignFactor,
     _huber,
     _linearize,
@@ -124,25 +123,24 @@ def add_gp(g, vid, direction):
     g.add_variables("gp", [vid], [direction])
 
 
-def add_factor(g, cls, id_a, id_b, const=None):
+def add_factor(g, cls, id_a, id_b, const):
     """Add one factor of the kind `cls` as a block of one: the ids of its two
-    variables and its constant row (none for struct). Returns its row view,
-    as `g.factors` reads it."""
-    g.add_factors(cls, [id_a], [id_b], None if const is None else [const])
+    variables and its constant row. Returns its row view, as `g.factors`
+    reads it."""
+    g.add_factors(cls, [id_a], [id_b], [const])
     return g.factors[sum(len(g.tables[c]) for c in KINDS[:KINDS.index(cls) + 1]) - 1]
 
 
 def factor_records(g) -> list:
     """Each factor of `g`, in `g.factors` order, as the (cls, id_a, id_b,
     const) `add_factor` takes: the ids read back from the table's graph
-    rows, `const` the table's constant row (None for struct)."""
+    rows, `const` the table's constant row."""
     ids = {kind: list(rows) for kind, rows in g.rows.items()}
     out = []
     for f in g.factors:
         t = f.table
         (ka, kb), i = t.cls.variables, f.row
-        out.append((t.cls, ids[ka][t.rows_a[i]], ids[kb][t.rows_b[i]],
-                    t.consts[i] if t.cls.width else None))
+        out.append((t.cls, ids[ka][t.rows_a[i]], ids[kb][t.rows_b[i]], t.consts[i]))
     return out
 
 
@@ -495,21 +493,6 @@ def test_vd_align_increases_away_from_truth():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def struct_residual(line_dir, gp):
-    p = np.array([0.0, 0.0, 2.0])
-    line = oracle_plucker_to_orthonormal(line_through(p, p + line_dir))
-    return residual_at(StructFactor, None, line=line, gp=gp)[0]
-
-
-def test_struct_residual_values():
-    d = np.array([0.0, 1.0, 0.0])
-    assert struct_residual(d, d) == 0.0
-    assert struct_residual(d, [1.0, 0.0, 0.0]) == 1.0
-    sixty = np.array([np.sqrt(3.0) / 2.0, 0.5, 0.0])
-    assert abs(struct_residual(d, sixty) - 0.5) < 1e-12
-    assert struct_residual(d, sixty) == struct_residual(sixty, d)
-
-
 # -- Jacobian oracle ------------------------------------------------------------
 
 def build_random_factor_graph(seed):
@@ -537,8 +520,7 @@ def build_random_factor_graph(seed):
     gp = rng.normal(0.0, 1.0, 3)
     add_gp(g, 0, gp / np.linalg.norm(gp))
     vd_f = add_factor(g, VdAlignFactor, 0, 0, seg_row(seg))
-    struct_f = add_factor(g, StructFactor, 0, 0)
-    return g, [point_f, line_f, vd_f, struct_f]
+    return g, [point_f, line_f, vd_f]
 
 
 def max_relative_error(analytic, numeric):
@@ -648,8 +630,6 @@ def test_add_factors_columns_of_unequal_length_rejected(ids_a, ids_b, consts):
         g.add_factors(PointFactor, ids_a, ids_b, consts)
     table = g.tables[PointFactor]
     assert len(table.rows_a) == len(table.rows_b) == len(table.consts) == 0
-    with pytest.raises(ValueError, match="struct factor block of 1 ids_a, 2 ids_b"):
-        g.add_factors(StructFactor, [0], [0, 1])
     assert total_cost(g) == 0.0
 
 
@@ -792,7 +772,7 @@ def test_behind_camera_factor_deactivated():
 
 
 def build_assembly_graph():
-    """Three poses and all four factor kinds; one point factor behind its
+    """Three poses and all three factor kinds; one point factor behind its
     camera and one past the Huber elbow."""
     rng = np.random.default_rng(11)
     g = FactorGraph(K)
@@ -820,7 +800,6 @@ def build_assembly_graph():
             seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
             add_factor(g, LineFactor, t, lid, seg_row(seg))
             add_factor(g, VdAlignFactor, t, 0, seg_row(seg))
-        add_factor(g, StructFactor, lid, 0)
     return g
 
 
@@ -867,7 +846,7 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
     total = total_cost(g)
     assert abs(cost - total) <= 1e-12 * total
     breakdown = cost_breakdown(g)
-    assert set(breakdown) == {"point", "line", "vd_align", "struct"}
+    assert set(breakdown) == {"point", "line", "vd_align"}
     assert abs(sum(breakdown.values()) - total) <= 1e-12 * total
 
 
@@ -1021,9 +1000,8 @@ def system_bytes(system) -> list:
 
 
 def build_shared_pair_graph(n_points=4):
-    """Three poses, two GPs and two lines: 120 vd_align factors on the 6
-    (pose, GP) pairs, interleaved, plus struct factors and `n_points`
-    points with one point factor each."""
+    """Three poses and two GPs: 120 vd_align factors on the 6 (pose, GP)
+    pairs, interleaved, plus `n_points` points with one point factor each."""
     rng = np.random.default_rng(31)
     g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
@@ -1036,11 +1014,6 @@ def build_shared_pair_graph(n_points=4):
         a = rng.uniform([50.0, 50.0], [590.0, 430.0])
         seg = np.concatenate([a, a + rng.normal(0.0, 40.0, 2)])
         add_factor(g, VdAlignFactor, i % 3, (i // 3) % 2, seg)
-    for lid, anchor in enumerate(([0.0, -0.5, 4.0], [0.3, 0.6, 5.0])):
-        d = gps[lid] + rng.normal(0.0, 0.05, 3)
-        add_line(g, lid, oracle_plucker_to_orthonormal(
-            line_through(anchor, np.add(anchor, d))))
-        add_factor(g, StructFactor, lid, lid)
     for i in range(n_points):
         p = rng.uniform([-1.0, -1.0, 3.0], [1.0, 1.0, 6.0])
         add_point(g, i, p)
@@ -1168,19 +1141,18 @@ def oracle_consts(cls, consts, rows_a, rows_b, k) -> dict:
         ends = np.array(consts, dtype=float).reshape(-1, 2, 2)
         return {"ends": np.concatenate([ends, np.ones((len(ends), 2, 1))], axis=2),
                 "KL": k.line_projection_matrix()}
-    if cls is VdAlignFactor:
-        ends = np.array(consts, dtype=float)
-        key = rows_a * (rows_b.max() + 1) + rows_b
-        _, first, pair = np.unique(key, return_index=True, return_inverse=True)
-        lhat = np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:]))
-        # each pair's factors in insertion order, pair by pair
-        order = np.array(sorted(range(len(pair)), key=lambda i: (pair[i], i)), dtype=np.intp)
-        starts = np.array([list(pair[order]).index(p) for p in range(len(first))], dtype=np.intp)
-        return {"lhat": lhat, "pose": rows_a[first], "gp": rows_b[first], "K": k.matrix(),
-                "pair": pair, "order": order, "starts": starts,
-                "ll": np.array([np.concatenate([np.outer(lhat[i], lhat[i]).ravel(), lhat[i]])
-                                for i in order])}
-    return {}
+    # vd_align
+    ends = np.array(consts, dtype=float)
+    key = rows_a * (rows_b.max() + 1) + rows_b
+    _, first, pair = np.unique(key, return_index=True, return_inverse=True)
+    lhat = np.ascontiguousarray(lines_through(ends[:, :2], ends[:, 2:]))
+    # each pair's factors in insertion order, pair by pair
+    order = np.array(sorted(range(len(pair)), key=lambda i: (pair[i], i)), dtype=np.intp)
+    starts = np.array([list(pair[order]).index(p) for p in range(len(first))], dtype=np.intp)
+    return {"lhat": lhat, "pose": rows_a[first], "gp": rows_b[first], "K": k.matrix(),
+            "pair": pair, "order": order, "starts": starts,
+            "ll": np.array([np.concatenate([np.outer(lhat[i], lhat[i]).ravel(), lhat[i]])
+                            for i in order])}
 
 
 def oracle_packing(g, index=None) -> list:
@@ -1237,7 +1209,7 @@ def test_packed_tables_equal_per_factor_packing_bitwise(build):
 @pytest.mark.parametrize("build", [build_assembly_graph, corridor_gp_graph])
 def test_linearize_on_tables_equals_per_factor_packing_bitwise(build):
     # build_assembly_graph inserts the kinds interleaved (line, vd_align,
-    # line, ..., struct); the corridor gp graph has all four kinds
+    # line, ...); the corridor gp graph has all three kinds
     g = build()
     index = ParameterIndex(g, [("pose", 0)])
     oracle = PackedFactors(g, index)
@@ -1246,6 +1218,30 @@ def test_linearize_on_tables_equals_per_factor_packing_bitwise(build):
     out = _linearize(g, index)
     assert out[0].hex() == ref[0].hex()
     assert system_bytes(out[1]) == system_bytes(ref[1])
+
+
+@pytest.mark.parametrize("build", [build_assembly_graph, corridor_gp_graph])
+def test_line_sign_does_not_change_its_factors(build):
+    # the orthonormal form of (-n, -d), U with u1 and u2 negated, negates a
+    # line factor's residual and its Jacobian together: the cost, the
+    # normal equations and the LM run are those of the line as given
+    g, neg = build(), build()
+    assert len(g.tables[LineFactor])
+    U = g.U.copy()
+    U[:, :, :2] *= -1.0
+    neg.add_variables("line", list(g.lines), U, g.W)
+    assert total_cost(neg).hex() == total_cost(g).hex()
+    index = ParameterIndex(g, [("pose", 0)])
+    (cost, system), (cost_neg, system_neg) = (_linearize(h, index) for h in (g, neg))
+    assert cost_neg.hex() == cost.hex()
+    assert system_neg.buffer.tobytes() == system.buffer.tobytes()
+    report, report_neg = (optimize(h, [("pose", 0)]) for h in (g, neg))
+    assert report_neg == report
+    for name in ("R", "t", "X", "W", "G"):
+        assert getattr(neg, name).tobytes() == getattr(g, name).tobytes(), name
+    U = g.U.copy()
+    U[:, :, :2] *= -1.0
+    assert neg.U.tobytes() == U.tobytes()
 
 
 # -- the Schur complement step against the dense solve ---------------------------
@@ -1654,21 +1650,20 @@ def test_optimize_solves_one_reduced_system_per_trial(monkeypatch, scene, seed, 
 
 
 def test_factors_read_as_a_sequence_of_row_views():
-    # build_assembly_graph adds each line's line, vd_align and struct
-    # factors interleaved; they read back table by table in `KINDS` order,
-    # each as (table, row) of its kind's table
+    # build_assembly_graph adds each line's line and vd_align factors
+    # interleaved; they read back table by table in `KINDS` order, each as
+    # (table, row) of its kind's table
     g = build_assembly_graph()
     factors = g.factors
-    assert len(factors) == 6 * 3 + 1 + 2 * 7
-    assert [f.kind for f in factors] == \
-        ["point"] * 19 + ["line"] * 6 + ["vd_align"] * 6 + ["struct"] * 2
+    assert len(factors) == 6 * 3 + 1 + 2 * 6
+    assert [f.kind for f in factors] == ["point"] * 19 + ["line"] * 6 + ["vd_align"] * 6
     assert [(f.table, f.row) for f in factors] == \
         [(g.tables[cls], i) for cls in KINDS for i in range(len(g.tables[cls]))]
     records = factor_records(g)
     assert [a for cls, a, _, _ in records if cls is LineFactor] == [0, 1, 2] * 2
-    assert records[-1] == (StructFactor, 1, 0, None)
-    assert (factors[-1].table, factors[-1].row) == (g.tables[StructFactor], 1)
-    assert (factors[-33].table, factors[-33].row) == (g.tables[PointFactor], 0)
+    assert records[-1][:3] == (VdAlignFactor, 2, 0)
+    assert (factors[-1].table, factors[-1].row) == (g.tables[VdAlignFactor], 5)
+    assert (factors[-31].table, factors[-31].row) == (g.tables[PointFactor], 0)
     for i in (len(factors), -len(factors) - 1):
         with pytest.raises(IndexError):
             factors[i]
@@ -1687,7 +1682,7 @@ def test_factor_rows_read_back_as_added():
 
 
 def graph_with_inactive_factors():
-    """Two poses and all four factor kinds, with a point behind both
+    """Two poses and all three factor kinds, with a point behind both
     cameras and a line whose image line is degenerate in camera 0."""
     g = FactorGraph(K)
     add_pose(g, 0, IDENTITY)
@@ -1704,7 +1699,6 @@ def graph_with_inactive_factors():
         for lid in (0, 1):
             add_factor(g, LineFactor, t, lid, np.array([100.0, 300.0, 500.0, 310.0]))
         add_factor(g, VdAlignFactor, t, 0, np.array([100.0, 300.0, 500.0, 310.0]))
-    add_factor(g, StructFactor, 1, 0)
     return g
 
 
@@ -1752,8 +1746,8 @@ def test_block_add_equals_one_factor_at_a_time():
     # one block per kind, added in the reverse of `KINDS` order
     for cls in reversed(KINDS):
         fs = [f for f in factor_records(g) if f[0] is cls]
-        const = None if not cls.width else [c for *_, c in fs]
-        block.add_factors(cls, [a for _, a, _, _ in fs], [b for _, _, b, _ in fs], const)
+        block.add_factors(cls, [a for _, a, _, _ in fs], [b for _, _, b, _ in fs],
+                          [c for *_, c in fs])
     # the kinds in `KINDS` order, each kind's factors in order
     assert_batches_equal(PackedFactors(block).batches, PackedFactors(g).batches)
     assert_batches_equal(PackedFactors(block).batches, oracle_packing(block))
@@ -1761,15 +1755,15 @@ def test_block_add_equals_one_factor_at_a_time():
 
 
 def test_kinds_are_read_packed_and_summed_in_kinds_order():
-    # the assembly graph's factors added one at a time, struct first and then
-    # the other kinds round-robin: they read, pack, break down and linearize
+    # the assembly graph's factors added one at a time, vd_align first and
+    # then the other kinds round-robin: they read, pack, break down and linearize
     # in `KINDS` order, each kind's factors in insertion order
     g = build_assembly_graph()
     mixed = with_variables_of(g)
     by_kind = [[f for f in factor_records(g) if f[0] is cls] for cls in reversed(KINDS)]
     order = by_kind[0] + [f for group in itertools.zip_longest(*by_kind[1:])
                           for f in group if f is not None]
-    assert [f[0].kind for f in order[:5]] == ["struct", "struct", "vd_align", "line", "point"]
+    assert [f[0].kind for f in order[:8]] == ["vd_align"] * 6 + ["line", "point"]
     for f in order:
         add_factor(mixed, *f)
     assert [f.kind for f in mixed.factors] == [f.kind for f in g.factors]
@@ -1928,9 +1922,9 @@ def test_optimize_restores_each_rejected_trial_exactly(monkeypatch):
 
 
 def counted_kernels(monkeypatch) -> list:
-    """Wrap the four factor kernels; the returned list gets each run's name."""
+    """Wrap the three factor kernels; the returned list gets each run's name."""
     runs = []
-    for name in ("_point_kernel", "_line_kernel", "_vd_align_kernel", "_struct_kernel"):
+    for name in ("_point_kernel", "_line_kernel", "_vd_align_kernel"):
         def counted(*args, _kernel=getattr(graph_module, name), _name=name):
             runs.append(_name)
             return _kernel(*args)
@@ -1946,7 +1940,7 @@ def test_optimize_evaluates_each_state_once(monkeypatch):
     report, counts, rejected = traced_optimize(monkeypatch, build_assembly_graph(),
                                                [("pose", 0)])
     assert report.converged and rejected >= 1
-    for kernel in ("_point_kernel", "_line_kernel", "_vd_align_kernel", "_struct_kernel"):
+    for kernel in ("_point_kernel", "_line_kernel", "_vd_align_kernel"):
         assert runs.count(kernel) == 1 + counts["solve"], kernel
 
 

@@ -216,11 +216,10 @@ def test_map_landmarks_on_ground_truth_poses(mode):
     for pid, p in zip(lm.point_ids.tolist(), lm.points):
         assert all(to_camera(poses[t], p)[2] > EPS_Z for t, _ in point_obs[pid])
     if mode == "lp":
-        assert lm.registry is None and not len(lm.gp_links.frame) and lm.line_gp.shape == (0, 2)
+        assert lm.registry is None and not len(lm.gp_links.frame)
         return
     # one GP per planted family
-    gps = lm.registry.primitives
-    assert len(gps) == 3
+    assert len(lm.registry.primitives) == 3
     # each link holds one of its frame's segment rows, byte for byte: the
     # segment id of its row bytes (no two rows of a frame share them)
     id_of_row = [{e.tobytes(): sid for e, sid in zip(fr.ends, fr.ids.tolist())}
@@ -231,11 +230,6 @@ def test_map_landmarks_on_ground_truth_poses(mode):
             for t, row in zip(lm.gp_links.frame.tolist(), lm.gp_links.rows)]
     # links ordered by frame, then segment id, each segment once
     assert keys and keys == sorted(set(keys))
-    # line -> GP rows in line order, each line pointing along its GP
-    assert len(lm.line_gp) and lm.line_gp[:, 0].tolist() == sorted(set(lm.line_gp[:, 0].tolist()))
-    row_of = dict(zip(lm.line_ids.tolist(), range(n_lines)))
-    for lid, gp_id in lm.line_gp.tolist():
-        assert lm.U[row_of[lid], :, 1] @ gps[gp_id].direction >= 0
 
 
 def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
@@ -247,20 +241,12 @@ def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():
     gp = map_primitives(frames, poses, cfg, lm)
     # the input is unchanged
     assert lm.U is U and U.tobytes() == U_bytes
-    assert lm.registry is None and len(lm.gp_links.frame) == 0 and len(lm.line_gp) == 0
-    # the result shares what it does not change
-    for name in ("point_ids", "points", "point_obs", "line_ids", "W", "line_obs", "gate_audit"):
+    assert lm.registry is None and len(lm.gp_links.frame) == 0
+    # the result shares every landmark: it adds only the GP part
+    for name in ("point_ids", "points", "point_obs", "line_ids", "U", "W", "line_obs",
+                 "gate_audit"):
         assert getattr(gp, name) is getattr(lm, name), name
-    assert gp.U is not lm.U and gp.U.shape == lm.U.shape
-    flipped = 0
-    for lid, new, src in zip(lm.line_ids.tolist(), gp.U, lm.U):
-        if new.tobytes() != src.tobytes():
-            # the orthonormal form of (-n, -d): u1 and u2 negated, u3 kept
-            assert new[:, :2].tobytes() == (-src[:, :2]).tobytes()
-            assert new[:, 2].tobytes() == src[:, 2].tobytes()
-            assert lid in gp.line_gp[:, 0]
-            flipped += 1
-    assert flipped and gp.registry.primitives and len(gp.gp_links.frame)
+    assert gp.registry.primitives and len(gp.gp_links.frame)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -345,8 +331,7 @@ def test_scene_vp_detection_equals_per_frame_detection(cfg):
 
 
 def oracle_graph(frames, poses, cfg, mode):
-    """The factor graph as `run_pipeline` built it inline, mapping included,
-    and how many lines it sign-flipped onto their GP."""
+    """The factor graph as `run_pipeline` built it inline, mapping included."""
     intr = cfg.intrinsics
     point_ids, xyz, point_obs = pipeline._triangulate_points(frames, poses, intr)
     points = dict(zip(point_ids.tolist(), xyz))
@@ -377,19 +362,8 @@ def oracle_graph(frames, poses, cfg, mode):
         add_point(g, pid, p)
         for t, px in obs_by_point[pid]:
             add_factor(g, graph.PointFactor, t, pid, np.asarray(px))
-    line_gp, flipped = {}, 0
-    if mode == "gp" and registry is not None:
-        for lid, (n, d) in lines.items():
-            gp_id = registry.match(d / np.linalg.norm(d))
-            if gp_id is not None:
-                line_gp[lid] = gp_id
-    for lid, (n, d) in sorted(lines.items()):
-        gp_id = line_gp.get(lid)
-        if gp_id is not None and \
-                float(d / np.linalg.norm(d) @ registry.primitives[gp_id].direction) < 0:
-            n, d = -n, -d
-            flipped += 1
-        add_line(g, lid, oracle_plucker_to_orthonormal((n, d)))
+    for lid, nd in sorted(lines.items()):
+        add_line(g, lid, oracle_plucker_to_orthonormal(nd))
         for t, seg in line_obs[lid]:
             add_factor(g, graph.LineFactor, t, lid, seg_row(seg))
     if mode == "gp" and registry is not None:
@@ -399,14 +373,7 @@ def oracle_graph(frames, poses, cfg, mode):
         for (t, sid), gp_id in sorted(seg_gp.items()):
             seg = seg_row(seg_lookup[(t, sid)])
             add_factor(g, graph.VdAlignFactor, t, gp_id, seg)
-        for lid, gp_id in sorted(line_gp.items()):
-            add_factor(g, graph.StructFactor, lid, gp_id)
-    return g, flipped
-
-
-def observation_bytes(record):
-    const = record[3]
-    return None if const is None else const.tobytes()
+    return g
 
 
 @pytest.mark.parametrize("scenario, perturbed, mode", [
@@ -420,15 +387,10 @@ def test_build_graph_matches_inline_construction(scenario, perturbed, mode):
     if perturbed:
         poses = perturb_poses(poses, scenario)
     g = build_graph(poses, mapped(frames, poses, scenario, mode), scenario.intrinsics)
-    oracle, flipped = oracle_graph(frames, poses, scenario, mode)
-    if not perturbed:
-        # the sign alignment and the struct factors are exercised
-        assert flipped > 0
-        assert any(f.kind == "struct" for f in g.factors)
+    oracle = oracle_graph(frames, poses, scenario, mode)
     records, oracle_records = factor_records(g), factor_records(oracle)
     assert [f[:3] for f in records] == [f[:3] for f in oracle_records]
-    assert [observation_bytes(f) for f in records] == \
-        [observation_bytes(f) for f in oracle_records]
+    assert [f[3].tobytes() for f in records] == [f[3].tobytes() for f in oracle_records]
     assert g.rows == oracle.rows
     for name in ("R", "t", "X", "U", "W", "G", "B"):
         a, b = getattr(g, name), getattr(oracle, name)
