@@ -18,10 +18,9 @@ it bit for bit: `np.vecdot(a, b)` (`a[i] @ b[i]`, one BLAS dot per row),
 row first, so it may differ on strided rows of over three entries),
 `mv(M, v)` (`M[i] @ v[i]` in `M[i]`'s memory layout, or `M @ v[i]`) and
 `acos_deg` (libm `acos`). Rounding differently: `np.linalg.norm(axis=...)`,
-`einsum`, `np.hypot` and `np.arccos`. Deliberate exceptions: the graph
+`einsum`, `np.hypot` and `np.arccos`. Deliberate exception: the graph
 kernels and `graph._tangent_bases` keep `np.linalg.norm(axis=1)`, whose
-floats the optimized outputs are pinned to, and the scalar
-`primitives._axis_angle_deg` clips and takes `math.acos` without arrays.
+floats the optimized outputs are pinned to.
 
 All types are immutable values; all functions are pure.
 """

@@ -75,7 +75,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -466,8 +466,8 @@ def _evaluate_batch(b: _Batch, graph) -> _Evaluation:
 
 
 class PackedFactors:
-    """A graph's factor tables packed against its variable rows and, for
-    `_linearize`, a `ParameterIndex` of its free variables: one batch per
+    """A graph's factor tables packed against its variable rows and a
+    `ParameterIndex` of its free variables: one batch per
     kind that has factors, in `KINDS` order, with the factors of a kind in
     insertion order.
 
@@ -479,7 +479,7 @@ class PackedFactors:
     running the kernels again. Any `evaluate` drops it.
     """
 
-    def __init__(self, graph: "FactorGraph", index: "ParameterIndex | None" = None):
+    def __init__(self, graph: "FactorGraph", index: "ParameterIndex"):
         self.batches = [_Batch(t, index, graph.intr) for t in graph.tables.values() if len(t)]
         self.held: tuple | None = None
 
@@ -713,7 +713,7 @@ class ParameterIndex:
     call.
     """
 
-    def __init__(self, graph: "FactorGraph", fixed=()):
+    def __init__(self, graph: "FactorGraph", fixed):
         fixed = set(fixed)
         free = {kind: np.array([rows[vid] for vid in sorted(rows) if (kind, vid) not in fixed],
                                dtype=np.intp) for kind, rows in graph.rows.items()}
@@ -735,24 +735,22 @@ class ParameterIndex:
             self.table[kind] = table
 
 
-def total_cost(graph: FactorGraph, packed: PackedFactors | None = None) -> float:
-    """Sum of Huber-robustified Mahalanobis squared residuals.
+def total_cost(graph: FactorGraph, packed: PackedFactors) -> float:
+    """Sum of Huber-robustified Mahalanobis squared residuals of the
+    factors `packed` (a `PackedFactors` of `graph`).
 
-    `packed` is `PackedFactors(graph)`, packed here when not given. The
-    evaluation stays held on `packed`, so a `_linearize` or
+    The evaluation stays held on `packed`, so a `_linearize` or
     `cost_breakdown` at this same state does not run the kernels again.
     """
-    packed = packed if packed is not None else PackedFactors(graph)
     evals = packed.evaluate(graph)
     packed.held = (_state(graph), evals)
     return float(sum(e.cost.sum() for e in evals))
 
 
-def cost_breakdown(graph: FactorGraph, packed: PackedFactors | None = None) -> dict:
+def cost_breakdown(graph: FactorGraph, packed: PackedFactors) -> dict:
     """Robust cost per factor kind, in `KINDS` order; a kind appears only
     when one of its factors is active. Uses the evaluation `total_cost` held
     on `packed` when it is of this state."""
-    packed = packed if packed is not None else PackedFactors(graph)
     return {e.batch.cls.kind: float(e.cost.sum())
             for e in packed.evaluate(graph) if e.active.any()}
 
@@ -763,7 +761,7 @@ class OptimizationReport:
     final_cost: float
     iterations: int
     converged: bool
-    cost_breakdown: dict = field(default_factory=dict)
+    cost_breakdown: dict
 
     def to_json(self) -> str:
         return json.dumps({
@@ -802,7 +800,7 @@ class _NormalEquations:
     ec: np.ndarray
     ee: np.ndarray
     g: np.ndarray
-    buffer: np.ndarray | None = None
+    buffer: np.ndarray
 
     def __post_init__(self):
         # writeable views of both diagonals, and their undamped values
@@ -892,12 +890,12 @@ def _pair_sums(w: np.ndarray, r: np.ndarray, c: dict) -> tuple:
 
 
 def _linearize(graph: FactorGraph, index: ParameterIndex,
-               packed: PackedFactors | None = None, system: _NormalEquations | None = None):
+               packed: PackedFactors, system: _NormalEquations | None = None):
     """One batched pass over all factors: robust cost and the Gauss-Newton
     system, as `_NormalEquations`.
 
     `index` places the free variables; fixed ones get no rows. `packed` is
-    `PackedFactors(graph, index)`, packed here when not given. `system` is
+    `PackedFactors(graph, index)`. `system` is
     one this function returned for the same `index`, refilled in place (a
     new one when not given); its pieces are views of one `_layout` buffer,
     zeroed and filled.
@@ -914,7 +912,6 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     columns are scattered: a structurally zero column adds ±0.0 to entries
     that start at +0.0, which never changes one.
     """
-    packed = packed if packed is not None else PackedFactors(graph, index)
     if system is None:
         nc, n_k, d = index.n_reduced, index.n_coupled, DOF[index.eliminated]
         start, width, gradient, size = _layout(index)
@@ -941,7 +938,7 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     return float(cost), system
 
 
-def optimize(graph: FactorGraph, fixed=()) -> OptimizationReport:
+def optimize(graph: FactorGraph, fixed) -> OptimizationReport:
     """Levenberg-Marquardt over all variables whose (kind, id) key is not in
     `fixed` (in place).
 

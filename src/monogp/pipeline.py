@@ -55,7 +55,6 @@ from .simulate import (
     render_measurements,
 )
 from .tracking import (
-    TAU_S,
     GateAudit,
     SceneSegments,
     filter_short,
@@ -119,7 +118,7 @@ def build_line_tracks(scene: SceneSegments) -> dict[int, list]:
     detection, or else itself, to its track, in frame and then prediction
     order, which also orders the tracks. Frame 0 joins through the flow
     sources of frame 1's predictions."""
-    long = filter_short(scene.ends, TAU_S)
+    long = filter_short(scene.ends)
     is_pred = scene.track >= 0
     pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
     chosen = match_predicted(scene.ends[pred], scene.frame[pred],
@@ -150,8 +149,9 @@ class Observations:
     rows: np.ndarray   # (N, 2) or (N, 4) float
 
     @classmethod
-    def empty(cls, width: int) -> "Observations":
-        return cls(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, width)))
+    def empty(cls) -> "Observations":
+        """No endpoint-row observations: the GP links before any frame."""
+        return cls(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, 4)))
 
 
 def _triangulate_points(frames, poses, intr):
@@ -229,7 +229,7 @@ class Landmarks:
     gate_audit: list            # GateAudit
     registry: GlobalPrimitiveRegistry | None = None
     # segment-to-GP links: endpoint rows by frame, then segment id
-    gp_links: Observations = field(default_factory=lambda: Observations.empty(4))
+    gp_links: Observations = field(default_factory=Observations.empty)
 
 
 def map_landmarks(frames: list[FrameObservations], poses: list[Pose],
@@ -253,10 +253,10 @@ def map_primitives(frames: list[FrameObservations], poses: list[Pose],
     detection runs on each frame's endpoint rows, so `frames` (and the
     labels of their boundary `Segment2D`s) are left as they are."""
     intr = config.intrinsics
-    registry, links = GlobalPrimitiveRegistry(), [Observations.empty(4)]
+    registry, links = GlobalPrimitiveRegistry(), [Observations.empty()]
     scene = []  # per frame its segments at least TAU_S long (rows, ids) and seed
     for t, fr in enumerate(frames):
-        long = filter_short(fr.ends, TAU_S)
+        long = filter_short(fr.ends)
         scene.append((fr.ends[long], fr.ids[long].tolist(), config.rng_seed * 1009 + t))
     detected = detect_scene_vanishing_points(scene, VP_HYPOTHESES, VP_MIN_CLUSTER)
     for t, ((ends, ids, _), estimates) in enumerate(zip(scene, detected)):

@@ -9,27 +9,20 @@ including frames with no common landmarks.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import acos_deg
 from .vanishing import canonical_direction
 
 # Sign-free angle, strict bound, under which a direction fuses into a GP.
 FUSE_TOL_DEG = 5.0
 
 
-def _axis_angle_deg(d1, d2) -> float:
-    """Sign-free angle between two unit directions: arccos(|d1·d2|), degrees."""
-    c = abs(float(np.asarray(d1) @ np.asarray(d2)))
-    c = 1.0 if c > 1.0 else c  # a NaN stays NaN
-    return math.degrees(math.acos(c))
-
-
 def is_parallel(d1, d2, tol_deg: float) -> bool:
     """Sign-free parallelism test: arccos(|d1·d2|) < tol_deg. Inputs unit."""
-    return _axis_angle_deg(d1, d2) < tol_deg
+    return bool(acos_deg([abs(np.asarray(d1) @ np.asarray(d2))])[0] < tol_deg)
 
 
 def fuse_directions(d_i, n_i: float, d_j, n_j: float, n_l: float) -> np.ndarray:
@@ -56,7 +49,7 @@ class GlobalPrimitive:
     """Unit world vanishing direction with accumulated segment support."""
     direction: np.ndarray
     support_weight: float
-    associations: list = field(default_factory=list)  # (frame_id, frozenset of segment ids)
+    associations: list  # (frame_id, frozenset of segment ids)
 
 
 class GlobalPrimitiveRegistry:
@@ -73,14 +66,15 @@ class GlobalPrimitiveRegistry:
         """Id of the primitive nearest to `direction` within FUSE_TOL_DEG.
 
         The angle is sign-free and the bound strict; ties go to the lowest
-        id. Returns None when no primitive is that close.
+        id, and a NaN angle matches nothing. Returns None when no primitive
+        is that close.
         """
-        best, best_angle = None, FUSE_TOL_DEG
-        for gp_id, gp in enumerate(self.primitives):
-            ang = _axis_angle_deg(gp.direction, direction)
-            if ang < best_angle:
-                best, best_angle = gp_id, ang
-        return best
+        if not self.primitives:
+            return None
+        G = np.array([gp.direction for gp in self.primitives])
+        ang = acos_deg(np.abs(np.vecdot(G, direction)))
+        best = int(np.argmin(np.where(ang < FUSE_TOL_DEG, ang, np.inf)))
+        return best if ang[best] < FUSE_TOL_DEG else None
 
     def associate_frame(self, frame_id, lifted, n_l: int) -> list[tuple[int, frozenset]]:
         """Fuse a frame's lifted directions into the registry.

@@ -29,7 +29,7 @@ def default_corridor(seed: int = 0) -> ScenarioConfig:
     )
 
 
-def perturbed_corridor(seed: int = 0) -> ScenarioConfig:
+def perturbed_corridor(seed: int) -> ScenarioConfig:
     """Corridor with 1 px noise and 1 deg / 5 cm initialization errors."""
     return replace(default_corridor(seed), name="corridor-perturbed",
                    noise=NoiseSpec(sigma_point_px=1.0, sigma_endpoint_px=1.0,

@@ -6,7 +6,7 @@ id must be an integer; it is checked and not kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,11 +15,12 @@ from .geometry import row_norms
 
 @dataclass
 class Segment2D:
-    """Detected 2D line segment (pixel endpoints)."""
+    """Detected 2D line segment (pixel endpoints). `detect_vanishing_points`
+    sets `cluster_label`."""
     p_start: np.ndarray
     p_end: np.ndarray
     id: int
-    cluster_label: int | None = None
+    cluster_label: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.p_start = np.asarray(self.p_start, dtype=float).reshape(2)

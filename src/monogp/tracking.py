@@ -92,12 +92,12 @@ class SceneSegments(NamedTuple):
         return cls(*map(np.concatenate, zip(*blocks)))
 
 
-def filter_short(ends, tau_s: float) -> np.ndarray:
-    """Mask of the rows of `ends` (n, 4) at least tau_s long (boundary kept).
+def filter_short(ends) -> np.ndarray:
+    """Mask of the rows of `ends` (n, 4) at least `TAU_S` long (boundary kept).
 
     The lengths are `row_norms` of the endpoint differences, bit for bit
     `np.linalg.norm(p_end - p_start)` of each segment."""
-    return row_norms(ends[:, 2:] - ends[:, :2]) >= tau_s
+    return row_norms(ends[:, 2:] - ends[:, :2]) >= TAU_S
 
 
 def match_predicted(pred, pred_frame, det, det_frame) -> np.ndarray:
@@ -228,8 +228,7 @@ def write_gate_audit(audit: list[GateAudit], path) -> None:
                             for name, thr, values, verdicts in gates)
 
 
-def run_gates(frame_id, track_id, observed, projected,
-              audit: list[GateAudit] | None = None):
+def run_gates(frame_id, track_id, observed, projected, audit: list[GateAudit]):
     """Run all three gates on n observed/projected segment pairs, stacked
     endpoints (n, 4), x1 y1 x2 y2 per row; `frame_id` and `track_id` hold the
     frame and track id of each row. Returns the (n,) pass mask. `audit` gets
@@ -252,6 +251,6 @@ def run_gates(frame_id, track_id, observed, projected,
          overlap_gate(observed[:, :2], observed[:, 2:], projected[:, :2],
                       projected[:, 2:], R_THRE)),
     ]
-    if audit is not None and len(observed):
+    if len(observed):
         audit.append(GateAudit(np.asarray(frame_id), np.asarray(track_id), results))
     return np.logical_and.reduce([res.passed for _, _, res in results])

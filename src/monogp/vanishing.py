@@ -143,7 +143,10 @@ def sample_vp_hypotheses(scene_ends, m: int, rng_seeds) -> list[np.ndarray]:
     short of m after a batch draws another in the next pass of the loop.
     Lines, cross products and normalization run on all frames' pairs of a
     pass at once; they are elementwise or per-row BLAS dots, so each frame
-    gets the hypotheses it gets alone.
+    gets the hypotheses it gets alone. The replay of `Generator.choice`
+    (`_decode_pairs`) is what holds acceptance criteria 4 and 8 where they
+    are: a plain batched draw of the pairs, equally uniform, takes other
+    pairs from the stream and fails both.
     """
     sizes = [len(ends) for ends in scene_ends]
     if not sizes:
@@ -474,16 +477,15 @@ def detect_scene_vanishing_points(frames, n_hypotheses: int, min_cluster_size: i
     return out
 
 
-def detect_vanishing_points(segments,
-                            n_hypotheses: int = DEFAULT_N_HYPOTHESES,
-                            min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
-                            rng_seed: int = 0) -> list[VanishingPointEstimate]:
+def detect_vanishing_points(segments, rng_seed: int = 0) -> list[VanishingPointEstimate]:
     """VP detection on one frame's list of `Segment2D`: the one-frame case of
-    `detect_scene_vanishing_points`. Every segment gets its cluster_label set
-    (index into the returned list, None for outliers) on every return."""
+    `detect_scene_vanishing_points`, with `DEFAULT_N_HYPOTHESES` hypotheses
+    and clusters of at least `DEFAULT_MIN_CLUSTER_SIZE` segments. Every
+    segment gets its cluster_label set (index into the returned list, None for
+    outliers) on every return."""
     estimates, = detect_scene_vanishing_points(
         [(endpoints(segments), [s.id for s in segments], rng_seed)],
-        n_hypotheses, min_cluster_size)
+        DEFAULT_N_HYPOTHESES, DEFAULT_MIN_CLUSTER_SIZE)
     label = {sid: k for k, est in enumerate(estimates) for sid in est.member_segment_ids}
     for s in segments:
         s.cluster_label = label.get(s.id)

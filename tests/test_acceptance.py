@@ -129,7 +129,7 @@ def test_criterion_5_jlinkage_recovers_planted_families():
     successes, worst_angle, worst_acc = 0, 0.0, 1.0
     for seed in range(20):
         segments, families, pose = _planted_vp_scene(seed)
-        estimates = detect_vanishing_points(segments, n_hypotheses=500, rng_seed=seed)
+        estimates = detect_vanishing_points(segments, rng_seed=seed)
         lifted = [lift_vanishing_point(e.vp_homogeneous, K, pose.r_wc)
                   for e in estimates]
         # map each estimate to its nearest planted axis

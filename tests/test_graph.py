@@ -131,6 +131,12 @@ def add_factor(g, cls, id_a, id_b, const):
     return g.factors[sum(len(g.tables[c]) for c in KINDS[:KINDS.index(cls) + 1]) - 1]
 
 
+def pack(g) -> PackedFactors:
+    """`g`'s factors packed as `optimize` packs them, with pose 0 fixed: for
+    the cost-only calls, which read no parameter columns."""
+    return PackedFactors(g, ParameterIndex(g, [("pose", 0)]))
+
+
 def factor_records(g) -> list:
     """Each factor of `g`, in `g.factors` order, as the (cls, id_a, id_b,
     const) `add_factor` takes: the ids read back from the table's graph
@@ -568,13 +574,13 @@ def factor_jacobians(e) -> np.ndarray:
 def batch_jacobian_errors(graph) -> dict:
     """Per kind, the worst `max_relative_error` over its two variables of the
     batch's per-factor Jacobians (`factor_jacobians` of
-    `PackedFactors(graph).evaluate`), placed in the kind's `live` columns
+    `pack(graph).evaluate`), placed in the kind's `live` columns
     with zeros elsewhere, against central differences of the batch's
     residuals that step the batch's rows of the variable with `retract` by
     +-NUMERIC_STEP. The two variables of a factor are of different kinds,
     so stepping a kind's rows moves one variable of each factor."""
     out = {}
-    for e in PackedFactors(graph).evaluate(graph):
+    for e in pack(graph).evaluate(graph):
         b, n = e.batch, len(e.r)
         analytic = np.zeros((n, b.cls.dim, sum(DOF[kind] for kind in b.cls.variables)))
         analytic[:, :, b.cls.live] = factor_jacobians(e)
@@ -630,7 +636,7 @@ def test_add_factors_columns_of_unequal_length_rejected(ids_a, ids_b, consts):
         g.add_factors(PointFactor, ids_a, ids_b, consts)
     table = g.tables[PointFactor]
     assert len(table.rows_a) == len(table.rows_b) == len(table.consts) == 0
-    assert total_cost(g) == 0.0
+    assert total_cost(g, pack(g)) == 0.0
 
 
 def test_graph_built_one_row_at_a_time_equals_stacked_rows():
@@ -736,7 +742,7 @@ def test_total_cost_zero_at_ground_truth():
         p_w = to_camera(pose.inverse(), p_c)
         add_point(g, i, p_w)
         add_factor(g, PointFactor, 0, i, project_point(p_w, pose, K))
-    assert total_cost(g) < 1e-12
+    assert total_cost(g, pack(g)) < 1e-12
 
 
 def test_total_cost_huber_elbow_value():
@@ -749,7 +755,7 @@ def test_total_cost_huber_elbow_value():
     assert PointFactor.SIGMA == 1.0 and PointFactor.HUBER_DELTA == HUBER_2DOF
     # past the elbow: 2 delta |r| - delta^2 at |r| = 10
     expected = 2.0 * HUBER_2DOF * 10.0 - HUBER_2DOF**2
-    assert abs(total_cost(g) - expected) < 1e-9
+    assert abs(total_cost(g, pack(g)) - expected) < 1e-9
 
 
 def test_behind_camera_factor_deactivated():
@@ -759,13 +765,13 @@ def test_behind_camera_factor_deactivated():
         add_pose(g, 0, IDENTITY)
         add_point(g, 0, np.array([0.0, 0.0, depth]))
         f = add_factor(g, PointFactor, 0, 0, np.array([320.0, 240.0]))
-        assert total_cost(g) == 0.0  # only factor is deactivated
-        assert cost_breakdown(g) == {}
+        assert total_cost(g, pack(g)) == 0.0  # only factor is deactivated
+        assert cost_breakdown(g, pack(g)) == {}
         with pytest.raises(BehindCameraError):
             f.residual(g)
         index = ParameterIndex(g, [("pose", 0)])
         assert index.n_params == 3
-        cost, system = _linearize(g, index)
+        cost, system = _linearize(g, index, PackedFactors(g, index))
         assert cost == 0.0
         assert system.cc.shape == (0, 0) and system.ee.shape == (1, 3, 3)
         assert not system.ee.any() and not system.g.any()
@@ -839,13 +845,13 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
     assert inactive == 1 and elbow >= 1
     layout = ParameterIndex(g, [("pose", 0)])
     assert layout.n_params == n
-    cost, system = _linearize(g, layout)
+    cost, system = _linearize(g, layout, PackedFactors(g, layout))
     H, grad = dense_H(system), system.g
     assert np.max(np.abs(H - H_ref)) < 1e-5 * np.max(np.abs(H_ref))
     assert np.max(np.abs(grad - g_ref)) < 1e-5 * np.max(np.abs(g_ref))
-    total = total_cost(g)
+    total = total_cost(g, pack(g))
     assert abs(cost - total) <= 1e-12 * total
-    breakdown = cost_breakdown(g)
+    breakdown = cost_breakdown(g, pack(g))
     assert set(breakdown) == {"point", "line", "vd_align"}
     assert abs(sum(breakdown.values()) - total) <= 1e-12 * total
 
@@ -1043,7 +1049,7 @@ def corridor_gp_graph():
 
 def test_vd_align_pairs_equal_per_factor_oracle():
     g = build_shared_pair_graph()
-    packed = PackedFactors(g)
+    packed = pack(g)
     b = next(b for b in packed.batches if b.cls is VdAlignFactor)
     e = next(e for e in packed.evaluate(g) if e.batch is b)
     assert len(b.rows_a) == 120 and len(b.consts["pose"]) == 6  # 20 factors per pair
@@ -1066,7 +1072,7 @@ def test_one_camera_equals_gathered_camera_rows_bitwise():
     # give the bits of the per-factor camera rows they were once fed
     g = corridor_gp_graph()
     kinds = set()
-    for e in PackedFactors(g).evaluate(g):
+    for e in pack(g).evaluate(g):
         b, c = e.batch, e.batch.consts
         a, n = b.rows_a, len(b.rows_a)
         if b.cls is PointFactor:
@@ -1099,9 +1105,9 @@ def test_linearize_equals_all_column_scatter_bitwise(build):
         J[:, :, b.cls.live] = oracle_factor_jacobians(g, e)
         w = np.where(e.active, e.weight * b.info, 0.0)
         oracle_scatter(H_ref, g_ref, m, cols, w, J, e.r)
-    cost, system = _linearize(g, index)
+    cost, system = _linearize(g, index, PackedFactors(g, index))
     assert_holds_dense_entries(system, H_ref[:n, :n], g_ref[:n], index, pair_tolerance(g, index))
-    assert cost == total_cost(g)
+    assert cost == total_cost(g, pack(g))
 
 
 @pytest.mark.parametrize("build", [build_assembly_graph, structured_gp_graph])
@@ -1121,11 +1127,11 @@ def test_linearize_after_total_cost_equals_fresh_packing_bitwise(monkeypatch, bu
 
 def test_held_evaluation_is_only_used_at_its_own_state():
     g = build_assembly_graph()
-    packed = PackedFactors(g)
+    packed = pack(g)
     total_cost(g, packed)
     g.put_rows("point", [0], [g.X[0] + 0.1])  # new arrays: another state
-    assert total_cost(g, packed) == total_cost(g)
-    assert cost_breakdown(g, packed) == cost_breakdown(g)
+    assert total_cost(g, packed) == total_cost(g, pack(g))
+    assert cost_breakdown(g, packed) == cost_breakdown(g, pack(g))
 
 
 # -- factor tables against the per-factor packing --------------------------------
@@ -1155,7 +1161,7 @@ def oracle_consts(cls, consts, rows_a, rows_b, k) -> dict:
                             for i in order])}
 
 
-def oracle_packing(g, index=None) -> list:
+def oracle_packing(g, index) -> list:
     """The batches `PackedFactors` built from the factor list before the
     factor tables: grouped by kind, in `KINDS` order, with per-factor
     keys, row lookups and constants, from the records `factor_records` reads."""
@@ -1171,9 +1177,8 @@ def oracle_packing(g, index=None) -> list:
         consts = oracle_consts(cls, [c for *_, c in members], rows_a, rows_b, g.intr)
         # vd_align's terms are per (pose, GP) pair
         a, b = (consts["pose"], consts["gp"]) if cls is VdAlignFactor else (rows_a, rows_b)
-        cols = None if index is None else np.concatenate(
-            [index.table[ka][a], index.table[kb][b]], axis=1)[:, cls.live]
-        at = None if index is None else graph_module._positions(cols, cls, index)
+        cols = np.concatenate([index.table[ka][a], index.table[kb][b]], axis=1)[:, cls.live]
+        at = graph_module._positions(cols, cls, index)
         batches.append(SimpleNamespace(
             cls=cls, rows_a=rows_a, rows_b=rows_b,
             cols=cols, at=at, consts=consts,
@@ -1187,9 +1192,6 @@ def assert_batches_equal(batches, expected, names=("rows_a", "rows_b", "cols")):
     for b, ref in zip(batches, expected):
         for name in names:
             got, want = getattr(b, name), getattr(ref, name)
-            if want is None:
-                assert got is None, name
-                continue
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert list(b.consts) == list(ref.consts)
         for name, want in ref.consts.items():
@@ -1215,7 +1217,7 @@ def test_linearize_on_tables_equals_per_factor_packing_bitwise(build):
     oracle = PackedFactors(g, index)
     oracle.batches = oracle_packing(g, index)
     ref = _linearize(g, index, oracle)
-    out = _linearize(g, index)
+    out = _linearize(g, index, PackedFactors(g, index))
     assert out[0].hex() == ref[0].hex()
     assert system_bytes(out[1]) == system_bytes(ref[1])
 
@@ -1230,9 +1232,9 @@ def test_line_sign_does_not_change_its_factors(build):
     U = g.U.copy()
     U[:, :, :2] *= -1.0
     neg.add_variables("line", list(g.lines), U, g.W)
-    assert total_cost(neg).hex() == total_cost(g).hex()
+    assert total_cost(neg, pack(neg)).hex() == total_cost(g, pack(g)).hex()
     index = ParameterIndex(g, [("pose", 0)])
-    (cost, system), (cost_neg, system_neg) = (_linearize(h, index) for h in (g, neg))
+    (cost, system), (cost_neg, system_neg) = (_linearize(h, index, PackedFactors(h, index)) for h in (g, neg))
     assert cost_neg.hex() == cost.hex()
     assert system_neg.buffer.tobytes() == system.buffer.tobytes()
     report, report_neg = (optimize(h, [("pose", 0)]) for h in (g, neg))
@@ -1298,6 +1300,15 @@ def assert_step_matches_dense_solve(system, lam, forward=True):
             1e-9 * np.max(np.abs(ref), initial=0.0)
 
 
+def system_of(cc, ec, ee, g) -> _NormalEquations:
+    """A `_NormalEquations` of these pieces, copied into views of one flat
+    buffer as `_linearize` makes its four pieces (in another layout)."""
+    pieces = (cc, ec, ee, g)
+    buffer = np.concatenate([a.ravel() for a in pieces])
+    parts = np.split(buffer, np.cumsum([a.size for a in pieces[:-1]]))
+    return _NormalEquations(*(v.reshape(a.shape) for v, a in zip(parts, pieces)), buffer)
+
+
 def random_system(rng, n_poses: int, n_other: int, n_points: int, dead=()):
     """A `_NormalEquations` J^T J and a random g of random rows: three on each
     live point's coordinates, two for each of two or three poses that see
@@ -1327,7 +1338,7 @@ def random_system(rng, n_poses: int, n_other: int, n_points: int, dead=()):
         g[nc + 3 * r:nc + 3 * r + 3] = 0.0
     pp = np.array([H[nc + 3 * r:nc + 3 * r + 3, nc + 3 * r:nc + 3 * r + 3]
                    for r in range(n_points)]).reshape(n_points, 3, 3)
-    system = _NormalEquations(H[:nc, :nc].copy(), H[nc:, :6 * n_poses].copy(), pp, g)
+    system = system_of(H[:nc, :nc], H[nc:, :6 * n_poses], pp, g)
     system.update()
     return system
 
@@ -1352,7 +1363,7 @@ def test_schur_step_with_fixed_variables_matches_dense_solve(fixed, lam):
     g = build_assembly_graph()
     index = ParameterIndex(g, fixed)
     cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
-    cost, system = _linearize(g, index)
+    cost, system = _linearize(g, index, PackedFactors(g, index))
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(g, index))
     assert len(system.ee) == len(index.rows[index.eliminated])
@@ -1365,7 +1376,7 @@ def test_linearize_holds_dense_scatter_entries_bitwise(scene, seed, mode):
     g = pipeline_graph(scene, seed, mode)
     index = ParameterIndex(g, [("pose", 0)])
     cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
-    cost, system = _linearize(g, index)
+    cost, system = _linearize(g, index, PackedFactors(g, index))
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(g, index))
 
@@ -1464,14 +1475,14 @@ def test_schur_step_matches_dense_solve_on_pipeline_systems(scene, seed, mode):
     index = ParameterIndex(g, [("pose", 0)])
     assert index.eliminated == ("point" if scene is default_corridor else "pose")
     for lam in LAMBDAS:  # the scale gauge is free: see `assert_step_matches_dense_solve`
-        _, system = _linearize(g, index)
+        _, system = _linearize(g, index, PackedFactors(g, index))
         assert_step_matches_dense_solve(system, lam, forward=lam >= LAMBDA_INIT)
 
 
 def test_schur_step_raises_on_a_singular_point_block():
     # a rank-2 point block, damped too little to change its diagonal
     pp = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-    system = _NormalEquations(np.eye(6), np.zeros((3, 6)), pp, np.ones(9))
+    system = system_of(np.eye(6), np.zeros((3, 6)), pp, np.ones(9))
     system.update()
     with pytest.raises(np.linalg.LinAlgError):
         system.step(1e-20)
@@ -1511,8 +1522,8 @@ def test_step_in_reused_buffers_equals_per_trial_formula_bitwise(monkeypatch, sc
     g = pipeline_graph(scene, seed, mode)
     index = ParameterIndex(g, [("pose", 0)])
     assert index.eliminated == ("point" if scene is default_corridor else "pose")
-    _, system = _linearize(g, index)
-    _, ref = _linearize(g, index)
+    _, system = _linearize(g, index, PackedFactors(g, index))
+    _, ref = _linearize(g, index, PackedFactors(g, index))
     assert system_bytes(system) == system_bytes(ref)
     # the first trial fails in the reduced solve, after every buffer is
     # written; LM retries at LAMBDA_SCALE times the damping
@@ -1537,8 +1548,8 @@ def test_step_in_reused_buffers_equals_per_trial_formula_bitwise(monkeypatch, sc
             rows = index.rows[kind]
             d = steps[0][cols].reshape(len(rows), DOF[kind])
             g.put_rows(kind, rows, retract(kind, g.take_rows(kind, rows), d))
-        _, refilled = _linearize(g, index, None, system)
-        _, fresh = _linearize(g, index)
+        _, refilled = _linearize(g, index, PackedFactors(g, index), system)
+        _, fresh = _linearize(g, index, PackedFactors(g, index))
     finally:
         g.restore(snap)
     assert refilled is system and system_bytes(refilled) == system_bytes(fresh)
@@ -1609,7 +1620,7 @@ def test_schur_step_eliminates_the_poses_of_a_graph_without_points():
     g = build_shared_pair_graph(n_points=0)
     index = ParameterIndex(g, [("pose", 0)])
     assert index.eliminated == "pose" and index.n_coupled == index.n_reduced
-    cost, system = _linearize(g, index)
+    cost, system = _linearize(g, index, PackedFactors(g, index))
     assert system.ee.shape == (2, 6, 6) and system.ec.shape == (12, index.n_reduced)
     cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
     assert cost.hex() == cost_ref.hex()
@@ -1715,7 +1726,7 @@ def test_factor_rows_read_counts_and_residuals_of_the_packed_evaluation(build):
     assert len(g.factors) == sum(counts.values())
     factors = iter(g.factors)
     inactive = 0
-    for e in PackedFactors(g).evaluate(g):
+    for e in pack(g).evaluate(g):
         for r, active in zip(e.r, e.active.tolist()):
             f = next(factors)
             assert f.kind == e.batch.cls.kind
@@ -1749,9 +1760,10 @@ def test_block_add_equals_one_factor_at_a_time():
         block.add_factors(cls, [a for _, a, _, _ in fs], [b for _, _, b, _ in fs],
                           [c for *_, c in fs])
     # the kinds in `KINDS` order, each kind's factors in order
-    assert_batches_equal(PackedFactors(block).batches, PackedFactors(g).batches)
-    assert_batches_equal(PackedFactors(block).batches, oracle_packing(block))
-    assert total_cost(block) == total_cost(g)
+    index = ParameterIndex(block, [("pose", 0)])
+    assert_batches_equal(pack(block).batches, pack(g).batches)
+    assert_batches_equal(pack(block).batches, oracle_packing(block, index))
+    assert total_cost(block, pack(block)) == total_cost(g, pack(g))
 
 
 def test_kinds_are_read_packed_and_summed_in_kinds_order():
@@ -1768,16 +1780,16 @@ def test_kinds_are_read_packed_and_summed_in_kinds_order():
         add_factor(mixed, *f)
     assert [f.kind for f in mixed.factors] == [f.kind for f in g.factors]
     assert [f[:3] for f in factor_records(mixed)] == [f[:3] for f in factor_records(g)]
-    assert [b.cls for b in PackedFactors(mixed).batches] == list(KINDS)
-    assert list(cost_breakdown(mixed)) == [cls.kind for cls in KINDS]
-    assert cost_breakdown(mixed) == cost_breakdown(g)
+    assert [b.cls for b in pack(mixed).batches] == list(KINDS)
+    assert list(cost_breakdown(mixed, pack(mixed))) == [cls.kind for cls in KINDS]
+    assert cost_breakdown(mixed, pack(mixed)) == cost_breakdown(g, pack(g))
     # the dense scatter sums in the packing's order, `KINDS` order
     index = ParameterIndex(mixed, [("pose", 0)])
     cost_ref, H, g_ref = oracle_dense_linearize(mixed, index, index.n_params)
-    cost, system = _linearize(mixed, index)
+    cost, system = _linearize(mixed, index, PackedFactors(mixed, index))
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(mixed, index))
-    assert system_bytes(system) == system_bytes(_linearize(g, index)[1])
+    assert system_bytes(system) == system_bytes(_linearize(g, index, PackedFactors(g, index))[1])
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -1788,7 +1800,7 @@ def test_optimize_requires_gauge():
     add_point(g, 0, np.array([0.0, 0.0, 2.0]))
     add_factor(g, PointFactor, 0, 0, np.array([320.0, 240.0]))
     with pytest.raises(ValueError, match="gauge unfixed"):
-        optimize(g)
+        optimize(g, [])
     # a key that names no variable of the graph, before anything is packed
     for fixed, first in (([("pose", 99)], "('pose', 99)"),
                          ([("camera", 0)], "('camera', 0)"),
@@ -1836,7 +1848,7 @@ def test_optimize_recovers_perturbed_pose():
     g, fixed = perturbed_pose_graph()
     report = optimize(g, fixed)
     assert report.converged
-    assert report.final_cost == total_cost(g)
+    assert report.final_cost == total_cost(g, pack(g))
     pose = g.poses[0]
     assert np.linalg.norm(pose.translation - IDENTITY.translation) < 1e-6
     rot_err = np.arccos(np.clip((np.trace(pose.rotation) - 1.0) / 2.0, -1, 1))
@@ -1915,7 +1927,7 @@ def test_optimize_restores_each_rejected_trial_exactly(monkeypatch):
     g, fixed = perturbed_pose_graph()
     report, counts, rejected = traced_optimize(monkeypatch, g, fixed)
     assert report.final_cost < 1e-18
-    assert report.final_cost == total_cost(g)
+    assert report.final_cost == total_cost(g, pack(g))
     assert len(counts["retract"]) <= 4 * counts["solve"]
     assert rejected >= 1
     assert counts["restore"] == rejected
@@ -1967,7 +1979,7 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
         a = rng.uniform([50.0, 50.0], [500.0, 400.0])
         seg = Segment2D(a, a + [rng.uniform(40, 90), 0.0], id=i)
         add_factor(g, VdAlignFactor, 0, 0, seg_row(seg))
-    c0 = total_cost(g)
+    c0 = total_cost(g, pack(g))
     report = optimize(g, fixed=[("pose", 0)])
     assert report.final_cost <= c0 + 1e-15
     assert abs(np.linalg.norm(g.gps[0]) - 1.0) < 1e-12

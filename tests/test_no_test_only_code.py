@@ -6,8 +6,14 @@ copy of something the pipeline runs, or dead.
 - Every `def` (method, nested function and dunder among them) is entered by
   the program's traffic: `tests/traffic.py` runs every CLI command, the
   demos and one round of each benchmark workload under a call trace. A def
-  the traffic never enters fails unless `ALLOWED` gives the reason tests
-  alone call it; an `ALLOWED` entry that is gone or entered fails too.
+  the traffic never enters fails unless `traffic.ALLOWED` gives the reason
+  tests alone call it; an `ALLOWED` entry that is gone or entered fails too.
+- Every parameter default of a function the traffic enters is taken by one
+  call and overridden by another: a default no program call takes is a
+  branch only tests reach, and a default no call overrides is a setting no
+  program turns. Either fails unless `traffic.ALLOWED_DEFAULTS` gives the
+  reason; a stale entry fails too. The config schema (`ScenarioConfig` and
+  its sections) is exempt: each field is a JSON key a config file may omit.
 - A call trace does not see module-level classes and assigned names
   (constants, tables, dataclasses and NamedTuples with no hand-written
   method), so these are checked by a scan of the program's sources (`src/`,
@@ -26,39 +32,51 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "monogp"
 PROGRAM = [ROOT / "src", ROOT / "perfbench", ROOT / "demos"]
 
-# Reached only from tests, on purpose: qualified name -> reason.
-ALLOWED = {
-    "primitives.GlobalPrimitiveRegistry.recompute_support":
-        "acceptance criterion 7 audits the fused GP support with it",
-    "primitives.GlobalPrimitiveRegistry.association_graph":
-        "acceptance criterion 8 finds the frame links through GPs with it",
-    "scenarios.nonoverlap":
-        "acceptance criterion 8 and the golden outputs run this landmark-disjoint scene",
-    "simulate.ScenarioConfig.save":
-        "acceptance criterion 10 writes the scenario config file with it",
-    "simulate.ScenarioConfig.to_json":
-        "`save` writes it (criterion 10)",
-    "geometry.Pose.inverse":
-        "value-type helper: criterion 1 maps camera points to the world with it",
-    "geometry.Pose.compose":
-        "value-type helper: the oracle that `retract` on poses is checked against",
-}
+@pytest.fixture(scope="module")
+def program():
+    return traffic.program_trace()
 
 
 @pytest.fixture(scope="module")
-def never_called():
-    return traffic.never_called(traffic.program_trace()[1])
+def never_called(program):
+    return traffic.never_called(program[1])
+
+
+@pytest.fixture(scope="module")
+def one_sided(program):
+    return traffic.one_sided(program[2])
 
 
 def test_every_library_function_is_entered_by_the_traffic(never_called):
-    unexpected = sorted(never_called - set(ALLOWED))
+    unexpected = sorted(never_called - set(traffic.ALLOWED))
     assert not unexpected, f"entered only by tests: {unexpected}"
 
 
 def test_allowlist_entries_are_still_defined_and_unreached(never_called):
     defined = traffic.never_called(set())
-    stale = sorted(q for q in ALLOWED if q not in defined or q not in never_called)
+    stale = sorted(q for q in traffic.ALLOWED if q not in defined or q not in never_called)
     assert not stale, f"allowlist entries no longer needed: {stale}"
+
+
+def one_sided_defaults(one_sided, allowed) -> list[str]:
+    """The defaults in `one_sided` (from `traffic.one_sided`) that `allowed`
+    does not name, with what the calls did."""
+    return sorted(f"{q}: {s} only" for q, s in one_sided.items() if q not in allowed)
+
+
+def stale_defaults(one_sided, allowed) -> list[str]:
+    """The `allowed` entries whose default is no longer one-sided, or gone."""
+    return sorted(q for q in allowed if q not in one_sided)
+
+
+def test_every_default_is_taken_and_overridden_by_the_traffic(one_sided):
+    unexpected = one_sided_defaults(one_sided, traffic.ALLOWED_DEFAULTS)
+    assert not unexpected, f"defaults the program takes or overrides on every call: {unexpected}"
+
+
+def test_allowed_defaults_are_still_one_sided(one_sided):
+    stale = stale_defaults(one_sided, traffic.ALLOWED_DEFAULTS)
+    assert not stale, f"allowed defaults no longer needed: {stale}"
 
 
 TOY = '''\
@@ -93,10 +111,80 @@ def test_each_def_is_named_by_its_qualified_name(tmp_path, call, entered):
     path.write_text(TOY)
     namespace = {}
     exec(compile(TOY, str(path), "exec"), namespace)
-    _, hits = traffic.trace([(call, None, lambda: exec(call, namespace))], tmp_path)
+    _, hits, _ = traffic.trace([(call, None, lambda: exec(call, namespace))], tmp_path)
     defined = {"Box.side", "Box.make", "Box.make.grow", "Box.__repr__", "documented"}
     assert traffic.never_called(set(), tmp_path) == {f"toy.{q}" for q in defined}
     assert traffic.never_called(hits, tmp_path) == {f"toy.{q}" for q in defined - entered}
+
+
+TOY_DEFAULTS = '''\
+from dataclasses import dataclass, field
+
+
+def scale(x, factor=2.0, label="x"):
+    return x * factor
+
+
+def emit(x, audit=None):
+    if audit is not None:
+        audit.append(x)
+
+
+@dataclass
+class Report:
+    cost: float
+    parts: dict = field(default_factory=dict)
+
+
+@dataclass
+class Schema:
+    size: int = 3
+'''
+
+# the toy's program: `factor` taken (an int equal to the default counts) and
+# overridden, `label` only taken, `audit` and `parts` only overridden (a
+# test may call `emit(1)`: it is not traced), and the schema built bare
+TOY_PROGRAM = "scale(1.0, 3.0); scale(1.0, factor=2); emit(1, []); Report(1.0, {}); Schema()"
+
+
+@pytest.fixture
+def toy_uses(tmp_path):
+    path = tmp_path / "toy.py"
+    path.write_text(TOY_DEFAULTS)
+    namespace = {"__name__": "toy"}
+    exec(compile(TOY_DEFAULTS, str(path), "exec"), namespace)
+    defaults = traffic.defaulted({"toy": namespace}, schema=(namespace["Schema"],))
+    calls = [("program", None, lambda: exec(TOY_PROGRAM, namespace))]
+    return traffic.trace(calls, tmp_path, defaults)[2]
+
+
+def test_a_default_that_only_tests_take_fails(toy_uses):
+    assert toy_uses["toy.emit(audit)"] == {"overridden"}
+    assert "toy.emit(audit): overridden only" in one_sided_defaults(traffic.one_sided(toy_uses), {})
+
+
+def test_a_default_no_call_overrides_fails(toy_uses):
+    assert toy_uses["toy.scale(label)"] == {"taken"}
+    assert toy_uses["toy.scale(factor)"] == {"taken", "overridden"}
+    assert one_sided_defaults(traffic.one_sided(toy_uses), {}) == [
+        "toy.Report.__init__(parts): overridden only", "toy.emit(audit): overridden only",
+        "toy.scale(label): taken only"]
+
+
+def test_a_default_factory_field_is_seen(toy_uses):
+    assert toy_uses["toy.Report.__init__(parts)"] == {"overridden"}
+
+
+def test_the_config_schema_is_exempt(toy_uses):
+    assert not [q for q in toy_uses if q.startswith("toy.Schema")]
+
+
+def test_a_stale_allowed_default_fails(toy_uses):
+    one_sided = traffic.one_sided(toy_uses)
+    allowed = {"toy.scale(label)": "still one-sided", "toy.scale(factor)": "overridden too",
+               "toy.gone(x)": "no such default"}
+    assert stale_defaults(one_sided, allowed) == ["toy.gone(x)", "toy.scale(factor)"]
+    assert "toy.scale(label): taken only" not in one_sided_defaults(one_sided, allowed)
 
 
 def module_level_names(package):

@@ -22,7 +22,7 @@ from monogp.pipeline import (
 )
 from monogp.primitives import GlobalPrimitiveRegistry
 from monogp.scenarios import default_corridor, nonoverlap, structured
-from monogp.segments import Segment2D, lines_through
+from monogp.segments import Segment2D, endpoints, lines_through
 from monogp.simulate import (
     ScenarioConfig,
     TrajectorySpec,
@@ -315,12 +315,13 @@ def test_scene_vp_detection_equals_per_frame_detection(cfg):
     frames, _ = rendered(cfg)
     scene, per_frame = [], []
     for t, fr in enumerate(frames):
-        long = filter_short(fr.ends, TAU_S)
+        long = filter_short(fr.ends)
         seed = cfg.rng_seed * 1009 + t
         scene.append((fr.ends[long], fr.ids[long].tolist(), seed))
-        per_frame.append(detect_vanishing_points(
-            [s for s, keep in zip(fr.segments, long) if keep], pipeline.VP_HYPOTHESES,
-            pipeline.VP_MIN_CLUSTER, rng_seed=seed))
+        segs = [s for s, keep in zip(fr.segments, long) if keep]
+        per_frame += detect_scene_vanishing_points(
+            [(endpoints(segs), [s.id for s in segs], seed)], pipeline.VP_HYPOTHESES,
+            pipeline.VP_MIN_CLUSTER)
     got = detect_scene_vanishing_points(scene, pipeline.VP_HYPOTHESES, pipeline.VP_MIN_CLUSTER)
 
     def bits(estimates):
@@ -346,10 +347,9 @@ def oracle_graph(frames, poses, cfg, mode):
             segs = [s for s in fr.segments if np.linalg.norm(s.p_end - s.p_start) >= TAU_S]
             if len(segs) < 2:
                 continue
-            estimates = detect_vanishing_points(
-                segs, n_hypotheses=pipeline.VP_HYPOTHESES,
-                min_cluster_size=pipeline.VP_MIN_CLUSTER,
-                rng_seed=cfg.rng_seed * 1009 + t)
+            estimates, = detect_scene_vanishing_points(
+                [(endpoints(segs), [s.id for s in segs], cfg.rng_seed * 1009 + t)],
+                pipeline.VP_HYPOTHESES, pipeline.VP_MIN_CLUSTER)
             lifted = [(lift_vanishing_point(e.vp_homogeneous, intr, poses[t].r_wc),
                        e.member_segment_ids) for e in estimates]
             for gp_id, seg_ids in registry.associate_frame(t, lifted, cfg.n_l):
@@ -660,7 +660,8 @@ def test_packed_segment_constants_equal_per_factor_form():
     cfg = structured(0)
     frames, poses = rendered(cfg)
     g = build_graph(poses, mapped(frames, poses, cfg, "gp"), cfg.intrinsics)
-    consts = {b.cls: b.consts for b in graph.PackedFactors(g).batches}
+    index = graph.ParameterIndex(g, [("pose", 0)])
+    consts = {b.cls: b.consts for b in graph.PackedFactors(g, index).batches}
     lines = [obs for cls, _, _, obs in factor_records(g) if cls is graph.LineFactor]
     aligns = [seg for cls, _, _, seg in factor_records(g) if cls is graph.VdAlignFactor]
     assert lines and aligns

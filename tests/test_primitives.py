@@ -8,6 +8,7 @@ import pytest
 from monogp import primitives as primitives_module
 from monogp.primitives import (
     FUSE_TOL_DEG,
+    GlobalPrimitive,
     GlobalPrimitiveRegistry,
     fuse_directions,
     is_parallel,
@@ -212,19 +213,30 @@ def test_registry_json_dump():
 
 
 def test_axis_angle_clamps_above_one_and_keeps_nan():
-    axis_angle = primitives_module._axis_angle_deg
-
-    def clipped(d, g):  # the form it replaced: np.clip on the float
+    def clipped(d, g):  # the scalar form: np.clip on the float
         return math.degrees(math.acos(np.clip(abs(float(d @ g)), 0.0, 1.0)))
 
     rng = np.random.default_rng(4)
     units = rng.normal(size=(2000, 3))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
     for d, g in zip(units[::2], units[1::2]):
-        assert axis_angle(d, g) == clipped(d, g)
+        # the angle is the scalar form's to the bit: parallel just above it, not at it
+        angle = clipped(d, g)
+        assert is_parallel(d, g, np.nextafter(angle, np.inf)) and not is_parallel(d, g, angle)
     # a unit vector whose |d·d| rounds above 1, both signs: the angle is 0
     above = [d for d in units if abs(float(d @ d)) > 1.0]
     assert above
     for d in above[:5]:
-        assert axis_angle(d, d) == axis_angle(d, -d) == clipped(d, d) == 0.0
-    assert math.isnan(axis_angle(np.array([math.nan, 0.0, 0.0]), units[0]))
+        assert clipped(d, d) == 0.0
+        for e in (d, -d):
+            assert is_parallel(d, e, np.nextafter(0.0, 1.0)) and not is_parallel(d, e, 0.0)
+        reg = GlobalPrimitiveRegistry()
+        reg.primitives.append(GlobalPrimitive(d, 1.0, []))
+        assert reg.match(d) == reg.match(-d) == 0
+    # a NaN angle is parallel to nothing and matches nothing; a later id still matches
+    nan = np.array([math.nan, 0.0, 0.0])
+    assert not is_parallel(nan, units[0], 180.0)
+    reg = GlobalPrimitiveRegistry()
+    reg.primitives += [GlobalPrimitive(nan, 1.0, []), GlobalPrimitive(units[0], 1.0, [])]
+    assert reg.match(nan) is None
+    assert reg.match(units[0]) == 1

@@ -326,7 +326,7 @@ def test_config_sections_are_frozen():
     # a whole section is replaced through `replace`, checked at its own construction
     cfg = dataclasses.replace(cfg, noise=noise, name="corridor-perturbed",
                               init_perturbation=InitPerturbation(rot_deg=1.0, trans_m=0.05))
-    assert cfg.to_json() == perturbed_corridor().to_json()
+    assert cfg.to_json() == perturbed_corridor(0).to_json()
 
 
 def test_partition_windows_cannot_be_edited_in_place():

@@ -67,14 +67,14 @@ def direction(s):
 # -- filtering / tracks ------------------------------------------------------
 
 def test_filter_short_lengths():
-    ends = endpoints([seg(0, 0, 5, 0, 0), seg(0, 0, 20, 0, 1), seg(0, 0, 40, 0, 2)])
-    assert filter_short(ends, 10.0).tolist() == [False, True, True]
+    ends = endpoints([seg(0, 0, TAU_S / 2, 0, 0), seg(0, 0, 2 * TAU_S, 0, 1),
+                      seg(0, 0, 4 * TAU_S, 0, 2)])
+    assert filter_short(ends).tolist() == [False, True, True]
 
 
 def test_filter_short_boundary_kept():
-    ends = endpoints([seg(0, 0, 10, 0, 0)])
-    assert filter_short(ends, 10.0).tolist() == [True]
-    assert filter_short(ends, 0.0).tolist() == [True]
+    ends = endpoints([seg(0, 0, TAU_S, 0, 0), seg(0, 0, np.nextafter(TAU_S, 0.0), 0, 1)])
+    assert filter_short(ends).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("config", [structured(0), structured(1), structured(2),
@@ -265,7 +265,7 @@ def test_run_gates_audit_byte_identical(tmp_path):
 def test_run_gates_all_pass_on_exact_projection():
     observed = Segment2D([100, 100], [200, 150], id=0)
     projected = Segment2D([100, 100], [200, 150], id=0)
-    assert run_gates([0], [0], endpoints([observed]), endpoints([projected]))[0]
+    assert run_gates([0], [0], endpoints([observed]), endpoints([projected]), [])[0]
 
 
 # -- oracles: the per-pair loops, verbatim -------------------------------------
@@ -496,7 +496,7 @@ def test_match_predicted_equals_oracle_on_scenes(config):
     # every frame in one call, against the per-frame oracle
     frames, _ = scene(config)
     rows = SceneSegments.of(frames)
-    long = filter_short(rows.ends, TAU_S)
+    long = filter_short(rows.ends)
     assert long.tolist() == [np.linalg.norm(s.p_end - s.p_start) >= TAU_S
                              for fr in frames for s in fr.segments + predicted_segments(fr)]
     is_pred = rows.track >= 0

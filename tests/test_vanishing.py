@@ -823,7 +823,7 @@ def test_detect_sets_cluster_labels():
     rng = np.random.default_rng(10)
     segs = segments_through([1500.0, 240.0], 15, rng)
     lone = Segment2D([10.0, 400.0], [60.0, 330.0], id=15)
-    ests = detect_vanishing_points(segs + [lone], n_hypotheses=300, rng_seed=0)
+    ests = detect_vanishing_points(segs + [lone], rng_seed=0)
     assert len(ests) >= 1
     assert all(s.cluster_label == 0 for s in segs)
     assert ests[0].member_segment_ids >= frozenset(range(15))
@@ -843,7 +843,7 @@ def test_detect_clears_stale_labels_on_every_return():
     rng = np.random.default_rng(10)
     segs = segments_through([1500.0, 240.0], 15, rng)
     copies = [Segment2D(segs[0].p_start, segs[0].p_end, id=100 + i) for i in range(3)]
-    assert detect_vanishing_points(segs + copies, n_hypotheses=300, rng_seed=0)
+    assert detect_vanishing_points(segs + copies, rng_seed=0)
     assert all(s.cluster_label == 0 for s in segs + copies)
     # identical lines: no hypothesis
     assert detect_vanishing_points(copies, rng_seed=0) == []
@@ -865,11 +865,11 @@ def estimate_bits(estimates):
             for e in estimates]
 
 
-def assert_scene_equals_per_frame(scene, n_hypotheses=500, min_cluster_size=3):
+def assert_scene_equals_per_frame(scene):
     """The scene detector's estimates are, bit for bit, each frame's alone."""
-    got = detect_scene_vanishing_points(scene_input(scene), n_hypotheses, min_cluster_size)
-    want = [detect_vanishing_points(segs, n_hypotheses, min_cluster_size, rng_seed=seed)
-            for segs, seed in scene]
+    got = detect_scene_vanishing_points(scene_input(scene), DEFAULT_N_HYPOTHESES,
+                                        DEFAULT_MIN_CLUSTER_SIZE)
+    want = [detect_vanishing_points(segs, rng_seed=seed) for segs, seed in scene]
     assert [estimate_bits(e) for e in got] == [estimate_bits(e) for e in want]
     return got
 
@@ -949,12 +949,19 @@ def test_detect_equals_oracle_path_on_clutter_frames(t, monkeypatch):
     segs = clutter_frames()[t]
     for order, theta, k in ((segs, 2.0, 3), (list(reversed(segs)), 1.0, 6)):
         monkeypatch.setattr(vanishing, "CONSENSUS_DEG", theta)
-        ests = detect_vanishing_points(order, min_cluster_size=k, rng_seed=5 * 1009 + t)
-        want, labels = oracle_detect_vanishing_points(order, 5 * 1009 + t, theta, k)
+        seed = 5 * 1009 + t
+        ests, = detect_scene_vanishing_points(scene_input([(order, seed)]),
+                                              DEFAULT_N_HYPOTHESES, k)
+        want, labels = oracle_detect_vanishing_points(order, seed, theta, k)
         got = [(e.vp_homogeneous.tolist(), sorted(e.member_segment_ids), e.residual_rms)
                for e in ests]
         assert len(got) >= 4 and got == want
-        assert [s.cluster_label for s in order] == labels
+        label = {sid: i for i, e in enumerate(ests) for sid in e.member_segment_ids}
+        assert [label.get(s.id) for s in order] == labels
+        if k == DEFAULT_MIN_CLUSTER_SIZE:  # the one-frame detector, which writes the labels
+            assert estimate_bits(detect_vanishing_points(order, rng_seed=seed)) == \
+                estimate_bits(ests)
+            assert [s.cluster_label for s in order] == labels
 
 
 def test_jlinkage_equals_full_recompute_oracle_on_clutter_frames():

@@ -16,24 +16,29 @@ tracing only frames of the imported `monogp` package's own files:
   module is imported as it is and nothing under `perfbench/` is written.
 Each entry point has the exit status it is expected to return.
 
-`program_trace` runs the traffic once and `never_called` names the functions
-it never entered; tier-1's `tests/test_no_test_only_code.py` asserts that
-these are only the ones it allows. Run as a script, this prints per function
-the statements that nothing executed: their line numbers (a range runs from
-the first line of one statement to the last line of a later one), a raise
-statement marked `r`, and `never called` for a function none of these paths
-entered. Run from the repository root:
+`program_trace` runs the traffic once. From it `never_called` names the
+functions it never entered, and `one_sided` the parameter defaults that it
+only took or only overrode; tier-1's `tests/test_no_test_only_code.py`
+asserts that these are only the ones `ALLOWED` and `ALLOWED_DEFAULTS` below
+name. Run as a script, this prints per function the statements that nothing
+executed: their line numbers (a range runs from the first line of one
+statement to the last line of a later one), a raise statement marked `r`,
+and `never called` for a function none of these paths entered; then one
+line per default of an entered function: `taken, overridden`, `taken only`
+or `overridden only`, and `allowed` when the guard allows it. Run from the repository root:
 
     PYTHONPATH=src python tests/traffic.py
 """
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
 import runpy
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 # One BLAS thread, as the tests and the benchmark run, set before numpy loads.
@@ -45,6 +50,35 @@ from monogp import cli, simulate  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = Path(monogp.__file__).resolve().parent
+
+
+# Reached only from tests, on purpose: qualified name -> reason.
+ALLOWED = {
+    "primitives.GlobalPrimitiveRegistry.recompute_support":
+        "acceptance criterion 7 audits the fused GP support with it",
+    "primitives.GlobalPrimitiveRegistry.association_graph":
+        "acceptance criterion 8 finds the frame links through GPs with it",
+    "scenarios.nonoverlap":
+        "acceptance criterion 8 and the golden outputs run this landmark-disjoint scene",
+    "simulate.ScenarioConfig.save":
+        "acceptance criterion 10 writes the scenario config file with it",
+    "simulate.ScenarioConfig.to_json":
+        "`save` writes it (criterion 10)",
+    "geometry.Pose.inverse":
+        "value-type helper: criterion 1 maps camera points to the world with it",
+    "geometry.Pose.compose":
+        "value-type helper: the oracle that `retract` on poses is checked against",
+}
+
+
+# Parameter defaults the traffic only takes or only overrides, on purpose:
+# "module.qualified.name(parameter)" -> reason.
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)":
+        "the `monogp` console script and `python -m monogp.cli` call `main()`",
+    "evaluate.ate_rmse(align)":
+        "acceptance criterion 9 passes `align=False`",
+}
 
 
 def _entry_points(tmp: Path):
@@ -111,10 +145,57 @@ def _one_round(workload):
         raise RuntimeError(f"{workload.name}: {errors}")
 
 
-def trace(calls, package: Path = PACKAGE) -> tuple[set, set]:
+def defaulted(modules: dict, schema) -> dict:
+    """Code object -> (qualified name, ((parameter, default), ...)) of every
+    function with defaulted parameters in `modules` ({module name:
+    namespace}): module-level functions and the methods of module-level
+    classes and of classes nested in them, the `__init__` that `@dataclass`
+    generates among them (a `default_factory` field's default is the
+    `dataclasses` sentinel). The classes in `schema` are left out."""
+    found = {}
+
+    def visit(namespace, module, owner):
+        """The functions of a module's `namespace` (`owner` None), or of a
+        class's, `owner` then its qualified name and a dot."""
+        for obj in namespace.values():
+            obj = getattr(obj, "__func__", obj)  # staticmethod, classmethod
+            if owner is None:
+                mine = getattr(obj, "__module__", None) == namespace["__name__"]
+            else:  # defined in the class body or generated for it
+                mine = getattr(obj, "__qualname__", "").startswith(owner)
+            if not mine:
+                continue
+            if isinstance(obj, type):
+                if obj not in schema:
+                    visit(vars(obj), module, obj.__qualname__ + ".")
+            elif isinstance(obj, types.FunctionType):
+                code, defaults = obj.__code__, obj.__defaults__ or ()
+                names = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+                params = tuple(zip(names, defaults)) + tuple((obj.__kwdefaults__ or {}).items())
+                if params:
+                    found[code] = (f"{module}.{obj.__qualname__}", params)
+
+    for module, namespace in modules.items():
+        visit(namespace, module, None)
+    return found
+
+
+def _takes_default(value, default) -> bool:
+    """A call takes a default when it passes the default object itself, or an
+    int, float, str or bool equal to it."""
+    scalar = (int, float, str)
+    return value is default or \
+        isinstance(value, scalar) and isinstance(default, scalar) and value == default
+
+
+def trace(calls, package: Path = PACKAGE, defaults=None) -> tuple[set, set, dict]:
     """(file, line) of every line event in the frames of `package`'s files,
-    and (file, first line, name) of every code object they entered."""
-    lines, entered = set(), set()
+    (file, first line, name) of every code object they entered, and
+    "qualified.name(parameter)" -> the subset of {"taken", "overridden"} its
+    calls showed, for each parameter of `defaults` (from `defaulted`) of a
+    function that was entered."""
+    lines, entered, uses = set(), set(), {}
+    defaults = defaults or {}
     prefix = str(package) + os.sep
 
     def local(frame, event, arg):
@@ -124,6 +205,12 @@ def trace(calls, package: Path = PACKAGE) -> tuple[set, set]:
 
     def tracer(frame, event, arg):
         code = frame.f_code
+        if code in defaults:
+            name, params = defaults[code]
+            args = frame.f_locals
+            for param, default in params:
+                uses.setdefault(f"{name}({param})", set()).add(
+                    "taken" if _takes_default(args[param], default) else "overridden")
         if code.co_filename.startswith(prefix):
             entered.add((code.co_filename, code.co_firstlineno, code.co_name))
             return local
@@ -139,13 +226,24 @@ def trace(calls, package: Path = PACKAGE) -> tuple[set, set]:
             sys.settrace(None)
         if status != expected:
             raise RuntimeError(f"{label} exited with {status}, expected {expected}")
-    return lines, entered
+    return lines, entered, uses
 
 
-def program_trace() -> tuple[set, set]:
-    """`trace` of the whole traffic."""
+def program_trace() -> tuple[set, set, dict]:
+    """`trace` of the whole traffic, over the defaults of every `monogp`
+    module except the config schema's: `ScenarioConfig` and its sections,
+    each field a JSON key that a config file may leave out."""
+    modules = {p.stem: vars(importlib.import_module(
+        "monogp" if p.stem == "__init__" else f"monogp.{p.stem}")) for p in PACKAGE.glob("*.py")}
+    schema = (simulate.ScenarioConfig, *simulate._SPECS.values())
     with tempfile.TemporaryDirectory() as tmp:
-        return trace(_entry_points(Path(tmp)))
+        return trace(_entry_points(Path(tmp)), defaults=defaulted(modules, schema))
+
+
+def one_sided(uses: dict) -> dict[str, str]:
+    """Each default of `trace`'s uses that the calls only took ("taken") or
+    only overrode ("overridden")."""
+    return {name: next(iter(states)) for name, states in uses.items() if len(states) == 1}
 
 
 class _Functions(ast.NodeVisitor):
@@ -244,8 +342,12 @@ def _report(lines, entered) -> list[str]:
 
 
 def main():
-    for line in _report(*program_trace()):
+    lines, entered, uses = program_trace()
+    for line in _report(lines, entered):
         print(line)
+    for name, states in sorted(uses.items()):
+        state = "taken, overridden" if len(states) == 2 else f"{next(iter(states))} only"
+        print(f"{name}: {state}{', allowed' if name in ALLOWED_DEFAULTS else ''}")
 
 
 if __name__ == "__main__":
