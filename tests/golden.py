@@ -42,7 +42,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from monogp.cli import main
 from monogp.pipeline import MODES, build_line_tracks, run_pipeline
-from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
+from monogp.scenarios import CONFIGS, default_corridor, nonoverlap, perturbed_corridor, structured
 from monogp.simulate import (
     NoiseSpec,
     ScenarioConfig,
@@ -54,9 +54,7 @@ from monogp.simulate import (
 from monogp.tracking import SceneSegments
 from monogp.vanishing import detect_vanishing_points
 
-ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
-CONFIGS = ("corridor", "corridor-perturbed", "nonoverlap", "structured")
 RUN_SEED = "7"
 ABLATE_SEEDS = "10"
 SWEEP = [(structured, s) for s in range(3)] + [(nonoverlap, s) for s in range(2)]
@@ -66,7 +64,7 @@ VP_SCENE_SEED = 1
 
 
 def config_path(name: str) -> str:
-    return str(ROOT / "configs" / f"{name}.json")
+    return str(CONFIGS / f"{name}.json")
 
 
 def digests(out_dir: Path, prefix: str) -> dict:
@@ -123,17 +121,22 @@ def track_entries(scenario, seed: int) -> dict:
     return entries
 
 
-def vp_clutter_frames(seed: int) -> list:
-    """Segments of each frame of a 40-keyframe orbit over five direction
-    families (x, y, z, (1, 0, 1), (1, 1, -1); 30 lines each), 1 px endpoint
-    noise, 20% outlier segments and a 100-segment budget."""
-    cfg = ScenarioConfig(
+def vp_clutter_config(seed: int) -> ScenarioConfig:
+    """A 40-keyframe orbit over five direction families (x, y, z, (1, 0, 1),
+    (1, 1, -1); 30 lines each), 1 px endpoint noise, 20% outlier segments and
+    a 100-segment budget."""
+    return ScenarioConfig(
         name="vp-clutter", rng_seed=seed, n_points=20,
         direction_families=[([1.0, 0.0, 0.0], 30), ([0.0, 1.0, 0.0], 30),
                             ([0.0, 0.0, 1.0], 30), ([1.0, 0.0, 1.0], 30),
                             ([1.0, 1.0, -1.0], 30)],
         trajectory=TrajectorySpec("orbit", 40, 0.25),
         noise=NoiseSpec(0.0, 1.0, 0.0), outlier_fraction=0.2, n_l=100)
+
+
+def vp_clutter_frames(seed: int) -> list:
+    """Segments of each frame of `vp_clutter_config(seed)`."""
+    cfg = vp_clutter_config(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # sparse-frame warnings: few points
         frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
@@ -183,8 +186,8 @@ def assert_golden(actual: dict, *prefixes: str) -> None:
 def regenerate() -> dict:
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for config in CONFIGS:
-            entries.update(run_entries(config, Path(tmp) / config))
+        for path in sorted(CONFIGS.glob("*.json")):
+            entries.update(run_entries(path.stem, Path(tmp) / path.stem))
         entries.update(ablate_entries(Path(tmp) / "ablate"))
     for scenario, seed in SWEEP:
         entries.update(sweep_entries(scenario, seed))

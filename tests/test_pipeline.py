@@ -21,7 +21,7 @@ from monogp.pipeline import (
     run_pipeline,
 )
 from monogp.primitives import GlobalPrimitiveRegistry
-from monogp.scenarios import default_corridor, nonoverlap, structured
+from monogp.scenarios import CONFIGS, default_corridor, nonoverlap, structured
 from monogp.segments import Segment2D, endpoints, lines_through
 from monogp.simulate import (
     ScenarioConfig,
@@ -37,7 +37,7 @@ from monogp.vanishing import (
     detect_vanishing_points,
     lift_vanishing_point,
 )
-from golden import CONFIGS, assert_golden, digests, run_entries
+from golden import assert_golden, digests, run_entries
 from golden import config_path as config_file
 from test_graph import (
     add_factor,
@@ -180,8 +180,8 @@ def test_pipeline_stacks_only_f_ordered_rotations(monkeypatch):
         layouts.extend(p.rotation.flags.f_contiguous for p in poses)
         return of(cls, poses)
     monkeypatch.setattr(PoseStack, "of", classmethod(recorded))
-    for name in CONFIGS:
-        cfg = ScenarioConfig.load(config_file(name))
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = ScenarioConfig.load(path)
         for mode in MODES:
             run_pipeline(cfg, mode)
     report = run_ablation(structured(), 2)
@@ -505,8 +505,7 @@ def test_cli_run_and_eval(tmp_path, config_path, capsys):
     assert printed["ate_rmse_m"] < 1e-9
 
 
-@pytest.mark.parametrize("config", ["corridor", "corridor-perturbed",
-                                    "nonoverlap", "structured"])
+@pytest.mark.parametrize("config", [p.stem for p in sorted(CONFIGS.glob("*.json"))])
 def test_cli_writes_every_config_trajectory(tmp_path, config, capsys):
     # `save_tum` raises (exit 1) on a rotation scipy's `from_matrix` would
     # re-orthogonalize: every pose written here passes its 1e-12 test.

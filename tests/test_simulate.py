@@ -1,6 +1,9 @@
 """Synthetic world, trajectory, and measurement rendering."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -10,7 +13,7 @@ import pytest
 
 from monogp import simulate
 from monogp.geometry import Pose
-from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
+from monogp.scenarios import CONFIGS, default_corridor, nonoverlap, perturbed_corridor, structured
 from monogp.segments import Segment2D
 from monogp.simulate import (
     MIN_DEPTH,
@@ -223,9 +226,19 @@ def test_config_json_roundtrip(tmp_path):
     ("corridor", default_corridor), ("corridor-perturbed", perturbed_corridor),
     ("structured", structured), ("nonoverlap", nonoverlap)])
 def test_config_file_is_its_scenario_at_seed_0(name, scenario):
-    # the golden entries run the JSON files, the tests the functions
-    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-    assert ScenarioConfig.load(path).to_json() == scenario(0).to_json()
+    # the file is the scene's one definition, kept as `save` writes it: every
+    # field spelled out, so a changed `ScenarioConfig` default changes no scene
+    assert scenario(0).to_json() + "\n" == (CONFIGS / f"{name}.json").read_text()
+
+
+def test_scenarios_load_their_files_from_any_working_directory(tmp_path):
+    src = Path(simulate.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from monogp.scenarios import structured; print(structured(3).to_json())"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True)
+    assert out.stdout == structured(3).to_json() + "\n"
 
 
 def test_config_validation():

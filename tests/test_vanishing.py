@@ -7,14 +7,7 @@ import pytest
 
 from monogp.geometry import CameraIntrinsics, so3_exp
 from monogp.segments import Segment2D, endpoints, segment_frames
-from monogp.simulate import (
-    NoiseSpec,
-    ScenarioConfig,
-    TrajectorySpec,
-    generate_trajectory,
-    generate_world,
-    render_measurements,
-)
+from monogp.simulate import generate_trajectory, generate_world, render_measurements
 import monogp.vanishing as vanishing
 from monogp.vanishing import (
     DEFAULT_MIN_CLUSTER_SIZE,
@@ -30,6 +23,7 @@ from monogp.vanishing import (
     refine_vps,
     sample_vp_hypotheses,
 )
+from golden import vp_clutter_config
 from test_segments import midpoint, segment_line
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
@@ -930,14 +924,8 @@ def test_scene_detection_rejects_duplicate_ids_in_a_frame():
 
 
 def clutter_frames(ts=(0, 9, 21, 33)):
-    """Frames ts of a five-family orbit scene with 20% outlier segments."""
-    cfg = ScenarioConfig(
-        name="vp-clutter", rng_seed=5, n_points=20,
-        direction_families=[([1.0, 0.0, 0.0], 30), ([0.0, 1.0, 0.0], 30),
-                            ([0.0, 0.0, 1.0], 30), ([1.0, 0.0, 1.0], 30),
-                            ([1.0, 1.0, -1.0], 30)],
-        trajectory=TrajectorySpec("orbit", 40, 0.25),
-        noise=NoiseSpec(0.0, 1.0, 0.0), outlier_fraction=0.2, n_l=100)
+    """Segments of frames ts of the golden clutter scene at seed 5."""
+    cfg = vp_clutter_config(5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)

@@ -46,7 +46,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 import monogp  # noqa: E402
-from monogp import cli, simulate  # noqa: E402
+from monogp import cli, scenarios, simulate  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = Path(monogp.__file__).resolve().parent
@@ -78,6 +78,8 @@ ALLOWED_DEFAULTS = {
         "the `monogp` console script and `python -m monogp.cli` call `main()`",
     "evaluate.ate_rmse(align)":
         "acceptance criterion 9 passes `align=False`",
+    "scenarios.default_corridor(seed)":
+        "the fixed-point workload calls `default_corridor()`; tests also render seeds 1 and 2",
 }
 
 
@@ -85,7 +87,7 @@ def _entry_points(tmp: Path):
     """Every traced call, in order: (label, expected status, zero-argument
     callable)."""
     main = cli.main
-    configs = sorted((REPO / "configs").glob("*.json"))
+    configs = sorted(scenarios.CONFIGS.glob("*.json"))
     for cfg in configs:
         out = tmp / cfg.stem
         yield f"simulate {cfg.name}", 0, lambda c=cfg, o=out: main(
@@ -97,7 +99,7 @@ def _entry_points(tmp: Path):
     ref = tmp / configs[0].stem / "gp" / "groundtruth.tum"
     yield "eval", 0, lambda: main(["eval", str(est), str(ref)])
     yield "eval --no-scale", 0, lambda: main(["eval", str(est), str(ref), "--no-scale"])
-    structured = REPO / "configs" / "structured.json"
+    structured = scenarios.CONFIGS / "structured.json"
     for fmt in ("json", "csv"):
         yield f"ablate {fmt}", 0, lambda f=fmt: main(
             ["ablate", "--config", str(structured), "--seeds", "2", "--format", f,
@@ -128,7 +130,7 @@ def _run_demo(path: Path):
 def _segment_file(tmp: Path) -> Path:
     """Frame 0 of the structured config, one `id x1 y1 x2 y2 track_id` line
     per segment (the track id is the segment id)."""
-    cfg = simulate.ScenarioConfig.load(REPO / "configs" / "structured.json")
+    cfg = simulate.ScenarioConfig.load(scenarios.CONFIGS / "structured.json")
     frame = simulate.render_measurements(simulate.generate_world(cfg),
                                          simulate.generate_trajectory(cfg), cfg)[0]
     path = tmp / "segments.txt"
