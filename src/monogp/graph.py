@@ -41,17 +41,19 @@ points, so the eliminated kind's blocks are 6x6 or 3x3 block-diagonal.
 `_linearize` scatters the weighted J^T J blocks of the live Jacobian
 columns into H_cc over the kept kinds, the eliminated rows' coupling to
 the kept columns (H_ec) and one block per eliminated variable, and the
-gradient terms into g, all in one flat buffer (`_layout`): each entry the
-sum a dense H would hold, and no dense H. It forms and scatters a kind's
-terms a chunk at a time through scratch arrays below 128 KiB, at int32
-positions computed once per packing, so no float or int64 array of
-factors x k^2 entries is held or built. vd_align is linearized per
-(pose, GP) pair: each factor's Jacobian row is lhat^T A of its pair's 3x5
-block A, so the pair adds A^T L A and A^T b, where L and b sum the weighted
-lhat lhat^T and r lhat of its factors. Each LM trial eliminates that kind
-(batched block inverses, one dense solve of the reduced system, back
-substitution) in buffers sized once per `optimize` call (the scatter
-buffer, its scratch and the trial buffers),
+gradient terms into g, all in one flat buffer (`_layout`) of two row
+blocks whose rows start with their gradient entry, [g_c | H_cc] and
+[g_e | H_ec | H_ee]: each entry the sum a dense H would hold, and no dense
+H. It forms and scatters a kind's terms a chunk at a time through scratch
+arrays below 128 KiB, at int32 positions computed once per packing, so no
+float or int64 array of factors x k^2 entries is held or built. vd_align
+is linearized per (pose, GP) pair: each factor's Jacobian row is lhat^T A
+of its pair's 3x5 block A, so the pair adds A^T L A and A^T b, where L and
+b sum the weighted lhat lhat^T and r lhat of its factors. Each LM trial
+eliminates that kind (batched block inverses, one dense solve of the
+reduced system, back substitution), reading [g_c | H_cc] and [g_e | H_ec]
+in place from the scatter buffer and working in buffers sized once per
+`optimize` call (the scatter buffer, its scratch and the trial buffers),
 retracts every kind once, and restores the snapshot if the cost rose. An
 inactive factor (a point at depth <= EPS_Z, a line whose image line is
 degenerate) contributes nothing, and its `residual` raises.
@@ -372,36 +374,35 @@ class _FactorTable:
 # ---------------------------------------------------------------------------
 
 def _layout(index: "ParameterIndex") -> tuple:
-    """The parts of `_linearize`'s scatter buffer, one flat float array, as
-    (start, width, gradient, size): the kept rows, (nc + 1) x (nc + 1) from
-    0; the eliminated kind's rows, (n_e + 1) x width from `start`, where
-    width = n_coupled + 1 + d; the gradient, n_params + 1 entries from
-    `gradient`; `size` entries in all. nc is `index.n_reduced`, n_e the
-    eliminated unknowns and d their kind's DOF. An eliminated row holds, in
-    its first n_coupled columns, H_ec and, in its last d, its variable's
-    block. Row and column nc of the kept rows, the last eliminated row,
-    column n_coupled of the eliminated rows and the last gradient entry
-    collect the fixed variables' terms, and column nc of the kept rows also
-    their terms against eliminated columns (H_ce, which the step takes as
-    H_ec transposed): none of them is read."""
+    """The two row blocks of `_linearize`'s scatter buffer, one flat float
+    array in which every row starts with its gradient entry, as (start,
+    width, size): the kept rows, (nc + 1) x (nc + 2) from 0, each [g_c |
+    H_cc | collecting column]; the eliminated kind's rows, (n_e + 1) x width
+    from `start`, each [g_e | H_ec | collecting column | H_ee], where width
+    = n_coupled + 2 + d; `size` entries in all. nc is `index.n_reduced`, n_e
+    the eliminated unknowns and d their kind's DOF: an eliminated row's last
+    d columns hold its variable's block. The last row of each block and
+    each block's collecting column take the fixed variables' terms, and the
+    kept rows' collecting column also their terms against eliminated
+    columns (H_ce, which the step takes as H_ec transposed): none of them is
+    read. The step reads [g_c | H_cc] and [g_e | H_ec] in place."""
     nc, d = index.n_reduced, DOF[index.eliminated]
-    start = (nc + 1) ** 2
-    width = index.n_coupled + 1 + d
-    gradient = start + (index.n_params - nc + 1) * width
-    return start, width, gradient, gradient + index.n_params + 1
+    start = (nc + 1) * (nc + 2)
+    width = index.n_coupled + 2 + d
+    return start, width, start + (index.n_params - nc + 1) * width
 
 
 def _positions(cols: np.ndarray, cls, index: "ParameterIndex") -> tuple:
     """Where `_linearize` adds a kind's terms in its `_layout` buffer, from
-    the parameter columns `cols` (N, k) of their live Jacobian columns: the
-    positions of each term's J^T J block, (N, k, k) int32, and of its
-    gradient terms, (N, k). Built from (N, k) int32 arrays, so no int64
-    temporary has N k^2 entries. A kept column c takes kept row c, an
-    eliminated one row c - nc of the eliminated rows; a fixed variable's
-    takes its part's collecting row and column. ValueError if the buffer
-    has 2^31 entries or more."""
+    the parameter columns `cols` (N, k) of their live Jacobian columns, as
+    (at, row): the positions of each term's J^T J block, (N, k, k), and of
+    its gradient terms, which are the bases of their rows (N, k), both
+    int32. Built from (N, k) int32 arrays, so no int64 temporary has N k^2
+    entries. A kept column c takes kept row c, an eliminated one row c - nc
+    of the eliminated rows; a fixed variable's takes its block's collecting
+    row and column. ValueError if the buffer has 2^31 entries or more."""
     nc, n_k, d = index.n_reduced, index.n_coupled, DOF[index.eliminated]
-    start, width, gradient, size = _layout(index)
+    start, width, size = _layout(index)
     if size > np.iinfo(np.int32).max:
         raise ValueError(f"a scatter buffer of {size} entries: int32 positions "
                          "address fewer than 2**31")
@@ -410,37 +411,35 @@ def _positions(cols: np.ndarray, cls, index: "ParameterIndex") -> tuple:
                            [DOF[ka], DOF[kb]])[cls.live]
     c = cols.astype(np.int32)
     kept = np.minimum(c, nc)
-    row = np.where(eliminated, start + (c - nc) * width, kept * (nc + 1))
+    row = np.where(eliminated, start + (c - nc) * width, kept * (nc + 2))
     # each column's place in a kept row, and in an eliminated row
-    in_kept = np.where(eliminated, np.int32(nc), kept)
-    in_eliminated = np.where(eliminated, n_k + 1 + (c - nc) % d, np.minimum(c, n_k))
+    in_kept = np.where(eliminated, np.int32(nc + 1), kept + 1)
+    in_eliminated = np.where(eliminated, n_k + 2 + (c - nc) % d, np.minimum(c, n_k) + 1)
     at = row[:, :, None] + in_kept[:, None, :]
     at[:, eliminated] = row[:, eliminated, None] + in_eliminated[:, None, :]
-    return at, gradient + cols
+    return at, row
 
 
 class _Batch:
-    """The packed factors of one kind. With a parameter index, `cols` holds
-    the parameter column of every live Jacobian column of each term (N, k)
-    and `at` the `_positions` of its terms, computed once per packing: a
-    term is a factor, or for vd_align a (pose, GP) pair. No array of a
-    batch has N k^2 floats or int64s: the J^T J positions are int32, and
-    `_linearize` forms the J^T J blocks a chunk at a time. `info` and
-    `delta` are the kind's scalars; broadcast over the rows, they give each
-    row the floats a per-row array of them would."""
+    """The packed factors of one kind. With a parameter index, `at` holds
+    the `_positions` of its terms, computed once per packing from the
+    parameter columns of each term's live Jacobian columns: a term is a
+    factor, or for vd_align a (pose, GP) pair. No array of a batch has N k^2
+    floats or int64s: the positions are int32, and `_linearize` forms the
+    J^T J blocks a chunk at a time. `info` and `delta` are the kind's
+    scalars; broadcast over the rows, they give each row the floats a
+    per-row array of them would."""
 
     def __init__(self, table: _FactorTable, index, intr: CameraIntrinsics):
         self.cls = cls = table.cls
         self.rows_a, self.rows_b = table.rows_a, table.rows_b
         self.consts = cls._pack(table, intr)
-        self.cols = None
         if index is not None:
             ka, kb = cls.variables
             a, b = ((self.consts["pose"], self.consts["gp"]) if cls is VdAlignFactor
                     else (self.rows_a, self.rows_b))
-            self.cols = np.concatenate([index.table[ka][a], index.table[kb][b]],
-                                       axis=1)[:, cls.live]
-            self.at = _positions(self.cols, cls, index)
+            self.at = _positions(np.concatenate([index.table[ka][a], index.table[kb][b]],
+                                                axis=1)[:, cls.live], cls, index)
         self.info = 1.0 / cls.SIGMA**2
         self.delta = cls.HUBER_DELTA
 
@@ -773,44 +772,46 @@ class OptimizationReport:
         }, sort_keys=True)
 
 
-@dataclass
 class _NormalEquations:
     """The Gauss-Newton system of one linearization without the dense H, in
-    `ParameterIndex` order: `cc` over the kept (reduced) columns, `ec` the
-    eliminated kind's rows against the kept columns it couples with (the
-    first `n_coupled`: a point couples only with the poses that see it, a
-    pose with points, lines and GPs), `ee` its (E, d, d) diagonal blocks,
-    6x6 for poses or 3x3 for points, and `g` over all parameters. Each
-    entry is the sum the dense H would hold; the eliminated rows against
-    the other kept columns, and two eliminated variables against each
-    other, are zero and not stored. `buffer` is the `_layout` scatter
-    buffer that `_linearize` made all four views of.
+    `ParameterIndex` order, as views of one new `_layout` buffer, `buffer`,
+    for `index`: `gcc`, the kept (reduced) rows as [g_c | H_cc], and of it
+    `gc` their gradient and `cc` their block; `gec`, the eliminated kind's
+    rows as [g_e | H_ec], its gradient and its coupling to the kept columns
+    it couples with (the first `n_coupled`: a point couples only with the
+    poses that see it, a pose with points, lines and GPs); `ee` its (E, d,
+    d) diagonal blocks, 6x6 for poses or 3x3 for points. Each entry is the
+    sum the dense H and g would hold once `_linearize` has filled the
+    buffer; the eliminated rows against the other kept columns, and two
+    eliminated variables against each other, are zero and not stored.
 
     The scatter and the LM trials work in buffers sized once, with the
     system: `scratch`, four arrays of at most `_SCATTER_ELEMS` entries
     through which `add` scatters every chunk of terms; the undamped
-    diagonals; and from
-    the first step on [g_e | H_ec], M^-1 [g_e | H_ec], the reduced system
-    and H_ce M^-1 [g_e | H_ec]. `_linearize` refills a system it made in
-    place and calls `update`, so `optimize` allocates one system per call,
-    and [g_e | H_ec] is formed once per linearization. The diagonals are
-    read only once the buffer is filled: reading the unwritten pages first
-    would fault each of them in twice."""
-    cc: np.ndarray
-    ec: np.ndarray
-    ee: np.ndarray
-    g: np.ndarray
-    buffer: np.ndarray
+    diagonals; and from the first step on M^-1 [g_e | H_ec], the reduced
+    system and H_ce M^-1 [g_e | H_ec]. `_linearize` refills a system it made
+    in place and calls `update`, so `optimize` allocates one system per
+    call. The diagonals are read only once the buffer is filled: reading
+    the unwritten pages first would fault each of them in twice."""
 
-    def __post_init__(self):
+    def __init__(self, index: ParameterIndex):
+        nc, n_k, d = index.n_reduced, index.n_coupled, DOF[index.eliminated]
+        start, width, size = _layout(index)
+        self.buffer = np.empty(size)
+        kept = self.buffer[:start].reshape(nc + 1, nc + 2)
+        eliminated = self.buffer[start:].reshape(-1, width)[:-1]
+        self.gcc = kept[:nc, :nc + 1]
+        self.gc, self.cc = self.gcc[:, 0], self.gcc[:, 1:]
+        self.gec, self.ee = eliminated[:, :n_k + 1], eliminated[:, n_k + 2:].reshape(-1, d, d)
         # writeable views of both diagonals, and their undamped values
         self.diagonals = [np.einsum("...ii->...i", H) for H in (self.cc, self.ee)]
         self.undamped = [np.empty_like(d) for d in self.diagonals]
         self.buffers = None  # the trial buffers, allocated by the first step
-        # a chunk's J^T J blocks and their positions, its weighted J and its
-        # gradient terms. Per term the last two take dim / k and 1 / k of
-        # the k^2 entries, at most 2/9 for every kind, so they get a quarter
-        # (at full size they raised ablation's peak RSS by ~0.25 MB)
+        # a chunk's J^T J blocks and the positions of them or of its gradient
+        # terms, its weighted J and its gradient terms. Per term the last two
+        # take dim / k and 1 / k of the k^2 entries, at most 2/9 for every
+        # kind, so they get a quarter (at full size they raised ablation's
+        # peak RSS by ~0.25 MB)
         self.scratch = (np.empty(_SCATTER_ELEMS), np.empty(_SCATTER_ELEMS, dtype=np.intp),
                         np.empty(_SCATTER_ELEMS // 4), np.empty(_SCATTER_ELEMS // 4))
 
@@ -837,14 +838,13 @@ class _NormalEquations:
             gJ = np.matmul(Jt, rhs[t], out=grad[:m * k].reshape(m, k, 1))
             np.copyto(positions[:m * k * k], at[0][t].reshape(-1))
             np.add.at(self.buffer, positions[:m * k * k], HJ.reshape(-1))
-            np.add.at(self.buffer, at[1][t].reshape(-1), gJ.reshape(-1))
+            np.copyto(positions[:m * k], at[1][t].reshape(-1))
+            np.add.at(self.buffer, positions[:m * k], gJ.reshape(-1))
 
     def update(self):
-        """Read the undamped diagonals of the system's current entries; the
-        next step forms [g_e | H_ec] from them."""
+        """Read the undamped diagonals of the system's current entries."""
         for d, u in zip(self.diagonals, self.undamped):
             u[...] = d
-        self.formed = False
 
     def step(self, lam: float) -> np.ndarray:
         """The LM step at damping `lam`, by the Schur complement of the
@@ -855,23 +855,21 @@ class _NormalEquations:
         the eliminated kind is back-substituted, d_e = -M^-1 (g_e + H_ec d_c).
         A dead variable's block is lam * 1e-12 * I and couples to nothing.
         LinAlgError if a damped block or the reduced system is singular."""
-        nc, (n_e, n_k), d = len(self.cc), self.ec.shape, self.ee.shape[1]
+        nc, n_e, d = len(self.cc), len(self.gec), self.ee.shape[1]
+        n_k = self.gec.shape[1] - 1  # the coupled columns; column 0 is g_e
         if self.buffers is None:  # allocated once the linearization's temporaries are freed
-            self.buffers = (np.empty((n_e, n_k + 1)), np.empty((n_e, n_k + 1)),
-                            np.empty((nc, nc + 1)), np.empty((n_k, n_k + 1)))
-        gec, W, S, T = self.buffers
-        if not self.formed:
-            gec[:, 0], gec[:, 1:] = self.g[nc:], self.ec
-            self.formed = True
+            self.buffers = (np.empty((n_e, n_k + 1)), np.empty((nc, nc + 1)),
+                            np.empty((n_k, n_k + 1)))
+        W, S, T = self.buffers
         for diag, u in zip(self.diagonals, self.undamped):
             np.maximum(u, 1e-12, out=diag)
             diag *= lam
             diag += u
         M_inv = np.linalg.inv(self.ee)
         # M^-1 [g_e, H_ec], and [g_c, H_cc] less H_ce times it on the coupled rows
-        np.matmul(M_inv, gec.reshape(-1, d, n_k + 1), out=W.reshape(-1, d, n_k + 1))
-        S[:, 0], S[:, 1:] = self.g[:nc], self.cc
-        S[:n_k, :n_k + 1] -= np.matmul(self.ec.T, W, out=T)
+        np.matmul(M_inv, self.gec.reshape(-1, d, n_k + 1), out=W.reshape(-1, d, n_k + 1))
+        S[...] = self.gcc
+        S[:n_k, :n_k + 1] -= np.matmul(self.gec[:, 1:].T, W, out=T)
         delta = np.linalg.solve(S[:, 1:], -S[:, 0])
         return np.concatenate([delta, -(W[:, 0] + W[:, 1:] @ delta[:n_k])])
 
@@ -913,14 +911,7 @@ def _linearize(graph: FactorGraph, index: ParameterIndex,
     that start at +0.0, which never changes one.
     """
     if system is None:
-        nc, n_k, d = index.n_reduced, index.n_coupled, DOF[index.eliminated]
-        start, width, gradient, size = _layout(index)
-        buffer = np.empty(size)
-        kept = buffer[:start].reshape(nc + 1, nc + 1)
-        eliminated = buffer[start:gradient].reshape(-1, width)[:-1]
-        system = _NormalEquations(kept[:nc, :nc], eliminated[:, :n_k],
-                                  eliminated[:, n_k + 1:].reshape(-1, d, d),
-                                  buffer[gradient:-1], buffer)
+        system = _NormalEquations(index)
     system.buffer.fill(0.0)
     cost = 0.0
     for e in packed.evaluate(graph):
@@ -977,7 +968,7 @@ def optimize(graph: FactorGraph, fixed) -> OptimizationReport:
         cost, system = _linearize(graph, index, packed, system)
         if iters == 1:
             initial_cost = cost
-        if np.max(np.abs(system.g), initial=0.0) < ABS_TOL:
+        if max(np.max(np.abs(g), initial=0.0) for g in (system.gc, system.gec[:, 0])) < ABS_TOL:
             converged = True
             break
         x = np.concatenate([graph.t[index.rows["pose"]], graph.X[index.rows["point"]]])

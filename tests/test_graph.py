@@ -774,7 +774,7 @@ def test_behind_camera_factor_deactivated():
         cost, system = _linearize(g, index, PackedFactors(g, index))
         assert cost == 0.0
         assert system.cc.shape == (0, 0) and system.ee.shape == (1, 3, 3)
-        assert not system.ee.any() and not system.g.any()
+        assert not system.ee.any() and not gradient(system).any()
 
 
 def build_assembly_graph():
@@ -846,7 +846,7 @@ def test_linearize_assembles_weighted_normal_equations(monkeypatch):
     layout = ParameterIndex(g, [("pose", 0)])
     assert layout.n_params == n
     cost, system = _linearize(g, layout, PackedFactors(g, layout))
-    H, grad = dense_H(system), system.g
+    H, grad = dense_H(system), gradient(system)
     assert np.max(np.abs(H - H_ref)) < 1e-5 * np.max(np.abs(H_ref))
     assert np.max(np.abs(grad - g_ref)) < 1e-5 * np.max(np.abs(g_ref))
     total = total_cost(g, pack(g))
@@ -955,14 +955,22 @@ def pair_tolerance(graph, index, packed=None) -> tuple:
     H_reach, g_reach = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
     for b in packed.batches:
         if b.cls is VdAlignFactor:
-            H_reach[b.cols[:, :, None], b.cols[:, None, :]] = 1.0
-            g_reach[b.cols] = 1.0
+            ka, kb = b.cls.variables
+            cols = np.concatenate([index.table[ka][b.consts["pose"]],
+                                   index.table[kb][b.consts["gp"]]], axis=1)[:, b.cls.live]
+            H_reach[cols[:, :, None], cols[:, None, :]] = 1.0
+            g_reach[cols] = 1.0
     return PAIR_RTOL * H_reach[:n, :n] * H_abs, PAIR_RTOL * g_reach[:n] * g_abs
+
+
+def gradient(system) -> np.ndarray:
+    """The gradient of a `_NormalEquations` over all parameters: g_c, then g_e."""
+    return np.concatenate([system.gc, system.gec[:, 0]])
 
 
 def dense_H(system):
     """The dense H of a `_NormalEquations`, with H_ce the transpose of H_ec."""
-    cc, ec, ee = system.cc, system.ec, system.ee
+    cc, ec, ee = system.cc, system.gec[:, 1:], system.ee
     nc, (n_e, n_k), d = len(cc), ec.shape, ee.shape[1]
     H = np.zeros((nc + n_e, nc + n_e))
     H[:nc, :nc], H[nc:, :n_k], H[:n_k, nc:] = cc, ec, ec.T
@@ -989,20 +997,22 @@ def assert_holds_dense_entries(system, H, g, index, tol=None):
     for r in range(E):
         rest[d * r:d * r + d, d * r:d * r + d] = 0.0
     bounds = pieces(*tol) if tol is not None else [np.zeros_like(w) for w in pieces(H, g)]
-    for got, want, bound in zip((system.cc, system.ec, system.ee, system.g), pieces(H, g),
-                                bounds):
+    for got, want, bound in zip((system.cc, system.gec[:, 1:], system.ee, gradient(system)),
+                                pieces(H, g), bounds):
         assert got.shape == want.shape
         got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
         exact = bound == 0.0
         assert got[exact].tobytes() == want[exact].tobytes()
         assert (np.abs(got - want) <= bound).all()
     assert not rest.any() and not H[nc:, n_k:nc].any() and not H[n_k:nc, nc:].any()
-    assert np.max(np.abs(H[:n_k, nc:] - system.ec.T), initial=0.0) <= \
-        1e-15 * np.max(np.abs(system.ec), initial=0.0)
+    ec = system.gec[:, 1:]
+    assert np.max(np.abs(H[:n_k, nc:] - ec.T), initial=0.0) <= \
+        1e-15 * np.max(np.abs(ec), initial=0.0)
 
 
 def system_bytes(system) -> list:
-    return [np.ascontiguousarray(a).tobytes() for a in (system.cc, system.ec, system.ee, system.g)]
+    return [np.ascontiguousarray(a).tobytes()
+            for a in (system.cc, system.gec, system.ee, system.gc)]
 
 
 def build_shared_pair_graph(n_points=4):
@@ -1178,20 +1188,22 @@ def oracle_packing(g, index) -> list:
         # vd_align's terms are per (pose, GP) pair
         a, b = (consts["pose"], consts["gp"]) if cls is VdAlignFactor else (rows_a, rows_b)
         cols = np.concatenate([index.table[ka][a], index.table[kb][b]], axis=1)[:, cls.live]
-        at = graph_module._positions(cols, cls, index)
         batches.append(SimpleNamespace(
             cls=cls, rows_a=rows_a, rows_b=rows_b,
-            cols=cols, at=at, consts=consts,
+            at=graph_module._positions(cols, cls, index), consts=consts,
             info=1.0 / cls.SIGMA**2, delta=cls.HUBER_DELTA))
     return batches
 
 
-def assert_batches_equal(batches, expected, names=("rows_a", "rows_b", "cols")):
-    """Packed batches equal, kind by kind, byte for byte: `names` and the constants."""
+def assert_batches_equal(batches, expected):
+    """Packed batches equal, kind by kind, byte for byte: the variable rows,
+    the scatter positions (whose gradient positions, the row bases, tell
+    the parameter columns apart) and the constants."""
     assert [b.cls for b in batches] == [b.cls for b in expected]
     for b, ref in zip(batches, expected):
-        for name in names:
-            got, want = getattr(b, name), getattr(ref, name)
+        arrays = [("rows_a", b.rows_a, ref.rows_a), ("rows_b", b.rows_b, ref.rows_b)]
+        arrays += [("at", got, want) for got, want in zip(b.at, ref.at)]
+        for name, got, want in arrays:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert list(b.consts) == list(ref.consts)
         for name, want in ref.consts.items():
@@ -1278,7 +1290,7 @@ def dense_step(system, lam):
     H = dense_H(system)
     undamped = np.concatenate([system.undamped[0], system.undamped[1].ravel()])
     H[np.diag_indices(len(H))] = undamped + lam * np.clip(undamped, 1e-12, None)
-    return np.linalg.solve(H, -system.g)
+    return np.linalg.solve(H, -gradient(system))
 
 
 def assert_step_matches_dense_solve(system, lam, forward=True):
@@ -1289,24 +1301,32 @@ def assert_step_matches_dense_solve(system, lam, forward=True):
     (the free scale gauge at lam = 1e-12: condition numbers near 1e30)."""
     ref = dense_step(system, lam)
     delta = system.step(lam)
-    H = dense_H(system)  # damped as `step` left it
+    H, g = dense_H(system), gradient(system)  # damped as `step` left it
     assert delta.shape == ref.shape
     for d in (ref, delta):
-        residual = np.max(np.abs(H @ d + system.g), initial=0.0)
+        residual = np.max(np.abs(H @ d + g), initial=0.0)
         scale = np.max(np.abs(H).sum(axis=1), initial=0.0) * np.max(np.abs(d), initial=0.0)
-        assert residual <= 1e-14 * (scale + np.max(np.abs(system.g), initial=0.0))
+        assert residual <= 1e-14 * (scale + np.max(np.abs(g), initial=0.0))
     if forward:
         assert np.max(np.abs(delta - ref), initial=0.0) <= \
             1e-9 * np.max(np.abs(ref), initial=0.0)
 
 
-def system_of(cc, ec, ee, g) -> _NormalEquations:
-    """A `_NormalEquations` of these pieces, copied into views of one flat
-    buffer as `_linearize` makes its four pieces (in another layout)."""
-    pieces = (cc, ec, ee, g)
-    buffer = np.concatenate([a.ravel() for a in pieces])
-    parts = np.split(buffer, np.cumsum([a.size for a in pieces[:-1]]))
-    return _NormalEquations(*(v.reshape(a.shape) for v, a in zip(parts, pieces)), buffer)
+def system_of(H, g, nc: int, n_k: int) -> _NormalEquations:
+    """A `_NormalEquations` holding the pieces of the dense (H, g), written
+    into its `_layout` buffer as `_linearize` fills it: the first `nc`
+    columns kept and the rest eliminated as points, coupled to the first
+    `n_k`. The entries the system leaves out are not read; the collecting
+    rows and columns are zero."""
+    n = len(g)
+    index = SimpleNamespace(n_reduced=nc, n_coupled=n_k, n_params=n, eliminated="point")
+    system = _NormalEquations(index)
+    system.buffer.fill(0.0)
+    system.cc[...], system.gc[...] = H[:nc, :nc], g[:nc]
+    system.gec[:, 0], system.gec[:, 1:] = g[nc:], H[nc:, :n_k]
+    for r, block in zip(range(nc, n, 3), system.ee):
+        block[...] = H[r:r + 3, r:r + 3]
+    return system
 
 
 def random_system(rng, n_poses: int, n_other: int, n_points: int, dead=()):
@@ -1336,9 +1356,7 @@ def random_system(rng, n_poses: int, n_other: int, n_points: int, dead=()):
     g = rng.normal(size=n)
     for r in dead:
         g[nc + 3 * r:nc + 3 * r + 3] = 0.0
-    pp = np.array([H[nc + 3 * r:nc + 3 * r + 3, nc + 3 * r:nc + 3 * r + 3]
-                   for r in range(n_points)]).reshape(n_points, 3, 3)
-    system = system_of(H[:nc, :nc], H[nc:, :6 * n_poses], pp, g)
+    system = system_of(H, g, nc, 6 * n_poses)
     system.update()
     return system
 
@@ -1417,23 +1435,31 @@ def test_chunked_scatter_holds_dense_entries_bitwise(scene, seed, eliminated):
 
 
 def test_optimize_scatters_through_bounded_memory():
-    # no packed batch holds its terms' J^T J or int64 positions (N k^2
-    # entries), and one optimize call on the corridor gp graph, the largest
-    # tier-1 graph, stays below 5 MiB of traced allocations at its peak
+    # no packed batch holds its terms' J^T J, int64 positions (N k^2
+    # entries) or int64 parameter columns (N k); the step reads its pieces
+    # in place from the scatter buffer; and one optimize call on the
+    # corridor gp graph, the largest tier-1 graph, stays below 4 MiB of
+    # traced allocations at its peak
     g = corridor_gp_graph()
     index = ParameterIndex(g, [("pose", 0)])
     for b in PackedFactors(g, index).batches:
-        n, k = b.cols.shape
+        n, k = b.at[1].shape
         arrays = [*vars(b).values(), *b.at, *b.consts.values()]
         held = [a for a in arrays if isinstance(a, np.ndarray) and a.size == n * k * k]
-        assert len(held) == 1 and held[0] is b.at[0] and b.at[0].dtype == np.int32
+        assert len(held) == 1 and held[0] is b.at[0]
+        assert b.at[0].dtype == b.at[1].dtype == np.int32
+        assert not [a for a in arrays if isinstance(a, np.ndarray) and a.shape == (n, k)
+                    and a.dtype == np.int64]
+    _, system = _linearize(g, index, PackedFactors(g, index))
+    for view in (system.gec, system.cc, system.ee, system.gc, system.gec[:, 0]):
+        assert np.shares_memory(view, system.buffer)
     tracemalloc.start()
     try:
         optimize(g, [("pose", 0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5.0 * 2**20
+    assert peak < 4.0 * 2**20
 
 
 GP_SCENES = [(scene, seed) for scene, seed, mode in PIPELINE_SCENES if mode == "gp"]
@@ -1481,8 +1507,9 @@ def test_schur_step_matches_dense_solve_on_pipeline_systems(scene, seed, mode):
 
 def test_schur_step_raises_on_a_singular_point_block():
     # a rank-2 point block, damped too little to change its diagonal
-    pp = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-    system = system_of(np.eye(6), np.zeros((3, 6)), pp, np.ones(9))
+    H = np.eye(9)
+    H[6:, 6:] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    system = system_of(H, np.ones(9), 6, 6)
     system.update()
     with pytest.raises(np.linalg.LinAlgError):
         system.step(1e-20)
@@ -1495,10 +1522,11 @@ def oracle_step(system, lam):
     """`_NormalEquations.step` as it was before it reused its buffers: new
     arrays for [g_e, H_ec], M^-1 times it, the reduced system and its
     H_ce M^-1 [g_e, H_ec] on every trial. Kept verbatim but for the block
-    size b, 3 when it eliminated only points."""
+    size b, 3 when it eliminated only points, and the views it reads H_ec
+    and g through."""
     for d, u in zip(system.diagonals, system.undamped):
         d[...] = u + lam * np.clip(u, 1e-12, None)
-    cc, pc, g = system.cc, system.ec, system.g
+    cc, pc, g = system.cc, system.gec[:, 1:], gradient(system)
     nc, (n_pt, n6), b = len(cc), pc.shape, system.ee.shape[1]
     M_inv = np.linalg.inv(system.ee)
     # M^-1 [g_p, H_pc], and [g_c, H_cc] less H_cp times it on the pose rows
@@ -1621,7 +1649,7 @@ def test_schur_step_eliminates_the_poses_of_a_graph_without_points():
     index = ParameterIndex(g, [("pose", 0)])
     assert index.eliminated == "pose" and index.n_coupled == index.n_reduced
     cost, system = _linearize(g, index, PackedFactors(g, index))
-    assert system.ee.shape == (2, 6, 6) and system.ec.shape == (12, index.n_reduced)
+    assert system.ee.shape == (2, 6, 6) and system.gec.shape == (12, index.n_reduced + 1)
     cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params)
     assert cost.hex() == cost_ref.hex()
     assert_holds_dense_entries(system, H, g_ref, index, pair_tolerance(g, index))
