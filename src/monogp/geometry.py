@@ -22,6 +22,16 @@ row first, so it may differ on strided rows of over three entries),
 kernels and `graph._tangent_bases` keep `np.linalg.norm(axis=1)`, whose
 floats the optimized outputs are pinned to.
 
+Block rule. A pass whose scratch arrays would grow with the scene (the track
+matcher's same-frame pairs, the VP sampler's attempts, the consensus
+columns, the LM scatter's terms) runs in blocks of at most `BLOCK_ELEMS`
+entries per array (`block_runs` cuts consecutive items into such blocks):
+each float64 array then stays below glibc's default 128 KiB mmap threshold,
+so it comes from the heap where a whole-scene array would be a fresh
+mapping on every call. A block holds whole items, one item larger than a
+block being a block alone, and every per-item float is that of the
+unblocked pass.
+
 All types are immutable values; all functions are pure.
 """
 from __future__ import annotations
@@ -40,6 +50,9 @@ EPS_IMAGE_LINE = 1e-12
 # a point's two viewing rays, and between a line's two back-projected planes.
 MIN_RAY_ANGLE_DEG = 0.05
 MIN_PLANE_ANGLE_DEG = 1.0
+# Entries per scratch array of a blocked pass (see the block rule):
+# 12,000 float64 entries are 96,000 bytes, below 128 KiB.
+BLOCK_ELEMS = 12_000
 
 
 class BehindCameraError(ValueError):
@@ -68,6 +81,19 @@ def skew(v) -> np.ndarray:
 def row_norms(a) -> np.ndarray:
     """Euclidean norms (n,) of the rows of a (n, k)."""
     return np.sqrt(np.vecdot(a, a))
+
+
+def block_runs(sizes) -> list[tuple[int, int]]:
+    """Runs [a, b) of consecutive items, in order, whose `sizes` sum to at
+    most `BLOCK_ELEMS`; an item larger than that is a run of its own."""
+    ends = np.cumsum(sizes)
+    runs, a = [], 0
+    while a < len(ends):
+        base = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + BLOCK_ELEMS, side="right")))
+        runs.append((a, b))
+        a = b
+    return runs
 
 
 def mv(M, v) -> np.ndarray:
@@ -164,8 +190,10 @@ class Pose:
         R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = np.asarray(self.translation, dtype=float).reshape(3)
         err = np.abs(R @ R.T - np.eye(3)).max()
-        if err > 1e-6 or np.linalg.det(R) < 0:
+        if not (err <= 1e-6 and np.linalg.det(R) >= 0):  # NaN fails both
             raise ValueError("rotation is not orthonormal with det +1")
+        if not np.isfinite(t).all():
+            raise ValueError("translation is not finite")
         R.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", R)

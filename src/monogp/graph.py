@@ -45,8 +45,9 @@ gradient terms into g, all in one flat buffer (`_layout`) of two row
 blocks whose rows start with their gradient entry, [g_c | H_cc] and
 [g_e | H_ec | H_ee]: each entry the sum a dense H would hold, and no dense
 H. It forms and scatters a kind's terms a chunk at a time through scratch
-arrays below 128 KiB, at int32 positions computed once per packing, so no
-float or int64 array of factors x k^2 entries is held or built. vd_align
+arrays of `BLOCK_ELEMS` entries (`geometry`'s block rule), at int32
+positions computed once per packing, so no float or int64 array of
+factors x k^2 entries is held or built. vd_align
 is linearized per (pose, GP) pair: each factor's Jacobian row is lhat^T A
 of its pair's 3x5 block A, so the pair adds A^T L A and A^T b, where L and
 b sum the weighted lhat lhat^T and r lhat of its factors. Each LM trial
@@ -82,6 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    BLOCK_ELEMS,
     EPS_IMAGE_LINE,
     EPS_Z,
     BehindCameraError,
@@ -105,12 +107,6 @@ REL_TOL = 1e-8   # relative cost decrease and relative step
 ABS_TOL = 1e-10  # gradient, ||g||_inf
 LAMBDA_INIT = 1e-4
 LAMBDA_SCALE = 10.0
-
-# `_linearize` scatters a kind's terms `_SCATTER_ELEMS // k^2` at a time (k
-# live Jacobian columns), so a chunk's (terms, k, k) J^T J blocks and their
-# positions fit scratch arrays of this many entries: below glibc's default
-# 128 KiB mmap threshold, as `vanishing._BLOCK_ELEMS`
-_SCATTER_ELEMS = 12_000
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +782,10 @@ class _NormalEquations:
     eliminated variables against each other, are zero and not stored.
 
     The scatter and the LM trials work in buffers sized once, with the
-    system: `scratch`, four arrays of at most `_SCATTER_ELEMS` entries
-    through which `add` scatters every chunk of terms; the undamped
+    system: `scratch`, four arrays of at most `BLOCK_ELEMS` entries
+    through which `add` scatters every chunk of terms, `BLOCK_ELEMS // k^2`
+    terms for k live Jacobian columns (a chunk's (terms, k, k) J^T J blocks
+    and their positions fill one array each); the undamped
     diagonals; and from the first step on M^-1 [g_e | H_ec], the reduced
     system and H_ce M^-1 [g_e | H_ec]. `_linearize` refills a system it made
     in place and calls `update`, so `optimize` allocates one system per
@@ -812,18 +810,18 @@ class _NormalEquations:
         # take dim / k and 1 / k of the k^2 entries, at most 2/9 for every
         # kind, so they get a quarter (at full size they raised ablation's
         # peak RSS by ~0.25 MB)
-        self.scratch = (np.empty(_SCATTER_ELEMS), np.empty(_SCATTER_ELEMS, dtype=np.intp),
-                        np.empty(_SCATTER_ELEMS // 4), np.empty(_SCATTER_ELEMS // 4))
+        self.scratch = (np.empty(BLOCK_ELEMS), np.empty(BLOCK_ELEMS, dtype=np.intp),
+                        np.empty(BLOCK_ELEMS // 4), np.empty(BLOCK_ELEMS // 4))
 
     def add(self, at: tuple, J: np.ndarray, rhs: np.ndarray, w=None, L=None):
         """Add one kind's terms to the buffer at their `_positions` `at`,
-        term by term in order, `_SCATTER_ELEMS // k^2` terms at a time
+        term by term in order, `BLOCK_ELEMS // k^2` terms at a time
         through `scratch`: per term, with weights `w` (N,), J^T w J and
         J^T w rhs of its Jacobian block J (dim, k); or, with `L` (N, dim,
         dim), J^T L J and J^T rhs."""
         terms, positions, weighted, grad = self.scratch
         k = J.shape[2]
-        n = _SCATTER_ELEMS // k**2
+        n = BLOCK_ELEMS // k**2
         for s in range(0, len(J), n):
             t = slice(s, s + n)
             Jc = J[t]

@@ -8,12 +8,14 @@ observed extent). Gate decisions can be dumped to an audit CSV for
 golden-file reproducibility.
 
 Matching and gating run on a scene's segment rows (`SceneSegments`):
-`match_predicted` scores every frame's prediction/detection pairs in one
-block and keeps only the greedy choice in Python (per prediction in order,
-the first-index best among the detections not yet taken), and `run_gates`
-gates every (track, frame) pair of a pose set in one call, its decisions
-kept as columns until `write_gate_audit`. A single segment pair is a
-one-row stack. The floats are those of the per-pair loops they replaced:
+`match_predicted` pre-gates every frame's prediction/detection pairs in
+runs of predictions whose pairs fit one block (see `geometry`'s block rule),
+scores the survivors in one pass and keeps only the greedy choice in Python
+(per prediction in order, the first-index best among the detections not
+yet taken), and `run_gates` gates every (track, frame) pair of a pose set
+in one call, its decisions kept as columns until `write_gate_audit`. A
+single segment pair is a one-row stack. The floats are those of the
+per-pair loops they replaced:
 - dot products, norms and angles keep the per-row floats (see `geometry`'s
   row numerics), and `max`/`min` keep Python's first-of-equals rule;
 - audit values are Python floats, so `gate_audit.csv` keeps their `repr`.
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import acos_deg, row_norms
+from .geometry import acos_deg, block_runs, row_norms
 from .segments import lines_through, segment_frames
 
 EPS_DISP = 1e-6  # px; below this the sensitivity gate has nothing to test
@@ -109,22 +111,27 @@ def match_predicted(pred, pred_frame, det, det_frame) -> np.ndarray:
 
     Candidates are same-frame pairs gated on midpoint distance
     (MATCH_GATE_MID_PX) and direction angle (MATCH_GATE_ANG_DEG), scored with
-    MATCH_W_ANGLE (1 - angle/gate) + MATCH_W_OVERLAP overlap. All same-frame
-    pairs form one block: a midpoint pre-gate 1e-6 px wider than the gate
-    picks the candidates, and the exact gates and the score run on those
-    alone. Only the greedy choice runs in Python: per prediction in order,
-    the first-index maximum among its gated detections not yet taken, the
-    choice of a strict `score > best` scan from best = -1.
+    MATCH_W_ANGLE (1 - angle/gate) + MATCH_W_OVERLAP overlap. A midpoint
+    pre-gate 1e-6 px wider than the gate picks the candidates, over runs of
+    consecutive predictions whose same-frame pairs fit one block
+    (`block_runs`), and the exact gates and the score run on the survivors
+    of all runs, in pair order. Only the greedy choice runs in Python: per
+    prediction in order, the first-index maximum among its gated detections
+    not yet taken, the choice of a strict `score > best` scan from best = -1.
     """
     lo = np.searchsorted(det_frame, pred_frame, side="left")
     count = np.searchsorted(det_frame, pred_frame, side="right") - lo
-    i = np.repeat(np.arange(len(pred)), count)
-    k = np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)
     pred_mid, pred_dir = segment_frames(pred)
     det_mid, det_dir = segment_frames(det)
-    near = np.hypot(det_mid[k, 0] - pred_mid[i, 0],
-                    det_mid[k, 1] - pred_mid[i, 1]) < MATCH_GATE_MID_PX + 1e-6
-    i, k = i[near], k[near]
+    near_pairs = [(np.empty(0, dtype=np.intp),) * 2]
+    for a, b in block_runs(count):
+        n = count[a:b]
+        i = np.repeat(np.arange(a, b), n)
+        k = np.arange(len(i)) + np.repeat(lo[a:b] - (np.cumsum(n) - n), n)
+        near = np.hypot(det_mid[k, 0] - pred_mid[i, 0],
+                        det_mid[k, 1] - pred_mid[i, 1]) < MATCH_GATE_MID_PX + 1e-6
+        near_pairs.append((i[near], k[near]))
+    i, k = map(np.concatenate, zip(*near_pairs))
     gated = ~(row_norms(det_mid[k] - pred_mid[i]) >= MATCH_GATE_MID_PX)
     i, k = i[gated], k[gated]
     c = np.abs(np.vecdot(det_dir[k], pred_dir[i]))

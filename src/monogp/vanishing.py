@@ -8,24 +8,25 @@ Vanishing points are kept in spherical normalization (||v|| = 1) so points
 at infinity need no special cases.
 
 `detect_scene_vanishing_points` runs each stage over all of a scene's frames
-before the next stage: sampling for every frame in one draw loop, consensus
-and J-Linkage frame by frame, then one refinement pass over every frame's
-clusters. `detect_vanishing_points` is its one-frame case. Each frame gets
-the floats of a per-frame, per-pair, per-segment loop:
+before the next stage: sampling in groups of frames, one draw loop per
+group, consensus and J-Linkage frame by frame, then one refinement pass
+over every frame's clusters. `detect_vanishing_points` is its one-frame
+case. Each frame gets the floats of a per-frame, per-pair, per-segment
+loop:
 - the hypothesis pairs are decoded in bulk from each frame's seeded
   generator's uint32 words, exactly as `Generator.choice(n, 2,
   replace=False)` draws them (Floyd's algorithm with Lemire's bounded draw),
-  one block of words per batch of attempts; a frame left short by
-  degenerate pairs draws its next batch in the next pass, and the lines,
-  cross products and norms of a pass run on all frames' pairs at once;
+  one block of words per batch of attempts. Frames are sampled in groups
+  whose attempts fit one block (`geometry`'s block rule, three entries per
+  attempt); within a group, a frame left short by degenerate pairs draws
+  its next batch in the next pass, and the lines, cross products and norms
+  of a pass run on all the group's pairs at once;
 - the preference matrix (consensus angle below θ = `CONSENSUS_DEG`) is
-  built one block of hypothesis columns at a time, `max(1, _BLOCK_ELEMS //
-  n)` columns for n segments: each (n, block) float temporary stays below
-  glibc's default 128 KiB mmap threshold, so it comes from the heap where a
-  whole (n, m) plane would be a fresh mapping on every call. Two matrix
-  products per block decide every entry at least 1e-9 rad from the θ
-  boundary; the rest (about none) take `consensus_angles`, the exact angle
-  that refinement also uses;
+  built one block of hypothesis columns at a time, `max(1, BLOCK_ELEMS //
+  n)` columns for n segments, so no (n, m) plane is a fresh mapping on
+  every call. Two matrix products per block decide every entry at least
+  1e-9 rad from the θ boundary; the rest (about none) take
+  `consensus_angles`, the exact angle that refinement also uses;
 - J-Linkage keeps each preference set as a float32 0/1 row and takes set
   sizes and intersections from BLAS (`S @ S.T` once, `S @ S[i]` per merge):
   sums of 0/1 products are exact integers below 2²⁴, whatever the BLAS
@@ -50,7 +51,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, row_norms
+from .geometry import BLOCK_ELEMS, CameraIntrinsics, block_runs, row_norms
 from .segments import endpoints, lines_through, segment_frames
 
 DEFAULT_N_HYPOTHESES = 500
@@ -62,9 +63,6 @@ CONSENSUS_DEG = 2.0
 
 _EPS_INF = 1e-9
 _WORD = 1 << 32  # the generator's uint32 words
-# Float elements per consensus block: an (n, block) float64 plane stays
-# below glibc's default 128 KiB mmap threshold, so it is not a fresh mmap.
-_BLOCK_ELEMS = 12_000
 # Fewer hypotheses than this keep distinct Jaccard similarities > 1e-15 apart,
 # which J-Linkage's tie rule needs (see `jlinkage_cluster`).
 _MAX_HYPOTHESES = 1 << 24
@@ -141,18 +139,28 @@ def sample_vp_hypotheses(scene_ends, m: int, rng_seeds) -> list[np.ndarray]:
     of attempts takes one block of words. A pair of numerically identical
     lines (||v|| < 1e-12) is skipped, up to 50·m attempts per frame: a frame
     short of m after a batch draws another in the next pass of the loop.
-    Lines, cross products and normalization run on all frames' pairs of a
-    pass at once; they are elementwise or per-row BLAS dots, so each frame
-    gets the hypotheses it gets alone. The replay of `Generator.choice`
-    (`_decode_pairs`) is what holds acceptance criteria 4 and 8 where they
-    are: a plain batched draw of the pairs, equally uniform, takes other
-    pairs from the stream and fails both.
+    The frames run in groups of consecutive frames whose first batches fit
+    one block at three entries per attempt (`block_runs`; later batches are
+    smaller). Lines, cross products and normalization run on all of a
+    group's pairs of a pass at once; they are elementwise or per-row BLAS
+    dots, so each frame gets the hypotheses it gets alone. The replay of
+    `Generator.choice` (`_decode_pairs`) is what holds acceptance criteria 4
+    and 8 where they are: a plain batched draw of the pairs, equally
+    uniform, takes other pairs from the stream and fails both.
     """
     sizes = [len(ends) for ends in scene_ends]
     if not sizes:
         return []
     if min(sizes) < 2:
         raise ValueError("too few segments: need at least 2")
+    return [hyps for a, b in block_runs([3 * m] * len(sizes))
+            for hyps in _sample_group(scene_ends[a:b], m, rng_seeds[a:b])]
+
+
+def _sample_group(scene_ends, m: int, rng_seeds) -> list[np.ndarray]:
+    """`sample_vp_hypotheses` on one group of frames, all of them in each
+    pass."""
+    sizes = [len(ends) for ends in scene_ends]
     starts = list(accumulate(sizes[:-1], initial=0))
     stacked = np.concatenate(scene_ends)
     lines = lines_through(stacked[:, :2], stacked[:, 2:])
@@ -219,7 +227,7 @@ def preference_matrix(ends, hypotheses) -> np.ndarray:
     `CONSENSUS_DEG`.
 
     `ends` holds stacked endpoints (n, 4). The entries are built one block of
-    `max(1, _BLOCK_ELEMS // n)` hypothesis columns at a time, so no float
+    `max(1, BLOCK_ELEMS // n)` hypothesis columns at a time, so no float
     temporary is a fresh mmap. Every entry is the exact angle's test,
     `consensus_angles(...) < CONSENSUS_DEG`, but a prefilter decides most
     entries without it.
@@ -243,7 +251,7 @@ def preference_matrix(ends, hypotheses) -> np.ndarray:
     mids, dirs = segment_frames(ends)
     hyps = np.asarray(hypotheses, dtype=float)
     n, m = len(mids), len(hyps)
-    step = max(1, _BLOCK_ELEMS // n)
+    step = max(1, BLOCK_ELEMS // n)
     # columns (p, 1), or (x, y, 0) at infinity: t = p - m is a product
     P = np.array([*_rays(np.zeros(2), hyps), np.abs(hyps[:, 2]) >= _EPS_INF])
     scale = np.hypot(P[0], P[1]) + np.hypot(*mids.T).max() + 1.0
@@ -442,10 +450,11 @@ def detect_scene_vanishing_points(frames, n_hypotheses: int, min_cluster_size: i
     `frames` holds per frame its stacked endpoints (n, 4), their segment ids
     (n,) and its seed. Segment ids must be unique within a frame: clusters
     are sets of ids. A frame with fewer than 2 segments, or whose pairs give
-    no hypothesis, has no estimates. Sampling runs on all usable frames at
-    once (`sample_vp_hypotheses`), consensus and J-Linkage per frame, and one
-    `refine_vps` call refines every frame's clusters, each from its endpoint
-    rows in input order; every frame's estimates are those it gets alone.
+    no hypothesis, has no estimates. Sampling runs on the usable frames in
+    groups (`sample_vp_hypotheses`), consensus and J-Linkage per frame, and
+    one `refine_vps` call refines every frame's clusters, each from its
+    endpoint rows in input order; every frame's estimates are those it gets
+    alone.
     """
     row_ofs = []
     for _, ids, _ in frames:

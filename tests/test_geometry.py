@@ -106,6 +106,16 @@ def test_pose_rejects_non_orthonormal_rotation():
         Pose(np.eye(3) * 1.01, np.zeros(3))
 
 
+def test_pose_rejects_non_finite_rotation():
+    with pytest.raises(ValueError, match="rotation"):
+        Pose(np.full((3, 3), np.nan), np.zeros(3))
+
+
+def test_pose_rejects_non_finite_translation():
+    with pytest.raises(ValueError, match="translation"):
+        Pose(np.eye(3), [np.nan, np.inf, 0.0])
+
+
 # -- point projection --------------------------------------------------------
 
 def test_project_point_on_optical_axis_hits_principal_point():

@@ -33,6 +33,7 @@ import pytest
 
 from monogp import graph as graph_module
 from monogp.geometry import (
+    BLOCK_ELEMS,
     EPS_Z,
     BehindCameraError,
     CameraIntrinsics,
@@ -1426,7 +1427,7 @@ def test_chunked_scatter_holds_dense_entries_bitwise(scene, seed, eliminated):
     assert index.eliminated == eliminated
     packed = PackedFactors(g, index)
     (point,) = [e for e in packed.evaluate(g) if e.batch.cls is PointFactor]
-    assert len(point.r) > 2 * (graph_module._SCATTER_ELEMS // 9**2)
+    assert len(point.r) > 2 * (BLOCK_ELEMS // 9**2)
     assert not point.active[-1]
     cost_ref, H, g_ref = oracle_dense_linearize(g, index, index.n_params, packed)
     cost, system = _linearize(g, index, packed)

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs and CLI surface."""
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -230,6 +231,27 @@ def test_map_landmarks_on_ground_truth_poses(mode):
             for t, row in zip(lm.gp_links.frame.tolist(), lm.gp_links.rows)]
     # links ordered by frame, then segment id, each segment once
     assert keys and keys == sorted(set(keys))
+
+
+def test_mapping_passes_work_through_bounded_memory():
+    # the track matcher's pairs and the VP sampler's attempts go in blocks:
+    # on structured(0), map_landmarks and map_primitives each stay below
+    # 1 MiB of traced allocations at their peak (1.54 and 1.06 MiB when each
+    # pass stacked the whole scene), below optimize's own transient
+    cfg = structured(0)
+    frames, poses = rendered(cfg)
+
+    def traced_peak(stage, *args):
+        tracemalloc.start()
+        try:
+            out = stage(frames, poses, cfg, *args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lm, landmarks_peak = traced_peak(map_landmarks)
+    _, primitives_peak = traced_peak(map_primitives, lm)
+    assert landmarks_peak < 1.0 * 2**20 and primitives_peak < 1.0 * 2**20
 
 
 def test_map_primitives_returns_a_copy_sharing_the_lp_landmarks():

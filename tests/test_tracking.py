@@ -21,6 +21,7 @@ from monogp.pipeline import (
 from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
 from monogp.segments import Segment2D, endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
+from monogp import geometry as geometry_module
 from monogp import tracking as tracking_module
 from monogp.tracking import (
     ALPHA_THRE,
@@ -513,6 +514,28 @@ def test_match_predicted_equals_oracle_on_scenes(config):
                for p, k in zip(predicted, chosen[here].tolist())]
         assert match_key(out) == match_key(oracle_match_predicted(predicted, detected))
     assert (chosen >= 0).any()
+
+
+@pytest.mark.parametrize("block", [7, 500, 2_000])
+def test_match_predicted_block_seams_are_exact(monkeypatch, block):
+    # the pre-gate's runs of predictions, cut small, choose the rows the
+    # default runs choose; both cut structured(0)'s scene more than once
+    rows = SceneSegments.of(scene(structured(0))[0])
+    long, is_pred = filter_short(rows.ends), rows.track >= 0
+    pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
+    args = (rows.ends[pred], rows.frame[pred], rows.ends[det], rows.frame[det])
+    runs = []
+
+    def recorded(sizes):
+        runs.append(geometry_module.block_runs(sizes))
+        return runs[-1]
+
+    monkeypatch.setattr(tracking_module, "block_runs", recorded)
+    want = tracking_module.match_predicted(*args)
+    monkeypatch.setattr(geometry_module, "BLOCK_ELEMS", block)
+    got = tracking_module.match_predicted(*args)
+    assert got.tobytes() == want.tobytes() and (got >= 0).any()
+    assert 1 < len(runs[0]) < len(runs[1])
 
 
 def row_tracks(tracks):

@@ -5,9 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from monogp import geometry
 from monogp.geometry import CameraIntrinsics, so3_exp
+from monogp.scenarios import structured
 from monogp.segments import Segment2D, endpoints, segment_frames
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
+from monogp.tracking import filter_short
 import monogp.vanishing as vanishing
 from monogp.vanishing import (
     DEFAULT_MIN_CLUSTER_SIZE,
@@ -896,6 +899,25 @@ def test_scene_sampler_equals_choice_loop_per_frame():
     assert attempts[0] == 300 and attempts[1] > 300 and attempts[2] == 50 * 300
     assert [len(h) for h in got] == [300, 300, 0, 300]
     assert sample_vp_hypotheses([], 300, []) == []
+
+
+@pytest.mark.parametrize("block", [7, 500, 2_000])
+def test_scene_sampler_block_seams_are_exact(monkeypatch, block):
+    # structured(0)'s frames as the pipeline samples them, in groups cut
+    # small (every frame alone, or two at a time) and in the default groups
+    # (two groups of its 20 frames): the same hypotheses, byte for byte
+    cfg = structured(0)
+    poses = generate_trajectory(cfg)
+    frames = render_measurements(generate_world(cfg), poses, cfg)
+    ends = [fr.ends[filter_short(fr.ends)] for fr in frames]
+    seeds = [cfg.rng_seed * 1009 + t for t in range(len(frames))]
+    assert len(geometry.block_runs([3 * 300] * len(frames))) == 2
+    want = sample_vp_hypotheses(ends, 300, seeds)
+    monkeypatch.setattr(geometry, "BLOCK_ELEMS", block)
+    assert len(geometry.block_runs([3 * 300] * len(frames))) > 2
+    got = sample_vp_hypotheses(ends, 300, seeds)
+    assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
+    assert all(len(h) == 300 for h in want)
 
 
 def test_scene_detection_equals_per_frame_on_degenerate_frames():
