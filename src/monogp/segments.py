@@ -6,29 +6,52 @@ id must be an integer; it is checked and not kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .geometry import row_norms
 
 
-@dataclass
 class Segment2D:
-    """Detected 2D line segment (pixel endpoints). `detect_vanishing_points`
-    sets `cluster_label`."""
-    p_start: np.ndarray
-    p_end: np.ndarray
-    id: int
-    cluster_label: int | None = field(default=None, init=False)
+    """Detected 2D line segment (pixel endpoints): a handle on row `row`,
+    x1 y1 x2 y2, of the endpoint block `ends` (n, 4), whose `p_start` and
+    `p_end` are views of that row. `detect_vanishing_points` sets
+    `cluster_label`.
 
-    def __post_init__(self):
-        self.p_start = np.asarray(self.p_start, dtype=float).reshape(2)
-        self.p_end = np.asarray(self.p_end, dtype=float).reshape(2)
+    `Segment2D(p_start, p_end, id)` copies its endpoints into a one-row block
+    of its own; `of_rows` hands out handles on the rows of a whole block.
+    Segments compare and hash by identity."""
+    __slots__ = ("ends", "row", "id", "cluster_label")
+
+    def __init__(self, p_start, p_end, id: int):
+        self.ends = np.concatenate([np.asarray(p_start, dtype=float).reshape(2),
+                                    np.asarray(p_end, dtype=float).reshape(2)])[None]
+        self.row, self.id, self.cluster_label = 0, id, None
         # List equality: the elementwise `==` of the arrays (-0.0 equals 0.0,
         # NaN equals nothing) several times faster than `(a == b).all()`.
         if self.p_start.tolist() == self.p_end.tolist():
             raise ValueError("zero-length segment")
+
+    @classmethod
+    def of_rows(cls, ends, ids) -> list[Segment2D]:
+        """Handles on the rows of the float endpoint block `ends` (n, 4), one
+        per id of `ids` (n,); ValueError, as `Segment2D(...)` raises it, if a
+        row's two endpoints are equal."""
+        if (ends[:, :2] == ends[:, 2:]).all(axis=1).any():
+            raise ValueError("zero-length segment")
+        out = []
+        for row, sid in enumerate(ids):
+            seg = cls.__new__(cls)
+            seg.ends, seg.row, seg.id, seg.cluster_label = ends, row, sid, None
+            out.append(seg)
+        return out
+
+    @property
+    def p_start(self) -> np.ndarray:
+        return self.ends[self.row, :2]
+
+    @property
+    def p_end(self) -> np.ndarray:
+        return self.ends[self.row, 2:]
 
 
 def lines_through(p, q) -> np.ndarray:
@@ -45,8 +68,7 @@ def lines_through(p, q) -> np.ndarray:
 
 def endpoints(segments) -> np.ndarray:
     """Stacked pixel endpoints (n, 4): x1 y1 x2 y2 per segment."""
-    return np.hstack([np.array([s.p_start for s in segments]).reshape(-1, 2),
-                      np.array([s.p_end for s in segments]).reshape(-1, 2)])
+    return np.array([s.ends[s.row] for s in segments], dtype=float).reshape(-1, 4)
 
 
 def segment_frames(ends) -> tuple[np.ndarray, np.ndarray]:

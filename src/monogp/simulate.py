@@ -234,7 +234,7 @@ class World:
     family: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentTruth:
     line_id: int | None
     family_id: int | None
@@ -248,9 +248,9 @@ class FrameObservations:
     `ends` (n, 4), x1 y1 x2 y2, with `ids`, true `line_ids` and `families`
     (-1 on an outlier) and the `outlier` mask. Flow predictions: `pred_ends`
     (m, 4) with `pred_ids` and `pred_tracks` (the predicted line). The
-    boundary forms `segments` (a `Segment2D` list) and `truth` (id ->
-    `SegmentTruth`), which callers outside the pipeline read, are built on
-    first read, once."""
+    boundary forms `segments` (`Segment2D` handles on the rows of `ends`)
+    and `truth` (id -> `SegmentTruth`), which callers outside the pipeline
+    read, are built on first read, once."""
     frame_id: int
     point_ids: np.ndarray
     point_px: np.ndarray
@@ -265,8 +265,7 @@ class FrameObservations:
 
     @cached_property
     def segments(self) -> list[Segment2D]:
-        return [Segment2D(e[:2], e[2:], id=sid)
-                for e, sid in zip(self.ends, self.ids.tolist())]
+        return Segment2D.of_rows(self.ends, self.ids.tolist())
 
     @cached_property
     def truth(self) -> dict:

@@ -7,11 +7,12 @@ intrinsics and camera rotation to a unit world-frame vanishing direction.
 Vanishing points are kept in spherical normalization (||v|| = 1) so points
 at infinity need no special cases.
 
-`detect_scene_vanishing_points` runs each stage over all of a scene's frames
-before the next stage: sampling in groups of frames, one draw loop per
-group, consensus and J-Linkage frame by frame, then one refinement pass
-over every frame's clusters. `detect_vanishing_points` is its one-frame
-case. Each frame gets the floats of a per-frame, per-pair, per-segment
+`detect_scene_vanishing_points` runs a scene's frames in the sampler's
+groups: per group, sampling (one draw loop), then consensus and J-Linkage
+frame by frame, so one group's hypotheses are held at a time; after the
+last group, one refinement pass over every frame's clusters.
+`detect_vanishing_points` is its one-frame case, on a frame's `Segment2D`
+list. Each frame gets the floats of a per-frame, per-pair, per-segment
 loop:
 - the hypothesis pairs are decoded in bulk from each frame's seeded
   generator's uint32 words, exactly as `Generator.choice(n, 2,
@@ -33,7 +34,8 @@ loop:
   thread count; rows are ordered by segment id, which turns the tie rule
   (smallest sorted id pair among the maximum Jaccard similarities, the
   minimum distances) into the first maximum in row-major order, `argmax`.
-  Distinct similarities differ by far more than rounding for fewer than 2²⁴
+  Counts, set sizes and similarities are float32: distinct similarities
+  differ by more than twice float32's rounding for fewer than 2¹¹
   hypotheses (see `jlinkage_cluster`). A merge records the merged-away row
   in a union-find `parent` list and retires it by setting its size to
   +inf; the clusters are read off `parent` once, after the last merge;
@@ -63,9 +65,9 @@ CONSENSUS_DEG = 2.0
 
 _EPS_INF = 1e-9
 _WORD = 1 << 32  # the generator's uint32 words
-# Fewer hypotheses than this keep distinct Jaccard similarities > 1e-15 apart,
-# which J-Linkage's tie rule needs (see `jlinkage_cluster`).
-_MAX_HYPOTHESES = 1 << 24
+# Fewer hypotheses than this keep distinct float32 Jaccard similarities
+# apart, which J-Linkage's tie rule needs (see `jlinkage_cluster`).
+_MAX_HYPOTHESES = 1 << 11
 
 
 def canonical_direction(d) -> np.ndarray:
@@ -289,30 +291,34 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     then S @ S[i] after each merge, into one preallocated row. Sums of 0/1
     products are integers of at most m, which float32's 24-bit significand
     holds exactly for m < 2²⁴, in any order, so they do not depend on the
-    BLAS build or thread count. The similarities are float64, in a
-    symmetric matrix with a zero diagonal; two empty sets start at
-    0 / max(0, 1) = 0. A merge of rows i < j keeps row i, so each cluster's
-    smallest id is its row index, and records `parent[j] = i`; the clusters
-    are read off `parent` once, at the end. The merge intersects S[i] with
-    S[j], retires j by setting its size to +inf (its similarity to any row
-    then reads 0; its row of S stays as it is), writes row and column i
-    from the new counts and zeroes row and column j. A merged cluster shares
-    at least one hypothesis, so every union with it is at least 1.
+    BLAS build or thread count; the sums of two set sizes (at most 2m) and
+    the unions are exact too. The similarities are float32, each one
+    correctly rounded division, in a symmetric matrix with a zero
+    diagonal; two empty sets start at 0 / max(0, 1) = 0. A merge of rows
+    i < j keeps row i, so each cluster's smallest id is its row index, and
+    records `parent[j] = i`; the clusters are read off `parent` once, at
+    the end. The merge intersects S[i] with S[j], retires j by setting its
+    size to +inf (its similarity to any row then reads 0; its row of S
+    stays as it is), writes row and column i from the new counts and
+    zeroes row and column j. A merged cluster shares at least one
+    hypothesis, so every union with it is at least 1.
 
     Ties: the pair merged is the smallest sorted id pair among the maximum
     similarities, which is the first maximum in row-major order, `argmax`
     (in a symmetric matrix with a zero diagonal, a first maximum at (r, c)
-    with c < r would have its mirror (c, r) in an earlier row). Unions are
-    at most m, so two distinct similarities a/b and c/d differ by
-    |ad − bc| / bd ≥ 1/m², more than 1e-15 even after rounding for m < 2²⁴
-    (1/m² > 3.5e-15), and equal fractions divide to equal floats. So
-    `argmax` of a/b picks the pair, ties included, that `argmin` of the
-    distance 1 − a/b picks, and that a tolerance scan over the minimum
-    distance + 1e-15 would. Every positive similarity is at least 1/m, so
-    the stop "maximum ≤ 0" is the distance stop "minimum ≥ 1 − 1e-12".
-    `_MAX_HYPOTHESES` (2²⁴) bounds both the tie rule and the float32
-    counts; m ≥ 2²⁴ raises ValueError. The result does not depend on input
-    order.
+    with c < r would have its mirror (c, r) in an earlier row). A union is
+    a set of hypotheses, at most m, so two distinct similarities a/b and
+    c/d in [0, 1] differ by |ad − bc| / bd ≥ 1/m². Rounding to float32
+    moves each by at most 2⁻²⁴, the two together by at most 2⁻²³, which
+    stays below 1/m² while m² < 2²³, that is m < 2,896. Rounding is
+    monotone, so distinct similarities stay distinct floats in their
+    order, and equal fractions divide to equal floats. So `argmax` of the
+    float32 a/b picks the pair, ties included, that `argmax` of the exact
+    fractions, or `argmin` of the distance 1 − a/b, picks. Every positive
+    similarity is at least 1/m, so the stop "maximum ≤ 0" is the distance
+    stop "minimum ≥ 1 − 1e-12". `_MAX_HYPOTHESES` (2¹¹, the power of two
+    below 2,896) bounds the tie rule; m ≥ 2¹¹ raises ValueError. The result
+    does not depend on input order.
     """
     ids = np.asarray(ids)
     pref = np.asarray(pref, dtype=bool)
@@ -320,10 +326,10 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
         raise ValueError("need non-empty segments and hypotheses")
     n, m = pref.shape
     if m >= _MAX_HYPOTHESES:
-        raise ValueError(f"too many hypotheses for exact ties: {m} >= 2**24")
+        raise ValueError(f"too many hypotheses for exact ties: {m} >= 2**11")
     order = np.argsort(ids)
     S = pref[order].astype(np.float32)
-    inter = (S @ S.T).astype(np.float64)
+    inter = S @ S.T
     sizes = inter.diagonal().copy()
 
     sim = sizes[:, None] + sizes
@@ -333,8 +339,7 @@ def jlinkage_cluster(ids, pref, min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE
     sim.flat[::n + 1] = 0.0
 
     parent = list(range(n))
-    counts = np.empty(n, dtype=np.float32)
-    row = np.empty(n)
+    counts, row = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
     while True:
         i, j = divmod(int(sim.argmax()), n)
         if sim[i, j] <= 0.0:  # also a lone cluster
@@ -444,15 +449,18 @@ def lift_vanishing_point(vp, intr: CameraIntrinsics, r_wc) -> np.ndarray:
 
 def detect_scene_vanishing_points(frames, n_hypotheses: int, min_cluster_size: int
                                   ) -> list[list[VanishingPointEstimate]]:
-    """VP detection on every frame of a scene, one stage at a time: sample,
-    cluster, refine. Returns each frame's estimates.
+    """VP detection on every frame of a scene: sample and cluster one group
+    of frames at a time, then refine every cluster at once. Returns each
+    frame's estimates.
 
     `frames` holds per frame its stacked endpoints (n, 4), their segment ids
     (n,) and its seed. Segment ids must be unique within a frame: clusters
     are sets of ids. A frame with fewer than 2 segments, or whose pairs give
-    no hypothesis, has no estimates. Sampling runs on the usable frames in
-    groups (`sample_vp_hypotheses`), consensus and J-Linkage per frame, and
-    one `refine_vps` call refines every frame's clusters, each from its
+    no hypothesis, has no estimates. The usable frames run in the groups
+    that `sample_vp_hypotheses` samples together (`block_runs`, three
+    entries per attempt), so only one group's hypotheses are held at a
+    time: per group, sampling, then consensus and J-Linkage frame by frame.
+    One `refine_vps` call then refines every frame's clusters, each from its
     endpoint rows in input order; every frame's estimates are those it gets
     alone.
     """
@@ -465,18 +473,20 @@ def detect_scene_vanishing_points(frames, n_hypotheses: int, min_cluster_size: i
             row_of[sid] = r
         row_ofs.append(row_of)
     usable = [f for f, row_of in enumerate(row_ofs) if len(row_of) >= 2]
-    hyps = sample_vp_hypotheses([frames[f][0] for f in usable], n_hypotheses,
-                                [frames[f][2] for f in usable])
     starts = list(accumulate((len(ends) for ends, _, _ in frames), initial=0))
     clusters, owner = [], []
-    for f, h in zip(usable, hyps):
-        if len(h) == 0:
-            continue
-        row_of = row_ofs[f]
-        for c in jlinkage_cluster(list(row_of), preference_matrix(frames[f][0], h),
-                                  min_cluster_size):
-            clusters.append((sorted(starts[f] + row_of[sid] for sid in c), c))
-            owner.append(f)
+    for a, b in block_runs([3 * n_hypotheses] * len(usable)):
+        group = usable[a:b]
+        hyps = sample_vp_hypotheses([frames[f][0] for f in group], n_hypotheses,
+                                    [frames[f][2] for f in group])
+        for f, h in zip(group, hyps):
+            if len(h) == 0:
+                continue
+            row_of = row_ofs[f]
+            for c in jlinkage_cluster(list(row_of), preference_matrix(frames[f][0], h),
+                                      min_cluster_size):
+                clusters.append((sorted(starts[f] + row_of[sid] for sid in c), c))
+                owner.append(f)
     out = [[] for _ in frames]
     if clusters:
         stacked = np.concatenate([ends for ends, _, _ in frames])

@@ -5,6 +5,8 @@ The `monogp run` and `monogp simulate` files are checked by
 """
 import pytest
 
+import ab
+import monogp
 from golden import (
     SWEEP,
     TRACKS,
@@ -12,6 +14,7 @@ from golden import (
     assert_golden,
     sweep_entries,
     track_entries,
+    vp_clutter_config,
     vp_entries,
 )
 
@@ -35,3 +38,11 @@ def test_line_tracks_equal_golden(scenario, seed):
 
 def test_vp_detection_equals_golden():
     assert_golden(vp_entries(), "vp/")
+
+
+def test_benchmark_clutter_scene_is_the_golden_one():
+    # the vp-clutter workload's scene is written out in perfbench/workloads.py
+    # and in golden.py; the two must stay one scene
+    workloads = ab.load_workloads(monogp, "perfbench_workloads")
+    for seed in (0, 1, 5, 11):
+        assert workloads.vp_clutter_scene(seed).to_json() == vp_clutter_config(seed).to_json()

@@ -1,6 +1,4 @@
 """Segment primitives and the segment list file format."""
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -23,11 +21,14 @@ def seg_row(seg):
     return np.concatenate([seg.p_start, seg.p_end])
 
 
-@dataclass
 class Tracked(Segment2D):
     """A `Segment2D` with the id of the line track it belongs to, `None` for
     a detection: the segment form of the tracking and simulation oracles."""
-    track_id: int | None = None
+    __slots__ = ("track_id",)
+
+    def __init__(self, p_start, p_end, id, track_id=None):
+        super().__init__(p_start, p_end, id)
+        self.track_id = track_id
 
 
 def predicted_segments(frame):
@@ -89,6 +90,36 @@ def test_segment_file_roundtrip(tmp_path):
     assert loaded[0].id == 0 and loaded[1].id == 3
     assert loaded[0].p_start.tolist() == [0.0, 1.0] and loaded[0].p_end.tolist() == [10.0, 2.0]
     assert loaded[1].p_start.tolist() == [5.5, 5.5] and loaded[1].p_end.tolist() == [9.25, 0.125]
+
+
+def test_segments_compare_by_identity(tmp_path):
+    # list membership, index and remove on equal-valued segments: by identity
+    path = tmp_path / "segs.txt"
+    path.write_text("0 0 1 10 2\n1 0 1 10 2\n2 3 4 5 6\n")
+    a, b, c = segs = load_segments(path)
+    assert b in segs and segs.index(b) == 1 and segs.index(c) == 2
+    assert a != b and a == a and Segment2D(a.p_start, a.p_end, id=0) not in segs
+    segs.remove(b)
+    assert segs == [a, c] and len({a, b, c}) == 3
+
+
+def test_segment_endpoints_are_views_of_one_row():
+    ends = np.array([[0.0, 1.0, 10.0, 2.0], [3.0, 4.0, 5.0, 6.0]])
+    segs = Segment2D.of_rows(ends, [7, 9])
+    assert [(s.id, s.row, s.cluster_label) for s in segs] == [(7, 0, None), (9, 1, None)]
+    assert all(s.ends is ends for s in segs)
+    assert np.shares_memory(segs[1].p_start, ends) and segs[1].p_end.tolist() == [5.0, 6.0]
+    assert np.array_equal(endpoints(segs), ends) and endpoints([]).shape == (0, 4)
+    # the constructor copies its endpoints into a one-row block of its own
+    p = np.array([1.0, 2.0])
+    seg = Segment2D(p, [3, 4], id=1)
+    assert seg.ends.shape == (1, 4) and not np.shares_memory(seg.ends, p)
+    assert seg.p_start.tolist() == [1.0, 2.0] and seg.p_end.dtype == float
+    with pytest.raises(AttributeError):
+        seg.p_start = p
+    with pytest.raises(ValueError, match="zero-length segment"):
+        Segment2D.of_rows(np.array([[0.0, 1.0, 2.0, 3.0], [-0.0, 1.0, 0.0, 1.0]]), [0, 1])
+    Segment2D.of_rows(np.array([[np.nan, 1.0, np.nan, 1.0]]), [0])
 
 
 def test_segment_file_parse_error_names_line(tmp_path):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from monogp.simulate import (
     render_measurements,
     save_observations,
 )
+from golden import vp_clutter_config
 from test_graph import line_residual, line_through, project_point, to_camera
 from test_segments import Tracked, predicted_segments
 
@@ -736,3 +738,26 @@ def test_budget_breaks_length_ties_by_line_id():
     frames = render_measurements(world, poses, cfg)
     assert [frames[0].truth[s.id].line_id for s in frames[0].segments] == [2]
     assert_frames_equal(frames, oracle_render_measurements(world, poses, cfg))
+
+
+def test_frame_segments_are_handles_in_bounded_memory():
+    # the vp-clutter scene's 4,000 segments and their truth, as the benchmark
+    # reads them: handles on each frame's endpoint rows take ~0.40 MiB traced
+    # (1.38 MiB as dataclasses with two endpoint arrays each), the slotted
+    # truth ~0.54 MiB (0.70); checked on numpy 2.4
+    cfg = vp_clutter_config(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sparse-frame warnings: few points
+        frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
+    tracemalloc.start()
+    try:
+        segments = [fr.segments for fr in frames]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, segments)) == 4000 and held < 0.6 * 2**20
+    for fr, segs in zip(frames, segments):
+        assert [s.id for s in segs] == fr.ids.tolist()
+        assert all(s.ends is fr.ends and s.row == r for r, s in enumerate(segs))
+    truth = frames[0].truth[segments[0][0].id]
+    assert not hasattr(truth, "__dict__") and dataclasses.is_dataclass(truth)

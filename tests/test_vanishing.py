@@ -1,5 +1,6 @@
 """Vanishing-point sampling, consensus, J-Linkage, refinement, lifting."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -610,6 +611,108 @@ def test_jlinkage_matches_oracle_on_ids_out_of_input_order(scheme, seed):
             assert cluster(order, hyps, k) == naive_cluster(order, hyps, k)
 
 
+def float64_jlinkage_cluster(ids, pref, min_cluster_size):
+    """Oracle: `jlinkage_cluster`'s merge loop with float64 set sizes and
+    similarities (the float32 counts cast up)."""
+    ids = np.asarray(ids)
+    pref = np.asarray(pref, dtype=bool)
+    n = len(pref)
+    order = np.argsort(ids)
+    S = pref[order].astype(np.float32)
+    inter = (S @ S.T).astype(np.float64)
+    sizes = inter.diagonal().copy()
+    sim = sizes[:, None] + sizes
+    sim -= inter
+    np.maximum(sim, 1.0, out=sim)
+    np.divide(inter, sim, out=sim)
+    sim.flat[::n + 1] = 0.0
+    parent = list(range(n))
+    counts = np.empty(n, dtype=np.float32)
+    row = np.empty(n)
+    while True:
+        i, j = divmod(int(sim.argmax()), n)
+        if sim[i, j] <= 0.0:
+            break
+        parent[j] = i
+        sizes[j] = np.inf
+        S[i] *= S[j]
+        np.matmul(S, S[i], out=counts)
+        sizes[i] = counts[i]
+        np.add(sizes, sizes[i], out=row)
+        row -= counts
+        np.divide(counts, row, out=row)
+        row[i] = 0.0
+        sim[i] = row
+        sim[:, i] = row
+        sim[j] = 0.0
+        sim[:, j] = 0.0
+    members = {}
+    for r, sid in enumerate(ids[order].tolist()):
+        parent[r] = parent[parent[r]]
+        members.setdefault(parent[r], []).append(sid)
+    clusters = [frozenset(c) for c in members.values() if len(c) >= min_cluster_size]
+    clusters.sort(key=lambda c: (-len(c), min(c)))
+    return clusters
+
+
+def planted_preferences(rng, n, m):
+    """A random (n, m) preference matrix with some rows and columns copies
+    of others (exact ties), at a random density."""
+    pref = rng.random((n, m)) < rng.uniform(0.02, 0.5)
+    rows = rng.integers(0, n, n // 4)
+    pref[rng.integers(0, n, len(rows))] = pref[rows]
+    cols = rng.integers(0, m, m // 4)
+    pref[:, rng.integers(0, m, len(cols))] = pref[:, cols]
+    return pref
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float32_jlinkage_equals_float64_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for n, m in ((120, 2047), (rng.integers(2, 121), rng.integers(1, 2048)), (60, 500),
+                 (rng.integers(2, 40), rng.integers(1, 30))):
+        pref = planted_preferences(rng, n, m)
+        ids = rng.permutation(10 * n)[:n] - 3 * n
+        for k in (1, 3):
+            assert jlinkage_cluster(ids, pref, k) == float64_jlinkage_cluster(ids, pref, k)
+
+
+def test_float32_similarities_keep_every_fraction_apart():
+    # every a/b with 0 <= a <= b <= 2047, as jlinkage_cluster divides them:
+    # distinct fractions stay distinct float32 values, in the same order
+    b = np.repeat(np.arange(1, 2048), np.arange(2, 2049))
+    a = np.concatenate([np.arange(k + 1) for k in range(1, 2048)])
+    exact = a / b  # float64: distinct fractions differ by >= 2047**-2, far above its rounding
+    single = a.astype(np.float32) / b.astype(np.float32)
+    order = np.argsort(exact, kind="stable")
+    step64, step32 = np.diff(exact[order]), np.diff(single[order])
+    assert (step32 >= 0).all() and np.array_equal(step64 > 0, step32 > 0)
+
+
+def test_jlinkage_rejects_hypothesis_counts_from_2_pow_11():
+    ok = np.ones((2, 2047), dtype=bool)
+    assert jlinkage_cluster([0, 1], ok, 2) == [frozenset([0, 1])]
+    with pytest.raises(ValueError, match="too many hypotheses"):
+        jlinkage_cluster([0, 1], np.ones((2, 2048), dtype=bool), 2)
+
+
+def test_jlinkage_stays_in_bounded_memory():
+    # a 100-segment frame at the one-frame detector's 500 hypotheses: float32
+    # counts and similarities peak at ~341 KiB above entry (482 KiB with the
+    # float64 similarities); checked on numpy 2.4
+    rng = np.random.default_rng(0)
+    pref, ids = rng.random((100, 500)) < 0.1, list(range(100))
+    want = jlinkage_cluster(ids, pref, 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = jlinkage_cluster(ids, pref, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want and peak < 400 * 2**10
+
+
 def ring_preferences(n):
     """Preference sets {i, i+1 mod n}: each neighbour pair at distance 2/3,
     every other pair disjoint."""
@@ -635,7 +738,7 @@ def test_jlinkage_exact_ties_at_positive_distance():
 
 
 def test_jaccard_distances_are_more_than_the_tie_tolerance_apart():
-    # every |A∩B| = a <= |A∪B| = b <= 500, as jlinkage_cluster rounds them
+    # every |A∩B| = a <= |A∪B| = b <= 500, as the float64 oracle rounds them
     b = np.repeat(np.arange(1, 501), np.arange(2, 502)).astype(float)
     a = np.concatenate([np.arange(k + 1) for k in range(1, 501)]).astype(float)
     values = np.unique(1.0 - a / b)
@@ -686,10 +789,10 @@ def test_jlinkage_two_segments():
 
 @pytest.mark.parametrize("share", [1.0, 0.95])
 def test_jlinkage_dense_rows_equal_full_recompute_oracle(share):
-    # 4096 hypotheses: set sizes and intersections in the thousands, all
-    # held exactly by the float32 counts
+    # 2047 hypotheses, the most `jlinkage_cluster` takes: set sizes and
+    # intersections in the thousands, all held exactly by the float32 counts
     rng = np.random.default_rng(17)
-    pref = rng.random((30, 4096)) < share
+    pref = rng.random((30, 2047)) < share
     ids = rng.permutation(1000)[:30].tolist()
     for k in (1, 3):
         got = jlinkage_cluster(ids, pref, k)
@@ -918,6 +1021,25 @@ def test_scene_sampler_block_seams_are_exact(monkeypatch, block):
     got = sample_vp_hypotheses(ends, 300, seeds)
     assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
     assert all(len(h) == 300 for h in want)
+
+
+@pytest.mark.parametrize("block", [7, 2_000])
+def test_scene_detection_block_seams_are_exact(monkeypatch, block):
+    # structured(0)'s frames as the pipeline detects them, sampled and
+    # clustered in groups cut small (every frame alone, or two at a time,
+    # with one-column consensus blocks at 7) and in the default two groups:
+    # the same estimates, byte for byte
+    cfg = structured(0)
+    frames = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)
+    scene = [(fr.ends[filter_short(fr.ends)], fr.ids[filter_short(fr.ends)].tolist(),
+              cfg.rng_seed * 1009 + t) for t, fr in enumerate(frames)]
+    want = detect_scene_vanishing_points(scene, 300, 6)
+    monkeypatch.setattr(geometry, "BLOCK_ELEMS", block)
+    monkeypatch.setattr(vanishing, "BLOCK_ELEMS", block)
+    assert len(geometry.block_runs([3 * 300] * len(frames))) >= len(frames) // 2
+    got = detect_scene_vanishing_points(scene, 300, 6)
+    assert [estimate_bits(e) for e in got] == [estimate_bits(e) for e in want]
+    assert sum(map(len, want)) >= 2 * len(frames)
 
 
 def test_scene_detection_equals_per_frame_on_degenerate_frames():
