@@ -15,7 +15,7 @@ K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 rng = np.random.default_rng(42)
 pose = se3_exp(rng.normal(0.0, 0.2, 6))
 
-segments, families = [], []
+rows, families = [], []  # endpoint rows x1 y1 x2 y2; segment i is row i
 for fam in range(3):
     direction = np.eye(3)[fam]
     vp = K.matrix() @ (pose.rotation @ direction)
@@ -23,13 +23,13 @@ for fam in range(3):
         a = rng.uniform([50.0, 50.0], [590.0, 430.0])
         u = vp[:2] / vp[2] - a
         u = u / np.linalg.norm(u) * rng.uniform(30.0, 80.0)
-        segments.append(Segment2D(a, a + u, id=len(segments)))
+        rows.append([*a, *(a + u)])
         families.append(fam)
 for _ in range(15):  # clutter that belongs to no family
     a = rng.uniform([0.0, 0.0], [640.0, 480.0])
-    segments.append(Segment2D(a, a + rng.uniform(-80.0, 80.0, 2),
-                              id=len(segments)))
+    rows.append([*a, *(a + rng.uniform(-80.0, 80.0, 2))])
     families.append(-1)
+segments = Segment2D.of_rows(np.array(rows), list(range(len(rows))))
 
 estimates = detect_vanishing_points(segments, rng_seed=0)
 print(f"{len(segments)} segments -> {len(estimates)} vanishing points\n")

@@ -24,7 +24,11 @@ from .simulate import (
     save_observations,
 )
 from .tracking import write_gate_audit
-from .vanishing import detect_vanishing_points
+from .vanishing import (
+    DEFAULT_MIN_CLUSTER_SIZE,
+    DEFAULT_N_HYPOTHESES,
+    detect_scene_vanishing_points,
+)
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -90,8 +94,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_detect_vp(args) -> int:
-    segments = load_segments(args.segments)
-    estimates = detect_vanishing_points(segments, rng_seed=args.seed)
+    ends, ids = load_segments(args.segments)
+    estimates, = detect_scene_vanishing_points([(ends, ids, args.seed)],
+                                               DEFAULT_N_HYPOTHESES, DEFAULT_MIN_CLUSTER_SIZE)
     out = [{"vp": [float(x) for x in e.vp_homogeneous],
             "members": sorted(e.member_segment_ids),
             "residual_rms_deg": e.residual_rms} for e in estimates]

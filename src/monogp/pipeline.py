@@ -69,8 +69,9 @@ from .vanishing import (
 
 MODES = ("lp", "gp")
 
-# Per-frame VP detection settings; `detect_vanishing_points`' own defaults
-# (500 and 3) serve `monogp detect-vp`. Every other setting of the pipeline
+# Per-frame VP detection settings; `vanishing`'s `DEFAULT_N_HYPOTHESES` and
+# `DEFAULT_MIN_CLUSTER_SIZE` (500 and 3) serve `monogp detect-vp` and the
+# one-frame `detect_vanishing_points`. Every other setting of the pipeline
 # is a constant of the module that uses it.
 VP_HYPOTHESES = 300
 VP_MIN_CLUSTER = 6

@@ -13,29 +13,18 @@ from .geometry import row_norms
 
 class Segment2D:
     """Detected 2D line segment (pixel endpoints): a handle on row `row`,
-    x1 y1 x2 y2, of the endpoint block `ends` (n, 4), whose `p_start` and
-    `p_end` are views of that row. `detect_vanishing_points` sets
-    `cluster_label`.
-
-    `Segment2D(p_start, p_end, id)` copies its endpoints into a one-row block
-    of its own; `of_rows` hands out handles on the rows of a whole block.
-    Segments compare and hash by identity."""
+    x1 y1 x2 y2, of the endpoint block `ends` (n, 4), made by `of_rows`.
+    `detect_vanishing_points` sets `cluster_label`. Segments compare and
+    hash by identity."""
     __slots__ = ("ends", "row", "id", "cluster_label")
-
-    def __init__(self, p_start, p_end, id: int):
-        self.ends = np.concatenate([np.asarray(p_start, dtype=float).reshape(2),
-                                    np.asarray(p_end, dtype=float).reshape(2)])[None]
-        self.row, self.id, self.cluster_label = 0, id, None
-        # List equality: the elementwise `==` of the arrays (-0.0 equals 0.0,
-        # NaN equals nothing) several times faster than `(a == b).all()`.
-        if self.p_start.tolist() == self.p_end.tolist():
-            raise ValueError("zero-length segment")
 
     @classmethod
     def of_rows(cls, ends, ids) -> list[Segment2D]:
         """Handles on the rows of the float endpoint block `ends` (n, 4), one
-        per id of `ids` (n,); ValueError, as `Segment2D(...)` raises it, if a
-        row's two endpoints are equal."""
+        per id of `ids` (n,); ValueError if `ids` is not as long as `ends`
+        or a row's two endpoints are equal."""
+        if len(ids) != len(ends):
+            raise ValueError(f"{len(ids)} ids for {len(ends)} endpoint rows")
         if (ends[:, :2] == ends[:, 2:]).all(axis=1).any():
             raise ValueError("zero-length segment")
         out = []
@@ -44,14 +33,6 @@ class Segment2D:
             seg.ends, seg.row, seg.id, seg.cluster_label = ends, row, sid, None
             out.append(seg)
         return out
-
-    @property
-    def p_start(self) -> np.ndarray:
-        return self.ends[self.row, :2]
-
-    @property
-    def p_end(self) -> np.ndarray:
-        return self.ends[self.row, 2:]
 
 
 def lines_through(p, q) -> np.ndarray:
@@ -79,9 +60,10 @@ def segment_frames(ends) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (ends[:, :2] + ends[:, 2:]), d / row_norms(d)[:, None]
 
 
-def load_segments(path) -> list[Segment2D]:
-    segments = []
-    seen = set()
+def load_segments(path) -> tuple[np.ndarray, list[int]]:
+    """A segment file's endpoint rows (n, 4) and their ids (n,), in file
+    order; ValueError naming the line of the first bad one."""
+    rows = {}  # id -> x1 y1 x2 y2
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             raw = raw.strip()
@@ -93,16 +75,17 @@ def load_segments(path) -> list[Segment2D]:
                                  f"expected 5 or 6 fields, got {len(parts)}")
             try:
                 sid = int(parts[0])
-                coords = np.array([float(p) for p in parts[1:5]])
-                if not np.isfinite(coords).all():
+                row = [float(p) for p in parts[1:5]]
+                if not np.isfinite(row).all():
                     raise ValueError("non-finite value")
                 if len(parts) == 6:
                     int(parts[5])  # the track id: an integer, not kept
-                if sid in seen:
+                if sid in rows:
                     raise ValueError(f"duplicate segment id {sid}")
-                seen.add(sid)
-                segments.append(Segment2D(coords[:2], coords[2:], id=sid))
+                # -0.0 equals 0.0; NaN is rejected above
+                if row[:2] == row[2:]:
+                    raise ValueError("zero-length segment")
+                rows[sid] = row
             except ValueError as e:
                 raise ValueError(f"parse error at line {lineno}: {e}") from None
-    return segments
-
+    return np.array(list(rows.values()), dtype=float).reshape(-1, 4), list(rows)

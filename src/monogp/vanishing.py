@@ -17,11 +17,12 @@ loop:
 - the hypothesis pairs are decoded in bulk from each frame's seeded
   generator's uint32 words, exactly as `Generator.choice(n, 2,
   replace=False)` draws them (Floyd's algorithm with Lemire's bounded draw),
-  one block of words per batch of attempts. Frames are sampled in groups
-  whose attempts fit one block (`geometry`'s block rule, three entries per
-  attempt); within a group, a frame left short by degenerate pairs draws
-  its next batch in the next pass, and the lines, cross products and norms
-  of a pass run on all the group's pairs at once;
+  one block of words per batch of attempts. The scene is cut once into
+  groups of frames whose attempts fit one block (`geometry`'s block rule,
+  three entries per attempt), and `sample_vp_hypotheses` draws each group
+  in one loop: a frame left short by degenerate pairs draws its next batch
+  in the next pass, and the lines, cross products and norms of a pass run
+  on all the group's pairs at once;
 - the preference matrix (consensus angle below θ = `CONSENSUS_DEG`) is
   built one block of hypothesis columns at a time, `max(1, BLOCK_ELEMS //
   n)` columns for n segments, so no (n, m) plane is a fresh mapping on
@@ -141,28 +142,20 @@ def sample_vp_hypotheses(scene_ends, m: int, rng_seeds) -> list[np.ndarray]:
     of attempts takes one block of words. A pair of numerically identical
     lines (||v|| < 1e-12) is skipped, up to 50·m attempts per frame: a frame
     short of m after a batch draws another in the next pass of the loop.
-    The frames run in groups of consecutive frames whose first batches fit
-    one block at three entries per attempt (`block_runs`; later batches are
-    smaller). Lines, cross products and normalization run on all of a
-    group's pairs of a pass at once; they are elementwise or per-row BLAS
-    dots, so each frame gets the hypotheses it gets alone. The replay of
-    `Generator.choice` (`_decode_pairs`) is what holds acceptance criteria 4
-    and 8 where they are: a plain batched draw of the pairs, equally
-    uniform, takes other pairs from the stream and fails both.
+    The frames are sampled as one group, all of them in each pass
+    (`detect_scene_vanishing_points` hands it one group at a time). Lines,
+    cross products and normalization run on all of a pass's pairs at once;
+    they are elementwise or per-row BLAS dots, so each frame gets the
+    hypotheses it gets alone. The replay of `Generator.choice`
+    (`_decode_pairs`) is what holds acceptance criteria 4 and 8 where they
+    are: a plain batched draw of the pairs, equally uniform, takes other
+    pairs from the stream and fails both.
     """
     sizes = [len(ends) for ends in scene_ends]
     if not sizes:
         return []
     if min(sizes) < 2:
         raise ValueError("too few segments: need at least 2")
-    return [hyps for a, b in block_runs([3 * m] * len(sizes))
-            for hyps in _sample_group(scene_ends[a:b], m, rng_seeds[a:b])]
-
-
-def _sample_group(scene_ends, m: int, rng_seeds) -> list[np.ndarray]:
-    """`sample_vp_hypotheses` on one group of frames, all of them in each
-    pass."""
-    sizes = [len(ends) for ends in scene_ends]
     starts = list(accumulate(sizes[:-1], initial=0))
     stacked = np.concatenate(scene_ends)
     lines = lines_through(stacked[:, :2], stacked[:, 2:])
@@ -456,10 +449,11 @@ def detect_scene_vanishing_points(frames, n_hypotheses: int, min_cluster_size: i
     `frames` holds per frame its stacked endpoints (n, 4), their segment ids
     (n,) and its seed. Segment ids must be unique within a frame: clusters
     are sets of ids. A frame with fewer than 2 segments, or whose pairs give
-    no hypothesis, has no estimates. The usable frames run in the groups
-    that `sample_vp_hypotheses` samples together (`block_runs`, three
-    entries per attempt), so only one group's hypotheses are held at a
-    time: per group, sampling, then consensus and J-Linkage frame by frame.
+    no hypothesis, has no estimates. The usable frames are cut once into groups
+    whose first batches fit one block (`block_runs`, three entries per
+    attempt), so only one group's hypotheses are held at a time: per group,
+    one `sample_vp_hypotheses` call, then consensus and J-Linkage frame by
+    frame.
     One `refine_vps` call then refines every frame's clusters, each from its
     endpoint rows in input order; every frame's estimates are those it gets
     alone.

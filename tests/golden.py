@@ -18,7 +18,10 @@ Entries, one flat key each:
   defaults on every frame of a five-family orbit scene with 20% outlier
   segments and 100 segments per frame: the VPs (`float.hex` per
   coordinate), the sorted member ids and the RMS (`float.hex`) of each
-  estimate, and every segment's label.
+  estimate, and every segment's label;
+- `detect-vp/<config>(<seed>)`: SHA-256 of `monogp detect-vp` stdout on
+  frame 0 of each committed config written as a segment file
+  (`write_segment_file`), with the default seed 0 and with `--seed 7`.
 
 The bits depend on the numpy and BLAS build and on the BLAS thread count.
 Regenerate only for a change that is meant to alter outputs, and list every
@@ -26,7 +29,9 @@ changed entry (printed by the script) with its old and new value:
 
     PYTHONPATH=src python tests/golden.py
 """
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -61,6 +66,7 @@ SWEEP = [(structured, s) for s in range(3)] + [(nonoverlap, s) for s in range(2)
 TRACKS = [(structured, s) for s in range(3)] + [
     (default_corridor, 0), (perturbed_corridor, 0), (nonoverlap, 0)]
 VP_SCENE_SEED = 1
+DETECT_VP_SEEDS = (0, 7)
 
 
 def config_path(name: str) -> str:
@@ -159,6 +165,34 @@ def vp_entries() -> dict:
     return entries
 
 
+def write_segment_file(config: str, path: Path) -> Path:
+    """Frame 0 of `configs/<config>.json` as a segment file at `path`, one
+    `id x1 y1 x2 y2 track_id` line per detected segment, each coordinate as
+    its `repr` (the track id is the segment id)."""
+    cfg = ScenarioConfig.load(config_path(config))
+    frame = render_measurements(generate_world(cfg), generate_trajectory(cfg), cfg)[0]
+    path.write_text("".join(f"{sid} {' '.join(map(repr, e))} {sid}\n"
+                            for sid, e in zip(frame.ids.tolist(), frame.ends.tolist())))
+    return path
+
+
+def detect_vp_entries(tmp: Path) -> dict:
+    """Per committed config and seed in `DETECT_VP_SEEDS`: the digest of what
+    `monogp detect-vp` prints on its `write_segment_file` file; seed 0 runs
+    without `--seed`, which defaults to it."""
+    entries = {}
+    for config in sorted(p.stem for p in CONFIGS.glob("*.json")):
+        path = write_segment_file(config, tmp / f"{config}.txt")
+        for seed in DETECT_VP_SEEDS:
+            args = ["detect-vp", "--segments", str(path)] + (["--seed", str(seed)] if seed else [])
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(args) == 0
+            entries[f"detect-vp/{config}({seed})"] = \
+                hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return entries
+
+
 def dump(entries: dict) -> str:
     """The golden file's text: one line per entry, sorted by key."""
     lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(entries.items())]
@@ -189,6 +223,7 @@ def regenerate() -> dict:
         for path in sorted(CONFIGS.glob("*.json")):
             entries.update(run_entries(path.stem, Path(tmp) / path.stem))
         entries.update(ablate_entries(Path(tmp) / "ablate"))
+        entries.update(detect_vp_entries(Path(tmp)))
     for scenario, seed in SWEEP:
         entries.update(sweep_entries(scenario, seed))
     for scenario, seed in TRACKS:

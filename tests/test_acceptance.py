@@ -16,7 +16,7 @@ from monogp.geometry import CameraIntrinsics, Pose, se3_exp
 from monogp.pipeline import run_ablation, run_pipeline
 from monogp.primitives import GlobalPrimitiveRegistry, fuse_directions, is_parallel
 from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
-from monogp.segments import Segment2D, endpoints
+from monogp.segments import endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp.tracking import (
     overlap_gate,
@@ -28,6 +28,7 @@ from monogp.tracking import (
 from monogp.vanishing import canonical_direction, detect_vanishing_points, lift_vanishing_point
 
 from test_graph import batch_jacobian_errors, build_random_factor_graph
+from test_segments import segment
 from test_tracking import first, one_pair
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
@@ -109,7 +110,7 @@ def _planted_vp_scene(seed):
                 u = np.array([1.0, 0.0])
                 norm = 1.0
             u = u / norm * rng.uniform(30.0, 80.0)
-            segments.append(Segment2D(a, a + u, id=sid))
+            segments.append(segment(a, a + u, id=sid))
             families.append(fam)
             sid += 1
     n_out = int(round(0.2 * 60 / 0.8))
@@ -118,7 +119,7 @@ def _planted_vp_scene(seed):
         b = rng.uniform([0.0, 0.0], [640.0, 480.0])
         if np.allclose(a, b):
             b = a + [10.0, 10.0]
-        segments.append(Segment2D(a, b, id=sid))
+        segments.append(segment(a, b, id=sid))
         families.append(-1)
         sid += 1
     return segments, families, pose
@@ -180,8 +181,8 @@ def test_criterion_6_gate_golden_values(tmp_path):
             u = rng.normal(0.0, 1.0, 2)
             u /= np.linalg.norm(u)
             shift = rng.normal(0.0, 2.0, 2)
-            run_gates([0], [i], endpoints([Segment2D(a, a + 60 * u, id=i)]),
-                      endpoints([Segment2D(a + shift, a + 60 * u + shift, id=i)]), audit)
+            run_gates([0], [i], endpoints([segment(a, a + 60 * u, id=i)]),
+                      endpoints([segment(a + shift, a + 60 * u + shift, id=i)]), audit)
         path = tmp_path / f"audit{run}.csv"
         write_gate_audit(audit, path)
         paths.append(path)

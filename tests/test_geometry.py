@@ -31,7 +31,7 @@ from monogp.geometry import (
     triangulate_points,
 )
 from monogp.graph import retract
-from monogp.segments import Segment2D, endpoints
+from monogp.segments import endpoints
 from monogp.vanishing import canonical_direction
 from test_graph import (
     OrthonormalLine,
@@ -42,6 +42,7 @@ from test_graph import (
     project_point,
     to_camera,
 )
+from test_segments import p_end, p_start, segment
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -169,7 +170,7 @@ def test_project_points_bitwise_per_pose():
 
 def segment_through(points, pose):
     """Image segment between the projections of two world points."""
-    return Segment2D(*(project_point(p, pose, K) for p in points), id=0)
+    return segment(*(project_point(p, pose, K) for p in points), id=0)
 
 
 def test_transform_plucker_point_membership():
@@ -190,7 +191,7 @@ def test_project_plucker_horizontal_line():
     # a horizontal line at depth 1 projects onto the image row y = cy + fy * ty
     line = line_through([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
     for ty, row in ((0.0, 240.0), (0.1, 290.0)):
-        seg = Segment2D([100.0, row], [500.0, row], id=0)
+        seg = segment([100.0, row], [500.0, row], id=0)
         r = line_residual(line, Pose(np.eye(3), np.array([0.0, ty, 0.0])), seg)
         assert np.allclose(r, 0.0, atol=1e-9)
 
@@ -198,7 +199,7 @@ def test_project_plucker_horizontal_line():
 def test_project_plucker_scale_invariant_up_to_normalization():
     line = line_through([0.5, -0.2, 2.0], [1.5, 0.8, 2.0])
     double = (2.0 * line[0], 2.0 * line[1])
-    seg = Segment2D([100.0, 200.0], [400.0, 250.0], id=0)
+    seg = segment([100.0, 200.0], [400.0, 250.0], id=0)
     rng = np.random.default_rng(12)
     for _ in range(20):
         pose = se3_exp(rng.normal(0.0, 0.1, 6))
@@ -208,7 +209,7 @@ def test_project_plucker_scale_invariant_up_to_normalization():
 
 def test_project_plucker_optical_axis_degenerate():
     line = line_through([0.0, 0.0, 1.0], [0.0, 0.0, 2.0])
-    seg = Segment2D([300.0, 240.0], [340.0, 240.0], id=0)
+    seg = segment([300.0, 240.0], [340.0, 240.0], id=0)
     with pytest.raises(DegenerateLineError):
         line_residual(line, IDENTITY, seg)
 
@@ -442,8 +443,8 @@ def oracle_triangulate_point(obs_a, obs_b, pose_a, pose_b, intr, min_ray_angle_d
 
 
 def oracle_backprojected_plane(seg, pose, intr):
-    ps = np.array([seg.p_start[0], seg.p_start[1], 1.0])
-    pe = np.array([seg.p_end[0], seg.p_end[1], 1.0])
+    ps = np.array([p_start(seg)[0], p_start(seg)[1], 1.0])
+    pe = np.array([p_end(seg)[0], p_end(seg)[1], 1.0])
     l_img = np.cross(ps, pe)
     K_ = intr.matrix()
     a = pose.rotation.T @ (K_.T @ l_img)
@@ -630,10 +631,10 @@ def test_triangulate_line_noiseless_roundtrip():
         d /= np.linalg.norm(d)
         p1 = p0 + 1.5 * d
         truths.append(line_through(p0, p1))
-        pairs.append((Segment2D(project_point(p0, pose_a, K),
-                                project_point(p1, pose_a, K), id=0),
-                      Segment2D(project_point(p0, pose_b, K),
-                                project_point(p1, pose_b, K), id=0), pose_a, pose_b))
+        pairs.append((segment(project_point(p0, pose_a, K),
+                              project_point(p1, pose_a, K), id=0),
+                      segment(project_point(p0, pose_b, K),
+                              project_point(p1, pose_b, K), id=0), pose_a, pose_b))
     ok, normal, direction = stacked_line_rows(pairs, K)
     assert ok.sum() > 40  # the rest have a plane angle below the threshold
     for truth, n, d in zip([t for t, k in zip(truths, ok) if k], normal, direction):
@@ -644,7 +645,7 @@ def test_triangulate_line_noiseless_roundtrip():
 
 def random_segment(rng):
     a = rng.uniform([0, 0], [640, 480])
-    return Segment2D(a, a + rng.normal(0.0, 80.0, 2), id=0)
+    return segment(a, a + rng.normal(0.0, 80.0, 2), id=0)
 
 
 def test_triangulate_lines_equal_scalar_oracle():
@@ -668,7 +669,7 @@ def test_triangulate_lines_plane_angle_boundary(monkeypatch):
     def pair(phi):
         d = np.array([math.cos(phi), math.sin(phi), 0.0])
         ends = [np.array([-0.3, 0.2, 5.0]), np.array([-0.3, 0.2, 5.0]) + d]
-        return tuple(Segment2D(*(project_point(p, pose, K) for p in ends), id=0)
+        return tuple(segment(*(project_point(p, pose, K) for p in ends), id=0)
                      for pose in (IDENTITY, shifted)) + (IDENTITY, shifted)
 
     def accepts(phi):

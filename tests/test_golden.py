@@ -12,6 +12,7 @@ from golden import (
     TRACKS,
     ablate_entries,
     assert_golden,
+    detect_vp_entries,
     sweep_entries,
     track_entries,
     vp_clutter_config,
@@ -38,6 +39,10 @@ def test_line_tracks_equal_golden(scenario, seed):
 
 def test_vp_detection_equals_golden():
     assert_golden(vp_entries(), "vp/")
+
+
+def test_detect_vp_outputs_equal_golden(tmp_path):
+    assert_golden(detect_vp_entries(tmp_path), "detect-vp/")
 
 
 def test_benchmark_clutter_scene_is_the_golden_one():

@@ -71,8 +71,8 @@ from monogp.graph import (
 )
 from monogp.pipeline import _map_scene, build_graph, map_primitives
 from monogp.scenarios import default_corridor, nonoverlap, structured
-from monogp.segments import Segment2D, lines_through
-from test_segments import seg_row
+from monogp.segments import lines_through
+from test_segments import seg_row, segment
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IDENTITY = Pose(np.eye(3), np.zeros(3))
@@ -454,7 +454,7 @@ def line_residual(line, pose, seg, intr=K):
 
 def test_line_residual_perpendicular_distances():
     line = line_through([0.0, 0.0, 1.0], [1.0, 0.0, 1.0])
-    r = line_residual(line, IDENTITY, Segment2D([100.0, 243.0], [300.0, 237.0], id=0))
+    r = line_residual(line, IDENTITY, segment([100.0, 243.0], [300.0, 237.0], id=0))
     assert np.allclose(np.abs(r), [3.0, 3.0], atol=1e-9)
     assert abs(r[0] + r[1]) < 1e-9  # opposite signs
 
@@ -462,7 +462,7 @@ def test_line_residual_perpendicular_distances():
 def test_line_residual_scale_invariant():
     line = line_through([0.2, 0.1, 2.0], [1.2, 2.1, 2.0])
     double = (2.0 * line[0], 2.0 * line[1])
-    obs = Segment2D([100.0, 200.0], [400.0, 250.0], id=0)
+    obs = segment([100.0, 200.0], [400.0, 250.0], id=0)
     assert np.allclose(np.abs(line_residual(line, IDENTITY, obs)),
                        np.abs(line_residual(double, IDENTITY, obs)), atol=1e-12)
 
@@ -472,7 +472,7 @@ def vd_align_residual(gp, pose, seg):
 
 
 def test_vd_align_zero_through_principal_point():
-    seg = Segment2D([320.0, 240.0], [520.0, 240.0], id=0)
+    seg = segment([320.0, 240.0], [520.0, 240.0], id=0)
     r = vd_align_residual([0.0, 0.0, 1.0], IDENTITY, seg)
     assert abs(r) < 1e-12
 
@@ -485,14 +485,14 @@ def test_vd_align_zero_for_incident_segment():
     a = np.array([100.0, 100.0])
     u = vp_px - a
     u /= np.linalg.norm(u)
-    seg = Segment2D(a, a + 80.0 * u, id=0)
+    seg = segment(a, a + 80.0 * u, id=0)
     assert abs(vd_align_residual(gp, IDENTITY, seg)) < 1e-9
 
 
 def test_vd_align_increases_away_from_truth():
     gp = np.array([1.0, 0.0, 0.0])  # horizontal family, VP at infinity
     a = np.array([100.0, 200.0])
-    seg = Segment2D(a, a + [150.0, 0.0], id=0)
+    seg = segment(a, a + [150.0, 0.0], id=0)
     vals = []
     for deg in np.linspace(0.0, 1.0, 11):
         pose = Pose(so3_exp([0.0, np.radians(deg), 0.0]), np.zeros(3))
@@ -521,7 +521,7 @@ def build_random_factor_graph(seed):
     line_w = line_through(to_camera(pose.inverse(), anchor_c),
                           to_camera(pose.inverse(), anchor_c + d_c))
     add_line(g, 0, oracle_plucker_to_orthonormal(line_w))
-    seg = Segment2D(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
+    seg = segment(rng.uniform(0.0, 640.0, 2), rng.uniform(0.0, 640.0, 2), id=0)
     line_f = add_factor(g, LineFactor, 0, 0, seg_row(seg))
 
     gp = rng.normal(0.0, 1.0, 3)
@@ -804,7 +804,7 @@ def build_assembly_graph():
         for t in range(3):
             a, b = (project_point(closest_point_to_origin(line) + s * gp, g.poses[t], K)
                     for s in (-0.5, 0.5))
-            seg = Segment2D(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
+            seg = segment(a + rng.normal(0.0, 1.0, 2), b + rng.normal(0.0, 1.0, 2), id=t)
             add_factor(g, LineFactor, t, lid, seg_row(seg))
             add_factor(g, VdAlignFactor, t, 0, seg_row(seg))
     return g
@@ -2006,7 +2006,7 @@ def test_optimize_never_increases_cost_and_keeps_gps_unit():
     add_gp(g, 0, gp_step(gp_truth, 0.05, -0.03))
     for i in range(10):
         a = rng.uniform([50.0, 50.0], [500.0, 400.0])
-        seg = Segment2D(a, a + [rng.uniform(40, 90), 0.0], id=i)
+        seg = segment(a, a + [rng.uniform(40, 90), 0.0], id=i)
         add_factor(g, VdAlignFactor, 0, 0, seg_row(seg))
     c0 = total_cost(g, pack(g))
     report = optimize(g, fixed=[("pose", 0)])

@@ -53,7 +53,7 @@ from test_graph import (
     oracle_plucker_to_orthonormal,
     to_camera,
 )
-from test_segments import seg_row
+from test_segments import p_end, p_start, seg_row
 from test_tracking import oracle_triangulate_lines, segment_tracks
 
 
@@ -136,22 +136,17 @@ def test_pipeline_builds_no_segment2d(monkeypatch):
     # segments are endpoint rows from rendering through the gates into the
     # graph factors; `Segment2D` is only a boundary form for outside callers
     built = []
-    init, of_rows = Segment2D.__init__, Segment2D.of_rows.__func__
-
-    def counted(self, p_start, p_end, id):
-        built.append(id)
-        init(self, p_start, p_end, id)
+    of_rows = Segment2D.of_rows.__func__
 
     def counted_rows(cls, ends, ids):
         built.extend(ids)
         return of_rows(cls, ends, ids)
-    monkeypatch.setattr(Segment2D, "__init__", counted)
     monkeypatch.setattr(Segment2D, "of_rows", classmethod(counted_rows))
     for mode in MODES:
         run_pipeline(structured(0), mode)
     report = run_ablation(structured(), 2)
     assert not report.failures and built == []
-    Segment2D([0.0, 0.0], [1.0, 0.0], id=3)  # the count sees a construction
+    Segment2D.of_rows(np.array([[0.0, 0.0, 1.0, 0.0]]), [3])  # the count sees a construction
     assert built == [3]
 
 
@@ -390,7 +385,7 @@ def oracle_graph(frames, poses, cfg, mode):
     if mode == "gp":
         registry = GlobalPrimitiveRegistry()
         for t, fr in enumerate(frames):
-            segs = [s for s in fr.segments if np.linalg.norm(s.p_end - s.p_start) >= TAU_S]
+            segs = [s for s in fr.segments if np.linalg.norm(p_end(s) - p_start(s)) >= TAU_S]
             if len(segs) < 2:
                 continue
             estimates, = detect_scene_vanishing_points(

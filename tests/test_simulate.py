@@ -15,7 +15,6 @@ import pytest
 from monogp import simulate
 from monogp.geometry import Pose
 from monogp.scenarios import CONFIGS, default_corridor, nonoverlap, perturbed_corridor, structured
-from monogp.segments import Segment2D
 from monogp.simulate import (
     MIN_DEPTH,
     MIN_OUTLIER_PX,
@@ -34,7 +33,7 @@ from monogp.simulate import (
 )
 from golden import vp_clutter_config
 from test_graph import line_residual, line_through, project_point, to_camera
-from test_segments import Tracked, predicted_segments
+from test_segments import p_end, p_start, predicted_segments, segment, tracked
 
 
 def corridor_config(**overrides):
@@ -156,7 +155,7 @@ def oracle_render_measurements(world, poses, config):
         for i, (lid, ps, pe) in enumerate(candidates):
             sid = t * 100000 + i
             noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_endpoint_px
-            segments.append(Segment2D(ps + noise[0], pe + noise[1], id=sid))
+            segments.append(segment(ps + noise[0], pe + noise[1], id=sid))
             truth[sid] = SegmentTruth(lid, int(world.family[lid]), False)
         n_out = int(round(config.outlier_fraction * len(segments)))
         if n_out > 0:
@@ -168,7 +167,7 @@ def oracle_render_measurements(world, poses, config):
                     if np.linalg.norm(pe - ps) >= MIN_OUTLIER_PX:
                         break
                 sid = segments[i].id
-                segments[i] = Segment2D(ps, pe, id=sid)
+                segments[i] = segment(ps, pe, id=sid)
                 truth[sid] = SegmentTruth(None, None, True)
         predicted = []
         if t > 0:
@@ -181,7 +180,7 @@ def oracle_render_measurements(world, poses, config):
                 if proj is None:
                     continue
                 noise = rng.normal(0.0, 1.0, size=(2, 2)) * config.noise.sigma_flow_px
-                predicted.append(Tracked(proj[0] + noise[0], proj[1] + noise[1],
+                predicted.append(tracked(proj[0] + noise[0], proj[1] + noise[1],
                                          id=-(seg.id + 1), track_id=info.line_id))
         frames.append(OracleFrame(t, pt_obs, segments, predicted, truth))
     return frames
@@ -198,7 +197,7 @@ def assert_frames_equal(got, want):
         assert [(s.id, s.track_id) for s in predicted_segments(g)] == \
             [(s.id, s.track_id) for s in w.predicted]
         for gs, ws in ((g.segments, w.segments), (predicted_segments(g), w.predicted)):
-            assert all(np.array_equal(a.p_start, b.p_start) and np.array_equal(a.p_end, b.p_end)
+            assert all(np.array_equal(p_start(a), p_start(b)) and np.array_equal(p_end(a), p_end(b))
                        for a, b in zip(gs, ws))
         assert g.truth == w.truth
 
@@ -595,8 +594,8 @@ def test_rendering_reproducible():
     for a, b in zip(f1, f2):
         assert len(a.segments) == len(b.segments)
         for sa, sb in zip(a.segments, b.segments):
-            assert np.array_equal(sa.p_start, sb.p_start)
-            assert np.array_equal(sa.p_end, sb.p_end)
+            assert np.array_equal(p_start(sa), p_start(sb))
+            assert np.array_equal(p_end(sa), p_end(sb))
 
 
 def test_visibility_partition_separates_frames():
@@ -630,7 +629,7 @@ def test_observation_jsonl_roundtrip(tmp_path):
     assert len(lines) == len(frames)
 
     def seg_fields(segs, tracks):
-        return [[s.id, s.p_start.tolist(), s.p_end.tolist(), k] for s, k in zip(segs, tracks)]
+        return [[s.id, p_start(s).tolist(), p_end(s).tolist(), k] for s, k in zip(segs, tracks)]
 
     for fr, line in zip(frames, lines):
         d = json.loads(line)

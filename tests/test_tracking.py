@@ -19,7 +19,7 @@ from monogp.pipeline import (
     perturb_poses,
 )
 from monogp.scenarios import default_corridor, nonoverlap, perturbed_corridor, structured
-from monogp.segments import Segment2D, endpoints
+from monogp.segments import endpoints
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp import geometry as geometry_module
 from monogp import tracking as tracking_module
@@ -52,16 +52,24 @@ from test_graph import (
     oracle_plucker_to_orthonormal,
     to_camera,
 )
-from test_segments import Tracked, midpoint, predicted_segments, segment_line
+from test_segments import (
+    midpoint,
+    p_end,
+    p_start,
+    predicted_segments,
+    segment,
+    segment_line,
+    tracked,
+)
 
 
 def seg(x1, y1, x2, y2, sid=0, track_id=None):
-    return Tracked([x1, y1], [x2, y2], id=sid, track_id=track_id)
+    return tracked([x1, y1], [x2, y2], id=sid, track_id=track_id)
 
 
 def direction(s):
     """Unit direction of a segment, start to end."""
-    d = s.p_end - s.p_start
+    d = p_end(s) - p_start(s)
     return d / np.linalg.norm(d)
 
 
@@ -100,7 +108,7 @@ def match_predicted(predicted, detected):
         endpoints(predicted), np.zeros(len(predicted), dtype=int),
         endpoints(detected), np.zeros(len(detected), dtype=int))
     return [(p.track_id, p, "predicted") if k < 0 else
-            (p.track_id, Tracked(detected[k].p_start, detected[k].p_end,
+            (p.track_id, tracked(p_start(detected[k]), p_end(detected[k]),
                                  id=detected[k].id, track_id=p.track_id), "detected")
             for p, k in zip(predicted, chosen.tolist())]
 
@@ -130,7 +138,7 @@ def test_match_falls_back_to_prediction():
     out = match_predicted([pred], [det])
     track_id, chosen, source = out[0]
     assert track_id == 3 and source == "predicted"
-    assert np.allclose(chosen.p_start, pred.p_start)
+    assert np.allclose(p_start(chosen), p_start(pred))
 
 
 def test_match_detection_not_shared_between_tracks():
@@ -251,9 +259,9 @@ def test_run_gates_audit_byte_identical(tmp_path):
             a = rows_rng.uniform([50, 50], [500, 400])
             u = rows_rng.normal(0.0, 1.0, 2)
             u /= np.linalg.norm(u)
-            observed = Segment2D(a, a + 60 * u, id=i)
+            observed = segment(a, a + 60 * u, id=i)
             shift = rows_rng.normal(0.0, 2.0, 2)
-            projected = Segment2D(a + shift, a + 60 * u + shift, id=i)
+            projected = segment(a + shift, a + 60 * u + shift, id=i)
             run_gates([0], [i], endpoints([observed]), endpoints([projected]), audit)
         path = tmp_path / f"audit{run}.csv"
         write_gate_audit(audit, path)
@@ -264,8 +272,8 @@ def test_run_gates_audit_byte_identical(tmp_path):
 
 
 def test_run_gates_all_pass_on_exact_projection():
-    observed = Segment2D([100, 100], [200, 150], id=0)
-    projected = Segment2D([100, 100], [200, 150], id=0)
+    observed = segment([100, 100], [200, 150], id=0)
+    projected = segment([100, 100], [200, 150], id=0)
     assert run_gates([0], [0], endpoints([observed]), endpoints([projected]), [])[0]
 
 
@@ -324,15 +332,15 @@ def oracle_match_predicted(predicted, detected):
             ang = oracle_angle_between_deg(direction(det), direction(pred))
             if ang >= gate_ang_deg:
                 continue
-            overlap = np.clip(oracle_overlap_ratio(pred.p_start, pred.p_end,
-                                                   det.p_start, det.p_end), 0.0, 1.0)
+            overlap = np.clip(oracle_overlap_ratio(p_start(pred), p_end(pred),
+                                                   p_start(det), p_end(det)), 0.0, 1.0)
             score = (w_angle * (1.0 - ang / gate_ang_deg)
                      + w_overlap * overlap)
             if score > best_score:
                 best_seg, best_score, best_k = det, score, k
         if best_seg is not None:
             taken.add(best_k)
-            chosen = Tracked(best_seg.p_start, best_seg.p_end, id=best_seg.id,
+            chosen = tracked(p_start(best_seg), p_end(best_seg), id=best_seg.id,
                              track_id=pred.track_id)
             out.append((pred.track_id, chosen, "detected"))
         else:
@@ -384,14 +392,14 @@ def oracle_overlap_gate(p_ori_s, p_ori_e, p_proj_s, p_proj_e, r_thre):
 
 def oracle_run_gates(frame_id, track_id, observed, projected, audit=None):
     l_proj = segment_line(projected)
-    d_s = abs(float(l_proj @ np.array([*observed.p_start, 1.0])))
-    d_e = abs(float(l_proj @ np.array([*observed.p_end, 1.0])))
+    d_s = abs(float(l_proj @ np.array([*p_start(observed), 1.0])))
+    d_e = abs(float(l_proj @ np.array([*p_end(observed), 1.0])))
     rep = oracle_reprojection_gate(midpoint(observed), midpoint(projected), d_s, d_e,
                                    THETA_THRE, D_THRE)
     sen = oracle_sensitivity_gate(direction(projected), midpoint(observed),
                                   midpoint(projected), ALPHA_THRE)
-    ove = oracle_overlap_gate(observed.p_start, observed.p_end,
-                              projected.p_start, projected.p_end, R_THRE)
+    ove = oracle_overlap_gate(p_start(observed), p_end(observed),
+                              p_start(projected), p_end(projected), R_THRE)
     results = [("reprojection", rep, max(THETA_THRE, D_THRE)),
                ("sensitivity", sen, ALPHA_THRE),
                ("overlap", ove, R_THRE)]
@@ -422,8 +430,8 @@ def oracle_triangulate_lines(tracks, poses_init, intr, audit):
             continue
         # 3D endpoints from the first view's observed extent
         o, _ = oracle_backproject_ray(midpoint(sa), poses_init[ta], intr)
-        ray_s = oracle_backproject_ray(sa.p_start, poses_init[ta], intr)[1]
-        ray_e = oracle_backproject_ray(sa.p_end, poses_init[ta], intr)[1]
+        ray_s = oracle_backproject_ray(p_start(sa), poses_init[ta], intr)[1]
+        ray_e = oracle_backproject_ray(p_end(sa), poses_init[ta], intr)[1]
         p3_s = oracle_closest_point_on_line_to_ray(line, o, ray_s)
         p3_e = oracle_closest_point_on_line_to_ray(line, o, ray_e)
         passing = []
@@ -433,7 +441,7 @@ def oracle_triangulate_lines(tracks, poses_init, intr, audit):
                 q_e = oracle_project_point(p3_e, poses_init[t], intr)
             except ValueError:
                 continue
-            projected = Segment2D(q_s, q_e, id=seg.id)
+            projected = segment(q_s, q_e, id=seg.id)
             if oracle_run_gates(t, track_id, seg, projected, audit):
                 passing.append((t, seg))
         if len(passing) >= 2:
@@ -475,13 +483,13 @@ def scene(config, ground_truth=False):
 
 
 def match_key(matches):
-    return [(tid, seg.id, source, seg.p_start.tobytes(), seg.p_end.tobytes())
+    return [(tid, seg.id, source, p_start(seg).tobytes(), p_end(seg).tobytes())
             for tid, seg, source in matches]
 
 
 def segment_list(scene, rows):
     """`Tracked` segments of the rows of a `SceneSegments`."""
-    return [Tracked(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
+    return [tracked(scene.ends[r, :2], scene.ends[r, 2:], id=int(scene.ids[r]),
                     track_id=int(scene.track[r]) if scene.track[r] >= 0 else None)
             for r in rows]
 
@@ -498,7 +506,7 @@ def test_match_predicted_equals_oracle_on_scenes(config):
     frames, _ = scene(config)
     rows = SceneSegments.of(frames)
     long = filter_short(rows.ends)
-    assert long.tolist() == [np.linalg.norm(s.p_end - s.p_start) >= TAU_S
+    assert long.tolist() == [np.linalg.norm(p_end(s) - p_start(s)) >= TAU_S
                              for fr in frames for s in fr.segments + predicted_segments(fr)]
     is_pred = rows.track >= 0
     pred, det = np.flatnonzero(long & is_pred), np.flatnonzero(long & ~is_pred)
@@ -663,8 +671,8 @@ def test_gates_skip_frame_behind_camera(tmp_path):
             assert to_camera(pose, ends[0])[2] < 0
             track.append((t, seg(100, 100, 200, 120, sid=t)))
         else:
-            track.append((t, Segment2D(*(oracle_project_point(p, pose, intr)
-                                         for p in ends), id=t)))
+            track.append((t, segment(*(oracle_project_point(p, pose, intr)
+                                       for p in ends), id=t)))
     audit = assert_lines_equal_oracle(*row_tracks({3: track}), poses, intr, tmp_path)
     assert [(r.frame_id, r.gate) for r in audit] == \
         [(t, g) for t in (0, 2) for g in ("reprojection", "sensitivity", "overlap")]
@@ -684,9 +692,9 @@ def test_track_behind_every_camera_has_no_audit_rows(tmp_path):
     poses = [Pose(np.eye(3), np.zeros(3)),
              Pose.from_world_camera(np.eye(3), [0.1, 0.8, 0.0])]
     ends = [np.array([-1.0, 0.2, -5.0]), np.array([1.0, 0.5, -6.0])]
-    behind = [(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
+    behind = [(t, segment(*(pinhole(p, pose, intr) for p in ends), id=t))
               for t, pose in enumerate(poses)]
-    seen = [(t, Segment2D(*(pinhole(-p, pose, intr) for p in ends), id=10 + t))
+    seen = [(t, segment(*(pinhole(-p, pose, intr) for p in ends), id=10 + t))
             for t, pose in enumerate(poses)]
     line = oracle_triangulate_line(behind[0][1], behind[1][1], *poses, intr)
     assert closest_point_to_origin(line)[2] < 0  # triangulated, behind the cameras
@@ -700,8 +708,8 @@ def test_tracks_seen_once_are_skipped(tmp_path):
     poses = [Pose(np.eye(3), np.zeros(3)),
              Pose.from_world_camera(np.eye(3), [0.1, 0.8, 0.0])]
     ends = [np.array([-1.0, 0.2, 5.0]), np.array([1.0, 0.5, 6.0])]
-    once = [(1, Segment2D(*(pinhole(p, poses[1], intr) for p in ends), id=0))]
-    twice = [(t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
+    once = [(1, segment(*(pinhole(p, poses[1], intr) for p in ends), id=0))]
+    twice = [(t, segment(*(pinhole(p, pose, intr) for p in ends), id=1 + t))
              for t, pose in enumerate(poses)]
     ids, U, W, _ = _triangulate_lines(*row_tracks({1: once}), poses, intr, audit := [])
     assert len(ids) == len(U) == len(W) == 0 and audit == []
@@ -719,7 +727,7 @@ def test_zero_length_projection_raises():
              Pose.from_world_camera(np.eye(3), [0.0, 1.0, 0.0])]
     ends = [np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, 6.0])]
     track = [(t, seg(300, 240, 340, 240, sid=t)) if t == 1 else
-             (t, Segment2D(*(pinhole(p, pose, intr) for p in ends), id=t))
+             (t, segment(*(pinhole(p, pose, intr) for p in ends), id=t))
              for t, pose in enumerate(poses)]
     with pytest.raises(ValueError, match="zero-length segment"):
         _triangulate_lines(*row_tracks({0: track}), poses, intr, [])
@@ -740,9 +748,9 @@ def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
     for i in range(200):
         a = rng.uniform([50, 50], [500, 400])
         u = rng.normal(0.0, 1.0, 2)
-        observed.append(Segment2D(a, a + rng.uniform(20, 80) * u / np.linalg.norm(u), id=i))
-        projected.append(Segment2D(observed[-1].p_start + rng.normal(0.0, 3.0, 2),
-                                   observed[-1].p_end + rng.normal(0.0, 3.0, 2), id=i))
+        observed.append(segment(a, a + rng.uniform(20, 80) * u / np.linalg.norm(u), id=i))
+        projected.append(segment(p_start(observed[-1]) + rng.normal(0.0, 3.0, 2),
+                                 p_end(observed[-1]) + rng.normal(0.0, 3.0, 2), id=i))
     projected[0] = observed[0]  # no displacement
     audit, single = [], []
     mask = run_gates(list(range(200)), [0] * 200, endpoints(observed),
@@ -751,8 +759,8 @@ def test_gates_stacked_rows_equal_one_pair_calls(tmp_path):
     for i, (o, p) in enumerate(zip(observed, projected)):
         assert run_gates([i], [0], endpoints([o]), endpoints([p]), single)[0] \
             == mask[i] == oracle_run_gates(i, 0, o, p, oracle_audit)
-        r = overlap_ratio(*one_pair(o.p_start, o.p_end, p.p_start, p.p_end))[0]
-        assert r == oracle_overlap_ratio(o.p_start, o.p_end, p.p_start, p.p_end)
+        r = overlap_ratio(*one_pair(p_start(o), p_end(o), p_start(p), p_end(p)))[0]
+        assert r == oracle_overlap_ratio(p_start(o), p_end(o), p_start(p), p_end(p))
     for rows, path in ((audit, "stacked.csv"), (single, "single.csv")):
         write_gate_audit(rows, tmp_path / path)
     oracle_write_gate_audit(oracle_audit, tmp_path / "oracle.csv")

@@ -9,7 +9,7 @@ import pytest
 from monogp import geometry
 from monogp.geometry import CameraIntrinsics, so3_exp
 from monogp.scenarios import structured
-from monogp.segments import Segment2D, endpoints, segment_frames
+from monogp.segments import endpoints, segment_frames
 from monogp.simulate import generate_trajectory, generate_world, render_measurements
 from monogp.tracking import filter_short
 import monogp.vanishing as vanishing
@@ -28,7 +28,7 @@ from monogp.vanishing import (
     sample_vp_hypotheses,
 )
 from golden import vp_clutter_config
-from test_segments import midpoint, segment_line
+from test_segments import midpoint, p_end, p_start, segment, segment_line
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 
@@ -49,8 +49,8 @@ def segments_through(vp_xy, n, rng, length=(30.0, 80.0), start_id=0):
         if d < 1.0:
             continue
         u = u / d
-        segs.append(Segment2D(a, a + rng.uniform(*length) * u,
-                              id=start_id + len(segs)))
+        segs.append(segment(a, a + rng.uniform(*length) * u,
+                            id=start_id + len(segs)))
     return segs
 
 
@@ -60,15 +60,15 @@ def cluttered_frame(seed):
     segs = []
     for vp in ([1500.0, 260.0], [300.0, -1800.0], [330.0, 230.0], [-900.0, 520.0]):
         for s in segments_through(vp, 12, rng):
-            segs.append(Segment2D(s.p_start + rng.normal(0.0, 0.5, 2),
-                                  s.p_end + rng.normal(0.0, 0.5, 2), id=len(segs)))
+            segs.append(segment(p_start(s) + rng.normal(0.0, 0.5, 2),
+                                p_end(s) + rng.normal(0.0, 0.5, 2), id=len(segs)))
     for _ in range(12):
         a = rng.uniform([0.0, 0.0], [640.0, 480.0])
         th = rng.uniform(0.0, 2.0 * np.pi)
         u = np.array([np.cos(th), np.sin(th)])
-        segs.append(Segment2D(a, a + rng.uniform(30.0, 80.0) * u, id=len(segs)))
+        segs.append(segment(a, a + rng.uniform(30.0, 80.0) * u, id=len(segs)))
     for src in (0, 13, 50):
-        segs.append(Segment2D(segs[src].p_start, segs[src].p_end, id=len(segs)))
+        segs.append(segment(p_start(segs[src]), p_end(segs[src]), id=len(segs)))
     return segs
 
 
@@ -177,7 +177,7 @@ def floyd_pair(words, pos, n):
 def einsum_consensus_matrix(segments, hypotheses):
     """Oracle: the broadcast copy, masked write and einsum formulation."""
     mids = np.array([midpoint(s) for s in segments])
-    dirs = np.array([(s.p_end - s.p_start) / np.linalg.norm(s.p_end - s.p_start)
+    dirs = np.array([(p_end(s) - p_start(s)) / np.linalg.norm(p_end(s) - p_start(s))
                      for s in segments])
     H = np.asarray(hypotheses, dtype=float)
     finite = np.abs(H[:, 2]) >= 1e-9
@@ -203,7 +203,7 @@ def scalar_consensus(seg, vp):
         to_vp = vp[:2] / vp[2] - midpoint(seg)
         if np.linalg.norm(to_vp) < 1e-9:
             raise ValueError("vp at segment midpoint")
-    u = (seg.p_end - seg.p_start) / np.linalg.norm(seg.p_end - seg.p_start)
+    u = (p_end(seg) - p_start(seg)) / np.linalg.norm(p_end(seg) - p_start(seg))
     dot = abs(float(u @ to_vp))
     cross = abs(float(u[0] * to_vp[1] - u[1] * to_vp[0]))
     return math.degrees(math.atan2(cross, dot))
@@ -211,13 +211,13 @@ def scalar_consensus(seg, vp):
 
 def loop_refine_vp(cluster_segments):
     """Oracle: refinement with one line and one consensus angle per segment."""
-    ends = np.array([[*s.p_start, *s.p_end] for s in cluster_segments])
+    ends = np.array([[*p_start(s), *p_end(s)] for s in cluster_segments])
     mid = ends.reshape(-1, 2).mean(axis=0)
     scale = max(float(np.abs(ends.reshape(-1, 2) - mid).mean()), 1e-9)
     L = []
     for seg in cluster_segments:
-        a = np.array([*(seg.p_start - mid) / scale, 1.0])
-        b = np.array([*(seg.p_end - mid) / scale, 1.0])
+        a = np.array([*(p_start(seg) - mid) / scale, 1.0])
+        b = np.array([*(p_end(seg) - mid) / scale, 1.0])
         l = np.cross(a, b)
         L.append(l / np.hypot(l[0], l[1]))
     _, s, vt = np.linalg.svd(np.array(L), full_matrices=True)
@@ -266,7 +266,7 @@ def angle_block(ends, hyps):
 
 
 def random_segments(n, rng):
-    return [Segment2D(rng.uniform(0, 640, 2), rng.uniform(0, 480, 2), id=i)
+    return [segment(rng.uniform(0, 640, 2), rng.uniform(0, 480, 2), id=i)
             for i in range(n)]
 
 
@@ -277,8 +277,8 @@ def angle(seg, vp):
 # -- hypothesis sampling -----------------------------------------------------
 
 def test_hypotheses_from_parallel_segments_lie_at_infinity():
-    segs = [Segment2D([0.0, 0.0], [10.0, 0.0], id=0),
-            Segment2D([0.0, 5.0], [10.0, 5.0], id=1)]
+    segs = [segment([0.0, 0.0], [10.0, 0.0], id=0),
+            segment([0.0, 5.0], [10.0, 5.0], id=1)]
     hyps = sample(endpoints(segs), 10, rng_seed=0)
     for h in hyps:
         assert abs(h[2]) < 1e-9
@@ -286,8 +286,8 @@ def test_hypotheses_from_parallel_segments_lie_at_infinity():
 
 
 def test_hypotheses_from_converging_segments():
-    segs = [Segment2D([0.0, 0.0], [50.0, 50.0], id=0),
-            Segment2D([200.0, 100.0], [150.0, 100.0], id=1)]
+    segs = [segment([0.0, 0.0], [50.0, 50.0], id=0),
+            segment([200.0, 100.0], [150.0, 100.0], id=1)]
     hyps = sample(endpoints(segs), 5, rng_seed=1)
     expected = np.array([100.0, 100.0, 1.0])
     expected /= np.linalg.norm(expected)
@@ -324,13 +324,13 @@ def test_sampler_equals_choice_loop_with_degenerate_pairs(seed):
 
 
 def test_sampler_on_copies_stops_at_attempt_cap():
-    seg = Segment2D([10.0, 20.0], [200.0, 90.0], id=0)
-    copies = [Segment2D(seg.p_start, seg.p_end, id=i) for i in range(5)]
+    seg = segment([10.0, 20.0], [200.0, 90.0], id=0)
+    copies = [segment(p_start(seg), p_end(seg), id=i) for i in range(5)]
     got = sample(endpoints(copies), 40, rng_seed=4)
     want, attempts = loop_sample_vp_hypotheses(copies, 40, 4)
     assert attempts == 50 * 40 and got.shape == want.shape == (0, 3)
     # one distinct segment: 4 of 6 pairs are degenerate, over many batches
-    mixed = copies[:3] + [Segment2D([5.0, 400.0], [300.0, 380.0], id=3)]
+    mixed = copies[:3] + [segment([5.0, 400.0], [300.0, 380.0], id=3)]
     got = sample(endpoints(mixed), 40, rng_seed=4)
     want, attempts = loop_sample_vp_hypotheses(mixed, 40, 4)
     assert attempts > 80 and np.array_equal(got, want)
@@ -367,18 +367,18 @@ def test_decode_pairs_rejection_matches_scalar_lemire(n):
 
 def test_too_few_segments_raises():
     with pytest.raises(ValueError, match="too few segments"):
-        sample(endpoints([Segment2D([0, 0], [1, 0], id=0)]), 10, rng_seed=0)
+        sample(endpoints([segment([0, 0], [1, 0], id=0)]), 10, rng_seed=0)
 
 
 # -- consensus ---------------------------------------------------------------
 
 def test_consensus_perfect_for_vp_at_infinity():
-    seg = Segment2D([100.0, 50.0], [200.0, 50.0], id=0)
+    seg = segment([100.0, 50.0], [200.0, 50.0], id=0)
     assert angle(seg, [1.0, 0.0, 0.0]) < 1e-12
 
 
 def test_consensus_perpendicular_vp():
-    seg = Segment2D([-10.0, 0.0], [10.0, 0.0], id=0)
+    seg = segment([-10.0, 0.0], [10.0, 0.0], id=0)
     vp = np.array([0.0, 1000.0, 1.0])
     vp /= np.linalg.norm(vp)
     assert abs(angle(seg, vp) - 90.0) < 1e-9
@@ -389,7 +389,7 @@ def test_consensus_two_degree_construction():
     vp_xy = mid + 500.0 * np.array([1.0, 0.0])
     ang = np.radians(2.0)
     u = np.array([np.cos(ang), np.sin(ang)])
-    seg = Segment2D(mid - 40.0 * u, mid + 40.0 * u, id=0)
+    seg = segment(mid - 40.0 * u, mid + 40.0 * u, id=0)
     vp = np.array([*vp_xy, 1.0])
     vp /= np.linalg.norm(vp)
     assert abs(angle(seg, vp) - 2.0) < 1e-6
@@ -398,25 +398,25 @@ def test_consensus_two_degree_construction():
 def test_consensus_invariant_to_endpoint_swap_and_vp_scale():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        seg = Segment2D(rng.uniform(0, 640, 2), rng.uniform(0, 640, 2), id=0)
+        seg = segment(rng.uniform(0, 640, 2), rng.uniform(0, 640, 2), id=0)
         vp = rng.normal(0.0, 1.0, 3)
         vp /= np.linalg.norm(vp)
-        swapped = Segment2D(seg.p_end, seg.p_start, id=0)
+        swapped = segment(p_end(seg), p_start(seg), id=0)
         assert abs(angle(seg, vp) - angle(swapped, vp)) < 1e-9
         assert abs(angle(seg, vp) - angle(seg, -vp)) < 1e-9
 
 
 def test_consensus_vp_at_midpoint_raises():
-    seg = Segment2D([100.0, 100.0], [200.0, 200.0], id=0)
+    seg = segment([100.0, 100.0], [200.0, 200.0], id=0)
     vp = np.array([150.0, 150.0, 1.0])
     vp /= np.linalg.norm(vp)
-    other = Segment2D([0.0, 10.0], [50.0, 10.0], id=1)
+    other = segment([0.0, 10.0], [50.0, 10.0], id=1)
     got = consensus_angles(endpoints([other, seg]), [vp, vp])
     assert np.isnan(got[1]) and got[0] == scalar_consensus(other, vp)
     # refinement rejects such a cluster, so detection drops it
     with pytest.raises(ValueError, match="vp at segment midpoint"):
-        refine([Segment2D([100.0, 150.0], [200.0, 150.0], id=2),
-                   Segment2D([150.0, 100.0], [150.0, 200.0], id=3), seg])
+        refine([segment([100.0, 150.0], [200.0, 150.0], id=2),
+                   segment([150.0, 100.0], [150.0, 200.0], id=3), seg])
 
 
 def test_consensus_angles_equal_scalar_steps():
@@ -477,7 +477,7 @@ def aimed_segments(deg, start_id):
         m = np.array(m)
         b = math.atan2(-m[1], -m[0]) - math.radians(deg)
         u = np.array([math.cos(b), math.sin(b)])
-        segs.append(Segment2D(m - 20.0 * u, m + 20.0 * u, id=start_id + i))
+        segs.append(segment(m - 20.0 * u, m + 20.0 * u, id=start_id + i))
     return segs
 
 
@@ -553,8 +553,8 @@ def test_three_planted_families_no_contamination():
     for i in range(12):
         a = rng.uniform([0, 0], [640, 480])
         th = rng.uniform(0.0, 2 * np.pi)
-        outliers.append(Segment2D(a, a + 50.0 * np.array([np.cos(th), np.sin(th)]),
-                                  id=60 + i))
+        outliers.append(segment(a, a + 50.0 * np.array([np.cos(th), np.sin(th)]),
+                                id=60 + i))
     hyps = sample(endpoints(segs + outliers), 500, rng_seed=0)
     clusters = cluster(segs + outliers, hyps, 3)
     big = [c for c in clusters if len(c) >= 18]
@@ -814,8 +814,8 @@ def test_jlinkage_every_segment_merges():
 # -- refinement --------------------------------------------------------------
 
 def test_refine_vp_exact_intersection():
-    segs = [Segment2D([320.0 - 100.0, 240.0 - 50.0], [320.0 - 10.0, 240.0 - 5.0], id=0),
-            Segment2D([320.0 + 80.0, 240.0 - 80.0], [320.0 + 8.0, 240.0 - 8.0], id=1)]
+    segs = [segment([320.0 - 100.0, 240.0 - 50.0], [320.0 - 10.0, 240.0 - 5.0], id=0),
+            segment([320.0 + 80.0, 240.0 - 80.0], [320.0 + 8.0, 240.0 - 8.0], id=1)]
     est = refine(segs)
     expected = np.array([320.0, 240.0, 1.0])
     expected /= np.linalg.norm(expected)
@@ -854,7 +854,7 @@ def test_refine_vp_equals_per_segment_loop(seed):
 
 
 def test_refine_vp_identical_lines_rank_deficient():
-    segs = [Segment2D([0.0, 10.0], [100.0, 10.0], id=i) for i in range(4)]
+    segs = [segment([0.0, 10.0], [100.0, 10.0], id=i) for i in range(4)]
     with pytest.raises(ValueError, match="rank deficient"):
         refine(segs)
 
@@ -865,10 +865,10 @@ def test_refine_vps_rejects_only_the_clusters_that_fail():
     # if alone
     rng = np.random.default_rng(18)
     good = segments_through([150.0, 700.0], 6, rng)
-    far = [Segment2D([1e6, 1e6 + 40.0 * i], [1e6 + 30.0, 1e6 + 40.0 * i + 5.0], id=10 + i)
+    far = [segment([1e6, 1e6 + 40.0 * i], [1e6 + 30.0, 1e6 + 40.0 * i + 5.0], id=10 + i)
            for i in range(3)]
-    tiny = Segment2D([1.0, 1.0], [np.nextafter(1.0, 2.0), 1.0], id=13)
-    flat = [Segment2D([0.0, 10.0], [100.0, 10.0], id=20 + i) for i in range(3)]
+    tiny = segment([1.0, 1.0], [np.nextafter(1.0, 2.0), 1.0], id=13)
+    flat = [segment([0.0, 10.0], [100.0, 10.0], id=20 + i) for i in range(3)]
     segs = good + far + [tiny] + flat + [good[0]]
     ends = endpoints(segs)
     got = refine_vps(ends, [(range(6), ids_of(good)), (range(6, 10), [10, 11, 12, 13]),
@@ -922,7 +922,7 @@ def test_lift_sign_invariant():
 def test_detect_sets_cluster_labels():
     rng = np.random.default_rng(10)
     segs = segments_through([1500.0, 240.0], 15, rng)
-    lone = Segment2D([10.0, 400.0], [60.0, 330.0], id=15)
+    lone = segment([10.0, 400.0], [60.0, 330.0], id=15)
     ests = detect_vanishing_points(segs + [lone], rng_seed=0)
     assert len(ests) >= 1
     assert all(s.cluster_label == 0 for s in segs)
@@ -942,7 +942,7 @@ def test_detect_rejects_duplicate_segment_ids():
 def test_detect_clears_stale_labels_on_every_return():
     rng = np.random.default_rng(10)
     segs = segments_through([1500.0, 240.0], 15, rng)
-    copies = [Segment2D(segs[0].p_start, segs[0].p_end, id=100 + i) for i in range(3)]
+    copies = [segment(p_start(segs[0]), p_end(segs[0]), id=100 + i) for i in range(3)]
     assert detect_vanishing_points(segs + copies, rng_seed=0)
     assert all(s.cluster_label == 0 for s in segs + copies)
     # identical lines: no hypothesis
@@ -978,13 +978,13 @@ def duplicated_frame():
     """A planted family and ten exact copies of its first segment: about a
     fifth of the pairs are identical lines."""
     segs = segments_through([1500.0, 240.0], 15, np.random.default_rng(10))
-    return segs + [Segment2D(segs[0].p_start, segs[0].p_end, id=100 + i) for i in range(10)]
+    return segs + [segment(p_start(segs[0]), p_end(segs[0]), id=100 + i) for i in range(10)]
 
 
 def copies_frame():
     """Three copies of one segment: no pair gives a hypothesis."""
-    seg = Segment2D([10.0, 20.0], [200.0, 90.0], id=0)
-    return [Segment2D(seg.p_start, seg.p_end, id=i) for i in range(3)]
+    seg = segment([10.0, 20.0], [200.0, 90.0], id=0)
+    return [segment(p_start(seg), p_end(seg), id=i) for i in range(3)]
 
 
 def test_scene_sampler_equals_choice_loop_per_frame():
@@ -1006,21 +1006,25 @@ def test_scene_sampler_equals_choice_loop_per_frame():
 
 @pytest.mark.parametrize("block", [7, 500, 2_000])
 def test_scene_sampler_block_seams_are_exact(monkeypatch, block):
-    # structured(0)'s frames as the pipeline samples them, in groups cut
-    # small (every frame alone, or two at a time) and in the default groups
-    # (two groups of its 20 frames): the same hypotheses, byte for byte
+    # structured(0)'s frames as the pipeline samples them, cut into groups
+    # as `detect_scene_vanishing_points` cuts them, small (every frame alone,
+    # or two at a time) and by default (two groups of its 20 frames), and
+    # sampled group by group: the hypotheses of one call on all frames, byte
+    # for byte
     cfg = structured(0)
     poses = generate_trajectory(cfg)
     frames = render_measurements(generate_world(cfg), poses, cfg)
     ends = [fr.ends[filter_short(fr.ends)] for fr in frames]
     seeds = [cfg.rng_seed * 1009 + t for t in range(len(frames))]
-    assert len(geometry.block_runs([3 * 300] * len(frames))) == 2
     want = sample_vp_hypotheses(ends, 300, seeds)
-    monkeypatch.setattr(geometry, "BLOCK_ELEMS", block)
-    assert len(geometry.block_runs([3 * 300] * len(frames))) > 2
-    got = sample_vp_hypotheses(ends, 300, seeds)
-    assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
     assert all(len(h) == 300 for h in want)
+    groups = geometry.block_runs([3 * 300] * len(frames))
+    monkeypatch.setattr(geometry, "BLOCK_ELEMS", block)
+    small = geometry.block_runs([3 * 300] * len(frames))
+    assert len(groups) == 2 and len(small) > 2
+    for runs in (groups, small):
+        got = [h for a, b in runs for h in sample_vp_hypotheses(ends[a:b], 300, seeds[a:b])]
+        assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
 
 
 @pytest.mark.parametrize("block", [7, 2_000])
@@ -1043,7 +1047,7 @@ def test_scene_detection_block_seams_are_exact(monkeypatch, block):
 
 
 def test_scene_detection_equals_per_frame_on_degenerate_frames():
-    lone = [Segment2D([10.0, 400.0], [60.0, 330.0], id=7)]
+    lone = [segment([10.0, 400.0], [60.0, 330.0], id=7)]
     scene = [(cluttered_frame(11), 3), (duplicated_frame(), 4), (lone, 5), (copies_frame(), 6),
              ([], 7), (cluttered_frame(12), 8)]
     got = assert_scene_equals_per_frame(scene)
@@ -1052,7 +1056,7 @@ def test_scene_detection_equals_per_frame_on_degenerate_frames():
 
 
 def test_scene_detection_without_a_usable_frame():
-    lone = [Segment2D([10.0, 400.0], [60.0, 330.0], id=7)]
+    lone = [segment([10.0, 400.0], [60.0, 330.0], id=7)]
     settings = DEFAULT_N_HYPOTHESES, DEFAULT_MIN_CLUSTER_SIZE
     assert detect_scene_vanishing_points(
         scene_input([(lone, 0), ([], 1), (copies_frame(), 2)]), *settings) == [[], [], []]

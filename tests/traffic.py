@@ -6,8 +6,9 @@ tracing only frames of the imported `monogp` package's own files:
 - `monogp.cli.main`: `simulate`, and `run --seed 7` in both modes, on each
   config in `configs/`; `eval` of one gp run against its ground truth, with
   and without `--no-scale`; `ablate`
-  (two seeds) with `--format json` and `--format csv`; `detect-vp` on a
-  segment file written from a rendered frame; and `run` on a 2-keyframe copy
+  (two seeds) with `--format json` and `--format csv`; `detect-vp` on
+  frame 0 of `configs/structured.json` as a segment file
+  (`golden.write_segment_file`); and `run` on a 2-keyframe copy
   of `configs/structured.json`, which fails in `evaluate` and exits 1;
 - the demos in `demos/`, through `runpy`;
 - one round of each benchmark workload in `perfbench/workloads.py` (each
@@ -46,6 +47,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 import monogp  # noqa: E402
+from golden import write_segment_file  # noqa: E402
 from monogp import cli, scenarios, simulate  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
@@ -104,7 +106,8 @@ def _entry_points(tmp: Path):
         yield f"ablate {fmt}", 0, lambda f=fmt: main(
             ["ablate", "--config", str(structured), "--seeds", "2", "--format", f,
              "--out", str(tmp / f"ablate-{f}")])
-    yield "detect-vp", 0, lambda: main(["detect-vp", "--segments", str(_segment_file(tmp))])
+    yield "detect-vp", 0, lambda: main(
+        ["detect-vp", "--segments", str(write_segment_file("structured", tmp / "segments.txt"))])
     # too few keyframes to align: "[evaluate] insufficient pairs"
     short = json.loads(structured.read_text())
     short["trajectory"]["n_keyframes"] = 2
@@ -125,18 +128,6 @@ def _entry_points(tmp: Path):
 
 def _run_demo(path: Path):
     runpy.run_path(str(path), run_name="__main__")
-
-
-def _segment_file(tmp: Path) -> Path:
-    """Frame 0 of the structured config, one `id x1 y1 x2 y2 track_id` line
-    per segment (the track id is the segment id)."""
-    cfg = simulate.ScenarioConfig.load(scenarios.CONFIGS / "structured.json")
-    frame = simulate.render_measurements(simulate.generate_world(cfg),
-                                         simulate.generate_trajectory(cfg), cfg)[0]
-    path = tmp / "segments.txt"
-    path.write_text("".join(f"{sid} {' '.join(map(repr, e))} {sid}\n"
-                            for sid, e in zip(frame.ids.tolist(), frame.ends.tolist())))
-    return path
 
 
 def _one_round(workload):
